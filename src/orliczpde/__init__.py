@@ -88,6 +88,7 @@ from .young import (
     check_growth_condition,
     parse_scalar_function,
     psi_of,
+    solve_increasing,
     theta_diamond,
 )
 

@@ -13,10 +13,10 @@ radial extent R(w) of the boundary in direction w:
 
     |{Phi <= t}| = (1/n) * Int_{S^{n-1}} R(w)^n dw,
 
-with R found by monotone bisection along each ray (vectorized over
-directions) and the spherical integral done by tensor Gauss-Legendre
-rules for n = 2, 3 and a scrambled Sobol direction set for n >= 4
-(standard error reported).
+with R found along each ray by one ``solve_increasing`` call
+(vectorized over directions) and the spherical integral done by tensor
+Gauss-Legendre rules for n = 2, 3 and a scrambled Sobol direction set
+for n >= 4 (standard error reported).
 
 Phi_diamond is the radial biconjugate of Phi_circ: conjugate twice in
 the scalar radial variable; it is convex by construction and equivalent
@@ -35,13 +35,13 @@ from scipy.special import gamma
 from scipy.stats import qmc
 
 from .young import (
+    InverseRangeError,
     LegendreConjugate,
-    MonotoneFunction,
     SampledYoungFunction,
     ScalarYoungFunction,
     YoungFunctionError,
     parse_scalar_function,
-    theta_diamond,
+    solve_increasing,
 )
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "phi_diamond",
     "dilation_constants",
     "theta",
-    "theta_function",
     "vector_conjugate_grid",
     "from_json",
 ]
@@ -190,37 +189,24 @@ class CustomPhi(AnisotropicYoungFunction):
 # sublevel measure via star-shaped radial extent
 
 
-def radial_extent(phi, directions, t, rtol=1e-12, maxiter=200):
+def radial_extent(phi, directions, t, rtol=1e-12):
     """R(w) with Phi(R(w) w) = t for each unit direction w, vectorized.
 
-    Phi is nondecreasing along rays from 0 (convexity + Phi(0)=0), so a
-    single bisection bracket serves all directions at once.
+    Phi is nondecreasing along rays from 0 (convexity + Phi(0)=0), so
+    one solve serves all directions at once; a boundary beyond
+    ``phi.bound_radius`` raises :class:`BoundBoxError`.
     """
     w = np.asarray(directions, dtype=float)
-    m = w.shape[0]
-    lo = np.zeros(m)
-    hi = np.ones(m)
-    for _ in range(200):
-        too_low = phi.value(hi[:, None] * w) <= t
-        if not np.any(too_low):
-            break
-        hi[too_low] *= 2.0
-        if np.any(hi > phi.bound_radius):
-            raise BoundBoxError(
-                f"sublevel set at t={t} reaches the bound box "
-                f"(radius {phi.bound_radius:g})",
-                suggested_radius=4.0 * phi.bound_radius,
-            )
-    else:
-        raise BoundBoxError(f"sublevel set at t={t} appears unbounded")
-    for _ in range(maxiter):
-        mid = 0.5 * (lo + hi)
-        inside = phi.value(mid[:, None] * w) <= t
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
-        if np.max((hi - lo) / np.maximum(hi, 1e-300)) < rtol:
-            break
-    return 0.5 * (lo + hi)
+    try:
+        return solve_increasing(lambda r: phi.value(r[:, None] * w),
+                                np.full(w.shape[0], float(t)), rtol=rtol,
+                                x_max=phi.bound_radius)
+    except InverseRangeError:
+        raise BoundBoxError(
+            f"sublevel set at t={t} reaches the bound box "
+            f"(radius {phi.bound_radius:g})",
+            suggested_radius=4.0 * phi.bound_radius,
+        ) from None
 
 
 def _sphere_rule(n, level, seed=0):
@@ -265,31 +251,6 @@ def _sphere_rule(n, level, seed=0):
 _GL12_X, _GL12_W = np.polynomial.legendre.leggauss(12)
 
 
-def _inverse_vec(a, y, maxiter=120):
-    """Vectorized nondecreasing inverse: z with A(z) = y, elementwise."""
-    y = np.asarray(y, dtype=float)
-    z = np.zeros_like(y)
-    pos = y > 0.0
-    if not np.any(pos):
-        return z
-    yp = y[pos]
-    hi = np.ones_like(yp)
-    with np.errstate(over="ignore"):
-        for _ in range(700):
-            low = np.asarray(a.value(hi)) < yp
-            if not np.any(low):
-                break
-            hi[low] *= 2.0
-        lo = np.zeros_like(yp)
-        for _ in range(maxiter):
-            mid = 0.5 * (lo + hi)
-            below = np.asarray(a.value(mid)) <= yp
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-    z[pos] = 0.5 * (lo + hi)
-    return z
-
-
 def _split_measure(terms, t, n_panels=24):
     """Measure of {sum_k A_k(|x_k|) <= t}: exact iterated quadrature.
 
@@ -300,11 +261,11 @@ def _split_measure(terms, t, n_panels=24):
     """
     t = np.asarray(t, dtype=float)
     if len(terms) == 1:
-        return 2.0 * _inverse_vec(terms[0], t)
+        return 2.0 * terms[0].inverse(t)
     a1 = terms[0]
     shape = t.shape
     tf = t.ravel()
-    R1 = _inverse_vec(a1, tf)
+    R1 = a1.inverse(tf)
     edges = np.linspace(0.0, 0.5 * math.pi, n_panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * np.diff(edges)
@@ -429,14 +390,8 @@ def dilation_constants(circ, diamond, t_lo=1.0, t_hi=1e4, n_points=64):
     Measured as c(t) = Phi_circ^{-1}(Phi_diamond(t)) / t over a log grid.
     """
     t = np.geomspace(t_lo, t_hi, n_points)
-    c = np.asarray([float(circ.inverse(float(diamond.value(ti)))) / ti
-                    for ti in t])
+    c = circ.inverse(diamond.value(t)) / t
     return float(np.min(c)), float(np.max(c))
-
-
-def theta_function(diamond):
-    """t -> conj(Phi_diamond)^{-1}(Phi_diamond(t)), with inverse."""
-    return theta_diamond(diamond)
 
 
 def theta(phi, diamond=None):

@@ -59,6 +59,7 @@ __all__ = [
     "make_record",
     "expected_regularity",
     "verify_asymptotics",
+    "fit_tail",
     "EXAMPLE_IDS",
 ]
 
@@ -288,7 +289,7 @@ def verify_asymptotics(record, n_levels=128, power_rtol=0.02, log_atol=0.15,
     # generous to leave room for a tail fit
     phi = record.build_phi()
     circ = phi_circ(phi, t_lo=1.0, t_hi=1e24, n_levels=n_levels, seed=seed)
-    sigma_hat, beta_hat, _ = _fit_tail(circ)
+    sigma_hat, beta_hat, _ = fit_tail(circ)
     check("phi_circ power", sigma_hat, exp_reg["phi_circ"]["power"],
           power_rtol, True)
     check("phi_circ log", beta_hat, exp_reg["phi_circ"]["log"],
@@ -374,7 +375,13 @@ def verify_asymptotics(record, n_levels=128, power_rtol=0.02, log_atol=0.15,
     return report
 
 
-def _fit_tail(circ):
+def fit_tail(circ):
+    """Tail exponents (sigma, beta, coefficients) of a radial average.
+
+    A least-squares fit of log Phi_circ(t) on (1, log t, log log t,
+    1/log t) over the top four decades of its table, or over
+    [1e8, 1e12] for analytic generators.
+    """
     from .young import SampledYoungFunction
 
     if isinstance(circ, SampledYoungFunction):

@@ -108,11 +108,6 @@ def _load_field(spec, n_nodes):
     return grid.GridField(vals)
 
 
-def _scalar_inverse(fn, y):
-    """Vectorized inverse of a nondecreasing scalar callable."""
-    return anisotropic._inverse_vec(fn, np.asarray(y, dtype=float))
-
-
 def _phi_from_config(cfg):
     doc = cfg["phi"]
     if isinstance(doc, str) and doc.endswith(".json"):
@@ -134,20 +129,6 @@ def _scalar_from_config(cfg, key):
 # subcommands
 
 
-class _Callable:
-    """Adapter giving a plain vectorized function a ``.value`` attribute."""
-
-    def __init__(self, fn):
-        self.value = fn
-
-
-def _legendre_values(a, s):
-    """Vectorized Young conjugate sup_t (st - A(t)) via A'(t) = s."""
-    s = np.asarray(s, dtype=float)
-    T = anisotropic._inverse_vec(_Callable(a.derivative), s)
-    return np.maximum(s * T - np.asarray(a.value(T), dtype=float), 0.0)
-
-
 def _biconjugate_values(a, t):
     """sup_s (ts - conj(s)) on sorted t, from the conjugate tabulated
     once on its own grid, the slopes s = A'(t).
@@ -159,28 +140,18 @@ def _biconjugate_values(a, t):
     lies above A at t_i: A is not convex, or A' is not its derivative.
     """
     s = np.unique(a.derivative(t))
-    return young.discrete_legendre(s, _legendre_values(a, s), t)
-
-
-def _conjugate_inverse(a, y):
-    """conj^{-1}(y) by one bracketed solve.
-
-    conj(A'(T)) = T A'(T) - A(T) is nondecreasing in T, so solve it for
-    the maximizer T; then conj(s) = sT - A(T) = y gives s = (y + A(T))/T,
-    which is A'(T) away from kinks and stays exact where A' jumps.
-    """
-    y = np.asarray(y, dtype=float)
-    T = anisotropic._inverse_vec(
-        _Callable(lambda T: T * a.derivative(T) - a.value(T)), y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(T > 0.0, (y + a.value(T)) / T, 0.0)
+    return young.discrete_legendre(s, young.LegendreConjugate(a).value(s), t)
 
 
 def cmd_conjugate(cfg, out):
     a = _scalar_from_config(cfg, "A")
-    t = np.geomspace(cfg.get("t_lo", 1e-2), cfg.get("t_hi", 1e4),
+    # the default range stays inside the function's trusted range, where
+    # exponential growth is not yet clamped
+    t_hi = cfg.get("t_hi", min(1e4, a.t_max))
+    t = np.geomspace(cfg.get("t_lo", 1e-2), t_hi,
                      int(cfg.get("n_points", 512)))
-    conj_vals = _legendre_values(a, t)
+    conj = young.LegendreConjugate(a)
+    conj_vals = conj.value(t)
     _write_csv(out / "conjugate_table.csv",
                ["t", "A", "conjugate"], [t, a.value(t), conj_vals])
     # involution: conjugating twice returns the original
@@ -189,7 +160,7 @@ def cmd_conjugate(cfg, out):
                  / np.maximum(a.value(t), 1e-300))
     inv_tol = 1e-6 if analytic else 1e-3
     # two-sided inverse-product inequality t <= A^{-1} conj^{-1} <= 2t
-    prod = anisotropic._inverse_vec(a, t) * _conjugate_inverse(a, t)
+    prod = a.inverse(t) * conj.inverse(t)
     lower_ok = bool(np.all(prod >= t * (1.0 - 1e-9)))
     upper_ok = bool(np.all(prod <= 2.0 * t * (1.0 + 1e-9)))
     # Young's inequality on a product grid
@@ -225,7 +196,7 @@ def cmd_phicirc(cfg, out):
         n_levels=int(cfg.get("n_levels", 256)), seed=int(cfg["seed"]))
     circ.to_csv(out / "phi_circ.csv")
     _as_crlf(out / "phi_circ.csv")
-    sigma, beta, _ = catalog._fit_tail(circ)
+    sigma, beta, _ = catalog.fit_tail(circ)
     report = {"n": phi.n, "form": phi.form,
               "tail_fit": {"power": sigma, "log": beta}}
     _write_json(out / "phicirc_report.json", report)
@@ -269,8 +240,7 @@ def cmd_symmetrize_solve(cfg, out):
     n = int(cfg["n"])
     omega = _measure(cfg.get("omega", 1.0))
     f_rf = _load_rf(cfg.get("f", "const:1"), omega)
-    psi = young.psi_of(a)
-    psi_inv = lambda s: _scalar_inverse(psi, s)  # noqa: E731
+    psi_inv = young.psi_of(a).inverse
     sol = radial.solve_radial(psi_inv, f_rf, n, omega,
                               n_nodes=int(cfg.get("n_nodes", 4096)))
     sol.to_csv(out / "radial_solution.csv")

@@ -309,10 +309,8 @@ def sobolev_conjugate(phi_circ, n, t_lo=1e-8, t_hi=1e10, n_points=4096,
     def vr_log(log_t):
         log_t = np.asarray(log_t, dtype=float)
         # varrho_n(t) = t / Phi_n^{-1}(t)^{n'}
-        inv = np.asarray([math.log(max(float(phi_n.inverse(
-            math.exp(min(lt, 700.0)))), 1e-300)) for lt in np.atleast_1d(log_t)])
-        inv = inv.reshape(np.shape(log_t))
-        return log_t - np_prime * inv
+        inv = phi_n.inverse(np.exp(np.minimum(log_t, 700.0)))
+        return log_t - np_prime * np.log(np.maximum(inv, 1e-300))
 
     varrho = MonotoneFunction(
         lambda t: np.exp(np.minimum(vr_log(np.log(np.maximum(t, 1e-300))),

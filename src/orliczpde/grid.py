@@ -8,11 +8,12 @@ catalog potentials, are discretized by cell-wise forward differences:
          - h^2 * Sum_nodes f u,
 
 minimized over zero-boundary nodal fields.  J is strictly convex for
-the catalog potentials, so preconditioned gradient descent (inverse
-discrete Laplacian via the sine transform, Barzilai-Borwein steps,
-Armijo backtracking on J) converges to the unique minimizer with a
-monotone energy trace.  For p = 2 the energy gradient is exactly the
-5-point scheme and the preconditioner solves it in a couple of steps.
+the catalog potentials, so a Newton-Krylov iteration (each Hessian
+system solved by matrix-free conjugate gradients preconditioned with
+the inverse discrete Laplacian via the sine transform, then Armijo
+backtracking on J) converges to the unique minimizer with a monotone
+energy trace.  For p = 2 the energy gradient is exactly the 5-point
+scheme and the first Newton step solves it.
 
 Also here: truncated-data solution ladders (approximable solutions),
 the mollified point-mass datum, and the operator assumption audit.

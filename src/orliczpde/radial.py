@@ -190,9 +190,7 @@ def level_set_bound_grad(K, profile: EmbeddingProfile, c1=1.0):
 
     def bound(s):
         s = np.asarray(s, dtype=float)
-        inv = np.asarray([float(profile.phi_n.inverse(si))
-                          for si in np.atleast_1d(s)]).reshape(np.shape(s))
-        out = c1 * inv**np_prime / s
+        out = c1 * profile.phi_n.inverse(s) ** np_prime / s
         return float(out) if out.ndim == 0 else out
 
     return bound

@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .anisotropic import unit_ball_volume
-from .young import InverseRangeError, YoungFunctionError
+from .young import YoungFunctionError, solve_increasing
 
 __all__ = [
     "RearrangedFunction",
@@ -274,79 +274,42 @@ def improper_integral(fn, a, b, head_decades=12, blowup=10.0):
 
 
 def luxemburg_norm(a, rf, tol=1e-10):
-    """inf{lam : Int A(u*/lam) <= 1}, exact modular, bisection in lam."""
+    """inf{lam : Int A(u*/lam) <= 1}, exact modular.
+
+    The modular is nondecreasing in u = 1/lam, so lam = 1/u for the
+    least u where it reaches 1.
+    """
     if rf.integral() == 0.0:
         return 0.0
-    lo, hi = 1e-300, 1.0
-    for _ in range(600):
-        if rf.modular(a, hi) <= 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise InverseRangeError(
-            f"no finite Luxemburg bracket; modular at lam={hi:g} is "
-            f"{rf.modular(a, hi):g}")
-    lo = hi / 2.0
-    while rf.modular(a, lo) <= 1.0 and lo > 1e-280:
-        hi = lo
-        lo /= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if rf.modular(a, mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= tol * hi:
-            break
-    return hi
+    u = solve_increasing(lambda u: rf.modular(a, 1.0 / u), 1.0, rtol=tol)
+    return 1.0 / u if u > 0.0 else math.inf
 
 
 def orlicz_lorentz_norm(a, r, rf, variant="star", tol=1e-8):
     """|| s^{1/r} u^{*(*)}(s) ||_{L^A(0,|Omega|)}.
 
     The weighted profile is piecewise smooth, so the modular is a sum
-    of per-interval Gauss quadratures; for negative r the weight blows
-    up at 0 and the improper head is handled with divergence detection
-    (returns math.inf when no finite lam works).
+    of per-interval Gauss quadratures, solved for the least u = 1/lam
+    where it reaches 1.  For negative r the weight blows up at 0 and the
+    improper head is handled with divergence detection: a modular still
+    infinite at lam = 1e120 is infinite for every lam (below that the
+    integrand only underflows), and the norm is math.inf.
     """
     if r == 0:
         raise YoungFunctionError("r must be nonzero")
     base = rf.maximal_eval if variant == "double_star" else rf
     exponent = 1.0 / r
 
-    def modular(lam):
+    def modular(u):
         def fn(s):
-            return a.value(s**exponent * base(s) / lam)
+            return a.value(s**exponent * base(s) * u)
 
         return improper_integral(fn, 0.0, rf.domain_measure)
 
-    lo, hi = 1e-300, 1.0
-    for _ in range(200):
-        m = modular(hi)
-        if math.isfinite(m) and m <= 1.0:
-            break
-        if not math.isfinite(m) and hi > 1e150:
-            return math.inf
-        hi *= 4.0
-    else:
+    if math.isinf(modular(1e-120)):
         return math.inf
-    lo = hi / 4.0
-    while True:
-        m = modular(lo)
-        if not (math.isfinite(m) and m <= 1.0) or lo < 1e-280:
-            break
-        hi = lo
-        lo /= 4.0
-    for _ in range(100):
-        mid = math.sqrt(lo * hi)
-        m = modular(mid)
-        if math.isfinite(m) and m <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= tol * hi:
-            break
-    return hi
+    u = solve_increasing(modular, 1.0, rtol=tol)
+    return 1.0 / u if u > 0.0 else math.inf
 
 
 def lorentz_quasinorm(rf, p, q):

@@ -9,7 +9,8 @@ and A(t)/t -> oo as t -> oo.  This module provides
 * Young conjugation A~(s) = sup_t (st - A(t)), exact pointwise through
   the first-order condition A'(t) = s whenever a monotone derivative is
   available, with a discrete Legendre transform as fallback,
-* generalized left-continuous inverses by monotone bisection,
+* generalized left-continuous inverses, closed form where known and
+  otherwise by one vectorized bracketing solver, ``solve_increasing``,
 * doubling-condition probes (Delta_2 / Nabla_2 near infinity),
 * the derived monotone functions Psi(t) = A(t)/t and
   Theta_diamond(t) = conj(A)^{-1}(A(t)).
@@ -39,6 +40,7 @@ __all__ = [
     "LegendreConjugate",
     "MonotoneFunction",
     "discrete_legendre",
+    "solve_increasing",
     "psi_of",
     "theta_diamond",
     "check_growth_condition",
@@ -53,42 +55,63 @@ class YoungFunctionError(Exception):
 class InverseRangeError(YoungFunctionError):
     """Requested inverse value lies outside the attainable bracket."""
 
-    def __init__(self, message, lo=None, hi=None):
-        super().__init__(message)
-        self.lo = lo
-        self.hi = hi
-
 
 class NotConvexError(YoungFunctionError):
     """Convexity certification failed."""
 
 
-def bisect_increasing(fn, target, lo, hi, rtol=1e-12, maxiter=200):
-    """Leftmost t in [lo, hi] with fn(t) >= target, for nondecreasing fn.
+_TINY = 1e-300  # stands in for 0+ in the solver
 
-    Ties on flat segments resolve to the left endpoint, which realizes
-    the left-continuous generalized inverse.
+
+def solve_increasing(fn, y, rtol=1e-12, x_max=1e300):
+    """Leftmost x >= 0 with fn(x) >= y, elementwise, for nondecreasing fn.
+
+    This is the left-continuous generalized inverse of fn.  ``fn`` maps
+    an array shaped like ``y`` to one of the same shape, element by
+    element.  Each element is bracketed by factors of 4 from x = 1, up
+    or down, then bisected at the geometric mean until
+    hi <= lo * (1 + rtol); the upper end, where fn(x) >= y holds, is
+    returned.  The result is 0 where y <= 0 or fn(0+) >= y, and inf
+    where y is inf.  A finite y with fn(x_max) < y raises
+    :class:`InverseRangeError`: no unconverged number is returned.
     """
-    flo = fn(lo)
-    if flo >= target:
-        return lo
-    fhi = fn(hi)
-    if fhi < target:
-        raise InverseRangeError(
-            f"target {target!r} above attainable value {fhi!r} on "
-            f"[{lo!r}, {hi!r}]",
-            lo=flo,
-            hi=fhi,
-        )
-    for _ in range(maxiter):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= rtol * max(abs(hi), 1.0):
-            break
-    return hi
+    y_arr = np.asarray(y, dtype=float)
+    with np.errstate(all="ignore"):
+        def reached(x):
+            return np.asarray(fn(x), dtype=float) >= y_arr
+
+        zero = (y_arr <= 0.0) | reached(np.full(y_arr.shape, _TINY))
+        fixed = zero | ~np.isfinite(y_arr)
+        x = np.full(y_arr.shape, min(1.0, x_max))
+        up = ~reached(x)
+        lo = np.where(up, x, x / 4.0)
+        hi = np.where(up, np.minimum(4.0 * x, x_max), x)
+        pending = ~fixed
+        while np.any(pending):
+            move = pending & (reached(np.where(up, hi, lo)) != up)
+            rise, fall = move & up, move & ~up
+            stuck = rise & (hi >= x_max)
+            if np.any(stuck):
+                i = np.flatnonzero(stuck.ravel())[0]
+                raise InverseRangeError(
+                    f"value {float(y_arr.ravel()[i])!r} not attained below "
+                    f"x_max={x_max:g}")
+            lo = np.where(rise, hi, lo)
+            hi = np.where(rise, np.minimum(4.0 * hi, x_max), hi)
+            hi = np.where(fall, lo, hi)
+            lo = np.where(fall, np.maximum(lo / 4.0, _TINY), lo)
+            pending = move
+        lo, hi = np.where(fixed, 1.0, lo), np.where(fixed, 1.0, hi)
+        while True:
+            mid = lo * np.sqrt(hi / lo)
+            active = (hi > lo * (1.0 + rtol)) & (mid > lo) & (mid < hi)
+            if not np.any(active):
+                break
+            above = reached(mid)
+            hi = np.where(active & above, mid, hi)
+            lo = np.where(active & ~above, mid, lo)
+    out = np.where(zero, 0.0, np.where(fixed, y_arr, hi))
+    return float(out) if out.ndim == 0 else out
 
 
 def _lower_hull(x, y):
@@ -165,27 +188,7 @@ class ScalarYoungFunction:
 
     def inverse(self, y):
         """Generalized left-continuous inverse, scalar or array."""
-        y_arr = np.asarray(y, dtype=float)
-        out = np.empty_like(y_arr)
-        for idx, yi in np.ndenumerate(y_arr):
-            out[idx] = self._inverse_scalar(float(yi))
-        if np.isscalar(y) or y_arr.ndim == 0:
-            return float(out)
-        return out
-
-    def _inverse_scalar(self, y):
-        if y <= 0.0:
-            return 0.0
-        hi = 1.0
-        for _ in range(80):
-            if self.value(hi) >= y:
-                break
-            hi *= 4.0
-        else:
-            raise InverseRangeError(
-                f"value {y} not attained below t={hi}", hi=self.value(hi)
-            )
-        return bisect_increasing(self.value, y, 0.0, hi)
+        return solve_increasing(self.value, y)
 
     # -- conjugation --------------------------------------------------
 
@@ -201,9 +204,6 @@ class ScalarYoungFunction:
         """
         t = np.geomspace(self.t_min, self.t_max, n_points)
         v = self.value(t)
-        if not np.all(np.isfinite(np.log(np.maximum(v, 1e-300)))):
-            # allow zeros near the origin (flat Young functions)
-            pass
         if np.any(np.diff(v) < -slack * np.max(v)):
             raise NotConvexError(f"{self.name}: not nondecreasing")
         mid = 0.5 * (t[:-2] + t[2:])
@@ -214,12 +214,6 @@ class ScalarYoungFunction:
             raise NotConvexError(f"{self.name}: midpoint convexity fails")
         self.convexity_certified = True
         return self
-
-    def is_n_function(self, ratio_lo=1e-3, ratio_hi=1e3):
-        """Numeric N-function check at the trusted-range endpoints."""
-        lo = self.value(self.t_min) / self.t_min
-        hi = self.value(self.t_max) / self.t_max
-        return lo < ratio_lo and hi > ratio_hi
 
     # -- serialization ------------------------------------------------
 
@@ -328,14 +322,17 @@ class PowerLogYoung(ScalarYoungFunction):
 
 
 class ExpPowerYoung(ScalarYoungFunction):
-    """A(t) = exp(t**beta) - 1, beta >= 1."""
+    """A(t) = exp(t**beta) - 1, beta >= 1.
 
-    t_max = 300.0
+    ``value`` clamps the exponent at 700, so the trusted range ends
+    where t**beta reaches it.
+    """
 
     def __init__(self, beta=1.0):
         if beta < 1:
             raise YoungFunctionError("beta must be >= 1")
         self.beta = float(beta)
+        self.t_max = min(300.0, 700.0 ** (1.0 / self.beta))
         self.name = f"exp_power(beta={beta:g})"
         self.convexity_certified = True
 
@@ -504,13 +501,11 @@ class SampledYoungFunction(ScalarYoungFunction):
         log_t = np.asarray(log_t, dtype=float)
         log_v = np.asarray(log_v, dtype=float)
         keep = np.isfinite(log_t) & np.isfinite(log_v)
-        self.log_t = log_t[keep]
-        self.log_v = log_v[keep]
-        if self.log_t.size < 4:
+        log_t, log_v = log_t[keep], log_v[keep]
+        if log_t.size < 4:
             raise YoungFunctionError("sampled function needs >= 4 finite points")
-        order = np.argsort(self.log_t)
-        self._set_table(self.log_t[order],
-                        np.maximum.accumulate(self.log_v[order]))
+        order = np.argsort(log_t)
+        self._set_table(log_t[order], np.maximum.accumulate(log_v[order]))
         self.name = name
         self.t_min = math.exp(max(self.log_t[0], -700.0))
         self.t_max = math.exp(min(self.log_t[-1], 700.0))
@@ -533,11 +528,17 @@ class SampledYoungFunction(ScalarYoungFunction):
         return out if out.ndim else float(out)
 
     def _set_table(self, log_t, log_v):
-        """Replace the table and rebuild the cached segment slopes."""
+        """Replace the table and rebuild the caches derived from it: the
+        segment slopes and the inverse table (the leftmost t of each
+        distinct value).  All of them are read-only, so no edit can
+        leave a cache stale."""
         self.log_t = log_t
         self.log_v = log_v
         self._slopes = np.diff(log_v) / np.diff(log_t)
-        self._slopes.flags.writeable = False
+        inv_v, idx = np.unique(log_v, return_index=True)
+        self._inv_table = (inv_v, log_t[idx])
+        for arr in (self.log_t, self.log_v, self._slopes, *self._inv_table):
+            arr.flags.writeable = False
 
     def slopes(self):
         """Log-log slope of each table segment (cached, length n - 1).
@@ -563,8 +564,7 @@ class SampledYoungFunction(ScalarYoungFunction):
         y = np.asarray(y, dtype=float)
         with np.errstate(divide="ignore"):
             log_y = np.log(np.maximum(y, 1e-300))
-        log_v, idx = np.unique(self.log_v, return_index=True)
-        log_t = self.log_t[idx]
+        log_v, log_t = self._inv_table
         out = np.exp(np.interp(log_y, log_v, log_t))
         # extrapolate with end slopes
         lo_slope = (log_t[1] - log_t[0]) / max(log_v[1] - log_v[0], 1e-300)
@@ -608,9 +608,9 @@ class LegendreConjugate(ScalarYoungFunction):
     """Pointwise Young conjugate through the first-order condition.
 
     For convex A with nondecreasing derivative A', the supremum of
-    st - A(t) is attained where A'(t) = s; the maximizer is found by
-    monotone bisection, which also yields the conjugate's derivative
-    (envelope theorem: conj(A)'(s) = argmax t).
+    st - A(t) is attained where A'(t) = s.  One vectorized
+    :func:`solve_increasing` of A' gives that maximizer, which is also
+    the conjugate's derivative (envelope theorem: conj(A)'(s) = argmax t).
     """
 
     def __init__(self, base, t_cap=1e250):
@@ -621,41 +621,31 @@ class LegendreConjugate(ScalarYoungFunction):
         self.t_min = 1e-10
         self.t_max = 1e10
 
-    def _argmax(self, s):
-        if s <= 0.0:
-            return 0.0
-        d = self.base.derivative
-        if float(d(1e-300)) >= s:
-            return 0.0
-        hi = 1.0
-        while float(d(hi)) < s:
-            hi *= 4.0
-            if hi > self.t_cap:
-                raise InverseRangeError(
-                    f"conjugate argument {s} beyond derivative range of "
-                    f"{self.base.name}"
-                )
-        return bisect_increasing(lambda t: float(d(t)), s, 0.0, hi)
-
     def value(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        out = np.empty_like(s_arr)
-        for idx, si in np.ndenumerate(s_arr):
-            si = float(si)
-            t_star = self._argmax(si)
-            out[idx] = max(si * t_star - float(self.base.value(t_star)), 0.0)
-        if np.isscalar(s) or s_arr.ndim == 0:
-            return float(out)
-        return out
+        s = np.asarray(s, dtype=float)
+        t = solve_increasing(self.base.derivative, s, x_max=self.t_cap)
+        out = np.maximum(s * t - np.asarray(self.base.value(t), dtype=float),
+                         0.0)
+        return float(out) if out.ndim == 0 else out
 
     def derivative(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        out = np.empty_like(s_arr)
-        for idx, si in np.ndenumerate(s_arr):
-            out[idx] = self._argmax(float(si))
-        if np.isscalar(s) or s_arr.ndim == 0:
-            return float(out)
-        return out
+        return solve_increasing(self.base.derivative, s, x_max=self.t_cap)
+
+    def inverse(self, y):
+        """conj^{-1}(y) by one solve.
+
+        conj(A'(T)) = T A'(T) - A(T) is nondecreasing in T, so solve it
+        for the maximizer T; then conj(s) = sT - A(T) = y gives
+        s = (y + A(T))/T, which is A'(T) away from kinks and stays exact
+        where A' jumps.
+        """
+        y = np.asarray(y, dtype=float)
+        a = self.base
+        T = solve_increasing(lambda T: T * a.derivative(T) - a.value(T), y,
+                             x_max=self.t_cap)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(T > 0.0, (y + a.value(T)) / T, 0.0)
+        return float(out) if out.ndim == 0 else out
 
     def conjugate(self):
         # biconjugate of a certified convex function is the function itself
@@ -691,25 +681,7 @@ class MonotoneFunction:
     def inverse(self, y):
         if self._inv is not None:
             return self._inv(y)
-        y_arr = np.asarray(y, dtype=float)
-        out = np.empty_like(y_arr)
-        for idx, yi in np.ndenumerate(y_arr):
-            yi = float(yi)
-            if yi <= 0.0:
-                out[idx] = 0.0
-                continue
-            hi = 1.0
-            for _ in range(80):
-                if float(self._fn(hi)) >= yi:
-                    break
-                hi *= 4.0
-            else:
-                raise InverseRangeError(f"{self.name}: {yi} out of range")
-            out[idx] = bisect_increasing(lambda t: float(self._fn(t)), yi,
-                                         0.0, hi)
-        if np.isscalar(y) or y_arr.ndim == 0:
-            return float(out)
-        return out
+        return solve_increasing(self._fn, y)
 
 
 def psi_of(a):

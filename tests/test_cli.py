@@ -1,13 +1,17 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
+import ast
 import json
 import math
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from orliczpde import cli
 from orliczpde.cli import main
 from orliczpde.young import PowerLogYoung
 
@@ -77,6 +81,39 @@ def test_conjugate_nonconvex_table_fails_involution(tmp_path):
     assert code == 2
     report = json.loads((out / "conjugate_report.json").read_text())
     assert report["involution_rel_error"] > 1e-3
+
+
+def test_conjugate_exp_power_stays_in_trusted_range(tmp_path):
+    # exp(t^1.5) - 1 clamps its exponent at 700 (t = 78.8); the default
+    # table ends there, so the conjugate stays finite and the checks pass
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run(["conjugate", "--A", "exp_power:beta=1.5"], tmp_path)
+    assert code == 0
+    report = json.loads((out / "conjugate_report.json").read_text())
+    assert report["involution_rel_error"] <= 1e-6
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_cli_reads_no_private_names():
+    # the CLI is a thin adapter over the public API of the package
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("orliczpde")):
+            names = [alias.asname or alias.name for alias in node.names]
+            if node.module in (None, "orliczpde"):
+                modules.update(names)
+            else:
+                private += [n for n in names if n.startswith("_")]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert modules >= {"anisotropic", "catalog", "young"}
+    assert private == []
 
 
 def test_symmetrize_solve_center_oracle(tmp_path):

@@ -16,6 +16,7 @@ from orliczpde.rearrangement import (
     luxemburg_norm,
     marcinkiewicz_quasinorm,
     maximal_rearrangement,
+    orlicz_lorentz_norm,
     rearrange,
 )
 from orliczpde.young import (
@@ -80,6 +81,18 @@ def test_luxemburg_constant_closed_form():
     rf = RearrangedFunction([0.0, 3.0], [2.0])
     lam = luxemburg_norm(PowerYoung(2.5), rf)
     assert lam == pytest.approx(2.0 * 3.0 ** (1.0 / 2.5), rel=1e-8)
+
+
+def test_orlicz_lorentz_closed_form():
+    # A = t^2, u* = 2 on (0, 3): the modular is (4 / lam^2) Int_0^3 s^{2/r}
+    rf = RearrangedFunction([0.0, 3.0], [2.0])
+    a = PowerYoung(2)
+    assert orlicz_lorentz_norm(a, 2.0, rf) == pytest.approx(
+        math.sqrt(18.0), rel=1e-8)
+    assert orlicz_lorentz_norm(a, -4.0, rf) == pytest.approx(
+        math.sqrt(8.0 * math.sqrt(3.0)), rel=1e-8)
+    # s^{-2} is not integrable at 0: no dilate has a finite modular
+    assert math.isinf(orlicz_lorentz_norm(a, -1.0, rf))
 
 
 def test_lorentz_closed_form():

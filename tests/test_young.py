@@ -11,6 +11,7 @@ from orliczpde.young import (
     ExpMinusLinearYoung,
     ExpMinusOneYoung,
     ExpPowerYoung,
+    InverseRangeError,
     LegendreConjugate,
     LinearSplicedYoung,
     PowerLogYoung,
@@ -20,6 +21,7 @@ from orliczpde.young import (
     check_growth_condition,
     parse_scalar_function,
     psi_of,
+    solve_increasing,
     theta_diamond,
 )
 
@@ -134,8 +136,9 @@ def test_repair_convexity_drops_bumps():
     # a point bumped above the convex envelope is dropped; the repaired
     # table interpolates back onto the exact power line
     log_t = np.linspace(0.0, 5.0, 40)
-    tab = SampledYoungFunction(log_t, 2.0 * log_t)
-    tab.log_v[20] += 0.5  # bump above the hull
+    log_v = 2.0 * log_t
+    log_v[20] += 0.5  # bump above the hull
+    tab = SampledYoungFunction(log_t, log_v)
     tab.repair_convexity()
     assert tab.log_value(log_t[20]) == pytest.approx(2.0 * log_t[20],
                                                      abs=1e-9)
@@ -178,3 +181,63 @@ def test_log_domain_survives_extreme_range():
     lv = a.log_value(np.array([500.0, 1000.0]))
     assert np.all(np.isfinite(lv))
     assert lv[1] > lv[0]
+
+
+def test_sampled_table_is_read_only():
+    # the cached slopes and inverse table follow the table, so it
+    # cannot be edited in place
+    tab = PowerYoung(2.5).sample(1e-2, 1e4)
+    with pytest.raises(ValueError):
+        tab.log_v[3] += 1.0
+    with pytest.raises(ValueError):
+        tab.log_t[3] += 1.0
+
+
+@pytest.mark.parametrize("a", [PowerLogYoung(2.0, 1.0), PowerYoung(3.0),
+                               ExpPowerYoung(1.5)])
+def test_inverse_recovers_small_and_large_arguments(a):
+    # relative accuracy must not degrade below 1, where an absolute
+    # bisection tolerance would swamp the answer
+    x = np.geomspace(1e-9, 1e6, 31)
+    x = x[x <= a.t_max]
+    psi = psi_of(a)
+    for xi in x:
+        assert float(a.inverse(float(a.value(xi)))) == pytest.approx(
+            xi, rel=1e-9, abs=0.0)
+        assert float(psi.inverse(float(psi(xi)))) == pytest.approx(
+            xi, rel=1e-9, abs=0.0)
+
+
+def test_solve_increasing_plateau_resolves_left():
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < 2.0, x, np.where(x < 5.0, 2.0, x - 3.0))
+
+    assert solve_increasing(fn, 2.0) == pytest.approx(2.0, rel=1e-12)
+    assert solve_increasing(fn, 2.5) == pytest.approx(5.5, rel=1e-12)
+
+
+def test_solve_increasing_zero_cases():
+    assert solve_increasing(lambda x: x**2, 0.0) == 0.0
+    assert solve_increasing(lambda x: x**2, -3.0) == 0.0
+    # fn(0+) = 1 already reaches every target up to 1
+    assert solve_increasing(lambda x: 1.0 + x, 0.5) == 0.0
+    assert solve_increasing(lambda x: 1.0 + x, 3.0) == pytest.approx(
+        2.0, rel=1e-12)
+
+
+def test_solve_increasing_unreachable_target_raises():
+    with pytest.raises(InverseRangeError):
+        solve_increasing(lambda x: np.minimum(x, 3.0), 4.0)
+    with pytest.raises(InverseRangeError):
+        solve_increasing(lambda x: x, 10.0, x_max=5.0)
+
+
+def test_solve_increasing_shape_and_scalar():
+    y = np.array([[1e-12, 1.0, 3.0], [1e6, 0.0, 1e200]])
+    x = solve_increasing(lambda x: x**2, y)
+    assert x.shape == y.shape
+    assert np.allclose(x, np.sqrt(y), rtol=1e-11)
+    out = solve_increasing(lambda x: x**3, 8.0)
+    assert isinstance(out, float)
+    assert out == pytest.approx(2.0, rel=1e-12)
