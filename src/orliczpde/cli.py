@@ -292,8 +292,7 @@ def cmd_grid_solve(cfg, out):
         * max(float(np.max(au)), 1e-12))
     report = {
         "N": n_nodes,
-        "iterations": info["iterations"],
-        "residual": info["residual"],
+        **{key: val for key, val in info.items() if key != "energies"},
         "final_energy": float(energies[-1]),
         "energy_monotone": monotone,
         "truncation_energy": trunc,

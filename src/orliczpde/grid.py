@@ -8,12 +8,18 @@ catalog potentials, are discretized by cell-wise forward differences:
          - h^2 * Sum_nodes f u,
 
 minimized over zero-boundary nodal fields.  J is strictly convex for
-the catalog potentials, so a Newton-Krylov iteration (each Hessian
-system solved by matrix-free conjugate gradients preconditioned with
-the inverse discrete Laplacian via the sine transform, then Armijo
-backtracking on J) converges to the unique minimizer with a monotone
-energy trace.  For p = 2 the energy gradient is exactly the 5-point
-scheme and the first Newton step solves it.
+the catalog potentials, so a Newton-Krylov iteration converges to the
+unique minimizer.  Each Hessian system is solved by matrix-free
+conjugate gradients, preconditioned with the inverse discrete Laplacian
+via the sine transform, to the inexact-Newton forcing term
+eta = min(0.1, sqrt(res / (res + 1))); the cell Hessian weights are
+computed once per Newton step.  Steps are backtracked on J (Armijo)
+until the Newton decrement falls below the rounding level of J; from
+there a full step is taken only if it lowers the sup residual and raises
+J by no more than that level, else the iteration stops.  The energy
+trace is monotone up to that rounding bound.  For p = 2 the energy
+gradient is exactly the 5-point scheme and the first Newton step
+solves it.
 
 Also here: truncated-data solution ladders (approximable solutions),
 the mollified point-mass datum, and the operator assumption audit.
@@ -194,26 +200,38 @@ class OperatorSpec:
             ay = ay + w * gy
         return ax, ay
 
-    def hess_apply(self, gx, gy, vx, vy):
-        """Cell-wise Hessian action (d flux / d gradient applied to v)."""
+    def hess_weights(self, gx, gy):
+        """Cell-wise Hessian of the energy density at the gradient (gx, gy).
+
+        Returns ``(dx, dy, c, gx, gy)`` with Hessian diag(dx, dy) + c g g^T
+        (floored like the potentials' own coefficients); ``c`` is None
+        when the rank-one part vanishes.  The weights depend only on the
+        Newton iterate, so one evaluation serves a whole CG solve.
+        """
+        b = np.asarray(self.b)
+        e1 = e2 = 0.0
+        if self.epsilon > 0.0:
+            r = np.maximum(np.sqrt(gx**2 + gy**2), 1e-8)
+            e1 = self.epsilon * r ** (self.q - 2.0)
+            e2 = self.epsilon * (self.q - 2.0) * r ** (self.q - 4.0)
         pot = self.potential
         if isinstance(pot, SplitPPotential):
             hx, hy = pot.hess_diag(gx, gy)
-            out_x, out_y = hx * vx, hy * vy
-        else:
-            w1, w2 = pot.hess_coeffs(gx, gy)
+            c = e2 if self.epsilon > 0.0 else None
+            return b * hx + e1, b * hy + e1, c, gx, gy
+        w1, w2 = pot.hess_coeffs(gx, gy)
+        d = b * w1 + e1
+        return d, d, b * w2 + e2, gx, gy
+
+    def hess_apply(self, weights, vx, vy):
+        """Cell-wise Hessian action (d flux / d gradient applied to v),
+        with ``weights`` from :meth:`hess_weights`."""
+        dx, dy, c, gx, gy = weights
+        out_x, out_y = dx * vx, dy * vy
+        if c is not None:
             dot = gx * vx + gy * vy
-            out_x = w1 * vx + w2 * dot * gx
-            out_y = w1 * vy + w2 * dot * gy
-        out_x = np.asarray(self.b) * out_x
-        out_y = np.asarray(self.b) * out_y
-        if self.epsilon > 0.0:
-            r = np.maximum(np.sqrt(gx**2 + gy**2), 1e-8)
-            w1 = self.epsilon * r ** (self.q - 2.0)
-            w2 = self.epsilon * (self.q - 2.0) * r ** (self.q - 4.0)
-            dot = gx * vx + gy * vy
-            out_x = out_x + w1 * vx + w2 * dot * gx
-            out_y = out_y + w1 * vy + w2 * dot * gy
+            out_x = out_x + c * dot * gx
+            out_y = out_y + c * dot * gy
         return out_x, out_y
 
 
@@ -225,9 +243,12 @@ def cell_gradients(values, h):
 
 
 def _energy(spec, u, f, h):
+    """J(u) and its rounding scale h^2 (Sum |density| + Sum |f u|)."""
     gx, gy = cell_gradients(u, h)
-    return float(h**2 * np.sum(spec.energy_density(gx, gy))
-                 - h**2 * np.sum(f * u))
+    dens = spec.energy_density(gx, gy)
+    fu = f * u
+    J = float(h**2 * np.sum(dens) - h**2 * np.sum(fu))
+    return J, float(h**2 * (np.sum(np.abs(dens)) + np.sum(np.abs(fu))))
 
 
 def _energy_gradient(spec, u, f, h):
@@ -260,12 +281,12 @@ class _LaplacePreconditioner:
         return full
 
 
-def _hessian_times(spec, u, v, h):
-    """Action of the energy Hessian at u on a zero-boundary field v."""
-    gx, gy = cell_gradients(u, h)
+def _hessian_times(spec, weights, v, h):
+    """Action of the energy Hessian, given by its cell ``weights``
+    (:meth:`OperatorSpec.hess_weights`), on a zero-boundary field v."""
     vx, vy = cell_gradients(v, h)
-    ax, ay = spec.hess_apply(gx, gy, vx, vy)
-    out = np.zeros_like(u)
+    ax, ay = spec.hess_apply(weights, vx, vy)
+    out = np.zeros_like(v)
     out[:-1, :-1] -= (ax + ay) / h
     out[1:, :-1] += ax / h
     out[:-1, 1:] += ay / h
@@ -275,15 +296,20 @@ def _hessian_times(spec, u, v, h):
 
 
 def _pcg(spec, u, rhs, h, pre, rel_tol, max_iter=400):
-    """Preconditioned CG for the Newton system H d = rhs."""
+    """Preconditioned CG for the Newton system H(u) d = rhs.
+
+    Returns ``(d, iterations, capped)``; ``capped`` is True when the
+    solve ran all ``max_iter`` iterations without meeting ``rel_tol``.
+    """
+    weights = spec.hess_weights(*cell_gradients(u, h))
     d = np.zeros_like(rhs)
     r = rhs.copy()
     z = pre.apply(r)
     p = z.copy()
     rz = float(np.sum(r * z))
     rhs_norm = float(np.sqrt(np.sum(rhs * rhs)))
-    for _ in range(max_iter):
-        Hp = _hessian_times(spec, u, p, h)
+    for k in range(1, max_iter + 1):
+        Hp = _hessian_times(spec, weights, p, h)
         pHp = float(np.sum(p * Hp))
         if pHp <= 0.0:
             break  # floor-regularized Hessian should prevent this
@@ -296,7 +322,17 @@ def _pcg(spec, u, rhs, h, pre, rel_tol, max_iter=400):
         rz_new = float(np.sum(r * z))
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return d
+    else:
+        return d, max_iter, True
+    return d, k, False
+
+
+# J is a (pairwise) float sum whose rounding error is a few ulps of its
+# rounding scale h^2 (Sum |density| + Sum |f u|): a Newton decrement
+# below this many ulps of that scale cannot be told from noise.  On the
+# constant datum, N in {65, 129, 257} and p in {1.2, ..., 4} give the
+# same Newton step counts and residuals for any value from 1 to 256.
+_ROUNDING_ULPS = 16.0
 
 
 def solve(spec, f_field, tol=None, max_iter=100, u0=None,
@@ -305,11 +341,25 @@ def solve(spec, f_field, tol=None, max_iter=100, u0=None,
 
     Newton-Krylov: each outer step solves the Hessian system by
     conjugate gradients (matrix-free, inverse-Laplacian
-    preconditioner) and backtracks on the energy (Armijo), so the
-    energy trace is monotone.  For p = 2 the first Newton step is the
-    exact 5-point solve.  Convergence is declared when the sup norm of
-    the energy gradient, scaled to PDE units (divided by h^2), drops
-    below ``tol`` (default 1e-9 * (1 + ||f||_1)).
+    preconditioner) to the relative tolerance
+    eta = min(0.1, sqrt(res / (res + 1))) (forcing term after
+    Eisenstat & Walker 1996) and backtracks on the energy (Armijo).
+    Once the Newton decrement g.d falls below the rounding level of J,
+    16 eps * h^2 (Sum |density| + Sum |f u|), J can no longer rank
+    steps: the full step is then taken if it lowers the sup residual and
+    raises J by no more than that bound, and the iteration stops
+    otherwise.  The energy trace is therefore monotone up to that
+    rounding bound.  For p = 2 the first Newton step is the exact
+    5-point solve.  Convergence is declared when the sup norm of the
+    energy gradient, scaled to PDE units (divided by h^2), drops below
+    ``tol`` (default 1e-9 * (1 + ||f||_1)); a stop above 100 * tol
+    raises :class:`SolveError`.
+
+    With ``return_info`` the info dict holds ``energies``, ``residual``,
+    ``converged`` (residual <= tol) and the counts ``newton_steps``,
+    ``pcg_iterations``, ``pcg_maxiter_hits`` (CG solves that ran to
+    their iteration cap) and ``rounding_steps`` (steps taken at
+    rounding level).
     """
     f = f_field.values
     n = f_field.n_nodes
@@ -318,45 +368,61 @@ def solve(spec, f_field, tol=None, max_iter=100, u0=None,
         tol = 1e-9 * (1.0 + f_field.l1())
     u = np.zeros((n, n)) if u0 is None else np.array(u0, dtype=float)
     pre = _LaplacePreconditioner(n, h)
-    J = _energy(spec, u, f, h)
+    J, J_scale = _energy(spec, u, f, h)
     energies = [J]
     g = _energy_gradient(spec, u, f, h)
     res = float(np.max(np.abs(g))) / h**2
-    for it in range(max_iter):
+    counts = dict.fromkeys(("newton_steps", "pcg_iterations",
+                            "pcg_maxiter_hits", "rounding_steps"), 0)
+    for _ in range(max_iter):
         if res <= tol:
             break
         # forcing term: loose CG early, tight near the solution
         eta = min(0.1, math.sqrt(res / (res + 1.0)))
-        d = _pcg(spec, u, g, h, pre, rel_tol=max(eta * 1e-2, 1e-12))
+        d, cg_iters, capped = _pcg(spec, u, g, h, pre,
+                                   rel_tol=max(eta, 1e-12))
+        counts["pcg_iterations"] += cg_iters
+        counts["pcg_maxiter_hits"] += capped
         gd = float(np.sum(g * d))
         if gd <= 0.0:
             d = pre.apply(g)
             gd = float(np.sum(g * d))
-        alpha = 1.0
-        accepted = False
-        for _ in range(60):
-            u_try = u - alpha * d
-            J_try = _energy(spec, u_try, f, h)
-            if J_try <= J - 1e-4 * alpha * gd:
-                accepted = True
+        noise = _ROUNDING_ULPS * math.ulp(1.0) * J_scale
+        rounding = gd <= noise
+        if rounding:
+            # J cannot rank this step: take it whole, judged by residual
+            u_try = u - d
+            J_try, scale_try = _energy(spec, u_try, f, h)
+            if J_try > J + noise:
                 break
-            alpha *= 0.5
-        if not accepted:
-            break  # stagnation at rounding level
-        u, J = u_try, J_try
+        else:
+            alpha = 1.0
+            for _ in range(60):
+                u_try = u - alpha * d
+                J_try, scale_try = _energy(spec, u_try, f, h)
+                if J_try <= J - 1e-4 * alpha * gd:
+                    break
+                alpha *= 0.5
+            else:
+                break  # stagnation at rounding level
+        g_try = _energy_gradient(spec, u_try, f, h)
+        res_try = float(np.max(np.abs(g_try))) / h**2
+        if rounding and res_try >= res:
+            break
+        counts["rounding_steps"] += rounding
+        u, J, J_scale, g, res = u_try, J_try, scale_try, g_try, res_try
         energies.append(J)
-        g = _energy_gradient(spec, u, f, h)
-        res = float(np.max(np.abs(g))) / h**2
-    if res > tol and res > 100.0 * tol:
+        counts["newton_steps"] += 1
+    if res > 100.0 * tol:
         raise SolveError(
-            f"no convergence in {max_iter} iterations "
+            f"no convergence after {counts['newton_steps']} Newton steps "
             f"(residual {res:g}, tol {tol:g})",
             residual=res,
         )
     out = GridField(u).zero_boundary()
     if return_info:
-        return out, {"iterations": it, "energies": energies,
-                     "residual": res}
+        return out, {"energies": energies, "residual": res,
+                     "converged": res <= tol, **counts}
     return out
 
 

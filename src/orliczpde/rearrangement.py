@@ -219,11 +219,14 @@ def maximal_rearrangement(rf, refine=8):
     return RearrangedFunction(grid, np.maximum.accumulate(vals[::-1])[::-1])
 
 
-def _interval_quad(fn, a, b):
-    """24-point Gauss-Legendre of fn on [a, b]."""
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+def _gauss_blocks(fn, edges):
+    """24-point Gauss-Legendre of fn on each interval between consecutive
+    ``edges`` along the last axis, from one call of fn on all nodes."""
+    lo, hi = edges[..., :-1, None], edges[..., 1:, None]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     x = mid + half * _GL_NODES
-    return half * float(np.sum(_GL_WEIGHTS * fn(x)))
+    vals = np.broadcast_to(fn(x.ravel()), (x.size,)).reshape(x.shape)
+    return half[..., 0] * np.sum(_GL_WEIGHTS * vals, axis=-1)
 
 
 def improper_integral(fn, a, b, head_decades=12, blowup=10.0):
@@ -232,28 +235,24 @@ def improper_integral(fn, a, b, head_decades=12, blowup=10.0):
     The head (0, a'] is resolved by geometric subdivision over
     ``head_decades`` decades; if the last two decades still contribute
     a factor ``blowup`` growth of the running total, the integral is
-    declared infinite (returns math.inf).
+    declared infinite (returns math.inf).  fn is called once on the
+    body's nodes and once on the nodes of all head decades.
     """
     if a > 0.0:
-        edges = np.geomspace(a, b, 64)
-        return sum(_interval_quad(fn, lo, hi)
-                   for lo, hi in zip(edges[:-1], edges[1:]))
+        return sum(_gauss_blocks(fn, np.geomspace(a, b, 64)).tolist())
     a_head = b * 1e-2
     total = improper_integral(fn, a_head, b)
     if not math.isfinite(total):
         return math.inf
-    decade_sums = []
-    hi = a_head
-    for _ in range(head_decades):
-        lo = hi / 10.0
-        edges = np.geomspace(lo, hi, 8)
-        block = sum(_interval_quad(fn, e0, e1)
-                    for e0, e1 in zip(edges[:-1], edges[1:]))
-        if not math.isfinite(block):
-            return math.inf
-        decade_sums.append(block)
-        total += block
-        hi = lo
+    his = [a_head]
+    for _ in range(head_decades - 1):
+        his.append(his[-1] / 10.0)
+    his = np.array(his)
+    edges = np.geomspace(his / 10.0, his, 8, axis=-1)
+    decade_sums = [sum(row) for row in _gauss_blocks(fn, edges).tolist()]
+    if not all(map(math.isfinite, decade_sums)):
+        return math.inf
+    total = sum(decade_sums, total)
     if len(decade_sums) >= 4:
         tail2 = sum(decade_sums[-2:])
         prev = sum(decade_sums[:-2])

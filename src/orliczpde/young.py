@@ -407,6 +407,24 @@ class _ExpMinusOneConjugate(ScalarYoungFunction):
         return ExpMinusOneYoung()
 
 
+# Taylor coefficients of (e^t - 1 - t) / t^2 and of
+# ((1 + s) log(1 + s) - s) / s^2.  Below the cutoffs the closed forms
+# cancel (relative error ~ eps / t); the truncated series are exact to
+# an ulp there, and the closed forms to a few ulps above.
+_EXP_TAIL_CUT = 0.5
+_EXP_TAIL = tuple(1.0 / math.factorial(k) for k in range(2, 17))
+_LOG_TAIL_CUT = 0.25
+_LOG_TAIL = tuple((-1.0) ** k / (k * (k - 1)) for k in range(2, 25))
+
+
+def _horner(x, coeffs):
+    """Sum_j coeffs[j] x^j."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 class ExpMinusLinearYoung(ScalarYoungFunction):
     """A(t) = e**t - t - 1; conjugate (1+s)log(1+s) - s."""
 
@@ -416,16 +434,21 @@ class ExpMinusLinearYoung(ScalarYoungFunction):
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
-        return np.expm1(np.minimum(t, 700.0)) - t
+        series = t * t * _horner(np.minimum(t, _EXP_TAIL_CUT), _EXP_TAIL)
+        out = np.where(t < _EXP_TAIL_CUT, series,
+                       np.expm1(np.minimum(t, 700.0)) - t)
+        return float(out) if out.ndim == 0 else out
 
     def log_value(self, log_t):
-        t = np.exp(np.minimum(np.asarray(log_t, dtype=float), 700.0))
-        small = t < 1e-4
+        log_t = np.asarray(log_t, dtype=float)
+        t = np.exp(np.minimum(log_t, 700.0))
+        series = 2.0 * log_t + np.log(
+            _horner(np.minimum(t, _EXP_TAIL_CUT), _EXP_TAIL))
         with np.errstate(over="ignore"):
             exact = np.log(np.maximum(np.expm1(np.minimum(t, 700.0)) - t,
                                       1e-300))
-        return np.where(small, 2.0 * np.log(np.maximum(t, 1e-300)) -
-                        math.log(2.0), np.where(t > 700.0, t, exact))
+        return np.where(t < _EXP_TAIL_CUT, series,
+                        np.where(t > 700.0, t, exact))
 
     def derivative(self, t):
         return np.expm1(np.minimum(np.asarray(t, dtype=float), 700.0))
@@ -440,7 +463,10 @@ class _ExpMinusLinearConjugate(ScalarYoungFunction):
 
     def value(self, s):
         s = np.asarray(s, dtype=float)
-        return (1.0 + s) * np.log1p(s) - s
+        series = s * s * _horner(np.minimum(s, _LOG_TAIL_CUT), _LOG_TAIL)
+        out = np.where(s < _LOG_TAIL_CUT, series,
+                       (1.0 + s) * np.log1p(s) - s)
+        return float(out) if out.ndim == 0 else out
 
     def derivative(self, s):
         return np.log1p(np.asarray(s, dtype=float))

@@ -5,6 +5,8 @@ import pytest
 
 from orliczpde.grid import (
     GridField,
+    _energy_gradient,
+    _hessian_times,
     OperatorSpec,
     PPotential,
     SolveError,
@@ -60,6 +62,51 @@ def test_p3_solve_converges_with_monotone_energy():
     assert info["residual"] <= 1e-9 * (1.0 + f.l1())
     assert np.all(np.diff(info["energies"]) <= 1e-15)
     assert np.max(u.values) > 0.0
+
+
+def test_p4_solve_converges_at_rounding_level():
+    # J stops ranking Newton steps near the solution; the solve must
+    # still reach tol rather than run to max_iter
+    f = GridField.from_function(65, lambda x, y: np.ones_like(x))
+    u, info = solve(OperatorSpec(PPotential(4.0)), f, return_info=True)
+    assert info["residual"] <= 1e-9 * (1.0 + f.l1())
+    assert info["converged"]
+    assert info["newton_steps"] <= 20
+    assert info["pcg_maxiter_hits"] == 0
+
+
+def test_p4_solve_pcg_work():
+    # the inexact Newton forcing term keeps the inner CG short
+    f = GridField.from_function(129, lambda x, y: np.ones_like(x))
+    _, info = solve(OperatorSpec(PPotential(4.0)), f, return_info=True)
+    assert info["converged"]
+    assert info["pcg_iterations"] < 290
+
+
+_CELLS = np.random.default_rng(3).uniform(1.0, 2.0, (16, 16))
+
+
+@pytest.mark.parametrize("spec", [
+    OperatorSpec(PPotential(1.5)),
+    OperatorSpec(PPotential(3.0)),
+    OperatorSpec(SplitPPotential(2.0, 4.0)),
+    OperatorSpec(SplitPPotential(2.0, 4.0), epsilon=0.1, q=4.0),
+    OperatorSpec(PPotential(3.0), epsilon=0.1, q=4.0, b=_CELLS),
+], ids=["p1.5", "p3", "split", "split-eps", "p3-eps-b"])
+def test_hessian_matches_gradient_differences(spec):
+    rng = np.random.default_rng(7)
+    n, h = 17, 1.0 / 16
+    x = np.linspace(0.0, 1.0, n)
+    # cell gradients near (1, 2): away from the floors at zero gradient
+    u = x[:, None] + 2.0 * x[None, :] + 0.01 * rng.standard_normal((n, n))
+    v = GridField(rng.standard_normal((n, n))).zero_boundary().values
+    f = np.zeros((n, n))
+    delta = 1e-5
+    fd = (_energy_gradient(spec, u + delta * v, f, h)
+          - _energy_gradient(spec, u - delta * v, f, h)) / (2.0 * delta)
+    hv = _hessian_times(spec, spec.hess_weights(*cell_gradients(u, h)),
+                        v, h)
+    assert np.max(np.abs(hv - fd)) <= 1e-7 * np.max(np.abs(hv))
 
 
 def test_split_potential_solve():

@@ -138,6 +138,29 @@ def test_improper_integral_head():
     assert math.isinf(improper_integral(lambda s: 1.0 / s, 0.0, 1.0))
 
 
+def test_improper_integral_matches_interval_loop_in_two_calls():
+    # reference: 24-point Gauss-Legendre one interval at a time, summed
+    # in order; the vectorized quadrature does the same arithmetic
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+
+    def loop(fn, edges):
+        return sum(0.5 * (b - a) * float(np.sum(
+            weights * fn(0.5 * (a + b) + 0.5 * (b - a) * nodes)))
+            for a, b in zip(edges[:-1], edges[1:]))
+
+    calls = []
+
+    def fn(s):
+        calls.append(np.size(s))
+        return np.log1p(1.0 / s)
+
+    assert improper_integral(fn, 1e-3, 2.0) == loop(
+        fn, np.geomspace(1e-3, 2.0, 64))
+    calls.clear()
+    improper_integral(fn, 0.0, 2.0)
+    assert calls == [63 * 24, 12 * 7 * 24]
+
+
 def test_boundedness_criterion_disk_oracle():
     # Phi_diamond = t^2 (PsiInv = identity), f = 1 on the unit disk:
     # B = (2 sqrt(pi))^{-2} * pi = 1/4, the radial center value

@@ -57,6 +57,26 @@ def test_exp_minus_linear_pair():
     assert np.allclose(conj.value(s), expected, rtol=1e-8)
 
 
+@pytest.mark.parametrize("t", [1e-9, 1e-4, 0.1, 0.3])
+def test_exp_minus_linear_pair_at_small_arguments(t):
+    # both closed forms cancel at small arguments; abs=0 so that pytest's
+    # default absolute tolerance cannot hide values below 1e-12
+    a = ExpMinusLinearYoung()
+    tail = math.fsum(t**k / math.factorial(k) for k in range(2, 30))
+    assert a.value(t) == pytest.approx(tail, rel=2e-15, abs=0.0)
+    assert a.log_value(math.log(t)) == pytest.approx(math.log(tail),
+                                                     rel=2e-15, abs=0.0)
+    conj_tail = math.fsum((-t) ** k / (k * (k - 1)) for k in range(2, 60))
+    assert a.conjugate().value(t) == pytest.approx(conj_tail, rel=2e-15,
+                                                   abs=0.0)
+
+
+def test_exp_minus_linear_log_value_below_underflow():
+    # A(t) = t^2/2 to rounding once t^2 underflows
+    assert ExpMinusLinearYoung().log_value(-800.0) == pytest.approx(
+        -1600.0 - math.log(2.0), rel=1e-15, abs=0.0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(p=st.floats(1.2, 5.0), log_t=st.floats(-2.0, 3.0))
 def test_biconjugation_is_identity(p, log_t):
@@ -194,7 +214,7 @@ def test_sampled_table_is_read_only():
 
 
 @pytest.mark.parametrize("a", [PowerLogYoung(2.0, 1.0), PowerYoung(3.0),
-                               ExpPowerYoung(1.5)])
+                               ExpPowerYoung(1.5), ExpMinusLinearYoung()])
 def test_inverse_recovers_small_and_large_arguments(a):
     # relative accuracy must not degrade below 1, where an absolute
     # bisection tolerance would swamp the answer
