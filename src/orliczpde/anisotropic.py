@@ -16,11 +16,12 @@ radial extent R(w) of the boundary in direction w:
 with R found along each ray by one ``solve_increasing`` call
 (vectorized over directions) and the spherical integral done by tensor
 Gauss-Legendre rules for n = 2, 3 and a scrambled Sobol direction set
-for n >= 4 (standard error reported).
+for n >= 4.
 
-Phi_diamond is the radial biconjugate of Phi_circ: conjugate twice in
-the scalar radial variable; it is convex by construction and equivalent
-to Phi_circ up to dilation, with measured dilation constants.
+Phi_diamond is the radial biconjugate of Phi_circ, which by
+Fenchel-Moreau is its convex envelope (largest convex minorant): it is
+computed as the lower convex hull of the Phi_circ table, and is
+equivalent to Phi_circ up to dilation, with measured dilation constants.
 
 Theta(xi) = conj(Phi_diamond)^{-1}(Phi(xi)) is the vector companion
 used by the gradient L^1 estimate.
@@ -36,7 +37,6 @@ from scipy.stats import qmc
 
 from .young import (
     InverseRangeError,
-    LegendreConjugate,
     SampledYoungFunction,
     ScalarYoungFunction,
     YoungFunctionError,
@@ -278,8 +278,7 @@ def _split_measure(terms, t, n_panels=24):
     return (2.0 * R1 * integral).reshape(shape)
 
 
-def sublevel_measure(phi, t, rel_tol=1e-7, seed=0, return_error=False,
-                     method="auto"):
+def sublevel_measure(phi, t, rel_tol=1e-7, seed=0, method="auto"):
     """Lebesgue measure of {xi in R^n : Phi(xi) <= t}.
 
     Radial forms use the closed formula omega_n A^{-1}(t)^n; split forms
@@ -287,39 +286,33 @@ def sublevel_measure(phi, t, rel_tol=1e-7, seed=0, return_error=False,
     of split sublevel sets with Jacobian 1/|det M|) use exact iterated
     quadrature; everything else goes through the star-shaped boundary
     integral with the rule refined until the relative change drops below
-    ``rel_tol`` (for the quasi-random path the Sobol standard error is
-    reported instead).  ``method="star"`` forces the boundary integral
-    for cross-checking.
+    ``rel_tol`` (the quasi-random path for n >= 4 takes one rule).
+    ``method="star"`` forces the boundary integral for cross-checking.
     """
     if t <= 0.0:
-        return (0.0, 0.0) if return_error else 0.0
+        return 0.0
     n = phi.n
     if phi.form == "radial":
         r = phi.a.inverse(t)
-        out = unit_ball_volume(n) * r**n
-        return (out, 0.0) if return_error else out
+        return unit_ball_volume(n) * r**n
     if method == "auto":
         if phi.form == "split":
-            out = float(_split_measure(phi.terms, t))
-            return (out, 0.0) if return_error else out
+            return float(_split_measure(phi.terms, t))
         if phi.form == "linear_combination" and phi.coeffs.shape[0] == n:
             det = abs(float(np.linalg.det(phi.coeffs)))
             if det > 0.0:
-                out = float(_split_measure(phi.terms, t)) / det
-                return (out, 0.0) if return_error else out
+                return float(_split_measure(phi.terms, t)) / det
     prev = None
     for level in range(6):
         w, wt, is_qmc = _sphere_rule(n, level, seed=seed)
         r = radial_extent(phi, w, t)
-        contrib = wt * r**n / n
-        est = float(np.sum(contrib))
+        est = float(np.sum(wt * r**n / n))
         if is_qmc:
-            stderr = float(np.std(contrib) * math.sqrt(len(contrib)))
-            return (est, stderr) if return_error else est
+            return est
         if prev is not None and abs(est - prev) <= rel_tol * abs(est):
-            return (est, abs(est - prev)) if return_error else est
+            return est
         prev = est
-    return (est, abs(est - prev)) if return_error else est
+    return est
 
 
 # ---------------------------------------------------------------------
@@ -347,41 +340,26 @@ def phi_circ(phi, t_lo=1e-3, t_hi=1e6, n_levels=512, seed=0):
     return out
 
 
-def phi_diamond(phi_or_circ, t_lo=None, t_hi=None, points_per_decade=64):
+def phi_diamond(phi_or_circ):
     """Radial biconjugate of Phi_circ, sampled.
 
-    Conjugate twice in the scalar radial variable; the result is convex
-    by construction and agrees with Phi_circ up to bounded dilation.
+    The biconjugate of Phi_circ is its convex envelope (Fenchel-Moreau),
+    so the result is the lower convex hull of the Phi_circ table in
+    linear (t, A) coordinates: equal to Phi_circ at the hull vertices,
+    linear between them, and within bounded dilation of Phi_circ.
     Analytic scalar inputs that are already certified convex are
-    returned unchanged (a convex function equals its biconjugate).
+    returned unchanged (a convex function equals its biconjugate); other
+    analytic inputs are sampled first.
     """
     circ = phi_or_circ
     if isinstance(circ, AnisotropicYoungFunction):
         circ = phi_circ(circ)
     if circ.convexity_certified and not isinstance(circ, SampledYoungFunction):
         return circ
-    t_lo = circ.t_min if t_lo is None else t_lo
-    t_hi = circ.t_max if t_hi is None else t_hi
-    conj = LegendreConjugate(circ)
-    # sample the conjugate on the dual slope range, then conjugate back
-    s_lo = max(float(circ.value(t_lo)) / max(t_lo, 1e-300), 1e-300)
-    s_hi = float(circ.value(t_hi)) / t_hi
-    log_s = np.linspace(math.log(s_lo), math.log(s_hi),
-                        int(points_per_decade * max(
-                            math.log10(s_hi / s_lo), 1.0)) + 2)
-    conj_tab = SampledYoungFunction(
-        log_s, np.log(np.maximum(conj.value(np.exp(log_s)), 1e-300)),
-        name=f"conj({circ.name})")
-    conj_tab.repair_convexity()
-    biconj = LegendreConjugate(conj_tab)
-    log_t = np.linspace(math.log(t_lo), math.log(t_hi),
-                        int(points_per_decade * max(
-                            math.log10(t_hi / t_lo), 1.0)) + 2)
-    out = SampledYoungFunction(
-        log_t, np.log(np.maximum(biconj.value(np.exp(log_t)), 1e-300)),
-        name=f"phi_diamond({circ.name})")
-    out.repair_convexity()
-    return out
+    tab = circ if isinstance(circ, SampledYoungFunction) else circ.sample()
+    out = SampledYoungFunction(tab.log_t, tab.log_v,
+                               name=f"phi_diamond({circ.name})")
+    return out.repair_convexity()
 
 
 def dilation_constants(circ, diamond, t_lo=1.0, t_hi=1e4, n_points=64):

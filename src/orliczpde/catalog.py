@@ -46,7 +46,7 @@ from .anisotropic import (
     SplitPhi,
     phi_circ,
 )
-from .embedding import classify_integral, sobolev_conjugate
+from .embedding import classify_integral, fit_power_log, sobolev_conjugate
 from .young import (
     ExpPowerYoung,
     PowerLogYoung,
@@ -248,24 +248,6 @@ def expected_regularity(record):
     return out
 
 
-def _fit(log_fn, log_lo, log_hi, n_reg=3, n_points=80, inv_term=False):
-    """Regress log f on (1, log t, log log t[, log log log t][, 1/log t]).
-
-    The optional 1/log t regressor absorbs the leading finite-range
-    correction of measure averages, sharpening the log exponent.
-    """
-    lt = np.linspace(log_lo, log_hi, n_points)
-    lv = np.asarray(log_fn(lt), dtype=float)
-    cols = [np.ones_like(lt), lt, np.log(lt)]
-    if n_reg >= 4:
-        cols.append(np.log(np.log(lt)))
-    if inv_term:
-        cols.append(1.0 / lt)
-    X = np.stack(cols, axis=1)
-    coef, *_ = np.linalg.lstsq(X, lv, rcond=None)
-    return coef
-
-
 def verify_asymptotics(record, n_levels=128, power_rtol=0.02, log_atol=0.15,
                        seed=0):
     """Compare computed embedding asymptotics against the expected ones.
@@ -320,7 +302,7 @@ def verify_asymptotics(record, n_levels=128, power_rtol=0.02, log_atol=0.15,
         # argument of vartheta maps to s = t^{1/n'} <= H(t_hi)
         log_s_top = float(prof.H.log_value(499.0))
         lo, hi = 0.35 * np_prime * log_s_top, 0.85 * np_prime * log_s_top
-        c = _fit(prof.vartheta_n.log_value, lo, hi)
+        c, _ = fit_power_log(prof.vartheta_n.log_value, lo, hi)
         check("vartheta power", float(c[1]), exp_reg["u"]["vartheta_power"],
               power_rtol, True)
         check("vartheta log", float(c[2]), exp_reg["u"]["vartheta_log"],
@@ -328,7 +310,7 @@ def verify_asymptotics(record, n_levels=128, power_rtol=0.02, log_atol=0.15,
         glo, ghi = math.log(1e30), math.log(1e80)
         for (label, pi, ai, a_i), expd in zip(record.components,
                                               exp_reg["gradients"]):
-            c = _fit(lambda lt: prof.varrho_n.log_value(
+            c, _ = fit_power_log(lambda lt: prof.varrho_n.log_value(
                 a_i.log_value(lt)), glo, ghi)
             check(f"varrho[{label}] power", float(c[1]), expd["power"],
                   power_rtol, True)
@@ -345,7 +327,7 @@ def verify_asymptotics(record, n_levels=128, power_rtol=0.02, log_atol=0.15,
         glo, ghi = math.log(1e10), math.log(1e40)
         for (label, pi, ai, a_i), expd in zip(record.components,
                                               exp_reg["gradients"]):
-            c = _fit(lambda lt: prof.varrho_n.log_value(
+            c, _ = fit_power_log(lambda lt: prof.varrho_n.log_value(
                 a_i.log_value(lt)), glo, ghi)
             check(f"varrho[{label}] power", float(c[1]), expd["power"],
                   power_rtol, True)
@@ -362,8 +344,9 @@ def verify_asymptotics(record, n_levels=128, power_rtol=0.02, log_atol=0.15,
         glo, ghi = math.log(1e4), math.log(1e60)
         for (label, pi, ai, a_i), expd in zip(record.components,
                                               exp_reg["gradients"]):
-            c = _fit(lambda lt: prof.varrho_n.log_value(
-                a_i.log_value(lt)), glo, ghi, n_reg=4)
+            c, _ = fit_power_log(lambda lt: prof.varrho_n.log_value(
+                a_i.log_value(lt)), glo, ghi,
+                extra=(lambda lt: np.log(np.log(lt)),))
             check(f"varrho[{label}] power", float(c[1]), expd["power"],
                   power_rtol, True)
             check(f"varrho[{label}] log", float(c[2]), expd["log"],
@@ -380,7 +363,9 @@ def fit_tail(circ):
 
     A least-squares fit of log Phi_circ(t) on (1, log t, log log t,
     1/log t) over the top four decades of its table, or over
-    [1e8, 1e12] for analytic generators.
+    [1e8, 1e12] for analytic generators; the 1/log t regressor absorbs
+    the leading finite-range correction of measure averages, sharpening
+    the log exponent.
     """
     from .young import SampledYoungFunction
 
@@ -393,7 +378,8 @@ def fit_tail(circ):
         raise YoungFunctionError(
             "radial-average table too narrow for a tail fit; raise the "
             "level cap")
-    c = _fit(circ.log_value, log_lo, log_hi, inv_term=True)
+    c, _ = fit_power_log(circ.log_value, log_lo, log_hi,
+                         extra=(lambda lt: 1.0 / lt,))
     return float(c[1]), float(c[2]), c
 
 

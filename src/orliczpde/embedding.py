@@ -44,6 +44,7 @@ from .young import (
 
 __all__ = [
     "DichotomyError",
+    "fit_power_log",
     "classify_integral",
     "near_zero_diverges",
     "modify_near_zero",
@@ -58,20 +59,26 @@ class DichotomyError(YoungFunctionError):
     """Raised when a construction needs the other dichotomy branch."""
 
 
-def _fit_power_log(fn, log_lo, log_hi, n_points=64):
+def fit_power_log(log_fn, log_lo, log_hi, extra=()):
     """Least-squares fit log f(t) ~ c + sigma*log t + beta*log log t.
 
-    Returns (sigma, beta, residual_spread).  The extra log-log regressor
-    separates a genuine power from a power-with-logarithm, which a pure
-    slope fit cannot do at any finite range.
+    ``log_fn`` maps log t to log f(t); it is sampled at 64 points of
+    [log_lo, log_hi].  Each callable in ``extra`` maps log t to one more
+    regressor column (log log log t, 1/log t).  Returns
+    ``(coefficients, residual_spread)``: the coefficients are
+    (c, sigma, beta, *extra) and the spread is the peak-to-peak residual.
+    The log-log regressor separates a genuine power from a
+    power-with-logarithm, which a pure slope fit cannot do at any finite
+    range.
     """
-    lt = np.linspace(log_lo, log_hi, n_points)
-    lv = np.asarray(fn(lt), dtype=float)
-    llt = np.log(lt) if log_lo > 1.0 else np.log(np.maximum(lt, 1e-300))
-    X = np.stack([np.ones_like(lt), lt, llt], axis=1)
+    lt = np.linspace(log_lo, log_hi, 64)
+    lv = np.asarray(log_fn(lt), dtype=float)
+    # for t <= 1 the log-log column is clamped; where it is constant the
+    # minimum-norm solution leaves sigma a plain slope fit
+    cols = [np.ones_like(lt), lt, np.log(np.maximum(lt, 1e-300))]
+    X = np.stack(cols + [col(lt) for col in extra], axis=1)
     coef, *_ = np.linalg.lstsq(X, lv, rcond=None)
-    resid = lv - X @ coef
-    return float(coef[1]), float(coef[2]), float(np.ptp(resid))
+    return coef, float(np.ptp(lv - X @ coef))
 
 
 def classify_integral(phi_circ, n, margin=0.02, report=False):
@@ -91,7 +98,8 @@ def classify_integral(phi_circ, n, margin=0.02, report=False):
         raise DichotomyError(
             "trusted range must reach 1e6 for tail classification"
         )
-    sigma, beta, spread = _fit_power_log(phi_circ.log_value, log_lo, log_hi)
+    coef, spread = fit_power_log(phi_circ.log_value, log_lo, log_hi)
+    sigma, beta = float(coef[1]), float(coef[2])
     exponent = (1.0 - sigma) / (n - 1.0)
     diag = {"sigma": sigma, "beta": beta, "integrand_exponent": exponent,
             "fit_spread": spread, "margin": margin}
@@ -139,8 +147,9 @@ def near_zero_diverges(phi_circ, n, margin=0.02):
     sigma_0 is the slope at the lower end of the trusted range.
     """
     log_lo = math.log(max(phi_circ.t_min, 1e-12))
-    sigma0, beta0, _ = _fit_power_log(
-        phi_circ.log_value, log_lo, log_lo + 2.0 * math.log(10.0))
+    coef, _ = fit_power_log(phi_circ.log_value, log_lo,
+                            log_lo + 2.0 * math.log(10.0))
+    sigma0, beta0 = float(coef[1]), float(coef[2])
     e0 = (1.0 - sigma0) / (n - 1.0)
     if e0 > -1.0 + margin:
         return False
@@ -210,12 +219,6 @@ class GaugeModifiedPhi(AnisotropicYoungFunction):
         return np.where(inside, g, v)
 
 
-def _monotone_table(log_t, log_v, name):
-    """A nondecreasing log-log table with inverse (shares the sampled
-    Young machinery; no convexity is implied or enforced)."""
-    return SampledYoungFunction(log_t, log_v, name=name)
-
-
 @dataclass
 class EmbeddingProfile:
     """Everything downstream estimates consume, precomputed.
@@ -280,9 +283,8 @@ def sobolev_conjugate(phi_circ, n, t_lo=1e-8, t_hi=1e10, n_points=4096,
 
     acc = cumulative_trapezoid(g, u, initial=0.0)
     # analytic head on [0, t_lo]: integrand ~ c * t^e with the local slope
-    sigma0, _, _ = _fit_power_log(phi_circ.log_value, u[0],
-                                  u[0] + math.log(10.0), n_points=16)
-    e0 = (1.0 - sigma0) / (n - 1.0)
+    coef, _ = fit_power_log(phi_circ.log_value, u[0], u[0] + math.log(10.0))
+    e0 = (1.0 - float(coef[1])) / (n - 1.0)
     if e0 <= -1.0:
         raise DichotomyError(
             "integral at 0 still diverges after modification; "
@@ -290,11 +292,14 @@ def sobolev_conjugate(phi_circ, n, t_lo=1e-8, t_hi=1e10, n_points=4096,
         )
     head = g[0] * t_lo / (1.0 + e0)  # Int_0^{t_lo} c t^e dt
     Hn = (acc + head) ** ((n - 1.0) / n)
-    H = _monotone_table(u, np.log(np.maximum(Hn, 1e-300)), name="H")
+    # H, Phi_n and the target density below are nondecreasing log-log
+    # tables with an inverse; the sampled Young machinery serves them,
+    # but no convexity is implied or enforced
+    H = SampledYoungFunction(u, np.log(np.maximum(Hn, 1e-300)), name="H")
     # Phi_n(s) = Phi_circ(H^{-1}(s)) on the reachable s-range
     log_s = np.log(np.maximum(Hn, 1e-300))
     log_phi_n = phi_circ.log_value(u)
-    phi_n = _monotone_table(log_s, log_phi_n, name="phi_n")
+    phi_n = SampledYoungFunction(log_s, log_phi_n, name="phi_n")
     np_prime = n / (n - 1.0)
 
     def vt_log(log_t):
@@ -370,8 +375,8 @@ def hat_phi_circ(phi_circ, n, t_lo=1e-6, t_hi=1e8, n_points=2048,
     outer = -rev[::-1] + tail  # Int_{r_j}^infty
     hat_inv_at = outer ** (1.0 / (1.0 - n))  # hat_phi^{-1}(phi(r_j))
     # table: t_j = phi(r_j) -> hat_phi^{-1}(t_j); invert to hat_phi
-    hat_phi = _monotone_table(np.log(np.maximum(hat_inv_at, 1e-300)),
-                              log_small_phi, name="hat_phi_circ_density")
+    hat_phi = SampledYoungFunction(np.log(np.maximum(hat_inv_at, 1e-300)),
+                                   log_small_phi, name="hat_phi_circ_density")
     # integrate the density to the Young function on a fresh grid
     s = np.exp(np.linspace(math.log(hat_inv_at[4]),
                            math.log(hat_inv_at[-4]), n_points))

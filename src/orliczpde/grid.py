@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import dstn, idstn
 
-from .young import YoungFunctionError
+from .young import PowerYoung, YoungFunctionError
 
 __all__ = [
     "GridField",
@@ -130,10 +130,6 @@ class PPotential:
         r = np.maximum(np.sqrt(gx**2 + gy**2), floor)
         return r ** (self.p - 2.0), (self.p - 2.0) * r ** (self.p - 4.0)
 
-    def scalar_conjugate_value(self, s):
-        q = self.p / (self.p - 1.0)
-        return np.asarray(s, dtype=float) ** q / q
-
 
 class SplitPPotential:
     """Phi(xi) = sum_i |xi_i|^{p_i} / p_i."""
@@ -154,11 +150,6 @@ class SplitPPotential:
         hx = (self.p1 - 1.0) * np.maximum(np.abs(gx), floor) ** (self.p1 - 2.0)
         hy = (self.p2 - 1.0) * np.maximum(np.abs(gy), floor) ** (self.p2 - 2.0)
         return hx, hy
-
-    def scalar_conjugate_value(self, sx, sy):
-        q1 = self.p1 / (self.p1 - 1.0)
-        q2 = self.p2 / (self.p2 - 1.0)
-        return np.abs(sx) ** q1 / q1 + np.abs(sy) ** q2 / q2
 
 
 @dataclass
@@ -251,15 +242,23 @@ def _energy(spec, u, f, h):
     return J, float(h**2 * (np.sum(np.abs(dens)) + np.sum(np.abs(fu))))
 
 
+def _divergence(ax, ay, h):
+    """h^2 times the transpose of ``cell_gradients`` applied to the cell
+    field (ax, ay): the nodal scatter shared by the energy gradient and
+    the Hessian action, with the boundary nodes zeroed."""
+    out = np.zeros((ax.shape[0] + 1, ax.shape[1] + 1))
+    out[:-1, :-1] -= (ax + ay) / h
+    out[1:, :-1] += ax / h
+    out[:-1, 1:] += ay / h
+    out *= h**2
+    out[0, :] = out[-1, :] = out[:, 0] = out[:, -1] = 0.0
+    return out
+
+
 def _energy_gradient(spec, u, f, h):
     gx, gy = cell_gradients(u, h)
-    ax, ay = spec.flux(gx, gy)
-    g = np.zeros_like(u)
-    g[:-1, :-1] -= (ax + ay) / h
-    g[1:, :-1] += ax / h
-    g[:-1, 1:] += ay / h
-    g = h**2 * g - h**2 * f
-    g[0, :] = g[-1, :] = g[:, 0] = g[:, -1] = 0.0
+    g = _divergence(*spec.flux(gx, gy), h)
+    g[1:-1, 1:-1] -= h**2 * f[1:-1, 1:-1]
     return g
 
 
@@ -285,14 +284,7 @@ def _hessian_times(spec, weights, v, h):
     """Action of the energy Hessian, given by its cell ``weights``
     (:meth:`OperatorSpec.hess_weights`), on a zero-boundary field v."""
     vx, vy = cell_gradients(v, h)
-    ax, ay = spec.hess_apply(weights, vx, vy)
-    out = np.zeros_like(v)
-    out[:-1, :-1] -= (ax + ay) / h
-    out[1:, :-1] += ax / h
-    out[:-1, 1:] += ay / h
-    out *= h**2
-    out[0, :] = out[-1, :] = out[:, 0] = out[:, -1] = 0.0
-    return out
+    return _divergence(*spec.hess_apply(weights, vx, vy), h)
 
 
 def _pcg(spec, u, rhs, h, pre, rel_tol, max_iter=400):
@@ -477,7 +469,9 @@ def assumption_audit(spec, n_probes=400, seed=0, c_ladder=None):
     Reports: strict monotonicity  (a(xi) - a(eta)).(xi - eta) > 0 for
     xi != eta; coercivity  a(xi).xi >= Phi(xi); the smallest constant
     c on a ladder with  conj(Phi)(c * a(xi)) <= Phi(xi) + h_slack for
-    the sampled xi (conjugates via the potential's closed forms).
+    the sampled xi.  conj(Phi) is the closed-form conjugate of
+    t^p / p from :class:`young.PowerYoung`, taken of |a| for the
+    radial potential and summed per axis for the split one.
     """
     rng = np.random.default_rng(seed)
     xi = rng.standard_normal((n_probes, 2)) * np.exp(
@@ -496,13 +490,16 @@ def assumption_audit(spec, n_probes=400, seed=0, c_ladder=None):
     if c_ladder is None:
         c_ladder = np.geomspace(1.0, 1e-3, 25)
     pot = spec.potential
+    if isinstance(pot, SplitPPotential):
+        conjs = [PowerYoung(p, 1.0 / p).conjugate() for p in (pot.p1, pot.p2)]
+        sizes = [np.abs(ax), np.abs(ay)]
+    else:
+        conjs = [PowerYoung(pot.p, 1.0 / pot.p).conjugate()]
+        sizes = [np.hypot(ax, ay)]
     best_c = None
     h_profile = None
     for c in c_ladder:
-        if isinstance(pot, SplitPPotential):
-            conj = pot.scalar_conjugate_value(c * ax, c * ay)
-        else:
-            conj = pot.scalar_conjugate_value(c * np.hypot(ax, ay))
+        conj = sum(a.value(c * s) for a, s in zip(conjs, sizes))
         excess = conj - phi_xi
         if np.all(excess <= np.maximum(1e-9, 0.5 * phi_xi)):
             best_c = float(c)

@@ -97,7 +97,8 @@ class RearrangedFunction:
 
         Breakpoints are log-spaced down to ``s_min_ratio * |Omega|``;
         each step takes the value at its left endpoint (an upper,
-        equimeasurable-in-the-limit realization).
+        equimeasurable-in-the-limit realization).  ``fn`` is vectorized:
+        it is called once on all left endpoints.
         """
         s = np.concatenate([
             [0.0],
@@ -105,12 +106,13 @@ class RearrangedFunction:
                          n_break),
         ])
         left = np.concatenate([[s[1]], s[1:-1]])
-        v = np.asarray([float(fn(x)) for x in left])
+        v = np.asarray(fn(left), dtype=float)
         v = np.maximum.accumulate(v[::-1])[::-1]
         # the first step carries the exact head mass Int_0^{s_1} fn, so
         # f** of the realization matches the profile's; a non-integrable
         # head is flagged and propagates an infinite maximal function
-        head, head_infinite = _head_mass(fn, s[1])
+        head = improper_integral(fn, 0.0, s[1])
+        head_infinite = not math.isfinite(head)
         if not head_infinite:
             v[0] = max(head / s[1], v[0])
         out = cls(s, v)
@@ -173,25 +175,6 @@ class RearrangedFunction:
                 fh.write(f"{float(self.breakpoints[j])!r},{float(v)!r}\n")
             fh.write(f"{float(self.breakpoints[-1])!r},"
                      f"{float(self.values[-1])!r}\n")
-
-
-def _head_mass(fn, s1, decades=15):
-    """(Int_0^{s1} fn ds, diverges?) by geometric subdivision."""
-    blocks = []
-    hi = s1
-    for _ in range(decades):
-        lo = hi / 10.0
-        x = np.geomspace(lo, hi, 16)
-        y = np.asarray([float(fn(xi)) for xi in x])
-        blocks.append(float(np.trapezoid(y, x)))
-        hi = lo
-    total = sum(blocks)
-    if blocks[-2] > 0 and blocks[-1] >= 0.999 * blocks[-2]:
-        return math.inf, True
-    if blocks[-2] > 0:
-        q = blocks[-1] / blocks[-2]
-        total += blocks[-1] * q / (1.0 - q) if q < 0.999 else 0.0
-    return total, False
 
 
 def rearrange(values, measures):

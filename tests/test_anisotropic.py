@@ -130,6 +130,30 @@ def test_phi_diamond_analytic_passthrough_and_dilation():
         assert d <= float(circ.value(c2 * t)) * (1.0 + 1e-6)
 
 
+def test_phi_diamond_of_non_convex_table_is_its_lower_hull():
+    # t^2 with a bump near t = 3 is not convex; its biconjugate is the
+    # lower convex hull, which bridges the bump with a chord
+    t = np.geomspace(1e-2, 1e2, 401)
+    v = t**2 * (1.0 + 0.3 * np.exp(-((t - 3.0) / 0.3) ** 2))
+    tab = SampledYoungFunction(np.log(t), np.log(v), name="bumped")
+    assert not tab.check_second_differences()
+    diamond = phi_diamond(tab)
+    assert diamond.check_second_differences()
+    # the hull vertices are input points, where the two agree
+    vertices = np.exp(diamond.log_t)
+    assert np.all(np.isin(diamond.log_t, tab.log_t))
+    np.testing.assert_allclose(diamond.value(vertices), tab.value(vertices),
+                               rtol=1e-12)
+    # every input point lies on or above the chords between vertices, so
+    # no larger convex minorant exists
+    chords = np.interp(t, vertices, np.exp(diamond.log_v))
+    assert np.all(v >= chords * (1.0 - 1e-12))
+    # the result never exceeds the input, and it does cut the bump off
+    fine = np.geomspace(1e-2, 1e2, 4001)
+    assert np.all(diamond.value(fine) <= tab.value(fine) * (1.0 + 1e-12))
+    assert float(diamond.value(3.0)) < 0.95 * float(tab.value(3.0))
+
+
 def test_theta_radial_power_closed_form():
     # For Phi = |xi|^2 / 2 (self-conjugate) Theta is the identity map
     phi = RadialPhi(2, PowerYoung(2, 0.5))

@@ -95,9 +95,13 @@ def test_conjugate_exp_power_stays_in_trusted_range(tmp_path):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-def test_cli_reads_no_private_names():
-    # the CLI is a thin adapter over the public API of the package
-    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+_PACKAGE_MODULES = sorted(Path(cli.__file__).parent.glob("*.py"))
+
+
+def _package_reads(path):
+    """The package modules that ``path`` imports by name, and the private
+    names it reads from other package modules."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     modules, private = set(), []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (
@@ -112,8 +116,22 @@ def test_cli_reads_no_private_names():
                 and isinstance(node.value, ast.Name)
                 and node.value.id in modules):
             private.append(f"{node.value.id}.{node.attr}")
+    return modules, private
+
+
+def test_cli_reads_no_private_names():
+    # the CLI is a thin adapter over the public API of the package
+    modules, private = _package_reads(Path(cli.__file__))
     assert modules >= {"anisotropic", "catalog", "young"}
     assert private == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in _PACKAGE_MODULES if p.stem != "cli"],
+    ids=lambda p: p.stem)
+def test_module_reads_no_private_names(path):
+    # what one module needs from another is part of that module's API
+    assert _package_reads(path)[1] == []
 
 
 def test_symmetrize_solve_center_oracle(tmp_path):

@@ -11,12 +11,29 @@ from orliczpde.embedding import (
     DichotomyError,
     GaugeModifiedPhi,
     classify_integral,
+    fit_power_log,
     hat_phi_circ,
     modify_near_zero,
     near_zero_diverges,
     sobolev_conjugate,
 )
 from orliczpde.young import PowerLogYoung, PowerYoung
+
+
+def test_fit_power_log_recovers_extra_columns():
+    # log f = c + sigma log t + beta log log t + gamma log log log t
+    #         + delta / log t, written in lt = log t
+    def log_f(lt):
+        return (0.5 + 2.5 * lt - 1.5 * np.log(lt)
+                + 3.0 * np.log(np.log(lt)) + 4.0 / lt)
+
+    extra = (lambda lt: np.log(np.log(lt)), lambda lt: 1.0 / lt)
+    coef, spread = fit_power_log(log_f, 5.0, 100.0, extra=extra)
+    np.testing.assert_allclose(coef, [0.5, 2.5, -1.5, 3.0, 4.0], rtol=1e-8)
+    assert spread < 1e-10
+    # without the extra columns the misfit shows in the residual spread
+    coef, spread = fit_power_log(log_f, 5.0, 100.0)
+    assert coef.shape == (3,) and spread > 1e-3
 
 
 @pytest.mark.parametrize("a,n,verdict", [
