@@ -14,9 +14,12 @@ radial extent R(w) of the boundary in direction w:
     |{Phi <= t}| = (1/n) * Int_{S^{n-1}} R(w)^n dw,
 
 with R found along each ray by one ``solve_increasing`` call
-(vectorized over directions) and the spherical integral done by tensor
-Gauss-Legendre rules for n = 2, 3 and a scrambled Sobol direction set
-for n >= 4.
+(vectorized over directions) and the spherical integral done by a
+deterministic rule that doubles its points per axis at each level: the
+midpoint rule in angle for n = 2, and for n >= 3 a product rule in
+hyperspherical coordinates, Gauss-Legendre in the polar angles and the
+midpoint rule in the azimuth (Stroud 1971, *Approximate Calculation of
+Multiple Integrals*).
 
 Phi_diamond is the radial biconjugate of Phi_circ, which by
 Fenchel-Moreau is its convex envelope (largest convex minorant): it is
@@ -32,8 +35,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gamma
-from scipy.stats import qmc
 
 from .young import (
     InverseRangeError,
@@ -65,7 +66,7 @@ __all__ = [
 
 def unit_ball_volume(n):
     """omega_n, the volume of the unit ball in R^n."""
-    return math.pi ** (n / 2.0) / gamma(n / 2.0 + 1.0)
+    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
 class BoundBoxError(YoungFunctionError):
@@ -209,21 +210,39 @@ def radial_extent(phi, directions, t, rtol=1e-12):
         ) from None
 
 
-def _sphere_rule(n, level, seed=0):
-    """Directions and weights integrating over S^{n-1} exactly enough.
+# an n >= 4 rule has at most 2^21 directions, the size of the finest
+# n = 3 rule (2 * 1024^2)
+_LOG2_MAX_DIRECTIONS = 21
 
-    n=2: midpoint rule in angle on a quarter circle (evenness) — the
-    integrand R(w)^n is smooth and periodic, so this converges fast.
+
+def _sphere_levels(n):
+    """Number of refinement levels of ``_sphere_rule`` in dimension n:
+    six, or fewer for n >= 4, where level L has (4 * 2^L)^(n-1)
+    directions and none may exceed 2^_LOG2_MAX_DIRECTIONS."""
+    if n <= 3:
+        return 6
+    return min(6, _LOG2_MAX_DIRECTIONS // (n - 1) - 1)
+
+
+def _sphere_rule(n, level):
+    """Directions and weights integrating over S^{n-1}; the number of
+    points along each angle doubles with ``level``.
+
+    n=2: midpoint rule in angle — the integrand R(w)^n is smooth and
+    periodic, so this converges fast.
     n=3: product Gauss-Legendre in cos(polar) x uniform azimuthal.
-    n>=4: scrambled Sobol points mapped through the Gaussian to uniform
-    sphere directions; weights sum to the sphere area.
+    n>=4: product rule in hyperspherical coordinates, Gauss-Legendre in
+    each of the n-2 polar angles theta_k weighted by sin(theta_k)^k, and
+    the midpoint rule in the azimuth.  The azimuth covers half a circle
+    with doubled weights: the full rule is symmetric under w -> -w and
+    Phi is even, so the result is the same at half the cost.
     """
     if n == 2:
         m = 64 * 2**level
         th = (np.arange(m) + 0.5) * (2.0 * math.pi / m)
         w = np.stack([np.cos(th), np.sin(th)], axis=1)
         wt = np.full(m, 2.0 * math.pi / m)
-        return w, wt, False
+        return w, wt
     if n == 3:
         m = 32 * 2**level
         x, gw = np.polynomial.legendre.leggauss(m)  # cos(polar) in [-1,1]
@@ -234,18 +253,20 @@ def _sphere_rule(n, level, seed=0):
         ca, sa = np.tile(np.cos(az), m), np.tile(np.sin(az), m)
         w = np.stack([st * ca, st * sa, ct], axis=1)
         wt = np.repeat(gw, k) * (2.0 * math.pi / k)
-        return w, wt, False
-    m = 2 ** (14 + level)
-    eng = qmc.Sobol(d=n, scramble=True, seed=seed)
-    g = eng.random(m)
-    from scipy.special import ndtri
-
-    z = ndtri(np.clip(g, 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(z, axis=1)
-    w = z / np.maximum(norms, 1e-300)[:, None]
-    area = 2.0 * math.pi ** (n / 2.0) / gamma(n / 2.0)
-    wt = np.full(m, area / m)
-    return w, wt, True
+        return w, wt
+    m = 4 * 2**level
+    x, gw = np.polynomial.legendre.leggauss(m)
+    th, gw = 0.5 * math.pi * (x + 1.0), 0.5 * math.pi * gw  # on [0, pi]
+    ct, st = np.cos(th), np.sin(th)
+    az = (np.arange(m) + 0.5) * (math.pi / m)
+    w = np.stack([np.cos(az), np.sin(az)], axis=1)
+    wt = np.full(m, 2.0 * math.pi / m)
+    for k in range(1, n - 1):
+        # w -> (cos theta, sin theta * w), measure sin(theta)^k dtheta
+        w = np.column_stack([np.repeat(ct, len(w)),
+                             (st[:, None, None] * w).reshape(-1, k + 1)])
+        wt = np.outer(gw * st**k, wt).ravel()
+    return w, wt
 
 
 _GL12_X, _GL12_W = np.polynomial.legendre.leggauss(12)
@@ -286,29 +307,32 @@ def sublevel_measure(phi, t, rel_tol=1e-7, seed=0, method="auto"):
     of split sublevel sets with Jacobian 1/|det M|) use exact iterated
     quadrature; everything else goes through the star-shaped boundary
     integral with the rule refined until the relative change drops below
-    ``rel_tol`` (the quasi-random path for n >= 4 takes one rule).
-    ``method="star"`` forces the boundary integral for cross-checking.
+    ``rel_tol``.  ``method="star"`` forces the boundary integral for
+    cross-checking.  ``seed`` is accepted for compatibility and unused:
+    every rule is deterministic.
     """
     if t <= 0.0:
         return 0.0
     n = phi.n
-    if phi.form == "radial":
-        r = phi.a.inverse(t)
-        return unit_ball_volume(n) * r**n
     if method == "auto":
+        if phi.form == "radial":
+            return unit_ball_volume(n) * phi.a.inverse(t) ** n
         if phi.form == "split":
             return float(_split_measure(phi.terms, t))
         if phi.form == "linear_combination" and phi.coeffs.shape[0] == n:
             det = abs(float(np.linalg.det(phi.coeffs)))
             if det > 0.0:
                 return float(_split_measure(phi.terms, t)) / det
+    n_levels = _sphere_levels(n)
+    if n_levels < 1:
+        raise YoungFunctionError(
+            f"the sphere rule in dimension {n} exceeds "
+            f"2^{_LOG2_MAX_DIRECTIONS} directions")
     prev = None
-    for level in range(6):
-        w, wt, is_qmc = _sphere_rule(n, level, seed=seed)
+    for level in range(n_levels):
+        w, wt = _sphere_rule(n, level)
         r = radial_extent(phi, w, t)
         est = float(np.sum(wt * r**n / n))
-        if is_qmc:
-            return est
         if prev is not None and abs(est - prev) <= rel_tol * abs(est):
             return est
         prev = est

@@ -7,8 +7,9 @@ the given data (verdict failure), 1 on operational errors (bad config,
 unknown command, propagated module errors); operational errors also
 leave a machine-readable ``error.json``.
 
-Determinism: a fixed ``--seed`` makes every Monte Carlo path (quasi-
-random sphere sampling, random probes) reproduce byte-identical
+Determinism: the sphere rules and the grid solver are deterministic,
+and a fixed ``--seed`` fixes every random probe, so a command repeated
+on the same machine and BLAS thread count reproduces byte-identical
 artifacts.
 """
 
@@ -31,6 +32,10 @@ from .embedding import (
 )
 
 EXIT_OK, EXIT_OPERATIONAL, EXIT_VERDICT = 0, 1, 2
+
+
+class ConfigError(ValueError):
+    """A required parameter is given neither as a flag nor in --config."""
 
 
 class VerdictFailure(Exception):
@@ -76,6 +81,14 @@ def _as_crlf(path):
     path.write_bytes(data)
 
 
+def _required(cfg, key):
+    """``cfg[key]``, or a :class:`ConfigError` naming the missing flag."""
+    if cfg.get(key) is None:
+        raise ConfigError(f"missing --{key.replace('_', '-')} (a flag, or "
+                          f"{key!r} in the --config document)")
+    return cfg[key]
+
+
 def _measure(text):
     if isinstance(text, str) and text.strip() == "pi":
         return math.pi
@@ -109,7 +122,7 @@ def _load_field(spec, n_nodes):
 
 
 def _phi_from_config(cfg):
-    doc = cfg["phi"]
+    doc = _required(cfg, "phi")
     if isinstance(doc, str) and doc.endswith(".json"):
         with open(doc, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -119,7 +132,7 @@ def _phi_from_config(cfg):
 
 
 def _scalar_from_config(cfg, key):
-    spec = cfg[key]
+    spec = _required(cfg, key)
     if isinstance(spec, str) and spec.endswith(".csv"):
         return young.SampledYoungFunction.from_csv(spec)
     return young.parse_scalar_function(spec)
@@ -205,7 +218,7 @@ def cmd_phicirc(cfg, out):
 
 def cmd_embedding(cfg, out):
     circ = _scalar_from_config(cfg, "phi_circ")
-    n = int(cfg["n"])
+    n = int(_required(cfg, "n"))
     verdict, diag = classify_integral(circ, n, report=True)
     report = {"n": n, "dichotomy": verdict, "diagnostics": diag}
     if verdict == "convergent":
@@ -237,7 +250,7 @@ def cmd_embedding(cfg, out):
 
 def cmd_symmetrize_solve(cfg, out):
     a = _scalar_from_config(cfg, "phi")
-    n = int(cfg["n"])
+    n = int(_required(cfg, "n"))
     omega = _measure(cfg.get("omega", 1.0))
     f_rf = _load_rf(cfg.get("f", "const:1"), omega)
     psi_inv = young.psi_of(a).inverse
@@ -406,9 +419,9 @@ def cmd_verify_example(cfg, out):
 
 def cmd_admissibility(cfg, out):
     circ = _scalar_from_config(cfg, "phi_circ")
-    n = int(cfg["n"])
+    n = int(_required(cfg, "n"))
     omega = _measure(cfg.get("omega", 1.0))
-    f_rf = _load_rf(cfg["f"], omega)
+    f_rf = _load_rf(_required(cfg, "f"), omega)
     dich = classify_integral(circ, n)
     conj = circ.conjugate()
     report = rearrangement.data_admissibility(f_rf, conj, n, dich)

@@ -59,6 +59,14 @@ class DichotomyError(YoungFunctionError):
     """Raised when a construction needs the other dichotomy branch."""
 
 
+def _cumulative_trapezoid(y, x):
+    """Running trapezoid integral of y over x, starting at 0.  The
+    trapezoids are formed and summed in the order of the usual library
+    routine, so the tabulated profiles are the same to the bit."""
+    trapezoids = np.diff(x) * (y[1:] + y[:-1]) / 2.0
+    return np.concatenate(([0.0], np.cumsum(trapezoids)))
+
+
 def fit_power_log(log_fn, log_lo, log_hi, extra=()):
     """Least-squares fit log f(t) ~ c + sigma*log t + beta*log log t.
 
@@ -279,9 +287,7 @@ def sobolev_conjugate(phi_circ, n, t_lo=1e-8, t_hi=1e10, n_points=4096,
         log_t_hi = math.log(t_hi)
     u = np.linspace(math.log(t_lo), log_t_hi, n_points)
     g = np.exp((u - phi_circ.log_value(u)) / (n - 1.0) + u)
-    from scipy.integrate import cumulative_trapezoid
-
-    acc = cumulative_trapezoid(g, u, initial=0.0)
+    acc = _cumulative_trapezoid(g, u)
     # analytic head on [0, t_lo]: integrand ~ c * t^e with the local slope
     coef, _ = fit_power_log(phi_circ.log_value, u[0], u[0] + math.log(10.0))
     e0 = (1.0 - float(coef[1])) / (n - 1.0)
@@ -351,15 +357,13 @@ def hat_phi_circ(phi_circ, n, t_lo=1e-6, t_hi=1e8, n_points=2048,
     r = np.exp(u)
     log_small_phi = np.log(np.maximum(phi_circ.derivative(r), 1e-300))
     log_small_phi = np.maximum.accumulate(log_small_phi)
-    from scipy.integrate import cumulative_trapezoid
-
     # inner integral I(r), accumulated in the log variable
     g_in = np.exp(-log_small_phi / (n - 1.0) + u)
     sigma_in0 = (log_small_phi[8] - log_small_phi[0]) / (u[8] - u[0])
     e_in0 = -sigma_in0 / (n - 1.0)
     if e_in0 <= -1.0:
         raise DichotomyError("inner integral diverges at 0")
-    inner = cumulative_trapezoid(g_in, u, initial=0.0) + g_in[0] * r[0] / (
+    inner = _cumulative_trapezoid(g_in, u) + g_in[0] * r[0] / (
         1.0 + e_in0)
     # outer integrand in the log variable
     g_out = np.exp(-n * np.log(np.maximum(inner, 1e-300))
@@ -371,7 +375,7 @@ def hat_phi_circ(phi_circ, n, t_lo=1e-6, t_hi=1e8, n_points=2048,
             f"{tail_slope:+.3f} (growth of phi too slow)"
         )
     tail = g_out[-1] / (-tail_slope)
-    rev = cumulative_trapezoid(g_out[::-1], u[::-1], initial=0.0)
+    rev = _cumulative_trapezoid(g_out[::-1], u[::-1])
     outer = -rev[::-1] + tail  # Int_{r_j}^infty
     hat_inv_at = outer ** (1.0 / (1.0 - n))  # hat_phi^{-1}(phi(r_j))
     # table: t_j = phi(r_j) -> hat_phi^{-1}(t_j); invert to hat_phi
@@ -384,7 +388,7 @@ def hat_phi_circ(phi_circ, n, t_lo=1e-6, t_hi=1e8, n_points=2048,
     sigma_h0 = (math.log(dens[8]) - math.log(dens[0])) / (
         math.log(s[8]) - math.log(s[0]))
     head = dens[0] * s[0] / (1.0 + max(sigma_h0, 0.0))
-    vals = cumulative_trapezoid(dens * s, np.log(s), initial=0.0) + head
+    vals = _cumulative_trapezoid(dens * s, np.log(s)) + head
     out = SampledYoungFunction(np.log(s), np.log(np.maximum(vals, 1e-300)),
                                name="hat_phi_circ")
     out.repair_convexity()

@@ -39,6 +39,8 @@ def test_unit_ball_volume():
     assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-14)
     assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0,
                                                 rel=1e-14)
+    assert unit_ball_volume(4) == pytest.approx(math.pi**2 / 2.0,
+                                                rel=1e-14)
 
 
 def test_radial_measure_closed_form():
@@ -59,6 +61,23 @@ def test_split_measure_against_quadrature_oracle():
         assert sublevel_measure(phi, t) == pytest.approx(oracle, rel=1e-9)
     assert sublevel_measure(phi, 1e4, method="star") == pytest.approx(
         sublevel_measure(phi, 1e4), rel=1e-5)
+
+
+def test_star_path_in_four_dimensions():
+    # Dirichlet: |{sum |x_i|^{p_i} <= t}|
+    #   = prod 2 Gamma(1 + 1/p_i) / Gamma(1 + sum 1/p_i) * t^{sum 1/p_i}
+    ps = (2, 2, 4, 4)
+    phi = SplitPhi([PowerYoung(p) for p in ps])
+    s = sum(1.0 / p for p in ps)
+    c = math.prod(2.0 * math.gamma(1.0 + 1.0 / p) for p in ps)
+    for t in (0.25, 16.0):
+        exact = c / math.gamma(1.0 + s) * t**s
+        assert sublevel_measure(phi, t, method="star") == pytest.approx(
+            exact, rel=1e-6)
+    a = PowerYoung(3)
+    phi = RadialPhi(4, a)
+    assert sublevel_measure(phi, 7.0, method="star") == pytest.approx(
+        unit_ball_volume(4) * a.inverse(7.0) ** 4, rel=1e-6)
 
 
 def test_split_measure_scaling_is_exact():

@@ -3,6 +3,7 @@
 import ast
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -30,12 +31,36 @@ def test_unknown_command_is_operational(tmp_path):
     assert main(["definitely-not-a-command"]) == 1
 
 
-def test_missing_required_argument_is_operational(tmp_path):
-    # embedding without --n: handler fails, error.json is written
-    code, out = run(["embedding", "--phi-circ", "power:p=1.5"], tmp_path)
+def _assert_missing_n_is_named(args, tmp_path):
+    # the handler fails as bad input, and error.json names the flag
+    code, out = run(args, tmp_path)
     assert code == 1
-    err = json.loads((out / "error.json").read_text())
-    assert "error" in err and err["error"]["message"]
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["type"] != "KeyError"
+    assert "--n" in err["message"]
+
+
+def test_missing_required_argument_is_operational(tmp_path):
+    _assert_missing_n_is_named(["embedding", "--phi-circ", "power:p=1.5"],
+                               tmp_path)
+
+
+@pytest.mark.parametrize("args", [
+    ["symmetrize-solve", "--phi", "power:p=2", "--f", "const:1"],
+    ["admissibility", "--phi-circ", "power:p=1.5", "--f", "const:1"],
+], ids=lambda args: args[0])
+def test_missing_n_is_named(args, tmp_path):
+    _assert_missing_n_is_named(args, tmp_path)
+
+
+def test_n_from_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2}))
+    code, out = run(["symmetrize-solve", "--phi", "power:p=2",
+                     "--f", "const:1", "--config", str(cfg)], tmp_path)
+    assert code == 0
+    report = json.loads((out / "symmetrize_solve_report.json").read_text())
+    assert report["n"] == 2
 
 
 def test_conjugate_success(tmp_path):
@@ -99,11 +124,18 @@ _PACKAGE_MODULES = sorted(Path(cli.__file__).parent.glob("*.py"))
 
 
 def _package_reads(path):
-    """The package modules that ``path`` imports by name, and the private
-    names it reads from other package modules."""
+    """The package modules that ``path`` imports by name, and the reads
+    it must not make: private names of other package modules, and scipy
+    (anywhere in the file, function bodies included)."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     modules, private = set(), []
     for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            private += [alias.name for alias in node.names
+                        if alias.name.partition(".")[0] == "scipy"]
+        if isinstance(node, ast.ImportFrom) and not node.level and (
+                node.module.partition(".")[0] == "scipy"):
+            private.append(node.module)
         if isinstance(node, ast.ImportFrom) and (
                 node.level or (node.module or "").startswith("orliczpde")):
             names = [alias.asname or alias.name for alias in node.names]
@@ -117,6 +149,31 @@ def _package_reads(path):
                 and node.value.id in modules):
             private.append(f"{node.value.id}.{node.attr}")
     return modules, private
+
+
+def test_package_reads_flags_scipy(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import numpy as np\n"
+                   "import scipy\n"
+                   "from scipy import fft\n"
+                   "def f():\n"
+                   "    from scipy.special import gamma\n"
+                   "    import scipy.stats as st\n")
+    assert _package_reads(src)[1] == ["scipy", "scipy", "scipy.special",
+                                      "scipy.stats"]
+
+
+def test_cli_imports_no_scipy():
+    # start-up cost: the command line runs on numpy alone
+    code = ("import sys\n"
+            "from orliczpde import cli\n"
+            "cli.build_parser()\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.partition('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_reads_no_private_names():

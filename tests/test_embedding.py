@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from orliczpde.anisotropic import SplitPhi
 from orliczpde.embedding import (
     DichotomyError,
     GaugeModifiedPhi,
+    _cumulative_trapezoid,
     classify_integral,
     fit_power_log,
     hat_phi_circ,
@@ -165,3 +167,14 @@ def test_exp_regime_profile_is_finite():
     top = float(prof.H.log_value(999.0))
     assert np.isfinite(top)
     assert float(prof.phi_n.log_value(top)) > 100.0
+
+
+def test_cumulative_trapezoid_matches_scipy():
+    # same trapezoids, same summation order: equal to the last bit, on
+    # increasing and on reversed (negative-step) grids
+    rng = np.random.default_rng(0)
+    x = np.sort(rng.uniform(-3.0, 5.0, 500))
+    y = np.exp(rng.standard_normal(500))
+    for yy, xx in ((y, x), (y[::-1], x[::-1])):
+        np.testing.assert_array_equal(_cumulative_trapezoid(yy, xx),
+                                      cumulative_trapezoid(yy, xx, initial=0))

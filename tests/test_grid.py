@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.fft import dstn, idstn
 
 from orliczpde.grid import (
     GridField,
     _energy_gradient,
     _hessian_times,
+    _LaplacePreconditioner,
     OperatorSpec,
     PPotential,
     SolveError,
@@ -141,6 +143,43 @@ def test_solve_error_when_no_iterations_allowed():
     f.zero_boundary()
     with pytest.raises(SolveError):
         solve(OperatorSpec(PPotential(2.0)), f, max_iter=0)
+
+
+def test_stalled_newton_stops_early():
+    # p = 1.2 on N = 65 stalls well above the tolerance; the solve stops
+    # once the residual sets no new minimum for a while, not at max_iter
+    f = GridField.from_function(65, lambda x, y: np.ones_like(x))
+    with pytest.raises(SolveError, match="stalled") as info:
+        solve(OperatorSpec(PPotential(1.2)), f)
+    assert info.value.newton_steps <= 30
+
+
+@pytest.mark.parametrize("n", [9, 65, 257])
+def test_preconditioner_matches_sine_transform(n):
+    h = 1.0 / (n - 1)
+    pre = _LaplacePreconditioner(n, h)
+    g = np.random.default_rng(n).standard_normal((n, n))
+    oracle = idstn(dstn(g[1:-1, 1:-1] / h**2, type=1, norm="ortho")
+                   * pre.inv_eig, type=1, norm="ortho")
+    out = pre.apply(g)
+    assert np.all(out[0] == 0.0) and np.all(out[-1] == 0.0)
+    assert np.all(out[:, 0] == 0.0) and np.all(out[:, -1] == 0.0)
+    err = np.max(np.abs(out[1:-1, 1:-1] - oracle)) / np.max(np.abs(oracle))
+    assert err <= 1e-13
+
+
+def test_preconditioner_inverts_five_point_laplacian():
+    n = 17
+    h = 1.0 / (n - 1)
+    m = n - 2
+    # -Laplace_h on the interior, zero boundary: kron(T, I) + kron(I, T)
+    t = (2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)) / h**2
+    lap = np.kron(t, np.eye(m)) + np.kron(np.eye(m), t)
+    g = np.random.default_rng(0).standard_normal((n, n))
+    oracle = np.linalg.solve(lap, (g[1:-1, 1:-1] / h**2).ravel())
+    out = _LaplacePreconditioner(n, h).apply(g)[1:-1, 1:-1].ravel()
+    np.testing.assert_allclose(out, oracle, rtol=1e-12,
+                               atol=1e-13 * np.max(np.abs(oracle)))
 
 
 def test_approximable_sequence_report():
