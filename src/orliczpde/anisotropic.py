@@ -33,6 +33,7 @@ used by the gradient L^1 estimate.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
@@ -53,6 +54,7 @@ __all__ = [
     "LinearCombinationPhi",
     "CustomPhi",
     "BoundBoxError",
+    "MeasureConvergenceWarning",
     "sublevel_measure",
     "radial_extent",
     "phi_circ",
@@ -75,6 +77,25 @@ class BoundBoxError(YoungFunctionError):
     def __init__(self, message, suggested_radius=None):
         super().__init__(message)
         self.suggested_radius = suggested_radius
+
+
+class MeasureConvergenceWarning(UserWarning):
+    """The star path stopped refining its sphere rule with some levels
+    still above ``rel_tol``.
+
+    ``summary`` holds ``levels`` (levels asked for), ``unconverged`` (how
+    many ended above ``rel_tol``), ``worst_rel_change`` (the largest last
+    relative change among them) and ``rel_tol``.
+    """
+
+    def __init__(self, levels, unconverged, worst_rel_change, rel_tol):
+        super().__init__(
+            f"{unconverged} of {levels} sublevel measures ended the sphere "
+            f"rule refinement with a relative change up to "
+            f"{worst_rel_change:.3g} > rel_tol={rel_tol:g}")
+        self.summary = {"levels": levels, "unconverged": unconverged,
+                        "worst_rel_change": worst_rel_change,
+                        "rel_tol": rel_tol}
 
 
 class AnisotropicYoungFunction:
@@ -193,19 +214,21 @@ class CustomPhi(AnisotropicYoungFunction):
 def radial_extent(phi, directions, t, rtol=1e-12):
     """R(w) with Phi(R(w) w) = t for each unit direction w, vectorized.
 
-    Phi is nondecreasing along rays from 0 (convexity + Phi(0)=0), so
-    one solve serves all directions at once; a boundary beyond
-    ``phi.bound_radius`` raises :class:`BoundBoxError`.
+    ``t`` is one level for every direction, or an array holding one level
+    per direction row (the batched star path of :func:`sublevel_measure`
+    solves many levels this way).  Phi is nondecreasing along rays from 0
+    (convexity + Phi(0)=0), so one solve serves all rows at once; a
+    boundary beyond ``phi.bound_radius`` raises :class:`BoundBoxError`.
     """
     w = np.asarray(directions, dtype=float)
     try:
         return solve_increasing(lambda r: phi.value(r[:, None] * w),
-                                np.full(w.shape[0], float(t)), rtol=rtol,
-                                x_max=phi.bound_radius)
-    except InverseRangeError:
+                                np.full(w.shape[0], t, dtype=float),
+                                rtol=rtol, x_max=phi.bound_radius)
+    except InverseRangeError as err:
         raise BoundBoxError(
-            f"sublevel set at t={t} reaches the bound box "
-            f"(radius {phi.bound_radius:g})",
+            f"sublevel set reaches the bound box (radius "
+            f"{phi.bound_radius:g}): {err}",
             suggested_radius=4.0 * phi.bound_radius,
         ) from None
 
@@ -270,9 +293,10 @@ def _sphere_rule(n, level):
 
 
 _GL12_X, _GL12_W = np.polynomial.legendre.leggauss(12)
+_SPLIT_PANELS = 24
 
 
-def _split_measure(terms, t, n_panels=24):
+def _split_measure(terms, t, n_panels=_SPLIT_PANELS):
     """Measure of {sum_k A_k(|x_k|) <= t}: exact iterated quadrature.
 
     The outermost variable is substituted x = R sin(theta) so the
@@ -299,44 +323,96 @@ def _split_measure(terms, t, n_panels=24):
     return (2.0 * R1 * integral).reshape(shape)
 
 
-def sublevel_measure(phi, t, rel_tol=1e-7, seed=0, method="auto"):
+# Most (level, point) pairs in one batched solve: a star-path call takes
+# as many pending levels as fit with all their sphere directions (one
+# level at least), a split call as many levels as fit with all their
+# outer quadrature nodes (56 levels for n = 2, one for n = 3).  On the
+# benchmark's averages workload (2-core Xeon, one thread) 2^14 ran as
+# fast as any size tried (1.27-1.31 s; 2^12: 1.43-1.45 s), and larger
+# batches cost memory: 2^16 raised peak RSS by 16%, 2^21 by 83%.
+_CHUNK = 2**14
+_REL_TOL = 1e-7
+
+
+def _chunks(n_items, per_item):
+    """Slices cutting range(n_items) into runs of at most _CHUNK // per_item
+    items (at least one) each."""
+    step = max(1, _CHUNK // per_item)
+    return [slice(i, i + step) for i in range(0, n_items, step)]
+
+
+def _star_measure(phi, levels, rel_tol):
+    """Star-path measures of the 1-D array ``levels``, all at once (see
+    :func:`sublevel_measure`)."""
+    n = phi.n
+    n_rules = _sphere_levels(n)
+    if n_rules < 1:
+        raise YoungFunctionError(
+            f"the sphere rule in dimension {n} exceeds "
+            f"2^{_LOG2_MAX_DIRECTIONS} directions")
+    est = np.zeros(levels.size)
+    change = np.full(levels.size, np.inf)
+    pending = np.arange(levels.size)
+    for rule in range(n_rules):
+        w, wt = _sphere_rule(n, rule)
+        new = np.empty(pending.size)
+        for chunk in _chunks(pending.size, len(w)):
+            ts = levels[pending[chunk]]
+            r = radial_extent(phi, np.tile(w, (ts.size, 1)),
+                              np.repeat(ts, len(w)))
+            new[chunk] = np.sum(wt * r.reshape(ts.size, -1) ** n / n, axis=1)
+        diff = np.abs(new - est[pending])
+        done = (diff <= rel_tol * np.abs(new)) & (rule > 0)
+        change[pending] = diff / np.abs(new)
+        est[pending] = new
+        pending = pending[~done]
+        if not pending.size:
+            return est
+    warnings.warn(MeasureConvergenceWarning(
+        levels.size, pending.size, float(np.max(change[pending])), rel_tol),
+        stacklevel=3)
+    return est
+
+
+def sublevel_measure(phi, t, rel_tol=_REL_TOL, seed=0, method="auto"):
     """Lebesgue measure of {xi in R^n : Phi(xi) <= t}.
 
+    ``t`` is a level or an array of levels; a float or an array of the
+    same shape is returned, and all levels are computed together.
     Radial forms use the closed formula omega_n A^{-1}(t)^n; split forms
     (and square full-rank linear combinations, which are linear images
     of split sublevel sets with Jacobian 1/|det M|) use exact iterated
     quadrature; everything else goes through the star-shaped boundary
     integral with the rule refined until the relative change drops below
-    ``rel_tol``.  ``method="star"`` forces the boundary integral for
-    cross-checking.  ``seed`` is accepted for compatibility and unused:
-    every rule is deterministic.
+    ``rel_tol``.  On that path every pending level is solved with every
+    direction of a sphere level in one :func:`radial_extent` call (in
+    chunks of at most ``_CHUNK`` (level, direction) pairs), and a level
+    leaves once its relative change is <= ``rel_tol``; levels still above
+    it after the finest rule are returned with a
+    :class:`MeasureConvergenceWarning`.  ``method="star"`` forces the
+    boundary integral for cross-checking.  ``seed`` is accepted for
+    compatibility and unused: every rule is deterministic.
     """
-    if t <= 0.0:
-        return 0.0
     n = phi.n
+    t_arr = np.asarray(t, dtype=float)
+    out = np.zeros(t_arr.size)
+    pos = np.flatnonzero(t_arr.ravel() > 0.0)
+    levels = t_arr.ravel()[pos]
+    det = 0.0
     if method == "auto":
-        if phi.form == "radial":
-            return unit_ball_volume(n) * phi.a.inverse(t) ** n
         if phi.form == "split":
-            return float(_split_measure(phi.terms, t))
-        if phi.form == "linear_combination" and phi.coeffs.shape[0] == n:
+            det = 1.0
+        elif phi.form == "linear_combination" and phi.coeffs.shape[0] == n:
             det = abs(float(np.linalg.det(phi.coeffs)))
-            if det > 0.0:
-                return float(_split_measure(phi.terms, t)) / det
-    n_levels = _sphere_levels(n)
-    if n_levels < 1:
-        raise YoungFunctionError(
-            f"the sphere rule in dimension {n} exceeds "
-            f"2^{_LOG2_MAX_DIRECTIONS} directions")
-    prev = None
-    for level in range(n_levels):
-        w, wt = _sphere_rule(n, level)
-        r = radial_extent(phi, w, t)
-        est = float(np.sum(wt * r**n / n))
-        if prev is not None and abs(est - prev) <= rel_tol * abs(est):
-            return est
-        prev = est
-    return est
+    if method == "auto" and phi.form == "radial":
+        out[pos] = unit_ball_volume(n) * phi.a.inverse(levels) ** n
+    elif det > 0.0:
+        nodes = (_SPLIT_PANELS * _GL12_X.size) ** (n - 1)
+        for chunk in _chunks(levels.size, nodes):
+            out[pos[chunk]] = _split_measure(phi.terms, levels[chunk]) / det
+    else:
+        out[pos] = _star_measure(phi, levels, rel_tol)
+    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
 # ---------------------------------------------------------------------
@@ -347,20 +423,35 @@ def phi_circ(phi, t_lo=1e-3, t_hi=1e6, n_levels=512, seed=0):
     """The radial measure-average of Phi as a sampled scalar function.
 
     Evaluates Phi_circ^{-1}(t_j) = (|{Phi <= t_j}| / omega_n)^{1/n} on a
-    log ladder of levels and tabulates the inverse relation; the table
-    is convex-hull corrected.  Radial inputs return their generator
-    directly (the construction is the identity for them).
+    log ladder of levels, all in one :func:`sublevel_measure` call, and
+    tabulates the inverse relation; the table is convex-hull corrected.
+    The table's ``convergence`` attribute summarizes the measures:
+    ``levels``, ``unconverged`` (levels whose star-path sphere rule ended
+    above ``rel_tol``; 0 on the exact split and closed-form paths),
+    ``worst_rel_change`` (the largest last relative change among them,
+    None when there are none) and ``rel_tol``.  Radial inputs return
+    their generator directly (the construction is the identity for
+    them).
     """
     if phi.form == "radial":
         return phi.a
-    omega = unit_ball_volume(phi.n)
     levels = np.geomspace(t_lo, t_hi, n_levels)
-    radii = np.empty(n_levels)
-    for j, t in enumerate(levels):
-        radii[j] = (sublevel_measure(phi, t, seed=seed) / omega) ** (1.0 / phi.n)
+    convergence = {"levels": n_levels, "unconverged": 0,
+                   "worst_rel_change": None, "rel_tol": _REL_TOL}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", MeasureConvergenceWarning)
+        measures = sublevel_measure(phi, levels, seed=seed)
+    for w in caught:
+        if isinstance(w.message, MeasureConvergenceWarning):
+            convergence = w.message.summary
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename,
+                                   w.lineno)
+    radii = (measures / unit_ball_volume(phi.n)) ** (1.0 / phi.n)
     out = SampledYoungFunction(np.log(radii), np.log(levels),
                                name=f"phi_circ[{phi.form}]")
     out.repair_convexity()
+    out.convergence = convergence
     return out
 
 

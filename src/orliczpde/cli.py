@@ -211,7 +211,8 @@ def cmd_phicirc(cfg, out):
     _as_crlf(out / "phi_circ.csv")
     sigma, beta, _ = catalog.fit_tail(circ)
     report = {"n": phi.n, "form": phi.form,
-              "tail_fit": {"power": sigma, "log": beta}}
+              "tail_fit": {"power": sigma, "log": beta},
+              "convergence": getattr(circ, "convergence", None)}
     _write_json(out / "phicirc_report.json", report)
     return report
 

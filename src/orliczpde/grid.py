@@ -109,6 +109,14 @@ class GridField:
             np.savetxt(fh, self.values, delimiter=",")
 
 
+def _weight_floor(p):
+    """Floor on |xi| in a Hessian weight |xi|^(p-2): 1e-8, raised for
+    p > 4 to 1e-16^(1/(p-2)) so the weight never drops below 1e-16, its
+    floor at p = 4.  A smaller weight at a zero gradient (u = 0) makes
+    the first CG direction enormous."""
+    return 1e-8 if p <= 4.0 else 1e-16 ** (1.0 / (p - 2.0))
+
+
 class PPotential:
     """Phi(xi) = |xi|^p / p with gradient |xi|^{p-2} xi."""
 
@@ -126,9 +134,9 @@ class PPotential:
         w = np.maximum(r, _DELTA) ** (self.p - 2.0)
         return w * gx, w * gy
 
-    def hess_coeffs(self, gx, gy, floor=1e-8):
+    def hess_coeffs(self, gx, gy):
         """(w1, w2) with Hessian = w1 I + w2 g g^T (floored)."""
-        r = np.maximum(np.sqrt(gx**2 + gy**2), floor)
+        r = np.maximum(np.sqrt(gx**2 + gy**2), _weight_floor(self.p))
         return r ** (self.p - 2.0), (self.p - 2.0) * r ** (self.p - 4.0)
 
 
@@ -147,9 +155,10 @@ class SplitPPotential:
         ay = np.sign(gy) * np.maximum(np.abs(gy), _DELTA) ** (self.p2 - 1.0)
         return ax, ay
 
-    def hess_diag(self, gx, gy, floor=1e-8):
-        hx = (self.p1 - 1.0) * np.maximum(np.abs(gx), floor) ** (self.p1 - 2.0)
-        hy = (self.p2 - 1.0) * np.maximum(np.abs(gy), floor) ** (self.p2 - 2.0)
+    def hess_diag(self, gx, gy):
+        fx, fy = _weight_floor(self.p1), _weight_floor(self.p2)
+        hx = (self.p1 - 1.0) * np.maximum(np.abs(gx), fx) ** (self.p1 - 2.0)
+        hy = (self.p2 - 1.0) * np.maximum(np.abs(gy), fy) ** (self.p2 - 2.0)
         return hx, hy
 
 
@@ -203,7 +212,7 @@ class OperatorSpec:
         b = np.asarray(self.b)
         e1 = e2 = 0.0
         if self.epsilon > 0.0:
-            r = np.maximum(np.sqrt(gx**2 + gy**2), 1e-8)
+            r = np.maximum(np.sqrt(gx**2 + gy**2), _weight_floor(self.q))
             e1 = self.epsilon * r ** (self.q - 2.0)
             e2 = self.epsilon * (self.q - 2.0) * r ** (self.q - 4.0)
         pot = self.potential

@@ -2,16 +2,19 @@
 averages, biconjugates, and the derived calculus identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from conftest import calculus_identity_errors
+from orliczpde import anisotropic
 from orliczpde.anisotropic import (
     BoundBoxError,
     CustomPhi,
     LinearCombinationPhi,
+    MeasureConvergenceWarning,
     RadialPhi,
     SplitPhi,
     dilation_constants,
@@ -23,6 +26,7 @@ from orliczpde.anisotropic import (
     unit_ball_volume,
     vector_conjugate_grid,
 )
+from orliczpde.catalog import make_record
 from orliczpde.young import (
     ExpMinusLinearYoung,
     ExpMinusOneYoung,
@@ -45,11 +49,20 @@ def test_unit_ball_volume():
 
 def test_radial_measure_closed_form():
     phi = RadialPhi(3, PowerYoung(2))
-    for t in (0.5, 4.0, 1e4):
-        expected = unit_ball_volume(3) * t**1.5
-        assert sublevel_measure(phi, t) == pytest.approx(expected, rel=1e-12)
+    levels = np.array([0.5, 4.0, 1e4])
+    expected = unit_ball_volume(3) * levels**1.5
+    for t, exact in zip(levels, expected):
+        assert sublevel_measure(phi, t) == pytest.approx(exact, rel=1e-12)
         assert sublevel_measure(phi, t, method="star") == pytest.approx(
-            expected, rel=1e-6)
+            exact, rel=1e-6)
+    # all levels at once: the same numbers as one call per level
+    star = sublevel_measure(phi, levels, method="star")
+    np.testing.assert_allclose(
+        star, [sublevel_measure(phi, t, method="star") for t in levels],
+        rtol=1e-12)
+    np.testing.assert_allclose(star, expected, rtol=1e-6)
+    np.testing.assert_allclose(sublevel_measure(phi, levels), expected,
+                               rtol=1e-12)
 
 
 def test_split_measure_against_quadrature_oracle():
@@ -131,6 +144,71 @@ def test_phi_circ_split_slope():
     lt = np.linspace(circ.log_t[0] + 1.0, circ.log_t[-1] - 1.0, 40)
     slope = np.polyfit(lt, circ.log_value(lt), 1)[0]
     assert slope == pytest.approx(8.0 / 3.0, rel=1e-3)
+
+
+# three pairwise independent rows: R(w) has kinks where a row vanishes
+_KINKED = [([1.0, 0.0], PowerYoung(2)), ([0.0, 1.0], PowerYoung(3)),
+           ([1.0, 1.0], PowerYoung(4))]
+
+
+@pytest.mark.parametrize("phi, t_hi, n_levels", [
+    (SplitPhi([PowerYoung(2), PowerYoung(4)]), 1e6, 64),
+    (SplitPhi([PowerYoung(1.8), PowerYoung(2.7), PowerYoung(3.5)]), 1e6, 6),
+    (make_record("aniso_trud", p=2, q=1.5, alpha=1).build_phi(), 1e24, 64),
+    (LinearCombinationPhi(2, _KINKED), 1e20, 24),
+    # four rows in R^3: the star path with the n = 3 product rule
+    (LinearCombinationPhi(3, [([1.0, 0.0, 0.0], PowerYoung(2)),
+                              ([0.0, 1.0, 0.0], PowerYoung(2)),
+                              ([0.0, 0.0, 1.0], PowerYoung(2)),
+                              ([1.0, 1.0, 1.0], PowerYoung(2))]), 1e6, 6),
+], ids=["split24", "split3", "aniso_trud", "kinked", "star3"])
+def test_phi_circ_equals_per_level_measures(phi, t_hi, n_levels):
+    circ = phi_circ(phi, t_lo=1.0, t_hi=t_hi, n_levels=n_levels)
+    levels = np.geomspace(1.0, t_hi, n_levels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MeasureConvergenceWarning)
+        per_level = np.array([sublevel_measure(phi, t) for t in levels])
+    radii = (per_level / unit_ball_volume(phi.n)) ** (1.0 / phi.n)
+    ref = SampledYoungFunction(np.log(radii), np.log(levels))
+    ref.repair_convexity()
+    np.testing.assert_array_equal(circ.log_v, ref.log_v)
+    np.testing.assert_allclose(circ.log_t, ref.log_t, rtol=0.0, atol=1e-12)
+
+
+def test_unconverged_star_level_warns():
+    # the kinked levels above about 1.7e16 end the six sphere rules
+    # above rel_tol; the lower level converges and leaves no trace
+    phi = LinearCombinationPhi(2, _KINKED)
+    with pytest.warns(MeasureConvergenceWarning) as caught:
+        sublevel_measure(phi, np.array([1e3, 1e20]))
+    summary = caught[0].message.summary
+    assert summary["levels"] == 2 and summary["unconverged"] == 1
+    assert summary["worst_rel_change"] > summary["rel_tol"] == 1e-7
+
+
+def test_star_path_batches_at_most_a_chunk(monkeypatch):
+    # x^2 + xy + y^2: an ellipse of area 2 pi t / sqrt(3), on the star
+    # path; 300 levels of the 64-direction first rule need two chunks
+    calls = []
+
+    def fn(xi):
+        calls.append(xi.shape[0])
+        return xi[:, 0] ** 2 + xi[:, 0] * xi[:, 1] + xi[:, 1] ** 2
+
+    phi = CustomPhi(2, fn)
+    circ = phi_circ(phi, t_lo=1e-2, t_hi=1e6, n_levels=300)
+    assert max(calls) <= anisotropic._CHUNK < 300 * 64
+    assert circ.convergence["unconverged"] == 0
+    levels = np.exp(circ.log_v)
+    np.testing.assert_allclose(
+        unit_ball_volume(2) * np.exp(circ.log_t) ** 2,
+        2.0 * math.pi * levels / math.sqrt(3.0), rtol=1e-9)
+    calls.clear()
+    monkeypatch.setattr(anisotropic, "_CHUNK", 2**40)
+    single = phi_circ(phi, t_lo=1e-2, t_hi=1e6, n_levels=300)
+    assert max(calls) >= 300 * 64
+    np.testing.assert_array_equal(single.log_t, circ.log_t)
+    np.testing.assert_array_equal(single.log_v, circ.log_v)
 
 
 def test_phi_diamond_analytic_passthrough_and_dilation():

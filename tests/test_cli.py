@@ -212,6 +212,30 @@ def test_phicirc_deterministic(tmp_path):
     assert rep["tail_fit"]["power"] == pytest.approx(8.0 / 3.0, rel=0.02)
 
 
+def test_phicirc_reports_sphere_rule_convergence(tmp_path):
+    # three pairwise independent rows: the star path, whose sphere rule
+    # ends above rel_tol on the kinked high levels; the split form is
+    # exact quadrature and has no unconverged level
+    kinked = json.dumps({"n": 2, "form": "linear_combination", "terms": [
+        {"coeffs": [1, 0], "kind": "power", "p": 2},
+        {"coeffs": [0, 1], "kind": "power", "p": 3},
+        {"coeffs": [1, 1], "kind": "power", "p": 4}]})
+    config = tmp_path / "kinked.json"
+    config.write_text(json.dumps({"t_lo": 1, "t_hi": 1e20, "n_levels": 128}))
+    code, out = run(["phicirc", "--config", str(config), "--phi", kinked],
+                    tmp_path, sub="kinked")
+    assert code == 0
+    conv = json.loads((out / "phicirc_report.json").read_text())["convergence"]
+    assert conv["levels"] == 128 and conv["rel_tol"] == 1e-7
+    assert 0 < conv["unconverged"] < 128
+    assert conv["worst_rel_change"] > conv["rel_tol"]
+    code, out = run(["phicirc", "--phi", SPLIT_PHI], tmp_path, sub="split")
+    assert code == 0
+    conv = json.loads((out / "phicirc_report.json").read_text())["convergence"]
+    assert conv == {"levels": 256, "unconverged": 0,
+                    "worst_rel_change": None, "rel_tol": 1e-7}
+
+
 def test_embedding_report_and_table(tmp_path):
     code, out = run(["embedding", "--phi-circ", "power:p=1.5", "--n", "2"],
                     tmp_path)

@@ -77,6 +77,18 @@ def test_p4_solve_converges_at_rounding_level():
     assert info["pcg_maxiter_hits"] == 0
 
 
+def test_p5_solve_converges_from_zero():
+    # at u = 0 the Hessian weight r^(p-2) sits at its floor; below 1e-16
+    # the first CG direction is enormous and no Newton step is accepted
+    f = GridField.from_function(33, lambda x, y: np.ones_like(x))
+    f.zero_boundary()
+    u, info = solve(OperatorSpec(PPotential(5.0)), f, return_info=True)
+    assert info["converged"]
+    assert info["residual"] <= 1e-9 * (1.0 + f.l1())
+    assert info["newton_steps"] <= 20
+    assert np.max(u.values) > 0.0
+
+
 def test_p4_solve_pcg_work():
     # the inexact Newton forcing term keeps the inner CG short
     f = GridField.from_function(129, lambda x, y: np.ones_like(x))
@@ -91,10 +103,11 @@ _CELLS = np.random.default_rng(3).uniform(1.0, 2.0, (16, 16))
 @pytest.mark.parametrize("spec", [
     OperatorSpec(PPotential(1.5)),
     OperatorSpec(PPotential(3.0)),
+    OperatorSpec(PPotential(5.0)),
     OperatorSpec(SplitPPotential(2.0, 4.0)),
     OperatorSpec(SplitPPotential(2.0, 4.0), epsilon=0.1, q=4.0),
     OperatorSpec(PPotential(3.0), epsilon=0.1, q=4.0, b=_CELLS),
-], ids=["p1.5", "p3", "split", "split-eps", "p3-eps-b"])
+], ids=["p1.5", "p3", "p5", "split", "split-eps", "p3-eps-b"])
 def test_hessian_matches_gradient_differences(spec):
     rng = np.random.default_rng(7)
     n, h = 17, 1.0 / 16
