@@ -14,12 +14,18 @@ radial extent R(w) of the boundary in direction w:
     |{Phi <= t}| = (1/n) * Int_{S^{n-1}} R(w)^n dw,
 
 with R found along each ray by one ``solve_increasing`` call
-(vectorized over directions) and the spherical integral done by a
+(vectorized over directions, which ride along as per-row ``args`` so
+that each round evaluates Phi only on the rays still unfinished) and
+the spherical integral done by a
 deterministic rule that doubles its points per axis at each level: the
 midpoint rule in angle for n = 2, and for n >= 3 a product rule in
 hyperspherical coordinates, Gauss-Legendre in the polar angles and the
 midpoint rule in the azimuth (Stroud 1971, *Approximate Calculation of
 Multiple Integrals*).
+
+Split forms sum_i A_i(|xi_i|) (and square full-rank linear combinations,
+linear images of them) skip the rays: power terms c_i t^p_i have
+Dirichlet's closed form, other terms an exact iterated quadrature.
 
 Phi_diamond is the radial biconjugate of Phi_circ, which by
 Fenchel-Moreau is its convex envelope (largest convex minorant): it is
@@ -39,6 +45,7 @@ import numpy as np
 
 from .young import (
     InverseRangeError,
+    PowerYoung,
     SampledYoungFunction,
     ScalarYoungFunction,
     YoungFunctionError,
@@ -217,14 +224,17 @@ def radial_extent(phi, directions, t, rtol=1e-12):
     ``t`` is one level for every direction, or an array holding one level
     per direction row (the batched star path of :func:`sublevel_measure`
     solves many levels this way).  Phi is nondecreasing along rays from 0
-    (convexity + Phi(0)=0), so one solve serves all rows at once; a
-    boundary beyond ``phi.bound_radius`` raises :class:`BoundBoxError`.
+    (convexity + Phi(0)=0), so one solve serves all rows at once: the
+    direction rows go to the solver as ``args``, so each round evaluates
+    Phi only on the rays still unfinished.  A boundary beyond
+    ``phi.bound_radius`` raises :class:`BoundBoxError`.
     """
     w = np.asarray(directions, dtype=float)
     try:
-        return solve_increasing(lambda r: phi.value(r[:, None] * w),
+        return solve_increasing(lambda r, w: phi.value(r[:, None] * w),
                                 np.full(w.shape[0], t, dtype=float),
-                                rtol=rtol, x_max=phi.bound_radius)
+                                rtol=rtol, x_max=phi.bound_radius,
+                                args=(w,))
     except InverseRangeError as err:
         raise BoundBoxError(
             f"sublevel set reaches the bound box (radius "
@@ -290,6 +300,16 @@ def _sphere_rule(n, level):
                              (st[:, None, None] * w).reshape(-1, k + 1)])
         wt = np.outer(gw * st**k, wt).ravel()
     return w, wt
+
+
+def _power_split_measure(terms, t):
+    """Measure of {sum_i c_i |x_i|^p_i <= t} by Dirichlet's integral:
+    prod_i 2 Gamma(1 + 1/p_i) c_i^(-1/p_i) / Gamma(1 + s) * t^s, with
+    s = sum_i 1/p_i."""
+    s = sum(1.0 / a.p for a in terms)
+    scale = math.prod(2.0 * math.gamma(1.0 + 1.0 / a.p)
+                      * a.coeff ** (-1.0 / a.p) for a in terms)
+    return scale / math.gamma(1.0 + s) * np.asarray(t, dtype=float) ** s
 
 
 _GL12_X, _GL12_W = np.polynomial.legendre.leggauss(12)
@@ -381,17 +401,19 @@ def sublevel_measure(phi, t, rel_tol=_REL_TOL, seed=0, method="auto"):
     same shape is returned, and all levels are computed together.
     Radial forms use the closed formula omega_n A^{-1}(t)^n; split forms
     (and square full-rank linear combinations, which are linear images
-    of split sublevel sets with Jacobian 1/|det M|) use exact iterated
-    quadrature; everything else goes through the star-shaped boundary
-    integral with the rule refined until the relative change drops below
-    ``rel_tol``.  On that path every pending level is solved with every
-    direction of a sphere level in one :func:`radial_extent` call (in
-    chunks of at most ``_CHUNK`` (level, direction) pairs), and a level
-    leaves once its relative change is <= ``rel_tol``; levels still above
-    it after the finest rule are returned with a
-    :class:`MeasureConvergenceWarning`.  ``method="star"`` forces the
-    boundary integral for cross-checking.  ``seed`` is accepted for
-    compatibility and unused: every rule is deterministic.
+    of split sublevel sets with Jacobian 1/|det M|) use Dirichlet's
+    closed form when every term is a :class:`PowerYoung` and exact
+    iterated quadrature otherwise; everything else goes through the
+    star-shaped boundary integral with the rule refined until the
+    relative change drops below ``rel_tol``.  On that path every pending
+    level is solved with every direction of a sphere level in one
+    :func:`radial_extent` call (in chunks of at most ``_CHUNK`` (level,
+    direction) pairs), and a level leaves once its relative change is
+    <= ``rel_tol``; levels still above it after the finest rule are
+    returned with a :class:`MeasureConvergenceWarning`.
+    ``method="star"`` forces the boundary integral for cross-checking.
+    ``seed`` is accepted for compatibility and unused: every rule is
+    deterministic.
     """
     n = phi.n
     t_arr = np.asarray(t, dtype=float)
@@ -406,6 +428,8 @@ def sublevel_measure(phi, t, rel_tol=_REL_TOL, seed=0, method="auto"):
             det = abs(float(np.linalg.det(phi.coeffs)))
     if method == "auto" and phi.form == "radial":
         out[pos] = unit_ball_volume(n) * phi.a.inverse(levels) ** n
+    elif det > 0.0 and all(isinstance(a, PowerYoung) for a in phi.terms):
+        out[pos] = _power_split_measure(phi.terms, levels) / det
     elif det > 0.0:
         nodes = (_SPLIT_PANELS * _GL12_X.size) ** (n - 1)
         for chunk in _chunks(levels.size, nodes):

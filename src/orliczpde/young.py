@@ -10,7 +10,13 @@ and A(t)/t -> oo as t -> oo.  This module provides
   the first-order condition A'(t) = s whenever a monotone derivative is
   available, with a discrete Legendre transform as fallback,
 * generalized left-continuous inverses, closed form where known and
-  otherwise by one vectorized bracketing solver, ``solve_increasing``,
+  otherwise by one vectorized solver, ``solve_increasing``: it brackets
+  each root by squaring factors (4, 16, 256, ...), then narrows the
+  bracket by Illinois regula falsi in (log t, log A) coordinates, where
+  power-like functions are nearly straight, never taking more than a
+  few steps beyond what bisection would; each round evaluates only the
+  unfinished elements, and per-element parameters ride along as
+  ``args``,
 * doubling-condition probes (Delta_2 / Nabla_2 near infinity),
 * the derived monotone functions Psi(t) = A(t)/t and
   Theta_diamond(t) = conj(A)^{-1}(A(t)).
@@ -61,56 +67,171 @@ class NotConvexError(YoungFunctionError):
 
 
 _TINY = 1e-300  # stands in for 0+ in the solver
+_MAX_SHIFT = 6  # bracketing factors 4, 16, 256, ... stop growing at 2**64
+_SLACK = 6  # narrowing steps allowed beyond the bisection count
+# solver mode of a bracketed element; while bracketing, |mode| counts the
+# steps, at most about 20 between _TINY and 1e300
+_NARROW = 127
+_RTOL_FLOOR = 1e-14  # a quarter of log1p of it is still ~10 ulp
 
 
-def solve_increasing(fn, y, rtol=1e-12, x_max=1e300):
+def _secant_points(lo, hi, rlo, rhi, budget, tol):
+    """lo * exp(s), with s the root of the log-log secant through
+    (log lo, rlo) and (log hi, rhi), or half the log-width where that
+    is not finite; s keeps tol/4 inside the bracket and leaves, whichever
+    end moves, a bracket no wider than tol * 2**(budget - 1)."""
+    width = np.log(hi / lo)
+    s = rlo - rhi
+    secant = (s < 0.0) & (s > -np.inf)
+    np.divide(rlo, s, out=s)
+    s[~secant] = 0.5
+    s *= width
+    cap = np.ldexp(tol, budget - np.int8(1))
+    np.minimum(s, cap, out=s)
+    np.subtract(width, cap, out=cap)
+    np.maximum(s, cap, out=s)
+    np.maximum(s, 0.25 * tol, out=s)
+    width -= 0.25 * tol
+    np.minimum(s, width, out=s)
+    c = np.exp(s, out=s)
+    c *= lo
+    return c
+
+
+def _bracket_points(c, lo, hi, mode, x0, x_max):
+    """Overwrite c where an element is not bracketed yet: x0 at the
+    start, then steps up from lo or down from hi by 2**(2**|mode|)."""
+    shift = np.left_shift(np.int8(1), np.minimum(np.abs(mode), _MAX_SHIFT))
+    np.copyto(c, np.minimum(np.ldexp(lo, shift), x_max),
+              where=(mode > 0) & (mode != _NARROW))
+    np.copyto(c, np.maximum(np.ldexp(hi, -shift), _TINY), where=mode < 0)
+    np.copyto(c, x0, where=mode == 0)
+
+
+def _bracket_step(c, reached, narrow, y, hi, mode, budget, x_max,
+                  base_budget):
+    """Bracketing bookkeeping after fn(c), with lo and hi already moved to
+    c: raise past x_max, set hi = 0 where fn(0+) >= y, give each newly
+    bracketed element its narrowing budget, and return the new mode.
+
+    A bracket found by a factor 2**(2**j) is 2**j * log(2) wide, which
+    bisection narrows to tol in j + ``base_budget`` - _SLACK steps."""
+    stuck = ~reached & (c >= x_max)
+    if np.any(stuck):
+        raise InverseRangeError(
+            f"value {float(y[np.flatnonzero(stuck)[0]])!r} not attained "
+            f"below x_max={x_max:g}")
+    np.copyto(hi, 0.0, where=reached & (c <= _TINY))
+    bracketed = ~narrow & np.where(reached, mode > 0, mode < 0)
+    np.copyto(budget,
+              np.minimum(np.abs(mode), _MAX_SHIFT) + np.int8(base_budget),
+              where=bracketed)
+    return np.where(narrow | bracketed, np.int8(_NARROW),
+                    mode + np.where(reached, np.int8(-1), np.int8(1)))
+
+
+def solve_increasing(fn, y, rtol=1e-12, x_max=1e300, args=()):
     """Leftmost x >= 0 with fn(x) >= y, elementwise, for nondecreasing fn.
 
-    This is the left-continuous generalized inverse of fn.  ``fn`` maps
-    an array shaped like ``y`` to one of the same shape, element by
-    element.  Each element is bracketed by factors of 4 from x = 1, up
-    or down, then bisected at the geometric mean until
-    hi <= lo * (1 + rtol); the upper end, where fn(x) >= y holds, is
-    returned.  The result is 0 where y <= 0 or fn(0+) >= y, and inf
-    where y is inf.  A finite y with fn(x_max) < y raises
-    :class:`InverseRangeError`: no unconverged number is returned.
+    This is the left-continuous generalized inverse of fn.  ``fn(x,
+    *args)`` maps a 1-D array x to an array of the same length, element
+    by element.  It is called once per round on the unfinished elements
+    only, so x is usually a subset of the flattened ``y``, in its order;
+    each array in ``args`` has ``y``'s shape as its leading dimensions,
+    and ``fn`` receives its rows for those same elements.
+
+    The method works in (log x, log fn) coordinates, where power-type
+    and power-log functions are nearly straight lines.  From x = 1 each
+    root is bracketed by steps up or down by factors 4, 16, 256, ...
+    (the factor squares at each step, up to 2**64).  The bracket
+    [lo, hi], fn(lo) < y <= fn(hi), is then narrowed by regula falsi on
+    the log-log secant with the Illinois modification (Dowell & Jarratt
+    1971, BIT 11): when the same end moves twice running, the other
+    end's log residual is halved.  Where the secant is not finite
+    (fn(lo) = 0 or fn(hi) = inf, say) the geometric midpoint is taken.
+    Every trial point lies at least log1p(rtol)/4 inside the bracket,
+    and close enough to its middle that the element still finishes
+    within ``_SLACK`` steps of what bisection would take (the projection
+    step of ITP, Oliveira & Takahashi 2020, ACM TOMS 47), so the worst
+    case (a jump) stays close to bisection.  The solve stops when
+    hi <= lo * (1 + rtol), with ``rtol`` at least 1e-14, and returns
+    hi, where fn(x) >= y holds.  The result is 0 where y <= 0 or
+    fn(0+) >= y, and inf where y is inf.  A finite y with fn(x_max) < y
+    raises :class:`InverseRangeError`: no unconverged number is
+    returned.  Each element's steps depend on that element alone, so a
+    batched solve equals per-element solves bit for bit.
     """
     y_arr = np.asarray(y, dtype=float)
+    y_flat = y_arr.ravel()
+    idx = np.flatnonzero(np.isfinite(y_flat) & (y_flat > 0.0))
+    cur = [np.reshape(a, (y_arr.size,) + np.shape(a)[y_arr.ndim:])
+           for a in args]
+    if idx.size < y_arr.size:
+        cur = [a[idx] for a in cur]
+    m = idx.size
+    lo, hi = np.zeros(m), np.full(m, np.inf)
+    rlo, rhi = np.zeros(m), np.zeros(m)  # log fn - log y at lo and hi
+    mode = np.zeros(m, np.int8)  # 0 start, k > 0 up, k < 0 down, _NARROW
+    moved_hi = np.zeros(m, bool)  # the last step moved hi
+    budget = np.zeros(m, np.int8)  # narrowing steps left
+    # the unfinished elements are a prefix of every state array; each
+    # finished one leaves its position and root in the tail of these two
+    order, root = idx, hi
+    rtol = max(rtol, _RTOL_FLOOR)
+    tol = math.log1p(rtol)
+    base_budget = math.ceil(math.log2(math.log(2.0) / tol)) + _SLACK
+    x0 = min(1.0, x_max)
+    bracketing = True
     with np.errstate(all="ignore"):
-        def reached(x):
-            return np.asarray(fn(x), dtype=float) >= y_arr
-
-        zero = (y_arr <= 0.0) | reached(np.full(y_arr.shape, _TINY))
-        fixed = zero | ~np.isfinite(y_arr)
-        x = np.full(y_arr.shape, min(1.0, x_max))
-        up = ~reached(x)
-        lo = np.where(up, x, x / 4.0)
-        hi = np.where(up, np.minimum(4.0 * x, x_max), x)
-        pending = ~fixed
-        while np.any(pending):
-            move = pending & (reached(np.where(up, hi, lo)) != up)
-            rise, fall = move & up, move & ~up
-            stuck = rise & (hi >= x_max)
-            if np.any(stuck):
-                i = np.flatnonzero(stuck.ravel())[0]
-                raise InverseRangeError(
-                    f"value {float(y_arr.ravel()[i])!r} not attained below "
-                    f"x_max={x_max:g}")
-            lo = np.where(rise, hi, lo)
-            hi = np.where(rise, np.minimum(4.0 * hi, x_max), hi)
-            hi = np.where(fall, lo, hi)
-            lo = np.where(fall, np.maximum(lo / 4.0, _TINY), lo)
-            pending = move
-        lo, hi = np.where(fixed, 1.0, lo), np.where(fixed, 1.0, hi)
-        while True:
-            mid = lo * np.sqrt(hi / lo)
-            active = (hi > lo * (1.0 + rtol)) & (mid > lo) & (mid < hi)
-            if not np.any(active):
-                break
-            above = reached(mid)
-            hi = np.where(active & above, mid, hi)
-            lo = np.where(active & ~above, mid, lo)
-    out = np.where(zero, 0.0, np.where(fixed, y_arr, hi))
+        while m:
+            if bracketing:
+                narrow = mode == _NARROW
+                bracketing = not narrow.all()
+            if not bracketing:
+                c = _secant_points(lo, hi, rlo, rhi, budget, tol)
+            else:
+                c = (_secant_points(lo, hi, rlo, rhi, budget, tol)
+                     if narrow.any() else np.empty(m))
+                _bracket_points(c, lo, hi, mode, x0, x_max)
+            fc = np.asarray(fn(c, *cur), dtype=float)
+            y_cur = y_flat[idx]
+            reached = fc >= y_cur
+            below = ~reached
+            np.copyto(hi, c, where=reached)
+            np.copyto(lo, c, where=below)
+            budget -= np.int8(1)
+            if bracketing:
+                mode = _bracket_step(c, reached, narrow, y_cur, hi, mode,
+                                     budget, x_max, base_budget)
+            del c
+            np.log(y_cur, out=y_cur)
+            rc = np.subtract(np.log(fc), y_cur, out=y_cur)
+            del fc
+            np.copyto(rhi, rc, where=reached)
+            np.copyto(rlo, rc, where=below)
+            del rc, y_cur
+            # Illinois: an end that moves twice running halves the log
+            # residual at the other (while an element is still
+            # bracketing, that residual is an unset 0)
+            np.multiply(rlo, 0.5, out=rlo, where=reached & moved_hi)
+            np.multiply(rhi, 0.5, out=rhi, where=below & ~moved_hi)
+            moved_hi = reached
+            done = hi <= lo * (1.0 + rtol)
+            if np.any(done):
+                keep = ~done
+                k = int(np.count_nonzero(keep))
+                for a in (idx, hi):
+                    a[k:], a[:k] = a[done], a[keep]
+                for a in (lo, rlo, rhi, mode, moved_hi, budget):
+                    a[:k] = a[keep]
+                idx, lo, hi, rlo, rhi, mode, moved_hi, budget = (
+                    a[:k] for a in (idx, lo, hi, rlo, rhi, mode, moved_hi,
+                                    budget))
+                cur = [a[keep] for a in cur]
+                m = k
+    out = np.where(y_flat <= 0.0, 0.0, y_flat)
+    out[order] = root
+    out = out.reshape(y_arr.shape)
     return float(out) if out.ndim == 0 else out
 
 

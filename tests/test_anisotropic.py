@@ -101,6 +101,29 @@ def test_split_measure_scaling_is_exact():
     assert m2 / m1 == pytest.approx(1e8**0.75, rel=1e-10)
 
 
+@pytest.mark.parametrize("ps, cs", [
+    ((2.0, 4.0), (1.0, 1.0)),
+    ((1.6, 2.5, 3.8), (0.5, 2.0, 1.0)),
+    ((2.0, 3.0, 4.0, 2.5), (0.5, 2.0, 1.0, 1.5)),
+])
+def test_power_split_closed_form_matches_quadrature(ps, cs):
+    # Dirichlet's closed form against the iterated quadrature it replaces
+    # for power terms (one level at n = 4, where quadrature costs ~1 s)
+    terms = [PowerYoung(p, c) for p, c in zip(ps, cs)]
+    t = np.array([10.0]) if len(ps) == 4 else np.array([1e-2, 10.0, 1e6])
+    quadrature = anisotropic._split_measure(terms, t)
+    np.testing.assert_allclose(sublevel_measure(SplitPhi(terms), t),
+                               quadrature, rtol=1e-9)
+    # a square full-rank combination is a linear image: / |det M|
+    n = len(ps)
+    m = np.diag(np.arange(2.0, n + 2)) + np.triu(np.ones((n, n)), 1)
+    m[-1, 0] = 1.0
+    phi = LinearCombinationPhi(n, list(zip(m, terms)))
+    det = abs(np.linalg.det(m))
+    np.testing.assert_allclose(sublevel_measure(phi, t), quadrature / det,
+                               rtol=1e-9)
+
+
 def test_linear_combination_shear_measure():
     # (x - y)^2 + x^2 is a unimodular shear of u^2 + v^2: measure pi t
     phi = LinearCombinationPhi(2, [([1.0, -1.0], PowerYoung(2)),

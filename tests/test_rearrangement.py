@@ -83,6 +83,25 @@ def test_luxemburg_constant_closed_form():
     assert lam == pytest.approx(2.0 * 3.0 ** (1.0 / 2.5), rel=1e-8)
 
 
+@pytest.mark.parametrize("a", [PowerYoung(2.5), ExpMinusOneYoung()])
+def test_luxemburg_norm_modular_calls(a):
+    # the solver hands the modular a 1-element array of dilations and
+    # takes its float back; a few calls reach tol = 1e-10
+    rf = RearrangedFunction([0.0, 1.0, 2.0, 3.0], [5.0, 1.0, 0.01])
+    modular, lams = rf.modular, []
+
+    def counted(a, lam):
+        assert np.shape(lam) == (1,)
+        lams.append(float(lam[0]))
+        return modular(a, lam)
+
+    rf.modular = counted
+    lam = luxemburg_norm(a, rf)
+    assert len(lams) <= 15
+    assert modular(a, lam) == pytest.approx(1.0, rel=1e-9)
+    assert modular(a, lam * (1.0 - 1e-9)) > 1.0
+
+
 def test_orlicz_lorentz_closed_form():
     # A = t^2, u* = 2 on (0, 3): the modular is (4 / lam^2) Int_0^3 s^{2/r}
     rf = RearrangedFunction([0.0, 3.0], [2.0])

@@ -1,6 +1,7 @@
 """Scalar Young-function calculus: conjugation, inequalities, growth."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,13 +229,14 @@ def test_inverse_recovers_small_and_large_arguments(a):
             xi, rel=1e-9, abs=0.0)
 
 
-def test_solve_increasing_plateau_resolves_left():
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 2.0, x, np.where(x < 5.0, 2.0, x - 3.0))
+def _plateau(x):
+    x = np.asarray(x, dtype=float)
+    return np.where(x < 2.0, x, np.where(x < 5.0, 2.0, x - 3.0))
 
-    assert solve_increasing(fn, 2.0) == pytest.approx(2.0, rel=1e-12)
-    assert solve_increasing(fn, 2.5) == pytest.approx(5.5, rel=1e-12)
+
+def test_solve_increasing_plateau_resolves_left():
+    assert solve_increasing(_plateau, 2.0) == pytest.approx(2.0, rel=1e-12)
+    assert solve_increasing(_plateau, 2.5) == pytest.approx(5.5, rel=1e-12)
 
 
 def test_solve_increasing_zero_cases():
@@ -261,3 +263,139 @@ def test_solve_increasing_shape_and_scalar():
     out = solve_increasing(lambda x: x**3, 8.0)
     assert isinstance(out, float)
     assert out == pytest.approx(2.0, rel=1e-12)
+
+
+# -- solve_increasing: certificate, batching, work -------------------------
+
+_CERTIFIED = {
+    "power": lambda x: x**2.5,
+    "x2+x4": lambda x: x**2 + x**4,
+    "expm1": np.expm1,
+    "expm1(x^1.5)": lambda x: np.expm1(x**1.5),
+    "plateau": _plateau,
+    "step": np.floor,
+    "jump": lambda x: np.where(x < 3.0, x, 10.0 + x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CERTIFIED))
+def test_solve_increasing_certificate(name):
+    # the returned x reaches y, and x shrunk by the tolerance does not
+    fn, rtol = _CERTIFIED[name], 1e-12
+    y = np.concatenate([np.geomspace(1e-6, 1e6, 61), [1.0, 2.0, 3.0, 13.0]])
+    x = solve_increasing(fn, y, rtol=rtol)
+    assert np.all(x > 0.0)
+    assert np.all(fn(x) >= y)
+    assert np.all(fn(x / (1.0 + rtol)) < y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.floats(1.05, 8.0), log_c=st.floats(-3.0, 3.0),
+       log_y=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=20))
+def test_solve_increasing_certificate_on_powers(p, log_c, log_y):
+    c, rtol = 10.0**log_c, 1e-12
+    y = 10.0 ** np.asarray(log_y)
+
+    def fn(x):
+        return c * x**p
+
+    x = solve_increasing(fn, y, rtol=rtol)
+    assert np.all(fn(x) >= y)
+    assert np.all(fn(x / (1.0 + rtol)) < y)
+    np.testing.assert_allclose(x, (y / c) ** (1.0 / p), rtol=1e-11)
+
+
+def test_solve_increasing_batch_equals_single_solves():
+    # every element's steps depend on that element alone: bit for bit
+    rng = np.random.default_rng(3)
+    y = 10.0 ** rng.uniform(-8.0, 12.0, 150)
+    a = 10.0 ** rng.uniform(-3.0, 3.0, 150)
+
+    def quartic(x):
+        return x**2 + x**4
+
+    def weighted(x, a):
+        return a * x**3 + x
+
+    batch = solve_increasing(quartic, y)
+    single = np.array([solve_increasing(quartic, yi) for yi in y])
+    np.testing.assert_array_equal(batch, single)
+    batch = solve_increasing(weighted, y, args=(a,))
+    single = np.concatenate([
+        solve_increasing(weighted, y[i:i + 1], args=(a[i:i + 1],))
+        for i in range(y.size)])
+    np.testing.assert_array_equal(batch, single)
+
+
+def test_solve_increasing_args_rows_follow_the_elements():
+    # elements finish in different rounds; each call must still pair
+    # every x with its own rows of args, for y of any shape
+    rng = np.random.default_rng(5)
+    p = rng.uniform(1.2, 6.0, (4, 25))
+    rows = np.stack([p, -p], axis=-1)  # shape y.shape + (2,)
+    y = 10.0 ** rng.uniform(-20.0, 20.0, (4, 25))
+    y[0, :5] = [0.0, -1.0, np.inf, 1.0, 1e-300]
+    sizes = []
+
+    def fn(x, p, rows):
+        assert x.ndim == 1 and p.shape == x.shape
+        assert rows.shape == x.shape + (2,)
+        np.testing.assert_array_equal(rows[:, 0], p)
+        np.testing.assert_array_equal(rows[:, 1], -p)
+        sizes.append(x.size)
+        return x**p
+
+    x = solve_increasing(fn, y, args=(p, rows))
+    assert x.shape == y.shape
+    assert x[0, 0] == 0.0 and x[0, 1] == 0.0 and x[0, 2] == np.inf
+    np.testing.assert_allclose(x, np.maximum(y, 0.0) ** (1.0 / p),
+                               rtol=1e-11)
+    assert sizes[0] == y.size - 3 and sizes[-1] < sizes[0]
+
+
+def _evaluations(fn, y, *args):
+    """fn evaluations per element of one batched solve."""
+    count = np.zeros(y.size, dtype=int)
+
+    def counted(x, i, *rows):
+        np.add.at(count, i, 1)
+        return fn(x, *rows)
+
+    solve_increasing(counted, y, args=(np.arange(y.size), *args))
+    return count
+
+
+@pytest.mark.parametrize("name", ["cube", "x2+x4"])
+def test_solve_increasing_work_on_power_like_functions(name):
+    # nearly straight in log-log: the secant lands next to the root; the
+    # bisection solver took about 45 evaluations per element
+    fn = {"cube": lambda x: x**3, "x2+x4": lambda x: x**2 + x**4}[name]
+    count = _evaluations(fn, np.geomspace(1e-8, 1e30, 200))
+    assert count.max() <= 10
+
+
+@pytest.mark.parametrize("y", [1.01, 1.5, 1.99])
+def test_solve_increasing_work_on_a_jump_stays_near_bisection(y):
+    # a jump from 1 to 2 at s: the secant is no help, the budget of
+    # bisection-paced steps bounds the work.  The bisection solver took
+    # 4708 evaluations for these 97 jumps (y has no effect on it).
+    s = np.geomspace(1e-6, 1e6, 97)
+    count = _evaluations(lambda x, s: np.where(x < s, 1.0, 2.0),
+                         np.full(s.size, y), s)
+    assert count.sum() <= 1.15 * 4708
+
+
+def test_solve_increasing_peak_memory():
+    # the 49140-point inverse of radial.solve_radial (Psi of t^2); the
+    # bisection solver it replaced peaked at 2.9 MB on this input
+    psi = psi_of(PowerYoung(2.0))
+    y = np.geomspace(1e-6, 1e6, 49140)
+    psi.inverse(y[:10])
+    tracemalloc.start()
+    try:
+        x = psi.inverse(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(x, y, rtol=1e-12)
+    assert peak <= 4e6
