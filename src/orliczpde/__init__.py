@@ -39,9 +39,7 @@ from .embedding import (
 from .grid import (
     GridField,
     OperatorSpec,
-    PPotential,
     SolveError,
-    SplitPPotential,
     approximable_sequence,
     assumption_audit,
     cell_gradients,

@@ -271,19 +271,27 @@ def cmd_symmetrize_solve(cfg, out):
     return report
 
 
-def _potential_from_config(cfg):
-    if "p_split" in cfg and cfg["p_split"] is not None:
-        p1, p2 = (float(x) for x in cfg["p_split"])
-        return grid.SplitPPotential(p1, p2)
-    return grid.PPotential(float(cfg.get("p", 2.0)))
+def _grid_phi(p=2.0, p_split=None):
+    """The grid potential as an anisotropic Phi: |xi|^p / p, or
+    sum_i |xi_i|^p_i / p_i for ``p_split``."""
+    terms = [young.PowerYoung(q, 1.0 / q) for q in map(float, p_split or [p])]
+    if p_split is not None:
+        return anisotropic.SplitPhi(terms)
+    return anisotropic.RadialPhi(2, terms[0])
+
+
+def _operator_from_config(cfg):
+    """The operator of grid-solve and approx-seq."""
+    phi = _grid_phi(cfg.get("p", 2.0), cfg.get("p_split"))
+    return grid.OperatorSpec(potential=phi,
+                             epsilon=float(cfg.get("epsilon", 0.0)),
+                             q=float(cfg.get("q", 4.0)),
+                             b=float(cfg.get("b", 1.0)))
 
 
 def cmd_grid_solve(cfg, out):
     n_nodes = int(cfg.get("N", 65))
-    spec = grid.OperatorSpec(potential=_potential_from_config(cfg),
-                             epsilon=float(cfg.get("epsilon", 0.0)),
-                             q=float(cfg.get("q", 4.0)),
-                             b=float(cfg.get("b", 1.0)))
+    spec = _operator_from_config(cfg)
     f_field = _load_field(cfg.get("f", "const:1"), n_nodes)
     u, info = grid.solve(spec, f_field,
                          tol=cfg.get("tol"),
@@ -301,7 +309,7 @@ def cmd_grid_solve(cfg, out):
     u_cell = np.maximum(np.maximum(au[:-1, :-1], au[1:, :-1]),
                         np.maximum(au[:-1, 1:], au[1:, 1:]))
     trunc = radial.truncation_energy_check(
-        u_cell, spec.potential.value(gx, gy), u.h**2,
+        u_cell, spec.potential.value(np.stack([gx, gy], axis=-1)), u.h**2,
         f_field.l1(), t_ladder=np.geomspace(1e-3, 10.0, 20)
         * max(float(np.max(au)), 1e-12))
     report = {
@@ -319,9 +327,7 @@ def cmd_grid_solve(cfg, out):
 
 def cmd_approx_seq(cfg, out):
     n_nodes = int(cfg.get("N", 65))
-    spec = grid.OperatorSpec(potential=_potential_from_config(cfg),
-                             epsilon=float(cfg.get("epsilon", 0.0)),
-                             q=float(cfg.get("q", 4.0)))
+    spec = _operator_from_config(cfg)
     f_field = _load_field(cfg.get("f", "point:mass=1"), n_nodes)
     k_ladder = [float(k) for k in cfg.get("k_ladder",
                                           [2, 8, 32, 128, 1024])]
@@ -349,8 +355,8 @@ def cmd_approx_seq(cfg, out):
 def cmd_regularity_report(cfg, out):
     n_nodes = int(cfg.get("N", 65))
     p = float(cfg.get("p", 2.0))
-    n = 2
-    spec = grid.OperatorSpec(potential=grid.PPotential(p))
+    spec = grid.OperatorSpec(potential=_grid_phi(p))
+    n = spec.potential.n
     f_field = _load_field(cfg.get("f", "const:1"), n_nodes)
     u = grid.solve(spec, f_field)
     cell = u.h**2
@@ -358,9 +364,8 @@ def cmd_regularity_report(cfg, out):
     u_rf = rearrangement.RearrangedFunction.from_samples(
         u_cells, np.full(u_cells.size, cell))
     gx, gy = grid.cell_gradients(u.values, u.h)
-    e_cells = spec.potential.value(gx, gy).ravel()
-    # the grid potential is |xi|^p / p, so the scalar profile matches
-    circ = young.PowerYoung(p, 1.0 / p)
+    e_cells = spec.potential.value(np.stack([gx, gy], axis=-1)).ravel()
+    circ = anisotropic.phi_circ(spec.potential)
     prof = sobolev_conjugate(circ, n, log_t_hi=500.0, n_points=8192)
     u_max = float(u_rf(np.array([u_rf.breakpoints[0] * 0.5]))[0])
     t_ladder = np.geomspace(0.05, 0.8, 12) * max(u_max, 1e-12)

@@ -1,26 +1,28 @@
 """Finite-difference energy minimization on the unit square.
 
 The model Dirichlet problems  -div a(x, grad u) = f,  u = 0 on the
-boundary, with a = b(x) * grad Phi + eps * A'(|xi|) xi / |xi| for the
-catalog potentials, are discretized by cell-wise forward differences:
+boundary, with a = b(x) grad Phi + eps A_q'(|xi|) xi / |xi|, are
+discretized by cell-wise forward differences:
 
-    J(u) = h^2 * Sum_cells [ b Phi(grad_h u) + eps A(|grad_h u|) ]
-         - h^2 * Sum_nodes f u,
+    J(u) = h^2 * Sum_cells [ b Phi(grad_h u) + eps A_q(|grad_h u|) ]
+         - h^2 * Sum_nodes f u.
 
-minimized over zero-boundary nodal fields.  J is strictly convex for
-the catalog potentials, so a Newton-Krylov iteration converges to the
-unique minimizer.  Each Hessian system is solved by matrix-free
-conjugate gradients, preconditioned with the inverse discrete Laplacian
-in the sine basis, to the inexact-Newton forcing term
-eta = min(0.1, sqrt(res / (res + 1))); the cell Hessian weights are
-computed once per Newton step.  Steps are backtracked on J (Armijo)
-until the Newton decrement falls below the rounding level of J; from
-there a full step is taken only if it lowers the sup residual and raises
-J by no more than that level, else the iteration stops; it also stops
-when the sup residual has stalled.  The energy trace is monotone up to
-that rounding bound.  For p = 2 the energy
-gradient is exactly the 5-point scheme and the first Newton step
-solves it.
+Phi is the package's own anisotropic N-function on R^2: a radial
+A(|xi|) or a split A_1(|xi_1|) + A_2(|xi_2|) (``anisotropic.RadialPhi``
+and ``SplitPhi``), and A_q(t) = t^q/q is one more radial term.  The
+flux and the Hessian of each term come from its scalar terms A, A' and
+A'' (``second_derivative``).  J is strictly convex, so a Newton-Krylov
+iteration converges to the unique minimizer.  Each Hessian system is
+solved by matrix-free conjugate gradients, preconditioned with the
+inverse discrete Laplacian in the sine basis, to the inexact-Newton
+forcing term eta = min(0.1, sqrt(res / (res + 1))); the cell Hessian
+weights are computed once per Newton step.  Steps are backtracked on J
+(Armijo) until the Newton decrement falls below the rounding level of
+J; from there a full step is taken only if it lowers the sup residual
+and raises J by no more than that level, else the iteration stops; it
+also stops when the sup residual has stalled.  The energy trace is
+monotone up to that rounding bound.  For Phi = |xi|^2/2 the energy gradient is
+exactly the 5-point scheme and the first Newton step solves it.
 
 Also here: truncated-data solution ladders (approximable solutions),
 the mollified point-mass datum, and the operator assumption audit.
@@ -29,16 +31,15 @@ the mollified point-mass datum, and the operator assumption audit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .young import PowerYoung, YoungFunctionError
+from .anisotropic import RadialPhi
+from .young import PowerYoung, YoungFunctionError, solve_increasing
 
 __all__ = [
     "GridField",
-    "PPotential",
-    "SplitPPotential",
     "OperatorSpec",
     "SolveError",
     "solve",
@@ -48,7 +49,7 @@ __all__ = [
     "assumption_audit",
 ]
 
-_DELTA = 1e-12  # floor inside derivative formulas only
+_DELTA = 1e-12  # floor on |xi| inside the flux only
 
 
 class SolveError(RuntimeError):
@@ -100,74 +101,83 @@ class GridField:
     def l1(self):
         return float(np.sum(np.abs(self.values)) * self.cell_measure)
 
-    def interior(self):
-        return self.values[1:-1, 1:-1]
-
     def to_csv(self, path, header="finite-difference nodal field u(x,y)"):
         with open(path, "w", newline="") as fh:
             fh.write("# " + header + "\n")
             np.savetxt(fh, self.values, delimiter=",")
 
 
-def _weight_floor(p):
-    """Floor on |xi| in a Hessian weight |xi|^(p-2): 1e-8, raised for
-    p > 4 to 1e-16^(1/(p-2)) so the weight never drops below 1e-16, its
-    floor at p = 4.  A smaller weight at a zero gradient (u = 0) makes
-    the first CG direction enormous."""
-    return 1e-8 if p <= 4.0 else 1e-16 ** (1.0 / (p - 2.0))
+def _hessian_floor(a):
+    """Floor on the argument r of the scalar term A in the Hessian
+    weights: 1e-8, or the root of A'(r)/r = 1e-16 where A'(r)/r is below
+    1e-16 at 1e-8, so that no weight falls below 1e-16.  A smaller weight
+    at a zero gradient (u = 0) makes the first CG direction enormous."""
+    def slope(r):
+        return a.derivative(r) / r
+
+    return 1e-8 if slope(1e-8) >= 1e-16 else solve_increasing(slope, 1e-16)
 
 
-class PPotential:
-    """Phi(xi) = |xi|^p / p with gradient |xi|^{p-2} xi."""
+class _Term:
+    """weight * Phi(xi) for a radial Phi = A(|xi|) or a split
+    Phi = A_1(|xi_1|) + A_2(|xi_2|) on R^2; its flux and Hessian come
+    from the scalar terms A, A' and A''."""
 
-    def __init__(self, p):
-        if p <= 1:
-            raise YoungFunctionError("p must exceed 1")
-        self.p = float(p)
+    def __init__(self, weight, phi):
+        form, n = getattr(phi, "form", None), getattr(phi, "n", None)
+        self.radial = form == "radial"
+        self.scalars = [phi.a] if self.radial else getattr(phi, "terms", [])
+        if n != 2 or form not in ("radial", "split") or not all(
+                hasattr(a, "second_derivative") for a in self.scalars):
+            raise YoungFunctionError(
+                f"the grid takes a radial or split Phi on R^2 whose terms "
+                f"have a second_derivative, not a {form} form in dimension "
+                f"{n} with terms {[a.name for a in self.scalars]}")
+        self.weight = weight
+        self.floors = [_hessian_floor(a) for a in self.scalars]
 
-    def value(self, gx, gy):
-        r2 = gx**2 + gy**2
-        return r2 ** (self.p / 2.0) / self.p
-
-    def grad(self, gx, gy):
-        r = np.sqrt(gx**2 + gy**2)
-        w = np.maximum(r, _DELTA) ** (self.p - 2.0)
-        return w * gx, w * gy
-
-    def hess_coeffs(self, gx, gy):
-        """(w1, w2) with Hessian = w1 I + w2 g g^T (floored)."""
-        r = np.maximum(np.sqrt(gx**2 + gy**2), _weight_floor(self.p))
-        return r ** (self.p - 2.0), (self.p - 2.0) * r ** (self.p - 4.0)
-
-
-class SplitPPotential:
-    """Phi(xi) = sum_i |xi_i|^{p_i} / p_i."""
-
-    def __init__(self, p1, p2):
-        self.p1, self.p2 = float(p1), float(p2)
+    def sizes(self, gx, gy):
+        """The scalar arguments: [|xi|] (radial) or [|xi_1|, |xi_2|]."""
+        if self.radial:
+            return [np.sqrt(gx**2 + gy**2)]
+        return [np.abs(gx), np.abs(gy)]
 
     def value(self, gx, gy):
-        return (np.abs(gx) ** self.p1 / self.p1
-                + np.abs(gy) ** self.p2 / self.p2)
+        return self.weight * sum(
+            a.value(s) for a, s in zip(self.scalars, self.sizes(gx, gy)))
 
-    def grad(self, gx, gy):
-        ax = np.sign(gx) * np.maximum(np.abs(gx), _DELTA) ** (self.p1 - 1.0)
-        ay = np.sign(gy) * np.maximum(np.abs(gy), _DELTA) ** (self.p2 - 1.0)
-        return ax, ay
+    def flux_weights(self, gx, gy):
+        """(wx, wy) with flux (wx gx, wy gy): weight * A'(s)/s for each
+        scalar argument s, floored at _DELTA."""
+        s = [np.maximum(s, _DELTA) for s in self.sizes(gx, gy)]
+        w = [self.weight * a.derivative(t) / t
+             for a, t in zip(self.scalars, s)]
+        return (w[0], w[0]) if self.radial else w
 
-    def hess_diag(self, gx, gy):
-        fx, fy = _weight_floor(self.p1), _weight_floor(self.p2)
-        hx = (self.p1 - 1.0) * np.maximum(np.abs(gx), fx) ** (self.p1 - 2.0)
-        hy = (self.p2 - 1.0) * np.maximum(np.abs(gy), fy) ** (self.p2 - 2.0)
-        return hx, hy
+    def hess_weights(self, gx, gy):
+        """(dx, dy, c) with Hessian diag(dx, dy) + c g g^T, the scalar
+        arguments floored at :func:`_hessian_floor`: radial (w1, w1,
+        (A''(r) - w1)/r^2) with w1 = A'(r)/r, split
+        (A_1''(|xi_1|), A_2''(|xi_2|), None)."""
+        s = [np.maximum(s, f)
+             for s, f in zip(self.sizes(gx, gy), self.floors)]
+        d2 = [self.weight * a.second_derivative(t)
+              for a, t in zip(self.scalars, s)]
+        if not self.radial:
+            return d2[0], d2[1], None
+        r = s[0]
+        w1 = self.weight * self.scalars[0].derivative(r) / r
+        return w1, w1, (d2[0] - w1) / r**2
 
 
 @dataclass
 class OperatorSpec:
-    """Potential + optional coefficient and isotropic regularization.
+    """Energy density b Phi(xi) + eps A_q(|xi|), A_q(t) = t^q/q, q > 2.
 
-    The regularizing term is eps * A'(|xi|) xi/|xi| with A(t) = t^q/q,
-    q > 2 (the dimension here is 2).
+    ``potential`` is a radial or split Phi on R^2 (``anisotropic``)
+    whose scalar terms have a ``second_derivative``, else
+    :class:`YoungFunctionError` is raised.  The regularization is one
+    more radial term, and every method below sums over the terms.
     """
 
     potential: object
@@ -182,47 +192,30 @@ class OperatorSpec:
             raise YoungFunctionError("regularization needs q > dimension 2")
         if np.any(np.asarray(self.b) < 1.0):
             raise YoungFunctionError("coefficient b must be >= 1")
+        self._terms = [_Term(np.asarray(self.b), self.potential)]
+        if self.epsilon > 0.0:
+            self._terms.append(_Term(self.epsilon, RadialPhi(
+                2, PowerYoung(self.q, 1.0 / self.q))))
 
     def energy_density(self, gx, gy):
-        dens = np.asarray(self.b) * self.potential.value(gx, gy)
-        if self.epsilon > 0.0:
-            r2 = gx**2 + gy**2
-            dens = dens + self.epsilon * r2 ** (self.q / 2.0) / self.q
-        return dens
+        return sum(t.value(gx, gy) for t in self._terms)
 
     def flux(self, gx, gy):
-        ax, ay = self.potential.grad(gx, gy)
-        ax = np.asarray(self.b) * ax
-        ay = np.asarray(self.b) * ay
-        if self.epsilon > 0.0:
-            r = np.sqrt(gx**2 + gy**2)
-            w = self.epsilon * np.maximum(r, _DELTA) ** (self.q - 2.0)
-            ax = ax + w * gx
-            ay = ay + w * gy
-        return ax, ay
+        ws = [t.flux_weights(gx, gy) for t in self._terms]
+        return sum(wx for wx, _ in ws) * gx, sum(wy for _, wy in ws) * gy
 
     def hess_weights(self, gx, gy):
         """Cell-wise Hessian of the energy density at the gradient (gx, gy).
 
-        Returns ``(dx, dy, c, gx, gy)`` with Hessian diag(dx, dy) + c g g^T
-        (floored like the potentials' own coefficients); ``c`` is None
-        when the rank-one part vanishes.  The weights depend only on the
-        Newton iterate, so one evaluation serves a whole CG solve.
+        Returns ``(dx, dy, c, gx, gy)`` with Hessian diag(dx, dy) + c g g^T,
+        summed over the terms; ``c`` is None when no term is radial.  The
+        weights depend only on the Newton iterate, so one evaluation
+        serves a whole CG solve.
         """
-        b = np.asarray(self.b)
-        e1 = e2 = 0.0
-        if self.epsilon > 0.0:
-            r = np.maximum(np.sqrt(gx**2 + gy**2), _weight_floor(self.q))
-            e1 = self.epsilon * r ** (self.q - 2.0)
-            e2 = self.epsilon * (self.q - 2.0) * r ** (self.q - 4.0)
-        pot = self.potential
-        if isinstance(pot, SplitPPotential):
-            hx, hy = pot.hess_diag(gx, gy)
-            c = e2 if self.epsilon > 0.0 else None
-            return b * hx + e1, b * hy + e1, c, gx, gy
-        w1, w2 = pot.hess_coeffs(gx, gy)
-        d = b * w1 + e1
-        return d, d, b * w2 + e2, gx, gy
+        parts = [t.hess_weights(gx, gy) for t in self._terms]
+        cs = [c for _, _, c in parts if c is not None]
+        return (sum(dx for dx, _, _ in parts), sum(dy for _, dy, _ in parts),
+                sum(cs) if cs else None, gx, gy)
 
     def hess_apply(self, weights, vx, vy):
         """Cell-wise Hessian action (d flux / d gradient applied to v),
@@ -506,9 +499,9 @@ def assumption_audit(spec, n_probes=400, seed=0, c_ladder=None):
     Reports: strict monotonicity  (a(xi) - a(eta)).(xi - eta) > 0 for
     xi != eta; coercivity  a(xi).xi >= Phi(xi); the smallest constant
     c on a ladder with  conj(Phi)(c * a(xi)) <= Phi(xi) + h_slack for
-    the sampled xi.  conj(Phi) is the closed-form conjugate of
-    t^p / p from :class:`young.PowerYoung`, taken of |a| for the
-    radial potential and summed per axis for the split one.
+    the sampled xi.  conj(Phi) is built from the conjugates of Phi's own
+    scalar terms: conj(A)(|a|) for a radial Phi, the sum of
+    conj(A_i)(|a_i|) for a split one.
     """
     rng = np.random.default_rng(seed)
     xi = rng.standard_normal((n_probes, 2)) * np.exp(
@@ -521,18 +514,14 @@ def assumption_audit(spec, n_probes=400, seed=0, c_ladder=None):
         xi[:, 1] - eta[:, 1])
     distinct = np.any(xi != eta, axis=1)
     monotone_ok = bool(np.all(mono[distinct] > 0.0))
-    phi_xi = spec.potential.value(xi[:, 0], xi[:, 1])
+    phi_xi = spec.potential.value(xi)
     coercive_ok = bool(np.all(ax * xi[:, 0] + ay * xi[:, 1]
                               >= phi_xi * (1.0 - 1e-12)))
     if c_ladder is None:
         c_ladder = np.geomspace(1.0, 1e-3, 25)
-    pot = spec.potential
-    if isinstance(pot, SplitPPotential):
-        conjs = [PowerYoung(p, 1.0 / p).conjugate() for p in (pot.p1, pot.p2)]
-        sizes = [np.abs(ax), np.abs(ay)]
-    else:
-        conjs = [PowerYoung(pot.p, 1.0 / pot.p).conjugate()]
-        sizes = [np.hypot(ax, ay)]
+    term = spec._terms[0]
+    conjs = [a.conjugate() for a in term.scalars]
+    sizes = term.sizes(ax, ay)
     best_c = None
     h_profile = None
     for c in c_ladder:

@@ -298,12 +298,8 @@ class ScalarYoungFunction:
             return np.log(v)
 
     def derivative(self, t):
-        """Nondecreasing (sub)derivative; default central log-step."""
-        t = np.asarray(t, dtype=float)
-        h = np.maximum(t, 1e-30) * 1e-6
-        return (self.value(t + h) - self.value(np.maximum(t - h, 0.0))) / (
-            np.minimum(t, h) + h
-        )
+        """Nondecreasing (sub)derivative A'(t)."""
+        raise NotImplementedError
 
     # -- inversion ----------------------------------------------------
 
@@ -379,6 +375,10 @@ class PowerYoung(ScalarYoungFunction):
 
     def derivative(self, t):
         return self.coeff * self.p * np.asarray(t, dtype=float) ** (self.p - 1)
+
+    def second_derivative(self, t):
+        return (self.coeff * self.p * (self.p - 1.0)
+                * np.asarray(t, dtype=float) ** (self.p - 2.0))
 
     def inverse(self, y):
         y = np.asarray(y, dtype=float)

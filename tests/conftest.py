@@ -2,7 +2,18 @@
 
 import numpy as np
 
-from orliczpde.young import psi_of, theta_diamond
+from orliczpde.anisotropic import RadialPhi, SplitPhi
+from orliczpde.young import PowerYoung, psi_of, theta_diamond
+
+
+def power_potential(p):
+    """Phi(xi) = |xi|^p / p on R^2."""
+    return RadialPhi(2, PowerYoung(p, 1.0 / p))
+
+
+def split_power_potential(p1, p2):
+    """Phi(xi) = |xi_1|^p1 / p1 + |xi_2|^p2 / p2."""
+    return SplitPhi([PowerYoung(p1, 1.0 / p1), PowerYoung(p2, 1.0 / p2)])
 
 
 def calculus_identity_errors(a, ts):

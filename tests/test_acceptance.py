@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import calculus_identity_errors
+from conftest import calculus_identity_errors, power_potential
 from orliczpde import anisotropic, grid, radial, rearrangement, young
 from orliczpde.cli import main
 from orliczpde.embedding import sobolev_conjugate
@@ -180,7 +180,7 @@ def test_ac05_radial_solver_oracle(report):
 def test_ac06_grid_oracle(report):
     with report("AC6 grid oracle", 60.0):
         f = _unit_f(129)
-        u, info = grid.solve(grid.OperatorSpec(grid.PPotential(2.0)), f,
+        u, info = grid.solve(grid.OperatorSpec(power_potential(2.0)), f,
                              return_info=True)
         assert u.values[64, 64] == pytest.approx(FOURIER_CENTER,
                                                  abs=2e-4)
@@ -204,7 +204,7 @@ def test_ac07_comparison_principle(report):
             margins = {}
             for n_nodes in (65, 129):
                 f = _unit_f(n_nodes)
-                u = grid.solve(grid.OperatorSpec(grid.PPotential(p)), f)
+                u = grid.solve(grid.OperatorSpec(power_potential(p)), f)
                 vals = np.abs(u.values[:-1, :-1]).ravel()
                 u_star = rearrangement.RearrangedFunction.from_samples(
                     vals, np.full(vals.size, u.h**2))
@@ -227,7 +227,7 @@ def test_ac08_a_priori_bounds(report, tmp_path):
             assert len(rep["truncation_energy"]["ladder"]) == 20
         # gradient L1 bound with constant 2 om_n^{-1/n} |Om|^{1/n} ||f||_1
         f = _unit_f(65)
-        u = grid.solve(grid.OperatorSpec(grid.PPotential(2.0)), f)
+        u = grid.solve(grid.OperatorSpec(power_potential(2.0)), f)
         gx, gy = grid.cell_gradients(u.values, u.h)
         theta = np.hypot(gx, gy).ravel()  # gauge map is identity here
         out = radial.gradient_l1_bound(theta,
@@ -266,7 +266,7 @@ def test_ac09_approximable_solutions(report):
 
         f = grid.GridField.from_function(n_nodes, fvals)
         f.zero_boundary()
-        spec = grid.OperatorSpec(grid.PPotential(2.0))
+        spec = grid.OperatorSpec(power_potential(2.0))
         ladder = [4.0, 5.0, 16.0, 17.0, 64.0, 65.0,
                   256.0, 257.0, 1024.0, 1025.0]
         _fields, rows = grid.approximable_sequence(

@@ -308,6 +308,23 @@ def test_approx_seq_settles(tmp_path):
                           b"grad_deviation_measure\r\n")
 
 
+def test_approx_seq_honours_coefficient_b(tmp_path):
+    # for p = 2 the solution of -div(b grad u) = f is u / b, so b = 2
+    # halves every sup deviation along the ladder
+    devs = {}
+    for b in (1.0, 2.0):
+        cfg = tmp_path / f"b{b:g}.json"
+        cfg.write_text(json.dumps({"N": 17, "p": 2.0, "f": "const:5",
+                                   "k_ladder": [1, 2, 8, 32], "b": b}))
+        out = tmp_path / f"b{b:g}"
+        assert main(["approx-seq", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 0
+        rep = json.loads((out / "approx_seq_report.json").read_text())
+        devs[b] = [r["sup_deviation"] for r in rep["steps"][1:]]
+    assert devs[2.0] == pytest.approx([d / 2.0 for d in devs[1.0]],
+                                      rel=1e-6)
+
+
 def test_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "orliczpde.cli", "definitely-not"],

@@ -4,22 +4,24 @@ import numpy as np
 import pytest
 from scipy.fft import dstn, idstn
 
+from conftest import power_potential, split_power_potential
 from orliczpde.grid import (
     GridField,
     _energy_gradient,
     _hessian_times,
     _LaplacePreconditioner,
     OperatorSpec,
-    PPotential,
     SolveError,
-    SplitPPotential,
     approximable_sequence,
     assumption_audit,
     cell_gradients,
     point_mass_field,
     solve,
 )
-from orliczpde.young import YoungFunctionError
+from orliczpde.anisotropic import LinearCombinationPhi, RadialPhi, SplitPhi
+from orliczpde.radial import solve_radial
+from orliczpde.rearrangement import RearrangedFunction
+from orliczpde.young import PowerLogYoung, PowerYoung, YoungFunctionError
 
 # Fourier (separable eigenfunction) value of u(1/2, 1/2) for
 # -Laplace u = 1 on (0,1)^2 with zero boundary data
@@ -51,7 +53,7 @@ def test_point_mass_carries_mass():
 def test_poisson_center_against_fourier_oracle():
     f = GridField.from_function(65, lambda x, y: np.ones_like(x))
     f.zero_boundary()
-    u, info = solve(OperatorSpec(PPotential(2.0)), f, return_info=True)
+    u, info = solve(OperatorSpec(power_potential(2.0)), f, return_info=True)
     center = u.values[32, 32]
     assert center == pytest.approx(FOURIER_CENTER, abs=1e-4)
     assert np.all(np.diff(info["energies"]) <= 1e-15)
@@ -60,7 +62,7 @@ def test_poisson_center_against_fourier_oracle():
 def test_p3_solve_converges_with_monotone_energy():
     f = GridField.from_function(33, lambda x, y: np.ones_like(x))
     f.zero_boundary()
-    u, info = solve(OperatorSpec(PPotential(3.0)), f, return_info=True)
+    u, info = solve(OperatorSpec(power_potential(3.0)), f, return_info=True)
     assert info["residual"] <= 1e-9 * (1.0 + f.l1())
     assert np.all(np.diff(info["energies"]) <= 1e-15)
     assert np.max(u.values) > 0.0
@@ -70,7 +72,7 @@ def test_p4_solve_converges_at_rounding_level():
     # J stops ranking Newton steps near the solution; the solve must
     # still reach tol rather than run to max_iter
     f = GridField.from_function(65, lambda x, y: np.ones_like(x))
-    u, info = solve(OperatorSpec(PPotential(4.0)), f, return_info=True)
+    u, info = solve(OperatorSpec(power_potential(4.0)), f, return_info=True)
     assert info["residual"] <= 1e-9 * (1.0 + f.l1())
     assert info["converged"]
     assert info["newton_steps"] <= 20
@@ -82,7 +84,7 @@ def test_p5_solve_converges_from_zero():
     # the first CG direction is enormous and no Newton step is accepted
     f = GridField.from_function(33, lambda x, y: np.ones_like(x))
     f.zero_boundary()
-    u, info = solve(OperatorSpec(PPotential(5.0)), f, return_info=True)
+    u, info = solve(OperatorSpec(power_potential(5.0)), f, return_info=True)
     assert info["converged"]
     assert info["residual"] <= 1e-9 * (1.0 + f.l1())
     assert info["newton_steps"] <= 20
@@ -92,7 +94,7 @@ def test_p5_solve_converges_from_zero():
 def test_p4_solve_pcg_work():
     # the inexact Newton forcing term keeps the inner CG short
     f = GridField.from_function(129, lambda x, y: np.ones_like(x))
-    _, info = solve(OperatorSpec(PPotential(4.0)), f, return_info=True)
+    _, info = solve(OperatorSpec(power_potential(4.0)), f, return_info=True)
     assert info["converged"]
     assert info["pcg_iterations"] < 290
 
@@ -101,12 +103,12 @@ _CELLS = np.random.default_rng(3).uniform(1.0, 2.0, (16, 16))
 
 
 @pytest.mark.parametrize("spec", [
-    OperatorSpec(PPotential(1.5)),
-    OperatorSpec(PPotential(3.0)),
-    OperatorSpec(PPotential(5.0)),
-    OperatorSpec(SplitPPotential(2.0, 4.0)),
-    OperatorSpec(SplitPPotential(2.0, 4.0), epsilon=0.1, q=4.0),
-    OperatorSpec(PPotential(3.0), epsilon=0.1, q=4.0, b=_CELLS),
+    OperatorSpec(power_potential(1.5)),
+    OperatorSpec(power_potential(3.0)),
+    OperatorSpec(power_potential(5.0)),
+    OperatorSpec(split_power_potential(2.0, 4.0)),
+    OperatorSpec(split_power_potential(2.0, 4.0), epsilon=0.1, q=4.0),
+    OperatorSpec(power_potential(3.0), epsilon=0.1, q=4.0, b=_CELLS),
 ], ids=["p1.5", "p3", "p5", "split", "split-eps", "p3-eps-b"])
 def test_hessian_matches_gradient_differences(spec):
     rng = np.random.default_rng(7)
@@ -127,7 +129,7 @@ def test_hessian_matches_gradient_differences(spec):
 def test_split_potential_solve():
     f = GridField.from_function(33, lambda x, y: np.ones_like(x))
     f.zero_boundary()
-    u = solve(OperatorSpec(SplitPPotential(2.0, 4.0)), f)
+    u = solve(OperatorSpec(split_power_potential(2.0, 4.0)), f)
     assert np.max(u.values) > 0.0
     # boundary stays zero
     assert np.all(u.values[0, :] == 0.0) and np.all(u.values[:, -1] == 0.0)
@@ -135,17 +137,44 @@ def test_split_potential_solve():
 
 def test_operator_spec_validation():
     with pytest.raises(YoungFunctionError):
-        OperatorSpec(PPotential(2.0), epsilon=1.5)
+        OperatorSpec(power_potential(2.0), epsilon=1.5)
     with pytest.raises(YoungFunctionError):
-        OperatorSpec(PPotential(2.0), epsilon=0.5, q=2.0)
+        OperatorSpec(power_potential(2.0), epsilon=0.5, q=2.0)
     with pytest.raises(YoungFunctionError):
-        OperatorSpec(PPotential(2.0), b=0.5)
+        OperatorSpec(power_potential(2.0), b=0.5)
     with pytest.raises(YoungFunctionError):
-        PPotential(1.0)
+        power_potential(1.0)
+
+
+@pytest.mark.parametrize("phi", [
+    RadialPhi(3, PowerYoung(3.0)),
+    LinearCombinationPhi(2, [([1.0, 0.0], PowerYoung(2.0)),
+                             ([1.0, 1.0], PowerYoung(3.0))]),
+    RadialPhi(2, PowerLogYoung(2.0, 1.0)),
+    SplitPhi([PowerYoung(2.0), PowerLogYoung(2.0, 1.0)]),
+], ids=["n3", "linear-combination", "power-log", "split-power-log"])
+def test_operator_spec_rejects_what_it_cannot_differentiate(phi):
+    with pytest.raises(YoungFunctionError):
+        OperatorSpec(phi)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_linf_below_symmetrized_radial_centre(p):
+    # Talenti's comparison for a(xi) = A'(|xi|) xi/|xi|: max u <= v(0),
+    # v the radial solution on the disc of area 1 with datum f* = 1 and
+    # |v'| = (A')^{-1}(r f** / 2).  The ratios read 0.894, 0.926 and
+    # 0.935 for N = 33-129; the datum scaled by 1.2 reads 1.287, 1.111
+    # and 1.024.
+    spec = OperatorSpec(power_potential(p))
+    v = solve_radial(spec.potential.a.conjugate().derivative,
+                     RearrangedFunction([0.0, 1.0], [1.0]), 2, 1.0)
+    f = GridField.from_function(65, lambda x, y: np.ones_like(x))
+    u = solve(spec, f)
+    assert np.max(u.values) <= v.v[0]
 
 
 def test_regularized_energy_density():
-    spec = OperatorSpec(PPotential(3.0), epsilon=0.25, q=4.0)
+    spec = OperatorSpec(power_potential(3.0), epsilon=0.25, q=4.0)
     gx, gy = np.array([2.0]), np.array([0.0])
     dens = spec.energy_density(gx, gy)
     assert dens[0] == pytest.approx(8.0 / 3.0 + 0.25 * 16.0 / 4.0, rel=1e-12)
@@ -155,7 +184,7 @@ def test_solve_error_when_no_iterations_allowed():
     f = GridField.from_function(33, lambda x, y: 10.0 * np.ones_like(x))
     f.zero_boundary()
     with pytest.raises(SolveError):
-        solve(OperatorSpec(PPotential(2.0)), f, max_iter=0)
+        solve(OperatorSpec(power_potential(2.0)), f, max_iter=0)
 
 
 def test_stalled_newton_stops_early():
@@ -163,7 +192,7 @@ def test_stalled_newton_stops_early():
     # once the residual sets no new minimum for a while, not at max_iter
     f = GridField.from_function(65, lambda x, y: np.ones_like(x))
     with pytest.raises(SolveError, match="stalled") as info:
-        solve(OperatorSpec(PPotential(1.2)), f)
+        solve(OperatorSpec(power_potential(1.2)), f)
     assert info.value.newton_steps <= 30
 
 
@@ -199,7 +228,7 @@ def test_approximable_sequence_report():
     f = GridField.from_function(33, lambda x, y: 5.0 * np.ones_like(x))
     f.zero_boundary()
     fields, report = approximable_sequence(
-        OperatorSpec(PPotential(2.0)), f, [2.0, 10.0])
+        OperatorSpec(power_potential(2.0)), f, [2.0, 10.0])
     assert len(fields) == 2
     assert report[0]["f_l1"] < report[1]["f_l1"]
     assert "sup_deviation" not in report[0]
@@ -208,11 +237,11 @@ def test_approximable_sequence_report():
 
 
 def test_assumption_audit():
-    out = assumption_audit(OperatorSpec(PPotential(3.0)))
+    out = assumption_audit(OperatorSpec(power_potential(3.0)))
     assert out["strictly_monotone"]
     assert out["coercive"]
     assert out["c_phi"] is not None
-    out = assumption_audit(OperatorSpec(SplitPPotential(2.0, 4.0),
+    out = assumption_audit(OperatorSpec(split_power_potential(2.0, 4.0),
                                         epsilon=0.1, q=4.0))
     assert out["strictly_monotone"]
     assert out["coercive"]

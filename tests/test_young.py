@@ -18,6 +18,7 @@ from orliczpde.young import (
     PowerLogYoung,
     PowerYoung,
     SampledYoungFunction,
+    ScalarYoungFunction,
     YoungFunctionError,
     check_growth_condition,
     parse_scalar_function,
@@ -151,6 +152,23 @@ def test_sampled_derivative_is_derivative_of_value(tmp_path):
     h = 1e-7 * t
     fd = (tab.value(t + h) - tab.value(t - h)) / (2.0 * h)
     assert np.allclose(tab.derivative(t), fd, rtol=1e-5)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0])
+def test_power_second_derivative(p):
+    a = PowerYoung(p, 1.0 / p)
+    t = np.geomspace(1e-3, 1e3, 25)
+    fd = (a.derivative(t * (1.0 + 1e-6)) - a.derivative(t * (1.0 - 1e-6))) / (
+        2e-6 * t)
+    np.testing.assert_allclose(a.second_derivative(t), fd, rtol=1e-8)
+    np.testing.assert_allclose(a.second_derivative(t),
+                               (p - 1.0) * t**(p - 2.0), rtol=1e-14)
+
+
+def test_base_derivative_is_abstract():
+    # every concrete function supplies A'; the base class has no fallback
+    with pytest.raises(NotImplementedError):
+        ScalarYoungFunction().derivative(1.0)
 
 
 def test_repair_convexity_drops_bumps():
