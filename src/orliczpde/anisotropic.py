@@ -96,14 +96,13 @@ class MeasureConvergenceWarning(UserWarning):
     relative change among them) and ``rel_tol``.
     """
 
-    def __init__(self, levels, unconverged, worst_rel_change, rel_tol):
+    def __init__(self, summary):
         super().__init__(
-            f"{unconverged} of {levels} sublevel measures ended the sphere "
-            f"rule refinement with a relative change up to "
-            f"{worst_rel_change:.3g} > rel_tol={rel_tol:g}")
-        self.summary = {"levels": levels, "unconverged": unconverged,
-                        "worst_rel_change": worst_rel_change,
-                        "rel_tol": rel_tol}
+            f"{summary['unconverged']} of {summary['levels']} sublevel "
+            f"measures ended the sphere rule refinement with a relative "
+            f"change up to {summary['worst_rel_change']:.3g} > "
+            f"rel_tol={summary['rel_tol']:g}")
+        self.summary = summary
 
 
 class AnisotropicYoungFunction:
@@ -127,20 +126,21 @@ class AnisotropicYoungFunction:
     def __call__(self, xi):
         return self.value(xi)
 
-    def certify(self, n_probes=200, seed=0, slack=1e-10):
-        """Check evenness and segment convexity on random probes."""
-        rng = np.random.default_rng(seed)
-        xi = rng.standard_normal((n_probes, self.n))
-        xi *= np.exp(rng.uniform(-2, 4, (n_probes, 1)))
-        eta = rng.standard_normal((n_probes, self.n))
-        eta *= np.exp(rng.uniform(-2, 4, (n_probes, 1)))
+    def certify(self):
+        """Check evenness and segment convexity (to 1e-10 relative) on 200
+        pairs of probes, drawn from a generator seeded with 0."""
+        rng = np.random.default_rng(0)
+        xi = rng.standard_normal((200, self.n))
+        xi *= np.exp(rng.uniform(-2, 4, (200, 1)))
+        eta = rng.standard_normal((200, self.n))
+        eta *= np.exp(rng.uniform(-2, 4, (200, 1)))
         v_xi, v_eta = self.value(xi), self.value(eta)
         if not np.allclose(self.value(-xi), v_xi, rtol=1e-10):
             raise YoungFunctionError(f"{self.form}: not even")
         mid = self.value(0.5 * (xi + eta))
         chord = 0.5 * (v_xi + v_eta)
         scale = np.maximum(chord, 1e-300)
-        if np.any((mid - chord) / scale > slack):
+        if np.any((mid - chord) / scale > 1e-10):
             raise YoungFunctionError(f"{self.form}: midpoint convexity fails")
         if float(self.value(np.zeros(self.n))) != 0.0:
             raise YoungFunctionError(f"{self.form}: Phi(0) != 0")
@@ -219,7 +219,7 @@ class CustomPhi(AnisotropicYoungFunction):
 # sublevel measure via star-shaped radial extent
 
 
-def radial_extent(phi, directions, t, rtol=1e-12):
+def radial_extent(phi, directions, t):
     """R(w) with Phi(R(w) w) = t for each unit direction w, vectorized.
 
     ``t`` is one level for every direction, or an array holding one level
@@ -227,15 +227,15 @@ def radial_extent(phi, directions, t, rtol=1e-12):
     solves many levels this way).  Phi is nondecreasing along rays from 0
     (convexity + Phi(0)=0), so one solve serves all rows at once: the
     direction rows go to the solver as ``args``, so each round evaluates
-    Phi only on the rays still unfinished.  A boundary beyond
+    Phi only on the rays still unfinished.  R is solved to 1e-12
+    relative; a boundary beyond
     ``phi.bound_radius`` raises :class:`BoundBoxError`.
     """
     w = np.asarray(directions, dtype=float)
     try:
         return solve_increasing(lambda r, w: phi.value(r[:, None] * w),
                                 np.full(w.shape[0], t, dtype=float),
-                                rtol=rtol, x_max=phi.bound_radius,
-                                args=(w,))
+                                x_max=phi.bound_radius, args=(w,))
     except InverseRangeError as err:
         raise BoundBoxError(
             f"sublevel set reaches the bound box (radius "
@@ -317,7 +317,7 @@ _GL12_X, _GL12_W = np.polynomial.legendre.leggauss(12)
 _SPLIT_PANELS = 24
 
 
-def _split_measure(terms, t, n_panels=_SPLIT_PANELS):
+def _split_measure(terms, t):
     """Measure of {sum_k A_k(|x_k|) <= t} by iterated quadrature.
 
     It is not exact: on power splits it is 3.4e-10 relative off
@@ -336,7 +336,7 @@ def _split_measure(terms, t, n_panels=_SPLIT_PANELS):
     shape = t.shape
     tf = t.ravel()
     R1 = a1.inverse(tf)
-    edges = np.linspace(0.0, 0.5 * math.pi, n_panels + 1)
+    edges = np.linspace(0.0, 0.5 * math.pi, _SPLIT_PANELS + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * np.diff(edges)
     th = (mid[:, None] + half[:, None] * _GL12_X[None, :]).ravel()
@@ -366,9 +366,9 @@ def _chunks(n_items, per_item):
     return [slice(i, i + step) for i in range(0, n_items, step)]
 
 
-def _star_measure(phi, levels, rel_tol):
-    """Star-path measures of the 1-D array ``levels``, all at once (see
-    :func:`sublevel_measure`)."""
+def _star_measure(phi, levels):
+    """Star-path measures of the 1-D array ``levels``, all at once, and
+    their convergence summary (see :func:`sublevel_measure`)."""
     n = phi.n
     n_rules = _sphere_levels(n)
     if n_rules < 1:
@@ -387,19 +387,42 @@ def _star_measure(phi, levels, rel_tol):
                               np.repeat(ts, len(w)))
             new[chunk] = np.sum(wt * r.reshape(ts.size, -1) ** n / n, axis=1)
         diff = np.abs(new - est[pending])
-        done = (diff <= rel_tol * np.abs(new)) & (rule > 0)
+        done = (diff <= _REL_TOL * np.abs(new)) & (rule > 0)
         change[pending] = diff / np.abs(new)
         est[pending] = new
         pending = pending[~done]
         if not pending.size:
-            return est
-    warnings.warn(MeasureConvergenceWarning(
-        levels.size, pending.size, float(np.max(change[pending])), rel_tol),
-        stacklevel=3)
-    return est
+            break
+    worst = float(np.max(change[pending])) if pending.size else None
+    return est, {"levels": levels.size, "unconverged": pending.size,
+                 "worst_rel_change": worst, "rel_tol": _REL_TOL}
 
 
-def sublevel_measure(phi, t, rel_tol=_REL_TOL, seed=0, method="auto"):
+def _measures(phi, levels, method):
+    """Measures of the 1-D array of positive ``levels`` and their
+    convergence summary (see :func:`sublevel_measure`)."""
+    det = 0.0
+    if method == "auto":
+        if phi.form == "split":
+            det = 1.0
+        elif phi.form == "linear_combination" and phi.coeffs.shape[0] == phi.n:
+            det = abs(float(np.linalg.det(phi.coeffs)))
+    if method == "auto" and phi.form == "radial":
+        out = unit_ball_volume(phi.n) * phi.a.inverse(levels) ** phi.n
+    elif det > 0.0 and all(isinstance(a, PowerYoung) for a in phi.terms):
+        out = _power_split_measure(phi.terms, levels) / det
+    elif det > 0.0:
+        out = np.empty(levels.size)
+        nodes = (_SPLIT_PANELS * _GL12_X.size) ** (phi.n - 1)
+        for chunk in _chunks(levels.size, nodes):
+            out[chunk] = _split_measure(phi.terms, levels[chunk]) / det
+    else:
+        return _star_measure(phi, levels)
+    return out, {"levels": levels.size, "unconverged": 0,
+                 "worst_rel_change": None, "rel_tol": _REL_TOL}
+
+
+def sublevel_measure(phi, t, method="auto"):
     """Lebesgue measure of {xi in R^n : Phi(xi) <= t}.
 
     ``t`` is a level or an array of levels; a float or an array of the
@@ -410,37 +433,21 @@ def sublevel_measure(phi, t, rel_tol=_REL_TOL, seed=0, method="auto"):
     closed form when every term is a :class:`PowerYoung` and iterated
     quadrature (about 3.4e-10 relative error) otherwise; everything
     else goes through the star-shaped boundary integral with the rule
-    refined until the relative change drops below ``rel_tol``.  On that
-    path every pending level is solved with every direction of a sphere
-    level in one :func:`radial_extent` call (in chunks of at most
+    refined until the relative change drops below ``rel_tol`` = 1e-7.
+    On that path every pending level is solved with every direction of a
+    sphere level in one :func:`radial_extent` call (in chunks of at most
     ``_CHUNK`` (level, direction) pairs), and a level leaves once its
     relative change is <= ``rel_tol``; levels still above it after the
     finest rule are returned with a :class:`MeasureConvergenceWarning`.
     ``method="star"`` forces the boundary integral for cross-checking.
-    ``seed`` is accepted for compatibility and unused: every rule is
-    deterministic.
+    Every rule is deterministic.
     """
-    n = phi.n
     t_arr = np.asarray(t, dtype=float)
     out = np.zeros(t_arr.size)
     pos = np.flatnonzero(t_arr.ravel() > 0.0)
-    levels = t_arr.ravel()[pos]
-    det = 0.0
-    if method == "auto":
-        if phi.form == "split":
-            det = 1.0
-        elif phi.form == "linear_combination" and phi.coeffs.shape[0] == n:
-            det = abs(float(np.linalg.det(phi.coeffs)))
-    if method == "auto" and phi.form == "radial":
-        out[pos] = unit_ball_volume(n) * phi.a.inverse(levels) ** n
-    elif det > 0.0 and all(isinstance(a, PowerYoung) for a in phi.terms):
-        out[pos] = _power_split_measure(phi.terms, levels) / det
-    elif det > 0.0:
-        nodes = (_SPLIT_PANELS * _GL12_X.size) ** (n - 1)
-        for chunk in _chunks(levels.size, nodes):
-            out[pos[chunk]] = _split_measure(phi.terms, levels[chunk]) / det
-    else:
-        out[pos] = _star_measure(phi, levels, rel_tol)
+    out[pos], summary = _measures(phi, t_arr.ravel()[pos], method)
+    if summary["unconverged"]:
+        warnings.warn(MeasureConvergenceWarning(summary), stacklevel=2)
     return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
@@ -452,30 +459,22 @@ def phi_circ(phi, t_lo=1e-3, t_hi=1e6, n_levels=512, seed=0):
     """The radial measure-average of Phi as a sampled scalar function.
 
     Evaluates Phi_circ^{-1}(t_j) = (|{Phi <= t_j}| / omega_n)^{1/n} on a
-    log ladder of levels, all in one :func:`sublevel_measure` call, and
-    tabulates the inverse relation; the table is convex-hull corrected.
-    The table's ``convergence`` attribute summarizes the measures:
-    ``levels``, ``unconverged`` (levels whose star-path sphere rule ended
-    above ``rel_tol``; 0 on the split and closed-form paths),
-    ``worst_rel_change`` (the largest last relative change among them,
-    None when there are none) and ``rel_tol``.  Radial inputs return
-    their generator directly (the construction is the identity for
-    them).
+    log ladder of levels, all computed together as in
+    :func:`sublevel_measure`, and tabulates the inverse relation; the
+    table is convex-hull corrected.  The table's ``convergence``
+    attribute summarizes the measures: ``levels``, ``unconverged``
+    (levels whose star-path sphere rule ended above ``rel_tol``; 0 on
+    the split and closed-form paths), ``worst_rel_change`` (the largest
+    last relative change among them, None when there are none) and
+    ``rel_tol``; no :class:`MeasureConvergenceWarning` is issued.
+    Radial inputs return their generator directly (the construction is
+    the identity for them).  ``seed`` is accepted and unused: every rule
+    is deterministic.
     """
     if phi.form == "radial":
         return phi.a
     levels = np.geomspace(t_lo, t_hi, n_levels)
-    convergence = {"levels": n_levels, "unconverged": 0,
-                   "worst_rel_change": None, "rel_tol": _REL_TOL}
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", MeasureConvergenceWarning)
-        measures = sublevel_measure(phi, levels, seed=seed)
-    for w in caught:
-        if isinstance(w.message, MeasureConvergenceWarning):
-            convergence = w.message.summary
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename,
-                                   w.lineno)
+    measures, convergence = _measures(phi, levels, "auto")
     radii = (measures / unit_ball_volume(phi.n)) ** (1.0 / phi.n)
     out = SampledYoungFunction(np.log(radii), np.log(levels),
                                name=f"phi_circ[{phi.form}]")
@@ -506,12 +505,13 @@ def phi_diamond(phi_or_circ):
     return out.repair_convexity()
 
 
-def dilation_constants(circ, diamond, t_lo=1.0, t_hi=1e4, n_points=64):
+def dilation_constants(circ, diamond, t_lo=1.0, t_hi=1e4):
     """(c1, c2) with Phi_circ(c1 t) <= Phi_diamond(t) <= Phi_circ(c2 t).
 
-    Measured as c(t) = Phi_circ^{-1}(Phi_diamond(t)) / t over a log grid.
+    Measured as c(t) = Phi_circ^{-1}(Phi_diamond(t)) / t over a 64-point
+    log grid of [t_lo, t_hi].
     """
-    t = np.geomspace(t_lo, t_hi, n_points)
+    t = np.geomspace(t_lo, t_hi, 64)
     c = circ.inverse(diamond.value(t)) / t
     return float(np.min(c)), float(np.max(c))
 
@@ -529,18 +529,19 @@ def theta(phi, diamond=None):
     return fn
 
 
-def vector_conjugate_grid(phi, eta, t_cap=1e6, m=96):
+def vector_conjugate_grid(phi, eta, t_cap=1e6):
     """conj(Phi)(eta) = sup_xi (xi . eta - Phi(xi)) by discrete search.
 
-    Diagnostic only (assumption audits); coordinate grid sup for n <= 3
+    Diagnostic only (assumption audits); coordinate grid sup for n <= 3,
+    97 points per axis log-spaced out to ``t_cap`` on each side of 0,
     refined once around the coarse maximizer.
     """
     if phi.n > 3:
         raise YoungFunctionError("vector conjugate materialized for n <= 3 only")
     eta = np.asarray(eta, dtype=float)
-    axes = [np.concatenate([-np.geomspace(t_cap, 1e-6, m // 2),
+    axes = [np.concatenate([-np.geomspace(t_cap, 1e-6, 48),
                             [0.0],
-                            np.geomspace(1e-6, t_cap, m // 2)])] * phi.n
+                            np.geomspace(1e-6, t_cap, 48)])] * phi.n
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     flat = grid.reshape(-1, phi.n)
     vals = flat @ eta - phi.value(flat)

@@ -51,6 +51,7 @@ from .young import (
     ExpPowerYoung,
     PowerLogYoung,
     PowerYoung,
+    SampledYoungFunction,
     YoungFunctionError,
 )
 
@@ -248,12 +249,29 @@ def expected_regularity(record):
     return out
 
 
-def verify_asymptotics(record, n_levels=128, power_rtol=0.02, log_atol=0.15,
-                       seed=0):
+_N_LEVELS = 128  # levels of the Phi_circ table
+_POWER_RTOL = 0.02  # relative tolerance on every fitted power
+_LOG_ATOL = 0.15  # absolute tolerance on the fitted log exponents
+
+# per divergent regime: sobolev_conjugate's log_t_hi and n_points, the
+# window [t_lo, t_hi] of the gradient fits, their extra regressor
+# columns and the tolerance on their log exponent; the double_exp fit
+# also regresses on log log log t and checks its coefficient
+_REGIMES = {
+    "subcritical": (500.0, 8192, 1e30, 1e80, (), _LOG_ATOL),
+    "exp": (2000.0, 8192, 1e10, 1e40, (), _LOG_ATOL),
+    "double_exp": (2e4, 16384, 1e4, 1e60,
+                   (lambda lt: np.log(np.log(lt)),), 0.3),
+}
+
+
+def verify_asymptotics(record):
     """Compare computed embedding asymptotics against the expected ones.
 
     Returns a report dict with per-quantity computed/expected values and
-    pass flags; ``report["passes"]`` aggregates them.
+    pass flags; ``report["passes"]`` aggregates them.  Powers must match
+    to 2% relative, log exponents to 0.15 absolute (0.3 for the
+    double-exponential gradients).
     """
     exp_reg = expected_regularity(record)
     n = record.n
@@ -270,87 +288,67 @@ def verify_asymptotics(record, n_levels=128, power_rtol=0.02, log_atol=0.15,
     # of the table ends at the inverse of the level cap, so the cap is
     # generous to leave room for a tail fit
     phi = record.build_phi()
-    circ = phi_circ(phi, t_lo=1.0, t_hi=1e24, n_levels=n_levels, seed=seed)
+    circ = phi_circ(phi, t_lo=1.0, t_hi=1e24, n_levels=_N_LEVELS)
     sigma_hat, beta_hat, _ = fit_tail(circ)
     check("phi_circ power", sigma_hat, exp_reg["phi_circ"]["power"],
-          power_rtol, True)
+          _POWER_RTOL, True)
     check("phi_circ log", beta_hat, exp_reg["phi_circ"]["log"],
-          log_atol, False)
+          _LOG_ATOL, False)
     # stage 2: analytic model from the *fitted* exponents, snapped to the
     # critical values when inside fitting tolerance
-    sigma_m = float(n) if abs(sigma_hat - n) <= power_rtol * n else sigma_hat
-    beta_m = (float(n - 1) if abs(beta_hat - (n - 1)) <= log_atol
+    sigma_m = (float(n) if abs(sigma_hat - n) <= _POWER_RTOL * n
+               else sigma_hat)
+    beta_m = (float(n - 1) if abs(beta_hat - (n - 1)) <= _LOG_ATOL
               else beta_hat)
     regime = _regime(sigma_m, beta_m, n)
     report = {"id": record.id, "params": record.params,
               "expected": exp_reg, "regime": regime,
               "fitted_phi_circ": {"power": sigma_hat, "log": beta_hat}}
     check("regime", float(regime == exp_reg["regime"]), 1.0, 0.0, False)
+    model = _model(sigma_m, beta_m)
     if regime == "bounded":
-        model = _model(sigma_m, beta_m)
         verdict = classify_integral(model, n)
         check("dichotomy convergent", float(verdict == "convergent"), 1.0,
               0.0, False)
         report["checks"] = checks
         report["passes"] = all(c["passes"] for c in checks)
         return report
-    model = _model(sigma_m, beta_m)
     np_prime = n / (n - 1.0)
+    log_t_hi, n_points, g_lo, g_hi, extra, log_tol = _REGIMES[regime]
+    prof = sobolev_conjugate(model, n, log_t_hi=log_t_hi, n_points=n_points)
     if regime == "subcritical":
-        prof = sobolev_conjugate(model, n, log_t_hi=500.0, n_points=8192)
         # fit inside the native range of the conjugate table: the
         # argument of vartheta maps to s = t^{1/n'} <= H(t_hi)
         log_s_top = float(prof.H.log_value(499.0))
         lo, hi = 0.35 * np_prime * log_s_top, 0.85 * np_prime * log_s_top
         c, _ = fit_power_log(prof.vartheta_n.log_value, lo, hi)
         check("vartheta power", float(c[1]), exp_reg["u"]["vartheta_power"],
-              power_rtol, True)
+              _POWER_RTOL, True)
         check("vartheta log", float(c[2]), exp_reg["u"]["vartheta_log"],
-              log_atol, False)
-        glo, ghi = math.log(1e30), math.log(1e80)
-        for (label, pi, ai, a_i), expd in zip(record.components,
-                                              exp_reg["gradients"]):
-            c, _ = fit_power_log(lambda lt: prof.varrho_n.log_value(
-                a_i.log_value(lt)), glo, ghi)
-            check(f"varrho[{label}] power", float(c[1]), expd["power"],
-                  power_rtol, True)
-            check(f"varrho[{label}] log", float(c[2]), expd["log"],
-                  log_atol, False)
+              _LOG_ATOL, False)
     elif regime == "exp":
-        prof = sobolev_conjugate(model, n, log_t_hi=2000.0, n_points=8192)
         # growth index from the doubly-logarithmic slope of vartheta
         log_t_top = np_prime * float(prof.H.log_value(2000.0 * 0.999))
         lt = np.linspace(0.5 * log_t_top, 0.95 * log_t_top, 60)
         lv = np.log(np.maximum(prof.vartheta_n.log_value(lt), 1e-300))
         gamma = float(np.polyfit(lt, lv, 1)[0])
         check("exp index", gamma, exp_reg["u"]["exp_index"], 0.10, True)
-        glo, ghi = math.log(1e10), math.log(1e40)
-        for (label, pi, ai, a_i), expd in zip(record.components,
-                                              exp_reg["gradients"]):
-            c, _ = fit_power_log(lambda lt: prof.varrho_n.log_value(
-                a_i.log_value(lt)), glo, ghi)
-            check(f"varrho[{label}] power", float(c[1]), expd["power"],
-                  power_rtol, True)
-            check(f"varrho[{label}] log", float(c[2]), expd["log"],
-                  log_atol, False)
     else:  # double_exp
-        prof = sobolev_conjugate(model, n, log_t_hi=2e4, n_points=16384)
         # stability of loglog Phi_n(t) / t^{n'} over the top window
         s_top = math.exp(prof.H.log_value(2e4 * 0.999))
         s = np.geomspace(s_top / 2.0, s_top * 0.95, 30)
         ratio = np.log(prof.phi_n.log_value(np.log(s))) / s**np_prime
         dev = float(np.max(np.abs(ratio - ratio.mean())) / ratio.mean())
         check("double-exp ratio stability", dev, 0.0, 0.2, False)
-        glo, ghi = math.log(1e4), math.log(1e60)
-        for (label, pi, ai, a_i), expd in zip(record.components,
-                                              exp_reg["gradients"]):
-            c, _ = fit_power_log(lambda lt: prof.varrho_n.log_value(
-                a_i.log_value(lt)), glo, ghi,
-                extra=(lambda lt: np.log(np.log(lt)),))
-            check(f"varrho[{label}] power", float(c[1]), expd["power"],
-                  power_rtol, True)
-            check(f"varrho[{label}] log", float(c[2]), expd["log"],
-                  0.3, False)
+    for (label, _, _, a_i), expd in zip(record.components,
+                                        exp_reg["gradients"]):
+        c, _ = fit_power_log(lambda lt: prof.varrho_n.log_value(
+            a_i.log_value(lt)), math.log(g_lo), math.log(g_hi), extra=extra)
+        check(f"varrho[{label}] power", float(c[1]), expd["power"],
+              _POWER_RTOL, True)
+        check(f"varrho[{label}] log", float(c[2]), expd["log"], log_tol,
+              False)
+        if extra:
             check(f"varrho[{label}] loglog", float(c[3]),
                   expd.get("loglog", 0.0), 0.6, False)
     report["checks"] = checks
@@ -367,8 +365,6 @@ def fit_tail(circ):
     the leading finite-range correction of measure averages, sharpening
     the log exponent.
     """
-    from .young import SampledYoungFunction
-
     if isinstance(circ, SampledYoungFunction):
         log_hi = float(circ.log_t[-1])
     else:

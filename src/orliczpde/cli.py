@@ -7,10 +7,10 @@ the given data (verdict failure), 1 on operational errors (bad config,
 unknown command, propagated module errors); operational errors also
 leave a machine-readable ``error.json``.
 
-Determinism: the sphere rules and the grid solver are deterministic,
-and a fixed ``--seed`` fixes every random probe, so a command repeated
-on the same machine and BLAS thread count reproduces byte-identical
-artifacts.
+Determinism: the sphere rules and the grid solver are deterministic
+and no command draws a random number (``--seed`` is accepted and
+unused), so a command repeated on the same machine and BLAS thread
+count reproduces byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -74,13 +74,6 @@ def _write_csv(path, header, columns):
             fh.write(",".join(repr(float(x)) for x in row) + "\r\n")
 
 
-def _as_crlf(path):
-    """Normalize a CSV written with plain newlines to RFC 4180 CRLF."""
-    path = Path(path)
-    data = path.read_bytes().replace(b"\r\n", b"\n").replace(b"\n", b"\r\n")
-    path.write_bytes(data)
-
-
 def _required(cfg, key):
     """``cfg[key]``, or a :class:`ConfigError` naming the missing flag."""
     if cfg.get(key) is None:
@@ -111,7 +104,7 @@ def _load_field(spec, n_nodes):
     CSV matrix path."""
     if isinstance(spec, str) and spec.startswith("const:"):
         c = float(spec.partition(":")[2])
-        return grid.GridField.from_function(n_nodes, lambda x, y: c + 0 * x)
+        return grid.GridField(np.full((n_nodes, n_nodes), c))
     if isinstance(spec, str) and spec.startswith("point:"):
         kw = dict(kv.split("=") for kv in spec.partition(":")[2].split(","))
         return grid.point_mass_field(
@@ -206,9 +199,8 @@ def cmd_phicirc(cfg, out):
     circ = anisotropic.phi_circ(
         phi, t_lo=float(cfg.get("t_lo", 1e-3)),
         t_hi=float(cfg.get("t_hi", 1e6)),
-        n_levels=int(cfg.get("n_levels", 256)), seed=int(cfg["seed"]))
+        n_levels=int(cfg.get("n_levels", 256)))
     circ.to_csv(out / "phi_circ.csv")
-    _as_crlf(out / "phi_circ.csv")
     sigma, beta, _ = catalog.fit_tail(circ)
     report = {"n": phi.n, "form": phi.form,
               "tail_fit": {"power": sigma, "log": beta},
@@ -227,9 +219,9 @@ def cmd_embedding(cfg, out):
                                 "solution for every integrable datum")
         _write_json(out / "embedding_report.json", report)
         return report
-    prof = sobolev_conjugate(circ, n,
-                             t_hi=float(cfg.get("t_hi", 1e10)),
-                             n_points=int(cfg.get("n_points", 4096)))
+    prof = sobolev_conjugate(
+        circ, n, n_points=int(cfg.get("n_points", 4096)),
+        log_t_hi=math.log(float(cfg.get("t_hi", 1e10))))
     t = np.geomspace(float(cfg.get("table_lo", 1e-2)),
                      float(cfg.get("table_hi", 1e6)), 512)
     tab = prof.to_table(t)
@@ -258,7 +250,6 @@ def cmd_symmetrize_solve(cfg, out):
     sol = radial.solve_radial(psi_inv, f_rf, n, omega,
                               n_nodes=int(cfg.get("n_nodes", 4096)))
     sol.to_csv(out / "radial_solution.csv")
-    _as_crlf(out / "radial_solution.csv")
     bc = rearrangement.boundedness_criterion(f_rf, psi_inv, n, omega)
     report = {
         "n": n, "domain_measure": omega, "radius": sol.radius,
@@ -298,7 +289,6 @@ def cmd_grid_solve(cfg, out):
                          max_iter=int(cfg.get("max_iter", 100)),
                          return_info=True)
     u.to_csv(out / "u.csv")
-    _as_crlf(out / "u.csv")
     energies = np.asarray(info["energies"])
     monotone = bool(np.all(np.diff(energies)
                            <= 1e-12 * (1.0 + np.abs(energies[:-1]))))
@@ -366,8 +356,18 @@ def cmd_regularity_report(cfg, out):
     gx, gy = grid.cell_gradients(u.values, u.h)
     e_cells = spec.potential.value(np.stack([gx, gy], axis=-1)).ravel()
     circ = anisotropic.phi_circ(spec.potential)
-    prof = sobolev_conjugate(circ, n, log_t_hi=500.0, n_points=8192)
     u_max = float(u_rf(np.array([u_rf.breakpoints[0] * 0.5]))[0])
+    if classify_integral(circ, n) == "convergent":
+        # p > n: u is bounded, and the level-set bounds and Marcinkiewicz
+        # targets, built from the Sobolev conjugate, do not exist
+        report = {"N": n_nodes, "p": p, "dichotomy": "convergent",
+                  "u_max": u_max, **dict.fromkeys((
+                      "kappa2", "c1", "level_set_u", "level_set_grad",
+                      "level_set_u_holds", "level_set_grad_holds",
+                      "marcinkiewicz_u", "marcinkiewicz_grad"))}
+        _write_json(out / "regularity_report.json", report)
+        return report
+    prof = sobolev_conjugate(circ, n, log_t_hi=500.0, n_points=8192)
     t_ladder = np.geomspace(0.05, 0.8, 12) * max(u_max, 1e-12)
     mu_u = lambda t: float(np.sum(u_cells >= t) * cell)  # noqa: E731
     K = f_field.l1()
@@ -376,8 +376,8 @@ def cmd_regularity_report(cfg, out):
                                                  1e-12)
     mu_e = lambda s: float(np.sum(e_cells > s) * cell)  # noqa: E731
     c1 = radial.calibrate_c1(prof, mu_e, s_ladder)
-    bound_u = radial.level_set_bound_u(K, t_ladder[0], prof, kappa2)
-    bound_g = radial.level_set_bound_grad(K, prof, c1)
+    bound_u = radial.level_set_bound_u(K, prof, kappa2)
+    bound_g = radial.level_set_bound_grad(prof, c1)
     rows_u = [{"t": float(t), "measured": mu_u(t),
                "bound": float(bound_u(t))} for t in t_ladder]
     rows_g = [{"s": float(s), "measured": mu_e(s),
@@ -415,7 +415,7 @@ def cmd_verify_example(cfg, out):
                 val = float(val)
             params[key] = val
     rec = catalog.make_record(cfg["id"], **params)
-    rep = catalog.verify_asymptotics(rec, seed=int(cfg["seed"]))
+    rep = catalog.verify_asymptotics(rec)
     _write_json(out / "verify_example_report.json", rep)
     if not rep["passes"]:
         raise VerdictFailure(
@@ -518,7 +518,6 @@ def _merge_config(args):
         if key in ("config", "out", "quiet") or val is None:
             continue
         cfg[key] = val
-    cfg["seed"] = int(cfg.get("seed", 0))
     return cfg
 
 
@@ -534,7 +533,6 @@ def main(argv=None):
     try:
         out.mkdir(parents=True, exist_ok=True)
         cfg = _merge_config(args)
-        np.random.seed(cfg["seed"] % 2**32)
         report = HANDLERS[args.command](cfg, out)
         if not args.quiet:
             print(json.dumps(report, indent=2, default=_jsonify)[:4000])

@@ -59,6 +59,10 @@ class DichotomyError(YoungFunctionError):
     """Raised when a construction needs the other dichotomy branch."""
 
 
+_MARGIN = 0.02  # band around the critical integrand exponent -1
+_KNOT = 1.0  # the scalar near-zero splice is linear on [0, _KNOT]
+
+
 def _cumulative_trapezoid(y, x):
     """Running trapezoid integral of y over x, starting at 0.  The
     trapezoids are formed and summed in the order of the usual library
@@ -89,14 +93,14 @@ def fit_power_log(log_fn, log_lo, log_hi, extra=()):
     return coef, float(np.ptp(lv - X @ coef))
 
 
-def classify_integral(phi_circ, n, margin=0.02, report=False):
+def classify_integral(phi_circ, n, report=False):
     """Dichotomy of Int^infty (t/Phi_circ(t))^{1/(n-1)} dt.
 
     Fits the tail of Phi_circ as t^sigma (log t)^beta on the top two
     trusted decades.  The integrand behaves like
     t^{(1-sigma)/(n-1)} (log t)^{-beta/(n-1)}; the verdict is
-    ``"divergent"`` when the power exponent exceeds -1 by the margin,
-    ``"convergent"`` when it falls below, and in the borderline band the
+    ``"divergent"`` when the power exponent exceeds -1 by the margin
+    0.02, ``"convergent"`` when it falls below by it, and in that band the
     logarithmic exponent decides (integral of (t log^k t)^{-1} diverges
     iff k <= 1), with a numeric tail evaluation as the last resort.
     """
@@ -110,12 +114,12 @@ def classify_integral(phi_circ, n, margin=0.02, report=False):
     sigma, beta = float(coef[1]), float(coef[2])
     exponent = (1.0 - sigma) / (n - 1.0)
     diag = {"sigma": sigma, "beta": beta, "integrand_exponent": exponent,
-            "fit_spread": spread, "margin": margin}
+            "fit_spread": spread, "margin": _MARGIN}
     if spread > 0.1:
         raise DichotomyError(f"oscillating tail exponent: {diag}")
-    if exponent >= -1.0 + margin:
+    if exponent >= -1.0 + _MARGIN:
         verdict = "divergent"
-    elif exponent <= -1.0 - margin:
+    elif exponent <= -1.0 - _MARGIN:
         verdict = "convergent"
     else:
         # power part is at the critical decay 1/t: logs decide
@@ -148,20 +152,21 @@ def _numeric_tail_verdict(phi_circ, n, diag):
     return "divergent" if ratio > 0.5 else "convergent"
 
 
-def near_zero_diverges(phi_circ, n, margin=0.02):
+def near_zero_diverges(phi_circ, n):
     """Whether Int_0 (t/Phi_circ(t))^{1/(n-1)} dt is infinite.
 
     Near zero the integrand is t^{(1-sigma_0)/(n-1)} up to logs, where
-    sigma_0 is the slope at the lower end of the trusted range.
+    sigma_0 is the slope at the lower end of the trusted range; within
+    0.02 of the critical exponent -1 the logarithm decides.
     """
     log_lo = math.log(max(phi_circ.t_min, 1e-12))
     coef, _ = fit_power_log(phi_circ.log_value, log_lo,
                             log_lo + 2.0 * math.log(10.0))
     sigma0, beta0 = float(coef[1]), float(coef[2])
     e0 = (1.0 - sigma0) / (n - 1.0)
-    if e0 > -1.0 + margin:
+    if e0 > -1.0 + _MARGIN:
         return False
-    if e0 < -1.0 - margin:
+    if e0 < -1.0 - _MARGIN:
         return True
     return beta0 / (n - 1.0) >= -1.0  # critical power: log decides
 
@@ -173,11 +178,11 @@ class ModificationRecord:
     reason: str = ""
 
 
-def modify_near_zero(phi, n=None, knot=1.0):
+def modify_near_zero(phi, n=None):
     """Make the near-zero companion integral converge.
 
-    Scalar input: replace Phi_circ on [0, knot] by the chord through
-    (knot, Phi_circ(knot)) — linear near 0, unchanged above the knot,
+    Scalar input: replace Phi_circ on [0, 1] by the chord through
+    (1, Phi_circ(1)) — linear near 0, unchanged above the knot 1,
     and convex since the chord slope is below the right derivative.
     Anisotropic input: replace Phi on its unit sublevel set by the
     1-homogeneous gauge of {Phi <= 1}, which dominates Phi there.
@@ -188,9 +193,10 @@ def modify_near_zero(phi, n=None, knot=1.0):
         return GaugeModifiedPhi(phi), ModificationRecord(
             True, 1.0, "1-homogeneous gauge on the unit sublevel set")
     if n is not None and not near_zero_diverges(phi, n):
-        return phi, ModificationRecord(False, knot, "integral at 0 converges")
-    return LinearSplicedYoung(phi, knot), ModificationRecord(
-        True, knot, "linear splice on [0, knot]")
+        return phi, ModificationRecord(False, _KNOT,
+                                       "integral at 0 converges")
+    return LinearSplicedYoung(phi, _KNOT), ModificationRecord(
+        True, _KNOT, "linear splice on [0, knot]")
 
 
 class GaugeModifiedPhi(AnisotropicYoungFunction):
@@ -263,16 +269,20 @@ class EmbeddingProfile:
         }
 
 
-def sobolev_conjugate(phi_circ, n, t_lo=1e-8, t_hi=1e10, n_points=4096,
-                      auto_modify=True, log_t_hi=None):
+_H_T_LO = 1e-8  # lower end of the H table of sobolev_conjugate
+
+
+def sobolev_conjugate(phi_circ, n, n_points=4096, log_t_hi=math.log(1e10)):
     """Build the full embedding profile for a divergent-dichotomy input.
 
-    H is accumulated by trapezoid quadrature of the kernel in the
-    log variable, with an analytic power piece below ``t_lo``; Phi_n is
-    tabulated through Phi_circ o H^{-1}; the Marcinkiewicz generators
-    follow by their defining identities.  Convergent-dichotomy inputs
-    are refused — the solution is bounded there and no conjugate is
-    needed.
+    H is accumulated by trapezoid quadrature of the kernel in the log
+    variable on ``n_points`` points of [log 1e-8, ``log_t_hi``], with an
+    analytic power piece below 1e-8; Phi_n is tabulated through
+    Phi_circ o H^{-1}; the Marcinkiewicz generators follow by their
+    defining identities.  A near-zero integral that diverges is first
+    made finite by :func:`modify_near_zero`.  Convergent-dichotomy
+    inputs are refused — the solution is bounded there and no conjugate
+    is needed.
     """
     verdict, diag = classify_integral(phi_circ, n, report=True)
     if verdict == "convergent":
@@ -281,14 +291,13 @@ def sobolev_conjugate(phi_circ, n, t_lo=1e-8, t_hi=1e10, n_points=4096,
             "Sobolev conjugate degenerates; use the L-infinity branch"
         )
     record = ModificationRecord(False, 1.0, "not needed")
-    if auto_modify and near_zero_diverges(phi_circ, n):
+    if near_zero_diverges(phi_circ, n):
         phi_circ, record = modify_near_zero(phi_circ, n)
-    if log_t_hi is None:
-        log_t_hi = math.log(t_hi)
-    u = np.linspace(math.log(t_lo), log_t_hi, n_points)
+    u = np.linspace(math.log(_H_T_LO), log_t_hi, n_points)
     g = np.exp((u - phi_circ.log_value(u)) / (n - 1.0) + u)
     acc = _cumulative_trapezoid(g, u)
-    # analytic head on [0, t_lo]: integrand ~ c * t^e with the local slope
+    # analytic head on [0, _H_T_LO]: integrand ~ c * t^e with the local
+    # slope
     coef, _ = fit_power_log(phi_circ.log_value, u[0], u[0] + math.log(10.0))
     e0 = (1.0 - float(coef[1])) / (n - 1.0)
     if e0 <= -1.0:
@@ -296,7 +305,7 @@ def sobolev_conjugate(phi_circ, n, t_lo=1e-8, t_hi=1e10, n_points=4096,
             "integral at 0 still diverges after modification; "
             "near-zero slope too steep"
         )
-    head = g[0] * t_lo / (1.0 + e0)  # Int_0^{t_lo} c t^e dt
+    head = g[0] * _H_T_LO / (1.0 + e0)  # Int_0^{_H_T_LO} c t^e dt
     Hn = (acc + head) ** ((n - 1.0) / n)
     # H, Phi_n and the target density below are nondecreasing log-log
     # tables with an inverse; the sampled Young machinery serves them,
@@ -334,8 +343,10 @@ def sobolev_conjugate(phi_circ, n, t_lo=1e-8, t_hi=1e10, n_points=4096,
     )
 
 
-def hat_phi_circ(phi_circ, n, t_lo=1e-6, t_hi=1e8, n_points=2048,
-                 auto_modify=True):
+_HAT_POINTS = 2048  # points of each hat_phi_circ table
+
+
+def hat_phi_circ(phi_circ, n):
     """Optimal-target density: the nested improper quadrature
 
         hat_phi^{-1}(t) = ( Int_{phi^{-1}(t)}^infty
@@ -343,17 +354,19 @@ def hat_phi_circ(phi_circ, n, t_lo=1e-6, t_hi=1e8, n_points=2048,
         I(r) = Int_0^r phi(tau)^{-1/(n-1)} dtau,
 
     where phi = Phi_circ' (monotone finite differences for sampled
-    input).  The outer tail beyond the grid is extrapolated as a power
-    law; a non-integrable extrapolated tail is an error naming the
-    offending growth.  Integrating the inverted table gives the Young
-    function hat_Phi_circ.
+    input), tabulated on 2048 log-spaced r in [1e-6, 1e8] after the
+    near-zero modification where the integral at 0 diverges.  The outer
+    tail beyond the grid is extrapolated as a power law; a
+    non-integrable extrapolated tail is an error naming the offending
+    growth.  Integrating the inverted table gives the Young function
+    hat_Phi_circ.
     """
     verdict = classify_integral(phi_circ, n)
     if verdict == "convergent":
         raise DichotomyError("optimal target needs the divergent branch")
-    if auto_modify and near_zero_diverges(phi_circ, n):
+    if near_zero_diverges(phi_circ, n):
         phi_circ, _ = modify_near_zero(phi_circ, n)
-    u = np.linspace(math.log(t_lo), math.log(t_hi), n_points)
+    u = np.linspace(math.log(1e-6), math.log(1e8), _HAT_POINTS)
     r = np.exp(u)
     log_small_phi = np.log(np.maximum(phi_circ.derivative(r), 1e-300))
     log_small_phi = np.maximum.accumulate(log_small_phi)
@@ -383,7 +396,7 @@ def hat_phi_circ(phi_circ, n, t_lo=1e-6, t_hi=1e8, n_points=2048,
                                    log_small_phi, name="hat_phi_circ_density")
     # integrate the density to the Young function on a fresh grid
     s = np.exp(np.linspace(math.log(hat_inv_at[4]),
-                           math.log(hat_inv_at[-4]), n_points))
+                           math.log(hat_inv_at[-4]), _HAT_POINTS))
     dens = np.exp(np.minimum(hat_phi.log_value(np.log(s)), 700.0))
     sigma_h0 = (math.log(dens[8]) - math.log(dens[0])) / (
         math.log(s[8]) - math.log(s[0]))

@@ -63,7 +63,7 @@ class RadialSolution:
     def gradient(self, r):
         return np.interp(np.asarray(r, dtype=float), self.r, self.g)
 
-    def rearranged(self, n_points=None):
+    def rearranged(self):
         """v* as a step function: v is radially decreasing, so
         v*(om_n r^n) = v(r) exactly."""
         s = unit_ball_volume(self.n) * self.r**self.n
@@ -72,9 +72,9 @@ class RadialSolution:
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
-            fh.write("r,v,gradient_magnitude\n")
+            fh.write("r,v,gradient_magnitude\r\n")
             for r, v, g in zip(self.r, self.v, self.g):
-                fh.write(f"{float(r)!r},{float(v)!r},{float(g)!r}\n")
+                fh.write(f"{float(r)!r},{float(v)!r},{float(g)!r}\r\n")
 
 
 def _radial_grid(R, n_nodes):
@@ -143,11 +143,11 @@ def gradient_l1_bound(theta_values, cell_measures, domain_measure, f_l1, n):
             "passes": bool(measured <= bound * (1.0 + 1e-12))}
 
 
-def level_set_bound_u(K, t0, profile: EmbeddingProfile, kappa2=1.0):
+def level_set_bound_u(K, profile: EmbeddingProfile, kappa2=1.0):
     """Superlevel bound  |{|u| >= t}| <= K t / Phi_n(k2 t^{1/n'} K^{-1/n}).
 
-    Returns a callable of t, valid for t > t0; refuses the convergent
-    dichotomy (solutions are bounded there, the bound is vacuous).
+    Returns a callable of t; refuses the convergent dichotomy (solutions
+    are bounded there, the bound is vacuous).
     """
     if profile.dichotomy == "convergent":
         raise ValueError("level-set bound needs the divergent branch")
@@ -180,7 +180,7 @@ def calibrate_kappa2(K, profile: EmbeddingProfile, mu_fn, t_ladder):
     return min(vals) if vals else math.inf
 
 
-def level_set_bound_grad(K, profile: EmbeddingProfile, c1=1.0):
+def level_set_bound_grad(profile: EmbeddingProfile, c1=1.0):
     """Gradient superlevel bound  |{Phi(grad u) > s}| <= c1 Phi_n^{-1}(s)^{n'} / s,
     with the proof-chain constant 2 (K/c)^{n'} reported via
     :func:`calibrate_c1` when calibrating against data."""

@@ -19,8 +19,8 @@ On top of the step representation:
         PsiInv(s^{1/n} f**(s) / (n om_n^{1/n})) ds,
   which equals the center value of the symmetrized radial solution.
 
-Improper integrals are declared infinite when the partial sums keep
-growing by more than 10x across the final two decades of refinement.
+Improper integrals are declared infinite when the per-decade sums of
+the head stop shrinking toward 0.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+_HEAD_DECADES = 12  # decades of geometric subdivision below an improper 0
 
 
 class RearrangedFunction:
@@ -92,18 +93,17 @@ class RearrangedFunction:
         return cls(s, v)
 
     @classmethod
-    def from_callable(cls, fn, domain_measure, n_break=2**14, s_min_ratio=1e-14):
+    def from_callable(cls, fn, domain_measure):
         """Step realization of a nonincreasing profile s -> fn(s).
 
-        Breakpoints are log-spaced down to ``s_min_ratio * |Omega|``;
+        2^14 breakpoints are log-spaced down to 1e-14 |Omega|;
         each step takes the value at its left endpoint (an upper,
         equimeasurable-in-the-limit realization).  ``fn`` is vectorized:
         it is called once on all left endpoints.
         """
         s = np.concatenate([
             [0.0],
-            np.geomspace(s_min_ratio * domain_measure, domain_measure,
-                         n_break),
+            np.geomspace(1e-14 * domain_measure, domain_measure, 2**14),
         ])
         left = np.concatenate([[s[1]], s[1:-1]])
         v = np.asarray(fn(left), dtype=float)
@@ -168,13 +168,13 @@ class RearrangedFunction:
     def scaled(self, c):
         return RearrangedFunction(self.breakpoints, np.abs(c) * self.values)
 
-    def to_csv(self, path, header="s,value"):
+    def to_csv(self, path):
         with open(path, "w", newline="") as fh:
-            fh.write(header + "\n")
+            fh.write("s,value\r\n")
             for j, v in enumerate(self.values):
-                fh.write(f"{float(self.breakpoints[j])!r},{float(v)!r}\n")
+                fh.write(f"{float(self.breakpoints[j])!r},{float(v)!r}\r\n")
             fh.write(f"{float(self.breakpoints[-1])!r},"
-                     f"{float(self.values[-1])!r}\n")
+                     f"{float(self.values[-1])!r}\r\n")
 
 
 def rearrange(values, measures):
@@ -182,10 +182,10 @@ def rearrange(values, measures):
     return RearrangedFunction.from_samples(values, measures)
 
 
-def maximal_rearrangement(rf, refine=8):
+def maximal_rearrangement(rf):
     """u** as a step function on a refined grid (upper values).
 
-    The exact piecewise-smooth u** is sampled at ``refine`` points per
+    The exact piecewise-smooth u** is sampled at 8 points per
     original interval; taking left-endpoint values keeps the step
     function an upper bound for the true u** (which is nonincreasing).
     """
@@ -193,8 +193,8 @@ def maximal_rearrangement(rf, refine=8):
     pts = [np.array([0.0])]
     for j in range(len(s) - 1):
         lo = max(s[j], s[j + 1] * 1e-9)
-        pts.append(np.geomspace(lo, s[j + 1], refine + 1)[1:]
-                   if lo > 0 else np.linspace(s[j], s[j + 1], refine + 1)[1:])
+        pts.append(np.geomspace(lo, s[j + 1], 9)[1:]
+                   if lo > 0 else np.linspace(s[j], s[j + 1], 9)[1:])
     grid = np.unique(np.concatenate(pts))
     left = np.concatenate([[grid[1] * 0.5 if grid[1] > 0 else 0.0],
                            grid[1:-1]])
@@ -212,14 +212,15 @@ def _gauss_blocks(fn, edges):
     return half[..., 0] * np.sum(_GL_WEIGHTS * vals, axis=-1)
 
 
-def improper_integral(fn, a, b, head_decades=12, blowup=10.0):
-    """Int_a^b fn with an improper endpoint at a = 0.
+def improper_integral(fn, a, b):
+    """Int_a^b fn with an improper endpoint at a = 0, for fn >= 0.
 
-    The head (0, a'] is resolved by geometric subdivision over
-    ``head_decades`` decades; if the last two decades still contribute
-    a factor ``blowup`` growth of the running total, the integral is
-    declared infinite (returns math.inf).  fn is called once on the
-    body's nodes and once on the nodes of all head decades.
+    The head (0, b/100] is resolved by geometric subdivision over 12
+    decades, and the rest below them is extrapolated from the ratio q of
+    the last two decade sums.  When q >= 0.999 and the last decade is
+    not negligible, the integral is declared infinite (returns
+    math.inf).  fn is called once on the body's nodes and once on the
+    nodes of all head decades.
     """
     if a > 0.0:
         return sum(_gauss_blocks(fn, np.geomspace(a, b, 64)).tolist())
@@ -228,7 +229,7 @@ def improper_integral(fn, a, b, head_decades=12, blowup=10.0):
     if not math.isfinite(total):
         return math.inf
     his = [a_head]
-    for _ in range(head_decades - 1):
+    for _ in range(_HEAD_DECADES - 1):
         his.append(his[-1] / 10.0)
     his = np.array(his)
     edges = np.geomspace(his / 10.0, his, 8, axis=-1)
@@ -236,15 +237,6 @@ def improper_integral(fn, a, b, head_decades=12, blowup=10.0):
     if not all(map(math.isfinite, decade_sums)):
         return math.inf
     total = sum(decade_sums, total)
-    if len(decade_sums) >= 4:
-        tail2 = sum(decade_sums[-2:])
-        prev = sum(decade_sums[:-2])
-        if tail2 > 0 and tail2 >= (blowup - 1.0) * max(prev + (total - sum(
-                decade_sums)), 1e-300) / blowup:
-            # the last decades dominate: extrapolate; if the per-decade
-            # blocks are nondecreasing toward 0, declare divergence
-            if decade_sums[-1] >= 0.999 * decade_sums[-2] > 0:
-                return math.inf
     # geometric extrapolation of the remaining head below the last decade
     if decade_sums[-1] > 0 and decade_sums[-2] > 0:
         q = decade_sums[-1] / decade_sums[-2]
@@ -255,27 +247,27 @@ def improper_integral(fn, a, b, head_decades=12, blowup=10.0):
     return total
 
 
-def luxemburg_norm(a, rf, tol=1e-10):
+def luxemburg_norm(a, rf):
     """inf{lam : Int A(u*/lam) <= 1}, exact modular.
 
     The modular is nondecreasing in u = 1/lam, so lam = 1/u for the
-    least u where it reaches 1.
+    least u where it reaches 1, solved to 1e-10 relative.
     """
     if rf.integral() == 0.0:
         return 0.0
-    u = solve_increasing(lambda u: rf.modular(a, 1.0 / u), 1.0, rtol=tol)
+    u = solve_increasing(lambda u: rf.modular(a, 1.0 / u), 1.0, rtol=1e-10)
     return 1.0 / u if u > 0.0 else math.inf
 
 
-def orlicz_lorentz_norm(a, r, rf, variant="star", tol=1e-8):
+def orlicz_lorentz_norm(a, r, rf, variant="star"):
     """|| s^{1/r} u^{*(*)}(s) ||_{L^A(0,|Omega|)}.
 
     The weighted profile is piecewise smooth, so the modular is a sum
-    of per-interval Gauss quadratures, solved for the least u = 1/lam
-    where it reaches 1.  For negative r the weight blows up at 0 and the
-    improper head is handled with divergence detection: a modular still
-    infinite at lam = 1e120 is infinite for every lam (below that the
-    integrand only underflows), and the norm is math.inf.
+    of per-interval Gauss quadratures, solved (to 1e-8 relative) for the
+    least u = 1/lam where it reaches 1.  For negative r the weight blows
+    up at 0 and the improper head is handled with divergence detection: a
+    modular still infinite at lam = 1e120 is infinite for every lam
+    (below that the integrand only underflows), and the norm is math.inf.
     """
     if r == 0:
         raise YoungFunctionError("r must be nonzero")
@@ -290,7 +282,7 @@ def orlicz_lorentz_norm(a, r, rf, variant="star", tol=1e-8):
 
     if math.isinf(modular(1e-120)):
         return math.inf
-    u = solve_increasing(modular, 1.0, rtol=tol)
+    u = solve_increasing(modular, 1.0, rtol=1e-8)
     return 1.0 / u if u > 0.0 else math.inf
 
 
@@ -335,23 +327,20 @@ def marcinkiewicz_quasinorm(rf, varrho):
     return math.inf if log_lam > 700.0 else math.exp(log_lam)
 
 
-def data_admissibility(f_rf, conj_phi_circ, n, dichotomy="divergent",
-                       lam_ladder=None):
+def data_admissibility(f_rf, conj_phi_circ, n, dichotomy="divergent"):
     """Modular test for the right-hand-side data class.
 
     Evaluates M(lam) = Int_0^{|Omega|} conj(Phi_circ)(s^{1/n} f**(s)/lam) ds
-    over a decreasing lam ladder; admissible when every modular is
-    finite.  Under the convergent dichotomy every integrable datum is
-    admissible and no modular is computed.
+    over the ladder of 8 lam from 1e2 down to 1e-2; admissible when every
+    modular is finite.  Under the convergent dichotomy every integrable
+    datum is admissible and no modular is computed.
     """
     if dichotomy == "convergent":
         return {"verdict": "admissible", "reason": "convergent dichotomy: "
                 "any L1 datum admissible", "ladder": []}
-    if lam_ladder is None:
-        lam_ladder = np.geomspace(1e2, 1e-2, 8)
     rows = []
     verdict = "admissible"
-    for lam in lam_ladder:
+    for lam in np.geomspace(1e2, 1e-2, 8):
         def fn(s, lam=lam):
             return conj_phi_circ.value(
                 s ** (1.0 / n) * f_rf.maximal_eval(s) / lam)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orliczpde import cli
+from orliczpde import cli, grid, radial, rearrangement
 from orliczpde.cli import main
 from orliczpde.young import PowerLogYoung
 
@@ -151,6 +151,69 @@ def _package_reads(path):
     return modules, private
 
 
+def _unread_parameters(path):
+    """``name(parameter)`` for each parameter of a function or lambda in
+    ``path`` that its body never reads; abstract methods, whose body only
+    raises NotImplementedError, and self/cls are skipped."""
+    unread = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        body = node.body if isinstance(node.body, list) else [node.body]
+        code = [s for s in body if not (isinstance(s, ast.Expr) and
+                                        isinstance(s.value, ast.Constant))]
+        if len(code) == 1 and isinstance(code[0], ast.Raise) and (
+                "NotImplementedError" in ast.unparse(code[0])):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            a for a in (args.vararg, args.kwarg) if a is not None]
+        reads = {n.id for stmt in body for n in ast.walk(stmt)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{getattr(node, 'name', '<lambda>')}({a.arg})"
+                   for a in params
+                   if a.arg not in reads and a.arg not in ("self", "cls")]
+    return unread
+
+
+def test_unread_parameters_flags_dead_arguments(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text('def f(a, b=1, *, c=2):\n'
+                   '    """doc"""\n'
+                   '    return a + c\n'
+                   'class A:\n'
+                   '    def value(self, t):\n'
+                   '        raise NotImplementedError\n'
+                   'g = lambda x, y: x\n')
+    assert _unread_parameters(src) == ["f(b)", "<lambda>(y)"]
+
+
+@pytest.mark.parametrize("path", _PACKAGE_MODULES, ids=lambda p: p.stem)
+def test_every_parameter_is_read(path):
+    # a parameter that no body reads is an option that changes nothing;
+    # the one exception, phi_circ(seed=), stays accepted and unused
+    # because perfbench/workloads.py passes it
+    unread = [p for p in _unread_parameters(path) if p != "phi_circ(seed)"]
+    assert unread == []
+
+
+def test_every_csv_writer_ends_lines_with_crlf(tmp_path):
+    # RFC 4180: every CSV artifact ends its lines with CRLF
+    writers = {
+        "young": PowerLogYoung(2.0, 1.0).to_csv,
+        "rearranged": rearrangement.RearrangedFunction(
+            [0.0, 1.0, 2.0], [2.0, 1.0]).to_csv,
+        "grid": grid.GridField.zeros(5).to_csv,
+        "radial": radial.RadialSolution(
+            2, 1.0, np.array([0.0, 1.0]), np.array([1.0, 0.0]),
+            np.array([0.0, 1.0])).to_csv,
+    }
+    for name, write in writers.items():
+        write(tmp_path / f"{name}.csv")
+        raw = (tmp_path / f"{name}.csv").read_bytes()
+        assert raw.count(b"\n") == raw.count(b"\r\n") > 1, name
+
+
 def test_package_reads_flags_scipy(tmp_path):
     src = tmp_path / "mod.py"
     src.write_text("import numpy as np\n"
@@ -263,6 +326,17 @@ def test_grid_solve_passes(tmp_path):
     assert rep["energy_monotone"]
     assert rep["truncation_energy"]["passes"]
     assert b"\r\n" in (out / "u.csv").read_bytes()
+
+
+def test_regularity_report_bounded_regime(tmp_path):
+    # p > n = 2: the tail integral of Phi_circ converges and u is
+    # bounded; the report says so instead of asking for the conjugate
+    code, out = run(["regularity-report", "--N", "33", "--p", "3"], tmp_path)
+    assert code == 0
+    rep = json.loads((out / "regularity_report.json").read_text())
+    assert rep["dichotomy"] == "convergent"
+    assert 0.0 < rep["u_max"] < math.inf
+    assert rep["level_set_u"] is None and rep["level_set_grad"] is None
 
 
 def test_admissibility(tmp_path):

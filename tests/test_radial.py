@@ -109,7 +109,7 @@ def test_level_set_bounds_calibrated():
     K = math.pi  # ||f||_1
     kappa2 = calibrate_kappa2(K, prof, mu_u, t_ladder)
     assert 0.0 < kappa2 < math.inf
-    bound = level_set_bound_u(K, t_ladder[0] / 2.0, prof, kappa2=kappa2)
+    bound = level_set_bound_u(K, prof, kappa2=kappa2)
     for t in t_ladder:
         assert mu_u(t) <= bound(t) * (1.0 + 1e-9)
 
@@ -122,7 +122,7 @@ def test_level_set_bounds_calibrated():
     s_ladder = np.geomspace(1e-3, 0.2, 10)
     c1 = calibrate_c1(prof, mu_e, s_ladder)
     assert c1 > 0.0
-    gbound = level_set_bound_grad(K, prof, c1=c1)
+    gbound = level_set_bound_grad(prof, c1=c1)
     for s in s_ladder:
         assert mu_e(s) <= gbound(s) * (1.0 + 1e-9)
 
@@ -131,6 +131,6 @@ def test_level_set_bounds_refuse_convergent():
     prof = sobolev_conjugate(PowerYoung(1.5), 2)
     conv = replace(prof, dichotomy="convergent")
     with pytest.raises(ValueError):
-        level_set_bound_u(1.0, 0.1, conv)
+        level_set_bound_u(1.0, conv)
     with pytest.raises(ValueError):
-        level_set_bound_grad(1.0, conv)
+        level_set_bound_grad(conv)

@@ -247,6 +247,14 @@ def test_inverse_recovers_small_and_large_arguments(a):
             xi, rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("beta", [1.0, 1.5, 2.0])
+def test_exp_power_closed_form_inverse_matches_the_solver(beta):
+    a = ExpPowerYoung(beta)
+    y = np.geomspace(1e-12, 1e300, 5001)
+    np.testing.assert_allclose(a.inverse(y), solve_increasing(a.value, y),
+                               rtol=1e-11, atol=0.0)
+
+
 def _plateau(x):
     x = np.asarray(x, dtype=float)
     return np.where(x < 2.0, x, np.where(x < 5.0, 2.0, x - 3.0))
