@@ -13,16 +13,22 @@ and ``SplitPhi``), and A_q(t) = t^q/q is one more radial term.  The
 flux and the Hessian of each term come from its scalar terms A, A' and
 A'' (``second_derivative``).  J is strictly convex, so a Newton-Krylov
 iteration converges to the unique minimizer.  Each Hessian system is
-solved by matrix-free conjugate gradients, preconditioned with the
-inverse discrete Laplacian in the sine basis, to the inexact-Newton
-forcing term eta = min(0.1, sqrt(res / (res + 1))); the cell Hessian
-weights are computed once per Newton step.  Steps are backtracked on J
+solved by matrix-free conjugate gradients to the inexact-Newton forcing
+term eta = min(0.1, sqrt(res / (res + 1))).  The symmetric 2 x 2 cell
+tensor of the Hessian is computed once per Newton step; it gives both
+the Hessian action, in raw differences, and the nodal diagonal d that
+scales the preconditioner D L^-1 D, D = diag(sqrt(4/d)), L^-1 the
+inverse 5-point Laplacian in the sine basis.  Steps are backtracked on J
 (Armijo) until the Newton decrement falls below the rounding level of
 J; from there a full step is taken only if it lowers the sup residual
 and raises J by no more than that level, else the iteration stops; it
 also stops when the sup residual has stalled.  The energy trace is
 monotone up to that rounding bound.  For Phi = |xi|^2/2 the energy gradient is
-exactly the 5-point scheme and the first Newton step solves it.
+exactly the 5-point scheme, d = 4 and the first Newton step solves it
+in one CG iteration.  ``solve`` reports the sup residual that ``tol``
+bounds, the dual-norm residual sqrt(g . P^-1 g), and counts every CG
+breakdown (p.Hp <= 0) and every Newton step whose CG direction was
+replaced by P^-1 g because it was no descent direction.
 
 Also here: truncated-data solution ladders (approximable solutions),
 the mollified point-mass datum, and the operator assumption audit.
@@ -155,19 +161,20 @@ class _Term:
         return (w[0], w[0]) if self.radial else w
 
     def hess_weights(self, gx, gy):
-        """(dx, dy, c) with Hessian diag(dx, dy) + c g g^T, the scalar
-        arguments floored at :func:`_hessian_floor`: radial (w1, w1,
-        (A''(r) - w1)/r^2) with w1 = A'(r)/r, split
-        (A_1''(|xi_1|), A_2''(|xi_2|), None)."""
+        """The symmetric cell tensor (hxx, hxy, hyy) of the Hessian, the
+        scalar arguments floored at :func:`_hessian_floor`: radial
+        w1 I + c g g^T with w1 = A'(r)/r and c = (A''(r) - w1)/r^2, split
+        diag(A_1''(|xi_1|), A_2''(|xi_2|))."""
         s = [np.maximum(s, f)
              for s, f in zip(self.sizes(gx, gy), self.floors)]
         d2 = [self.weight * a.second_derivative(t)
               for a, t in zip(self.scalars, s)]
         if not self.radial:
-            return d2[0], d2[1], None
+            return d2[0], 0.0, d2[1]
         r = s[0]
         w1 = self.weight * self.scalars[0].derivative(r) / r
-        return w1, w1, (d2[0] - w1) / r**2
+        c = (d2[0] - w1) / r**2
+        return w1 + c * gx**2, c * gx * gy, w1 + c * gy**2
 
 
 @dataclass
@@ -207,33 +214,30 @@ class OperatorSpec:
     def hess_weights(self, gx, gy):
         """Cell-wise Hessian of the energy density at the gradient (gx, gy).
 
-        Returns ``(dx, dy, c, gx, gy)`` with Hessian diag(dx, dy) + c g g^T,
-        summed over the terms; ``c`` is None when no term is radial.  The
-        weights depend only on the Newton iterate, so one evaluation
-        serves a whole CG solve.
+        Returns the symmetric 2 x 2 tensor ``(hxx, hxy, hyy)`` summed over
+        the terms.  The weights depend only on the Newton iterate, so one
+        evaluation serves a whole CG solve and its preconditioner.
         """
         parts = [t.hess_weights(gx, gy) for t in self._terms]
-        cs = [c for _, _, c in parts if c is not None]
-        return (sum(dx for dx, _, _ in parts), sum(dy for _, dy, _ in parts),
-                sum(cs) if cs else None, gx, gy)
+        return tuple(sum(entries) for entries in zip(*parts))
 
     def hess_apply(self, weights, vx, vy):
         """Cell-wise Hessian action (d flux / d gradient applied to v),
         with ``weights`` from :meth:`hess_weights`."""
-        dx, dy, c, gx, gy = weights
-        out_x, out_y = dx * vx, dy * vy
-        if c is not None:
-            dot = gx * vx + gy * vy
-            out_x = out_x + c * dot * gx
-            out_y = out_y + c * dot * gy
-        return out_x, out_y
+        hxx, hxy, hyy = weights
+        return hxx * vx + hxy * vy, hxy * vx + hyy * vy
+
+
+def _differences(values):
+    """Raw forward differences on the (N-1)^2 cells."""
+    return (values[1:, :-1] - values[:-1, :-1],
+            values[:-1, 1:] - values[:-1, :-1])
 
 
 def cell_gradients(values, h):
     """Forward-difference gradient on the (N-1)^2 cells."""
-    gx = (values[1:, :-1] - values[:-1, :-1]) / h
-    gy = (values[:-1, 1:] - values[:-1, :-1]) / h
-    return gx, gy
+    dx, dy = _differences(values)
+    return dx / h, dy / h
 
 
 def _energy(spec, u, f, h):
@@ -245,32 +249,47 @@ def _energy(spec, u, f, h):
     return J, float(h**2 * (np.sum(np.abs(dens)) + np.sum(np.abs(fu))))
 
 
-def _divergence(ax, ay, h):
-    """h^2 times the transpose of ``cell_gradients`` applied to the cell
-    field (ax, ay): the nodal scatter shared by the energy gradient and
-    the Hessian action, with the boundary nodes zeroed."""
+def _divergence(ax, ay):
+    """The transpose of :func:`_differences` applied to the cell field
+    (ax, ay), with the boundary nodes zeroed: the nodal scatter shared by
+    the energy gradient and the Hessian action."""
     out = np.zeros((ax.shape[0] + 1, ax.shape[1] + 1))
-    out[:-1, :-1] -= (ax + ay) / h
-    out[1:, :-1] += ax / h
-    out[:-1, 1:] += ay / h
-    out *= h**2
+    out[:-1, :-1] -= ax + ay
+    out[1:, :-1] += ax
+    out[:-1, 1:] += ay
     out[0, :] = out[-1, :] = out[:, 0] = out[:, -1] = 0.0
     return out
 
 
 def _energy_gradient(spec, u, f, h):
-    gx, gy = cell_gradients(u, h)
-    g = _divergence(*spec.flux(gx, gy), h)
+    """Gradient of J: h times the scatter of the flux, minus h^2 f."""
+    g = _divergence(*spec.flux(*cell_gradients(u, h)))
+    g *= h
     g[1:-1, 1:-1] -= h**2 * f[1:-1, 1:-1]
     return g
 
 
 class _LaplacePreconditioner:
-    """Inverse 5-point Laplacian on the interior, in the DST-I basis.
+    """Jacobi-scaled inverse 5-point Laplacian, P^-1 = D L^-1 D.
 
-    S = sqrt(2/(N-1)) sin(pi j k/(N-1)), j, k = 1..N-2, is the
-    orthonormal DST-I matrix: symmetric, with S^2 = I, and its columns
-    are the Laplacian's eigenvectors.  ``apply`` is four dense products,
+    The Newton Hessian is H = Delta^T M Delta, with Delta the raw forward
+    differences (:func:`_differences`) and M the cell tensor of
+    :meth:`OperatorSpec.hess_weights`; the 1/h of the gradient and the
+    h^2 and 1/h of the scatter cancel.  L is the same form with M = I,
+    whose nodal diagonal is 4.  :meth:`rescale` sets D = diag(sqrt(4/d))
+    on the interior from the nodal diagonal d of H, so that P matches H
+    on the diagonal; for Phi = |xi|^2/2, d = 4, D = I and P = H.  The
+    scaling follows the weights |grad u|^(p-2) of |xi|^p/p across the
+    square, which the plain L^-1 does not see: on the constant datum with
+    N = 129-257 and p = 1.5 or 4, CG takes a third of the iterations it
+    takes with L^-1.  Before the first :meth:`rescale`, D = I.  The same
+    P^-1 gives the direction of a descent fallback and the dual-norm
+    residual sqrt(g . P^-1 g) that :func:`solve` reports.
+
+    L^-1 is applied in the DST-I basis.  S = sqrt(2/(N-1))
+    sin(pi j k/(N-1)), j, k = 1..N-2, is the orthonormal DST-I matrix:
+    symmetric, with S^2 = I, and its columns are the Laplacian's
+    eigenvectors.  ``apply`` is four dense products,
     S ((S R S) * inv_eig) S, so its cost grows as N^3.  On one core of a
     Xeon VM one apply takes 0.05 ms at N = 65, 3-3.5 ms at N = 257 and
     24 ms at N = 513, against 0.13, 2-2.5 and 11 ms for a fast sine
@@ -284,52 +303,64 @@ class _LaplacePreconditioner:
         m = n - 1
         self.sine = math.sqrt(2.0 / m) * np.sin(math.pi * np.outer(k, k) / m)
         self.h = h
+        self.scale = 1.0
+
+    def rescale(self, weights):
+        """Set D from the cell tensor ``(hxx, hxy, hyy)``.  A cell's
+        differences reach its lower-left node with weight (-1, -1), its
+        lower-right node with (1, 0) and its upper-left node with (0, 1),
+        so d sums hxx + 2 hxy + hyy, hxx and hyy over those cells."""
+        hxx, hxy, hyy = weights
+        corner = hxx + 2.0 * hxy + hyy
+        d = corner[1:, 1:] + hxx[:-1, 1:] + hyy[1:, :-1]
+        self.scale = np.sqrt(4.0 / d)
 
     def apply(self, g):
-        S = self.sine
-        spec = S @ (g[1:-1, 1:-1] / self.h**2) @ S
+        S, D = self.sine, self.scale
+        spec = S @ (D * g[1:-1, 1:-1] / self.h**2) @ S
         full = np.zeros_like(g)
-        full[1:-1, 1:-1] = S @ (spec * self.inv_eig) @ S
+        full[1:-1, 1:-1] = D * (S @ (spec * self.inv_eig) @ S)
         return full
 
 
-def _hessian_times(spec, weights, v, h):
+def _hessian_times(spec, weights, v):
     """Action of the energy Hessian, given by its cell ``weights``
     (:meth:`OperatorSpec.hess_weights`), on a zero-boundary field v."""
-    vx, vy = cell_gradients(v, h)
-    return _divergence(*spec.hess_apply(weights, vx, vy), h)
+    return _divergence(*spec.hess_apply(weights, *_differences(v)))
 
 
-def _pcg(spec, u, rhs, h, pre, rel_tol, max_iter=400):
-    """Preconditioned CG for the Newton system H(u) d = rhs.
+def _pcg(spec, weights, rhs, pre, rel_tol, max_iter=400):
+    """Preconditioned CG for the Newton system H d = rhs, with H given
+    by its cell ``weights``; ``pre`` is rescaled to them first and keeps
+    that scaling.
 
-    Returns ``(d, iterations, capped)``; ``capped`` is True when the
-    solve ran all ``max_iter`` iterations without meeting ``rel_tol``.
+    Returns ``(d, iterations, stop)``.  ``stop`` is "converged" when the
+    residual met ``rel_tol``, "capped" when all ``max_iter`` iterations
+    ran without meeting it, and "breakdown" when a search direction had
+    p.Hp <= 0, which the floored Hessian weights should prevent.
     """
-    weights = spec.hess_weights(*cell_gradients(u, h))
+    pre.rescale(weights)
     d = np.zeros_like(rhs)
     r = rhs.copy()
     z = pre.apply(r)
-    p = z.copy()
+    p = z
     rz = float(np.sum(r * z))
     rhs_norm = float(np.sqrt(np.sum(rhs * rhs)))
     for k in range(1, max_iter + 1):
-        Hp = _hessian_times(spec, weights, p, h)
+        Hp = _hessian_times(spec, weights, p)
         pHp = float(np.sum(p * Hp))
         if pHp <= 0.0:
-            break  # floor-regularized Hessian should prevent this
+            return d, k, "breakdown"
         alpha = rz / pHp
         d += alpha * p
         r -= alpha * Hp
         if float(np.sqrt(np.sum(r * r))) <= rel_tol * rhs_norm:
-            break
+            return d, k, "converged"
         z = pre.apply(r)
         rz_new = float(np.sum(r * z))
         p = z + (rz_new / rz) * p
         rz = rz_new
-    else:
-        return d, max_iter, True
-    return d, k, False
+    return d, max_iter, "capped"
 
 
 # J is a (pairwise) float sum whose rounding error is a few ulps of its
@@ -352,8 +383,10 @@ def solve(spec, f_field, tol=None, max_iter=100, u0=None,
     """Minimize the discrete energy; returns the solution field.
 
     Newton-Krylov: each outer step solves the Hessian system by
-    conjugate gradients (matrix-free, inverse-Laplacian
-    preconditioner) to the relative tolerance
+    conjugate gradients (matrix-free, preconditioned with the inverse
+    Laplacian scaled by the Hessian's own diagonal, D L^-1 D with
+    D = diag(sqrt(4/d)); see :class:`_LaplacePreconditioner`) to the
+    relative tolerance
     eta = min(0.1, sqrt(res / (res + 1))) (forcing term after
     Eisenstat & Walker 1996) and backtracks on the energy (Armijo).
     Once the Newton decrement g.d falls below the rounding level of J,
@@ -364,15 +397,21 @@ def solve(spec, f_field, tol=None, max_iter=100, u0=None,
     rounding bound.  For p = 2 the first Newton step is the exact
     5-point solve.  Convergence is declared when the sup norm of the
     energy gradient, scaled to PDE units (divided by h^2), drops below
-    ``tol`` (default 1e-9 * (1 + ||f||_1)).  The iteration also stops
+    ``tol`` (default 1e-9 * (1 + ||f||_1)): ``tol`` bounds this sup
+    residual, not the dual-norm one.  The iteration also stops
     when the sup residual sets no new minimum in 15 consecutive steps (a
     stall).  A stop above 100 * tol raises :class:`SolveError`.
 
-    With ``return_info`` the info dict holds ``energies``, ``residual``,
+    With ``return_info`` the info dict holds ``energies``, ``residual``
+    (the sup residual), ``dual_residual`` (sqrt(g . P^-1 g) for the
+    final energy gradient g and the preconditioner P^-1 at the solution;
+    with P^-1 = L^-1 this is the discrete H^-1 norm of the PDE residual),
     ``converged`` (residual <= tol) and the counts ``newton_steps``,
     ``pcg_iterations``, ``pcg_maxiter_hits`` (CG solves that ran to
-    their iteration cap) and ``rounding_steps`` (steps taken at
-    rounding level).
+    their iteration cap), ``pcg_breakdowns`` (CG solves stopped by a
+    direction with p.Hp <= 0), ``descent_fallbacks`` (Newton steps whose
+    CG direction was no descent direction and was replaced by P^-1 g)
+    and ``rounding_steps`` (steps taken at rounding level).
     """
     f = f_field.values
     n = f_field.n_nodes
@@ -386,19 +425,22 @@ def solve(spec, f_field, tol=None, max_iter=100, u0=None,
     g = _energy_gradient(spec, u, f, h)
     res = float(np.max(np.abs(g))) / h**2
     counts = dict.fromkeys(("newton_steps", "pcg_iterations",
-                            "pcg_maxiter_hits", "rounding_steps"), 0)
+                            "pcg_maxiter_hits", "pcg_breakdowns",
+                            "descent_fallbacks", "rounding_steps"), 0)
     best_res, since_best = res, 0
     for _ in range(max_iter):
         if res <= tol:
             break
         # forcing term: loose CG early, tight near the solution
         eta = min(0.1, math.sqrt(res / (res + 1.0)))
-        d, cg_iters, capped = _pcg(spec, u, g, h, pre,
-                                   rel_tol=max(eta, 1e-12))
+        d, cg_iters, stop = _pcg(spec, spec.hess_weights(
+            *cell_gradients(u, h)), g, pre, rel_tol=max(eta, 1e-12))
         counts["pcg_iterations"] += cg_iters
-        counts["pcg_maxiter_hits"] += capped
+        counts["pcg_maxiter_hits"] += stop == "capped"
+        counts["pcg_breakdowns"] += stop == "breakdown"
         gd = float(np.sum(g * d))
         if gd <= 0.0:
+            counts["descent_fallbacks"] += 1
             d = pre.apply(g)
             gd = float(np.sum(g * d))
         noise = _ROUNDING_ULPS * math.ulp(1.0) * J_scale
@@ -443,8 +485,11 @@ def solve(spec, f_field, tol=None, max_iter=100, u0=None,
         )
     out = GridField(u).zero_boundary()
     if return_info:
+        pre.rescale(spec.hess_weights(*cell_gradients(u, h)))
+        dual = math.sqrt(max(float(np.sum(g * pre.apply(g))), 0.0))
         return out, {"energies": energies, "residual": res,
-                     "converged": res <= tol, **counts}
+                     "dual_residual": dual, "converged": res <= tol,
+                     **counts}
     return out
 
 

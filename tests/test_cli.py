@@ -325,6 +325,8 @@ def test_grid_solve_passes(tmp_path):
     rep = json.loads((out / "grid_solve_report.json").read_text())
     assert rep["energy_monotone"]
     assert rep["truncation_energy"]["passes"]
+    assert rep["pcg_breakdowns"] == 0 and rep["descent_fallbacks"] == 0
+    assert 0.0 <= rep["dual_residual"] <= rep["residual"]
     assert b"\r\n" in (out / "u.csv").read_bytes()
 
 

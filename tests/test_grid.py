@@ -92,11 +92,67 @@ def test_p5_solve_converges_from_zero():
 
 
 def test_p4_solve_pcg_work():
-    # the inexact Newton forcing term keeps the inner CG short
+    # the inexact Newton forcing term and the Jacobi-scaled preconditioner
+    # keep the inner CG short: 63 iterations (188 with the plain inverse
+    # Laplacian)
     f = GridField.from_function(129, lambda x, y: np.ones_like(x))
     _, info = solve(OperatorSpec(power_potential(4.0)), f, return_info=True)
     assert info["converged"]
-    assert info["pcg_iterations"] < 290
+    assert info["pcg_iterations"] < 120
+
+
+def test_p15_solve_pcg_work():
+    # |grad u|^(p-2) varies most below p = 2: 98 CG iterations with the
+    # Jacobi scaling, 239 with the plain inverse Laplacian
+    f = GridField.from_function(129, lambda x, y: np.ones_like(x))
+    _, info = solve(OperatorSpec(power_potential(1.5)), f, return_info=True)
+    assert info["converged"]
+    assert info["pcg_iterations"] < 150
+
+
+def test_p2_solve_is_one_exact_newton_step():
+    # Phi = |xi|^2/2: the Hessian diagonal is 4, the scaling is the
+    # identity and the preconditioner inverts the Hessian exactly
+    f = GridField.from_function(65, lambda x, y: np.ones_like(x))
+    _, info = solve(OperatorSpec(power_potential(2.0)), f, return_info=True)
+    assert info["converged"]
+    assert info["newton_steps"] == 1 and info["pcg_iterations"] == 1
+    assert info["pcg_breakdowns"] == 0 and info["descent_fallbacks"] == 0
+    assert 0.0 <= info["dual_residual"] <= info["residual"]
+
+
+def test_scaled_preconditioner_is_symmetric():
+    rng = np.random.default_rng(5)
+    n = 33
+    cells = rng.uniform(0.5, 2.0, (3, n - 1, n - 1))
+    # a positive definite cell tensor: |hxy| < sqrt(hxx hyy)
+    weights = (cells[0], 0.9 * np.sqrt(cells[0] * cells[2])
+               * rng.uniform(-1.0, 1.0, (n - 1, n - 1)), cells[2])
+    pre = _LaplacePreconditioner(n, 1.0 / (n - 1))
+    pre.rescale(weights)
+    x, y = (GridField(rng.standard_normal((n, n))).zero_boundary().values
+            for _ in range(2))
+    xPy, yPx = np.sum(x * pre.apply(y)), np.sum(y * pre.apply(x))
+    assert abs(xPy - yPx) <= 1e-12 * abs(xPy)
+
+
+class _IndefiniteSpec(OperatorSpec):
+    """|xi|^2/2 with the sign of its Hessian action flipped."""
+
+    def hess_apply(self, weights, vx, vy):
+        out_x, out_y = super().hess_apply(weights, vx, vy)
+        return -out_x, -out_y
+
+
+def test_pcg_breakdown_and_descent_fallback_are_counted():
+    # p.Hp < 0 stops CG at once with d = 0, which is no descent
+    # direction; the solve then steps along P^-1 g, which for this
+    # energy is the exact Newton step
+    f = GridField.from_function(17, lambda x, y: np.ones_like(x))
+    _, info = solve(_IndefiniteSpec(power_potential(2.0)), f,
+                    return_info=True)
+    assert info["converged"] and info["newton_steps"] == 1
+    assert info["pcg_breakdowns"] == 1 and info["descent_fallbacks"] == 1
 
 
 _CELLS = np.random.default_rng(3).uniform(1.0, 2.0, (16, 16))
@@ -121,8 +177,7 @@ def test_hessian_matches_gradient_differences(spec):
     delta = 1e-5
     fd = (_energy_gradient(spec, u + delta * v, f, h)
           - _energy_gradient(spec, u - delta * v, f, h)) / (2.0 * delta)
-    hv = _hessian_times(spec, spec.hess_weights(*cell_gradients(u, h)),
-                        v, h)
+    hv = _hessian_times(spec, spec.hess_weights(*cell_gradients(u, h)), v)
     assert np.max(np.abs(hv - fd)) <= 1e-7 * np.max(np.abs(hv))
 
 
