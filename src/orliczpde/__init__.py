@@ -11,14 +11,11 @@ from .anisotropic import (
     LinearCombinationPhi,
     RadialPhi,
     SplitPhi,
-    dilation_constants,
     phi_circ,
     phi_diamond,
     radial_extent,
     sublevel_measure,
-    theta,
     unit_ball_volume,
-    vector_conjugate_grid,
 )
 from .catalog import (
     EXAMPLE_IDS,
@@ -41,7 +38,6 @@ from .grid import (
     OperatorSpec,
     SolveError,
     approximable_sequence,
-    assumption_audit,
     cell_gradients,
     point_mass_field,
     solve,
@@ -62,12 +58,7 @@ from .rearrangement import (
     boundedness_criterion,
     data_admissibility,
     improper_integral,
-    lorentz_quasinorm,
-    luxemburg_norm,
     marcinkiewicz_quasinorm,
-    maximal_rearrangement,
-    orlicz_lorentz_norm,
-    rearrange,
 )
 from .young import (
     ExpMinusLinearYoung,

@@ -30,11 +30,7 @@ Dirichlet's closed form, other terms an iterated Gauss quadrature
 
 Phi_diamond is the radial biconjugate of Phi_circ, which by
 Fenchel-Moreau is its convex envelope (largest convex minorant): it is
-computed as the lower convex hull of the Phi_circ table, and is
-equivalent to Phi_circ up to dilation, with measured dilation constants.
-
-Theta(xi) = conj(Phi_diamond)^{-1}(Phi(xi)) is the vector companion
-used by the gradient L^1 estimate.
+computed as the lower convex hull of the Phi_circ table.
 """
 
 from __future__ import annotations
@@ -67,9 +63,6 @@ __all__ = [
     "radial_extent",
     "phi_circ",
     "phi_diamond",
-    "dilation_constants",
-    "theta",
-    "vector_conjugate_grid",
     "from_json",
 ]
 
@@ -503,56 +496,6 @@ def phi_diamond(phi_or_circ):
     out = SampledYoungFunction(tab.log_t, tab.log_v,
                                name=f"phi_diamond({circ.name})")
     return out.repair_convexity()
-
-
-def dilation_constants(circ, diamond, t_lo=1.0, t_hi=1e4):
-    """(c1, c2) with Phi_circ(c1 t) <= Phi_diamond(t) <= Phi_circ(c2 t).
-
-    Measured as c(t) = Phi_circ^{-1}(Phi_diamond(t)) / t over a 64-point
-    log grid of [t_lo, t_hi].
-    """
-    t = np.geomspace(t_lo, t_hi, 64)
-    c = circ.inverse(diamond.value(t)) / t
-    return float(np.min(c)), float(np.max(c))
-
-
-def theta(phi, diamond=None):
-    """The vector function Theta(xi) = conj(Phi_diamond)^{-1}(Phi(xi))."""
-    if diamond is None:
-        diamond = phi_diamond(phi)
-    conj = diamond.conjugate()
-
-    def fn(xi):
-        v = np.asarray(phi.value(xi), dtype=float)
-        return conj.inverse(v)
-
-    return fn
-
-
-def vector_conjugate_grid(phi, eta, t_cap=1e6):
-    """conj(Phi)(eta) = sup_xi (xi . eta - Phi(xi)) by discrete search.
-
-    Diagnostic only (assumption audits); coordinate grid sup for n <= 3,
-    97 points per axis log-spaced out to ``t_cap`` on each side of 0,
-    refined once around the coarse maximizer.
-    """
-    if phi.n > 3:
-        raise YoungFunctionError("vector conjugate materialized for n <= 3 only")
-    eta = np.asarray(eta, dtype=float)
-    axes = [np.concatenate([-np.geomspace(t_cap, 1e-6, 48),
-                            [0.0],
-                            np.geomspace(1e-6, t_cap, 48)])] * phi.n
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    flat = grid.reshape(-1, phi.n)
-    vals = flat @ eta - phi.value(flat)
-    best = flat[int(np.argmax(vals))]
-    # local refinement box around the coarse maximizer
-    span = np.maximum(np.abs(best), 1e-3) * 0.5
-    axes2 = [np.linspace(b - s, b + s, 41) for b, s in zip(best, span)]
-    grid2 = np.stack(np.meshgrid(*axes2, indexing="ij"), axis=-1)
-    flat2 = grid2.reshape(-1, phi.n)
-    vals2 = flat2 @ eta - phi.value(flat2)
-    return float(max(np.max(vals), np.max(vals2), 0.0))
 
 
 # ---------------------------------------------------------------------

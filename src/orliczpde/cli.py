@@ -107,6 +107,10 @@ def _load_field(spec, n_nodes):
         return grid.GridField(np.full((n_nodes, n_nodes), c))
     if isinstance(spec, str) and spec.startswith("point:"):
         kw = dict(kv.split("=") for kv in spec.partition(":")[2].split(","))
+        unknown = sorted(set(kw) - {"mass", "x", "y"})
+        if unknown:
+            raise young.YoungFunctionError(
+                f"unknown point: key(s) {unknown}; expected mass, x, y")
         return grid.point_mass_field(
             n_nodes, mass=float(kw.get("mass", 1.0)),
             location=(float(kw.get("x", 0.5)), float(kw.get("y", 0.5))))

@@ -9,9 +9,8 @@ function, this module builds the optimal-embedding machinery:
 
   which separates unbounded-solution regimes (divergent) from bounded
   ones (convergent),
-* the near-zero modification (linear splice for scalars, the
-  1-homogeneous gauge extension for vector functions) that makes the
-  companion integral at 0 converge without touching large values,
+* the near-zero modification (a linear splice on [0, 1]) that makes
+  the companion integral at 0 converge without touching large values,
 * the Sobolev conjugate Phi_n = Phi_circ o H^{-1} with
 
       H(t) = ( Int_0^t (tau/Phi_circ(tau))^{1/(n-1)} dtau )^{(n-1)/n},
@@ -33,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anisotropic import AnisotropicYoungFunction, radial_extent
 from .young import (
     LinearSplicedYoung,
     MonotoneFunction,
@@ -48,7 +46,6 @@ __all__ = [
     "classify_integral",
     "near_zero_diverges",
     "modify_near_zero",
-    "GaugeModifiedPhi",
     "EmbeddingProfile",
     "sobolev_conjugate",
     "hat_phi_circ",
@@ -178,59 +175,15 @@ class ModificationRecord:
     reason: str = ""
 
 
-def modify_near_zero(phi, n=None):
-    """Make the near-zero companion integral converge.
-
-    Scalar input: replace Phi_circ on [0, 1] by the chord through
-    (1, Phi_circ(1)) — linear near 0, unchanged above the knot 1,
-    and convex since the chord slope is below the right derivative.
-    Anisotropic input: replace Phi on its unit sublevel set by the
-    1-homogeneous gauge of {Phi <= 1}, which dominates Phi there.
-    Returns ``(modified, record)``; a no-op (with ``applied=False``)
-    when the integral already converges (scalar case, needs n).
+def modify_near_zero(phi):
+    """Make the near-zero companion integral converge: replace the scalar
+    Phi_circ on [0, 1] by the chord through (1, Phi_circ(1)) — linear
+    near 0, unchanged above the knot 1, and convex since the chord slope
+    is below the right derivative.  Callers test
+    :func:`near_zero_diverges` first.  Returns ``(modified, record)``.
     """
-    if isinstance(phi, AnisotropicYoungFunction):
-        return GaugeModifiedPhi(phi), ModificationRecord(
-            True, 1.0, "1-homogeneous gauge on the unit sublevel set")
-    if n is not None and not near_zero_diverges(phi, n):
-        return phi, ModificationRecord(False, _KNOT,
-                                       "integral at 0 converges")
     return LinearSplicedYoung(phi, _KNOT), ModificationRecord(
         True, _KNOT, "linear splice on [0, knot]")
-
-
-class GaugeModifiedPhi(AnisotropicYoungFunction):
-    """Phi above its unit level set, the Minkowski gauge of it below.
-
-    The gauge Xi is linear along rays, equals Phi on {Phi = 1}, and
-    dominates Phi on {Phi <= 1} by convexity through the level set.
-    """
-
-    form = "gauge_modified"
-
-    def __init__(self, base):
-        super().__init__(base.n, base.bound_radius)
-        self.base = base
-
-    def gauge(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        flat = xi.reshape(-1, self.n)
-        r = np.linalg.norm(flat, axis=1)
-        out = np.zeros(flat.shape[0])
-        nz = r > 0.0
-        if np.any(nz):
-            dirs = flat[nz] / r[nz, None]
-            extent = radial_extent(self.base, dirs, 1.0)
-            out[nz] = r[nz] / extent
-        return out.reshape(xi.shape[:-1])
-
-    def value(self, xi):
-        v = np.asarray(self.base.value(xi), dtype=float)
-        inside = v <= 1.0
-        if not np.any(inside):
-            return v
-        g = self.gauge(xi)
-        return np.where(inside, g, v)
 
 
 @dataclass
@@ -292,7 +245,7 @@ def sobolev_conjugate(phi_circ, n, n_points=4096, log_t_hi=math.log(1e10)):
         )
     record = ModificationRecord(False, 1.0, "not needed")
     if near_zero_diverges(phi_circ, n):
-        phi_circ, record = modify_near_zero(phi_circ, n)
+        phi_circ, record = modify_near_zero(phi_circ)
     u = np.linspace(math.log(_H_T_LO), log_t_hi, n_points)
     g = np.exp((u - phi_circ.log_value(u)) / (n - 1.0) + u)
     acc = _cumulative_trapezoid(g, u)
@@ -365,7 +318,7 @@ def hat_phi_circ(phi_circ, n):
     if verdict == "convergent":
         raise DichotomyError("optimal target needs the divergent branch")
     if near_zero_diverges(phi_circ, n):
-        phi_circ, _ = modify_near_zero(phi_circ, n)
+        phi_circ, _ = modify_near_zero(phi_circ)
     u = np.linspace(math.log(1e-6), math.log(1e8), _HAT_POINTS)
     r = np.exp(u)
     log_small_phi = np.log(np.maximum(phi_circ.derivative(r), 1e-300))

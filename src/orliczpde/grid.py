@@ -30,8 +30,8 @@ bounds, the dual-norm residual sqrt(g . P^-1 g), and counts every CG
 breakdown (p.Hp <= 0) and every Newton step whose CG direction was
 replaced by P^-1 g because it was no descent direction.
 
-Also here: truncated-data solution ladders (approximable solutions),
-the mollified point-mass datum, and the operator assumption audit.
+Also here: truncated-data solution ladders (approximable solutions)
+and the mollified point-mass datum.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ __all__ = [
     "cell_gradients",
     "point_mass_field",
     "approximable_sequence",
-    "assumption_audit",
 ]
 
 _DELTA = 1e-12  # floor on |xi| inside the flux only
@@ -495,11 +494,16 @@ def solve(spec, f_field, tol=None, max_iter=100, u0=None,
 
 def point_mass_field(n, mass=1.0, location=(0.5, 0.5)):
     """Nodal delta: the hat-function mollifier of width 2h carrying
-    exactly ``mass`` in the cell quadrature."""
+    exactly ``mass`` in the cell quadrature, at the node nearest to
+    ``location``; a nearest node off the interior, where the solution is
+    held at 0, raises :class:`YoungFunctionError`."""
     field = GridField.zeros(n)
     h = field.h
-    i = int(round(location[0] / h))
-    j = int(round(location[1] / h))
+    i, j = (round(c / h) for c in location)
+    if not (0 < i < n - 1 and 0 < j < n - 1):
+        raise YoungFunctionError(
+            f"point mass at {tuple(location)} lands on node ({i}, {j}), "
+            f"not an interior node of the {n} x {n} grid")
     field.values[i, j] = mass / h**2
     return field
 
@@ -534,49 +538,3 @@ def approximable_sequence(spec, f_field, k_ladder, deviation_threshold=1e-3):
         report.append(entry)
         u_prev = u
     return fields, report
-
-
-def assumption_audit(spec):
-    """Sample-based check of monotonicity, coercivity and conjugate
-    growth for the operator, on 400 pairs of probes drawn from a
-    generator seeded with 0.
-
-    Reports: strict monotonicity  (a(xi) - a(eta)).(xi - eta) > 0 for
-    xi != eta; coercivity  a(xi).xi >= Phi(xi); the smallest constant
-    c on the ladder of 25 c from 1 down to 1e-3 with
-    conj(Phi)(c * a(xi)) <= Phi(xi) + h_slack for the sampled xi.
-    conj(Phi) is built from the conjugates of Phi's own scalar terms:
-    conj(A)(|a|) for a radial Phi, the sum of conj(A_i)(|a_i|) for a
-    split one.
-    """
-    rng = np.random.default_rng(0)
-    xi = rng.standard_normal((400, 2)) * np.exp(rng.uniform(-3, 3, (400, 1)))
-    eta = rng.standard_normal((400, 2)) * np.exp(rng.uniform(-3, 3, (400, 1)))
-    ax, ay = spec.flux(xi[:, 0], xi[:, 1])
-    bx, by = spec.flux(eta[:, 0], eta[:, 1])
-    mono = (ax - bx) * (xi[:, 0] - eta[:, 0]) + (ay - by) * (
-        xi[:, 1] - eta[:, 1])
-    distinct = np.any(xi != eta, axis=1)
-    monotone_ok = bool(np.all(mono[distinct] > 0.0))
-    phi_xi = spec.potential.value(xi)
-    coercive_ok = bool(np.all(ax * xi[:, 0] + ay * xi[:, 1]
-                              >= phi_xi * (1.0 - 1e-12)))
-    term = spec._terms[0]
-    conjs = [a.conjugate() for a in term.scalars]
-    sizes = term.sizes(ax, ay)
-    best_c = None
-    h_profile = None
-    for c in np.geomspace(1.0, 1e-3, 25):
-        conj = sum(a.value(c * s) for a, s in zip(conjs, sizes))
-        excess = conj - phi_xi
-        if np.all(excess <= np.maximum(1e-9, 0.5 * phi_xi)):
-            best_c = float(c)
-            h_profile = float(np.max(np.maximum(excess, 0.0)))
-            break
-    return {
-        "strictly_monotone": monotone_ok,
-        "coercive": coercive_ok,
-        "c_phi": best_c,
-        "h_max": h_profile,
-        "epsilon": spec.epsilon,
-    }

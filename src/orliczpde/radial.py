@@ -26,7 +26,7 @@ import numpy as np
 
 from .anisotropic import unit_ball_volume
 from .embedding import EmbeddingProfile
-from .rearrangement import RearrangedFunction, boundedness_criterion
+from .rearrangement import RearrangedFunction
 
 __all__ = [
     "RadialSolution",

@@ -9,9 +9,6 @@ measures.
 
 On top of the step representation:
 
-* the Luxemburg norm  inf{lam > 0 : Int A(|u|/lam) <= 1},
-* Orlicz-Lorentz quasinorms  || s^{1/r} u^{*(*)}(s) ||_{L^A},
-  including the classical Lorentz L^{p,q} specialization,
 * the Marcinkiewicz quasinorm  inf{lam : sup_s u*(s)/rho^{-1}(lam/s) <= 1},
 * the data-admissibility modular  Int conj(Phi_circ)(s^{1/n} f**(s)/lam) ds,
 * the sharp boundedness criterion
@@ -30,15 +27,10 @@ import math
 import numpy as np
 
 from .anisotropic import unit_ball_volume
-from .young import YoungFunctionError, solve_increasing
+from .young import YoungFunctionError
 
 __all__ = [
     "RearrangedFunction",
-    "rearrange",
-    "maximal_rearrangement",
-    "luxemburg_norm",
-    "orlicz_lorentz_norm",
-    "lorentz_quasinorm",
     "marcinkiewicz_quasinorm",
     "data_admissibility",
     "boundedness_criterion",
@@ -80,7 +72,7 @@ class RearrangedFunction:
         """Exact rearrangement of a weighted sample list."""
         v = np.abs(np.asarray(values, dtype=float).ravel())
         m = np.asarray(measures, dtype=float).ravel()
-        if m.ndim == 0 or m.size == 1:
+        if m.size == 1:
             m = np.full(v.size, float(m))
         if np.any(m < 0):
             raise YoungFunctionError("negative cell measure")
@@ -88,7 +80,6 @@ class RearrangedFunction:
         v, m = v[order], m[order]
         keep = m > 0
         v, m = v[keep], m[keep]
-        # merge equal consecutive values to keep the table small
         s = np.concatenate([[0.0], np.cumsum(m)])
         return cls(s, v)
 
@@ -160,14 +151,6 @@ class RearrangedFunction:
         """Int_0^{|Omega|} u* (the L^1 norm of the original field)."""
         return float(self._cum[-1])
 
-    def modular(self, a, lam):
-        """Int A(u*/lam) ds, exact on the steps."""
-        vals = a.value(self.values / lam)
-        return float(np.sum(vals * np.diff(self.breakpoints)))
-
-    def scaled(self, c):
-        return RearrangedFunction(self.breakpoints, np.abs(c) * self.values)
-
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             fh.write("s,value\r\n")
@@ -175,31 +158,6 @@ class RearrangedFunction:
                 fh.write(f"{float(self.breakpoints[j])!r},{float(v)!r}\r\n")
             fh.write(f"{float(self.breakpoints[-1])!r},"
                      f"{float(self.values[-1])!r}\r\n")
-
-
-def rearrange(values, measures):
-    """Decreasing rearrangement of a weighted sample list (or field)."""
-    return RearrangedFunction.from_samples(values, measures)
-
-
-def maximal_rearrangement(rf):
-    """u** as a step function on a refined grid (upper values).
-
-    The exact piecewise-smooth u** is sampled at 8 points per
-    original interval; taking left-endpoint values keeps the step
-    function an upper bound for the true u** (which is nonincreasing).
-    """
-    s = rf.breakpoints
-    pts = [np.array([0.0])]
-    for j in range(len(s) - 1):
-        lo = max(s[j], s[j + 1] * 1e-9)
-        pts.append(np.geomspace(lo, s[j + 1], 9)[1:]
-                   if lo > 0 else np.linspace(s[j], s[j + 1], 9)[1:])
-    grid = np.unique(np.concatenate(pts))
-    left = np.concatenate([[grid[1] * 0.5 if grid[1] > 0 else 0.0],
-                           grid[1:-1]])
-    vals = rf.maximal_eval(np.maximum(left, 1e-300))
-    return RearrangedFunction(grid, np.maximum.accumulate(vals[::-1])[::-1])
 
 
 def _gauss_blocks(fn, edges):
@@ -245,55 +203,6 @@ def improper_integral(fn, a, b):
         elif decade_sums[-1] > 1e-12 * abs(total):
             return math.inf
     return total
-
-
-def luxemburg_norm(a, rf):
-    """inf{lam : Int A(u*/lam) <= 1}, exact modular.
-
-    The modular is nondecreasing in u = 1/lam, so lam = 1/u for the
-    least u where it reaches 1, solved to 1e-10 relative.
-    """
-    if rf.integral() == 0.0:
-        return 0.0
-    u = solve_increasing(lambda u: rf.modular(a, 1.0 / u), 1.0, rtol=1e-10)
-    return 1.0 / u if u > 0.0 else math.inf
-
-
-def orlicz_lorentz_norm(a, r, rf, variant="star"):
-    """|| s^{1/r} u^{*(*)}(s) ||_{L^A(0,|Omega|)}.
-
-    The weighted profile is piecewise smooth, so the modular is a sum
-    of per-interval Gauss quadratures, solved (to 1e-8 relative) for the
-    least u = 1/lam where it reaches 1.  For negative r the weight blows
-    up at 0 and the improper head is handled with divergence detection: a
-    modular still infinite at lam = 1e120 is infinite for every lam
-    (below that the integrand only underflows), and the norm is math.inf.
-    """
-    if r == 0:
-        raise YoungFunctionError("r must be nonzero")
-    base = rf.maximal_eval if variant == "double_star" else rf
-    exponent = 1.0 / r
-
-    def modular(u):
-        def fn(s):
-            return a.value(s**exponent * base(s) * u)
-
-        return improper_integral(fn, 0.0, rf.domain_measure)
-
-    if math.isinf(modular(1e-120)):
-        return math.inf
-    u = solve_increasing(modular, 1.0, rtol=1e-8)
-    return 1.0 / u if u > 0.0 else math.inf
-
-
-def lorentz_quasinorm(rf, p, q):
-    """Classical L^{p,q}: ( Int (s^{1/p} u*(s))^q ds/s )^{1/q}."""
-
-    def fn(s):
-        return (s ** (1.0 / p) * rf(s)) ** q / s
-
-    val = improper_integral(fn, 0.0, rf.domain_measure)
-    return val ** (1.0 / q) if math.isfinite(val) else math.inf
 
 
 def marcinkiewicz_quasinorm(rf, varrho):

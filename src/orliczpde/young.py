@@ -683,17 +683,6 @@ class SampledYoungFunction(ScalarYoungFunction):
         for arr in (self.log_t, self.log_v, self._slopes, *self._inv_table):
             arr.flags.writeable = False
 
-    def slopes(self):
-        """Log-log slope of each table segment (cached, length n - 1).
-
-        On segment i the interpolant is A(t) = A_i (t/t_i)**slopes[i], so
-        ``slopes()[i] * A(t) / t`` is its exact derivative there.  No
-        monotone repair is applied: a convex table can have log-log
-        slopes that fall (t**2 log(e + t) does), and forcing them up would
-        overstate A'.
-        """
-        return self._slopes
-
     def derivative(self, t):
         """Right derivative of ``value``; the end segments extrapolate."""
         t = np.asarray(t, dtype=float)

@@ -197,6 +197,80 @@ def test_every_parameter_is_read(path):
     assert unread == []
 
 
+def _identifiers(path):
+    """Every name, attribute and string constant that ``path`` spells
+    out."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def _package_refs(tree, modules):
+    """``(module, name)`` for each name of a package module that
+    ``tree`` imports from it (``from .module import name`` or
+    ``from orliczpde.module import name``) or reads as ``module.name``."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            mod = node.module.removeprefix("orliczpde.")
+            if mod in modules and (node.level or node.module != mod):
+                refs.update((mod, alias.name) for alias in node.names)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
+            refs.add((node.value.id, node.attr))
+    return refs
+
+
+def _uncalled_public_names():
+    """``module.name`` for each public module-level function or class of
+    the package that nothing reaches.  A name is reached when another
+    module of the package imports it or reads it as ``module.name``
+    (``__init__`` re-exports do not count), when its own module uses it
+    outside its own body, when the benchmark sources spell it as a name
+    or a string, or when the acceptance tests or their shared helpers
+    import it or read it as ``module.name``."""
+    root = Path(cli.__file__).parents[2]
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in _PACKAGE_MODULES if p.stem != "__init__"}
+    bench = set().union(*map(_identifiers,
+                             sorted((root / "perfbench").glob("*.py"))))
+    refs = set().union(*(
+        _package_refs(ast.parse(path.read_text(encoding="utf-8")), trees)
+        for path in (root / "tests" / "test_acceptance.py",
+                     root / "tests" / "conftest.py")))
+    users = {mod: _package_refs(tree, trees) for mod, tree in trees.items()}
+    uncalled = []
+    for mod, tree in trees.items():
+        for defn in tree.body:
+            if not isinstance(defn, (ast.FunctionDef, ast.ClassDef)) or (
+                    defn.name.startswith("_")):
+                continue
+            name = defn.name
+            in_module = any(
+                isinstance(node, ast.Name) and node.id == name
+                for stmt in tree.body if stmt is not defn
+                for node in ast.walk(stmt))
+            elsewhere = any((mod, name) in used
+                            for user, used in users.items() if user != mod)
+            if not (in_module or elsewhere or name in bench
+                    or (mod, name) in refs):
+                uncalled.append(f"{mod}.{name}")
+    return uncalled
+
+
+def test_every_public_name_has_a_caller():
+    # a public function or class that only its own unit tests reach
+    # serves no command, no benchmark operation and no acceptance check
+    assert _uncalled_public_names() == []
+
+
 def test_every_csv_writer_ends_lines_with_crlf(tmp_path):
     # RFC 4180: every CSV artifact ends its lines with CRLF
     writers = {
@@ -328,6 +402,21 @@ def test_grid_solve_passes(tmp_path):
     assert rep["pcg_breakdowns"] == 0 and rep["descent_fallbacks"] == 0
     assert 0.0 <= rep["dual_residual"] <= rep["residual"]
     assert b"\r\n" in (out / "u.csv").read_bytes()
+
+
+@pytest.mark.parametrize("point", [
+    "mass=1,x=0",     # a boundary node, where u is held at 0
+    "mass=1,x=-0.1",  # a negative index, which would wrap to x = 0.9375
+    "mass=1,x=1.2",   # past the last node
+    "m=1",            # an unknown key
+])
+def test_grid_solve_refuses_bad_point_data(point, tmp_path):
+    code, out = run(["grid-solve", "--N", "33", "--p", "2",
+                     "--f", f"point:{point}"], tmp_path)
+    assert code == 1
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["type"] == "YoungFunctionError"
+    assert not (out / "grid_solve_report.json").exists()
 
 
 def test_regularity_report_bounded_regime(tmp_path):

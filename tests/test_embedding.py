@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from orliczpde.anisotropic import SplitPhi
 from orliczpde.embedding import (
     DichotomyError,
-    GaugeModifiedPhi,
     _cumulative_trapezoid,
     classify_integral,
     fit_power_log,
@@ -62,36 +60,14 @@ def test_dichotomy_log_critical(alpha, verdict):
 def test_near_zero_divergence_and_modification():
     assert not near_zero_diverges(PowerYoung(1.5), 2)
     assert near_zero_diverges(PowerYoung(4), 2)
-    same, rec = modify_near_zero(PowerYoung(1.5), n=2)
-    assert not rec.applied
     a = PowerYoung(4)
-    mod, rec = modify_near_zero(a, n=2)
+    mod, rec = modify_near_zero(a)
     assert rec.applied
     # linear near zero, untouched above the knot
     assert mod.value(0.25) / 0.25 == pytest.approx(mod.value(0.5) / 0.5,
                                                    rel=1e-12)
     assert mod.value(2.0) == pytest.approx(a.value(2.0), rel=1e-12)
     assert not near_zero_diverges(mod, 2)
-
-
-def test_gauge_modification_vector():
-    phi = SplitPhi([PowerYoung(2), PowerYoung(4)])
-    mod, rec = modify_near_zero(phi)
-    assert rec.applied
-    assert isinstance(mod, GaugeModifiedPhi)
-    xi = np.array([0.9, 0.4])  # a point strictly inside {Phi <= 1}
-    lam = 1.0 / math.sqrt(float(phi.value(xi)))
-    boundary = xi * (1.0 + 0.0)
-    # 1-homogeneous along rays inside the unit sublevel set
-    g1 = float(mod.value(0.5 * xi))
-    g2 = float(mod.value(0.25 * xi))
-    assert g1 == pytest.approx(2.0 * g2, rel=1e-6)
-    # dominates Phi inside (convexity through the level set)
-    assert g1 >= float(phi.value(0.5 * xi)) - 1e-12
-    # equals Phi far outside
-    far = 10.0 * xi
-    assert float(mod.value(far)) == pytest.approx(float(phi.value(far)),
-                                                  rel=1e-12)
 
 
 def test_sobolev_conjugate_refuses_convergent():

@@ -13,7 +13,6 @@ from orliczpde.grid import (
     OperatorSpec,
     SolveError,
     approximable_sequence,
-    assumption_audit,
     cell_gradients,
     point_mass_field,
     solve,
@@ -289,14 +288,3 @@ def test_approximable_sequence_report():
     assert "sup_deviation" not in report[0]
     assert report[1]["sup_deviation"] > 0.0
     assert report[1]["deviation_measure"] >= 0.0
-
-
-def test_assumption_audit():
-    out = assumption_audit(OperatorSpec(power_potential(3.0)))
-    assert out["strictly_monotone"]
-    assert out["coercive"]
-    assert out["c_phi"] is not None
-    out = assumption_audit(OperatorSpec(split_power_potential(2.0, 4.0),
-                                        epsilon=0.1, q=4.0))
-    assert out["strictly_monotone"]
-    assert out["coercive"]

@@ -400,6 +400,27 @@ def test_solve_increasing_work_on_power_like_functions(name):
     assert count.max() <= 10
 
 
+@pytest.mark.parametrize("a", [PowerYoung(2.5), ExpMinusOneYoung()],
+                         ids=["power", "expm1"])
+def test_solve_increasing_scalar_target_on_a_modular(a):
+    # the modular Int A(x u*) of a three-step u* reaches 1: a scalar y
+    # reaches fn as shape-(1,) arrays, and rtol = 1e-10 takes a few
+    # evaluations, exponential growth included
+    steps = np.array([5.0, 1.0, 0.01])
+    xs = []
+
+    def modular(x):
+        assert np.shape(x) == (1,)
+        xs.append(float(x[0]))
+        return np.sum(a.value(np.outer(x, steps)), axis=1)
+
+    x = solve_increasing(modular, 1.0, rtol=1e-10)
+    assert isinstance(x, float)
+    assert len(xs) <= 15
+    assert modular(np.array([x]))[0] == pytest.approx(1.0, rel=1e-9)
+    assert modular(np.array([x / (1.0 + 1e-9)]))[0] < 1.0
+
+
 @pytest.mark.parametrize("y", [1.01, 1.5, 1.99])
 def test_solve_increasing_work_on_a_jump_stays_near_bisection(y):
     # a jump from 1 to 2 at s: the secant is no help, the budget of
