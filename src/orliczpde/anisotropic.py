@@ -75,10 +75,6 @@ def unit_ball_volume(n):
 class BoundBoxError(YoungFunctionError):
     """Sublevel set reaches the declared evaluation box."""
 
-    def __init__(self, message, suggested_radius=None):
-        super().__init__(message)
-        self.suggested_radius = suggested_radius
-
 
 class MeasureConvergenceWarning(UserWarning):
     """The star path stopped refining its sphere rule with some levels
@@ -118,26 +114,6 @@ class AnisotropicYoungFunction:
 
     def __call__(self, xi):
         return self.value(xi)
-
-    def certify(self):
-        """Check evenness and segment convexity (to 1e-10 relative) on 200
-        pairs of probes, drawn from a generator seeded with 0."""
-        rng = np.random.default_rng(0)
-        xi = rng.standard_normal((200, self.n))
-        xi *= np.exp(rng.uniform(-2, 4, (200, 1)))
-        eta = rng.standard_normal((200, self.n))
-        eta *= np.exp(rng.uniform(-2, 4, (200, 1)))
-        v_xi, v_eta = self.value(xi), self.value(eta)
-        if not np.allclose(self.value(-xi), v_xi, rtol=1e-10):
-            raise YoungFunctionError(f"{self.form}: not even")
-        mid = self.value(0.5 * (xi + eta))
-        chord = 0.5 * (v_xi + v_eta)
-        scale = np.maximum(chord, 1e-300)
-        if np.any((mid - chord) / scale > 1e-10):
-            raise YoungFunctionError(f"{self.form}: midpoint convexity fails")
-        if float(self.value(np.zeros(self.n))) != 0.0:
-            raise YoungFunctionError(f"{self.form}: Phi(0) != 0")
-        return self
 
 
 class RadialPhi(AnisotropicYoungFunction):
@@ -232,9 +208,7 @@ def radial_extent(phi, directions, t):
     except InverseRangeError as err:
         raise BoundBoxError(
             f"sublevel set reaches the bound box (radius "
-            f"{phi.bound_radius:g}): {err}",
-            suggested_radius=4.0 * phi.bound_radius,
-        ) from None
+            f"{phi.bound_radius:g}): {err}") from None
 
 
 # an n >= 4 rule has at most 2^21 directions, the size of the finest

@@ -18,6 +18,11 @@ abar = (pbar/n) * sum(alpha_i / p_i):
 * pbar > n, or pbar = n with abar > n-1 -> bounded (tail integral
   converges; weak solutions exist for every integrable datum).
 
+Each family declares every scalar term A_i of Phi once, as a
+component (label, p_i, alpha_i, A_i) under one range rule: p_i > 1, or
+p_i = 1 with alpha_i > 0.  The record's Phi is assembled from those same
+A_i, and pbar, abar come from their (p_i, alpha_i).
+
 Gradient components are measured through the chain
 rho_i(t) = varrho_n(A_i(t)), which reproduces the published
 per-component exponents in every regime (one published anisotropic
@@ -36,11 +41,12 @@ solution/gradient exponents by regression in iterated-log coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .anisotropic import (
+    AnisotropicYoungFunction,
     LinearCombinationPhi,
     RadialPhi,
     SplitPhi,
@@ -76,41 +82,24 @@ class ExampleRecord:
     n: int
     params: dict
     # component list: (label, power p_i, log power alpha_i, scalar A_i)
-    components: list = field(default_factory=list)
-    pbar: float = 0.0
-    abar: float = 0.0
-
-    def build_phi(self):
-        p = self.params
-        if self.id == "plap":
-            return RadialPhi(self.n, PowerYoung(p["p"]))
-        if self.id == "iso_zyg":
-            return RadialPhi(self.n, _power_log(p["p"], p["alpha"]))
-        if self.id == "aniso_plap":
-            return SplitPhi([PowerYoung(pi) for pi in p["p"]])
-        if self.id == "aniso_zyg":
-            return SplitPhi([_power_log(pi, ai)
-                             for pi, ai in zip(p["p"], p["alpha"])])
-        if self.id == "aniso_trud":
-            return LinearCombinationPhi(2, [
-                ([1.0, -1.0], PowerYoung(p["p"])),
-                ([1.0, 0.0], _power_log(p["q"], p["alpha"])),
-            ])
-        if self.id == "aniso_new":
-            return LinearCombinationPhi(2, [
-                ([1.0, 3.0], PowerYoung(p["p"])),
-                ([2.0, -1.0], ExpPowerYoung(p["beta"])),
-            ])
-        raise YoungFunctionError(f"unknown example id {self.id!r}")
+    components: list
+    phi: AnisotropicYoungFunction  # assembled from the components' A_i
+    pbar: float
+    abar: float
 
 
-def _power_log(p, alpha):
-    if p > 1:
-        return PowerLogYoung(p, alpha, shift=_LOG_SHIFT).ensure_convex()
-    if p == 1 and alpha > 0:
-        return PowerLogYoung(1.0, alpha, shift=_LOG_SHIFT).ensure_convex()
-    raise YoungFunctionError(
-        "power-log component needs p > 1, or p = 1 with alpha > 0")
+def _component(label, p, alpha=None):
+    """``(label, p, alpha, A)``: A(t) = t^p, or t^p log^alpha(e^2 + t)
+    certified convex when ``alpha`` is given; p and alpha must meet the
+    one range rule p > 1, or p = 1 with alpha > 0."""
+    alpha_f = alpha or 0.0
+    if not (p > 1 or (p == 1 and alpha_f > 0)):
+        raise YoungFunctionError(
+            f"component {label} (p={p:g}, alpha={alpha_f:g}) out of range: "
+            "needs p > 1, or p = 1 with alpha > 0")
+    a = PowerYoung(p) if alpha is None else PowerLogYoung(
+        p, alpha, shift=_LOG_SHIFT).ensure_convex()
+    return label, p, alpha_f, a
 
 
 def make_record(example_id, **params):
@@ -118,79 +107,58 @@ def make_record(example_id, **params):
 
     Parameters by id: plap(p, n); iso_zyg(p, alpha, n);
     aniso_plap(p=(p1,..,pn), n); aniso_zyg(p=(..), alpha=(..), n);
-    aniso_trud(p, q, alpha); aniso_new(p, beta).
+    aniso_trud(p, q, alpha); aniso_new(p, beta); numbers or their
+    strings.  Every term A_i of ``record.phi`` is a component
+    ``(label, p_i, alpha_i, A_i)`` built once, under the one range rule
+    p_i > 1, or p_i = 1 with alpha_i > 0.  aniso_trud also needs
+    alpha > 0 and aniso_new beta > 1.
     """
     if example_id not in EXAMPLE_IDS:
         raise YoungFunctionError(
             f"unknown example id {example_id!r}; known: {EXAMPLE_IDS}")
-    if example_id == "plap":
-        p, n = float(params["p"]), int(params["n"])
-        if p <= 1:
-            raise YoungFunctionError("plap requires p > 1")
-        rec = ExampleRecord("plap", n, {"p": p})
-        comps = [("|grad u|", p, 0.0, PowerYoung(p))]
-    elif example_id == "iso_zyg":
-        p, al, n = float(params["p"]), float(params["alpha"]), int(params["n"])
-        if not (p > 1 or (p == 1 and al > 0)):
-            raise YoungFunctionError(
-                "iso_zyg requires p > 1, or p = 1 with alpha > 0")
-        rec = ExampleRecord("iso_zyg", n, {"p": p, "alpha": al})
-        comps = [("|grad u|", p, al, _power_log(p, al))]
-    elif example_id == "aniso_plap":
-        ps = tuple(float(x) for x in params["p"])
-        n = int(params.get("n", len(ps)))
-        if n != len(ps) or any(pi <= 1 for pi in ps):
-            raise YoungFunctionError(
-                "aniso_plap requires one exponent > 1 per axis")
-        rec = ExampleRecord("aniso_plap", n, {"p": ps})
-        comps = [(f"u_x{i + 1}", pi, 0.0, PowerYoung(pi))
-                 for i, pi in enumerate(ps)]
-    elif example_id == "aniso_zyg":
-        ps = tuple(float(x) for x in params["p"])
-        als = tuple(float(x) for x in params["alpha"])
-        n = int(params.get("n", len(ps)))
-        if n != len(ps) or len(als) != n:
-            raise YoungFunctionError("aniso_zyg needs p_i, alpha_i per axis")
-        for pi, ai in zip(ps, als):
-            if not (pi > 1 or (pi == 1 and ai > 0)):
-                raise YoungFunctionError(
-                    f"component (p={pi}, alpha={ai}) out of range: needs "
-                    "p_i > 1, or p_i = 1 with alpha_i > 0")
-        rec = ExampleRecord("aniso_zyg", n, {"p": ps, "alpha": als})
-        comps = [(f"u_x{i + 1}", pi, ai, _power_log(pi, ai))
-                 for i, (pi, ai) in enumerate(zip(ps, als))]
-    elif example_id == "aniso_trud":
-        p, q = float(params["p"]), float(params["q"])
-        al = float(params["alpha"])
-        if p <= 1 or q < 1 or al <= 0:
-            raise YoungFunctionError(
-                "aniso_trud requires p > 1, q >= 1, alpha > 0")
-        rec = ExampleRecord("aniso_trud", 2, {"p": p, "q": q, "alpha": al})
-        comps = [("u_x1", q, al, _power_log(q, al)),
-                 ("u_x1-u_x2", p, 0.0, PowerYoung(p))]
-    else:  # aniso_new
-        p, beta = float(params["p"]), float(params["beta"])
-        if p <= 1 or beta <= 1:
-            raise YoungFunctionError("aniso_new requires p > 1, beta > 1")
-        rec = ExampleRecord("aniso_new", 2, {"p": p, "beta": beta})
-        comps = []
-    rec.components = comps
     if example_id == "aniso_new":
+        kept = {key: float(params[key]) for key in ("p", "beta")}
+        if kept["beta"] <= 1:
+            raise YoungFunctionError("aniso_new requires beta > 1")
+        phi = LinearCombinationPhi(2, [
+            ([1.0, 3.0], _component("u_x1+3u_x2", kept["p"])[3]),
+            ([2.0, -1.0], ExpPowerYoung(kept["beta"]))])
         # the measure-average mixes a power with an exponential term:
         # inverse-product rule gives t^{2p} (log t)^{-p/beta}
-        rec.pbar, rec.abar = 2.0 * rec.params["p"], (
-            -rec.params["p"] / rec.params["beta"])
-    else:
-        inv_p = [1.0 / pi for _, pi, _, _ in comps]
-        # components are per linear form; radial forms count n times
-        if example_id in ("plap", "iso_zyg"):
-            inv_p = inv_p * rec.n
-            ratios = [comps[0][2] / comps[0][1]] * rec.n
-        else:
-            ratios = [ai / pi for _, pi, ai, _ in comps]
-        rec.pbar = 1.0 / (sum(inv_p) / rec.n)
-        rec.abar = (rec.pbar / rec.n) * sum(ratios)
-    return rec
+        return ExampleRecord(example_id, 2, kept, [], phi, 2.0 * kept["p"],
+                             -kept["p"] / kept["beta"])
+    if example_id in ("plap", "iso_zyg"):
+        n, kept = int(params["n"]), {"p": float(params["p"])}
+        if example_id == "iso_zyg":
+            kept["alpha"] = float(params["alpha"])
+        comps = [_component("|grad u|", kept["p"], kept.get("alpha"))]
+        phi = RadialPhi(n, comps[0][3])
+    elif example_id == "aniso_trud":
+        n, kept = 2, {key: float(params[key]) for key in ("p", "q", "alpha")}
+        if kept["alpha"] <= 0:
+            raise YoungFunctionError("aniso_trud requires alpha > 0")
+        comps = [_component("u_x1", kept["q"], kept["alpha"]),
+                 _component("u_x1-u_x2", kept["p"])]
+        phi = LinearCombinationPhi(2, [([1.0, -1.0], comps[1][3]),
+                                       ([1.0, 0.0], comps[0][3])])
+    else:  # aniso_plap, aniso_zyg: one component per axis
+        keys = ("p", "alpha") if example_id == "aniso_zyg" else ("p",)
+        kept = {key: tuple(float(x) for x in np.atleast_1d(params[key]))
+                for key in keys}
+        n = len(kept["p"])
+        alphas = kept.get("alpha", (None,) * n)
+        if int(params.get("n", n)) != n or len(alphas) != n:
+            raise YoungFunctionError(
+                f"{example_id} needs one p_i (and alpha_i) per axis")
+        comps = [_component(f"u_x{i + 1}", pi, ai)
+                 for i, (pi, ai) in enumerate(zip(kept["p"], alphas))]
+        phi = SplitPhi([a for *_, a in comps])
+    # pbar = n / sum(1/p_i), abar = (pbar/n) sum(alpha_i/p_i); a radial
+    # form counts its one component n times
+    reps = n if phi.form == "radial" else 1
+    pbar = 1.0 / (sum([1.0 / pi for _, pi, _, _ in comps] * reps) / n)
+    abar = (pbar / n) * sum([ai / pi for _, pi, ai, _ in comps] * reps)
+    return ExampleRecord(example_id, n, kept, comps, phi, pbar, abar)
 
 
 def _regime(pbar, abar, n, tol=1e-9):
@@ -287,8 +255,7 @@ def verify_asymptotics(record):
     # stage 1: radial average from sublevel measures; the argument range
     # of the table ends at the inverse of the level cap, so the cap is
     # generous to leave room for a tail fit
-    phi = record.build_phi()
-    circ = phi_circ(phi, t_lo=1.0, t_hi=1e24, n_levels=_N_LEVELS)
+    circ = phi_circ(record.phi, t_lo=1.0, t_hi=1e24, n_levels=_N_LEVELS)
     sigma_hat, beta_hat, _ = fit_tail(circ)
     check("phi_circ power", sigma_hat, exp_reg["phi_circ"]["power"],
           _POWER_RTOL, True)
@@ -307,7 +274,7 @@ def verify_asymptotics(record):
     check("regime", float(regime == exp_reg["regime"]), 1.0, 0.0, False)
     model = _model(sigma_m, beta_m)
     if regime == "bounded":
-        verdict = classify_integral(model, n)
+        verdict, _ = classify_integral(model, n)
         check("dichotomy convergent", float(verdict == "convergent"), 1.0,
               0.0, False)
         report["checks"] = checks

@@ -88,12 +88,34 @@ def _measure(text):
     return float(text)
 
 
+def _keywords(spec, allowed):
+    """The ``key=value`` pairs after the colon of ``spec``, as floats;
+    a key outside ``allowed`` is an error."""
+    kind, _, body = spec.partition(":")
+    kw = dict(kv.split("=") for kv in body.split(","))
+    unknown = sorted(set(kw) - set(allowed))
+    if unknown:
+        raise young.YoungFunctionError(
+            f"unknown {kind}: key(s) {unknown}; expected {', '.join(allowed)}")
+    return {key: float(val) for key, val in kw.items()}
+
+
 def _load_rf(spec, domain_measure):
-    """Rearranged datum from ``const:<c>`` or a (s, value) CSV path."""
+    """Rearranged datum from ``const:<c>``, ``pow:a=<a>[,c=<c>]`` (the
+    profile f*(s) = c s^-a, 0 <= a < 1) or a (s, value) CSV path."""
     if isinstance(spec, str) and spec.startswith("const:"):
         c = float(spec.partition(":")[2])
         return rearrangement.RearrangedFunction(
             np.array([0.0, domain_measure]), np.array([c]))
+    if isinstance(spec, str) and spec.startswith("pow:"):
+        kw = _keywords(spec, ("a", "c"))
+        a, c = kw.get("a", math.nan), kw.get("c", 1.0)
+        if not 0.0 <= a < 1.0:
+            raise young.YoungFunctionError(
+                "pow: needs 0 <= a < 1, so that c s^-a is a decreasing "
+                f"integrable profile; got a={a:g}")
+        return rearrangement.RearrangedFunction.from_callable(
+            lambda s: c * s**-a, domain_measure)
     data = np.loadtxt(spec, delimiter=",", skiprows=1, ndmin=2)
     # rows are (s_{j-1}, v_j) with a trailing (s_m, v_m) sentinel
     return rearrangement.RearrangedFunction(data[:, 0], data[:-1, 1])
@@ -106,14 +128,10 @@ def _load_field(spec, n_nodes):
         c = float(spec.partition(":")[2])
         return grid.GridField(np.full((n_nodes, n_nodes), c))
     if isinstance(spec, str) and spec.startswith("point:"):
-        kw = dict(kv.split("=") for kv in spec.partition(":")[2].split(","))
-        unknown = sorted(set(kw) - {"mass", "x", "y"})
-        if unknown:
-            raise young.YoungFunctionError(
-                f"unknown point: key(s) {unknown}; expected mass, x, y")
+        kw = _keywords(spec, ("mass", "x", "y"))
         return grid.point_mass_field(
-            n_nodes, mass=float(kw.get("mass", 1.0)),
-            location=(float(kw.get("x", 0.5)), float(kw.get("y", 0.5))))
+            n_nodes, mass=kw.get("mass", 1.0),
+            location=(kw.get("x", 0.5), kw.get("y", 0.5)))
     vals = np.loadtxt(spec, delimiter=",", comments="#")
     return grid.GridField(vals)
 
@@ -216,7 +234,7 @@ def cmd_phicirc(cfg, out):
 def cmd_embedding(cfg, out):
     circ = _scalar_from_config(cfg, "phi_circ")
     n = int(_required(cfg, "n"))
-    verdict, diag = classify_integral(circ, n, report=True)
+    verdict, diag = classify_integral(circ, n)
     report = {"n": n, "dichotomy": verdict, "diagnostics": diag}
     if verdict == "convergent":
         report["conclusion"] = ("tail integral converges: bounded weak "
@@ -229,7 +247,7 @@ def cmd_embedding(cfg, out):
     t = np.geomspace(float(cfg.get("table_lo", 1e-2)),
                      float(cfg.get("table_hi", 1e6)), 512)
     tab = prof.to_table(t)
-    hat = hat_phi_circ(circ, n)
+    hat = hat_phi_circ(prof)
     _write_csv(out / "embedding_table.csv",
                ["t", "H", "phi_n", "hat_phi_circ", "vartheta_n",
                 "varrho_n"],
@@ -361,7 +379,7 @@ def cmd_regularity_report(cfg, out):
     e_cells = spec.potential.value(np.stack([gx, gy], axis=-1)).ravel()
     circ = anisotropic.phi_circ(spec.potential)
     u_max = float(u_rf(np.array([u_rf.breakpoints[0] * 0.5]))[0])
-    if classify_integral(circ, n) == "convergent":
+    if classify_integral(circ, n)[0] == "convergent":
         # p > n: u is bounded, and the level-set bounds and Marcinkiewicz
         # targets, built from the Sobolev conjugate, do not exist
         report = {"N": n_nodes, "p": p, "dichotomy": "convergent",
@@ -407,17 +425,12 @@ def cmd_regularity_report(cfg, out):
 
 
 def cmd_verify_example(cfg, out):
-    params = {}
-    for key in ("p", "q", "alpha", "beta", "n"):
-        if cfg.get(key) is not None:
-            val = cfg[key]
-            if isinstance(val, str) and "," in val:
-                val = tuple(float(x) for x in val.split(","))
-            elif key == "n":
-                val = int(val)
-            elif isinstance(val, str):
-                val = float(val)
-            params[key] = val
+    # make_record converts the values; only "2,4" lists are split here
+    params = {key: cfg[key] for key in ("p", "q", "alpha", "beta", "n")
+              if cfg.get(key) is not None}
+    for key, val in params.items():
+        if isinstance(val, str) and "," in val:
+            params[key] = val.split(",")
     rec = catalog.make_record(cfg["id"], **params)
     rep = catalog.verify_asymptotics(rec)
     _write_json(out / "verify_example_report.json", rep)
@@ -432,7 +445,7 @@ def cmd_admissibility(cfg, out):
     n = int(_required(cfg, "n"))
     omega = _measure(cfg.get("omega", 1.0))
     f_rf = _load_rf(_required(cfg, "f"), omega)
-    dich = classify_integral(circ, n)
+    dich, _ = classify_integral(circ, n)
     conj = circ.conjugate()
     report = rearrangement.data_admissibility(f_rf, conj, n, dich)
     report["n"] = n
@@ -479,7 +492,7 @@ def build_parser():
     p = sub.add_parser("symmetrize-solve", parents=[common])
     p.add_argument("--phi", help="scalar spec for the radial profile")
     p.add_argument("--n", type=int)
-    p.add_argument("--f", help="const:<c> or CSV path")
+    p.add_argument("--f", help="const:<c>, pow:a=<a>[,c=<c>] or CSV path")
     p.add_argument("--omega", help="domain measure (number or 'pi')")
 
     p = sub.add_parser("grid-solve", parents=[common])

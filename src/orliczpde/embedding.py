@@ -90,8 +90,9 @@ def fit_power_log(log_fn, log_lo, log_hi, extra=()):
     return coef, float(np.ptp(lv - X @ coef))
 
 
-def classify_integral(phi_circ, n, report=False):
-    """Dichotomy of Int^infty (t/Phi_circ(t))^{1/(n-1)} dt.
+def classify_integral(phi_circ, n):
+    """Dichotomy of Int^infty (t/Phi_circ(t))^{1/(n-1)} dt, returned as
+    ``(verdict, diagnostics)``.
 
     Fits the tail of Phi_circ as t^sigma (log t)^beta on the top two
     trusted decades.  The integrand behaves like
@@ -128,9 +129,7 @@ def classify_integral(phi_circ, n, report=False):
             verdict = "convergent"
         else:
             verdict = _numeric_tail_verdict(phi_circ, n, diag)
-    if report:
-        return verdict, diag
-    return verdict
+    return verdict, diag
 
 
 def _numeric_tail_verdict(phi_circ, n, diag):
@@ -237,7 +236,7 @@ def sobolev_conjugate(phi_circ, n, n_points=4096, log_t_hi=math.log(1e10)):
     inputs are refused — the solution is bounded there and no conjugate
     is needed.
     """
-    verdict, diag = classify_integral(phi_circ, n, report=True)
+    verdict, diag = classify_integral(phi_circ, n)
     if verdict == "convergent":
         raise DichotomyError(
             "tail integral converges: solutions are bounded and the "
@@ -299,26 +298,24 @@ def sobolev_conjugate(phi_circ, n, n_points=4096, log_t_hi=math.log(1e10)):
 _HAT_POINTS = 2048  # points of each hat_phi_circ table
 
 
-def hat_phi_circ(phi_circ, n):
-    """Optimal-target density: the nested improper quadrature
+def hat_phi_circ(profile):
+    """Optimal-target density of an :class:`EmbeddingProfile`: the
+    nested improper quadrature
 
         hat_phi^{-1}(t) = ( Int_{phi^{-1}(t)}^infty
                             I(r)^{-n} phi(r)^{-n/(n-1)} dr )^{1/(1-n)},
         I(r) = Int_0^r phi(tau)^{-1/(n-1)} dtau,
 
     where phi = Phi_circ' (monotone finite differences for sampled
-    input), tabulated on 2048 log-spaced r in [1e-6, 1e8] after the
-    near-zero modification where the integral at 0 diverges.  The outer
+    input), tabulated on 2048 log-spaced r in [1e-6, 1e8].  Phi_circ and
+    n are the profile's own: its dichotomy is divergent and its
+    Phi_circ already carries any near-zero modification.  The outer
     tail beyond the grid is extrapolated as a power law; a
     non-integrable extrapolated tail is an error naming the offending
     growth.  Integrating the inverted table gives the Young function
     hat_Phi_circ.
     """
-    verdict = classify_integral(phi_circ, n)
-    if verdict == "convergent":
-        raise DichotomyError("optimal target needs the divergent branch")
-    if near_zero_diverges(phi_circ, n):
-        phi_circ, _ = modify_near_zero(phi_circ)
+    phi_circ, n = profile.phi_circ, profile.n
     u = np.linspace(math.log(1e-6), math.log(1e8), _HAT_POINTS)
     r = np.exp(u)
     log_small_phi = np.log(np.maximum(phi_circ.derivative(r), 1e-300))

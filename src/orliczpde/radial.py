@@ -60,9 +60,6 @@ class RadialSolution:
     def value(self, r):
         return np.interp(np.asarray(r, dtype=float), self.r, self.v)
 
-    def gradient(self, r):
-        return np.interp(np.asarray(r, dtype=float), self.r, self.g)
-
     def rearranged(self):
         """v* as a step function: v is radially decreasing, so
         v*(om_n r^n) = v(r) exactly."""

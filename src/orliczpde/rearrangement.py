@@ -120,15 +120,6 @@ class RearrangedFunction:
         out = np.where(s >= self.domain_measure, 0.0, out)
         return float(out) if out.ndim == 0 else out
 
-    def distribution(self, t):
-        """mu(t) = |{u > t}| for the step representative."""
-        t = np.asarray(t, dtype=float)
-        # values sorted nonincreasing: measure above t is the breakpoint
-        # where values drop to <= t
-        idx = np.searchsorted(-self.values, -t, side="left")
-        out = self.breakpoints[idx]
-        return float(out) if out.ndim == 0 else out
-
     def maximal_eval(self, s):
         """Exact u**(s) = (1/s) Int_0^s u*."""
         s = np.asarray(s, dtype=float)
@@ -150,14 +141,6 @@ class RearrangedFunction:
     def integral(self):
         """Int_0^{|Omega|} u* (the L^1 norm of the original field)."""
         return float(self._cum[-1])
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("s,value\r\n")
-            for j, v in enumerate(self.values):
-                fh.write(f"{float(self.breakpoints[j])!r},{float(v)!r}\r\n")
-            fh.write(f"{float(self.breakpoints[-1])!r},"
-                     f"{float(self.values[-1])!r}\r\n")
 
 
 def _gauss_blocks(fn, edges):

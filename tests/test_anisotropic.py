@@ -145,12 +145,6 @@ def test_unbounded_sublevel_raises():
         sublevel_measure(phi, 100.0, method="star")
 
 
-def test_certify_rejects_odd_part():
-    phi = CustomPhi(2, lambda xi: xi[..., 0] ** 2 + 0.1 * xi[..., 1])
-    with pytest.raises(YoungFunctionError):
-        phi.certify()
-
-
 def test_phi_circ_radial_is_identity():
     a = PowerYoung(3)
     phi = RadialPhi(2, a)
@@ -174,7 +168,7 @@ _KINKED = [([1.0, 0.0], PowerYoung(2)), ([0.0, 1.0], PowerYoung(3)),
 @pytest.mark.parametrize("phi, t_hi, n_levels", [
     (SplitPhi([PowerYoung(2), PowerYoung(4)]), 1e6, 64),
     (SplitPhi([PowerYoung(1.8), PowerYoung(2.7), PowerYoung(3.5)]), 1e6, 6),
-    (make_record("aniso_trud", p=2, q=1.5, alpha=1).build_phi(), 1e24, 64),
+    (make_record("aniso_trud", p=2, q=1.5, alpha=1).phi, 1e24, 64),
     (LinearCombinationPhi(2, _KINKED), 1e20, 24),
     # four rows in R^3: the star path with the n = 3 product rule
     (LinearCombinationPhi(3, [([1.0, 0.0, 0.0], PowerYoung(2)),

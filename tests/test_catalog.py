@@ -55,6 +55,23 @@ def test_validation_errors():
         make_record("aniso_trud", p=2.0, q=0.5, alpha=1.0)
     with pytest.raises(YoungFunctionError):
         make_record("aniso_new", p=2.0, beta=1.0)
+    with pytest.raises(YoungFunctionError):
+        make_record("iso_zyg", p=1.0, alpha=0.0, n=2)
+    with pytest.raises(YoungFunctionError):
+        make_record("aniso_trud", p=2.0, q=2.0, alpha=0.0)
+
+
+@pytest.mark.parametrize("example_id, params", [
+    ("aniso_zyg", {"p": (2.0, 1.0), "alpha": (1.0, 0.5)}),
+    ("aniso_trud", {"p": 2.0, "q": 1.5, "alpha": 1.0}),
+])
+def test_phi_terms_are_the_components(example_id, params):
+    # Phi is assembled from the very objects A_i of the components, so
+    # each term is built and certified convex once
+    rec = make_record(example_id, **params)
+    comps = [a for *_, a in rec.components]
+    assert len(rec.phi.terms) == len(comps)
+    assert {id(a) for a in rec.phi.terms} == {id(a) for a in comps}
 
 
 def test_expected_regularity_subcritical_oracle():

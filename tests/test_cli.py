@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orliczpde import cli, grid, radial, rearrangement
+from orliczpde import cli, grid, radial
 from orliczpde.cli import main
 from orliczpde.young import PowerLogYoung
 
@@ -228,27 +228,49 @@ def _package_refs(tree, modules):
     return refs
 
 
+def _attribute_reads(tree):
+    """Every attribute name that ``tree`` reads as ``obj.name``."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
 def _uncalled_public_names():
     """``module.name`` for each public module-level function or class of
-    the package that nothing reaches.  A name is reached when another
-    module of the package imports it or reads it as ``module.name``
-    (``__init__`` re-exports do not count), when its own module uses it
-    outside its own body, when the benchmark sources spell it as a name
-    or a string, or when the acceptance tests or their shared helpers
-    import it or read it as ``module.name``."""
+    the package that nothing reaches, and ``module.Class.name`` for each
+    public method or property of a public class that nothing reaches.
+
+    A module-level name is reached when another module of the package
+    imports it or reads it as ``module.name`` (``__init__`` re-exports
+    do not count), when its own module uses it outside its own body,
+    when the benchmark sources spell it as a name or a string, or when
+    the acceptance tests or their shared helpers import it or read it as
+    ``module.name``.  A method is reached when any module of the
+    package, a benchmark source, the acceptance tests or their shared
+    helpers read an attribute of that name."""
     root = Path(cli.__file__).parents[2]
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
              for p in _PACKAGE_MODULES if p.stem != "__init__"}
-    bench = set().union(*map(_identifiers,
-                             sorted((root / "perfbench").glob("*.py"))))
-    refs = set().union(*(
-        _package_refs(ast.parse(path.read_text(encoding="utf-8")), trees)
-        for path in (root / "tests" / "test_acceptance.py",
-                     root / "tests" / "conftest.py")))
+    bench_paths = sorted((root / "perfbench").glob("*.py"))
+    bench = set().union(*map(_identifiers, bench_paths))
+    acceptance = [ast.parse(path.read_text(encoding="utf-8"))
+                  for path in (root / "tests" / "test_acceptance.py",
+                               root / "tests" / "conftest.py")]
+    refs = set().union(*(_package_refs(tree, trees) for tree in acceptance))
+    attrs = set().union(*map(_attribute_reads, [
+        *trees.values(), *acceptance,
+        *(ast.parse(p.read_text(encoding="utf-8")) for p in bench_paths)]))
     users = {mod: _package_refs(tree, trees) for mod, tree in trees.items()}
     uncalled = []
     for mod, tree in trees.items():
         for defn in tree.body:
+            if (isinstance(defn, ast.ClassDef)
+                    and not defn.name.startswith("_")):
+                uncalled += [f"{mod}.{defn.name}.{fn.name}"
+                             for fn in defn.body
+                             if isinstance(fn, ast.FunctionDef)
+                             and not fn.name.startswith("_")
+                             and fn.name not in attrs]
             if not isinstance(defn, (ast.FunctionDef, ast.ClassDef)) or (
                     defn.name.startswith("_")):
                 continue
@@ -266,8 +288,9 @@ def _uncalled_public_names():
 
 
 def test_every_public_name_has_a_caller():
-    # a public function or class that only its own unit tests reach
-    # serves no command, no benchmark operation and no acceptance check
+    # a public function, class or method that only its own unit tests
+    # reach serves no command, no benchmark operation and no acceptance
+    # check
     assert _uncalled_public_names() == []
 
 
@@ -275,8 +298,6 @@ def test_every_csv_writer_ends_lines_with_crlf(tmp_path):
     # RFC 4180: every CSV artifact ends its lines with CRLF
     writers = {
         "young": PowerLogYoung(2.0, 1.0).to_csv,
-        "rearranged": rearrangement.RearrangedFunction(
-            [0.0, 1.0, 2.0], [2.0, 1.0]).to_csv,
         "grid": grid.GridField.zeros(5).to_csv,
         "radial": radial.RadialSolution(
             2, 1.0, np.array([0.0, 1.0]), np.array([1.0, 0.0]),
@@ -436,6 +457,34 @@ def test_admissibility(tmp_path):
     assert code == 0
     rep = json.loads((out / "admissibility_report.json").read_text())
     assert rep["verdict"] == "admissible"
+
+
+@pytest.mark.parametrize("a, verdict", [
+    ("0.5", "admissible"),
+    ("0.9", "inadmissible at lam=100"),
+])
+def test_admissibility_of_a_power_profile(a, verdict, tmp_path):
+    # f* = s^-a on the pi-disk, Phi_circ = t^1.5 in the plane: conj is
+    # ~ s^3 and f** ~ s^-a, so the modular integrand ~ s^{3/2 - 3a} is
+    # integrable at 0 exactly when a < 5/6
+    code, out = run(["admissibility", "--phi-circ", "power:p=1.5",
+                     "--n", "2", "--omega", "pi", "--f", f"pow:a={a}"],
+                    tmp_path)
+    assert code == 0
+    rep = json.loads((out / "admissibility_report.json").read_text())
+    assert rep["verdict"] == verdict
+
+
+@pytest.mark.parametrize("spec", [
+    "pow:a=1",        # s^-1 is not integrable
+    "pow:a=0.5,b=2",  # an unknown key
+])
+def test_admissibility_refuses_bad_power_profile(spec, tmp_path):
+    code, out = run(["admissibility", "--phi-circ", "power:p=1.5",
+                     "--n", "2", "--f", spec], tmp_path)
+    assert code == 1
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["type"] == "YoungFunctionError"
 
 
 def test_verify_example_cli(tmp_path):

@@ -44,7 +44,7 @@ def test_fit_power_log_recovers_extra_columns():
     (PowerYoung(4), 3, "convergent"),
 ])
 def test_dichotomy_powers(a, n, verdict):
-    assert classify_integral(a, n) == verdict
+    assert classify_integral(a, n)[0] == verdict
 
 
 @pytest.mark.parametrize("alpha,verdict", [
@@ -54,7 +54,7 @@ def test_dichotomy_powers(a, n, verdict):
 ])
 def test_dichotomy_log_critical(alpha, verdict):
     a = PowerLogYoung(2.0, alpha).ensure_convex()
-    assert classify_integral(a, 2) == verdict
+    assert classify_integral(a, 2)[0] == verdict
 
 
 def test_near_zero_divergence_and_modification():
@@ -73,8 +73,6 @@ def test_near_zero_divergence_and_modification():
 def test_sobolev_conjugate_refuses_convergent():
     with pytest.raises(DichotomyError):
         sobolev_conjugate(PowerYoung(3), 2)
-    with pytest.raises(DichotomyError):
-        hat_phi_circ(PowerYoung(3), 2)
 
 
 def test_h_closed_form_for_powers():
@@ -129,7 +127,7 @@ def test_hat_target_power_case():
     # for Phi = t^p the nested quadrature collapses to a t^p-equivalent
     # density: int_R^infty I^{-n} phi^{-n/(n-1)} ~ R^{1-n} exactly
     for p, n in [(1.5, 2), (2.0, 3)]:
-        hat = hat_phi_circ(PowerYoung(p), n)
+        hat = hat_phi_circ(sobolev_conjugate(PowerYoung(p), n))
         lt = np.linspace(hat.log_t[0] + 2.0, hat.log_t[-1] - 2.0, 50)
         slope = np.polyfit(lt, hat.log_value(lt), 1)[0]
         assert slope == pytest.approx(p, rel=0.05)

@@ -85,7 +85,7 @@ def test_truncation_energy_check_radial():
     mids = 0.5 * (sol.r[1:] + sol.r[:-1])
     shells = math.pi * np.diff(sol.r**2)
     u_mid = sol.value(mids)
-    e_mid = sol.gradient(mids) ** p / p
+    e_mid = np.interp(mids, sol.r, sol.g) ** p / p
     # express per-shell masses through a uniform pseudo cell measure
     out = truncation_energy_check(u_mid, e_mid * shells, 1.0,
                                   f_l1=math.pi,
