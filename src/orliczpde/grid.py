@@ -30,6 +30,15 @@ bounds, the dual-norm residual sqrt(g . P^-1 g), and counts every CG
 breakdown (p.Hp <= 0) and every Newton step whose CG direction was
 replaced by P^-1 g because it was no descent direction.
 
+A solve from zero runs coarse to fine (nested iteration): on an odd N
+whose coarser mesh of (N + 1) / 2 nodes has at least 33 nodes, it first
+solves on that mesh, with the full-weighting restriction of f (which
+keeps Sum f h^2) and b averaged over 2 x 2 cell blocks, and starts from
+the bilinear prolongation of that solution.  Each coarse level is itself
+solved coarse to fine, and ``solve`` reports it under ``levels``.  On
+the constant datum this halves the Newton and CG work of the finest mesh
+for p = 3 and 4 at N = 129 and 257.
+
 Also here: truncated-data solution ladders (approximable solutions)
 and the mollified point-mass datum.
 """
@@ -37,7 +46,7 @@ and the mollified point-mass datum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -401,6 +410,15 @@ def solve(spec, f_field, tol=None, max_iter=100, u0=None,
     when the sup residual sets no new minimum in 15 consecutive steps (a
     stall).  A stop above 100 * tol raises :class:`SolveError`.
 
+    Nested iteration: without ``u0``, an odd N whose coarser mesh of
+    (N + 1) / 2 nodes has at least 33 nodes first solves the same
+    problem on that mesh, recursively and to its own default
+    tolerance, and starts from the bilinear prolongation of that
+    solution (:func:`_coarse_start`).  A coarse level that does not
+    converge gives no start, and the next finer level starts from zero.
+    ``tol``, ``max_iter``, the stall stop and :class:`SolveError`
+    concern the finest level; ``max_iter`` also caps each coarse level.
+
     With ``return_info`` the info dict holds ``energies``, ``residual``
     (the sup residual), ``dual_residual`` (sqrt(g . P^-1 g) for the
     final energy gradient g and the preconditioner P^-1 at the solution;
@@ -410,13 +428,46 @@ def solve(spec, f_field, tol=None, max_iter=100, u0=None,
     their iteration cap), ``pcg_breakdowns`` (CG solves stopped by a
     direction with p.Hp <= 0), ``descent_fallbacks`` (Newton steps whose
     CG direction was no descent direction and was replaced by P^-1 g)
-    and ``rounding_steps`` (steps taken at rounding level).
+    and ``rounding_steps`` (steps taken at rounding level), all of the
+    finest level.  ``levels`` lists the coarse levels, coarsest first,
+    each with its ``N``, ``newton_steps``, ``pcg_iterations``,
+    ``residual`` and ``converged``; it is empty for a solve from ``u0``.
     """
+    levels = []
+    if u0 is None:
+        u0 = _coarse_start(spec, f_field, max_iter, levels)
+    if tol is None:
+        tol = 1e-9 * (1.0 + f_field.l1())
+    u, g, pre, info = _newton(spec, f_field, tol, max_iter, u0)
+    stalled = info.pop("stalled_steps")
+    res = info["residual"]
+    if res > 100.0 * tol:
+        stall = (f", stalled: no new residual minimum in {stalled} steps"
+                 if stalled >= _STALL_STEPS else "")
+        raise SolveError(
+            f"no convergence after {info['newton_steps']} Newton steps "
+            f"(residual {res:g}, tol {tol:g}{stall})",
+            residual=res, newton_steps=info["newton_steps"],
+        )
+    out = GridField(u).zero_boundary()
+    if return_info:
+        pre.rescale(spec.hess_weights(*cell_gradients(u, f_field.h)))
+        info["dual_residual"] = math.sqrt(
+            max(float(np.sum(g * pre.apply(g))), 0.0))
+        info["levels"] = levels
+        return out, info
+    return out
+
+
+def _newton(spec, f_field, tol, max_iter, u0):
+    """The Newton-Krylov iteration of :func:`solve` on one mesh, from
+    ``u0`` (zero when None).  Returns ``(u, g, pre, info)``: the last
+    iterate, its energy gradient, the preconditioner and an info dict
+    with ``energies``, ``residual``, ``converged``, the counts and
+    ``stalled_steps`` (steps since the last residual minimum)."""
     f = f_field.values
     n = f_field.n_nodes
     h = f_field.h
-    if tol is None:
-        tol = 1e-9 * (1.0 + f_field.l1())
     u = np.zeros((n, n)) if u0 is None else np.array(u0, dtype=float)
     pre = _LaplacePreconditioner(n, h)
     J, J_scale = _energy(spec, u, f, h)
@@ -474,22 +525,69 @@ def solve(spec, f_field, tol=None, max_iter=100, u0=None,
             since_best += 1
             if since_best >= _STALL_STEPS:
                 break
-    if res > 100.0 * tol:
-        stall = (f", stalled: no new residual minimum in {since_best} steps"
-                 if since_best >= _STALL_STEPS else "")
-        raise SolveError(
-            f"no convergence after {counts['newton_steps']} Newton steps "
-            f"(residual {res:g}, tol {tol:g}{stall})",
-            residual=res, newton_steps=counts["newton_steps"],
-        )
-    out = GridField(u).zero_boundary()
-    if return_info:
-        pre.rescale(spec.hess_weights(*cell_gradients(u, h)))
-        dual = math.sqrt(max(float(np.sum(g * pre.apply(g))), 0.0))
-        return out, {"energies": energies, "residual": res,
-                     "dual_residual": dual, "converged": res <= tol,
-                     **counts}
-    return out
+    return u, g, pre, {"energies": energies, "residual": res,
+                       "converged": res <= tol, **counts,
+                       "stalled_steps": since_best}
+
+
+# Nested iteration: a solve from zero on an odd N first solves on the
+# mesh of (N + 1) / 2 nodes when that mesh has at least this many.
+# 17 and 33 measured about equal on the grid sweep.
+_COARSEST = 33
+
+
+def _prolongation(n_coarse):
+    """Linear interpolation from n_coarse nodes of [0, 1] to the
+    2 n_coarse - 1 nodes of the mesh of half the width, as a matrix P;
+    P U P^T is the bilinear prolongation of a nodal field U.  Each row
+    sums to 1."""
+    rows = np.zeros((2 * n_coarse - 1, n_coarse))
+    k = np.arange(n_coarse)
+    rows[2 * k, k] = 1.0
+    rows[2 * k[:-1] + 1, k[:-1]] = rows[2 * k[:-1] + 1, k[1:]] = 0.5
+    return rows
+
+
+def _restrict(values):
+    """Full weighting P^T f P / 4 of a nodal field f on an odd number of
+    nodes, P from :func:`_prolongation`.  The rows of P sum to 1 and the
+    coarse cell has four times the area, so Sum f h^2 is kept exactly:
+    a point mass keeps its mass."""
+    p = _prolongation((values.shape[0] + 1) // 2)
+    return p.T @ values @ p / 4.0
+
+
+def _prolong(values):
+    """Bilinear prolongation of a nodal field to the mesh of half the
+    width; exact on fields a + b x + c y + d x y."""
+    p = _prolongation(values.shape[0])
+    return p @ values @ p.T
+
+
+def _coarse_start(spec, f_field, max_iter, levels):
+    """The nested-iteration start of :func:`solve` on the mesh of
+    ``f_field``: the bilinear prolongation of the solution one mesh
+    coarser, or None when N is even, the coarser mesh has fewer than
+    ``_COARSEST`` nodes or its solve did not converge.  The coarse datum
+    is the full weighting of f, an array coefficient b is averaged over
+    2 x 2 cell blocks (so b >= 1 still holds), and the coarse solve
+    starts from its own coarse start.  Appends one record per coarse
+    level to ``levels``, coarsest first."""
+    n = f_field.n_nodes
+    if n % 2 == 0 or (n + 1) // 2 < _COARSEST:
+        return None
+    if np.ndim(spec.b):
+        m = (n - 1) // 2
+        spec = replace(spec, b=np.asarray(spec.b).reshape(
+            m, 2, m, 2).mean(axis=(1, 3)))
+    coarse = GridField(_restrict(f_field.values))
+    start = _coarse_start(spec, coarse, max_iter, levels)
+    u, _, _, info = _newton(spec, coarse, 1e-9 * (1.0 + coarse.l1()),
+                            max_iter, start)
+    levels.append({"N": coarse.n_nodes, **{
+        key: info[key] for key in ("newton_steps", "pcg_iterations",
+                                   "residual", "converged")}})
+    return _prolong(u) if info["converged"] else None
 
 
 def point_mass_field(n, mass=1.0, location=(0.5, 0.5)):

@@ -425,6 +425,30 @@ def test_grid_solve_passes(tmp_path):
     assert b"\r\n" in (out / "u.csv").read_bytes()
 
 
+def test_grid_solve_is_one_public_solve(monkeypatch, tmp_path):
+    # a tracer wraps grid.solve in every orliczpde namespace that holds
+    # it and counts one solve per call; the coarse levels of the nested
+    # iteration must not go through the public name
+    calls = []
+    original = grid.solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "orliczpde" or name.startswith("orliczpde."):
+            for key, obj in list(vars(mod).items()):
+                if obj is original:
+                    monkeypatch.setattr(mod, key, counted)
+    assert grid.solve is counted
+    code, out = run(["grid-solve", "--N", "65", "--p", "3"], tmp_path)
+    assert code == 0
+    assert len(calls) == 1
+    rep = json.loads((out / "grid_solve_report.json").read_text())
+    assert [level["N"] for level in rep["levels"]] == [33]
+
+
 @pytest.mark.parametrize("point", [
     "mass=1,x=0",     # a boundary node, where u is held at 0
     "mass=1,x=-0.1",  # a negative index, which would wrap to x = 0.9375

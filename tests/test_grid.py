@@ -10,6 +10,8 @@ from orliczpde.grid import (
     _energy_gradient,
     _hessian_times,
     _LaplacePreconditioner,
+    _prolong,
+    _restrict,
     OperatorSpec,
     SolveError,
     approximable_sequence,
@@ -80,10 +82,12 @@ def test_p4_solve_converges_at_rounding_level():
 
 def test_p5_solve_converges_from_zero():
     # at u = 0 the Hessian weight r^(p-2) sits at its floor; below 1e-16
-    # the first CG direction is enormous and no Newton step is accepted
+    # the first CG direction is enormous and no Newton step is accepted.
+    # u0 = 0 is passed, so no coarse level gives a start.
     f = GridField.from_function(33, lambda x, y: np.ones_like(x))
     f.zero_boundary()
-    u, info = solve(OperatorSpec(power_potential(5.0)), f, return_info=True)
+    u, info = solve(OperatorSpec(power_potential(5.0)), f,
+                    u0=np.zeros((33, 33)), return_info=True)
     assert info["converged"]
     assert info["residual"] <= 1e-9 * (1.0 + f.l1())
     assert info["newton_steps"] <= 20
@@ -91,22 +95,83 @@ def test_p5_solve_converges_from_zero():
 
 
 def test_p4_solve_pcg_work():
-    # the inexact Newton forcing term and the Jacobi-scaled preconditioner
-    # keep the inner CG short: 63 iterations (188 with the plain inverse
-    # Laplacian)
+    # the inexact Newton forcing term, the Jacobi-scaled preconditioner
+    # and the start from N = 65 keep the inner CG short: 32 iterations
+    # over 7 Newton steps on the finest mesh (63 over 13 from zero, 188
+    # from zero with the plain inverse Laplacian)
     f = GridField.from_function(129, lambda x, y: np.ones_like(x))
     _, info = solve(OperatorSpec(power_potential(4.0)), f, return_info=True)
     assert info["converged"]
     assert info["pcg_iterations"] < 120
+    assert info["newton_steps"] <= 9
 
 
 def test_p15_solve_pcg_work():
-    # |grad u|^(p-2) varies most below p = 2: 98 CG iterations with the
-    # Jacobi scaling, 239 with the plain inverse Laplacian
+    # |grad u|^(p-2) varies most below p = 2: 57 CG iterations on the
+    # finest mesh from the N = 65 start (98 from zero with the Jacobi
+    # scaling, 239 from zero with the plain inverse Laplacian)
     f = GridField.from_function(129, lambda x, y: np.ones_like(x))
     _, info = solve(OperatorSpec(power_potential(1.5)), f, return_info=True)
     assert info["converged"]
     assert info["pcg_iterations"] < 150
+
+
+def test_split_solve_pcg_work():
+    # a nodal scaling cannot see the cell tensor diag(A_1'', A_2''):
+    # from zero the split (1.5, 2) takes 33 Newton steps and 991 CG
+    # iterations, from the N = 65 start 25 and 477 on the finest mesh
+    f = GridField.from_function(129, lambda x, y: np.ones_like(x))
+    _, info = solve(OperatorSpec(split_power_potential(1.5, 2.0)), f,
+                    return_info=True)
+    assert info["converged"]
+    assert info["pcg_iterations"] < 700
+
+
+def test_nested_solve_reports_its_levels():
+    f = GridField.from_function(129, lambda x, y: np.ones_like(x))
+    _, info = solve(OperatorSpec(power_potential(3.0)), f, return_info=True)
+    assert [level["N"] for level in info["levels"]] == [33, 65]
+    for level in info["levels"]:
+        assert level["converged"] and level["newton_steps"] > 0
+        assert level["pcg_iterations"] >= level["newton_steps"]
+        assert level["residual"] <= 1e-9 * (1.0 + f.l1())
+    # even N, N = 33 (whose coarser mesh has 17 nodes), N = 17 and a
+    # given u0 solve on one mesh only
+    for n, u0 in ((64, None), (33, None), (17, None),
+                  (65, np.zeros((65, 65)))):
+        f = GridField.from_function(n, lambda x, y: np.ones_like(x))
+        _, info = solve(OperatorSpec(power_potential(3.0)), f, u0=u0,
+                        return_info=True)
+        assert info["converged"] and info["levels"] == []
+
+
+def test_nested_solve_reaches_the_cold_solution():
+    # a cell coefficient b is averaged over 2 x 2 blocks on the coarse
+    # mesh; the start changes, the minimizer does not
+    b = np.random.default_rng(2).uniform(1.0, 3.0, (64, 64))
+    spec = OperatorSpec(power_potential(3.0), b=b)
+    f = GridField.from_function(65, lambda x, y: np.ones_like(x))
+    u, info = solve(spec, f, return_info=True)
+    cold = solve(spec, f, u0=np.zeros((65, 65)))
+    assert [level["N"] for level in info["levels"]] == [33]
+    assert np.max(np.abs(u.values - cold.values)) <= 1e-9 * np.max(u.values)
+
+
+def test_restriction_conserves_mass():
+    fine = point_mass_field(129)
+    coarse = GridField(_restrict(fine.values))
+    assert coarse.n_nodes == 65
+    assert abs(coarse.l1() - fine.l1()) <= 1e-12
+
+
+def test_prolongation_is_exact_on_bilinear_fields():
+    def bilinear(x, y):
+        return 0.3 - 1.5 * x + 2.0 * y + 4.0 * x * y
+
+    coarse = GridField.from_function(17, bilinear)
+    fine = GridField.from_function(33, bilinear)
+    np.testing.assert_allclose(_prolong(coarse.values), fine.values,
+                               rtol=0.0, atol=1e-14)
 
 
 def test_p2_solve_is_one_exact_newton_step():
@@ -243,7 +308,9 @@ def test_solve_error_when_no_iterations_allowed():
 
 def test_stalled_newton_stops_early():
     # p = 1.2 on N = 65 stalls well above the tolerance; the solve stops
-    # once the residual sets no new minimum for a while, not at max_iter
+    # once the residual sets no new minimum for a while, not at max_iter.
+    # The N = 33 level stalls too (38 steps, residual 0.12), so N = 65
+    # starts from zero and stops after 15 steps at residual 2.1.
     f = GridField.from_function(65, lambda x, y: np.ones_like(x))
     with pytest.raises(SolveError, match="stalled") as info:
         solve(OperatorSpec(power_potential(1.2)), f)
