@@ -16,12 +16,11 @@ radial extent R(w) of the boundary in direction w:
 with R found along each ray by one ``solve_increasing`` call
 (vectorized over directions, which ride along as per-row ``args`` so
 that each round evaluates Phi only on the rays still unfinished) and
-the spherical integral done by a
-deterministic rule that doubles its points per axis at each level: the
-midpoint rule in angle for n = 2, and for n >= 3 a product rule in
+the spherical integral done by one deterministic rule for every n that
+doubles its points per angle at each level: a product rule in
 hyperspherical coordinates, Gauss-Legendre in the polar angles and the
 midpoint rule in the azimuth (Stroud 1971, *Approximate Calculation of
-Multiple Integrals*).
+Multiple Integrals*).  Phi is even, so the azimuth covers half a circle.
 
 Split forms sum_i A_i(|xi_i|) (and square full-rank linear combinations,
 linear images of them) skip the rays: power terms c_i t^p_i have
@@ -211,57 +210,43 @@ def radial_extent(phi, directions, t):
             f"{phi.bound_radius:g}): {err}") from None
 
 
-# an n >= 4 rule has at most 2^21 directions, the size of the finest
-# n = 3 rule (2 * 1024^2)
+# no rule has more than 2^21 directions, the size of the n = 3 rule at
+# level 5 (1024^2); the n = 3 rule at level 6 would have 2^22
 _LOG2_MAX_DIRECTIONS = 21
+
+
+def _log2_points(n):
+    """log2 of the points per angle of the level-0 sphere rule: 32 for
+    n <= 3, 4 above; a rule with m points per angle has m^(n-1)
+    directions."""
+    return 5 if n <= 3 else 2
 
 
 def _sphere_levels(n):
     """Number of refinement levels of ``_sphere_rule`` in dimension n:
-    six, or fewer for n >= 4, where level L has (4 * 2^L)^(n-1)
-    directions and none may exceed 2^_LOG2_MAX_DIRECTIONS."""
-    if n <= 3:
-        return 6
-    return min(6, _LOG2_MAX_DIRECTIONS // (n - 1) - 1)
+    six, or fewer where a level would exceed 2^_LOG2_MAX_DIRECTIONS
+    directions (one at n = 11, none from n = 12)."""
+    return min(6, _LOG2_MAX_DIRECTIONS // (n - 1) - _log2_points(n) + 1)
 
 
 def _sphere_rule(n, level):
-    """Directions and weights integrating over S^{n-1}; the number of
-    points along each angle doubles with ``level``.
+    """Directions and weights integrating an even function over S^{n-1};
+    the number of points along each angle doubles with ``level``.
 
-    n=2: midpoint rule in angle — the integrand R(w)^n is smooth and
-    periodic, so this converges fast.
-    n=3: product Gauss-Legendre in cos(polar) x uniform azimuthal.
-    n>=4: product rule in hyperspherical coordinates, Gauss-Legendre in
-    each of the n-2 polar angles theta_k weighted by sin(theta_k)^k, and
-    the midpoint rule in the azimuth.  The azimuth covers half a circle
-    with doubled weights: the full rule is symmetric under w -> -w and
-    Phi is even, so the result is the same at half the cost.
+    A product rule in hyperspherical coordinates: Gauss-Legendre in each
+    of the n-2 polar angles theta_k, weighted by sin(theta_k)^k, and the
+    midpoint rule in the azimuth.  The azimuth covers half a circle with
+    doubled weights: the full rule is symmetric under w -> -w and Phi is
+    even, so R(w)^n is too and the result is the same at half the cost.
     """
-    if n == 2:
-        m = 64 * 2**level
-        th = (np.arange(m) + 0.5) * (2.0 * math.pi / m)
-        w = np.stack([np.cos(th), np.sin(th)], axis=1)
-        wt = np.full(m, 2.0 * math.pi / m)
-        return w, wt
-    if n == 3:
-        m = 32 * 2**level
-        x, gw = np.polynomial.legendre.leggauss(m)  # cos(polar) in [-1,1]
-        k = 2 * m
-        az = (np.arange(k) + 0.5) * (2.0 * math.pi / k)
-        ct = np.repeat(x, k)
-        st = np.sqrt(np.maximum(1.0 - ct**2, 0.0))
-        ca, sa = np.tile(np.cos(az), m), np.tile(np.sin(az), m)
-        w = np.stack([st * ca, st * sa, ct], axis=1)
-        wt = np.repeat(gw, k) * (2.0 * math.pi / k)
-        return w, wt
-    m = 4 * 2**level
-    x, gw = np.polynomial.legendre.leggauss(m)
-    th, gw = 0.5 * math.pi * (x + 1.0), 0.5 * math.pi * gw  # on [0, pi]
-    ct, st = np.cos(th), np.sin(th)
+    m = 2 ** (_log2_points(n) + level)
     az = (np.arange(m) + 0.5) * (math.pi / m)
     w = np.stack([np.cos(az), np.sin(az)], axis=1)
     wt = np.full(m, 2.0 * math.pi / m)
+    if n > 2:  # n = 2 has no polar angle; leggauss(1024) alone takes 0.17 s
+        x, gw = np.polynomial.legendre.leggauss(m)
+        th, gw = 0.5 * math.pi * (x + 1.0), 0.5 * math.pi * gw  # on [0, pi]
+        ct, st = np.cos(th), np.sin(th)
     for k in range(1, n - 1):
         # w -> (cos theta, sin theta * w), measure sin(theta)^k dtheta
         w = np.column_stack([np.repeat(ct, len(w)),
@@ -319,9 +304,9 @@ def _split_measure(terms, t):
 # as many pending levels as fit with all their sphere directions (one
 # level at least), a split call as many levels as fit with all their
 # outer quadrature nodes (56 levels for n = 2, one for n = 3).  On the
-# benchmark's averages workload (2-core Xeon, one thread) 2^14 ran as
-# fast as any size tried (1.27-1.31 s; 2^12: 1.43-1.45 s), and larger
-# batches cost memory: 2^16 raised peak RSS by 16%, 2^21 by 83%.
+# benchmark's averages workload (2-core Xeon, one thread, four seeds)
+# 2^14 took 0.33-0.36 s, 2^12 0.37-0.41 s and 2^16 0.32-0.35 s, but 2^16
+# raised peak RSS by 12%.
 _CHUNK = 2**14
 _REL_TOL = 1e-7
 

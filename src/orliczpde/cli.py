@@ -276,8 +276,7 @@ def cmd_symmetrize_solve(cfg, out):
     report = {
         "n": n, "domain_measure": omega, "radius": sol.radius,
         "center_value": float(sol.v[0]),
-        "linf_bound": float(sol.v[0]) if not f_rf.head_infinite
-        else math.inf,
+        "linf_bound": float(sol.v[0]),
         "boundedness_criterion": bc,
     }
     _write_json(out / "symmetrize_solve_report.json", report)

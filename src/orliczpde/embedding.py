@@ -190,13 +190,13 @@ class EmbeddingProfile:
     """Everything downstream estimates consume, precomputed.
 
     ``phi_circ`` is the (possibly near-zero-modified) scalar radial
-    average actually used in the constructions; ``dichotomy`` is the
-    tail verdict of the original input.
+    average actually used in the constructions.  Every profile belongs to
+    the divergent dichotomy: :func:`sobolev_conjugate` refuses the
+    convergent one.
     """
 
     n: int
     phi_circ: ScalarYoungFunction
-    dichotomy: str
     H: SampledYoungFunction
     phi_n: SampledYoungFunction
     vartheta_n: MonotoneFunction
@@ -289,7 +289,7 @@ def sobolev_conjugate(phi_circ, n, n_points=4096, log_t_hi=math.log(1e10)):
                                     700.0)),
         name="varrho_n", log_fn=vr_log)
     return EmbeddingProfile(
-        n=n, phi_circ=phi_circ, dichotomy=verdict, H=H, phi_n=phi_n,
+        n=n, phi_circ=phi_circ, H=H, phi_n=phi_n,
         vartheta_n=vartheta, varrho_n=varrho, modification=record,
         diagnostics=diag,
     )

@@ -120,8 +120,6 @@ def linf_bound(f_rf, psi_diamond_inv, n, domain_measure=None, n_nodes=4096):
     """
     if domain_measure is None:
         domain_measure = f_rf.domain_measure
-    if f_rf.head_infinite:
-        return math.inf
     sol = solve_radial(psi_diamond_inv, f_rf, n, domain_measure, n_nodes)
     return float(sol.v[0])
 
@@ -143,11 +141,8 @@ def gradient_l1_bound(theta_values, cell_measures, domain_measure, f_l1, n):
 def level_set_bound_u(K, profile: EmbeddingProfile, kappa2=1.0):
     """Superlevel bound  |{|u| >= t}| <= K t / Phi_n(k2 t^{1/n'} K^{-1/n}).
 
-    Returns a callable of t; refuses the convergent dichotomy (solutions
-    are bounded there, the bound is vacuous).
+    Returns a callable of t.
     """
-    if profile.dichotomy == "convergent":
-        raise ValueError("level-set bound needs the divergent branch")
     np_prime = profile.n_prime
 
     def bound(t):
@@ -181,8 +176,6 @@ def level_set_bound_grad(profile: EmbeddingProfile, c1=1.0):
     """Gradient superlevel bound  |{Phi(grad u) > s}| <= c1 Phi_n^{-1}(s)^{n'} / s,
     with the proof-chain constant 2 (K/c)^{n'} reported via
     :func:`calibrate_c1` when calibrating against data."""
-    if profile.dichotomy == "convergent":
-        raise ValueError("level-set bound needs the divergent branch")
     np_prime = profile.n_prime
 
     def bound(s):

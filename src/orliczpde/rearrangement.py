@@ -47,8 +47,6 @@ class RearrangedFunction:
     ``values`` v_1 >= ... >= v_m >= 0, with v_j taken on [s_{j-1}, s_j).
     """
 
-    head_infinite = False  # set when realizing a non-integrable profile
-
     def __init__(self, breakpoints, values):
         s = np.asarray(breakpoints, dtype=float)
         v = np.asarray(values, dtype=float)
@@ -90,7 +88,9 @@ class RearrangedFunction:
         2^14 breakpoints are log-spaced down to 1e-14 |Omega|;
         each step takes the value at its left endpoint (an upper,
         equimeasurable-in-the-limit realization).  ``fn`` is vectorized:
-        it is called once on all left endpoints.
+        it is called once on all left endpoints.  A profile that is not
+        integrable at 0 is not an L^1 datum and raises
+        :class:`YoungFunctionError`.
         """
         s = np.concatenate([
             [0.0],
@@ -100,15 +100,13 @@ class RearrangedFunction:
         v = np.asarray(fn(left), dtype=float)
         v = np.maximum.accumulate(v[::-1])[::-1]
         # the first step carries the exact head mass Int_0^{s_1} fn, so
-        # f** of the realization matches the profile's; a non-integrable
-        # head is flagged and propagates an infinite maximal function
+        # f** of the realization matches the profile's
         head = improper_integral(fn, 0.0, s[1])
-        head_infinite = not math.isfinite(head)
-        if not head_infinite:
-            v[0] = max(head / s[1], v[0])
-        out = cls(s, v)
-        out.head_infinite = head_infinite
-        return out
+        if not math.isfinite(head):
+            raise YoungFunctionError(
+                "profile is not integrable at 0, so it is not an L^1 datum")
+        v[0] = max(head / s[1], v[0])
+        return cls(s, v)
 
     # -- evaluation ---------------------------------------------------
 
@@ -123,9 +121,6 @@ class RearrangedFunction:
     def maximal_eval(self, s):
         """Exact u**(s) = (1/s) Int_0^s u*."""
         s = np.asarray(s, dtype=float)
-        if self.head_infinite:
-            out = np.full(s.shape, math.inf)
-            return float(out) if out.ndim == 0 else out
         s_c = np.clip(s, 0.0, self.domain_measure)
         idx = np.clip(np.searchsorted(self.breakpoints, s_c, side="right") - 1,
                       0, len(self.values) - 1)

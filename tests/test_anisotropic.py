@@ -90,6 +90,42 @@ def test_star_path_in_four_dimensions():
         unit_ball_volume(4) * a.inverse(7.0) ** 4, rel=1e-6)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sphere_rule_integrates_over_the_sphere(n):
+    # level L has m^(n-1) unit directions, m = 32 * 2^L for n <= 3 and
+    # 4 * 2^L above; the weights integrate 1 to |S^{n-1}| = n omega_n and
+    # each w_i^2 to omega_n, to rounding once m >= 16 and within the
+    # stated bound on the two coarsest n >= 4 rules
+    omega = unit_ball_volume(n)
+    for level in range(3):
+        w, wt = anisotropic._sphere_rule(n, level)
+        m = (32 if n <= 3 else 4) * 2**level
+        assert w.shape == (m ** (n - 1), n) and wt.shape == (m ** (n - 1),)
+        np.testing.assert_allclose(np.linalg.norm(w, axis=1), 1.0,
+                                   rtol=0.0, atol=1e-15)
+        err = max(abs(wt.sum() / (n * omega) - 1.0),
+                  *np.abs(wt @ w**2 / omega - 1.0))
+        assert err < {4: 0.5, 8: 5e-4}.get(m, 1e-13)
+
+
+def test_star_path_in_three_dimensions_is_cheap(monkeypatch):
+    # the split (2, 3, 4) through the star path at two levels: within
+    # 2e-9 of Dirichlet's closed form on at most 50,000 ray solves
+    rows = []
+    extent = anisotropic.radial_extent
+
+    def counted(phi, w, t):
+        rows.append(len(w))
+        return extent(phi, w, t)
+
+    monkeypatch.setattr(anisotropic, "radial_extent", counted)
+    phi = SplitPhi([PowerYoung(p) for p in (2, 3, 4)])
+    levels = np.array([1.0, 1e3])
+    np.testing.assert_allclose(sublevel_measure(phi, levels, method="star"),
+                               sublevel_measure(phi, levels), rtol=2e-9)
+    assert sum(rows) <= 50_000
+
+
 def test_split_measure_scaling_is_exact():
     # the (2,4) split measure is exactly homogeneous: m(t) = C t^{3/4}
     phi = SplitPhi([PowerYoung(2), PowerYoung(4)])
@@ -202,7 +238,7 @@ def test_unconverged_star_level_warns():
 
 def test_star_path_batches_at_most_a_chunk(monkeypatch):
     # x^2 + xy + y^2: an ellipse of area 2 pi t / sqrt(3), on the star
-    # path; 300 levels of the 64-direction first rule need two chunks
+    # path; 600 levels of the 32-direction first rule need two chunks
     calls = []
 
     def fn(xi):
@@ -210,8 +246,8 @@ def test_star_path_batches_at_most_a_chunk(monkeypatch):
         return xi[:, 0] ** 2 + xi[:, 0] * xi[:, 1] + xi[:, 1] ** 2
 
     phi = CustomPhi(2, fn)
-    circ = phi_circ(phi, t_lo=1e-2, t_hi=1e6, n_levels=300)
-    assert max(calls) <= anisotropic._CHUNK < 300 * 64
+    circ = phi_circ(phi, t_lo=1e-2, t_hi=1e6, n_levels=600)
+    assert max(calls) <= anisotropic._CHUNK < 600 * 32
     assert circ.convergence["unconverged"] == 0
     levels = np.exp(circ.log_v)
     np.testing.assert_allclose(
@@ -219,8 +255,8 @@ def test_star_path_batches_at_most_a_chunk(monkeypatch):
         2.0 * math.pi * levels / math.sqrt(3.0), rtol=1e-9)
     calls.clear()
     monkeypatch.setattr(anisotropic, "_CHUNK", 2**40)
-    single = phi_circ(phi, t_lo=1e-2, t_hi=1e6, n_levels=300)
-    assert max(calls) >= 300 * 64
+    single = phi_circ(phi, t_lo=1e-2, t_hi=1e6, n_levels=600)
+    assert max(calls) >= 600 * 32
     np.testing.assert_array_equal(single.log_t, circ.log_t)
     np.testing.assert_array_equal(single.log_v, circ.log_v)
 

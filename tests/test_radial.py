@@ -1,7 +1,6 @@
 """Closed-form radial solutions and the a-priori estimate checkers."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -125,12 +124,3 @@ def test_level_set_bounds_calibrated():
     gbound = level_set_bound_grad(prof, c1=c1)
     for s in s_ladder:
         assert mu_e(s) <= gbound(s) * (1.0 + 1e-9)
-
-
-def test_level_set_bounds_refuse_convergent():
-    prof = sobolev_conjugate(PowerYoung(1.5), 2)
-    conv = replace(prof, dichotomy="convergent")
-    with pytest.raises(ValueError):
-        level_set_bound_u(1.0, conv)
-    with pytest.raises(ValueError):
-        level_set_bound_grad(conv)

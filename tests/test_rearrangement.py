@@ -53,14 +53,13 @@ def test_maximal_eval_exact_on_steps():
 
 def test_from_callable_preserves_mass():
     rf = RearrangedFunction.from_callable(lambda s: s ** -0.5, 1.0)
-    assert not rf.head_infinite
     assert rf.integral() == pytest.approx(2.0, rel=1e-3)
 
 
 def test_from_callable_flags_non_integrable_head():
-    rf = RearrangedFunction.from_callable(lambda s: 1.0 / s, 1.0)
-    assert rf.head_infinite
-    assert math.isinf(rf.maximal_eval(0.5))
+    # 1/s is not integrable at 0, so it is no L^1 datum
+    with pytest.raises(YoungFunctionError, match="not integrable"):
+        RearrangedFunction.from_callable(lambda s: 1.0 / s, 1.0)
 
 
 def test_validation_errors():
