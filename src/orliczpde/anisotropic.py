@@ -18,9 +18,10 @@ with R found along each ray by one ``solve_increasing`` call
 that each round evaluates Phi only on the rays still unfinished) and
 the spherical integral done by one deterministic rule for every n that
 doubles its points per angle at each level: a product rule in
-hyperspherical coordinates, Gauss-Legendre in the polar angles and the
-midpoint rule in the azimuth (Stroud 1971, *Approximate Calculation of
-Multiple Integrals*).  Phi is even, so the azimuth covers half a circle.
+hyperspherical coordinates (Stroud 1971, *Approximate Calculation of
+Multiple Integrals*), Gauss-Legendre in the polar angles and on each arc
+of a half-circle azimuth (Phi is even) between the kink planes
+c . xi = 0 of the terms A(|c . xi|).
 
 Split forms sum_i A_i(|xi_i|) (and square full-rank linear combinations,
 linear images of them) skip the rays: power terms c_i t^p_i have
@@ -216,43 +217,72 @@ _LOG2_MAX_DIRECTIONS = 21
 
 
 def _log2_points(n):
-    """log2 of the points per angle of the level-0 sphere rule: 32 for
-    n <= 3, 4 above; a rule with m points per angle has m^(n-1)
-    directions."""
+    """log2 of the level-0 sphere rule's points per angle, m = 32 for
+    n <= 3 and 4 above; without kinks it has m^(n-1) directions."""
     return 5 if n <= 3 else 2
 
 
-def _sphere_levels(n):
-    """Number of refinement levels of ``_sphere_rule`` in dimension n:
-    six, or fewer where a level would exceed 2^_LOG2_MAX_DIRECTIONS
-    directions (one at n = 11, none from n = 12)."""
-    return min(6, _LOG2_MAX_DIRECTIONS // (n - 1) - _log2_points(n) + 1)
+def _gauss_legendre(m):
+    """Gauss-Legendre nodes and weights on [-1, 1] by Newton's method on
+    the recurrence of P_m: rounding-accurate in O(m) memory, where
+    numpy's ``leggauss`` builds an m x m matrix (1.4 MB of RSS at 256)."""
+    x = -np.cos(math.pi * (np.arange(m) + 0.75) / (m + 0.5))
+    for _ in range(4):  # three steps reach rounding level
+        p0, p1 = np.ones(m), x
+        for k in range(2, m + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = m * (p0 - x * p1) / (1.0 - x * x)  # P_m'(x)
+        x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x * x) * dp**2)
 
 
-def _sphere_rule(n, level):
+def _sphere_rule(n, level, kinks):
     """Directions and weights integrating an even function over S^{n-1};
     the number of points along each angle doubles with ``level``.
 
-    A product rule in hyperspherical coordinates: Gauss-Legendre in each
-    of the n-2 polar angles theta_k, weighted by sin(theta_k)^k, and the
-    midpoint rule in the azimuth.  The azimuth covers half a circle with
-    doubled weights: the full rule is symmetric under w -> -w and Phi is
-    even, so R(w)^n is too and the result is the same at half the cost.
+    A product rule in hyperspherical coordinates: m-point Gauss-Legendre
+    in each of the n-2 polar angles theta_k, weighted by sin(theta_k)^k,
+    and in the azimuth Gauss-Legendre on each arc between the angles
+    where a kink plane c . w = 0 (c a row of ``kinks``) crosses it, so an
+    integrand with kinks there is smooth on every arc; m / 2^j points
+    each (one at least), 2^j >= the most arcs of a polar node.  The
+    azimuth covers half a circle with doubled weights: the rule is
+    symmetric under w -> -w and Phi is even, so R(w)^n is too.
     """
     m = 2 ** (_log2_points(n) + level)
-    az = (np.arange(m) + 0.5) * (math.pi / m)
-    w = np.stack([np.cos(az), np.sin(az)], axis=1)
-    wt = np.full(m, 2.0 * math.pi / m)
-    if n > 2:  # n = 2 has no polar angle; leggauss(1024) alone takes 0.17 s
-        x, gw = np.polynomial.legendre.leggauss(m)
+    # polar part: direction (u, s cos(az), s sin(az)), weight pw
+    w, pw = np.ones((1, 1)), np.ones(1)
+    if n > 2:
+        x, gw = _gauss_legendre(m)
         th, gw = 0.5 * math.pi * (x + 1.0), 0.5 * math.pi * gw  # on [0, pi]
         ct, st = np.cos(th), np.sin(th)
     for k in range(1, n - 1):
         # w -> (cos theta, sin theta * w), measure sin(theta)^k dtheta
         w = np.column_stack([np.repeat(ct, len(w)),
-                             (st[:, None, None] * w).reshape(-1, k + 1)])
-        wt = np.outer(gw * st**k, wt).ravel()
-    return w, wt
+                             (st[:, None, None] * w).reshape(-1, k)])
+        pw = np.outer(gw * st**k, pw).ravel()
+    u, s = w[:, :-1], w[:, -1:]
+    # c . w = c_u . u + s |c_az| cos(az - phase) vanishes at
+    # az = phase +- arccos(-c_u . u / (s |c_az|)) where that is real
+    c = np.reshape(np.asarray(kinks, dtype=float), (-1, n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta = np.arccos(-(u @ c[:, :-2].T)
+                         / (s * np.hypot(c[:, -2], c[:, -1])))
+    phase = np.arctan2(c[:, -1], c[:, -2])
+    cuts = np.concatenate([phase + beta, phase - beta], axis=1) % (2 * math.pi)
+    cuts = np.where(cuts <= math.pi, cuts, 0.0)  # no crossing (nan) too
+    ends = np.sort(np.column_stack([np.zeros(len(u)), cuts,
+                                    np.full(len(u), math.pi)]), axis=1)
+    width = np.diff(ends, axis=1)[:, :, None]
+    arcs = int(np.max(np.count_nonzero(width, axis=1)))
+    x, gw = _gauss_legendre(max(m >> (arcs - 1).bit_length(), 1))
+    az = (ends[:, :-1, None] + 0.5 * width * (x + 1.0)).reshape(len(u), -1)
+    # doubled weights: gw sums to 2 on each arc of the half circle
+    wt = (pw[:, None, None] * width * gw).reshape(len(u), -1)
+    keep = wt > 0.0  # drop the empty arcs
+    w = np.column_stack([np.repeat(u, keep.sum(axis=1), axis=0),
+                         (s * np.cos(az))[keep], (s * np.sin(az))[keep]])
+    return w, wt[keep]
 
 
 def _power_split_measure(terms, t):
@@ -276,8 +306,9 @@ def _split_measure(terms, t):
     Dirichlet's closed form for (2, 4) and 3.6e-10 for (2, 3, 4), the
     same at every level from 1e-3 to 1e6.
 
-    The outermost variable is substituted x = R sin(theta) so the
-    boundary edge (where the remaining budget vanishes) carries a
+    ``terms[0]`` is inverted once per level, ``terms[-1]`` at levels x
+    288^(n-1) nodes.  The outermost variable is substituted x = R sin(theta)
+    so the boundary edge (where the remaining budget vanishes) carries a
     cos(theta) factor and composite Gauss panels converge fast.  Extreme
     axis anisotropy costs nothing here, unlike the angular rule.
     """
@@ -305,8 +336,8 @@ def _split_measure(terms, t):
 # level at least), a split call as many levels as fit with all their
 # outer quadrature nodes (56 levels for n = 2, one for n = 3).  On the
 # benchmark's averages workload (2-core Xeon, one thread, four seeds)
-# 2^14 took 0.33-0.36 s, 2^12 0.37-0.41 s and 2^16 0.32-0.35 s, but 2^16
-# raised peak RSS by 12%.
+# 2^14 took 0.22 s, 2^12 0.25-0.30 s and 2^16 0.20-0.21 s, but 2^16
+# raised peak RSS by 3%.
 _CHUNK = 2**14
 _REL_TOL = 1e-7
 
@@ -322,7 +353,13 @@ def _star_measure(phi, levels):
     """Star-path measures of the 1-D array ``levels``, all at once, and
     their convergence summary (see :func:`sublevel_measure`)."""
     n = phi.n
-    n_rules = _sphere_levels(n)
+    # the planes c . xi = 0 where a term A(|c . xi|) has its kink
+    kinks = np.eye(n) if phi.form == "split" else getattr(phi, "coeffs", ())
+    # six rules, or fewer where m^(n-2) polar nodes times max(m, 2 K + 1)
+    # azimuth points could exceed 2^21 (one at n = 11, none from n = 12)
+    arcs = (2 * len(kinks)).bit_length()  # 2^arcs >= 2 K + 1
+    n_rules = sum((n - 2) * j + max(j, arcs) <= _LOG2_MAX_DIRECTIONS
+                  for j in range(_log2_points(n), _log2_points(n) + 6))
     if n_rules < 1:
         raise YoungFunctionError(
             f"the sphere rule in dimension {n} exceeds "
@@ -331,7 +368,7 @@ def _star_measure(phi, levels):
     change = np.full(levels.size, np.inf)
     pending = np.arange(levels.size)
     for rule in range(n_rules):
-        w, wt = _sphere_rule(n, rule)
+        w, wt = _sphere_rule(n, rule, kinks)
         new = np.empty(pending.size)
         for chunk in _chunks(pending.size, len(w)):
             ts = levels[pending[chunk]]
@@ -364,10 +401,12 @@ def _measures(phi, levels, method):
     elif det > 0.0 and all(isinstance(a, PowerYoung) for a in phi.terms):
         out = _power_split_measure(phi.terms, levels) / det
     elif det > 0.0:
+        # Fubini leaves the order free: a closed-form inverse innermost
+        terms = sorted(phi.terms, key=lambda a: a.closed_form_inverse)
         out = np.empty(levels.size)
         nodes = (_SPLIT_PANELS * _GL12_X.size) ** (phi.n - 1)
         for chunk in _chunks(levels.size, nodes):
-            out[chunk] = _split_measure(phi.terms, levels[chunk]) / det
+            out[chunk] = _split_measure(terms, levels[chunk]) / det
     else:
         return _star_measure(phi, levels)
     return out, {"levels": levels.size, "unconverged": 0,
@@ -383,16 +422,17 @@ def sublevel_measure(phi, t, method="auto"):
     (and square full-rank linear combinations, which are linear images
     of split sublevel sets with Jacobian 1/|det M|) use Dirichlet's
     closed form when every term is a :class:`PowerYoung` and iterated
-    quadrature (about 3.4e-10 relative error) otherwise; everything
-    else goes through the star-shaped boundary integral with the rule
-    refined until the relative change drops below ``rel_tol`` = 1e-7.
-    On that path every pending level is solved with every direction of a
-    sphere level in one :func:`radial_extent` call (in chunks of at most
-    ``_CHUNK`` (level, direction) pairs), and a level leaves once its
-    relative change is <= ``rel_tol``; levels still above it after the
-    finest rule are returned with a :class:`MeasureConvergenceWarning`.
-    ``method="star"`` forces the boundary integral for cross-checking.
-    Every rule is deterministic.
+    quadrature (about 3.4e-10 relative error, a ``closed_form_inverse``
+    term innermost) otherwise; everything else goes through the
+    star-shaped boundary integral, its sphere rule split at the terms'
+    kink planes and refined until the relative change drops below
+    ``rel_tol`` = 1e-7.  On that path every pending level is solved with
+    every direction of a sphere level in one :func:`radial_extent` call
+    (in chunks of at most ``_CHUNK`` (level, direction) pairs), and a
+    level leaves once its relative change is <= ``rel_tol``; levels still
+    above it after the finest rule are returned with a
+    :class:`MeasureConvergenceWarning`.  ``method="star"`` forces the
+    boundary integral for cross-checking.  Every rule is deterministic.
     """
     t_arr = np.asarray(t, dtype=float)
     out = np.zeros(t_arr.size)

@@ -12,11 +12,11 @@ and A(t)/t -> oo as t -> oo.  This module provides
 * generalized left-continuous inverses, closed form where known and
   otherwise by one vectorized solver, ``solve_increasing``: it brackets
   each root by squaring factors (4, 16, 256, ...), then narrows the
-  bracket by Illinois regula falsi in (log t, log A) coordinates, where
-  power-like functions are nearly straight, never taking more than a
-  few steps beyond what bisection would; each round evaluates only the
-  unfinished elements, and per-element parameters ride along as
-  ``args``,
+  bracket by Anderson-Bjorck regula falsi in (log t, log A)
+  coordinates, where power-like functions are nearly straight, never
+  taking more than a few steps beyond what bisection would; each round
+  evaluates only the unfinished elements, and per-element parameters
+  ride along as ``args``,
 * doubling-condition probes (Delta_2 / Nabla_2 near infinity),
 * the derived monotone functions Psi(t) = A(t)/t and
   Theta_diamond(t) = conj(A)^{-1}(A(t)).
@@ -145,10 +145,12 @@ def solve_increasing(fn, y, rtol=1e-12, x_max=1e300, args=()):
     root is bracketed by steps up or down by factors 4, 16, 256, ...
     (the factor squares at each step, up to 2**64).  The bracket
     [lo, hi], fn(lo) < y <= fn(hi), is then narrowed by regula falsi on
-    the log-log secant with the Illinois modification (Dowell & Jarratt
-    1971, BIT 11): when the same end moves twice running, the other
-    end's log residual is halved.  Where the secant is not finite
-    (fn(lo) = 0 or fn(hi) = inf, say) the geometric midpoint is taken.
+    the log-log secant with the Anderson-Bjorck modification (Anderson &
+    Bjorck 1973, BIT 13): when the same end moves twice running, the
+    other end's log residual is scaled by 1 - r_new/r_old of the moved
+    end, or halved where that is not positive.  Where the secant is not
+    finite (fn(lo) = 0 or fn(hi) = inf, say) the geometric midpoint is
+    taken.
     Every trial point lies at least log1p(rtol)/4 inside the bracket,
     and close enough to its middle that the element still finishes
     within ``_SLACK`` steps of what bisection would take (the projection
@@ -206,15 +208,16 @@ def solve_increasing(fn, y, rtol=1e-12, x_max=1e300, args=()):
             del c
             np.log(y_cur, out=y_cur)
             rc = np.subtract(np.log(fc), y_cur, out=y_cur)
-            del fc
+            # Anderson-Bjorck: an end moving twice running scales the other
+            # end's log residual by 1 - r_new/r_old, or by 1/2 if not > 0
+            scale = 1.0 - rc / np.where(reached, rhi, rlo)
+            scale[~(scale > 0.0)] = 0.5
             np.copyto(rhi, rc, where=reached)
             np.copyto(rlo, rc, where=below)
-            del rc, y_cur
-            # Illinois: an end that moves twice running halves the log
-            # residual at the other (while an element is still
-            # bracketing, that residual is an unset 0)
-            np.multiply(rlo, 0.5, out=rlo, where=reached & moved_hi)
-            np.multiply(rhi, 0.5, out=rhi, where=below & ~moved_hi)
+            del fc, rc, y_cur
+            np.multiply(rlo, scale, out=rlo, where=reached & moved_hi)
+            np.multiply(rhi, scale, out=rhi, where=below & ~moved_hi)
+            del scale
             moved_hi = reached
             done = hi <= lo * (1.0 + rtol)
             if np.any(done):
@@ -281,6 +284,7 @@ class ScalarYoungFunction:
     t_min = 1e-8
     t_max = 1e8
     convexity_certified = False
+    closed_form_inverse = False  # ``inverse`` runs no solver
 
     # -- evaluation ---------------------------------------------------
 
@@ -359,6 +363,8 @@ class ScalarYoungFunction:
 
 class PowerYoung(ScalarYoungFunction):
     """A(t) = coeff * t**p, p > 1."""
+
+    closed_form_inverse = True
 
     def __init__(self, p, coeff=1.0):
         if p <= 1:
@@ -451,6 +457,8 @@ class ExpPowerYoung(ScalarYoungFunction):
     ``value`` clamps the exponent at 700, so the trusted range ends
     where t**beta reaches it.
     """
+
+    closed_form_inverse = True
 
     def __init__(self, beta=1.0):
         if beta < 1:
@@ -639,6 +647,8 @@ class SampledYoungFunction(ScalarYoungFunction):
     convex envelope in linear coordinates (used after discrete Legendre
     transforms).
     """
+
+    closed_form_inverse = True  # interpolates the inverse table
 
     def __init__(self, log_t, log_v, name="sampled"):
         log_t = np.asarray(log_t, dtype=float)

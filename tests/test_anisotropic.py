@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import calculus_identity_errors
-from orliczpde import anisotropic
+from orliczpde import anisotropic, young
 from orliczpde.anisotropic import (
     BoundBoxError,
     CustomPhi,
@@ -92,20 +92,33 @@ def test_star_path_in_four_dimensions():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_sphere_rule_integrates_over_the_sphere(n):
-    # level L has m^(n-1) unit directions, m = 32 * 2^L for n <= 3 and
-    # 4 * 2^L above; the weights integrate 1 to |S^{n-1}| = n omega_n and
-    # each w_i^2 to omega_n, to rounding once m >= 16 and within the
-    # stated bound on the two coarsest n >= 4 rules
+    # level L without kinks has m^(n-1) unit directions, m = 32 * 2^L for
+    # n <= 3 and 4 * 2^L above; the weights integrate 1 to
+    # |S^{n-1}| = n omega_n and each w_i^2 to omega_n, to rounding once
+    # m >= 16 and within the stated bound on the two coarsest n >= 4
+    # rules.  Split at three kink planes through the azimuth axes, the
+    # rule keeps those bounds in at most m^(n-1) directions, and it
+    # integrates |c . w| for such a plane c to rounding, where the rule
+    # without kinks is 7.7e-4 off at m = 32
     omega = unit_ball_volume(n)
+    kinks = np.zeros((3, n))
+    kinks[:, -2:] = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
     for level in range(3):
-        w, wt = anisotropic._sphere_rule(n, level)
         m = (32 if n <= 3 else 4) * 2**level
-        assert w.shape == (m ** (n - 1), n) and wt.shape == (m ** (n - 1),)
-        np.testing.assert_allclose(np.linalg.norm(w, axis=1), 1.0,
-                                   rtol=0.0, atol=1e-15)
-        err = max(abs(wt.sum() / (n * omega) - 1.0),
-                  *np.abs(wt @ w**2 / omega - 1.0))
-        assert err < {4: 0.5, 8: 5e-4}.get(m, 1e-13)
+        for c in (np.zeros((0, n)), kinks):
+            w, wt = anisotropic._sphere_rule(n, level, c)
+            assert w.shape == (wt.size, n) and wt.size <= m ** (n - 1)
+            assert len(c) or wt.size == m ** (n - 1)
+            np.testing.assert_allclose(np.linalg.norm(w, axis=1), 1.0,
+                                       rtol=0.0, atol=1e-15)
+            err = max(abs(wt.sum() / (n * omega) - 1.0),
+                      *np.abs(wt @ w**2 / omega - 1.0))
+            assert err < {4: 0.5, 8: 5e-4}.get(m, 1e-13)
+            if len(c) and m >= 32:
+                # Int |w_{n-1} + w_n| over S^{n-1} = 2 sqrt(2) omega_{n-1}
+                exact = 2.0 * math.sqrt(2.0) * unit_ball_volume(n - 1)
+                assert wt @ np.abs(w @ c[2]) == pytest.approx(exact,
+                                                              rel=1e-13)
 
 
 def test_star_path_in_three_dimensions_is_cheap(monkeypatch):
@@ -155,6 +168,33 @@ def test_power_split_closed_form_matches_quadrature(ps, cs):
     det = abs(np.linalg.det(m))
     np.testing.assert_allclose(sublevel_measure(phi, t), quadrature / det,
                                rtol=1e-9)
+
+
+def test_split_measure_inverts_a_closed_form_term_innermost(monkeypatch):
+    # aniso_trud's rows hold a power-log and a power term.  The order of
+    # integration is free (Fubini), so the power term, whose inverse is
+    # closed form, goes innermost and the power-log term is solved once
+    # per level: 128 roots for 128 levels, against 36,864 (128 levels x
+    # 288 nodes) in the given order
+    roots = []
+    solve = young.solve_increasing
+
+    def counted(fn, y, *args, **kwargs):
+        roots.append(np.size(y))
+        return solve(fn, y, *args, **kwargs)
+
+    monkeypatch.setattr(young, "solve_increasing", counted)
+    phi_circ(make_record("aniso_trud", p=2, q=1.5, alpha=1).phi,
+             n_levels=128)
+    assert 0 < sum(roots) <= 128
+    # both orders agree on a 2-term and a 3-term mixed split
+    t = np.array([1e-2, 10.0, 1e5])
+    log_term = PowerLogYoung(1.5, 1.0, shift=math.exp(2.0)).ensure_convex()
+    for terms in ([log_term, PowerYoung(2.0)],
+                  [log_term, PowerYoung(3.0, 0.5), ExpMinusLinearYoung()]):
+        np.testing.assert_allclose(anisotropic._split_measure(terms, t),
+                                   anisotropic._split_measure(terms[::-1], t),
+                                   rtol=1e-9)
 
 
 def test_linear_combination_shear_measure():
@@ -225,10 +265,46 @@ def test_phi_circ_equals_per_level_measures(phi, t_hi, n_levels):
     np.testing.assert_allclose(circ.log_t, ref.log_t, rtol=0.0, atol=1e-12)
 
 
-def test_unconverged_star_level_warns():
-    # the kinked levels above about 1.7e16 end the six sphere rules
-    # above rel_tol; the lower level converges and leaves no trace
+def test_kinked_combination_converges_at_every_level(monkeypatch):
+    # the sphere rule split where x = 0, y = 0 and x + y = 0 cross the
+    # azimuth: all 128 levels in [1, 1e20] converge on at most 100,000
+    # ray solves (unsplit, the midpoint azimuth left 25 of them above
+    # rel_tol after 138,112), within 1e-9 of 16-point Gauss on 64 panels
+    # of each arc between the kinks
+    rows = []
+    extent = anisotropic.radial_extent
+
+    def counted(phi, w, t):
+        rows.append(len(w))
+        return extent(phi, w, t)
+
+    monkeypatch.setattr(anisotropic, "radial_extent", counted)
     phi = LinearCombinationPhi(2, _KINKED)
+    levels = np.geomspace(1.0, 1e20, 128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        measures = sublevel_measure(phi, levels)
+    assert sum(rows) <= 100_000
+    circ = phi_circ(phi, t_lo=1.0, t_hi=1e20, n_levels=128)
+    assert circ.convergence["unconverged"] == 0
+    x, gw = np.polynomial.legendre.leggauss(16)
+    ends = np.concatenate([np.linspace(a, b, 65)[:-1] for a, b in (
+        (0.0, math.pi / 2), (math.pi / 2, 3 * math.pi / 4),
+        (3 * math.pi / 4, math.pi))] + [[math.pi]])
+    h = np.diff(ends)[:, None]
+    az = (ends[:-1, None] + 0.5 * h * (x + 1.0)).ravel()
+    w = np.column_stack([np.cos(az), np.sin(az)])
+    # |{Phi <= t}| = (1/2) Int_0^{2 pi} R^2, twice the half circle
+    wt = (h * gw).ravel()  # sums to 2 pi on [0, pi]
+    ref = [wt @ extent(phi, w, t) ** 2 / 2.0 for t in levels[::4]]
+    np.testing.assert_allclose(measures[::4], ref, rtol=1e-9)
+
+
+def test_unconverged_star_level_warns():
+    # the kinked function as a CustomPhi declares no kink planes, so its
+    # sphere rule is not split there: level 1e20 ends the six sphere
+    # rules above rel_tol; the lower level converges and leaves no trace
+    phi = CustomPhi(2, LinearCombinationPhi(2, _KINKED).value)
     with pytest.warns(MeasureConvergenceWarning) as caught:
         sublevel_measure(phi, np.array([1e3, 1e20]))
     summary = caught[0].message.summary

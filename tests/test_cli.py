@@ -372,12 +372,13 @@ def test_phicirc_deterministic(tmp_path):
 
 def test_phicirc_reports_sphere_rule_convergence(tmp_path):
     # three pairwise independent rows: the star path, whose sphere rule
-    # ends above rel_tol on the kinked high levels; the split form is
+    # ends above rel_tol on the high levels, where the sublevel sets of
+    # |y|^1.5 + |x - 2y|^6 stretch far along x = 2y; the split form is
     # exact quadrature and has no unconverged level
     kinked = json.dumps({"n": 2, "form": "linear_combination", "terms": [
         {"coeffs": [1, 0], "kind": "power", "p": 2},
-        {"coeffs": [0, 1], "kind": "power", "p": 3},
-        {"coeffs": [1, 1], "kind": "power", "p": 4}]})
+        {"coeffs": [0, 1], "kind": "power", "p": 1.5},
+        {"coeffs": [1, -2], "kind": "power", "p": 6}]})
     config = tmp_path / "kinked.json"
     config.write_text(json.dumps({"t_lo": 1, "t_hi": 1e20, "n_levels": 128}))
     code, out = run(["phicirc", "--config", str(config), "--phi", kinked],

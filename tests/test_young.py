@@ -421,6 +421,24 @@ def test_solve_increasing_scalar_target_on_a_modular(a):
     assert modular(np.array([x / (1.0 + 1e-9)]))[0] < 1.0
 
 
+def test_solve_increasing_work_on_an_exponential_bracket():
+    # exponential growth is far from straight in log-log coordinates:
+    # the bracket [16384, 2**30] has log residuals -3 and +701, and
+    # halving the far residual (Illinois) crept from the near end, 24
+    # evaluations in all; scaling it by the Anderson-Bjorck factor
+    # takes 13
+    a = ExpMinusOneYoung()
+    xs = []
+
+    def fn(x):
+        xs.append(float(x[0]))
+        return 3.0 * a.value(1e-6 * x)
+
+    x = solve_increasing(fn, 1.0, rtol=1e-10)
+    assert len(xs) <= 15
+    assert fn(np.array([x]))[0] >= 1.0 > fn(np.array([x / (1.0 + 1e-10)]))[0]
+
+
 @pytest.mark.parametrize("y", [1.01, 1.5, 1.99])
 def test_solve_increasing_work_on_a_jump_stays_near_bisection(y):
     # a jump from 1 to 2 at s: the secant is no help, the budget of
