@@ -21,7 +21,7 @@ doubles its points per angle at each level: a product rule in
 hyperspherical coordinates (Stroud 1971, *Approximate Calculation of
 Multiple Integrals*), Gauss-Legendre in the polar angles and on each arc
 of a half-circle azimuth (Phi is even) between the kink planes
-c . xi = 0 of the terms A(|c . xi|).
+c . xi = 0 of the terms A(|c . xi|), the midpoint rule where none cuts it.
 
 Split forms sum_i A_i(|xi_i|) (and square full-rank linear combinations,
 linear images of them) skip the rays: power terms c_i t^p_i have
@@ -223,9 +223,8 @@ def _log2_points(n):
 
 
 def _gauss_legendre(m):
-    """Gauss-Legendre nodes and weights on [-1, 1] by Newton's method on
-    the recurrence of P_m: rounding-accurate in O(m) memory, where
-    numpy's ``leggauss`` builds an m x m matrix (1.4 MB of RSS at 256)."""
+    """Gauss-Legendre nodes and weights on [-1, 1], rounding-accurate, by
+    Newton's method on the recurrence of P_m in O(m) memory."""
     x = -np.cos(math.pi * (np.arange(m) + 0.75) / (m + 0.5))
     for _ in range(4):  # three steps reach rounding level
         p0, p1 = np.ones(m), x
@@ -241,13 +240,13 @@ def _sphere_rule(n, level, kinks):
     the number of points along each angle doubles with ``level``.
 
     A product rule in hyperspherical coordinates: m-point Gauss-Legendre
-    in each of the n-2 polar angles theta_k, weighted by sin(theta_k)^k,
-    and in the azimuth Gauss-Legendre on each arc between the angles
-    where a kink plane c . w = 0 (c a row of ``kinks``) crosses it, so an
-    integrand with kinks there is smooth on every arc; m / 2^j points
-    each (one at least), 2^j >= the most arcs of a polar node.  The
-    azimuth covers half a circle with doubled weights: the rule is
-    symmetric under w -> -w and Phi is even, so R(w)^n is too.
+    in each of the n-2 polar angles theta_k, weighted by sin(theta_k)^k.
+    Where kink planes c . w = 0 (c a row of the K x n ``kinks``) cut the
+    azimuth, it takes max(m / 2^j, 1)-point Gauss-Legendre on each arc
+    between them, 2^j >= the most arcs of a polar node, so kinks cost no
+    accuracy; where none does, the m-point midpoint rule, the efficient
+    one for a smooth periodic integrand.  The azimuth covers half a
+    circle with doubled weights: Phi is even, so R(w)^n is too.
     """
     m = 2 ** (_log2_points(n) + level)
     # polar part: direction (u, s cos(az), s sin(az)), weight pw
@@ -264,18 +263,19 @@ def _sphere_rule(n, level, kinks):
     u, s = w[:, :-1], w[:, -1:]
     # c . w = c_u . u + s |c_az| cos(az - phase) vanishes at
     # az = phase +- arccos(-c_u . u / (s |c_az|)) where that is real
-    c = np.reshape(np.asarray(kinks, dtype=float), (-1, n))
     with np.errstate(divide="ignore", invalid="ignore"):
-        beta = np.arccos(-(u @ c[:, :-2].T)
-                         / (s * np.hypot(c[:, -2], c[:, -1])))
-    phase = np.arctan2(c[:, -1], c[:, -2])
+        beta = np.arccos(-(u @ kinks[:, :-2].T)
+                         / (s * np.hypot(kinks[:, -2], kinks[:, -1])))
+    phase = np.arctan2(kinks[:, -1], kinks[:, -2])
     cuts = np.concatenate([phase + beta, phase - beta], axis=1) % (2 * math.pi)
     cuts = np.where(cuts <= math.pi, cuts, 0.0)  # no crossing (nan) too
     ends = np.sort(np.column_stack([np.zeros(len(u)), cuts,
                                     np.full(len(u), math.pi)]), axis=1)
     width = np.diff(ends, axis=1)[:, :, None]
     arcs = int(np.max(np.count_nonzero(width, axis=1)))
-    x, gw = _gauss_legendre(max(m >> (arcs - 1).bit_length(), 1))
+    k = max(m >> (arcs - 1).bit_length(), 1)
+    x, gw = ((np.arange(1 - k, k, 2) / k, np.full(k, 2.0 / k)) if arcs == 1
+             else _gauss_legendre(k))
     az = (ends[:, :-1, None] + 0.5 * width * (x + 1.0)).reshape(len(u), -1)
     # doubled weights: gw sums to 2 on each arc of the half circle
     wt = (pw[:, None, None] * width * gw).reshape(len(u), -1)
@@ -295,7 +295,7 @@ def _power_split_measure(terms, t):
     return scale / math.gamma(1.0 + s) * np.asarray(t, dtype=float) ** s
 
 
-_GL12_X, _GL12_W = np.polynomial.legendre.leggauss(12)
+_GL12_X, _GL12_W = _gauss_legendre(12)
 _SPLIT_PANELS = 24
 
 
@@ -353,22 +353,24 @@ def _star_measure(phi, levels):
     """Star-path measures of the 1-D array ``levels``, all at once, and
     their convergence summary (see :func:`sublevel_measure`)."""
     n = phi.n
-    # the planes c . xi = 0 where a term A(|c . xi|) has its kink
+    # kink planes c . xi = 0 of the terms A(|c . xi|); the K rows c with
+    # an azimuth part cut the azimuth into <= 2 K + 1 <= 2^arcs arcs
     kinks = np.eye(n) if phi.form == "split" else getattr(phi, "coeffs", ())
-    # six rules, or fewer where m^(n-2) polar nodes times max(m, 2 K + 1)
-    # azimuth points could exceed 2^21 (one at n = 11, none from n = 12)
-    arcs = (2 * len(kinks)).bit_length()  # 2^arcs >= 2 K + 1
-    n_rules = sum((n - 2) * j + max(j, arcs) <= _LOG2_MAX_DIRECTIONS
-                  for j in range(_log2_points(n), _log2_points(n) + 6))
+    c = np.reshape(kinks, (-1, n))
+    arcs = int(2 * np.any(c[:, -2:], axis=1).sum()).bit_length()
+    # six rules, or fewer where m^(n-1) directions exceed 2^21 (one at
+    # n = 11, none from n = 12), split where m^(n-2) max(m, 2^arcs) do not
+    n_rules = min(6, _LOG2_MAX_DIRECTIONS // (n - 1) - _log2_points(n) + 1)
     if n_rules < 1:
-        raise YoungFunctionError(
-            f"the sphere rule in dimension {n} exceeds "
-            f"2^{_LOG2_MAX_DIRECTIONS} directions")
+        raise YoungFunctionError(f"the sphere rule in dimension {n} exceeds "
+                                 f"2^{_LOG2_MAX_DIRECTIONS} directions")
     est = np.zeros(levels.size)
     change = np.full(levels.size, np.inf)
     pending = np.arange(levels.size)
     for rule in range(n_rules):
-        w, wt = _sphere_rule(n, rule, kinks)
+        j = _log2_points(n) + rule
+        split = (n - 2) * j + max(j, arcs) <= _LOG2_MAX_DIRECTIONS
+        w, wt = _sphere_rule(n, rule, c if split else c[:0])
         new = np.empty(pending.size)
         for chunk in _chunks(pending.size, len(w)):
             ts = levels[pending[chunk]]

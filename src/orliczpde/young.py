@@ -148,9 +148,8 @@ def solve_increasing(fn, y, rtol=1e-12, x_max=1e300, args=()):
     the log-log secant with the Anderson-Bjorck modification (Anderson &
     Bjorck 1973, BIT 13): when the same end moves twice running, the
     other end's log residual is scaled by 1 - r_new/r_old of the moved
-    end, or halved where that is not positive.  Where the secant is not
-    finite (fn(lo) = 0 or fn(hi) = inf, say) the geometric midpoint is
-    taken.
+    end (halved if that is not positive); where the secant is not
+    finite (fn(lo) = 0 or fn(hi) = inf, say) the geometric midpoint is taken.
     Every trial point lies at least log1p(rtol)/4 inside the bracket,
     and close enough to its middle that the element still finishes
     within ``_SLACK`` steps of what bisection would take (the projection
@@ -208,10 +207,9 @@ def solve_increasing(fn, y, rtol=1e-12, x_max=1e300, args=()):
             del c
             np.log(y_cur, out=y_cur)
             rc = np.subtract(np.log(fc), y_cur, out=y_cur)
-            # Anderson-Bjorck: an end moving twice running scales the other
-            # end's log residual by 1 - r_new/r_old, or by 1/2 if not > 0
-            scale = 1.0 - rc / np.where(reached, rhi, rlo)
-            scale[~(scale > 0.0)] = 0.5
+            scale = np.where(reached, rhi, rlo)
+            np.subtract(1.0, np.divide(rc, scale, out=scale), out=scale)
+            scale[~(scale > 0.0)] = 0.5  # Anderson-Bjorck; halve if not > 0
             np.copyto(rhi, rc, where=reached)
             np.copyto(rlo, rc, where=below)
             del fc, rc, y_cur

@@ -99,7 +99,7 @@ def test_sphere_rule_integrates_over_the_sphere(n):
     # rules.  Split at three kink planes through the azimuth axes, the
     # rule keeps those bounds in at most m^(n-1) directions, and it
     # integrates |c . w| for such a plane c to rounding, where the rule
-    # without kinks is 7.7e-4 off at m = 32
+    # without kinks, the midpoint azimuth, is 4.0e-4 off at m = 32
     omega = unit_ball_volume(n)
     kinks = np.zeros((3, n))
     kinks[:, -2:] = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
@@ -137,6 +137,38 @@ def test_star_path_in_three_dimensions_is_cheap(monkeypatch):
     np.testing.assert_allclose(sublevel_measure(phi, levels, method="star"),
                                sublevel_measure(phi, levels), rtol=2e-9)
     assert sum(rows) <= 50_000
+
+
+@pytest.mark.parametrize("n, split_at", [(8, [9, 0]), (11, [0])])
+def test_kinked_star_path_keeps_its_rules_in_high_dimensions(monkeypatch, n,
+                                                             split_at):
+    # n + 1 kink planes, each cutting the azimuth: as many rules as
+    # m^(n-1) <= 2^21 directions allow without kinks (two at n = 8, one
+    # at n = 11), each split at the n + 1 planes only where the split rule
+    # stays within 2^21 directions too; the unsplit rules, whose size is
+    # checked by test_sphere_rule_integrates_over_the_sphere, are stood
+    # in for by the 2n axis directions
+    calls = []
+    rule = anisotropic._sphere_rule
+
+    def recorded(n, level, kinks):
+        calls.append(len(kinks))
+        if len(kinks):
+            w, wt = rule(n, level, kinks)
+            assert wt.size <= 2**21
+            return w, wt
+        assert (4 * 2**level) ** (n - 1) <= 2**21
+        return np.vstack([np.eye(n), -np.eye(n)]), np.full(
+            2 * n, unit_ball_volume(n) / 2.0)
+
+    monkeypatch.setattr(anisotropic, "_sphere_rule", recorded)
+    rows = np.vstack([np.eye(n) + 1.0, np.ones(n)])
+    phi = LinearCombinationPhi(n, [(r, PowerYoung(2)) for r in rows])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MeasureConvergenceWarning)
+        measure = sublevel_measure(phi, 2.0)
+    assert calls == split_at
+    assert math.isfinite(measure) and measure > 0.0
 
 
 def test_split_measure_scaling_is_exact():
