@@ -32,6 +32,7 @@ from .embedding import (
     modify_near_zero,
     near_zero_diverges,
     sobolev_conjugate,
+    tail_exponents,
 )
 from .grid import (
     GridField,

@@ -52,12 +52,16 @@ from .anisotropic import (
     SplitPhi,
     phi_circ,
 )
-from .embedding import classify_integral, fit_power_log, sobolev_conjugate
+from .embedding import (
+    classify_integral,
+    fit_power_log,
+    sobolev_conjugate,
+    tail_exponents,
+)
 from .young import (
     ExpPowerYoung,
     PowerLogYoung,
     PowerYoung,
-    SampledYoungFunction,
     YoungFunctionError,
 )
 
@@ -66,7 +70,6 @@ __all__ = [
     "make_record",
     "expected_regularity",
     "verify_asymptotics",
-    "fit_tail",
     "EXAMPLE_IDS",
 ]
 
@@ -256,7 +259,7 @@ def verify_asymptotics(record):
     # of the table ends at the inverse of the level cap, so the cap is
     # generous to leave room for a tail fit
     circ = phi_circ(record.phi, t_lo=1.0, t_hi=1e24, n_levels=_N_LEVELS)
-    sigma_hat, beta_hat, _ = fit_tail(circ)
+    sigma_hat, beta_hat, _ = tail_exponents(circ)
     check("phi_circ power", sigma_hat, exp_reg["phi_circ"]["power"],
           _POWER_RTOL, True)
     check("phi_circ log", beta_hat, exp_reg["phi_circ"]["log"],
@@ -323,31 +326,7 @@ def verify_asymptotics(record):
     return report
 
 
-def fit_tail(circ):
-    """Tail exponents (sigma, beta, coefficients) of a radial average.
-
-    A least-squares fit of log Phi_circ(t) on (1, log t, log log t,
-    1/log t) over the top four decades of its table, or over
-    [1e8, 1e12] for analytic generators; the 1/log t regressor absorbs
-    the leading finite-range correction of measure averages, sharpening
-    the log exponent.
-    """
-    if isinstance(circ, SampledYoungFunction):
-        log_hi = float(circ.log_t[-1])
-    else:
-        log_hi = math.log(1e12)  # analytic generators evaluate anywhere
-    log_lo = max(log_hi - 4.0 * math.log(10.0), 1.5)
-    if log_hi - log_lo < 1.5 * math.log(10.0):
-        raise YoungFunctionError(
-            "radial-average table too narrow for a tail fit; raise the "
-            "level cap")
-    c, _ = fit_power_log(circ.log_value, log_lo, log_hi,
-                         extra=(lambda lt: 1.0 / lt,))
-    return float(c[1]), float(c[2]), c
-
-
 def _model(sigma, beta):
     m = PowerLogYoung(sigma, beta, shift=_LOG_SHIFT)
     m.ensure_convex()
-    m.t_max = 1e8
     return m

@@ -25,10 +25,10 @@ import numpy as np
 
 from . import anisotropic, catalog, grid, radial, rearrangement, young
 from .embedding import (
-    DichotomyError,
     classify_integral,
     hat_phi_circ,
     sobolev_conjugate,
+    tail_exponents,
 )
 
 EXIT_OK, EXIT_OPERATIONAL, EXIT_VERDICT = 0, 1, 2
@@ -223,7 +223,7 @@ def cmd_phicirc(cfg, out):
         t_hi=float(cfg.get("t_hi", 1e6)),
         n_levels=int(cfg.get("n_levels", 256)))
     circ.to_csv(out / "phi_circ.csv")
-    sigma, beta, _ = catalog.fit_tail(circ)
+    sigma, beta, _ = tail_exponents(circ)
     report = {"n": phi.n, "form": phi.form,
               "tail_fit": {"power": sigma, "log": beta},
               "convergence": getattr(circ, "convergence", None)}
@@ -293,7 +293,7 @@ def _grid_phi(p=2.0, p_split=None):
 
 
 def _operator_from_config(cfg):
-    """The operator of grid-solve and approx-seq."""
+    """The operator of grid-solve, approx-seq and regularity-report."""
     phi = _grid_phi(cfg.get("p", 2.0), cfg.get("p_split"))
     return grid.OperatorSpec(potential=phi,
                              epsilon=float(cfg.get("epsilon", 0.0)),
@@ -365,8 +365,9 @@ def cmd_approx_seq(cfg, out):
 
 def cmd_regularity_report(cfg, out):
     n_nodes = int(cfg.get("N", 65))
-    p = float(cfg.get("p", 2.0))
-    spec = grid.OperatorSpec(potential=_grid_phi(p))
+    head = {"N": n_nodes, "p": float(cfg.get("p", 2.0)),
+            "p_split": cfg.get("p_split")}
+    spec = _operator_from_config(cfg)
     n = spec.potential.n
     f_field = _load_field(cfg.get("f", "const:1"), n_nodes)
     u = grid.solve(spec, f_field)
@@ -381,7 +382,7 @@ def cmd_regularity_report(cfg, out):
     if classify_integral(circ, n)[0] == "convergent":
         # p > n: u is bounded, and the level-set bounds and Marcinkiewicz
         # targets, built from the Sobolev conjugate, do not exist
-        report = {"N": n_nodes, "p": p, "dichotomy": "convergent",
+        report = {**head, "dichotomy": "convergent",
                   "u_max": u_max, **dict.fromkeys((
                       "kappa2", "c1", "level_set_u", "level_set_grad",
                       "level_set_u_holds", "level_set_grad_holds",
@@ -410,7 +411,7 @@ def cmd_regularity_report(cfg, out):
     q_u = rearrangement.marcinkiewicz_quasinorm(u_rf, prof.vartheta_n)
     q_g = rearrangement.marcinkiewicz_quasinorm(e_rf, prof.varrho_n)
     report = {
-        "N": n_nodes, "p": p,
+        **head, "dichotomy": "divergent",
         "kappa2": kappa2, "c1": c1,
         "level_set_u": rows_u, "level_set_grad": rows_g,
         "level_set_u_holds": ok_u, "level_set_grad_holds": ok_g,
@@ -557,7 +558,7 @@ def main(argv=None):
         if not args.quiet:
             print(f"verdict failure: {exc}", file=sys.stderr)
         return EXIT_VERDICT
-    except (DichotomyError, Exception) as exc:  # noqa: B014
+    except Exception as exc:
         record = {"error": {"type": type(exc).__name__,
                             "message": str(exc)}}
         try:

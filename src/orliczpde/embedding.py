@@ -8,7 +8,8 @@ function, this module builds the optimal-embedding machinery:
       Int^infty (t / Phi_circ(t))^{1/(n-1)} dt,
 
   which separates unbounded-solution regimes (divergent) from bounded
-  ones (convergent),
+  ones (convergent); it reads the one tail t^sigma (log t)^beta of
+  Phi_circ, which a closed form states exactly and a table gets fitted,
 * the near-zero modification (a linear splice on [0, 1]) that makes
   the companion integral at 0 converge without touching large values,
 * the Sobolev conjugate Phi_n = Phi_circ o H^{-1} with
@@ -43,6 +44,7 @@ from .young import (
 __all__ = [
     "DichotomyError",
     "fit_power_log",
+    "tail_exponents",
     "classify_integral",
     "near_zero_diverges",
     "modify_near_zero",
@@ -90,62 +92,56 @@ def fit_power_log(log_fn, log_lo, log_hi, extra=()):
     return coef, float(np.ptp(lv - X @ coef))
 
 
+def tail_exponents(a):
+    """``(sigma, beta, spread)`` of the tail A(t) ~ t^sigma (log t)^beta.
+
+    A closed form states it exactly (``a.tail``, sigma = inf for
+    exponential growth; ``spread`` is None).  Any other function gets
+    one :func:`fit_power_log`, with a 1/log t column for the finite-range
+    correction of measure averages, over the top four decades of its
+    trusted range above log t = 1.5; ``spread`` is the fit's residual
+    spread, and a range under 1.5 decades is refused.
+    """
+    if a.tail is not None:
+        return (*a.tail, None)
+    log_hi = math.log(a.t_max)
+    log_lo = max(log_hi - 4.0 * math.log(10.0), 1.5)
+    if log_hi - log_lo < 1.5 * math.log(10.0):
+        raise YoungFunctionError(
+            f"{a.name}: trusted range too narrow for a tail fit; raise "
+            "the level cap")
+    coef, spread = fit_power_log(a.log_value, log_lo, log_hi,
+                                 extra=(lambda lt: 1.0 / lt,))
+    return float(coef[1]), float(coef[2]), spread
+
+
 def classify_integral(phi_circ, n):
     """Dichotomy of Int^infty (t/Phi_circ(t))^{1/(n-1)} dt, returned as
     ``(verdict, diagnostics)``.
 
-    Fits the tail of Phi_circ as t^sigma (log t)^beta on the top two
-    trusted decades.  The integrand behaves like
-    t^{(1-sigma)/(n-1)} (log t)^{-beta/(n-1)}; the verdict is
-    ``"divergent"`` when the power exponent exceeds -1 by the margin
-    0.02, ``"convergent"`` when it falls below by it, and in that band the
-    logarithmic exponent decides (integral of (t log^k t)^{-1} diverges
-    iff k <= 1), with a numeric tail evaluation as the last resort.
+    With the tail t^sigma (log t)^beta of :func:`tail_exponents` the
+    integrand behaves like t^e (log t)^{-k}, e = (1-sigma)/(n-1) and
+    k = beta/(n-1): ``"divergent"`` when e > -1, ``"convergent"`` when
+    e < -1, and at e = -1 divergent iff k <= 1.  A stated tail is exact
+    and is read so.  A fitted one reads e = -1 within the margin 0.02
+    and there stays divergent up to k = 1.05, as a table extrapolated
+    along its end slope, which has no log term, would integrate.
     """
-    log_hi = math.log(phi_circ.t_max)
-    log_lo = log_hi - 2.0 * math.log(10.0)
-    if phi_circ.t_max < 1e6:
-        raise DichotomyError(
-            "trusted range must reach 1e6 for tail classification"
-        )
-    coef, spread = fit_power_log(phi_circ.log_value, log_lo, log_hi)
-    sigma, beta = float(coef[1]), float(coef[2])
+    sigma, beta, spread = tail_exponents(phi_circ)
     exponent = (1.0 - sigma) / (n - 1.0)
+    k = beta / (n - 1.0)
+    margin, log_margin = (0.0, 0.0) if spread is None else (_MARGIN, 0.05)
     diag = {"sigma": sigma, "beta": beta, "integrand_exponent": exponent,
-            "fit_spread": spread, "margin": _MARGIN}
-    if spread > 0.1:
+            "log_exponent": k, "fit_spread": spread, "margin": margin}
+    if spread is not None and spread > 0.1:
         raise DichotomyError(f"oscillating tail exponent: {diag}")
-    if exponent >= -1.0 + _MARGIN:
+    if exponent > -1.0 + margin:
         verdict = "divergent"
-    elif exponent <= -1.0 - _MARGIN:
+    elif exponent < -1.0 - margin:
         verdict = "convergent"
-    else:
-        # power part is at the critical decay 1/t: logs decide
-        k = beta / (n - 1.0)
-        diag["log_exponent"] = k
-        if k <= 1.0 - 0.05:
-            verdict = "divergent"
-        elif k >= 1.0 + 0.05:
-            verdict = "convergent"
-        else:
-            verdict = _numeric_tail_verdict(phi_circ, n, diag)
+    else:  # the power part decays like 1/t: the log decides
+        verdict = "divergent" if k <= 1.0 + log_margin else "convergent"
     return verdict, diag
-
-
-def _numeric_tail_verdict(phi_circ, n, diag):
-    """Compare partial tail integrals over successive decades."""
-    log_hi = math.log(phi_circ.t_max)
-    blocks = []
-    for k in range(6):
-        lo = log_hi + k * math.log(10.0)
-        hi = lo + math.log(10.0)
-        u = np.linspace(lo, hi, 256)
-        g = np.exp((u - phi_circ.log_value(u)) / (n - 1.0) + u)
-        blocks.append(np.trapezoid(g, u))
-    ratio = blocks[-1] / blocks[-2]
-    diag["tail_blocks"] = blocks
-    diag["tail_ratio"] = float(ratio)
-    return "divergent" if ratio > 0.5 else "convergent"
 
 
 def near_zero_diverges(phi_circ, n):

@@ -283,6 +283,9 @@ class ScalarYoungFunction:
     t_max = 1e8
     convexity_certified = False
     closed_form_inverse = False  # ``inverse`` runs no solver
+    # (sigma, beta): the exact tail A(t) ~ t^sigma (log t)^beta of a closed
+    # form (sigma = inf: exponential); None: ``embedding.tail_exponents`` fits
+    tail = None
 
     # -- evaluation ---------------------------------------------------
 
@@ -369,6 +372,7 @@ class PowerYoung(ScalarYoungFunction):
             raise YoungFunctionError("power exponent must exceed 1")
         self.p = float(p)
         self.coeff = float(coeff)
+        self.tail = (self.p, 0.0)
         self.name = f"power(p={p:g})" if coeff == 1.0 else (
             f"power(p={p:g},c={coeff:g})"
         )
@@ -412,6 +416,7 @@ class PowerLogYoung(ScalarYoungFunction):
         self.p = float(p)
         self.alpha = float(alpha)
         self.shift = float(shift)
+        self.tail = (self.p, self.alpha)
         self.name = f"power_log(p={p:g},alpha={alpha:g})"
 
     def value(self, t):
@@ -457,6 +462,7 @@ class ExpPowerYoung(ScalarYoungFunction):
     """
 
     closed_form_inverse = True
+    tail = (math.inf, 0.0)
 
     def __init__(self, beta=1.0):
         if beta < 1:
@@ -554,6 +560,7 @@ class ExpMinusLinearYoung(ScalarYoungFunction):
     name = "exp_minus_linear"
     t_max = 500.0
     convexity_certified = True
+    tail = (math.inf, 0.0)
 
     def value(self, t):
         t = np.asarray(t, dtype=float)

@@ -414,6 +414,16 @@ def test_embedding_convergent_branch(tmp_path):
     assert "conclusion" in rep
 
 
+def test_embedding_exponential_is_convergent(tmp_path):
+    # the textbook convergent case: e^t - 1 states an exponential tail,
+    # so its trusted range (t <= 500) needs no fit
+    code, out = run(["embedding", "--phi-circ", "exp_minus_one", "--n", "2"],
+                    tmp_path)
+    assert code == 0
+    rep = json.loads((out / "embedding_report.json").read_text())
+    assert rep["dichotomy"] == "convergent"
+
+
 def test_grid_solve_passes(tmp_path):
     code, out = run(["grid-solve", "--N", "33", "--p", "2",
                      "--f", "const:1"], tmp_path)
@@ -474,6 +484,26 @@ def test_regularity_report_bounded_regime(tmp_path):
     assert rep["dichotomy"] == "convergent"
     assert 0.0 < rep["u_max"] < math.inf
     assert rep["level_set_u"] is None and rep["level_set_grad"] is None
+
+
+def test_regularity_report_reads_p_split(tmp_path):
+    reports = {}
+    for label, extra in (("radial", {"p": 2}),
+                         ("mixed", {"p_split": [1.5, 2]}),
+                         ("bounded", {"p_split": [2, 4]})):
+        config = tmp_path / f"{label}.json"
+        config.write_text(json.dumps(extra))
+        code, out = run(["regularity-report", "--N", "33", "--config",
+                         str(config)], tmp_path, sub=label)
+        assert code == 0
+        reports[label] = json.loads(
+            (out / "regularity_report.json").read_text())
+    # Phi_circ of (2, 4) grows like t^{8/3}, faster than t^n: u is bounded
+    assert reports["bounded"]["dichotomy"] == "convergent"
+    assert reports["bounded"]["p_split"] == [2, 4]
+    assert reports["mixed"]["dichotomy"] == "divergent"
+    assert reports["mixed"]["kappa2"] != pytest.approx(
+        reports["radial"]["kappa2"], rel=0.05)
 
 
 def test_admissibility(tmp_path):

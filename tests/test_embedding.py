@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
+from orliczpde.anisotropic import SplitPhi, phi_circ
 from orliczpde.embedding import (
     DichotomyError,
     _cumulative_trapezoid,
@@ -16,8 +17,16 @@ from orliczpde.embedding import (
     modify_near_zero,
     near_zero_diverges,
     sobolev_conjugate,
+    tail_exponents,
 )
-from orliczpde.young import PowerLogYoung, PowerYoung
+from orliczpde.young import (
+    ExpMinusLinearYoung,
+    ExpMinusOneYoung,
+    ExpPowerYoung,
+    PowerLogYoung,
+    PowerYoung,
+    YoungFunctionError,
+)
 
 
 def test_fit_power_log_recovers_extra_columns():
@@ -51,10 +60,41 @@ def test_dichotomy_powers(a, n, verdict):
     (0.5, "divergent"),   # integrand ~ 1/(t log^{1/2} t)
     (2.0, "convergent"),  # integrand ~ 1/(t log^2 t)
     (1.0, "divergent"),   # borderline: partial tails still grow
+    (1.03, "convergent"),  # the stated tail is exact: k = 1.03 > 1
 ])
 def test_dichotomy_log_critical(alpha, verdict):
     a = PowerLogYoung(2.0, alpha).ensure_convex()
     assert classify_integral(a, 2)[0] == verdict
+
+
+def test_dichotomy_log_critical_table_reads_the_band():
+    # a table's tail is fitted: its log exponent reads 1.0018 for the
+    # true k = 1, so a fitted tail stays divergent up to k = 1.05
+    table = PowerLogYoung(2.0, 1.0).ensure_convex().sample(1e-2, 1e8)
+    verdict, diag = classify_integral(table, 2)
+    assert verdict == "divergent"
+    assert 1.0 < diag["log_exponent"] < 1.05 and diag["margin"] == 0.02
+
+
+def test_dichotomy_of_a_power_split_at_the_default_levels():
+    # Phi_circ of t^2/2 + t^4/4 grows like t^{8/3}; its default table
+    # reaches t ~ 180, which is enough for the fitted tail
+    circ = phi_circ(SplitPhi([PowerYoung(2, 0.5), PowerYoung(4, 0.25)]))
+    verdict, diag = classify_integral(circ, 2)
+    assert verdict == "convergent"
+    assert diag["sigma"] == pytest.approx(8.0 / 3.0, rel=1e-3)
+
+
+def test_exponential_tails_are_convergent():
+    for a in (ExpMinusOneYoung(), ExpPowerYoung(2.0), ExpMinusLinearYoung()):
+        for n in (2, 3, 4):
+            assert classify_integral(a, n)[0] == "convergent"
+
+
+def test_narrow_table_is_refused():
+    table = PowerYoung(3.0).sample(1e-2, 10.0)
+    with pytest.raises(YoungFunctionError, match="too narrow"):
+        tail_exponents(table)
 
 
 def test_near_zero_divergence_and_modification():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orliczpde.embedding import fit_power_log
 from orliczpde.young import (
     ExpMinusLinearYoung,
     ExpMinusOneYoung,
@@ -464,3 +465,25 @@ def test_solve_increasing_peak_memory():
         tracemalloc.stop()
     np.testing.assert_allclose(x, y, rtol=1e-12)
     assert peak <= 4e6
+
+
+@pytest.mark.parametrize("a", [
+    PowerYoung(1.5), PowerYoung(3.0, 0.25), PowerLogYoung(2.0, -1.0),
+    PowerLogYoung(1.5, 0.5), PowerLogYoung(3.0, 2.0, shift=math.exp(2.0)),
+], ids=lambda a: a.name)
+def test_stated_power_tails_match_a_far_fit(a):
+    # the stated (sigma, beta) is what a fit far past every shift finds
+    coef, _ = fit_power_log(a.log_value, math.log(1e20), math.log(1e40))
+    np.testing.assert_allclose(coef[1:], a.tail, atol=1e-3)
+
+
+@pytest.mark.parametrize("a", [
+    ExpPowerYoung(1.0), ExpPowerYoung(2.0), ExpMinusOneYoung(),
+    ExpMinusLinearYoung(),
+], ids=lambda a: a.name)
+def test_stated_exponential_tails_outgrow_every_power(a):
+    assert a.tail[0] == math.inf
+    # the log-log slope t A'/A keeps rising, past 100 by t = 300
+    lt = np.linspace(math.log(10.0), math.log(300.0), 64)
+    slope = np.gradient(a.log_value(lt), lt)
+    assert np.all(np.diff(slope) > 0) and slope[-1] > 100.0
