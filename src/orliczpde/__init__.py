@@ -29,8 +29,6 @@ from .embedding import (
     EmbeddingProfile,
     classify_integral,
     hat_phi_circ,
-    modify_near_zero,
-    near_zero_diverges,
     sobolev_conjugate,
     tail_exponents,
 )

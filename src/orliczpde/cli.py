@@ -377,7 +377,9 @@ def cmd_regularity_report(cfg, out):
         u_cells, np.full(u_cells.size, cell))
     gx, gy = grid.cell_gradients(u.values, u.h)
     e_cells = spec.potential.value(np.stack([gx, gy], axis=-1)).ravel()
-    circ = anisotropic.phi_circ(spec.potential)
+    # the grid's power forms have closed-form sublevel measures, so levels
+    # up to 1e30 cost nothing and give a steep Phi_circ its tail decades
+    circ = anisotropic.phi_circ(spec.potential, t_hi=1e30)
     u_max = float(u_rf(np.array([u_rf.breakpoints[0] * 0.5]))[0])
     if classify_integral(circ, n)[0] == "convergent":
         # p > n: u is bounded, and the level-set bounds and Marcinkiewicz

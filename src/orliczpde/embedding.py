@@ -10,20 +10,22 @@ function, this module builds the optimal-embedding machinery:
   which separates unbounded-solution regimes (divergent) from bounded
   ones (convergent); it reads the one tail t^sigma (log t)^beta of
   Phi_circ, which a closed form states exactly and a table gets fitted,
-* the near-zero modification (a linear splice on [0, 1]) that makes
-  the companion integral at 0 converge without touching large values,
 * the Sobolev conjugate Phi_n = Phi_circ o H^{-1} with
 
       H(t) = ( Int_0^t (tau/Phi_circ(tau))^{1/(n-1)} dtau )^{(n-1)/n},
 
+  where a Phi_circ that makes the integral at 0 diverge is first
+  replaced by its chord on [0, 1] (finite measure lets the paper change
+  Phi near 0), leaving large values untouched,
 * the Marcinkiewicz generators vartheta_n(t) = Phi_n(t^{1/n'})/t and
   varrho_n(t) = t / Phi_n^{-1}(t)^{n'},
 * the optimal-Lorentz target density hat_phi_circ via a nested
-  improper quadrature with power-law tail extrapolation.
+  improper quadrature.
 
 All sampled functions are carried as tables in (log t, log value)
 coordinates, so exponential and double-exponential growth stay
-representable.
+representable, and every integral over such a grid continues its
+integrand past the grid's end as a power law (:func:`_log_integral`).
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ __all__ = [
     "fit_power_log",
     "tail_exponents",
     "classify_integral",
-    "near_zero_diverges",
-    "modify_near_zero",
     "EmbeddingProfile",
     "sobolev_conjugate",
     "hat_phi_circ",
@@ -70,6 +70,26 @@ def _cumulative_trapezoid(y, x):
     return np.concatenate(([0.0], np.cumsum(trapezoids)))
 
 
+def _end_slope(log_g, u):
+    """Slope of log_g over the first 8 steps of u, away from the grid."""
+    return float(log_g[8] - log_g[0]) / abs(float(u[8] - u[0]))
+
+
+def _log_integral(log_g, u, what):
+    """Running integral of exp(log_g) du over the log grid u (either
+    direction) from beyond u[0]: the integrand continues past u[0] as
+    exp(log_g[0] - lam |u - u[0]|), lam its :func:`_end_slope`, which
+    adds exp(log_g[0]) / lam.  lam <= 1e-3 raises
+    :class:`DichotomyError` naming ``what``.
+    """
+    lam = _end_slope(log_g, u)
+    if lam <= 1e-3:
+        raise DichotomyError(
+            f"{what} diverges: the integrand's end slope is {lam:+.3f}")
+    g = np.exp(log_g)
+    return np.abs(_cumulative_trapezoid(g, u)) + g[0] / lam
+
+
 def fit_power_log(log_fn, log_lo, log_hi, extra=()):
     """Least-squares fit log f(t) ~ c + sigma*log t + beta*log log t.
 
@@ -84,9 +104,7 @@ def fit_power_log(log_fn, log_lo, log_hi, extra=()):
     """
     lt = np.linspace(log_lo, log_hi, 64)
     lv = np.asarray(log_fn(lt), dtype=float)
-    # for t <= 1 the log-log column is clamped; where it is constant the
-    # minimum-norm solution leaves sigma a plain slope fit
-    cols = [np.ones_like(lt), lt, np.log(np.maximum(lt, 1e-300))]
+    cols = [np.ones_like(lt), lt, np.log(lt)]
     X = np.stack(cols + [col(lt) for col in extra], axis=1)
     coef, *_ = np.linalg.lstsq(X, lv, rcond=None)
     return coef, float(np.ptp(lv - X @ coef))
@@ -144,41 +162,11 @@ def classify_integral(phi_circ, n):
     return verdict, diag
 
 
-def near_zero_diverges(phi_circ, n):
-    """Whether Int_0 (t/Phi_circ(t))^{1/(n-1)} dt is infinite.
-
-    Near zero the integrand is t^{(1-sigma_0)/(n-1)} up to logs, where
-    sigma_0 is the slope at the lower end of the trusted range; within
-    0.02 of the critical exponent -1 the logarithm decides.
-    """
-    log_lo = math.log(max(phi_circ.t_min, 1e-12))
-    coef, _ = fit_power_log(phi_circ.log_value, log_lo,
-                            log_lo + 2.0 * math.log(10.0))
-    sigma0, beta0 = float(coef[1]), float(coef[2])
-    e0 = (1.0 - sigma0) / (n - 1.0)
-    if e0 > -1.0 + _MARGIN:
-        return False
-    if e0 < -1.0 - _MARGIN:
-        return True
-    return beta0 / (n - 1.0) >= -1.0  # critical power: log decides
-
-
 @dataclass
 class ModificationRecord:
     applied: bool
-    knot: float = 1.0
-    reason: str = ""
-
-
-def modify_near_zero(phi):
-    """Make the near-zero companion integral converge: replace the scalar
-    Phi_circ on [0, 1] by the chord through (1, Phi_circ(1)) — linear
-    near 0, unchanged above the knot 1, and convex since the chord slope
-    is below the right derivative.  Callers test
-    :func:`near_zero_diverges` first.  Returns ``(modified, record)``.
-    """
-    return LinearSplicedYoung(phi, _KNOT), ModificationRecord(
-        True, _KNOT, "linear splice on [0, knot]")
+    knot: float
+    reason: str
 
 
 @dataclass
@@ -223,14 +211,15 @@ _H_T_LO = 1e-8  # lower end of the H table of sobolev_conjugate
 def sobolev_conjugate(phi_circ, n, n_points=4096, log_t_hi=math.log(1e10)):
     """Build the full embedding profile for a divergent-dichotomy input.
 
-    H is accumulated by trapezoid quadrature of the kernel in the log
-    variable on ``n_points`` points of [log 1e-8, ``log_t_hi``], with an
-    analytic power piece below 1e-8; Phi_n is tabulated through
-    Phi_circ o H^{-1}; the Marcinkiewicz generators follow by their
-    defining identities.  A near-zero integral that diverges is first
-    made finite by :func:`modify_near_zero`.  Convergent-dichotomy
-    inputs are refused — the solution is bounded there and no conjugate
-    is needed.
+    H is the :func:`_log_integral` of the kernel t^{1+e} in the log
+    variable on ``n_points`` points of [log 1e-8, ``log_t_hi``].  Where
+    its end slope 1 + e <= 0.02 (the integral at 0 diverges or nearly
+    so), Phi_circ is first replaced on [0, 1] by its chord, which is
+    convex since the chord slope is below the right derivative.  Phi_n
+    is tabulated through Phi_circ o H^{-1}; the Marcinkiewicz
+    generators follow by their defining identities.
+    Convergent-dichotomy inputs are refused — the solution is bounded
+    there and no conjugate is needed.
     """
     verdict, diag = classify_integral(phi_circ, n)
     if verdict == "convergent":
@@ -238,31 +227,21 @@ def sobolev_conjugate(phi_circ, n, n_points=4096, log_t_hi=math.log(1e10)):
             "tail integral converges: solutions are bounded and the "
             "Sobolev conjugate degenerates; use the L-infinity branch"
         )
-    record = ModificationRecord(False, 1.0, "not needed")
-    if near_zero_diverges(phi_circ, n):
-        phi_circ, record = modify_near_zero(phi_circ)
     u = np.linspace(math.log(_H_T_LO), log_t_hi, n_points)
-    g = np.exp((u - phi_circ.log_value(u)) / (n - 1.0) + u)
-    acc = _cumulative_trapezoid(g, u)
-    # analytic head on [0, _H_T_LO]: integrand ~ c * t^e with the local
-    # slope
-    coef, _ = fit_power_log(phi_circ.log_value, u[0], u[0] + math.log(10.0))
-    e0 = (1.0 - float(coef[1])) / (n - 1.0)
-    if e0 <= -1.0:
-        raise DichotomyError(
-            "integral at 0 still diverges after modification; "
-            "near-zero slope too steep"
-        )
-    head = g[0] * _H_T_LO / (1.0 + e0)  # Int_0^{_H_T_LO} c t^e dt
-    Hn = (acc + head) ** ((n - 1.0) / n)
+    log_phi = phi_circ.log_value(u)
+    record = ModificationRecord(False, 1.0, "not needed")
+    if _end_slope((u - log_phi) / (n - 1.0) + u, u) <= _MARGIN:
+        phi_circ = LinearSplicedYoung(phi_circ, _KNOT)  # kernel t near 0
+        record = ModificationRecord(True, _KNOT, "linear splice on [0, knot]")
+        log_phi = phi_circ.log_value(u)
+    log_H = (n - 1.0) / n * np.log(_log_integral(
+        (u - log_phi) / (n - 1.0) + u, u, "H integral at 0"))
     # H, Phi_n and the target density below are nondecreasing log-log
     # tables with an inverse; the sampled Young machinery serves them,
     # but no convexity is implied or enforced
-    H = SampledYoungFunction(u, np.log(np.maximum(Hn, 1e-300)), name="H")
+    H = SampledYoungFunction(u, log_H, name="H")
     # Phi_n(s) = Phi_circ(H^{-1}(s)) on the reachable s-range
-    log_s = np.log(np.maximum(Hn, 1e-300))
-    log_phi_n = phi_circ.log_value(u)
-    phi_n = SampledYoungFunction(log_s, log_phi_n, name="phi_n")
+    phi_n = SampledYoungFunction(log_H, log_phi, name="phi_n")
     np_prime = n / (n - 1.0)
 
     def vt_log(log_t):
@@ -305,10 +284,11 @@ def hat_phi_circ(profile):
     where phi = Phi_circ' (monotone finite differences for sampled
     input), tabulated on 2048 log-spaced r in [1e-6, 1e8].  Phi_circ and
     n are the profile's own: its dichotomy is divergent and its
-    Phi_circ already carries any near-zero modification.  The outer
-    tail beyond the grid is extrapolated as a power law; a
-    non-integrable extrapolated tail is an error naming the offending
-    growth.  Integrating the inverted table gives the Young function
+    Phi_circ already carries any near-zero modification.  The inner
+    head below 1e-6, the outer tail above 1e8 and the head of the final
+    integral are each the power law that continues its integrand
+    (:func:`_log_integral`); a non-integrable end is an error naming
+    it.  Integrating the inverted table gives the Young function
     hat_Phi_circ.
     """
     phi_circ, n = profile.phi_circ, profile.n
@@ -316,39 +296,22 @@ def hat_phi_circ(profile):
     r = np.exp(u)
     log_small_phi = np.log(np.maximum(phi_circ.derivative(r), 1e-300))
     log_small_phi = np.maximum.accumulate(log_small_phi)
-    # inner integral I(r), accumulated in the log variable
-    g_in = np.exp(-log_small_phi / (n - 1.0) + u)
-    sigma_in0 = (log_small_phi[8] - log_small_phi[0]) / (u[8] - u[0])
-    e_in0 = -sigma_in0 / (n - 1.0)
-    if e_in0 <= -1.0:
-        raise DichotomyError("inner integral diverges at 0")
-    inner = _cumulative_trapezoid(g_in, u) + g_in[0] * r[0] / (
-        1.0 + e_in0)
-    # outer integrand in the log variable
-    g_out = np.exp(-n * np.log(np.maximum(inner, 1e-300))
-                   - n / (n - 1.0) * log_small_phi + u)
-    tail_slope = (math.log(g_out[-1]) - math.log(g_out[-9])) / (u[-1] - u[-9])
-    if tail_slope >= -1e-3:
-        raise DichotomyError(
-            f"outer integral non-convergent: extrapolated tail exponent "
-            f"{tail_slope:+.3f} (growth of phi too slow)"
-        )
-    tail = g_out[-1] / (-tail_slope)
-    rev = _cumulative_trapezoid(g_out[::-1], u[::-1])
-    outer = -rev[::-1] + tail  # Int_{r_j}^infty
+    # inner integral I(r) = Int_0^r, in the log variable
+    inner = _log_integral(-log_small_phi / (n - 1.0) + u, u,
+                          "inner integral at 0")
+    # outer integral Int_r^infty, accumulated from the top of the grid
+    log_g_out = (-n * np.log(inner) - n / (n - 1.0) * log_small_phi + u)
+    outer = _log_integral(log_g_out[::-1], u[::-1],
+                          "outer integral (growth of phi too slow)")[::-1]
     hat_inv_at = outer ** (1.0 / (1.0 - n))  # hat_phi^{-1}(phi(r_j))
     # table: t_j = phi(r_j) -> hat_phi^{-1}(t_j); invert to hat_phi
     hat_phi = SampledYoungFunction(np.log(np.maximum(hat_inv_at, 1e-300)),
                                    log_small_phi, name="hat_phi_circ_density")
     # integrate the density to the Young function on a fresh grid
-    s = np.exp(np.linspace(math.log(hat_inv_at[4]),
-                           math.log(hat_inv_at[-4]), _HAT_POINTS))
-    dens = np.exp(np.minimum(hat_phi.log_value(np.log(s)), 700.0))
-    sigma_h0 = (math.log(dens[8]) - math.log(dens[0])) / (
-        math.log(s[8]) - math.log(s[0]))
-    head = dens[0] * s[0] / (1.0 + max(sigma_h0, 0.0))
-    vals = _cumulative_trapezoid(dens * s, np.log(s)) + head
-    out = SampledYoungFunction(np.log(s), np.log(np.maximum(vals, 1e-300)),
-                               name="hat_phi_circ")
+    log_s = np.linspace(math.log(hat_inv_at[4]), math.log(hat_inv_at[-4]),
+                        _HAT_POINTS)
+    vals = _log_integral(np.minimum(hat_phi.log_value(log_s), 700.0) + log_s,
+                         log_s, "hat_phi_circ at 0")
+    out = SampledYoungFunction(log_s, np.log(vals), name="hat_phi_circ")
     out.repair_convexity()
     return out

@@ -403,6 +403,13 @@ def test_embedding_report_and_table(tmp_path):
     assert rep["dichotomy"] == "divergent"
     raw = (out / "embedding_table.csv").read_bytes()
     assert raw.startswith(b"t,H,phi_n,hat_phi_circ,vartheta_n,varrho_n\r\n")
+    # Phi_circ = t^{3/2} in the plane: H(t) = (Int_0^t tau^{-1/2})^{1/2}
+    # = sqrt(2) t^{1/4}, so Phi_n(s) = (s^4 / 4)^{3/2} = s^6 / 8
+    tab = np.loadtxt(out / "embedding_table.csv", delimiter=",",
+                     skiprows=1)
+    t, H, phi_n = tab[:, 0], tab[:, 1], tab[:, 2]
+    np.testing.assert_allclose(phi_n, t**6 / 8.0, rtol=1e-4)
+    np.testing.assert_allclose(H, math.sqrt(2.0) * t**0.25, rtol=1e-4)
 
 
 def test_embedding_convergent_branch(tmp_path):
@@ -490,7 +497,8 @@ def test_regularity_report_reads_p_split(tmp_path):
     reports = {}
     for label, extra in (("radial", {"p": 2}),
                          ("mixed", {"p_split": [1.5, 2]}),
-                         ("bounded", {"p_split": [2, 4]})):
+                         ("bounded", {"p_split": [2, 4]}),
+                         ("steep", {"p_split": [3, 4]})):
         config = tmp_path / f"{label}.json"
         config.write_text(json.dumps(extra))
         code, out = run(["regularity-report", "--N", "33", "--config",
@@ -501,6 +509,9 @@ def test_regularity_report_reads_p_split(tmp_path):
     # Phi_circ of (2, 4) grows like t^{8/3}, faster than t^n: u is bounded
     assert reports["bounded"]["dichotomy"] == "convergent"
     assert reports["bounded"]["p_split"] == [2, 4]
+    # (3, 4) grows like t^{24/7}; its closed-form sublevel measures reach
+    # the levels up to 1e30 that its tail fit needs
+    assert reports["steep"]["dichotomy"] == "convergent"
     assert reports["mixed"]["dichotomy"] == "divergent"
     assert reports["mixed"]["kappa2"] != pytest.approx(
         reports["radial"]["kappa2"], rel=0.05)

@@ -14,8 +14,6 @@ from orliczpde.embedding import (
     classify_integral,
     fit_power_log,
     hat_phi_circ,
-    modify_near_zero,
-    near_zero_diverges,
     sobolev_conjugate,
     tail_exponents,
 )
@@ -98,16 +96,21 @@ def test_narrow_table_is_refused():
 
 
 def test_near_zero_divergence_and_modification():
-    assert not near_zero_diverges(PowerYoung(1.5), 2)
-    assert near_zero_diverges(PowerYoung(4), 2)
-    a = PowerYoung(4)
-    mod, rec = modify_near_zero(a)
-    assert rec.applied
+    # p < n: the kernel of H is integrable at 0 and Phi_circ is kept
+    assert not sobolev_conjugate(PowerYoung(1.5), 2).modification.applied
+    # p = n: the kernel is 1/t at 0, so Phi_circ is spliced
+    a = PowerYoung(2)
+    prof = sobolev_conjugate(a, 2)
+    assert prof.modification.applied
+    mod = prof.phi_circ
     # linear near zero, untouched above the knot
     assert mod.value(0.25) / 0.25 == pytest.approx(mod.value(0.5) / 0.5,
                                                    rel=1e-12)
     assert mod.value(2.0) == pytest.approx(a.value(2.0), rel=1e-12)
-    assert not near_zero_diverges(mod, 2)
+    # the profile builds: below the knot the kernel is 1, so H = t^{1/2}
+    for t in (1e-8, 1e-4, 0.5):
+        got = math.exp(float(prof.H.log_value(math.log(t))))
+        assert got == pytest.approx(math.sqrt(t), rel=1e-5)
 
 
 def test_sobolev_conjugate_refuses_convergent():
@@ -126,6 +129,23 @@ def test_h_closed_form_for_powers():
             expected = (t ** (e + 1.0) / (e + 1.0)) ** ((n - 1.0) / n)
             got = math.exp(float(prof.H.log_value(math.log(t))))
             assert got == pytest.approx(expected, rel=2e-3)
+
+
+@pytest.mark.parametrize("p,n", [(1.5, 2), (2.0, 3), (1.2, 2)])
+def test_log_grid_ends_follow_the_power_law(p, n):
+    # below its first grid point 1e-8 the kernel of H continues as
+    # t^e, whose integral is t^{e+1}/(e+1); the ends of hat_phi_circ's
+    # three integrals continue the same way, so its density of t^p has
+    # log-log slope p all along the table
+    prof = sobolev_conjugate(PowerYoung(p), n)
+    e = (1.0 - p) / (n - 1.0)
+    for t in (1e-8, 1e-7, 1e-6):
+        expected = (t ** (e + 1.0) / (e + 1.0)) ** ((n - 1.0) / n)
+        got = math.exp(float(prof.H.log_value(math.log(t))))
+        assert got == pytest.approx(expected, rel=1e-5)
+    hat = hat_phi_circ(prof)
+    slopes = np.diff(hat.log_value(hat.log_t)) / np.diff(hat.log_t)
+    np.testing.assert_allclose(slopes, p, rtol=1e-3)
 
 
 def test_profile_defining_identities():
