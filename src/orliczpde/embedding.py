@@ -300,7 +300,7 @@ def hat_phi_circ(profile):
     inner = _log_integral(-log_small_phi / (n - 1.0) + u, u,
                           "inner integral at 0")
     # outer integral Int_r^infty, accumulated from the top of the grid
-    log_g_out = (-n * np.log(inner) - n / (n - 1.0) * log_small_phi + u)
+    log_g_out = -n * np.log(inner) - n / (n - 1.0) * log_small_phi + u
     outer = _log_integral(log_g_out[::-1], u[::-1],
                           "outer integral (growth of phi too slow)")[::-1]
     hat_inv_at = outer ** (1.0 / (1.0 - n))  # hat_phi^{-1}(phi(r_j))
