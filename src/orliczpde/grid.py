@@ -14,7 +14,12 @@ flux and the Hessian of each term come from its scalar terms A, A' and
 A'' (``second_derivative``).  J is strictly convex, so a Newton-Krylov
 iteration converges to the unique minimizer.  Each Hessian system is
 solved by matrix-free conjugate gradients to the inexact-Newton forcing
-term eta = min(0.1, sqrt(res / (res + 1))).  The symmetric 2 x 2 cell
+term eta = min(0.1, sqrt(res / (res + 1))): CG stops once its residual r
+meets ||r||_2 <= eta ||rhs||_2 and also ||r||_inf <= sqrt(eta)
+||rhs||_inf, the sup norm being the one ``tol`` bounds.  Below p = 2 the
+Newton residual sits at the node where grad u = 0 and A'' is unbounded;
+the 2-norm test alone passes there after 1-2 CG iterations that leave
+that node's residual in place, and Newton creeps.  The symmetric 2 x 2 cell
 tensor of the Hessian is computed once per Newton step; it gives both
 the Hessian action, in raw differences, and the nodal diagonal d that
 scales the preconditioner D L^-1 D, D = diag(sqrt(4/d)), L^-1 the
@@ -35,9 +40,14 @@ whose coarser mesh of (N + 1) / 2 nodes has at least 33 nodes, it first
 solves on that mesh, with the full-weighting restriction of f (which
 keeps Sum f h^2) and b averaged over 2 x 2 cell blocks, and starts from
 the bilinear prolongation of that solution.  Each coarse level is itself
-solved coarse to fine, and ``solve`` reports it under ``levels``.  On
-the constant datum this halves the Newton and CG work of the finest mesh
-for p = 3 and 4 at N = 129 and 257.
+solved coarse to fine, but only to the coarse tolerance
+1e-5 (1 + ||f||_1) (never tighter than the finest ``tol``): the
+prolongation starts the finer mesh at a sup residual of 0.3-2 in PDE
+units however well the coarse mesh was solved.  ``solve`` reports each
+coarse level, with the tolerance it was solved to, under ``levels``.  On
+the constant datum at N = 129 and 257, the finest mesh then takes about
+half the Newton and CG work of a solve from zero for p = 4, a third less
+for p = 3, and 40 % fewer CG iterations for p = 1.5.
 
 Also here: truncated-data solution ladders (approximable solutions)
 and the mollified point-mass datum.
@@ -118,7 +128,8 @@ class GridField:
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             fh.write("# finite-difference nodal field u(x,y)\r\n")
-            np.savetxt(fh, self.values, delimiter=",", newline="\r\n")
+            for row in self.values:
+                fh.write(",".join(map(repr, row.tolist())) + "\r\n")
 
 
 def _hessian_floor(a):
@@ -343,9 +354,14 @@ def _pcg(spec, weights, rhs, pre, rel_tol, max_iter=400):
     that scaling.
 
     Returns ``(d, iterations, stop)``.  ``stop`` is "converged" when the
-    residual met ``rel_tol``, "capped" when all ``max_iter`` iterations
-    ran without meeting it, and "breakdown" when a search direction had
-    p.Hp <= 0, which the floored Hessian weights should prevent.
+    residual r met both ||r||_2 <= rel_tol ||rhs||_2 and
+    ||r||_inf <= sqrt(rel_tol) ||rhs||_inf, "capped" when all
+    ``max_iter`` iterations ran without meeting them, and "breakdown"
+    when a search direction had p.Hp <= 0, which the floored Hessian
+    weights should prevent.  The sup test is the one that binds below
+    p = 2, where a few iterations meet the 2-norm test while the
+    residual at the node with grad u = 0 stays; at p >= 2 the 2-norm
+    test binds.
     """
     pre.rescale(weights)
     d = np.zeros_like(rhs)
@@ -353,7 +369,8 @@ def _pcg(spec, weights, rhs, pre, rel_tol, max_iter=400):
     z = pre.apply(r)
     p = z
     rz = float(np.sum(r * z))
-    rhs_norm = float(np.sqrt(np.sum(rhs * rhs)))
+    tol_2 = rel_tol * float(np.sqrt(np.sum(rhs * rhs)))
+    tol_sup = math.sqrt(rel_tol) * float(np.max(np.abs(rhs)))
     for k in range(1, max_iter + 1):
         Hp = _hessian_times(spec, weights, p)
         pHp = float(np.sum(p * Hp))
@@ -362,7 +379,8 @@ def _pcg(spec, weights, rhs, pre, rel_tol, max_iter=400):
         alpha = rz / pHp
         d += alpha * p
         r -= alpha * Hp
-        if float(np.sqrt(np.sum(r * r))) <= rel_tol * rhs_norm:
+        if (float(np.sqrt(np.sum(r * r))) <= tol_2
+                and float(np.max(np.abs(r))) <= tol_sup):
             return d, k, "converged"
         z = pre.apply(r)
         rz_new = float(np.sum(r * z))
@@ -381,8 +399,8 @@ _ROUNDING_ULPS = 16.0
 # A solve whose sup residual sets no new minimum in this many
 # consecutive Newton steps has stalled.  Converging solves with N from
 # 17 to 257 and p from 1.3 to 4, on constant, singular and point-mass
-# data, set one at least every 9 steps; N = 65 with p = 1.2 sets none
-# in its first 27.
+# data, set one at least every 7 steps on every level; N = 65 with
+# p = 1.2 sets none in its first 22.
 _STALL_STEPS = 15
 
 
@@ -394,9 +412,9 @@ def solve(spec, f_field, tol=None, max_iter=100, u0=None,
     conjugate gradients (matrix-free, preconditioned with the inverse
     Laplacian scaled by the Hessian's own diagonal, D L^-1 D with
     D = diag(sqrt(4/d)); see :class:`_LaplacePreconditioner`) to the
-    relative tolerance
-    eta = min(0.1, sqrt(res / (res + 1))) (forcing term after
-    Eisenstat & Walker 1996) and backtracks on the energy (Armijo).
+    relative tolerance eta = min(0.1, sqrt(res / (res + 1))) in the
+    2-norm (forcing term after Eisenstat & Walker 1996) and sqrt(eta) in
+    the sup norm (:func:`_pcg`), and backtracks on the energy (Armijo).
     Once the Newton decrement g.d falls below the rounding level of J,
     16 eps * h^2 (Sum |density| + Sum |f u|), J can no longer rank
     steps: the full step is then taken if it lowers the sup residual and
@@ -412,10 +430,12 @@ def solve(spec, f_field, tol=None, max_iter=100, u0=None,
 
     Nested iteration: without ``u0``, an odd N whose coarser mesh of
     (N + 1) / 2 nodes has at least 33 nodes first solves the same
-    problem on that mesh, recursively and to its own default
-    tolerance, and starts from the bilinear prolongation of that
-    solution (:func:`_coarse_start`).  A coarse level that does not
-    converge gives no start, and the next finer level starts from zero.
+    problem on that mesh, recursively and to the coarse tolerance
+    max(1e-5 (1 + ||f||_1), tol), f the coarse datum, and starts from
+    the bilinear prolongation of that solution (:func:`_coarse_start`).
+    A coarse level only gives a start, so it is solved no further.  A
+    coarse level that does not converge gives no start, and the next
+    finer level starts from zero.
     ``tol``, ``max_iter``, the stall stop and :class:`SolveError`
     concern the finest level; ``max_iter`` also caps each coarse level.
 
@@ -430,14 +450,15 @@ def solve(spec, f_field, tol=None, max_iter=100, u0=None,
     CG direction was no descent direction and was replaced by P^-1 g)
     and ``rounding_steps`` (steps taken at rounding level), all of the
     finest level.  ``levels`` lists the coarse levels, coarsest first,
-    each with its ``N``, ``newton_steps``, ``pcg_iterations``,
-    ``residual`` and ``converged``; it is empty for a solve from ``u0``.
+    each with its ``N``, the ``tol`` it was solved to, ``newton_steps``,
+    ``pcg_iterations``, ``residual`` and ``converged``; it is empty for
+    a solve from ``u0``.
     """
     levels = []
-    if u0 is None:
-        u0 = _coarse_start(spec, f_field, max_iter, levels)
     if tol is None:
         tol = 1e-9 * (1.0 + f_field.l1())
+    if u0 is None:
+        u0 = _coarse_start(spec, f_field, tol, max_iter, levels)
     u, g, pre, info = _newton(spec, f_field, tol, max_iter, u0)
     stalled = info.pop("stalled_steps")
     res = info["residual"]
@@ -535,6 +556,11 @@ def _newton(spec, f_field, tol, max_iter, u0):
 # 17 and 33 measured about equal on the grid sweep.
 _COARSEST = 33
 
+# A coarse level only gives the next finer one its start, and the
+# bilinear prolongation starts that mesh at a sup residual of 0.3-2 in
+# PDE units whatever the coarse accuracy (:func:`_coarse_start`).
+_COARSE_TOL = 1e-5
+
 
 def _prolongation(n_coarse):
     """Linear interpolation from n_coarse nodes of [0, 1] to the
@@ -564,15 +590,16 @@ def _prolong(values):
     return p @ values @ p.T
 
 
-def _coarse_start(spec, f_field, max_iter, levels):
+def _coarse_start(spec, f_field, tol, max_iter, levels):
     """The nested-iteration start of :func:`solve` on the mesh of
     ``f_field``: the bilinear prolongation of the solution one mesh
     coarser, or None when N is even, the coarser mesh has fewer than
     ``_COARSEST`` nodes or its solve did not converge.  The coarse datum
     is the full weighting of f, an array coefficient b is averaged over
     2 x 2 cell blocks (so b >= 1 still holds), and the coarse solve
-    starts from its own coarse start.  Appends one record per coarse
-    level to ``levels``, coarsest first."""
+    starts from its own coarse start.  Each coarse level is solved to
+    max(_COARSE_TOL (1 + ||f||_1), tol) for its datum f.  Appends one
+    record per coarse level to ``levels``, coarsest first."""
     n = f_field.n_nodes
     if n % 2 == 0 or (n + 1) // 2 < _COARSEST:
         return None
@@ -581,10 +608,10 @@ def _coarse_start(spec, f_field, max_iter, levels):
         spec = replace(spec, b=np.asarray(spec.b).reshape(
             m, 2, m, 2).mean(axis=(1, 3)))
     coarse = GridField(_restrict(f_field.values))
-    start = _coarse_start(spec, coarse, max_iter, levels)
-    u, _, _, info = _newton(spec, coarse, 1e-9 * (1.0 + coarse.l1()),
-                            max_iter, start)
-    levels.append({"N": coarse.n_nodes, **{
+    start = _coarse_start(spec, coarse, tol, max_iter, levels)
+    level_tol = max(_COARSE_TOL * (1.0 + coarse.l1()), tol)
+    u, _, _, info = _newton(spec, coarse, level_tol, max_iter, start)
+    levels.append({"N": coarse.n_nodes, "tol": level_tol, **{
         key: info[key] for key in ("newton_steps", "pcg_iterations",
                                    "residual", "converged")}})
     return _prolong(u) if info["converged"] else None

@@ -465,6 +465,7 @@ def test_grid_solve_is_one_public_solve(monkeypatch, tmp_path):
     assert len(calls) == 1
     rep = json.loads((out / "grid_solve_report.json").read_text())
     assert [level["N"] for level in rep["levels"]] == [33]
+    assert rep["levels"][0]["residual"] <= rep["levels"][0]["tol"]
 
 
 @pytest.mark.parametrize("point", [
