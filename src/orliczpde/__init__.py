@@ -28,6 +28,7 @@ from .embedding import (
     DichotomyError,
     EmbeddingProfile,
     classify_integral,
+    growth_conditions,
     hat_phi_circ,
     sobolev_conjugate,
     tail_exponents,
@@ -73,7 +74,6 @@ from .young import (
     SampledYoungFunction,
     ScalarYoungFunction,
     YoungFunctionError,
-    check_growth_condition,
     parse_scalar_function,
     psi_of,
     solve_increasing,

@@ -390,8 +390,11 @@ def _star_measure(phi, levels):
 
 
 def _measures(phi, levels, method):
-    """Measures of the 1-D array of positive ``levels`` and their
-    convergence summary (see :func:`sublevel_measure`)."""
+    """Measures of the 1-D array of positive ``levels``, their
+    convergence summary (see :func:`sublevel_measure`) and the exact
+    tail (sigma, beta) of Phi_circ: (n / sum 1/p_i, 0) where the
+    measures are Dirichlet's closed form c t^{sum 1/p_i}, else None."""
+    tail = None
     det = 0.0
     if method == "auto":
         if phi.form == "split":
@@ -402,6 +405,7 @@ def _measures(phi, levels, method):
         out = unit_ball_volume(phi.n) * phi.a.inverse(levels) ** phi.n
     elif det > 0.0 and all(isinstance(a, PowerYoung) for a in phi.terms):
         out = _power_split_measure(phi.terms, levels) / det
+        tail = (phi.n / sum(1.0 / a.p for a in phi.terms), 0.0)
     elif det > 0.0:
         # Fubini leaves the order free: a closed-form inverse innermost
         terms = sorted(phi.terms, key=lambda a: a.closed_form_inverse)
@@ -410,9 +414,9 @@ def _measures(phi, levels, method):
         for chunk in _chunks(levels.size, nodes):
             out[chunk] = _split_measure(terms, levels[chunk]) / det
     else:
-        return _star_measure(phi, levels)
+        return (*_star_measure(phi, levels), None)
     return out, {"levels": levels.size, "unconverged": 0,
-                 "worst_rel_change": None, "rel_tol": _REL_TOL}
+                 "worst_rel_change": None, "rel_tol": _REL_TOL}, tail
 
 
 def sublevel_measure(phi, t, method="auto"):
@@ -439,7 +443,7 @@ def sublevel_measure(phi, t, method="auto"):
     t_arr = np.asarray(t, dtype=float)
     out = np.zeros(t_arr.size)
     pos = np.flatnonzero(t_arr.ravel() > 0.0)
-    out[pos], summary = _measures(phi, t_arr.ravel()[pos], method)
+    out[pos], summary, _ = _measures(phi, t_arr.ravel()[pos], method)
     if summary["unconverged"]:
         warnings.warn(MeasureConvergenceWarning(summary), stacklevel=2)
     return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
@@ -460,7 +464,10 @@ def phi_circ(phi, t_lo=1e-3, t_hi=1e6, n_levels=512, seed=0):
     (levels whose star-path sphere rule ended above ``rel_tol``; 0 on
     the split and closed-form paths), ``worst_rel_change`` (the largest
     last relative change among them, None when there are none) and
-    ``rel_tol``; no :class:`MeasureConvergenceWarning` is issued.
+    ``rel_tol``; no :class:`MeasureConvergenceWarning` is issued.  Where
+    the measures are Dirichlet's closed form (power splits and square
+    power combinations) the table's ``tail`` is the exact one,
+    (n / sum 1/p_i, 0), so no tail fit needs decades of levels.
     Radial inputs return their generator directly (the construction is
     the identity for them).  ``seed`` is accepted and unused: every rule
     is deterministic.
@@ -468,12 +475,13 @@ def phi_circ(phi, t_lo=1e-3, t_hi=1e6, n_levels=512, seed=0):
     if phi.form == "radial":
         return phi.a
     levels = np.geomspace(t_lo, t_hi, n_levels)
-    measures, convergence = _measures(phi, levels, "auto")
+    measures, convergence, tail = _measures(phi, levels, "auto")
     radii = (measures / unit_ball_volume(phi.n)) ** (1.0 / phi.n)
     out = SampledYoungFunction(np.log(radii), np.log(levels),
                                name=f"phi_circ[{phi.form}]")
     out.repair_convexity()
     out.convergence = convergence
+    out.tail = tail
     return out
 
 

@@ -26,6 +26,7 @@ import numpy as np
 from . import anisotropic, catalog, grid, radial, rearrangement, young
 from .embedding import (
     classify_integral,
+    growth_conditions,
     hat_phi_circ,
     sobolev_conjugate,
     tail_exponents,
@@ -90,9 +91,15 @@ def _measure(text):
 
 def _keywords(spec, allowed):
     """The ``key=value`` pairs after the colon of ``spec``, as floats;
-    a key outside ``allowed`` is an error."""
+    an item without ``=`` or a key outside ``allowed`` is an error."""
     kind, _, body = spec.partition(":")
-    kw = dict(kv.split("=") for kv in body.split(","))
+    kw = {}
+    for item in body.split(","):
+        key, eq, val = item.partition("=")
+        if not eq:
+            raise young.YoungFunctionError(
+                f"{spec!r}: item {item!r} is not key=value")
+        kw[key] = val
     unknown = sorted(set(kw) - set(allowed))
     if unknown:
         raise young.YoungFunctionError(
@@ -196,8 +203,7 @@ def cmd_conjugate(cfg, out):
     lhs = s[:, None] * t[None, :100]
     rhs = a.value(s)[:, None] + conj_vals[None, :100]
     young_viol = int(np.sum(lhs > rhs * (1.0 + 1e-12)))
-    d2, d2w = young.check_growth_condition(a, "delta2")
-    n2, n2w = young.check_growth_condition(a, "nabla2")
+    d2, n2, tail = growth_conditions(a)
     report = {
         "function": a.name,
         "involution_rel_error": float(rel),
@@ -205,8 +211,8 @@ def cmd_conjugate(cfg, out):
         "inverse_product_lower_ok": lower_ok,
         "inverse_product_upper_ok": upper_ok,
         "young_inequality_violations": young_viol,
-        "delta2": {"verdict": d2, "witness": d2w},
-        "nabla2": {"verdict": n2, "witness": n2w},
+        "delta2": {"verdict": d2, "witness": tail},
+        "nabla2": {"verdict": n2, "witness": tail},
     }
     report["passes"] = (rel <= inv_tol and lower_ok and upper_ok
                         and young_viol == 0)
@@ -223,9 +229,10 @@ def cmd_phicirc(cfg, out):
         t_hi=float(cfg.get("t_hi", 1e6)),
         n_levels=int(cfg.get("n_levels", 256)))
     circ.to_csv(out / "phi_circ.csv")
-    sigma, beta, _ = tail_exponents(circ)
+    sigma, beta, spread = tail_exponents(circ)
     report = {"n": phi.n, "form": phi.form,
-              "tail_fit": {"power": sigma, "log": beta},
+              "tail_fit": {"power": sigma, "log": beta,
+                           "fit_spread": spread},
               "convergence": getattr(circ, "convergence", None)}
     _write_json(out / "phicirc_report.json", report)
     return report
@@ -377,9 +384,7 @@ def cmd_regularity_report(cfg, out):
         u_cells, np.full(u_cells.size, cell))
     gx, gy = grid.cell_gradients(u.values, u.h)
     e_cells = spec.potential.value(np.stack([gx, gy], axis=-1)).ravel()
-    # the grid's power forms have closed-form sublevel measures, so levels
-    # up to 1e30 cost nothing and give a steep Phi_circ its tail decades
-    circ = anisotropic.phi_circ(spec.potential, t_hi=1e30)
+    circ = anisotropic.phi_circ(spec.potential)
     u_max = float(u_rf(np.array([u_rf.breakpoints[0] * 0.5]))[0])
     if classify_integral(circ, n)[0] == "convergent":
         # p > n: u is bounded, and the level-set bounds and Marcinkiewicz

@@ -3,7 +3,8 @@
 Starting from the radial average Phi_circ of an n-dimensional Young
 function, this module builds the optimal-embedding machinery:
 
-* the convergence/divergence classification of the improper integral
+* the Delta_2 / Nabla_2 verdicts near infinity and the
+  convergence/divergence classification of the improper integral
 
       Int^infty (t / Phi_circ(t))^{1/(n-1)} dt,
 
@@ -31,7 +32,7 @@ integrand past the grid's end as a power law (:func:`_log_integral`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +48,7 @@ __all__ = [
     "DichotomyError",
     "fit_power_log",
     "tail_exponents",
+    "growth_conditions",
     "classify_integral",
     "EmbeddingProfile",
     "sobolev_conjugate",
@@ -58,7 +60,8 @@ class DichotomyError(YoungFunctionError):
     """Raised when a construction needs the other dichotomy branch."""
 
 
-_MARGIN = 0.02  # band around the critical integrand exponent -1
+_MARGIN = 0.02  # band around a critical exponent for a fitted tail
+_MAX_SPREAD = 0.1  # a fitted tail with a wider residual spread is unread
 _KNOT = 1.0  # the scalar near-zero splice is linear on [0, _KNOT]
 
 
@@ -133,6 +136,30 @@ def tail_exponents(a):
     return float(coef[1]), float(coef[2]), spread
 
 
+def growth_conditions(a):
+    """Delta_2 and Nabla_2 near infinity, returned as ``(delta2, nabla2,
+    witness)``.
+
+    Along the tail t^sigma (log t)^beta of :func:`tail_exponents`,
+    A(2t)/A(t) -> 2^sigma: Delta_2 ``"holds"`` iff sigma < inf, Nabla_2
+    iff sigma > 1, and a fitted sigma within the margin 0.02 of 1 reads
+    as 1.  Both verdicts are ``"inconclusive"`` when no tail can be read
+    (a range under 1.5 decades, or a fit spread above 0.1).  The witness
+    is the tail, or the reason it could not be read.
+    """
+    try:
+        sigma, beta, spread = tail_exponents(a)
+    except YoungFunctionError as exc:
+        return "inconclusive", "inconclusive", {"reason": str(exc)}
+    witness = {"sigma": sigma, "beta": beta, "fit_spread": spread}
+    if spread is not None and spread > _MAX_SPREAD:
+        return "inconclusive", "inconclusive", witness
+    margin = 0.0 if spread is None else _MARGIN
+    delta2 = "holds" if math.isfinite(sigma) else "fails"
+    nabla2 = "holds" if sigma > 1.0 + margin else "fails"
+    return delta2, nabla2, witness
+
+
 def classify_integral(phi_circ, n):
     """Dichotomy of Int^infty (t/Phi_circ(t))^{1/(n-1)} dt, returned as
     ``(verdict, diagnostics)``.
@@ -151,7 +178,7 @@ def classify_integral(phi_circ, n):
     margin, log_margin = (0.0, 0.0) if spread is None else (_MARGIN, 0.05)
     diag = {"sigma": sigma, "beta": beta, "integrand_exponent": exponent,
             "log_exponent": k, "fit_spread": spread, "margin": margin}
-    if spread is not None and spread > 0.1:
+    if spread is not None and spread > _MAX_SPREAD:
         raise DichotomyError(f"oscillating tail exponent: {diag}")
     if exponent > -1.0 + margin:
         verdict = "divergent"
@@ -186,7 +213,6 @@ class EmbeddingProfile:
     vartheta_n: MonotoneFunction
     varrho_n: MonotoneFunction
     modification: ModificationRecord
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def n_prime(self):
@@ -221,8 +247,7 @@ def sobolev_conjugate(phi_circ, n, n_points=4096, log_t_hi=math.log(1e10)):
     Convergent-dichotomy inputs are refused — the solution is bounded
     there and no conjugate is needed.
     """
-    verdict, diag = classify_integral(phi_circ, n)
-    if verdict == "convergent":
+    if classify_integral(phi_circ, n)[0] == "convergent":
         raise DichotomyError(
             "tail integral converges: solutions are bounded and the "
             "Sobolev conjugate degenerates; use the L-infinity branch"
@@ -265,9 +290,7 @@ def sobolev_conjugate(phi_circ, n, n_points=4096, log_t_hi=math.log(1e10)):
         name="varrho_n", log_fn=vr_log)
     return EmbeddingProfile(
         n=n, phi_circ=phi_circ, H=H, phi_n=phi_n,
-        vartheta_n=vartheta, varrho_n=varrho, modification=record,
-        diagnostics=diag,
-    )
+        vartheta_n=vartheta, varrho_n=varrho, modification=record)
 
 
 _HAT_POINTS = 2048  # points of each hat_phi_circ table

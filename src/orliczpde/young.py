@@ -17,7 +17,6 @@ and A(t)/t -> oo as t -> oo.  This module provides
   taking more than a few steps beyond what bisection would; each round
   evaluates only the unfinished elements, and per-element parameters
   ride along as ``args``,
-* doubling-condition probes (Delta_2 / Nabla_2 near infinity),
 * the derived monotone functions Psi(t) = A(t)/t and
   Theta_diamond(t) = conj(A)^{-1}(A(t)).
 
@@ -49,7 +48,6 @@ __all__ = [
     "solve_increasing",
     "psi_of",
     "theta_diamond",
-    "check_growth_condition",
     "parse_scalar_function",
 ]
 
@@ -283,8 +281,11 @@ class ScalarYoungFunction:
     t_max = 1e8
     convexity_certified = False
     closed_form_inverse = False  # ``inverse`` runs no solver
-    # (sigma, beta): the exact tail A(t) ~ t^sigma (log t)^beta of a closed
-    # form (sigma = inf: exponential); None: ``embedding.tail_exponents`` fits
+    # (sigma, beta): the exact tail A(t) ~ t^sigma (log t)^beta that a
+    # closed form states (sigma = inf: exponential), as does a Phi_circ
+    # table built from closed-form measures (``anisotropic.phi_circ``);
+    # None: ``embedding.tail_exponents`` fits one.  The dichotomy and the
+    # Delta_2 / Nabla_2 verdicts read this tail
     tail = None
 
     # -- evaluation ---------------------------------------------------
@@ -863,50 +864,6 @@ def theta_diamond(a):
         return a.inverse(conj.value(y))
 
     return MonotoneFunction(fn, inv=inv, name=f"theta_diamond({a.name})")
-
-
-def check_growth_condition(a, which):
-    """Probe the Delta_2 / Nabla_2 doubling conditions near infinity.
-
-    The ratio A(2t)/A(t) is probed at 64 log-spaced t in
-    [1, a.t_max / 2]; Delta_2 fails where it exceeds 1e6 or grows
-    steadily over the upper half.  Returns ``(verdict, witness)`` where
-    verdict is one of ``"holds"``, ``"fails"``, ``"inconclusive"`` and
-    witness is the probe point with the decisive ratio.  Heuristic by
-    nature: the verdict is only as good as the probed range, hence the
-    explicit inconclusive channel.
-    """
-    if which not in ("delta2", "nabla2"):
-        raise ValueError("which must be 'delta2' or 'nabla2'")
-    t_probe, t_max = 1.0, a.t_max / 2.0
-    if t_max <= 4.0 * t_probe:
-        return "inconclusive", {"reason": "domain hint too narrow",
-                                "t_probe": t_probe, "t_max": t_max}
-    log_t = np.linspace(math.log(t_probe), math.log(t_max), 64)
-    ratio = np.exp(a.log_value(log_t + math.log(2.0)) - a.log_value(log_t))
-    tail = ratio[32:]
-    t_tail = np.exp(log_t[32:])
-    if which == "delta2":
-        if np.max(ratio) > 1e6 or (
-            np.all(np.diff(tail) > 0) and tail[-1] > 64.0 * tail[0]
-        ):
-            i = int(np.argmax(tail))
-            return "fails", {"t": float(t_tail[i]), "ratio": float(tail[i])}
-        spread = np.max(tail) / np.min(tail)
-        if spread < 2.0:
-            i = int(np.argmax(tail))
-            return "holds", {"t": float(t_tail[i]), "ratio": float(tail[i])}
-        return "inconclusive", {"spread": float(spread)}
-    # nabla2: A(2t) >= c A(t) eventually, for some fixed c > 2
-    excess = tail - 2.0
-    shrinking = (np.all(np.diff(tail) <= 1e-9)
-                 and excess[-1] <= 0.55 * max(excess[0], 1e-30))
-    if tail[-1] <= 2.0 + 1e-2 or shrinking:
-        return "fails", {"t": float(t_tail[-1]), "ratio": float(tail[-1])}
-    if np.all(tail >= 2.0 + 1e-2):
-        i = int(np.argmin(tail))
-        return "holds", {"t": float(t_tail[i]), "ratio": float(tail[i])}
-    return "inconclusive", {"last_ratio": float(tail[-1])}
 
 
 _CATALOG = {

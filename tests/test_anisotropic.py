@@ -273,6 +273,19 @@ _KINKED = [([1.0, 0.0], PowerYoung(2)), ([0.0, 1.0], PowerYoung(3)),
            ([1.0, 1.0], PowerYoung(4))]
 
 
+def test_phi_circ_states_closed_form_tails():
+    # Dirichlet's closed form: measure c t^{1/2 + 1/3}, so Phi_circ is
+    # exactly c r^{2.4} in the plane, whatever the level range
+    rows = [([1.0, -1.0], PowerYoung(2)), ([1.0, 0.0], PowerYoung(3))]
+    sigma, beta = phi_circ(LinearCombinationPhi(2, rows), n_levels=8).tail
+    assert sigma == pytest.approx(2.4, rel=1e-14) and beta == 0.0
+    # quadrature and the star path state none: their tails are fitted
+    assert phi_circ(LinearCombinationPhi(2, _KINKED), t_lo=1.0, t_hi=1e6,
+                    n_levels=8).tail is None
+    split = SplitPhi([PowerLogYoung(2.0, 1.0), PowerYoung(3)])
+    assert phi_circ(split, n_levels=8).tail is None
+
+
 @pytest.mark.parametrize("phi, t_hi, n_levels", [
     (SplitPhi([PowerYoung(2), PowerYoung(4)]), 1e6, 64),
     (SplitPhi([PowerYoung(1.8), PowerYoung(2.7), PowerYoung(3.5)]), 1e6, 6),

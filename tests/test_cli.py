@@ -370,6 +370,19 @@ def test_phicirc_deterministic(tmp_path):
     assert rep["tail_fit"]["power"] == pytest.approx(8.0 / 3.0, rel=0.02)
 
 
+def test_phicirc_states_the_tail_of_a_steep_split(tmp_path):
+    # the (4, 6) split's measures are Dirichlet's closed form, so its tail
+    # t^{2 / (1/4 + 1/6)} is stated, not fitted over decades of levels
+    phi = json.dumps({"n": 2, "form": "split",
+                      "terms": [{"kind": "power", "p": 4},
+                                {"kind": "power", "p": 6}]})
+    code, out = run(["phicirc", "--phi", phi], tmp_path)
+    assert code == 0
+    tail = json.loads((out / "phicirc_report.json").read_text())["tail_fit"]
+    assert tail["power"] == pytest.approx(4.8, rel=1e-14)
+    assert tail["log"] == 0.0 and tail["fit_spread"] is None
+
+
 def test_phicirc_reports_sphere_rule_convergence(tmp_path):
     # three pairwise independent rows: the star path, whose sphere rule
     # ends above rel_tol on the high levels, where the sublevel sets of
@@ -510,8 +523,8 @@ def test_regularity_report_reads_p_split(tmp_path):
     # Phi_circ of (2, 4) grows like t^{8/3}, faster than t^n: u is bounded
     assert reports["bounded"]["dichotomy"] == "convergent"
     assert reports["bounded"]["p_split"] == [2, 4]
-    # (3, 4) grows like t^{24/7}; its closed-form sublevel measures reach
-    # the levels up to 1e30 that its tail fit needs
+    # (3, 4) grows like t^{24/7}; its closed-form sublevel measures state
+    # that tail, so the default levels classify it
     assert reports["steep"]["dichotomy"] == "convergent"
     assert reports["mixed"]["dichotomy"] == "divergent"
     assert reports["mixed"]["kappa2"] != pytest.approx(
@@ -552,6 +565,20 @@ def test_admissibility_refuses_bad_power_profile(spec, tmp_path):
     assert code == 1
     err = json.loads((out / "error.json").read_text())["error"]
     assert err["type"] == "YoungFunctionError"
+
+
+@pytest.mark.parametrize("command, spec, item", [
+    (("admissibility", "--phi-circ", "power:p=1.5", "--n", "2"), "pow:a",
+     "a"),
+    (("admissibility", "--phi-circ", "power:p=1.5", "--n", "2"), "pow:", ""),
+    (("grid-solve", "--N", "33", "--p", "2"), "point:mass", "mass"),
+], ids=["pow_no_value", "pow_empty", "point_no_value"])
+def test_keyword_item_without_value_is_named(command, spec, item, tmp_path):
+    code, out = run([*command, "--f", spec], tmp_path)
+    assert code == 1
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["type"] == "YoungFunctionError"
+    assert repr(spec) in err["message"] and repr(item) in err["message"]
 
 
 def test_verify_example_cli(tmp_path):

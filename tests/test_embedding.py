@@ -13,6 +13,7 @@ from orliczpde.embedding import (
     _cumulative_trapezoid,
     classify_integral,
     fit_power_log,
+    growth_conditions,
     hat_phi_circ,
     sobolev_conjugate,
     tail_exponents,
@@ -25,6 +26,29 @@ from orliczpde.young import (
     PowerYoung,
     YoungFunctionError,
 )
+
+
+@pytest.mark.parametrize("a, delta2, nabla2", [
+    (PowerYoung(3), "holds", "holds"),
+    (ExpPowerYoung(1.0), "fails", "holds"),
+    # t log(e + t): doubling but barely superlinear, so Nabla_2 fails
+    (PowerLogYoung(1.0, 1.0), "holds", "fails"),
+    # s log s - s + 1, zero on [0, 1]: the L log L function
+    (ExpMinusOneYoung().conjugate(), "holds", "fails"),
+    (ExpMinusLinearYoung().conjugate(), "holds", "fails"),
+    # 2^1.005 is only 0.7 % above 2, but the stated tail is exact
+    (PowerYoung(1.005), "holds", "holds"),
+    # trusted only up to 700^(1/5) = 3.7
+    (ExpPowerYoung(5.0), "fails", "holds"),
+    (PowerLogYoung(2.0, 1.0).sample(), "holds", "holds"),
+    # no power-log law fits an exponential table: no tail is read
+    (ExpMinusOneYoung().sample(1e-3, 500.0), "inconclusive",
+     "inconclusive"),
+], ids=["power3", "exp", "t_log_t", "conj_exp_minus_one",
+        "conj_exp_minus_linear", "power1.005", "exp_power5",
+        "power_log_table", "exp_table"])
+def test_growth_verdicts(a, delta2, nabla2):
+    assert growth_conditions(a)[:2] == (delta2, nabla2)
 
 
 def test_fit_power_log_recovers_extra_columns():

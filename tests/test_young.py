@@ -21,7 +21,6 @@ from orliczpde.young import (
     SampledYoungFunction,
     ScalarYoungFunction,
     YoungFunctionError,
-    check_growth_condition,
     parse_scalar_function,
     psi_of,
     solve_increasing,
@@ -111,17 +110,6 @@ def test_young_inequality(p, log_s, log_t):
     conj = a.conjugate()
     s, t = math.exp(log_s), math.exp(log_t)
     assert s * t <= (a.value(s) + conj.value(t)) * (1.0 + 1e-12)
-
-
-def test_growth_verdicts():
-    assert check_growth_condition(PowerYoung(3), "delta2")[0] == "holds"
-    assert check_growth_condition(PowerYoung(3), "nabla2")[0] == "holds"
-    assert check_growth_condition(ExpPowerYoung(1.0), "delta2")[0] == "fails"
-    assert check_growth_condition(ExpPowerYoung(1.0), "nabla2")[0] == "holds"
-    # t log(e+t): doubling but barely superlinear -> nabla2 fails
-    near_linear = PowerLogYoung(1.0, 1.0)
-    assert check_growth_condition(near_linear, "delta2")[0] == "holds"
-    assert check_growth_condition(near_linear, "nabla2")[0] == "fails"
 
 
 def test_sampled_round_trip(tmp_path):
