@@ -511,13 +511,6 @@ def phi_diamond(phi_or_circ):
 # JSON specification
 
 
-def _scalar_from_term(term):
-    kind = term["kind"]
-    args = {k: v for k, v in term.items() if k != "kind" and k != "coeffs"}
-    parts = ",".join(f"{k}={v}" for k, v in args.items())
-    return parse_scalar_function(f"{kind}:{parts}" if parts else kind)
-
-
 def from_json(doc):
     """Build an anisotropic function from a JSON-style dict.
 
@@ -534,13 +527,15 @@ def from_json(doc):
     form = doc["form"]
     bound = float(doc.get("bound_radius", 1e8))
     if form == "radial":
-        return RadialPhi(n, _scalar_from_term(doc["term"]), bound)
+        return RadialPhi(n, parse_scalar_function(doc["term"]), bound)
     if form == "split":
-        terms = [_scalar_from_term(t) for t in doc["terms"]]
+        terms = [parse_scalar_function(t) for t in doc["terms"]]
         if len(terms) != n:
             raise YoungFunctionError("split form needs one term per axis")
         return SplitPhi(terms, bound)
     if form == "linear_combination":
-        rows = [(t["coeffs"], _scalar_from_term(t)) for t in doc["terms"]]
+        rows = [(t["coeffs"], parse_scalar_function(
+                     {k: v for k, v in t.items() if k != "coeffs"}))
+                for t in doc["terms"]]
         return LinearCombinationPhi(n, rows, bound)
     raise YoungFunctionError(f"unknown form {form!r}")

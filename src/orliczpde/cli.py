@@ -89,33 +89,24 @@ def _measure(text):
     return float(text)
 
 
-def _keywords(spec, allowed):
-    """The ``key=value`` pairs after the colon of ``spec``, as floats;
-    an item without ``=`` or a key outside ``allowed`` is an error."""
-    kind, _, body = spec.partition(":")
-    kw = {}
-    for item in body.split(","):
-        key, eq, val = item.partition("=")
-        if not eq:
-            raise young.YoungFunctionError(
-                f"{spec!r}: item {item!r} is not key=value")
-        kw[key] = val
-    unknown = sorted(set(kw) - set(allowed))
-    if unknown:
+def _constant(spec):
+    """The number c of a ``const:<c>`` datum."""
+    text = spec.partition(":")[2]
+    try:
+        return float(text)
+    except ValueError:
         raise young.YoungFunctionError(
-            f"unknown {kind}: key(s) {unknown}; expected {', '.join(allowed)}")
-    return {key: float(val) for key, val in kw.items()}
+            f"{spec!r}: item {text!r} is not a number") from None
 
 
 def _load_rf(spec, domain_measure):
     """Rearranged datum from ``const:<c>``, ``pow:a=<a>[,c=<c>]`` (the
     profile f*(s) = c s^-a, 0 <= a < 1) or a (s, value) CSV path."""
     if isinstance(spec, str) and spec.startswith("const:"):
-        c = float(spec.partition(":")[2])
         return rearrangement.RearrangedFunction(
-            np.array([0.0, domain_measure]), np.array([c]))
+            np.array([0.0, domain_measure]), np.array([_constant(spec)]))
     if isinstance(spec, str) and spec.startswith("pow:"):
-        kw = _keywords(spec, ("a", "c"))
+        kw = young.parse_spec(spec, {"pow": ("a", "c")})[1]
         a, c = kw.get("a", math.nan), kw.get("c", 1.0)
         if not 0.0 <= a < 1.0:
             raise young.YoungFunctionError(
@@ -132,10 +123,9 @@ def _load_field(spec, n_nodes):
     """Grid datum from ``const:<c>``, ``point:mass=..[,x=..,y=..]``, or a
     CSV matrix path."""
     if isinstance(spec, str) and spec.startswith("const:"):
-        c = float(spec.partition(":")[2])
-        return grid.GridField(np.full((n_nodes, n_nodes), c))
+        return grid.GridField(np.full((n_nodes, n_nodes), _constant(spec)))
     if isinstance(spec, str) and spec.startswith("point:"):
-        kw = _keywords(spec, ("mass", "x", "y"))
+        kw = young.parse_spec(spec, {"point": ("mass", "x", "y")})[1]
         return grid.point_mass_field(
             n_nodes, mass=kw.get("mass", 1.0),
             location=(kw.get("x", 0.5), kw.get("y", 0.5)))
@@ -180,11 +170,9 @@ def _biconjugate_values(a, t):
 
 def cmd_conjugate(cfg, out):
     a = _scalar_from_config(cfg, "A")
-    # the default range stays inside the function's trusted range, where
-    # exponential growth is not yet clamped
-    t_hi = cfg.get("t_hi", min(1e4, a.t_max))
-    t = np.geomspace(cfg.get("t_lo", 1e-2), t_hi,
-                     int(cfg.get("n_points", 512)))
+    # the table stays inside A's trusted range, where exponential growth
+    # is not yet clamped, and so do the conjugate's maximizers A'^{-1}(t)
+    t = np.geomspace(1e-2, min(1e4, a.t_max, a.derivative(a.t_max)), 512)
     conj = young.LegendreConjugate(a)
     conj_vals = conj.value(t)
     _write_csv(out / "conjugate_table.csv",
@@ -248,11 +236,8 @@ def cmd_embedding(cfg, out):
                                 "solution for every integrable datum")
         _write_json(out / "embedding_report.json", report)
         return report
-    prof = sobolev_conjugate(
-        circ, n, n_points=int(cfg.get("n_points", 4096)),
-        log_t_hi=math.log(float(cfg.get("t_hi", 1e10))))
-    t = np.geomspace(float(cfg.get("table_lo", 1e-2)),
-                     float(cfg.get("table_hi", 1e6)), 512)
+    prof = sobolev_conjugate(circ, n)
+    t = np.geomspace(1e-2, 1e6, 512)
     tab = prof.to_table(t)
     hat = hat_phi_circ(prof)
     _write_csv(out / "embedding_table.csv",
@@ -276,14 +261,12 @@ def cmd_symmetrize_solve(cfg, out):
     omega = _measure(cfg.get("omega", 1.0))
     f_rf = _load_rf(cfg.get("f", "const:1"), omega)
     psi_inv = young.psi_of(a).inverse
-    sol = radial.solve_radial(psi_inv, f_rf, n, omega,
-                              n_nodes=int(cfg.get("n_nodes", 4096)))
+    sol = radial.solve_radial(psi_inv, f_rf, n, omega)
     sol.to_csv(out / "radial_solution.csv")
     bc = rearrangement.boundedness_criterion(f_rf, psi_inv, n, omega)
     report = {
         "n": n, "domain_measure": omega, "radius": sol.radius,
         "center_value": float(sol.v[0]),
-        "linf_bound": float(sol.v[0]),
         "boundedness_criterion": bc,
     }
     _write_json(out / "symmetrize_solve_report.json", report)
@@ -302,20 +285,14 @@ def _grid_phi(p=2.0, p_split=None):
 def _operator_from_config(cfg):
     """The operator of grid-solve, approx-seq and regularity-report."""
     phi = _grid_phi(cfg.get("p", 2.0), cfg.get("p_split"))
-    return grid.OperatorSpec(potential=phi,
-                             epsilon=float(cfg.get("epsilon", 0.0)),
-                             q=float(cfg.get("q", 4.0)),
-                             b=float(cfg.get("b", 1.0)))
+    return grid.OperatorSpec(potential=phi, b=float(cfg.get("b", 1.0)))
 
 
 def cmd_grid_solve(cfg, out):
     n_nodes = int(cfg.get("N", 65))
     spec = _operator_from_config(cfg)
     f_field = _load_field(cfg.get("f", "const:1"), n_nodes)
-    u, info = grid.solve(spec, f_field,
-                         tol=cfg.get("tol"),
-                         max_iter=int(cfg.get("max_iter", 100)),
-                         return_info=True)
+    u, info = grid.solve(spec, f_field, return_info=True)
     u.to_csv(out / "u.csv")
     energies = np.asarray(info["energies"])
     monotone = bool(np.all(np.diff(energies)
@@ -349,9 +326,7 @@ def cmd_approx_seq(cfg, out):
     f_field = _load_field(cfg.get("f", "point:mass=1"), n_nodes)
     k_ladder = [float(k) for k in cfg.get("k_ladder",
                                           [2, 8, 32, 128, 1024])]
-    _fields, rows = grid.approximable_sequence(
-        spec, f_field, k_ladder,
-        deviation_threshold=float(cfg.get("deviation_threshold", 1e-3)))
+    _fields, rows = grid.approximable_sequence(spec, f_field, k_ladder)
     steps = rows[1:]  # first entry has no predecessor to deviate from
     dev = [r["deviation_measure"] for r in steps]
     decreasing = bool(np.all(np.diff(dev) <= 1e-12))

@@ -19,6 +19,8 @@ and A(t)/t -> oo as t -> oo.  This module provides
   ride along as ``args``,
 * the derived monotone functions Psi(t) = A(t)/t and
   Theta_diamond(t) = conj(A)^{-1}(A(t)).
+* the spec grammar ``kind:key=value,...`` (and its JSON-term form)
+  that names catalog functions and the CLI's data.
 
 Functions of very fast growth are also usable through ``log_value``,
 which evaluates log A(t) from log t without overflowing.
@@ -26,6 +28,7 @@ which evaluates log A(t) from log t without overflowing.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -48,6 +51,7 @@ __all__ = [
     "solve_increasing",
     "psi_of",
     "theta_diamond",
+    "parse_spec",
     "parse_scalar_function",
 ]
 
@@ -874,25 +878,46 @@ _CATALOG = {
     "exp_minus_one": lambda: ExpMinusOneYoung(),
     "exp_minus_linear": lambda: ExpMinusLinearYoung(),
 }
+_CATALOG_KEYS = {kind: tuple(inspect.signature(make).parameters)
+                 for kind, make in _CATALOG.items()}
+
+
+def parse_spec(spec, allowed):
+    """``(kind, {key: value})`` from a spec ``"kind[:key=value,...]"`` or
+    a JSON term ``{"kind": kind, key: value, ...}``; ``allowed`` maps each
+    kind to its keys.  An unknown kind, a text item without ``=``, a key
+    not allowed or a value that is not a number raises
+    :class:`YoungFunctionError` naming the spec and the item."""
+    if isinstance(spec, str):
+        kind, colon, body = spec.partition(":")
+        items = [(item, *item.partition("=")) for item in body.split(",")
+                 if colon]
+    elif "kind" in spec:
+        kind = spec["kind"]
+        items = [(key, key, "=", val) for key, val in spec.items()
+                 if key != "kind"]
+    else:
+        raise YoungFunctionError(f"{spec!r}: no item 'kind'")
+    if not isinstance(kind, str) or kind not in allowed:
+        raise YoungFunctionError(f"{spec!r}: unknown kind {kind!r}; "
+                                 f"expected one of {sorted(allowed)}")
+    kw = {}
+    for item, key, eq, val in items:
+        if not eq or key not in allowed[kind]:
+            raise YoungFunctionError(
+                f"{spec!r}: item {item!r} is not key=value with a key of "
+                f"{kind} ({', '.join(allowed[kind])})")
+        try:
+            kw[key] = float(val)
+        except (TypeError, ValueError):
+            raise YoungFunctionError(
+                f"{spec!r}: item {item!r} is not a number") from None
+    return kind, kw
 
 
 def parse_scalar_function(spec):
-    """Build a catalog function from a string id like ``"power:p=3"``.
-
-    Format: ``name`` or ``name:key=value,key=value``.
-    """
-    if ":" in spec:
-        name, _, args = spec.partition(":")
-        kwargs = {}
-        for item in args.split(","):
-            key, _, val = item.partition("=")
-            kwargs[key.strip()] = float(val)
-    else:
-        name, kwargs = spec, {}
-    name = name.strip()
-    if name not in _CATALOG:
-        raise YoungFunctionError(
-            f"unknown scalar function {name!r}; available: "
-            f"{sorted(_CATALOG)}"
-        )
-    return _CATALOG[name](**kwargs)
+    """Build a catalog function from a spec like ``"power:p=3"`` or a
+    JSON term like ``{"kind": "power", "p": 3}`` (see :func:`parse_spec`);
+    each kind takes the parameters of its catalog entry as keys."""
+    kind, kw = parse_spec(spec, _CATALOG_KEYS)
+    return _CATALOG[kind](**kw)

@@ -108,12 +108,18 @@ def test_conjugate_nonconvex_table_fails_involution(tmp_path):
     assert report["involution_rel_error"] > 1e-3
 
 
-def test_conjugate_exp_power_stays_in_trusted_range(tmp_path):
-    # exp(t^1.5) - 1 clamps its exponent at 700 (t = 78.8); the default
-    # table ends there, so the conjugate stays finite and the checks pass
+@pytest.mark.parametrize("spec", [
+    "exp_power:beta=1.5", "power_log:p=1,alpha=1",
+], ids=["exp_power", "power_log_p1"])
+def test_conjugate_exp_power_stays_in_trusted_range(spec, tmp_path):
+    # exp(t^1.5) - 1 clamps its exponent at 700 (t = 78.8), and the
+    # conjugate of t log(e + t) grows like e^s, so its maximizer at s
+    # leaves the trusted range t <= 1e8 from s = A'(1e8) = 19.4 on; the
+    # default table ends at both points, so the conjugate stays finite
+    # and the checks pass
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out = run(["conjugate", "--A", "exp_power:beta=1.5"], tmp_path)
+        code, out = run(["conjugate", "--A", spec], tmp_path)
     assert code == 0
     report = json.loads((out / "conjugate_report.json").read_text())
     assert report["involution_rel_error"] <= 1e-6
@@ -195,6 +201,75 @@ def test_every_parameter_is_read(path):
     # because perfbench/workloads.py passes it
     unread = [p for p in _unread_parameters(path) if p != "phi_circ(seed)"]
     assert unread == []
+
+
+def _config_reads(path):
+    """The string keys that ``path`` reads from ``cfg``: ``cfg[key]``,
+    ``cfg.get(key, ...)`` and ``helper(cfg, key, ...)``; a key held in a
+    variable is not seen."""
+    def is_cfg(node):
+        return isinstance(node, ast.Name) and node.id == "cfg"
+
+    keys = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        key = None
+        if isinstance(node, ast.Subscript) and is_cfg(node.value):
+            key = node.slice
+        elif isinstance(node, ast.Call) and node.args:
+            if (isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "get" and is_cfg(node.func.value)):
+                key = node.args[0]
+            elif len(node.args) > 1 and is_cfg(node.args[0]):
+                key = node.args[1]
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            keys.add(key.value)
+    return keys
+
+
+def _argparse_dests(path):
+    """The dest of each ``add_argument`` call in ``path``."""
+    dests = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument"):
+            dest = [kw.value.value for kw in node.keywords
+                    if kw.arg == "dest"]
+            dests.update(dest or [node.args[0].value.lstrip("-")
+                                  .replace("-", "_")])
+    return dests
+
+
+def _dict_keys(path):
+    """The string keys of the dict literals in ``path``."""
+    return {key.value
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Dict) for key in node.keys
+            if isinstance(key, ast.Constant) and isinstance(key.value, str)}
+
+
+def test_config_reads_and_setters(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text('def f(cfg, p):\n'
+                   '    p.add_argument("--phi-circ")\n'
+                   '    p.add_argument("--A", dest="a")\n'
+                   '    p.add_argument("id")\n'
+                   '    return cfg["x"], cfg.get("y", 1), g(cfg, "z"),'
+                   ' {"w": 1}, other.get("v")\n')
+    assert _config_reads(src) == {"x", "y", "z"}
+    assert _argparse_dests(src) == {"phi_circ", "a", "id"}
+    assert _dict_keys(src) == {"w"}
+
+
+def test_every_config_key_has_a_setter():
+    # a config key that no flag, CLI or acceptance test or benchmark
+    # operation sets is an option that nothing exercises: the command
+    # calls the library with that value instead
+    root = Path(cli.__file__).parents[2]
+    setters = _argparse_dests(Path(cli.__file__)).union(*map(_dict_keys, [
+        root / "tests" / "test_cli.py", root / "tests" / "test_acceptance.py",
+        *sorted((root / "perfbench").glob("*.py"))]))
+    assert sorted(_config_reads(Path(cli.__file__)) - setters) == []
 
 
 def _identifiers(path):
@@ -567,14 +642,33 @@ def test_admissibility_refuses_bad_power_profile(spec, tmp_path):
     assert err["type"] == "YoungFunctionError"
 
 
+ADMISSIBILITY = ("admissibility", "--phi-circ", "power:p=1.5", "--n", "2",
+                 "--f")
+GRID_SOLVE = ("grid-solve", "--N", "33", "--p", "2", "--f")
+
+
 @pytest.mark.parametrize("command, spec, item", [
-    (("admissibility", "--phi-circ", "power:p=1.5", "--n", "2"), "pow:a",
-     "a"),
-    (("admissibility", "--phi-circ", "power:p=1.5", "--n", "2"), "pow:", ""),
-    (("grid-solve", "--N", "33", "--p", "2"), "point:mass", "mass"),
-], ids=["pow_no_value", "pow_empty", "point_no_value"])
+    (ADMISSIBILITY, "pow:a", "a"),
+    (ADMISSIBILITY, "pow:", ""),
+    (GRID_SOLVE, "point:mass", "mass"),
+    (("conjugate", "--A"), "power:p", "p"),
+    (("conjugate", "--A"), "power:q=3", "q=3"),
+    (("conjugate", "--A"), "exp_minus_one:beta=2", "beta=2"),
+    (("conjugate", "--A"), "power:p=abc", "p=abc"),
+    (("phicirc", "--phi"), {"kind": "power", "alpha": 1}, "alpha"),
+    (("phicirc", "--phi"), {"p": 2}, "kind"),
+    (ADMISSIBILITY, "const:", ""),
+    (GRID_SOLVE, "const:x", "x"),
+], ids=["pow_no_value", "pow_empty", "point_no_value", "power_no_value",
+        "power_unknown_key", "exp_minus_one_unknown_key",
+        "power_not_a_number", "term_unknown_key", "term_without_kind",
+        "const_empty", "const_not_a_number"])
 def test_keyword_item_without_value_is_named(command, spec, item, tmp_path):
-    code, out = run([*command, "--f", spec], tmp_path)
+    # a bad item of a datum, a scalar spec or a JSON term (the term of a
+    # radial Phi here, named as the mapping it was read as) is bad input
+    arg = spec if isinstance(spec, str) else json.dumps(
+        {"n": 2, "form": "radial", "term": spec})
+    code, out = run([*command, arg], tmp_path)
     assert code == 1
     err = json.loads((out / "error.json").read_text())["error"]
     assert err["type"] == "YoungFunctionError"
