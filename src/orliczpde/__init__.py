@@ -49,7 +49,6 @@ from .radial import (
     gradient_l1_bound,
     level_set_bound_grad,
     level_set_bound_u,
-    linf_bound,
     solve_radial,
     truncation_energy_check,
 )

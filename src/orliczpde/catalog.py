@@ -164,7 +164,8 @@ def make_record(example_id, **params):
     return ExampleRecord(example_id, n, kept, comps, phi, pbar, abar)
 
 
-def _regime(pbar, abar, n, tol=1e-9):
+def _regime(pbar, abar, n):
+    tol = 1e-9
     if pbar < n - tol:
         return "subcritical"
     if pbar > n + tol:

@@ -273,7 +273,7 @@ def cmd_symmetrize_solve(cfg, out):
     return report
 
 
-def _grid_phi(p=2.0, p_split=None):
+def _grid_phi(p, p_split):
     """The grid potential as an anisotropic Phi: |xi|^p / p, or
     sum_i |xi_i|^p_i / p_i for ``p_split``."""
     terms = [young.PowerYoung(q, 1.0 / q) for q in map(float, p_split or [p])]

@@ -1,25 +1,24 @@
 """Finite-difference energy minimization on the unit square.
 
 The model Dirichlet problems  -div a(x, grad u) = f,  u = 0 on the
-boundary, with a = b(x) grad Phi + eps A_q'(|xi|) xi / |xi|, are
-discretized by cell-wise forward differences:
+boundary, with a = b(x) grad Phi, are discretized by cell-wise forward
+differences:
 
-    J(u) = h^2 * Sum_cells [ b Phi(grad_h u) + eps A_q(|grad_h u|) ]
-         - h^2 * Sum_nodes f u.
+    J(u) = h^2 * Sum_cells b Phi(grad_h u) - h^2 * Sum_nodes f u.
 
 Phi is the package's own anisotropic N-function on R^2: a radial
 A(|xi|) or a split A_1(|xi_1|) + A_2(|xi_2|) (``anisotropic.RadialPhi``
-and ``SplitPhi``), and A_q(t) = t^q/q is one more radial term.  The
-flux and the Hessian of each term come from its scalar terms A, A' and
-A'' (``second_derivative``).  J is strictly convex, so a Newton-Krylov
-iteration converges to the unique minimizer.  Each Hessian system is
-solved by matrix-free conjugate gradients to the inexact-Newton forcing
-term eta = min(0.1, sqrt(res / (res + 1))): CG stops once its residual r
-meets ||r||_2 <= eta ||rhs||_2 and also ||r||_inf <= sqrt(eta)
-||rhs||_inf, the sup norm being the one ``tol`` bounds.  Below p = 2 the
-Newton residual sits at the node where grad u = 0 and A'' is unbounded;
-the 2-norm test alone passes there after 1-2 CG iterations that leave
-that node's residual in place, and Newton creeps.  The symmetric 2 x 2 cell
+and ``SplitPhi``).  The flux and the Hessian come from its scalar
+terms A, A' and A'' (``second_derivative``).  J is strictly convex, so
+a Newton-Krylov iteration converges to the unique minimizer.  Each
+Hessian system is solved by matrix-free conjugate gradients to the
+inexact-Newton forcing term eta = min(0.1, sqrt(res / (res + 1))): CG
+stops once its residual r meets ||r||_2 <= eta ||rhs||_2 and also
+||r||_inf <= sqrt(eta) ||rhs||_inf, the sup norm being the one the
+solve's tolerance bounds.  Below p = 2 the Newton residual sits at the
+node where grad u = 0 and A'' is unbounded; the 2-norm test alone
+passes there after 1-2 CG iterations that leave that node's residual
+in place, and Newton creeps.  The symmetric 2 x 2 cell
 tensor of the Hessian is computed once per Newton step; it gives both
 the Hessian action, in raw differences, and the nodal diagonal d that
 scales the preconditioner D L^-1 D, D = diag(sqrt(4/d)), L^-1 the
@@ -30,10 +29,11 @@ and raises J by no more than that level, else the iteration stops; it
 also stops when the sup residual has stalled.  The energy trace is
 monotone up to that rounding bound.  For Phi = |xi|^2/2 the energy gradient is
 exactly the 5-point scheme, d = 4 and the first Newton step solves it
-in one CG iteration.  ``solve`` reports the sup residual that ``tol``
-bounds, the dual-norm residual sqrt(g . P^-1 g), and counts every CG
-breakdown (p.Hp <= 0) and every Newton step whose CG direction was
-replaced by P^-1 g because it was no descent direction.
+in one CG iteration.  ``solve`` reports the sup residual that its
+tolerance 1e-9 (1 + ||f||_1) bounds, the dual-norm residual
+sqrt(g . P^-1 g), and counts every CG breakdown (p.Hp <= 0) and every
+Newton step whose CG direction was replaced by P^-1 g because it was no
+descent direction.
 
 A solve from zero runs coarse to fine (nested iteration): on an odd N
 whose coarser mesh of (N + 1) / 2 nodes has at least 33 nodes, it first
@@ -41,13 +41,13 @@ solves on that mesh, with the full-weighting restriction of f (which
 keeps Sum f h^2) and b averaged over 2 x 2 cell blocks, and starts from
 the bilinear prolongation of that solution.  Each coarse level is itself
 solved coarse to fine, but only to the coarse tolerance
-1e-5 (1 + ||f||_1) (never tighter than the finest ``tol``): the
-prolongation starts the finer mesh at a sup residual of 0.3-2 in PDE
-units however well the coarse mesh was solved.  ``solve`` reports each
-coarse level, with the tolerance it was solved to, under ``levels``.  On
-the constant datum at N = 129 and 257, the finest mesh then takes about
-half the Newton and CG work of a solve from zero for p = 4, a third less
-for p = 3, and 40 % fewer CG iterations for p = 1.5.
+1e-5 (1 + ||f||_1): the prolongation starts the finer mesh at a sup
+residual of 0.3-2 in PDE units however well the coarse mesh was
+solved.  ``solve`` reports each coarse level, with the tolerance it was
+solved to, under ``levels``.  On the constant datum at N = 129 and
+257, the finest mesh then takes about half the Newton and CG work of a
+solve from zero for p = 4, a third less for p = 3, and 40 % fewer CG
+iterations for p = 1.5.
 
 Also here: truncated-data solution ladders (approximable solutions)
 and the mollified point-mass datum.
@@ -60,8 +60,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .anisotropic import RadialPhi
-from .young import PowerYoung, YoungFunctionError, solve_increasing
+from .young import YoungFunctionError, solve_increasing
 
 __all__ = [
     "GridField",
@@ -94,6 +93,9 @@ class GridField:
         n = self.values.shape[0]
         if self.values.shape != (n, n):
             raise YoungFunctionError("field must be square")
+        if n < 3:
+            raise YoungFunctionError(
+                f"a {n} x {n} grid has no interior node; N must be >= 3")
 
     @property
     def n_nodes(self):
@@ -143,102 +145,79 @@ def _hessian_floor(a):
     return 1e-8 if slope(1e-8) >= 1e-16 else solve_increasing(slope, 1e-16)
 
 
-class _Term:
-    """weight * Phi(xi) for a radial Phi = A(|xi|) or a split
-    Phi = A_1(|xi_1|) + A_2(|xi_2|) on R^2; its flux and Hessian come
-    from the scalar terms A, A' and A''."""
-
-    def __init__(self, weight, phi):
-        form, n = getattr(phi, "form", None), getattr(phi, "n", None)
-        self.radial = form == "radial"
-        self.scalars = [phi.a] if self.radial else getattr(phi, "terms", [])
-        if n != 2 or form not in ("radial", "split") or not all(
-                hasattr(a, "second_derivative") for a in self.scalars):
-            raise YoungFunctionError(
-                f"the grid takes a radial or split Phi on R^2 whose terms "
-                f"have a second_derivative, not a {form} form in dimension "
-                f"{n} with terms {[a.name for a in self.scalars]}")
-        self.weight = weight
-        self.floors = [_hessian_floor(a) for a in self.scalars]
-
-    def sizes(self, gx, gy):
-        """The scalar arguments: [|xi|] (radial) or [|xi_1|, |xi_2|]."""
-        if self.radial:
-            return [np.sqrt(gx**2 + gy**2)]
-        return [np.abs(gx), np.abs(gy)]
-
-    def value(self, gx, gy):
-        return self.weight * sum(
-            a.value(s) for a, s in zip(self.scalars, self.sizes(gx, gy)))
-
-    def flux_weights(self, gx, gy):
-        """(wx, wy) with flux (wx gx, wy gy): weight * A'(s)/s for each
-        scalar argument s, floored at _DELTA."""
-        s = [np.maximum(s, _DELTA) for s in self.sizes(gx, gy)]
-        w = [self.weight * a.derivative(t) / t
-             for a, t in zip(self.scalars, s)]
-        return (w[0], w[0]) if self.radial else w
-
-    def hess_weights(self, gx, gy):
-        """The symmetric cell tensor (hxx, hxy, hyy) of the Hessian, the
-        scalar arguments floored at :func:`_hessian_floor`: radial
-        w1 I + c g g^T with w1 = A'(r)/r and c = (A''(r) - w1)/r^2, split
-        diag(A_1''(|xi_1|), A_2''(|xi_2|))."""
-        s = [np.maximum(s, f)
-             for s, f in zip(self.sizes(gx, gy), self.floors)]
-        d2 = [self.weight * a.second_derivative(t)
-              for a, t in zip(self.scalars, s)]
-        if not self.radial:
-            return d2[0], 0.0, d2[1]
-        r = s[0]
-        w1 = self.weight * self.scalars[0].derivative(r) / r
-        c = (d2[0] - w1) / r**2
-        return w1 + c * gx**2, c * gx * gy, w1 + c * gy**2
-
-
 @dataclass
 class OperatorSpec:
-    """Energy density b Phi(xi) + eps A_q(|xi|), A_q(t) = t^q/q, q > 2.
+    """Energy density b(x) Phi(xi) of the operator b(x) grad Phi(xi).
 
-    ``potential`` is a radial or split Phi on R^2 (``anisotropic``)
-    whose scalar terms have a ``second_derivative``, else
-    :class:`YoungFunctionError` is raised.  The regularization is one
-    more radial term, and every method below sums over the terms.
+    ``potential`` is a radial Phi = A(|xi|) or a split
+    Phi = A_1(|xi_1|) + A_2(|xi_2|) on R^2 (``anisotropic.RadialPhi``
+    and ``SplitPhi``) whose scalar terms have a ``second_derivative``,
+    else :class:`YoungFunctionError` is raised; the flux and the Hessian
+    come from the scalar terms A, A' and A''.  ``b`` is a number or an
+    array over the (N-1)^2 cells.
     """
 
     potential: object
-    epsilon: float = 0.0
-    q: float = 4.0
     b: np.ndarray | float = 1.0  # cell coefficient, must be >= 1
 
     def __post_init__(self):
-        if not (0.0 <= self.epsilon < 1.0):
-            raise YoungFunctionError("epsilon must lie in [0, 1)")
-        if self.epsilon > 0.0 and self.q <= 2.0:
-            raise YoungFunctionError("regularization needs q > dimension 2")
         if np.any(np.asarray(self.b) < 1.0):
             raise YoungFunctionError("coefficient b must be >= 1")
-        self._terms = [_Term(np.asarray(self.b), self.potential)]
-        if self.epsilon > 0.0:
-            self._terms.append(_Term(self.epsilon, RadialPhi(
-                2, PowerYoung(self.q, 1.0 / self.q))))
+        phi = self.potential
+        form, n = getattr(phi, "form", None), getattr(phi, "n", None)
+        self._radial = form == "radial"
+        self._scalars = [phi.a] if self._radial else getattr(
+            phi, "terms", [])
+        if n != 2 or form not in ("radial", "split") or not all(
+                hasattr(a, "second_derivative") for a in self._scalars):
+            raise YoungFunctionError(
+                f"the grid takes a radial or split Phi on R^2 whose terms "
+                f"have a second_derivative, not a {form} form in dimension "
+                f"{n} with terms {[a.name for a in self._scalars]}")
+        self._b = np.asarray(self.b)
+        self._floors = [_hessian_floor(a) for a in self._scalars]
+
+    def _sizes(self, gx, gy):
+        """The scalar arguments: [|xi|] (radial) or [|xi_1|, |xi_2|]."""
+        if self._radial:
+            return [np.sqrt(gx**2 + gy**2)]
+        return [np.abs(gx), np.abs(gy)]
 
     def energy_density(self, gx, gy):
-        return sum(t.value(gx, gy) for t in self._terms)
+        values = [a.value(s) for a, s in zip(self._scalars,
+                                             self._sizes(gx, gy))]
+        return self._b * (values[0] if self._radial
+                          else values[0] + values[1])
 
     def flux(self, gx, gy):
-        ws = [t.flux_weights(gx, gy) for t in self._terms]
-        return sum(wx for wx, _ in ws) * gx, sum(wy for _, wy in ws) * gy
+        """(wx gx, wy gy) with the weight b A'(s)/s of each scalar
+        argument s, floored at _DELTA; a radial Phi has one weight for
+        both components."""
+        s = [np.maximum(s, _DELTA) for s in self._sizes(gx, gy)]
+        w = [self._b * a.derivative(t) / t
+             for a, t in zip(self._scalars, s)]
+        return w[0] * gx, w[-1] * gy
 
     def hess_weights(self, gx, gy):
         """Cell-wise Hessian of the energy density at the gradient (gx, gy).
 
-        Returns the symmetric 2 x 2 tensor ``(hxx, hxy, hyy)`` summed over
-        the terms.  The weights depend only on the Newton iterate, so one
-        evaluation serves a whole CG solve and its preconditioner.
+        Returns the symmetric 2 x 2 tensor ``(hxx, hxy, hyy)``, the scalar
+        arguments floored at :func:`_hessian_floor`: radial
+        b (w1 I + c g g^T) with w1 = A'(r)/r and c = (A''(r) - w1)/r^2,
+        split b diag(A_1''(|xi_1|), A_2''(|xi_2|)).  The weights depend
+        only on the Newton iterate, so one evaluation serves a whole CG
+        solve and its preconditioner.
         """
-        parts = [t.hess_weights(gx, gy) for t in self._terms]
-        return tuple(sum(entries) for entries in zip(*parts))
+        s = [np.maximum(s, f)
+             for s, f in zip(self._sizes(gx, gy), self._floors)]
+        d2 = [self._b * a.second_derivative(t)
+              for a, t in zip(self._scalars, s)]
+        if not self._radial:
+            return d2[0], 0.0, d2[1]
+        r = s[0]
+        w1 = self._b * self._scalars[0].derivative(r) / r
+        c = (d2[0] - w1) / r**2
+        return w1 + c * gx**2, c * gx * gy, w1 + c * gy**2
 
     def hess_apply(self, weights, vx, vy):
         """Cell-wise Hessian action (d flux / d gradient applied to v),
@@ -348,7 +327,11 @@ def _hessian_times(spec, weights, v):
     return _divergence(*spec.hess_apply(weights, *_differences(v)))
 
 
-def _pcg(spec, weights, rhs, pre, rel_tol, max_iter=400):
+# CG iterations allowed per Newton system
+_PCG_MAX_ITER = 400
+
+
+def _pcg(spec, weights, rhs, pre, rel_tol):
     """Preconditioned CG for the Newton system H d = rhs, with H given
     by its cell ``weights``; ``pre`` is rescaled to them first and keeps
     that scaling.
@@ -356,7 +339,7 @@ def _pcg(spec, weights, rhs, pre, rel_tol, max_iter=400):
     Returns ``(d, iterations, stop)``.  ``stop`` is "converged" when the
     residual r met both ||r||_2 <= rel_tol ||rhs||_2 and
     ||r||_inf <= sqrt(rel_tol) ||rhs||_inf, "capped" when all
-    ``max_iter`` iterations ran without meeting them, and "breakdown"
+    ``_PCG_MAX_ITER`` iterations ran without meeting them, and "breakdown"
     when a search direction had p.Hp <= 0, which the floored Hessian
     weights should prevent.  The sup test is the one that binds below
     p = 2, where a few iterations meet the 2-norm test while the
@@ -371,7 +354,7 @@ def _pcg(spec, weights, rhs, pre, rel_tol, max_iter=400):
     rz = float(np.sum(r * z))
     tol_2 = rel_tol * float(np.sqrt(np.sum(rhs * rhs)))
     tol_sup = math.sqrt(rel_tol) * float(np.max(np.abs(rhs)))
-    for k in range(1, max_iter + 1):
+    for k in range(1, _PCG_MAX_ITER + 1):
         Hp = _hessian_times(spec, weights, p)
         pHp = float(np.sum(p * Hp))
         if pHp <= 0.0:
@@ -386,7 +369,7 @@ def _pcg(spec, weights, rhs, pre, rel_tol, max_iter=400):
         rz_new = float(np.sum(r * z))
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return d, max_iter, "capped"
+    return d, _PCG_MAX_ITER, "capped"
 
 
 # J is a (pairwise) float sum whose rounding error is a few ulps of its
@@ -403,9 +386,12 @@ _ROUNDING_ULPS = 16.0
 # p = 1.2 sets none in its first 22.
 _STALL_STEPS = 15
 
+# The finest level's tolerance on the sup residual, relative to
+# 1 + ||f||_1.
+_TOL = 1e-9
 
-def solve(spec, f_field, tol=None, max_iter=100, u0=None,
-          return_info=False):
+
+def solve(spec, f_field, max_iter=100, u0=None, return_info=False):
     """Minimize the discrete energy; returns the solution field.
 
     Newton-Krylov: each outer step solves the Hessian system by
@@ -423,20 +409,20 @@ def solve(spec, f_field, tol=None, max_iter=100, u0=None,
     rounding bound.  For p = 2 the first Newton step is the exact
     5-point solve.  Convergence is declared when the sup norm of the
     energy gradient, scaled to PDE units (divided by h^2), drops below
-    ``tol`` (default 1e-9 * (1 + ||f||_1)): ``tol`` bounds this sup
-    residual, not the dual-norm one.  The iteration also stops
-    when the sup residual sets no new minimum in 15 consecutive steps (a
-    stall).  A stop above 100 * tol raises :class:`SolveError`.
+    tol = 1e-9 * (1 + ||f||_1): tol bounds this sup residual, not the
+    dual-norm one.  The iteration also stops when the sup residual sets
+    no new minimum in 15 consecutive steps (a stall).  A stop above
+    100 * tol raises :class:`SolveError`.
 
     Nested iteration: without ``u0``, an odd N whose coarser mesh of
     (N + 1) / 2 nodes has at least 33 nodes first solves the same
     problem on that mesh, recursively and to the coarse tolerance
-    max(1e-5 (1 + ||f||_1), tol), f the coarse datum, and starts from
+    1e-5 (1 + ||f||_1), f the coarse datum, and starts from
     the bilinear prolongation of that solution (:func:`_coarse_start`).
     A coarse level only gives a start, so it is solved no further.  A
     coarse level that does not converge gives no start, and the next
     finer level starts from zero.
-    ``tol``, ``max_iter``, the stall stop and :class:`SolveError`
+    tol, ``max_iter``, the stall stop and :class:`SolveError`
     concern the finest level; ``max_iter`` also caps each coarse level.
 
     With ``return_info`` the info dict holds ``energies``, ``residual``
@@ -450,15 +436,14 @@ def solve(spec, f_field, tol=None, max_iter=100, u0=None,
     CG direction was no descent direction and was replaced by P^-1 g)
     and ``rounding_steps`` (steps taken at rounding level), all of the
     finest level.  ``levels`` lists the coarse levels, coarsest first,
-    each with its ``N``, the ``tol`` it was solved to, ``newton_steps``,
-    ``pcg_iterations``, ``residual`` and ``converged``; it is empty for
-    a solve from ``u0``.
+    each with its ``N``, the tolerance ``tol`` it was solved to,
+    ``newton_steps``, ``pcg_iterations``, ``residual`` and
+    ``converged``; it is empty for a solve from ``u0``.
     """
     levels = []
-    if tol is None:
-        tol = 1e-9 * (1.0 + f_field.l1())
+    tol = _TOL * (1.0 + f_field.l1())
     if u0 is None:
-        u0 = _coarse_start(spec, f_field, tol, max_iter, levels)
+        u0 = _coarse_start(spec, f_field, max_iter, levels)
     u, g, pre, info = _newton(spec, f_field, tol, max_iter, u0)
     stalled = info.pop("stalled_steps")
     res = info["residual"]
@@ -590,7 +575,7 @@ def _prolong(values):
     return p @ values @ p.T
 
 
-def _coarse_start(spec, f_field, tol, max_iter, levels):
+def _coarse_start(spec, f_field, max_iter, levels):
     """The nested-iteration start of :func:`solve` on the mesh of
     ``f_field``: the bilinear prolongation of the solution one mesh
     coarser, or None when N is even, the coarser mesh has fewer than
@@ -598,7 +583,7 @@ def _coarse_start(spec, f_field, tol, max_iter, levels):
     is the full weighting of f, an array coefficient b is averaged over
     2 x 2 cell blocks (so b >= 1 still holds), and the coarse solve
     starts from its own coarse start.  Each coarse level is solved to
-    max(_COARSE_TOL (1 + ||f||_1), tol) for its datum f.  Appends one
+    _COARSE_TOL (1 + ||f||_1) for its datum f.  Appends one
     record per coarse level to ``levels``, coarsest first."""
     n = f_field.n_nodes
     if n % 2 == 0 or (n + 1) // 2 < _COARSEST:
@@ -608,8 +593,8 @@ def _coarse_start(spec, f_field, tol, max_iter, levels):
         spec = replace(spec, b=np.asarray(spec.b).reshape(
             m, 2, m, 2).mean(axis=(1, 3)))
     coarse = GridField(_restrict(f_field.values))
-    start = _coarse_start(spec, coarse, tol, max_iter, levels)
-    level_tol = max(_COARSE_TOL * (1.0 + coarse.l1()), tol)
+    start = _coarse_start(spec, coarse, max_iter, levels)
+    level_tol = _COARSE_TOL * (1.0 + coarse.l1())
     u, _, _, info = _newton(spec, coarse, level_tol, max_iter, start)
     levels.append({"N": coarse.n_nodes, "tol": level_tol, **{
         key: info[key] for key in ("newton_steps", "pcg_iterations",
@@ -633,13 +618,19 @@ def point_mass_field(n, mass=1.0, location=(0.5, 0.5)):
     return field
 
 
-def approximable_sequence(spec, f_field, k_ladder, deviation_threshold=1e-3):
+# The deviation |u_k - u_prev| (and that of the gradients) above which
+# approximable_sequence counts a cell in its deviation measures.
+_DEVIATION = 1e-3
+
+
+def approximable_sequence(spec, f_field, k_ladder):
     """Solve with truncated data f_k = clamp(f, +-k) along a ladder.
 
     Returns the fields and a convergence report: sup deviation and the
-    measure of {|u_k - u_prev| > threshold} between consecutive
-    iterates, plus the gradient Cauchy-in-measure statistic.  Each solve
-    uses the default tolerance of :func:`solve`.
+    measure of {|u_k - u_prev| > 1e-3} between consecutive iterates,
+    plus the gradient Cauchy-in-measure statistic, the measure of
+    {|grad u_k - grad u_prev| > 1e-3}.  Each solve uses the tolerance of
+    :func:`solve`.
     """
     h = f_field.h
     fields = []
@@ -653,12 +644,12 @@ def approximable_sequence(spec, f_field, k_ladder, deviation_threshold=1e-3):
             diff = np.abs(u.values - u_prev.values)
             entry["sup_deviation"] = float(np.max(diff))
             entry["deviation_measure"] = float(
-                np.sum(diff > deviation_threshold) * h**2)
+                np.sum(diff > _DEVIATION) * h**2)
             gx0, gy0 = cell_gradients(u_prev.values, h)
             gx1, gy1 = cell_gradients(u.values, h)
             gd = np.hypot(gx1 - gx0, gy1 - gy0)
             entry["grad_deviation_measure"] = float(
-                np.sum(gd > deviation_threshold) * h**2)
+                np.sum(gd > _DEVIATION) * h**2)
         fields.append(u)
         report.append(entry)
         u_prev = u

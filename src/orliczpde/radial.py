@@ -31,7 +31,6 @@ from .rearrangement import RearrangedFunction
 __all__ = [
     "RadialSolution",
     "solve_radial",
-    "linf_bound",
     "gradient_l1_bound",
     "level_set_bound_u",
     "level_set_bound_grad",
@@ -109,19 +108,6 @@ def solve_radial(psi_diamond_inv, f_rf, n, domain_measure=None, n_nodes=4096):
     v = np.concatenate([np.cumsum(increments[::-1])[::-1], [0.0]])
     return RadialSolution(n=n, domain_measure=float(domain_measure),
                           r=r, v=v, g=g)
-
-
-def linf_bound(f_rf, psi_diamond_inv, n, domain_measure=None, n_nodes=4096):
-    """Sharp supremum bound: the same integral as v(0), same quadrature.
-
-    Returns the center value of :func:`solve_radial`; finiteness can be
-    pre-screened with :func:`rearrangement.boundedness_criterion`, which
-    evaluates the identical integral in the measure variable.
-    """
-    if domain_measure is None:
-        domain_measure = f_rf.domain_measure
-    sol = solve_radial(psi_diamond_inv, f_rf, n, domain_measure, n_nodes)
-    return float(sol.v[0])
 
 
 def gradient_l1_bound(theta_values, cell_measures, domain_measure, f_l1, n):

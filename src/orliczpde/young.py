@@ -752,10 +752,9 @@ class SampledYoungFunction(ScalarYoungFunction):
         return bool(np.all(np.diff(s) >= -1e-12 * scale))
 
     @classmethod
-    def from_csv(cls, path, name=None):
+    def from_csv(cls, path):
         data = np.loadtxt(path, delimiter=",", skiprows=1)
-        return cls(np.log(data[:, 0]), np.log(data[:, 1]),
-                   name=name or "sampled")
+        return cls(np.log(data[:, 0]), np.log(data[:, 1]))
 
 
 _T_CAP = 1e250  # largest maximizer LegendreConjugate searches for

@@ -173,8 +173,6 @@ def test_ac05_radial_solver_oracle(report):
             gam = 1.0 / (p - 1.0)
             v_ref = 0.5**gam * (1.0 - sol.r**(gam + 1.0)) / (gam + 1.0)
             assert np.max(np.abs(sol.v - v_ref)) <= 1e-6
-            lb = radial.linf_bound(disk, psi_inv, 2)
-            assert lb == pytest.approx(float(sol.v[0]), rel=1e-10)
 
 
 def test_ac06_grid_oracle(report):
@@ -269,8 +267,7 @@ def test_ac09_approximable_solutions(report):
         spec = grid.OperatorSpec(power_potential(2.0))
         ladder = [4.0, 5.0, 16.0, 17.0, 64.0, 65.0,
                   256.0, 257.0, 1024.0, 1025.0]
-        _fields, rows = grid.approximable_sequence(
-            spec, f, ladder, deviation_threshold=1e-3)
+        _fields, rows = grid.approximable_sequence(spec, f, ladder)
         devs = [rows[i]["deviation_measure"] for i in (1, 3, 5, 7, 9)]
         assert all(b <= a + 1e-15 for a, b in zip(devs, devs[1:])), devs
         assert devs[-1] <= 1e-3, devs

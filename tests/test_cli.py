@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
 import ast
+import importlib
+import inspect
 import json
 import math
 import os
@@ -270,6 +272,54 @@ def test_every_config_key_has_a_setter():
         root / "tests" / "test_cli.py", root / "tests" / "test_acceptance.py",
         *sorted((root / "perfbench").glob("*.py"))]))
     assert sorted(_config_reads(Path(cli.__file__)) - setters) == []
+
+
+def _tracer_hooks(path):
+    """The strings that ``path`` compares ``qualname`` with, and
+    ``(function, key)`` for each ``signature(function).parameters[key]``
+    it reads, the function as its source text."""
+    names, params = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Name)
+                and node.left.id == "qualname"):
+            names.update(c.value for c in node.comparators
+                         if isinstance(c, ast.Constant))
+        elif (isinstance(node, ast.Subscript)
+              and isinstance(node.value, ast.Attribute)
+              and node.value.attr == "parameters"
+              and isinstance(node.value.value, ast.Call)
+              and ast.unparse(node.value.value.func).endswith("signature")
+              and isinstance(node.slice, ast.Constant)):
+            params.add((ast.unparse(node.value.value.args[0]),
+                        node.slice.value))
+    return names, params
+
+
+def _resolve(dotted, module):
+    """The object that the dotted name reaches from ``module``, or None."""
+    obj = module
+    for part in dotted.split("."):
+        obj = getattr(obj, part, None)
+    return obj
+
+
+def test_benchmark_hooks_name_live_code():
+    # the benchmark's tracer counts grid work on callables it finds by
+    # qualname and reads grid.solve's max_iter by parameter name: a
+    # rename in the package would zero a counter without a word or make
+    # a traced run raise
+    root = Path(cli.__file__).parents[2]
+    names, params = _tracer_hooks(root / "perfbench" / "tracing.py")
+    assert names and params
+    modules = [importlib.import_module(f"orliczpde.{path.stem}")
+               for path in _PACKAGE_MODULES if path.stem != "__init__"]
+    assert sorted(name for name in names if not any(
+        callable(_resolve(name, mod)) for mod in modules)) == []
+    package = importlib.import_module("orliczpde")
+    for function, key in params:
+        fn = _resolve(function, package)
+        assert callable(fn), function
+        assert key in inspect.signature(fn).parameters, (function, key)
 
 
 def _identifiers(path):
@@ -569,6 +619,22 @@ def test_grid_solve_refuses_bad_point_data(point, tmp_path):
     err = json.loads((out / "error.json").read_text())["error"]
     assert err["type"] == "YoungFunctionError"
     assert not (out / "grid_solve_report.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["grid-solve", "--N", "2"],
+    ["grid-solve", "--N", "1"],
+    ["grid-solve", "--N", "0"],
+    ["regularity-report", "--N", "2"],
+], ids=lambda args: f"{args[0]}-N{args[-1]}")
+def test_grid_without_interior_node_is_refused(args, tmp_path):
+    # N < 3 leaves no unknown: the field refuses it by name instead of a
+    # "converged" empty solve or a bare arithmetic error
+    code, out = run(args, tmp_path)
+    assert code == 1
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["type"] == "YoungFunctionError"
+    assert f"{args[-1]} x {args[-1]}" in err["message"]
 
 
 def test_regularity_report_bounded_regime(tmp_path):

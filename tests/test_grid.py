@@ -132,7 +132,7 @@ def test_split_solve_pcg_work():
 
 def test_nested_solve_reports_its_levels():
     # a coarse level only gives a start: it is solved to the coarse
-    # tolerance 1e-5 (1 + ||f||_1), never tighter than the finest tol
+    # tolerance 1e-5 (1 + ||f||_1)
     f = GridField.from_function(129, lambda x, y: np.ones_like(x))
     _, info = solve(OperatorSpec(power_potential(3.0)), f, return_info=True)
     assert [level["N"] for level in info["levels"]] == [33, 65]
@@ -141,9 +141,6 @@ def test_nested_solve_reports_its_levels():
         assert level["pcg_iterations"] >= level["newton_steps"]
         assert level["tol"] == pytest.approx(1e-5 * (1.0 + f.l1()))
         assert level["residual"] <= level["tol"]
-    _, info = solve(OperatorSpec(power_potential(3.0)), f, tol=1e-3,
-                    return_info=True)
-    assert [level["tol"] for level in info["levels"]] == [1e-3, 1e-3]
     # even N, N = 33 (whose coarser mesh has 17 nodes), N = 17 and a
     # given u0 solve on one mesh only
     for n, u0 in ((64, None), (33, None), (17, None),
@@ -248,9 +245,8 @@ _CELLS = np.random.default_rng(3).uniform(1.0, 2.0, (16, 16))
     OperatorSpec(power_potential(3.0)),
     OperatorSpec(power_potential(5.0)),
     OperatorSpec(split_power_potential(2.0, 4.0)),
-    OperatorSpec(split_power_potential(2.0, 4.0), epsilon=0.1, q=4.0),
-    OperatorSpec(power_potential(3.0), epsilon=0.1, q=4.0, b=_CELLS),
-], ids=["p1.5", "p3", "p5", "split", "split-eps", "p3-eps-b"])
+    OperatorSpec(power_potential(3.0), b=_CELLS),
+], ids=["p1.5", "p3", "p5", "split", "p3-b"])
 def test_hessian_matches_gradient_differences(spec):
     rng = np.random.default_rng(7)
     n, h = 17, 1.0 / 16
@@ -276,10 +272,6 @@ def test_split_potential_solve():
 
 
 def test_operator_spec_validation():
-    with pytest.raises(YoungFunctionError):
-        OperatorSpec(power_potential(2.0), epsilon=1.5)
-    with pytest.raises(YoungFunctionError):
-        OperatorSpec(power_potential(2.0), epsilon=0.5, q=2.0)
     with pytest.raises(YoungFunctionError):
         OperatorSpec(power_potential(2.0), b=0.5)
     with pytest.raises(YoungFunctionError):
@@ -311,13 +303,6 @@ def test_linf_below_symmetrized_radial_centre(p):
     f = GridField.from_function(65, lambda x, y: np.ones_like(x))
     u = solve(spec, f)
     assert np.max(u.values) <= v.v[0]
-
-
-def test_regularized_energy_density():
-    spec = OperatorSpec(power_potential(3.0), epsilon=0.25, q=4.0)
-    gx, gy = np.array([2.0]), np.array([0.0])
-    dens = spec.energy_density(gx, gy)
-    assert dens[0] == pytest.approx(8.0 / 3.0 + 0.25 * 16.0 / 4.0, rel=1e-12)
 
 
 def test_solve_error_when_no_iterations_allowed():

@@ -12,7 +12,6 @@ from orliczpde.radial import (
     gradient_l1_bound,
     level_set_bound_grad,
     level_set_bound_u,
-    linf_bound,
     solve_radial,
     truncation_energy_check,
 )
@@ -49,11 +48,6 @@ def test_radial_closed_form(p):
     # center value equals the measure-variable criterion integral
     B = boundedness_criterion(_unit_disk_rf(), _psi_inv(p), 2)
     assert sol.v[0] == pytest.approx(B, rel=1e-6)
-
-
-def test_linf_bound_is_center_value():
-    assert linf_bound(_unit_disk_rf(), _psi_inv(2.0), 2) == pytest.approx(
-        0.25, rel=1e-10)
 
 
 def test_rearranged_matches_profile():
