@@ -13,10 +13,13 @@ radial extent R(w) of the boundary in direction w:
 
     |{Phi <= t}| = (1/n) * Int_{S^{n-1}} R(w)^n dw,
 
-with R found along each ray by one ``solve_increasing`` call
-(vectorized over directions, which ride along as per-row ``args`` so
-that each round evaluates Phi only on the rays still unfinished) and
-the spherical integral done by one deterministic rule for every n that
+with R found along the rays of each sphere rule by two
+``solve_increasing`` calls (vectorized over levels and directions, which
+ride along as per-row ``args`` so that each round evaluates Phi only on
+the rays still unfinished): one for the smallest and the largest level,
+then one for every other level inside the bracket of their radii, since
+R(w, t) is nondecreasing in t.  The spherical integral is done by one
+deterministic rule for every n that
 doubles its points per angle at each level: a product rule in
 hyperspherical coordinates (Stroud 1971, *Approximate Calculation of
 Multiple Integrals*), Gauss-Legendre in the polar angles and on each arc
@@ -188,7 +191,7 @@ class CustomPhi(AnisotropicYoungFunction):
 # sublevel measure via star-shaped radial extent
 
 
-def radial_extent(phi, directions, t):
+def radial_extent(phi, directions, t, bracket=None):
     """R(w) with Phi(R(w) w) = t for each unit direction w, vectorized.
 
     ``t`` is one level for every direction, or an array holding one level
@@ -196,15 +199,18 @@ def radial_extent(phi, directions, t):
     solves many levels this way).  Phi is nondecreasing along rays from 0
     (convexity + Phi(0)=0), so one solve serves all rows at once: the
     direction rows go to the solver as ``args``, so each round evaluates
-    Phi only on the rays still unfinished.  R is solved to 1e-12
-    relative; a boundary beyond
-    ``phi.bound_radius`` raises :class:`BoundBoxError`.
+    Phi only on the rays still unfinished.  ``bracket`` = (R_lo, R_hi,
+    t_lo, t_hi), radii of two levels t_lo < t <= t_hi per row, is passed
+    to :func:`solve_increasing`, which then only narrows.  R is solved to
+    1e-12 relative; a boundary beyond ``phi.bound_radius`` raises
+    :class:`BoundBoxError`.
     """
     w = np.asarray(directions, dtype=float)
     try:
         return solve_increasing(lambda r, w: phi.value(r[:, None] * w),
                                 np.full(w.shape[0], t, dtype=float),
-                                x_max=phi.bound_radius, args=(w,))
+                                x_max=phi.bound_radius, args=(w,),
+                                bracket=bracket)
     except InverseRangeError as err:
         raise BoundBoxError(
             f"sublevel set reaches the bound box (radius "
@@ -335,9 +341,9 @@ def _split_measure(terms, t):
 # as many pending levels as fit with all their sphere directions (one
 # level at least), a split call as many levels as fit with all their
 # outer quadrature nodes (56 levels for n = 2, one for n = 3).  On the
-# benchmark's averages workload (2-core Xeon, one thread, four seeds)
-# 2^14 took 0.22 s, 2^12 0.25-0.30 s and 2^16 0.20-0.21 s, but 2^16
-# raised peak RSS by 3%.
+# benchmark's averages workload (2-core Xeon, one thread, five seeds,
+# medians) 2^14 took 0.184 s, 2^12 0.209 s and 2^16 0.184 s, but 2^16
+# raised peak RSS by 1.7 MB (4%).
 _CHUNK = 2**14
 _REL_TOL = 1e-7
 
@@ -347,6 +353,18 @@ def _chunks(n_items, per_item):
     items (at least one) each."""
     step = max(1, _CHUNK // per_item)
     return [slice(i, i + step) for i in range(0, n_items, step)]
+
+
+def _star_radii(phi, w, ts, bracket=None):
+    """Radii R(w, t), one row per level of ``ts`` and one column per
+    direction row of ``w``, in one :func:`radial_extent` call;
+    ``bracket`` = (R_lo, R_hi, t_lo, t_hi) holds the radii of two levels
+    t_lo < ts <= t_hi, one per direction."""
+    k = ts.size
+    tiled = [] if bracket is None else [(
+        np.tile(bracket[0], k), np.tile(bracket[1], k), *bracket[2:])]
+    return radial_extent(phi, np.tile(w, (k, 1)), np.repeat(ts, len(w)),
+                         *tiled).reshape(k, -1)
 
 
 def _star_measure(phi, levels):
@@ -371,12 +389,20 @@ def _star_measure(phi, levels):
         j = _log2_points(n) + rule
         split = (n - 2) * j + max(j, arcs) <= _LOG2_MAX_DIRECTIONS
         w, wt = _sphere_rule(n, rule, c if split else c[:0])
+        ts = levels[pending]
+        # the extreme levels first, then every other one inside the
+        # bracket of their radii: R(w, t) is nondecreasing in t
+        ends = np.unique([ts.min(), ts.max()])
+        r_ends = np.concatenate([_star_radii(phi, w, ends[chunk])
+                                 for chunk in _chunks(ends.size, len(w))])
+        bracket = (r_ends[0], r_ends[-1], ends[0], ends[-1])
+        inner = np.flatnonzero((ts > ends[0]) & (ts < ends[-1]))
         new = np.empty(pending.size)
-        for chunk in _chunks(pending.size, len(w)):
-            ts = levels[pending[chunk]]
-            r = radial_extent(phi, np.tile(w, (ts.size, 1)),
-                              np.repeat(ts, len(w)))
-            new[chunk] = np.sum(wt * r.reshape(ts.size, -1) ** n / n, axis=1)
+        for chunk in _chunks(inner.size, len(w)):
+            r = _star_radii(phi, w, ts[inner[chunk]], bracket)
+            new[inner[chunk]] = np.sum(wt * r ** n / n, axis=1)
+        for t, r in zip(ends, r_ends):
+            new[ts == t] = np.sum(wt * r ** n / n)
         diff = np.abs(new - est[pending])
         done = (diff <= _REL_TOL * np.abs(new)) & (rule > 0)
         change[pending] = diff / np.abs(new)
@@ -433,9 +459,12 @@ def sublevel_measure(phi, t, method="auto"):
     star-shaped boundary integral, its sphere rule split at the terms'
     kink planes and refined until the relative change drops below
     ``rel_tol`` = 1e-7.  On that path every pending level is solved with
-    every direction of a sphere level in one :func:`radial_extent` call
-    (in chunks of at most ``_CHUNK`` (level, direction) pairs), and a
-    level leaves once its relative change is <= ``rel_tol``; levels still
+    every direction of a sphere rule in two :func:`radial_extent` calls
+    (each in chunks of at most ``_CHUNK`` (level, direction) pairs): the
+    smallest and the largest pending level first, then every other one
+    inside the bracket that their radii give along the same direction (a
+    level equal to one of them takes its radii).  A level leaves once its
+    relative change is <= ``rel_tol``; levels still
     above it after the finest rule are returned with a
     :class:`MeasureConvergenceWarning`.  ``method="star"`` forces the
     boundary integral for cross-checking.  Every rule is deterministic.
@@ -470,8 +499,19 @@ def phi_circ(phi, t_lo=1e-3, t_hi=1e6, n_levels=512, seed=0):
     (n / sum 1/p_i, 0), so no tail fit needs decades of levels.
     Radial inputs return their generator directly (the construction is
     the identity for them).  ``seed`` is accepted and unused: every rule
-    is deterministic.
+    is deterministic.  The ladder must have finite ends 0 < t_lo < t_hi
+    and n_levels >= 4, else :class:`YoungFunctionError` names the value.
     """
+    for name, val in (("t_lo", t_lo), ("t_hi", t_hi)):
+        if not (math.isfinite(val) and val > 0.0):
+            raise YoungFunctionError(
+                f"phi_circ needs a finite positive {name}; got {val!r}")
+    if t_hi <= t_lo:
+        raise YoungFunctionError(
+            f"phi_circ needs t_hi > t_lo; got t_lo={t_lo!r}, t_hi={t_hi!r}")
+    if n_levels < 4:
+        raise YoungFunctionError(
+            f"phi_circ needs n_levels >= 4; got {n_levels!r}")
     if phi.form == "radial":
         return phi.a
     levels = np.geomspace(t_lo, t_hi, n_levels)

@@ -121,16 +121,25 @@ def _load_rf(spec, domain_measure):
 
 def _load_field(spec, n_nodes):
     """Grid datum from ``const:<c>``, ``point:mass=..[,x=..,y=..]``, or a
-    CSV matrix path."""
+    CSV matrix path, on ``n_nodes`` nodes a side: the --N asked for, or
+    None for 65 (the CSV's own size for a CSV, which must match a given
+    N)."""
+    n = 65 if n_nodes is None else n_nodes
     if isinstance(spec, str) and spec.startswith("const:"):
-        return grid.GridField(np.full((n_nodes, n_nodes), _constant(spec)))
+        field = grid.GridField.zeros(n)
+        field.values.fill(_constant(spec))
+        return field
     if isinstance(spec, str) and spec.startswith("point:"):
         kw = young.parse_spec(spec, {"point": ("mass", "x", "y")})[1]
         return grid.point_mass_field(
-            n_nodes, mass=kw.get("mass", 1.0),
+            n, mass=kw.get("mass", 1.0),
             location=(kw.get("x", 0.5), kw.get("y", 0.5)))
-    vals = np.loadtxt(spec, delimiter=",", comments="#")
-    return grid.GridField(vals)
+    field = grid.GridField(np.loadtxt(spec, delimiter=",", comments="#"))
+    if n_nodes is not None and field.n_nodes != n_nodes:
+        raise young.YoungFunctionError(
+            f"{spec}: the datum is a {field.n_nodes} x {field.n_nodes} "
+            f"grid, but N = {n_nodes}")
+    return field
 
 
 def _phi_from_config(cfg):
@@ -288,10 +297,14 @@ def _operator_from_config(cfg):
     return grid.OperatorSpec(potential=phi, b=float(cfg.get("b", 1.0)))
 
 
+def _nodes(cfg):
+    """The N of the config as an int, or None where it is not set."""
+    return None if cfg.get("N") is None else int(cfg["N"])
+
+
 def cmd_grid_solve(cfg, out):
-    n_nodes = int(cfg.get("N", 65))
     spec = _operator_from_config(cfg)
-    f_field = _load_field(cfg.get("f", "const:1"), n_nodes)
+    f_field = _load_field(cfg.get("f", "const:1"), _nodes(cfg))
     u, info = grid.solve(spec, f_field, return_info=True)
     u.to_csv(out / "u.csv")
     energies = np.asarray(info["energies"])
@@ -308,7 +321,7 @@ def cmd_grid_solve(cfg, out):
         f_field.l1(), t_ladder=np.geomspace(1e-3, 10.0, 20)
         * max(float(np.max(au)), 1e-12))
     report = {
-        "N": n_nodes,
+        "N": f_field.n_nodes,
         **{key: val for key, val in info.items() if key != "energies"},
         "final_energy": float(energies[-1]),
         "energy_monotone": monotone,
@@ -321,9 +334,8 @@ def cmd_grid_solve(cfg, out):
 
 
 def cmd_approx_seq(cfg, out):
-    n_nodes = int(cfg.get("N", 65))
     spec = _operator_from_config(cfg)
-    f_field = _load_field(cfg.get("f", "point:mass=1"), n_nodes)
+    f_field = _load_field(cfg.get("f", "point:mass=1"), _nodes(cfg))
     k_ladder = [float(k) for k in cfg.get("k_ladder",
                                           [2, 8, 32, 128, 1024])]
     _fields, rows = grid.approximable_sequence(spec, f_field, k_ladder)
@@ -346,12 +358,11 @@ def cmd_approx_seq(cfg, out):
 
 
 def cmd_regularity_report(cfg, out):
-    n_nodes = int(cfg.get("N", 65))
-    head = {"N": n_nodes, "p": float(cfg.get("p", 2.0)),
-            "p_split": cfg.get("p_split")}
     spec = _operator_from_config(cfg)
     n = spec.potential.n
-    f_field = _load_field(cfg.get("f", "const:1"), n_nodes)
+    f_field = _load_field(cfg.get("f", "const:1"), _nodes(cfg))
+    head = {"N": f_field.n_nodes, "p": float(cfg.get("p", 2.0)),
+            "p_split": cfg.get("p_split")}
     u = grid.solve(spec, f_field)
     cell = u.h**2
     u_cells = np.abs(u.values[:-1, :-1]).ravel()

@@ -82,6 +82,12 @@ class SolveError(RuntimeError):
         self.newton_steps = newton_steps
 
 
+def _check_nodes(n):
+    if n < 3:
+        raise YoungFunctionError(
+            f"a {n} x {n} grid has no interior node; N must be >= 3")
+
+
 @dataclass
 class GridField:
     """N x N nodal field on [0,1]^2 with zero boundary."""
@@ -93,9 +99,7 @@ class GridField:
         n = self.values.shape[0]
         if self.values.shape != (n, n):
             raise YoungFunctionError("field must be square")
-        if n < 3:
-            raise YoungFunctionError(
-                f"a {n} x {n} grid has no interior node; N must be >= 3")
+        _check_nodes(n)
 
     @property
     def n_nodes(self):
@@ -111,6 +115,7 @@ class GridField:
 
     @classmethod
     def zeros(cls, n):
+        _check_nodes(n)  # before allocating
         return cls(np.zeros((n, n)))
 
     @classmethod

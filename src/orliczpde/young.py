@@ -132,7 +132,7 @@ def _bracket_step(c, reached, narrow, y, hi, mode, budget, x_max,
                     mode + np.where(reached, np.int8(-1), np.int8(1)))
 
 
-def solve_increasing(fn, y, rtol=1e-12, x_max=1e300, args=()):
+def solve_increasing(fn, y, rtol=1e-12, x_max=1e300, args=(), bracket=None):
     """Leftmost x >= 0 with fn(x) >= y, elementwise, for nondecreasing fn.
 
     This is the left-continuous generalized inverse of fn.  ``fn(x,
@@ -161,8 +161,19 @@ def solve_increasing(fn, y, rtol=1e-12, x_max=1e300, args=()):
     hi, where fn(x) >= y holds.  The result is 0 where y <= 0 or
     fn(0+) >= y, and inf where y is inf.  A finite y with fn(x_max) < y
     raises :class:`InverseRangeError`: no unconverged number is
-    returned.  Each element's steps depend on that element alone, so a
-    batched solve equals per-element solves bit for bit.
+    returned.
+
+    ``bracket`` = (lo, hi, fn_lo, fn_hi), arrays broadcasting to ``y``'s
+    shape, gives a bracket already known for every element: 0 <= lo <=
+    hi, fn_lo = fn(lo) < y <= fn_hi = fn(hi).  Such an element skips the
+    bracketing and starts narrowing from the log residuals log fn_lo -
+    log y and log fn_hi - log y, with ceil(log2(log(hi/lo)/tol)) +
+    ``_SLACK`` steps, tol = log1p(rtol).  An open end, lo = 0 or hi =
+    inf, is bracketed by steps from the other end (from x = 1 where both
+    are open).  Where fn(lo) >= y after all (a lower end at the root),
+    the result is within 2 rtol above lo.  Each element's steps depend on
+    that element alone, so a batched solve equals per-element solves bit
+    for bit.
     """
     y_arr = np.asarray(y, dtype=float)
     y_flat = y_arr.ravel()
@@ -172,18 +183,33 @@ def solve_increasing(fn, y, rtol=1e-12, x_max=1e300, args=()):
     if idx.size < y_arr.size:
         cur = [a[idx] for a in cur]
     m = idx.size
-    lo, hi = np.zeros(m), np.full(m, np.inf)
-    rlo, rhi = np.zeros(m), np.zeros(m)  # log fn - log y at lo and hi
-    mode = np.zeros(m, np.int8)  # 0 start, k > 0 up, k < 0 down, _NARROW
-    moved_hi = np.zeros(m, bool)  # the last step moved hi
-    budget = np.zeros(m, np.int8)  # narrowing steps left
-    # the unfinished elements are a prefix of every state array; each
-    # finished one leaves its position and root in the tail of these two
-    order, root = idx, hi
     rtol = max(rtol, _RTOL_FLOOR)
     tol = math.log1p(rtol)
     base_budget = math.ceil(math.log2(math.log(2.0) / tol)) + _SLACK
     x0 = min(1.0, x_max)
+    moved_hi = np.zeros(m, bool)  # the last step moved hi
+    if bracket is None:
+        lo, hi = np.zeros(m), np.full(m, np.inf)
+        rlo, rhi = np.zeros(m), np.zeros(m)  # log fn - log y at lo and hi
+        mode = np.zeros(m, np.int8)  # 0 start, k > 0 up, k < 0 down, _NARROW
+        budget = np.zeros(m, np.int8)  # narrowing steps left
+    else:
+        lo, hi, rlo, rhi = (np.broadcast_to(np.asarray(b, dtype=float),
+                                            y_arr.shape).ravel()[idx]
+                            for b in bracket)
+        # an open end (lo = 0 or hi = inf) is bracketed by steps from the
+        # other end, as after a first step from x0 past the root
+        mode = np.select([(lo > 0.0) & (hi < np.inf), lo > 0.0, hi < np.inf],
+                         [_NARROW, 1, -1], 0).astype(np.int8)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            budget = np.where(mode == _NARROW,
+                              np.clip(np.ceil(np.log2(np.log(hi / lo) / tol)),
+                                      0, 64), 0).astype(np.int8)
+            budget += np.int8(_SLACK)
+            rlo, rhi = (np.log(r) - np.log(y_flat[idx]) for r in (rlo, rhi))
+    # the unfinished elements are a prefix of every state array; each
+    # finished one leaves its position and root in the tail of these two
+    order, root = idx, hi
     bracketing = True
     with np.errstate(all="ignore"):
         while m:

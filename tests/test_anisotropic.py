@@ -319,9 +319,9 @@ def test_kinked_combination_converges_at_every_level(monkeypatch):
     rows = []
     extent = anisotropic.radial_extent
 
-    def counted(phi, w, t):
+    def counted(phi, w, t, bracket=None):
         rows.append(len(w))
-        return extent(phi, w, t)
+        return extent(phi, w, t, bracket)
 
     monkeypatch.setattr(anisotropic, "radial_extent", counted)
     phi = LinearCombinationPhi(2, _KINKED)
@@ -343,6 +343,34 @@ def test_kinked_combination_converges_at_every_level(monkeypatch):
     wt = (h * gw).ravel()  # sums to 2 pi on [0, pi]
     ref = [wt @ extent(phi, w, t) ** 2 / 2.0 for t in levels[::4]]
     np.testing.assert_allclose(measures[::4], ref, rtol=1e-9)
+
+
+def test_star_levels_in_any_order_match_single_levels():
+    # each rule brackets its levels by the radii of the smallest and the
+    # largest one: unsorted and repeated levels give the measures of
+    # the levels solved one at a time
+    phi = LinearCombinationPhi(2, _KINKED)
+    levels = np.array([1e3, 1.0, 1e3, 10.0, 1e6, 1e6, 0.5])
+    single = [sublevel_measure(phi, t) for t in levels]
+    np.testing.assert_allclose(sublevel_measure(phi, levels), single,
+                               rtol=1e-12)
+
+
+def test_star_levels_share_their_brackets(monkeypatch):
+    # the 128 kinked levels evaluate Phi on 683,144 rows when every ray
+    # solve brackets from x = 1, and on 384,171 inside the bracket of
+    # the extreme levels
+    rows = []
+    value = LinearCombinationPhi.value
+
+    def counted(self, xi):
+        rows.append(np.size(xi) // self.n)
+        return value(self, xi)
+
+    monkeypatch.setattr(LinearCombinationPhi, "value", counted)
+    sublevel_measure(LinearCombinationPhi(2, _KINKED),
+                     np.geomspace(1.0, 1e20, 128))
+    assert sum(rows) <= 450_000
 
 
 def test_unconverged_star_level_warns():

@@ -637,6 +637,56 @@ def test_grid_without_interior_node_is_refused(args, tmp_path):
     assert f"{args[-1]} x {args[-1]}" in err["message"]
 
 
+@pytest.mark.parametrize("command", ["grid-solve", "regularity-report"])
+def test_grid_size_comes_from_the_datum(command, tmp_path):
+    # a CSV datum has its own size: an explicit --N must match it, and
+    # without one the report states the CSV's; N = -1 is refused by
+    # name before any array is made
+    csv = tmp_path / "f33.csv"
+    np.savetxt(csv, np.ones((33, 33)), delimiter=",")
+    for sub, args, size in (("mismatch", ["--N", "129", "--f", str(csv)],
+                             "33 x 33"),
+                            ("negative", ["--N", "-1"], "-1 x -1")):
+        code, out = run([command, *args], tmp_path, sub=sub)
+        assert code == 1
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["type"] == "YoungFunctionError"
+        assert size in err["message"]
+    assert "N = 129" in json.loads(
+        (tmp_path / "mismatch" / "error.json").read_text())["error"]["message"]
+    code, out = run([command, "--f", str(csv)], tmp_path, sub="csv")
+    assert code == 0
+    report = {"grid-solve": "grid_solve_report.json",
+              "regularity-report": "regularity_report.json"}[command]
+    assert json.loads((out / report).read_text())["N"] == 33
+    if command == "grid-solve":
+        assert np.loadtxt(out / "u.csv", delimiter=",").shape == (33, 33)
+
+
+@pytest.mark.parametrize("ladder", [
+    {"t_lo": 0}, {"t_lo": -1}, {"t_lo": 10, "t_hi": 1},
+    {"t_hi": math.inf}, {"n_levels": 0}, {"n_levels": 1},
+    {"n_levels": 2}], ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
+def test_phicirc_refuses_a_bad_level_ladder(ladder, tmp_path, capsys):
+    # a ladder that the geometric levels cannot be built from is bad
+    # input, named up front, with nothing from numpy on stderr
+    config = tmp_path / "ladder.json"
+    config.write_text(json.dumps(ladder))
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["phicirc", "--phi", SPLIT_PHI, "--config", str(config),
+                     "--out", str(out)])
+    assert code == 1
+    assert caught == []
+    assert "Warning" not in capsys.readouterr().err
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["type"] == "YoungFunctionError"
+    name, val = next(iter(ladder.items()))
+    val = int(val) if name == "n_levels" else float(val)
+    assert name in err["message"] and repr(val) in err["message"]
+
+
 def test_regularity_report_bounded_regime(tmp_path):
     # p > n = 2: the tail integral of Phi_circ converges and u is
     # bounded; the report says so instead of asking for the conjugate

@@ -342,6 +342,85 @@ def test_solve_increasing_batch_equals_single_solves():
     np.testing.assert_array_equal(batch, single)
 
 
+_BRACKET_FAMILIES = {
+    "power": lambda v, p: v**p,
+    "power-log": lambda v, p: v**p * np.log(math.e + v),
+    "exp": lambda v, p: np.expm1(v),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=st.sampled_from(sorted(_BRACKET_FAMILIES)),
+       p=st.floats(1.1, 8.0), log_root=st.floats(-200.0, 200.0),
+       log_u=st.floats(-2.0, 2.0), log_lo=st.floats(-6.0, -1e-3),
+       log_hi=st.floats(1e-3, 6.0))
+def test_solve_increasing_bracket_matches_the_open_solve(family, p, log_root,
+                                                         log_u, log_lo,
+                                                         log_hi):
+    # the root x = 10^log_root of g(x / s) = g(u): a known bracket only
+    # skips the bracketing, so both solves end within rtol of the root
+    g, rtol = _BRACKET_FAMILIES[family], 1e-12
+    u = 10.0**log_u
+    s = 10.0**log_root / u
+
+    def fn(x):
+        return g(x / s, p)
+
+    y = g(u, p)
+    lo, hi = 10.0 ** (log_root + log_lo), 10.0 ** (log_root + log_hi)
+    with np.errstate(over="ignore"):  # fn(hi) = inf is a valid end
+        bracket = (lo, hi, fn(lo), fn(hi))
+    x = solve_increasing(fn, y, rtol=rtol, bracket=bracket)
+    assert fn(x) >= y > fn(x / (1.0 + rtol))
+    assert x == pytest.approx(solve_increasing(fn, y, rtol=rtol),
+                              rel=rtol, abs=0.0)
+
+
+def test_solve_increasing_bracketed_batch_equals_single_solves():
+    rng = np.random.default_rng(7)
+    y = 10.0 ** rng.uniform(-8.0, 12.0, 150)
+    a = 10.0 ** rng.uniform(-3.0, 3.0, 150)
+
+    def weighted(x, a):
+        return a * x**3 + x
+
+    root = solve_increasing(weighted, y, args=(a,))
+    lo = root * 10.0 ** rng.uniform(-6.0, -0.01, 150)
+    hi = root * 10.0 ** rng.uniform(0.01, 6.0, 150)
+    bracket = (lo, hi, weighted(lo, a), weighted(hi, a))
+    batch = solve_increasing(weighted, y, args=(a,), bracket=bracket)
+    single = np.concatenate([
+        solve_increasing(weighted, y[i:i + 1], args=(a[i:i + 1],),
+                         bracket=[b[i:i + 1] for b in bracket])
+        for i in range(y.size)])
+    np.testing.assert_array_equal(batch, single)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+def test_solve_increasing_bracket_from_the_root(p):
+    # a repeated level: the lower end of the bracket is the root itself,
+    # fn(lo) = y, and the solve still ends within 2 rtol above it
+    rtol = 1e-12
+    lo = np.geomspace(1e-50, 1e50, 21)
+    y = lo**p
+    hi = lo * 1e3
+    x = solve_increasing(lambda x: x**p, y, rtol=rtol,
+                         bracket=(lo, hi, y, hi**p))
+    assert np.all((x >= lo) & (x <= lo * (1.0 + 2.0 * rtol)))
+
+
+def test_solve_increasing_bracket_with_an_open_end():
+    # lo = 0 or hi = inf (the radius of an infinite level) is no bound:
+    # those elements bracket by steps from the other end
+    y = np.geomspace(1e-40, 1e40, 17)
+    root = solve_increasing(np.cbrt, y)
+    for bracket in ((0.0, root * 10.0, 0.0, np.cbrt(root * 10.0)),
+                    (root / 10.0, np.inf, np.cbrt(root / 10.0), np.inf),
+                    (0.0, np.inf, 0.0, np.inf)):
+        np.testing.assert_allclose(
+            solve_increasing(np.cbrt, y, bracket=bracket), root, rtol=1e-12)
+
+
 def test_solve_increasing_args_rows_follow_the_elements():
     # elements finish in different rounds; each call must still pair
     # every x with its own rows of args, for y of any shape
