@@ -382,10 +382,13 @@ def _star_measure(phi, levels):
     if n_rules < 1:
         raise YoungFunctionError(f"the sphere rule in dimension {n} exceeds "
                                  f"2^{_LOG2_MAX_DIRECTIONS} directions")
-    est = np.zeros(levels.size)
+    # an infinite level has measure inf at once, as on the other paths
+    est = np.where(np.isinf(levels), np.inf, 0.0)
     change = np.full(levels.size, np.inf)
-    pending = np.arange(levels.size)
+    pending = np.flatnonzero(np.isfinite(levels))
     for rule in range(n_rules):
+        if not pending.size:
+            break
         j = _log2_points(n) + rule
         split = (n - 2) * j + max(j, arcs) <= _LOG2_MAX_DIRECTIONS
         w, wt = _sphere_rule(n, rule, c if split else c[:0])
@@ -408,8 +411,6 @@ def _star_measure(phi, levels):
         change[pending] = diff / np.abs(new)
         est[pending] = new
         pending = pending[~done]
-        if not pending.size:
-            break
     worst = float(np.max(change[pending])) if pending.size else None
     return est, {"levels": levels.size, "unconverged": pending.size,
                  "worst_rel_change": worst, "rel_tol": _REL_TOL}

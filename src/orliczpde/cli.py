@@ -36,7 +36,8 @@ EXIT_OK, EXIT_OPERATIONAL, EXIT_VERDICT = 0, 1, 2
 
 
 class ConfigError(ValueError):
-    """A required parameter is given neither as a flag nor in --config."""
+    """A required parameter is given neither as a flag nor in --config,
+    or --config holds a key that the command does not read."""
 
 
 class VerdictFailure(Exception):
@@ -419,11 +420,10 @@ def cmd_regularity_report(cfg, out):
 
 def cmd_verify_example(cfg, out):
     # make_record converts the values; only "2,4" lists are split here
-    params = {key: cfg[key] for key in ("p", "q", "alpha", "beta", "n")
-              if cfg.get(key) is not None}
-    for key, val in params.items():
-        if isinstance(val, str) and "," in val:
-            params[key] = val.split(",")
+    params = {"p": cfg.get("p"), "q": cfg.get("q"), "alpha": cfg.get("alpha"),
+              "beta": cfg.get("beta"), "n": cfg.get("n")}
+    params = {key: val.split(",") if isinstance(val, str) and "," in val
+              else val for key, val in params.items() if val is not None}
     rec = catalog.make_record(cfg["id"], **params)
     rep = catalog.verify_asymptotics(rec)
     _write_json(out / "verify_example_report.json", rep)
@@ -457,6 +457,21 @@ HANDLERS = {
     "regularity-report": cmd_regularity_report,
     "verify-example": cmd_verify_example,
     "admissibility": cmd_admissibility,
+}
+
+
+# The config keys that each command reads (the README lists them); a
+# --config document with any other key exits 1 before the command runs.
+CONFIG_KEYS = {
+    "conjugate": ("A",),
+    "phicirc": ("phi", "t_lo", "t_hi", "n_levels"),
+    "embedding": ("phi_circ", "n"),
+    "symmetrize-solve": ("phi", "n", "f", "omega"),
+    "grid-solve": ("N", "p", "f", "p_split", "b"),
+    "approx-seq": ("N", "p", "f", "p_split", "b", "k_ladder"),
+    "regularity-report": ("N", "p", "f", "p_split", "b"),
+    "verify-example": ("id", "p", "q", "alpha", "beta", "n"),
+    "admissibility": ("phi_circ", "n", "f", "omega"),
 }
 
 
@@ -524,6 +539,11 @@ def _merge_config(args):
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             cfg.update(json.load(fh))
+        unread = sorted(set(cfg) - set(CONFIG_KEYS[args.command]))
+        if unread:
+            raise ConfigError(
+                f"--config keys {unread} are not read by {args.command}, "
+                f"which reads {list(CONFIG_KEYS[args.command])}")
     for key, val in vars(args).items():
         if key in ("config", "out", "quiet") or val is None:
             continue

@@ -18,22 +18,24 @@ stops once its residual r meets ||r||_2 <= eta ||rhs||_2 and also
 solve's tolerance bounds.  Below p = 2 the Newton residual sits at the
 node where grad u = 0 and A'' is unbounded; the 2-norm test alone
 passes there after 1-2 CG iterations that leave that node's residual
-in place, and Newton creeps.  The symmetric 2 x 2 cell
-tensor of the Hessian is computed once per Newton step; it gives both
-the Hessian action, in raw differences, and the nodal diagonal d that
-scales the preconditioner D L^-1 D, D = diag(sqrt(4/d)), L^-1 the
-inverse 5-point Laplacian in the sine basis.  Steps are backtracked on J
-(Armijo) until the Newton decrement falls below the rounding level of
-J; from there a full step is taken only if it lowers the sup residual
-and raises J by no more than that level, else the iteration stops; it
-also stops when the sup residual has stalled.  The energy trace is
-monotone up to that rounding bound.  For Phi = |xi|^2/2 the energy gradient is
-exactly the 5-point scheme, d = 4 and the first Newton step solves it
-in one CG iteration.  ``solve`` reports the sup residual that its
-tolerance 1e-9 (1 + ||f||_1) bounds, the dual-norm residual
-sqrt(g . P^-1 g), and counts every CG breakdown (p.Hp <= 0) and every
-Newton step whose CG direction was replaced by P^-1 g because it was no
-descent direction.
+in place, and Newton creeps.  The symmetric 2 x 2 cell tensor of the
+Hessian is computed once per Newton step; it gives both the Hessian
+action, in raw differences, and the nodal diagonal d that scales the
+preconditioner D L^-1 D, D = diag(sqrt(4/d)), L^-1 the inverse 5-point
+Laplacian in the sine basis.  Each mesh level has one workspace: the
+preconditioner and a few nodal and cell arrays that its Newton and CG
+steps write in place, with the operands and order of fresh temporaries
+and so bit for bit their results; an accepted iterate's cell gradient
+is computed once, for its energy, its flux and the next Hessian
+weights.  Steps are backtracked on J (Armijo) until the Newton
+decrement falls below the rounding level of J; from there a full step
+is taken only if it lowers the sup residual and raises J by no more
+than that level, else the iteration stops; it also stops when the sup
+residual has stalled.  The energy trace is monotone up to that rounding
+bound.  For Phi = |xi|^2/2 the energy gradient is exactly the 5-point
+scheme, d = 4 and the first Newton step solves it in one CG iteration.
+``solve`` reports the sup residual that its tolerance 1e-9 (1 + ||f||_1)
+bounds and the counts of its steps.
 
 A solve from zero runs coarse to fine (nested iteration): on an odd N
 whose coarser mesh of (N + 1) / 2 nodes has at least 33 nodes, it first
@@ -231,10 +233,10 @@ class OperatorSpec:
         return hxx * vx + hxy * vy, hxy * vx + hyy * vy
 
 
-def _differences(values):
-    """Raw forward differences on the (N-1)^2 cells."""
-    return (values[1:, :-1] - values[:-1, :-1],
-            values[:-1, 1:] - values[:-1, :-1])
+def _differences(values, dx=None, dy=None):
+    """Raw forward differences on the (N-1)^2 cells, into dx, dy."""
+    return (np.subtract(values[1:, :-1], values[:-1, :-1], out=dx),
+            np.subtract(values[:-1, 1:], values[:-1, :-1], out=dy))
 
 
 def cell_gradients(values, h):
@@ -243,32 +245,40 @@ def cell_gradients(values, h):
     return dx / h, dy / h
 
 
-def _energy(spec, u, f, h):
-    """J(u) and its rounding scale h^2 (Sum |density| + Sum |f u|)."""
-    gx, gy = cell_gradients(u, h)
+def _energy(spec, u, ws):
+    """J(u) and its rounding scale h^2 (Sum |density| + Sum |f u|); the
+    cell gradient of u stays in ``ws.dx``, ``ws.dy``."""
+    h = ws.h
+    gx, gy = _differences(u, ws.dx, ws.dy)
+    gx /= h
+    gy /= h
     dens = spec.energy_density(gx, gy)
-    fu = f * u
+    fu = np.multiply(ws.f, u, out=ws.q)
     J = float(h**2 * np.sum(dens) - h**2 * np.sum(fu))
-    return J, float(h**2 * (np.sum(np.abs(dens)) + np.sum(np.abs(fu))))
+    return J, float(h**2 * (np.sum(np.abs(dens, out=dens))
+                            + np.sum(np.abs(fu, out=fu))))
 
 
-def _divergence(ax, ay):
+def _divergence(ax, ay, out):
     """The transpose of :func:`_differences` applied to the cell field
-    (ax, ay), with the boundary nodes zeroed: the nodal scatter shared by
-    the energy gradient and the Hessian action."""
-    out = np.zeros((ax.shape[0] + 1, ax.shape[1] + 1))
-    out[:-1, :-1] -= ax + ay
-    out[1:, :-1] += ax
-    out[:-1, 1:] += ay
+    (ax, ay), with the boundary nodes zeroed, written into ``out``: the
+    nodal scatter shared by the energy gradient and the Hessian action."""
+    inner = np.add(ax[1:, 1:], ay[1:, 1:], out=out[1:-1, 1:-1])
+    np.subtract(0.0, inner, out=inner)
+    inner += ax[:-1, 1:]
+    inner += ay[1:, :-1]
     out[0, :] = out[-1, :] = out[:, 0] = out[:, -1] = 0.0
     return out
 
 
-def _energy_gradient(spec, u, f, h):
-    """Gradient of J: h times the scatter of the flux, minus h^2 f."""
-    g = _divergence(*spec.flux(*cell_gradients(u, h)))
-    g *= h
-    g[1:-1, 1:-1] -= h**2 * f[1:-1, 1:-1]
+def _energy_gradient(spec, ws, out):
+    """Gradient of J, written into ``out``, at the iterate whose energy
+    ``ws`` last evaluated (:func:`_energy`): h times the scatter of the
+    flux, minus h^2 f."""
+    g = _divergence(*spec.flux(ws.dx, ws.dy), out)
+    g *= ws.h
+    g[1:-1, 1:-1] -= np.multiply(ws.h**2, ws.f[1:-1, 1:-1],
+                                 out=ws.q[1:-1, 1:-1])
     return g
 
 
@@ -294,9 +304,10 @@ class _LaplacePreconditioner:
     symmetric, with S^2 = I, and its columns are the Laplacian's
     eigenvectors.  ``apply`` is four dense products,
     S ((S R S) * inv_eig) S, so its cost grows as N^3.  On one core of a
-    Xeon VM one apply takes 0.05 ms at N = 65, 3-3.5 ms at N = 257 and
-    24 ms at N = 513, against 0.13, 2-2.5 and 11 ms for a fast sine
-    transform; the CLI, the tests and the benchmark use N <= 257.
+    Xeon VM one apply takes 0.05 ms at N = 65, 2.3-3.5 ms at N = 257 and
+    17-22 ms at N = 513 (least to median of repeated calls), against
+    0.13-0.19, 1.6-2.8 and 7.7-8.5 ms for scipy's fast sine transform;
+    the CLI, the tests and the benchmark use N <= 257.
     """
 
     def __init__(self, n, h):
@@ -307,6 +318,9 @@ class _LaplacePreconditioner:
         self.sine = math.sqrt(2.0 / m) * np.sin(math.pi * np.outer(k, k) / m)
         self.h = h
         self.scale = 1.0
+        # two arrays of (N-1)^2 numbers: apply's products, a workspace's cells
+        self.work = [np.empty((n - 1) ** 2) for _ in range(2)]
+        self.out = np.zeros((n, n))
 
     def rescale(self, weights):
         """Set D from the cell tensor ``(hxx, hxy, hyy)``.  A cell's
@@ -319,27 +333,50 @@ class _LaplacePreconditioner:
         self.scale = np.sqrt(4.0 / d)
 
     def apply(self, g):
-        S, D = self.sine, self.scale
-        spec = S @ (D * g[1:-1, 1:-1] / self.h**2) @ S
-        full = np.zeros_like(g)
-        full[1:-1, 1:-1] = D * (S @ (spec * self.inv_eig) @ S)
-        return full
+        """P^-1 g, written into the one array ``out`` that every call
+        returns."""
+        S, D, m = self.sine, self.scale, len(self.sine)
+        a, b = (w[:m * m].reshape(m, m) for w in self.work)
+        np.divide(np.multiply(D, g[1:-1, 1:-1], out=a), self.h**2, out=a)
+        np.matmul(np.matmul(S, a, out=b), S, out=a)
+        a *= self.inv_eig
+        np.matmul(np.matmul(S, a, out=b), S, out=a)
+        np.multiply(D, a, out=self.out[1:-1, 1:-1])
+        return self.out
 
 
-def _hessian_times(spec, weights, v):
+class _Workspace(_LaplacePreconditioner):
+    """The preconditioner of one mesh level and the arrays that its
+    Newton and CG steps write in place: the cell arrays ``dx``, ``dy``
+    (shared with the products of :meth:`apply`) hold the differences of
+    a CG direction or the cell gradient of the iterate last passed to
+    :func:`_energy`; ``d``, ``r``, ``p`` and ``q`` = H p are the CG
+    vectors, r and p also the line search's trial iterate and its
+    gradient, and q is the nodal scratch of a Newton step."""
+
+    def __init__(self, f, h):
+        n = f.shape[0]
+        super().__init__(n, h)
+        self.f = f
+        self.dx, self.dy = (w.reshape(n - 1, n - 1) for w in self.work)
+        self.d, self.r, self.p, self.q = (np.empty((n, n)) for _ in range(4))
+
+
+def _hessian_times(spec, weights, v, ws):
     """Action of the energy Hessian, given by its cell ``weights``
-    (:meth:`OperatorSpec.hess_weights`), on a zero-boundary field v."""
-    return _divergence(*spec.hess_apply(weights, *_differences(v)))
+    (:meth:`OperatorSpec.hess_weights`), on a zero-boundary v, in ws.q."""
+    return _divergence(*spec.hess_apply(
+        weights, *_differences(v, ws.dx, ws.dy)), ws.q)
 
 
 # CG iterations allowed per Newton system
 _PCG_MAX_ITER = 400
 
 
-def _pcg(spec, weights, rhs, pre, rel_tol):
+def _pcg(spec, weights, rhs, ws, rel_tol):
     """Preconditioned CG for the Newton system H d = rhs, with H given
-    by its cell ``weights``; ``pre`` is rescaled to them first and keeps
-    that scaling.
+    by its cell ``weights``, in the arrays of the workspace ``ws``;
+    ``ws`` is rescaled to the weights first and keeps that scaling.
 
     Returns ``(d, iterations, stop)``.  ``stop`` is "converged" when the
     residual r met both ||r||_2 <= rel_tol ||rhs||_2 and
@@ -351,28 +388,29 @@ def _pcg(spec, weights, rhs, pre, rel_tol):
     residual at the node with grad u = 0 stays; at p >= 2 the 2-norm
     test binds.
     """
-    pre.rescale(weights)
-    d = np.zeros_like(rhs)
-    r = rhs.copy()
-    z = pre.apply(r)
-    p = z
-    rz = float(np.sum(r * z))
-    tol_2 = rel_tol * float(np.sqrt(np.sum(rhs * rhs)))
-    tol_sup = math.sqrt(rel_tol) * float(np.max(np.abs(rhs)))
+    d, r, p, q = ws.d, ws.r, ws.p, ws.q
+    ws.rescale(weights)
+    d.fill(0.0)
+    np.copyto(r, rhs)
+    z = ws.apply(r)  # also scratch until the next apply
+    np.copyto(p, z)
+    rz = float(np.sum(np.multiply(r, z, out=q)))
+    tol_2 = rel_tol * float(np.sqrt(np.sum(np.multiply(rhs, rhs, out=q))))
+    tol_sup = math.sqrt(rel_tol) * float(np.max(np.abs(rhs, out=q)))
     for k in range(1, _PCG_MAX_ITER + 1):
-        Hp = _hessian_times(spec, weights, p)
-        pHp = float(np.sum(p * Hp))
+        Hp = _hessian_times(spec, weights, p, ws)
+        pHp = float(np.sum(np.multiply(p, Hp, out=z)))
         if pHp <= 0.0:
             return d, k, "breakdown"
         alpha = rz / pHp
-        d += alpha * p
-        r -= alpha * Hp
-        if (float(np.sqrt(np.sum(r * r))) <= tol_2
-                and float(np.max(np.abs(r))) <= tol_sup):
+        d += np.multiply(p, alpha, out=z)
+        r -= np.multiply(Hp, alpha, out=Hp)
+        if (float(np.sqrt(np.sum(np.multiply(r, r, out=q)))) <= tol_2
+                and float(np.max(np.abs(r, out=q))) <= tol_sup):
             return d, k, "converged"
-        z = pre.apply(r)
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
+        z = ws.apply(r)
+        rz_new = float(np.sum(np.multiply(r, z, out=q)))
+        np.add(z, np.multiply(p, rz_new / rz, out=p), out=p)
         rz = rz_new
     return d, _PCG_MAX_ITER, "capped"
 
@@ -480,11 +518,11 @@ def _newton(spec, f_field, tol, max_iter, u0):
     n = f_field.n_nodes
     h = f_field.h
     u = np.zeros((n, n)) if u0 is None else np.array(u0, dtype=float)
-    pre = _LaplacePreconditioner(n, h)
-    J, J_scale = _energy(spec, u, f, h)
+    ws = _Workspace(f, h)
+    J, J_scale = _energy(spec, u, ws)
     energies = [J]
-    g = _energy_gradient(spec, u, f, h)
-    res = float(np.max(np.abs(g))) / h**2
+    g = _energy_gradient(spec, ws, np.empty((n, n)))
+    res = float(np.max(np.abs(g, out=ws.q))) / h**2
     counts = dict.fromkeys(("newton_steps", "pcg_iterations",
                             "pcg_maxiter_hits", "pcg_breakdowns",
                             "descent_fallbacks", "rounding_steps"), 0)
@@ -494,40 +532,42 @@ def _newton(spec, f_field, tol, max_iter, u0):
             break
         # forcing term: loose CG early, tight near the solution
         eta = min(0.1, math.sqrt(res / (res + 1.0)))
-        d, cg_iters, stop = _pcg(spec, spec.hess_weights(
-            *cell_gradients(u, h)), g, pre, rel_tol=max(eta, 1e-12))
+        d, cg_iters, stop = _pcg(spec, spec.hess_weights(ws.dx, ws.dy), g,
+                                 ws, rel_tol=max(eta, 1e-12))
         counts["pcg_iterations"] += cg_iters
         counts["pcg_maxiter_hits"] += stop == "capped"
         counts["pcg_breakdowns"] += stop == "breakdown"
-        gd = float(np.sum(g * d))
+        gd = float(np.sum(np.multiply(g, d, out=ws.q)))
         if gd <= 0.0:
             counts["descent_fallbacks"] += 1
-            d = pre.apply(g)
-            gd = float(np.sum(g * d))
+            d = ws.apply(g)
+            gd = float(np.sum(np.multiply(g, d, out=ws.q)))
         noise = _ROUNDING_ULPS * math.ulp(1.0) * J_scale
         rounding = gd <= noise
+        u_try, g_try = ws.r, ws.p
         if rounding:
             # J cannot rank this step: take it whole, judged by residual
-            u_try = u - d
-            J_try, scale_try = _energy(spec, u_try, f, h)
+            np.subtract(u, d, out=u_try)
+            J_try, scale_try = _energy(spec, u_try, ws)
             if J_try > J + noise:
                 break
         else:
             alpha = 1.0
             for _ in range(60):
-                u_try = u - alpha * d
-                J_try, scale_try = _energy(spec, u_try, f, h)
+                np.subtract(u, np.multiply(d, alpha, out=u_try), out=u_try)
+                J_try, scale_try = _energy(spec, u_try, ws)
                 if J_try <= J - 1e-4 * alpha * gd:
                     break
                 alpha *= 0.5
             else:
                 break  # stagnation at rounding level
-        g_try = _energy_gradient(spec, u_try, f, h)
-        res_try = float(np.max(np.abs(g_try))) / h**2
+        g_try = _energy_gradient(spec, ws, g_try)
+        res_try = float(np.max(np.abs(g_try, out=ws.q))) / h**2
         if rounding and res_try >= res:
             break
         counts["rounding_steps"] += rounding
-        u, J, J_scale, g, res = u_try, J_try, scale_try, g_try, res_try
+        u, g, ws.r, ws.p = u_try, g_try, u, g
+        J, J_scale, res = J_try, scale_try, res_try
         energies.append(J)
         counts["newton_steps"] += 1
         if res < best_res:
@@ -536,9 +576,9 @@ def _newton(spec, f_field, tol, max_iter, u0):
             since_best += 1
             if since_best >= _STALL_STEPS:
                 break
-    return u, g, pre, {"energies": energies, "residual": res,
-                       "converged": res <= tol, **counts,
-                       "stalled_steps": since_best}
+    return u, g, ws, {"energies": energies, "residual": res,
+                      "converged": res <= tol, **counts,
+                      "stalled_steps": since_best}
 
 
 # Nested iteration: a solve from zero on an odd N first solves on the

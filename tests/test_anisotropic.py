@@ -373,6 +373,20 @@ def test_star_levels_share_their_brackets(monkeypatch):
     assert sum(rows) <= 450_000
 
 
+def test_infinite_star_level_is_inf_and_silent():
+    # an infinite level is measure inf before any sphere rule: no inf - inf
+    # in the relative change, no convergence warning, and the finite
+    # levels keep the bracket of their own extremes
+    phi = LinearCombinationPhi(2, _KINKED)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sublevel_measure(phi, [np.inf, 1.0, 5.0], method="star")
+        finite = sublevel_measure(phi, [1.0, 5.0], method="star")
+        alone = sublevel_measure(phi, np.inf, method="star")
+    assert out[0] == np.inf and alone == np.inf
+    assert np.array_equal(out[1:], finite)
+
+
 def test_unconverged_star_level_warns():
     # the kinked function as a CustomPhi declares no kink planes, so its
     # sphere rule is not split there: level 1e20 ends the six sphere

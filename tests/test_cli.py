@@ -205,15 +205,17 @@ def test_every_parameter_is_read(path):
     assert unread == []
 
 
-def _config_reads(path):
-    """The string keys that ``path`` reads from ``cfg``: ``cfg[key]``,
-    ``cfg.get(key, ...)`` and ``helper(cfg, key, ...)``; a key held in a
-    variable is not seen."""
+def _config_reads(source):
+    """The string keys that ``source`` (a path or a syntax tree) reads
+    from ``cfg``: ``cfg[key]``, ``cfg.get(key, ...)`` and
+    ``helper(cfg, key, ...)``; a key held in a variable is not seen."""
     def is_cfg(node):
         return isinstance(node, ast.Name) and node.id == "cfg"
 
+    if not isinstance(source, ast.AST):
+        source = ast.parse(source.read_text(encoding="utf-8"))
     keys = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(source):
         key = None
         if isinstance(node, ast.Subscript) and is_cfg(node.value):
             key = node.slice
@@ -272,6 +274,43 @@ def test_every_config_key_has_a_setter():
         root / "tests" / "test_cli.py", root / "tests" / "test_acceptance.py",
         *sorted((root / "perfbench").glob("*.py"))]))
     assert sorted(_config_reads(Path(cli.__file__)) - setters) == []
+
+
+def test_config_key_table_is_what_each_command_reads():
+    # a handler reads its keys itself or through the cli helpers it calls
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+
+    def reads(name, seen):
+        seen.add(name)
+        keys = _config_reads(funcs[name])
+        for node in ast.walk(funcs[name]):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in funcs and node.func.id not in seen):
+                keys |= reads(node.func.id, seen)
+        return keys
+
+    assert cli.CONFIG_KEYS.keys() == cli.HANDLERS.keys()
+    for command, handler in cli.HANDLERS.items():
+        assert reads(handler.__name__, set()) == set(
+            cli.CONFIG_KEYS[command]), command
+
+
+@pytest.mark.parametrize("args, doc, unread", [
+    (["phicirc", "--phi", SPLIT_PHI], {"n_level": 16, "t_hi": 1e3},
+     "n_level"),
+    (["grid-solve", "--N", "17"], {"p": 3, "tol": 1e-3}, "tol"),
+    (["verify-example", "aniso_trud", "--p", "2"], {"seed": 3}, "seed"),
+], ids=["phicirc", "grid-solve", "verify-example"])
+def test_unread_config_key_exits_before_work(tmp_path, args, doc, unread):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    code, out = run([*args, "--config", str(config)], tmp_path)
+    assert code == 1
+    assert [path.name for path in out.iterdir()] == ["error.json"]
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["type"] == "ConfigError" and repr(unread) in err["message"]
 
 
 def _tracer_hooks(path):

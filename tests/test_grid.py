@@ -6,10 +6,14 @@ from scipy.fft import dstn, idstn
 
 from conftest import power_potential, split_power_potential
 from orliczpde.grid import (
+    _PCG_MAX_ITER,
     GridField,
+    _energy,
     _energy_gradient,
     _hessian_times,
     _LaplacePreconditioner,
+    _pcg,
+    _Workspace,
     _prolong,
     _restrict,
     OperatorSpec,
@@ -240,6 +244,13 @@ def test_pcg_breakdown_and_descent_fallback_are_counted():
 _CELLS = np.random.default_rng(3).uniform(1.0, 2.0, (16, 16))
 
 
+def _gradient(spec, u, f, h):
+    """The energy gradient at u, in arrays of its own."""
+    ws = _Workspace(f, h)
+    _energy(spec, u, ws)
+    return _energy_gradient(spec, ws, np.empty_like(u))
+
+
 @pytest.mark.parametrize("spec", [
     OperatorSpec(power_potential(1.5)),
     OperatorSpec(power_potential(3.0)),
@@ -256,9 +267,10 @@ def test_hessian_matches_gradient_differences(spec):
     v = GridField(rng.standard_normal((n, n))).zero_boundary().values
     f = np.zeros((n, n))
     delta = 1e-5
-    fd = (_energy_gradient(spec, u + delta * v, f, h)
-          - _energy_gradient(spec, u - delta * v, f, h)) / (2.0 * delta)
-    hv = _hessian_times(spec, spec.hess_weights(*cell_gradients(u, h)), v)
+    fd = (_gradient(spec, u + delta * v, f, h)
+          - _gradient(spec, u - delta * v, f, h)) / (2.0 * delta)
+    hv = _hessian_times(spec, spec.hess_weights(*cell_gradients(u, h)), v,
+                        _Workspace(f, h))
     assert np.max(np.abs(hv - fd)) <= 1e-7 * np.max(np.abs(hv))
 
 
@@ -361,3 +373,111 @@ def test_approximable_sequence_report():
     assert "sup_deviation" not in report[0]
     assert report[1]["sup_deviation"] > 0.0
     assert report[1]["deviation_measure"] >= 0.0
+
+
+# Allocating oracles: the kernels as they were written before they
+# worked in the arrays of a level's workspace.  The workspace kernels
+# must give the same bits.
+
+def _oracle_differences(v):
+    return v[1:, :-1] - v[:-1, :-1], v[:-1, 1:] - v[:-1, :-1]
+
+
+def _oracle_divergence(ax, ay):
+    out = np.zeros((ax.shape[0] + 1, ax.shape[1] + 1))
+    out[:-1, :-1] -= ax + ay
+    out[1:, :-1] += ax
+    out[:-1, 1:] += ay
+    out[0, :] = out[-1, :] = out[:, 0] = out[:, -1] = 0.0
+    return out
+
+
+def _oracle_energy(spec, u, f, h):
+    gx, gy = cell_gradients(u, h)
+    dens = spec.energy_density(gx, gy)
+    fu = f * u
+    J = float(h**2 * np.sum(dens) - h**2 * np.sum(fu))
+    return J, float(h**2 * (np.sum(np.abs(dens)) + np.sum(np.abs(fu))))
+
+
+def _oracle_gradient(spec, u, f, h):
+    g = _oracle_divergence(*spec.flux(*cell_gradients(u, h)))
+    g *= h
+    g[1:-1, 1:-1] -= h**2 * f[1:-1, 1:-1]
+    return g
+
+
+def _oracle_hessian_times(weights, v):
+    hxx, hxy, hyy = weights
+    vx, vy = _oracle_differences(v)
+    return _oracle_divergence(hxx * vx + hxy * vy, hxy * vx + hyy * vy)
+
+
+def _oracle_apply(pre, g):
+    S, D = pre.sine, pre.scale
+    spec = S @ (D * g[1:-1, 1:-1] / pre.h**2) @ S
+    full = np.zeros_like(g)
+    full[1:-1, 1:-1] = D * (S @ (spec * pre.inv_eig) @ S)
+    return full
+
+
+def _oracle_pcg(weights, rhs, pre, rel_tol):
+    pre.rescale(weights)
+    d = np.zeros_like(rhs)
+    r = rhs.copy()
+    z = _oracle_apply(pre, r)
+    p = z
+    rz = float(np.sum(r * z))
+    tol_2 = rel_tol * float(np.sqrt(np.sum(rhs * rhs)))
+    tol_sup = np.sqrt(rel_tol) * float(np.max(np.abs(rhs)))
+    for k in range(1, _PCG_MAX_ITER + 1):
+        Hp = _oracle_hessian_times(weights, p)
+        pHp = float(np.sum(p * Hp))
+        if pHp <= 0.0:
+            return d, k, "breakdown"
+        alpha = rz / pHp
+        d += alpha * p
+        r -= alpha * Hp
+        if (float(np.sqrt(np.sum(r * r))) <= tol_2
+                and float(np.max(np.abs(r))) <= tol_sup):
+            return d, k, "converged"
+        z = _oracle_apply(pre, r)
+        rz_new = float(np.sum(r * z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return d, _PCG_MAX_ITER, "capped"
+
+
+@pytest.mark.parametrize("n", [17, 65])
+@pytest.mark.parametrize("kind", ["p1.5", "p3", "split", "p3-b"])
+def test_workspace_kernels_match_allocating_oracles(kind, n):
+    rng = np.random.default_rng(n)
+    b = rng.uniform(1.0, 2.0, (n - 1, n - 1)) if kind == "p3-b" else 1.0
+    spec = OperatorSpec(split_power_potential(2.0, 4.0) if kind == "split"
+                        else power_potential(1.5 if kind == "p1.5" else 3.0),
+                        b=b)
+    h = 1.0 / (n - 1)
+    x = np.linspace(0.0, 1.0, n)
+    f = np.ones((n, n))
+    u, v = (GridField(c * np.outer(np.sin(np.pi * x), np.sin(np.pi * x))
+                      + 0.01 * rng.standard_normal((n, n))).zero_boundary()
+            .values for c in (0.3, 1.0))
+    ws = _Workspace(f, h)
+    assert _energy(spec, u, ws) == _oracle_energy(spec, u, f, h)
+    assert np.array_equal(_energy_gradient(spec, ws, np.empty((n, n))),
+                          _oracle_gradient(spec, u, f, h))
+    weights = spec.hess_weights(*cell_gradients(u, h))
+    assert np.array_equal(_hessian_times(spec, weights, v, ws),
+                          _oracle_hessian_times(weights, v))
+    oracle_pre = _LaplacePreconditioner(n, h)
+    for _ in range(2):  # D = I, then the Jacobi scaling
+        assert np.array_equal(ws.apply(v), _oracle_apply(oracle_pre, v))
+        ws.rescale(weights)
+        oracle_pre.rescale(weights)
+    rhs = _oracle_gradient(spec, u, f, h)
+    for rel_tol in (0.1, 1e-8):
+        d, k, stop = _pcg(spec, weights, rhs, ws, rel_tol)
+        d_oracle, k_oracle, stop_oracle = _oracle_pcg(weights, rhs,
+                                                      oracle_pre, rel_tol)
+        assert (k, stop) == (k_oracle, stop_oracle) and k > 1
+        assert np.array_equal(d, d_oracle)
