@@ -55,6 +55,7 @@ from .young import (
 
 __all__ = [
     "unit_ball_volume",
+    "gauss_legendre",
     "AnisotropicYoungFunction",
     "RadialPhi",
     "SplitPhi",
@@ -228,7 +229,7 @@ def _log2_points(n):
     return 5 if n <= 3 else 2
 
 
-def _gauss_legendre(m):
+def gauss_legendre(m):
     """Gauss-Legendre nodes and weights on [-1, 1], rounding-accurate, by
     Newton's method on the recurrence of P_m in O(m) memory."""
     x = -np.cos(math.pi * (np.arange(m) + 0.75) / (m + 0.5))
@@ -258,7 +259,7 @@ def _sphere_rule(n, level, kinks):
     # polar part: direction (u, s cos(az), s sin(az)), weight pw
     w, pw = np.ones((1, 1)), np.ones(1)
     if n > 2:
-        x, gw = _gauss_legendre(m)
+        x, gw = gauss_legendre(m)
         th, gw = 0.5 * math.pi * (x + 1.0), 0.5 * math.pi * gw  # on [0, pi]
         ct, st = np.cos(th), np.sin(th)
     for k in range(1, n - 1):
@@ -281,7 +282,7 @@ def _sphere_rule(n, level, kinks):
     arcs = int(np.max(np.count_nonzero(width, axis=1)))
     k = max(m >> (arcs - 1).bit_length(), 1)
     x, gw = ((np.arange(1 - k, k, 2) / k, np.full(k, 2.0 / k)) if arcs == 1
-             else _gauss_legendre(k))
+             else gauss_legendre(k))
     az = (ends[:, :-1, None] + 0.5 * width * (x + 1.0)).reshape(len(u), -1)
     # doubled weights: gw sums to 2 on each arc of the half circle
     wt = (pw[:, None, None] * width * gw).reshape(len(u), -1)
@@ -301,7 +302,7 @@ def _power_split_measure(terms, t):
     return scale / math.gamma(1.0 + s) * np.asarray(t, dtype=float) ** s
 
 
-_GL12_X, _GL12_W = _gauss_legendre(12)
+_GL12_X, _GL12_W = gauss_legendre(12)
 _SPLIT_PANELS = 24
 
 

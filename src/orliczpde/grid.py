@@ -221,9 +221,10 @@ class OperatorSpec:
               for a, t in zip(self._scalars, s)]
         if not self._radial:
             return d2[0], 0.0, d2[1]
-        r = s[0]
+        r = s.pop()
         w1 = self._b * self._scalars[0].derivative(r) / r
-        c = (d2[0] - w1) / r**2
+        c = (d2.pop() - w1) / r**2
+        del r  # r and A'' are freed before the tensor is built
         return w1 + c * gx**2, c * gx * gy, w1 + c * gy**2
 
     def hess_apply(self, weights, vx, vy):
@@ -245,13 +246,19 @@ def cell_gradients(values, h):
     return dx / h, dy / h
 
 
+def _cell_gradients_into(u, ws):
+    """:func:`cell_gradients` of u written into ``ws.dx``, ``ws.dy``."""
+    gx, gy = _differences(u, ws.dx, ws.dy)
+    gx /= ws.h
+    gy /= ws.h
+    return gx, gy
+
+
 def _energy(spec, u, ws):
     """J(u) and its rounding scale h^2 (Sum |density| + Sum |f u|); the
     cell gradient of u stays in ``ws.dx``, ``ws.dy``."""
     h = ws.h
-    gx, gy = _differences(u, ws.dx, ws.dy)
-    gx /= h
-    gy /= h
+    gx, gy = _cell_gradients_into(u, ws)
     dens = spec.energy_density(gx, gy)
     fu = np.multiply(ws.f, u, out=ws.q)
     J = float(h**2 * np.sum(dens) - h**2 * np.sum(fu))
@@ -328,9 +335,16 @@ class _LaplacePreconditioner:
         lower-right node with (1, 0) and its upper-left node with (0, 1),
         so d sums hxx + 2 hxy + hyy, hxx and hyy over those cells."""
         hxx, hxy, hyy = weights
-        corner = hxx + 2.0 * hxy + hyy
-        d = corner[1:, 1:] + hxx[:-1, 1:] + hyy[1:, :-1]
-        self.scale = np.sqrt(4.0 / d)
+        m = len(self.sine)
+        corner, d = self.work[0].reshape(m + 1, m + 1), self.work[1][:m * m]
+        d = d.reshape(m, m)
+        np.add(hxx, np.multiply(2.0, hxy, out=corner), out=corner)
+        corner += hyy
+        np.add(corner[1:, 1:], hxx[:-1, 1:], out=d)
+        d += hyy[1:, :-1]
+        if np.ndim(self.scale) == 0:
+            self.scale = np.empty((m, m))
+        np.sqrt(np.divide(4.0, d, out=d), out=self.scale)
 
     def apply(self, g):
         """P^-1 g, written into the one array ``out`` that every call
@@ -487,6 +501,8 @@ def solve(spec, f_field, max_iter=100, u0=None, return_info=False):
     tol = _TOL * (1.0 + f_field.l1())
     if u0 is None:
         u0 = _coarse_start(spec, f_field, max_iter, levels)
+    else:
+        u0 = np.array(u0, dtype=float)  # _newton writes into its start
     u, g, pre, info = _newton(spec, f_field, tol, max_iter, u0)
     stalled = info.pop("stalled_steps")
     res = info["residual"]
@@ -500,7 +516,7 @@ def solve(spec, f_field, max_iter=100, u0=None, return_info=False):
         )
     out = GridField(u).zero_boundary()
     if return_info:
-        pre.rescale(spec.hess_weights(*cell_gradients(u, f_field.h)))
+        pre.rescale(spec.hess_weights(*_cell_gradients_into(u, pre)))
         info["dual_residual"] = math.sqrt(
             max(float(np.sum(g * pre.apply(g))), 0.0))
         info["levels"] = levels
@@ -510,14 +526,15 @@ def solve(spec, f_field, max_iter=100, u0=None, return_info=False):
 
 def _newton(spec, f_field, tol, max_iter, u0):
     """The Newton-Krylov iteration of :func:`solve` on one mesh, from
-    ``u0`` (zero when None).  Returns ``(u, g, pre, info)``: the last
-    iterate, its energy gradient, the preconditioner and an info dict
-    with ``energies``, ``residual``, ``converged``, the counts and
-    ``stalled_steps`` (steps since the last residual minimum)."""
+    ``u0`` (zero when None), a float array that it writes into.  Returns
+    ``(u, g, pre, info)``: the last iterate, its energy gradient, the
+    preconditioner and an info dict with ``energies``, ``residual``,
+    ``converged``, the counts and ``stalled_steps`` (steps since the
+    last residual minimum)."""
     f = f_field.values
     n = f_field.n_nodes
     h = f_field.h
-    u = np.zeros((n, n)) if u0 is None else np.array(u0, dtype=float)
+    u = np.zeros((n, n)) if u0 is None else u0
     ws = _Workspace(f, h)
     J, J_scale = _energy(spec, u, ws)
     energies = [J]

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .anisotropic import unit_ball_volume
+from .anisotropic import gauss_legendre, unit_ball_volume
 from .young import YoungFunctionError
 
 __all__ = [
@@ -36,7 +36,7 @@ __all__ = [
     "boundedness_criterion",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+_GL_NODES, _GL_WEIGHTS = gauss_legendre(24)
 _HEAD_DECADES = 12  # decades of geometric subdivision below an improper 0
 
 
@@ -45,7 +45,12 @@ class RearrangedFunction:
 
     ``breakpoints`` are 0 = s_0 < s_1 < ... < s_m = |Omega| and
     ``values`` v_1 >= ... >= v_m >= 0, with v_j taken on [s_{j-1}, s_j).
+    Below s_1, u** continues as f**(s_1) (s/s_1)^-``head_exponent``:
+    constant for a step function, the profile's own power head for a
+    realization of an unbounded profile (:meth:`from_callable`).
     """
+
+    head_exponent = 0.0
 
     def __init__(self, breakpoints, values):
         s = np.asarray(breakpoints, dtype=float)
@@ -91,6 +96,14 @@ class RearrangedFunction:
         it is called once on all left endpoints.  A profile that is not
         integrable at 0 is not an L^1 datum and raises
         :class:`YoungFunctionError`.
+
+        The first step carries the exact head mass Int_0^{s_1} fn, and
+        below s_1 the realization's f** continues as the power law
+        s^-a with a = 1 - fn(s_1) / f**(s_1), the exponent for which
+        f** / f* = 1 / (1 - a) holds at s_1.  So f** is exact below s_1
+        for a power profile c s^-a, and the sharp bound and the radial
+        centre of such a datum see the profile rather than its
+        truncation, down to s = 0.
         """
         s = np.concatenate([
             [0.0],
@@ -105,8 +118,11 @@ class RearrangedFunction:
         if not math.isfinite(head):
             raise YoungFunctionError(
                 "profile is not integrable at 0, so it is not an L^1 datum")
-        v[0] = max(head / s[1], v[0])
-        return cls(s, v)
+        f_at_s1, v[0] = v[0], max(head / s[1], v[0])
+        rf = cls(s, v)
+        if v[0] > 0.0:
+            rf.head_exponent = max(1.0 - f_at_s1 / v[0], 0.0)
+        return rf
 
     # -- evaluation ---------------------------------------------------
 
@@ -128,9 +144,13 @@ class RearrangedFunction:
             s_c - self.breakpoints[idx])
         # beyond the domain the integral is flat
         integral = np.where(s > self.domain_measure, self._cum[-1], integral)
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             out = np.where(s > 0.0, integral / np.maximum(s, 1e-300),
                            self.values[0] if len(self.values) else 0.0)
+            if self.head_exponent > 0.0:
+                s1 = self.breakpoints[1]
+                head = self.values[0] * (s / s1) ** -self.head_exponent
+                out = np.where((s > 0.0) & (s < s1), head, out)
         return float(out) if out.ndim == 0 else out
 
     def integral(self):

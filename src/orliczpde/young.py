@@ -75,6 +75,7 @@ _SLACK = 6  # narrowing steps allowed beyond the bisection count
 # steps, at most about 20 between _TINY and 1e300
 _NARROW = 127
 _RTOL_FLOOR = 1e-14  # a quarter of log1p of it is still ~10 ulp
+_T_CAP = 1e250  # largest maximizer of st - A(t) that is searched for
 
 
 def _secant_points(lo, hi, rlo, rhi, budget, tol):
@@ -336,6 +337,17 @@ class ScalarYoungFunction:
     def derivative(self, t):
         """Nondecreasing (sub)derivative A'(t)."""
         raise NotImplementedError
+
+    def derivative_inverse(self, s):
+        """Leftmost t >= 0 with A'(t) >= s, the maximizer of st - A(t);
+        one that would exceed 1e250 raises :class:`InverseRangeError`."""
+        return solve_increasing(self.derivative, s, x_max=_T_CAP)
+
+    def _conjugate_level_inverse(self, y):
+        """Leftmost T >= 0 with T A'(T) - A(T) >= y: the maximizer at
+        which the conjugate takes the value y."""
+        return solve_increasing(
+            lambda T: T * self.derivative(T) - self.value(T), y, x_max=_T_CAP)
 
     # -- inversion ----------------------------------------------------
 
@@ -682,6 +694,14 @@ class SampledYoungFunction(ScalarYoungFunction):
     keep their exponent.  ``repair_convexity`` replaces the table by its
     convex envelope in linear coordinates (used after discrete Legendre
     transforms).
+
+    On the segment [t_k, t_{k+1}] of log-log slope sigma_k, A is the
+    power A(t_k) (t/t_k)^sigma_k, so A'(t) = sigma_k A(t)/t and the
+    conjugate's level function T A'(T) - A(T) = (sigma_k - 1) A(T) are
+    powers too, jumping at the knots.  ``derivative_inverse`` and the
+    inverse of that level function are closed forms: one searchsorted
+    over the segments' running maxima and one power per element, so
+    :class:`LegendreConjugate` of a table runs no solver.
     """
 
     closed_form_inverse = True  # interpolates the inverse table
@@ -738,6 +758,58 @@ class SampledYoungFunction(ScalarYoungFunction):
         out = self._slopes[seg] * self.value(t) / np.maximum(t, 1e-300)
         return out if out.ndim else float(out)
 
+    def derivative_inverse(self, s):
+        sigma = self._slopes
+        with np.errstate(divide="ignore"):
+            log_coef = np.log(sigma) + self.log_v[:-1] - self.log_t[:-1]
+        return self._power_inverse(log_coef, sigma - 1.0, s)
+
+    def _conjugate_level_inverse(self, y):
+        sigma = self._slopes
+        with np.errstate(divide="ignore"):
+            log_coef = np.log(np.maximum(sigma - 1.0, 0.0)) + self.log_v[:-1]
+        return self._power_inverse(log_coef, sigma, y)
+
+    def _power_inverse(self, log_coef, expo, y):
+        """Leftmost t >= 0 with F(t) >= y, for F(t) = exp(log_coef[k] +
+        expo[k] log(t/t_k)) on segment k, the first reaching down to 0
+        and the last up to inf as in ``value``.
+
+        The first segment whose sup, running-maximized over the segments
+        before it, reaches y holds the answer: its left end where F
+        already reaches y there (y inside a knot's jump), else the root
+        of the power.  A segment's sup is F at one of its knots, and
+        inf on the last one where F grows (for a convex table the first
+        segment, reaching down to 0, has expo >= 0 too).  0 where y <= 0;
+        nan and inf pass through.  A y that F never reaches, or whose
+        root exceeds 1e250, raises :class:`InverseRangeError`.
+        """
+        y = np.asarray(y, dtype=float)
+        log_t = self.log_t[:-1]
+        right = log_coef + expo * np.diff(self.log_t)
+        if expo[-1] > 0.0 and log_coef[-1] > -np.inf:
+            right[-1] = np.inf  # the last segment grows without bound
+        top = np.maximum.accumulate(np.maximum(log_coef, right))
+        out = np.where(y <= 0.0, 0.0, y)
+        todo = np.isfinite(y) & (y > 0.0)
+        y_todo = y[todo]
+        log_y = np.log(y_todo)
+        k = np.searchsorted(top, log_y)
+        if np.any(k == top.size):
+            raise InverseRangeError(
+                f"value {float(y_todo[k == top.size][0])!r} not attained")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = np.where(expo[k] > 0.0,
+                            log_t[k] + (log_y - log_coef[k]) / expo[k],
+                            -np.inf)
+        t = np.exp(np.maximum(root, np.where(k > 0, log_t[k], -np.inf)))
+        if np.any(t > _T_CAP):
+            raise InverseRangeError(
+                f"value {float(y_todo[t > _T_CAP][0])!r} not attained "
+                f"below x_max={_T_CAP:g}")
+        out[todo] = t
+        return float(out) if out.ndim == 0 else out
+
     def inverse(self, y):
         y = np.asarray(y, dtype=float)
         with np.errstate(divide="ignore"):
@@ -783,17 +855,16 @@ class SampledYoungFunction(ScalarYoungFunction):
         return cls(np.log(data[:, 0]), np.log(data[:, 1]))
 
 
-_T_CAP = 1e250  # largest maximizer LegendreConjugate searches for
-
-
 class LegendreConjugate(ScalarYoungFunction):
     """Pointwise Young conjugate through the first-order condition.
 
     For convex A with nondecreasing derivative A', the supremum of
-    st - A(t) is attained where A'(t) = s.  One vectorized
-    :func:`solve_increasing` of A' gives that maximizer, which is also
-    the conjugate's derivative (envelope theorem: conj(A)'(s) = argmax t);
-    a maximizer beyond 1e250 raises :class:`InverseRangeError`.
+    st - A(t) is attained where A'(t) = s.  ``base.derivative_inverse``
+    gives that maximizer, which is also the conjugate's derivative
+    (envelope theorem: conj(A)'(s) = argmax t): one vectorized
+    :func:`solve_increasing` of A', or a closed form for a
+    :class:`SampledYoungFunction`.  A maximizer beyond 1e250 raises
+    :class:`InverseRangeError`.
     """
 
     def __init__(self, base):
@@ -805,26 +876,25 @@ class LegendreConjugate(ScalarYoungFunction):
 
     def value(self, s):
         s = np.asarray(s, dtype=float)
-        t = solve_increasing(self.base.derivative, s, x_max=_T_CAP)
+        t = self.base.derivative_inverse(s)
         out = np.maximum(s * t - np.asarray(self.base.value(t), dtype=float),
                          0.0)
         return float(out) if out.ndim == 0 else out
 
     def derivative(self, s):
-        return solve_increasing(self.base.derivative, s, x_max=_T_CAP)
+        return self.base.derivative_inverse(s)
 
     def inverse(self, y):
-        """conj^{-1}(y) by one solve.
+        """conj^{-1}(y) by one inversion.
 
-        conj(A'(T)) = T A'(T) - A(T) is nondecreasing in T, so solve it
+        conj(A'(T)) = T A'(T) - A(T) is nondecreasing in T, so invert it
         for the maximizer T; then conj(s) = sT - A(T) = y gives
         s = (y + A(T))/T, which is A'(T) away from kinks and stays exact
         where A' jumps.
         """
         y = np.asarray(y, dtype=float)
         a = self.base
-        T = solve_increasing(lambda T: T * a.derivative(T) - a.value(T), y,
-                             x_max=_T_CAP)
+        T = a._conjugate_level_inverse(y)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(T > 0.0, (y + a.value(T)) / T, 0.0)
         return float(out) if out.ndim == 0 else out

@@ -121,6 +121,14 @@ def test_sphere_rule_integrates_over_the_sphere(n):
                                                               rel=1e-13)
 
 
+@pytest.mark.parametrize("m", [3, 12, 24])
+def test_gauss_legendre_matches_numpy(m):
+    x, w = anisotropic.gauss_legendre(m)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(m)
+    np.testing.assert_allclose(x, x_ref, rtol=0, atol=5e-15)
+    np.testing.assert_allclose(w, w_ref, rtol=0, atol=5e-15)
+
+
 def test_star_path_in_three_dimensions_is_cheap(monkeypatch):
     # the split (2, 3, 4) through the star path at two levels: within
     # 2e-9 of Dirichlet's closed form on at most 50,000 ray solves

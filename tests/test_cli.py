@@ -513,6 +513,23 @@ def test_module_reads_no_private_names(path):
     assert _package_reads(path)[1] == []
 
 
+@pytest.mark.parametrize("path", _PACKAGE_MODULES, ids=lambda p: p.stem)
+def test_module_uses_no_numpy_polynomial(path):
+    # one Gauss-Legendre source, anisotropic.gauss_legendre, serves every
+    # quadrature of the package
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        names = []
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        uses += [name for name in names if "polynomial" in name.split(".")]
+    assert uses == []
+
+
 def test_symmetrize_solve_center_oracle(tmp_path):
     code, out = run(["symmetrize-solve", "--phi", "power:p=2", "--n", "2",
                      "--f", "const:1", "--omega", "pi"], tmp_path)

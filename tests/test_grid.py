@@ -1,5 +1,7 @@
 """Finite-difference minimizer on the unit square."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.fft import dstn, idstn
@@ -421,6 +423,13 @@ def _oracle_apply(pre, g):
     return full
 
 
+def _oracle_scale(weights):
+    hxx, hxy, hyy = weights
+    corner = hxx + 2.0 * hxy + hyy
+    d = corner[1:, 1:] + hxx[:-1, 1:] + hyy[1:, :-1]
+    return np.sqrt(4.0 / d)
+
+
 def _oracle_pcg(weights, rhs, pre, rel_tol):
     pre.rescale(weights)
     d = np.zeros_like(rhs)
@@ -474,6 +483,7 @@ def test_workspace_kernels_match_allocating_oracles(kind, n):
         assert np.array_equal(ws.apply(v), _oracle_apply(oracle_pre, v))
         ws.rescale(weights)
         oracle_pre.rescale(weights)
+    assert np.array_equal(ws.scale, _oracle_scale(weights))
     rhs = _oracle_gradient(spec, u, f, h)
     for rel_tol in (0.1, 1e-8):
         d, k, stop = _pcg(spec, weights, rhs, ws, rel_tol)
@@ -481,3 +491,21 @@ def test_workspace_kernels_match_allocating_oracles(kind, n):
                                                       oracle_pre, rel_tol)
         assert (k, stop) == (k_oracle, stop_oracle) and k > 1
         assert np.array_equal(d, d_oracle)
+
+
+def test_solve_peak_memory_is_set_by_cg():
+    # the Hessian weights and the Jacobi scaling are built in the
+    # workspace, so the peak of a solve is CG's: the level's arrays, the
+    # three weights and the two products of a Hessian action (it read
+    # 22.8 N^2 numbers before, in hess_weights and rescale)
+    n = 129
+    f = GridField.zeros(n)
+    f.values.fill(1.0)
+    spec = OperatorSpec(power_potential(1.5))
+    tracemalloc.start()
+    try:
+        solve(spec, f, return_info=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 19.0 * 8 * n * n

@@ -7,6 +7,7 @@ import pytest
 
 from orliczpde.embedding import sobolev_conjugate
 from orliczpde.radial import (
+    RadialSolution,
     calibrate_c1,
     calibrate_kappa2,
     gradient_l1_bound,
@@ -16,7 +17,7 @@ from orliczpde.radial import (
     truncation_energy_check,
 )
 from orliczpde.rearrangement import RearrangedFunction, boundedness_criterion
-from orliczpde.young import PowerYoung
+from orliczpde.young import PowerYoung, psi_of
 
 
 def _unit_disk_rf():
@@ -118,3 +119,70 @@ def test_level_set_bounds_calibrated():
     gbound = level_set_bound_grad(prof, c1=c1)
     for s in s_ladder:
         assert mu_e(s) <= gbound(s) * (1.0 + 1e-9)
+
+
+def _benchmark_csv_rf(a):
+    # the step datum f*(s) = s^-a of the benchmark's CSV on the pi-disk:
+    # 512 log-spaced steps down to 1e-10 pi, each at its left end
+    s = np.concatenate([[0.0], np.geomspace(1e-10 * math.pi, math.pi, 512)])
+    return RearrangedFunction(s, np.concatenate([[s[1]], s[1:-1]]) ** -a)
+
+
+@pytest.mark.parametrize("p, a, rel", [
+    (2.0, 0.2, 1e-7), (2.0, 0.6, 1e-7),
+    (1.5, 0.7, 1e-5), (1.5, 0.8, 1e-5), (2.0, 0.9, 1e-5),
+])
+def test_center_matches_sharp_bound_on_csv_datum(p, a, rel):
+    # v(0) and B are two quadratures of one integral, in r and in s
+    rf = _benchmark_csv_rf(a)
+    psi_inv = psi_of(PowerYoung(p)).inverse
+    sol = solve_radial(psi_inv, rf, 2, math.pi)
+    B = boundedness_criterion(rf, psi_inv, 2, math.pi)
+    assert sol.v[0] == pytest.approx(B, rel=rel)
+
+
+def test_center_and_bound_follow_a_power_profile_to_zero():
+    # f*(s) = s^-a realized by from_callable: both integrals see the
+    # profile below its last step, so they agree with each other and
+    # with the closed form (1/c)^{q+1} pi^{e+1} / ((1-a)^q (e+1)),
+    # c = 2 sqrt(pi), q = 1/(p-1), e = q(1/2 - a) - 1/2, up to the
+    # left-end bias of the steps; for a = 0.8 the integral diverges
+    p, q = 1.5, 2.0
+    psi_inv = psi_of(PowerYoung(p)).inverse
+    c = 2.0 * math.sqrt(math.pi)
+    for a in (0.7, 0.8):
+        rf = RearrangedFunction.from_callable(lambda s: s**-a, math.pi)
+        v0 = solve_radial(psi_inv, rf, 2, math.pi).v[0]
+        B = boundedness_criterion(rf, psi_inv, 2, math.pi)
+        e = q * (0.5 - a) - 0.5
+        if e <= -1.0:
+            assert v0 == B == math.inf
+            continue
+        exact = c ** -(q + 1.0) * math.pi ** (e + 1.0) / (
+            (1.0 - a) ** q * (e + 1.0))
+        assert v0 == pytest.approx(B, rel=2e-4)
+        assert v0 == pytest.approx(exact, rel=3e-3)
+
+
+def test_solve_radial_inverts_psi_at_few_points():
+    # 3 Gauss points per panel past the first, the graded head on [0, r_1]
+    points = []
+
+    def psi_inv(y):
+        points.append(np.size(y))
+        return np.asarray(y, dtype=float)
+
+    sol = solve_radial(psi_inv, _benchmark_csv_rf(0.6), 2, math.pi)
+    assert len(sol.r) == 4096
+    assert sum(points) <= 25_000
+
+
+def test_to_csv_bytes_match_per_element_repr(tmp_path):
+    r = np.array([0.0, 5e-324, 0.5, 1.0])
+    v = np.array([math.inf, 1e300, 2.2250738585072014e-308, 0.0])
+    g = np.array([0.0, 1.0 / 3.0, math.inf, 1e-300])
+    RadialSolution(2, math.pi, r, v, g).to_csv(tmp_path / "out.csv")
+    expected = "r,v,gradient_magnitude\r\n" + "".join(
+        f"{float(x)!r},{float(y)!r},{float(z)!r}\r\n"
+        for x, y, z in zip(r, v, g))
+    assert (tmp_path / "out.csv").read_bytes() == expected.encode()

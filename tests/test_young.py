@@ -554,3 +554,84 @@ def test_stated_exponential_tails_outgrow_every_power(a):
     lt = np.linspace(math.log(10.0), math.log(300.0), 64)
     slope = np.gradient(a.log_value(lt), lt)
     assert np.all(np.diff(slope) > 0) and slope[-1] > 100.0
+
+
+def _convex_table(log_t0, steps, slope0, rises):
+    """A table whose log-log slopes start at slope0 > 1 and never fall,
+    so that A' is a nondecreasing power on each segment and jumps up at
+    each knot."""
+    log_t = log_t0 + np.concatenate([[0.0], np.cumsum(steps)])
+    slopes = slope0 + np.concatenate([[0.0], np.cumsum(rises)])
+    log_v = np.concatenate([[0.0], np.cumsum(slopes * np.diff(log_t))])
+    return SampledYoungFunction(log_t, log_v)
+
+
+_TABLES = dict(
+    log_t0=st.floats(-6.0, 2.0),
+    steps=st.lists(st.floats(0.05, 2.0), min_size=4, max_size=12),
+    slope0=st.floats(1.05, 4.0),
+    rises=st.lists(st.floats(0.0, 0.8), min_size=4, max_size=12),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_TABLES, u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_sampled_derivative_inverse_matches_the_solver(log_t0, steps, slope0,
+                                                       rises, u):
+    n = min(len(steps), len(rises))
+    a = _convex_table(log_t0, np.array(steps[:n]), slope0,
+                      np.array(rises[:n - 1]))
+    t = np.exp(a.log_t)
+    right, left = a.derivative(t), a._slopes * a.value(t[1:]) / t[1:]
+    # targets below and above the table, inside the segments and inside
+    # each knot's jump (left < s <= right at t_k, whose answer is t_k)
+    s = np.concatenate([right[0] * np.array([1e-3, 0.5]),
+                        right[-1] * np.array([2.0, 1e3]),
+                        np.exp(np.interp(u, [0.0, 1.0],
+                                         np.log([right[0], right[-1]]))),
+                        right[1:-1], 0.5 * (left[:-1] + right[1:-1])])
+    ref = solve_increasing(a.derivative, s, x_max=1e250)
+    np.testing.assert_allclose(a.derivative_inverse(s), ref, rtol=2e-12)
+    jump = left[:-1] < right[1:-1]
+    np.testing.assert_allclose(
+        a.derivative_inverse(0.5 * (left[:-1] + right[1:-1]))[jump],
+        t[1:-1][jump], rtol=1e-14)
+    # the level function of the conjugate's inverse, T A'(T) - A(T)
+    y = s * t[len(t) // 2]
+    ref = solve_increasing(lambda T: T * a.derivative(T) - a.value(T), y,
+                           x_max=1e250)
+    np.testing.assert_allclose(a._conjugate_level_inverse(y), ref,
+                               rtol=2e-12)
+
+
+def test_sampled_derivative_inverse_edges():
+    a = _convex_table(0.0, np.ones(6), 2.0, np.zeros(5))  # t^2 on [1, e^6]
+    out = a.derivative_inverse(np.array([0.0, -1.0, np.inf, 2.0, 2e6]))
+    np.testing.assert_allclose(out, [0.0, 0.0, np.inf, 1.0, 1e6],
+                               rtol=1e-13)
+    assert math.isnan(a.derivative_inverse(math.nan))
+    assert isinstance(a.derivative_inverse(2.0), float)
+    with pytest.raises(InverseRangeError, match="1e\\+250"):
+        a.derivative_inverse(1e300)
+
+
+def _table_csv_function(alpha=1.0):
+    # the 1024-row table A(t) = t^2 log(e + t)^alpha of AC1
+    t = np.geomspace(1e-3, 1e5, 1024)
+    return SampledYoungFunction(
+        np.log(t), np.log(t**2 * np.log(math.e + t) ** alpha))
+
+
+def test_tabulated_conjugate_calls_no_derivative(monkeypatch):
+    a = _table_csv_function()
+    calls = []
+    derivative = a.derivative
+    monkeypatch.setattr(a, "derivative",
+                        lambda t: calls.append(1) or derivative(t))
+    conj = LegendreConjugate(a)
+    s = np.geomspace(1e-2, 1e4, 512)
+    conj.value(s)
+    assert len(calls) <= 2
+    calls.clear()
+    conj.inverse(s)
+    assert len(calls) <= 2
