@@ -5,7 +5,8 @@ full ``repr`` precision) and UTF-8 JSON reports written under ``--out``.
 Exit codes: 0 success, 2 when a mathematical invariant check fails on
 the given data (verdict failure), 1 on operational errors (bad config,
 unknown command, propagated module errors); operational errors also
-leave a machine-readable ``error.json``.
+leave a machine-readable ``error.json``, which for a grid solve that
+did not converge (``grid.SolveError``) holds the solve's info dict.
 
 Determinism: the sphere rules and the grid solver are deterministic
 and no command draws a random number (``--seed`` is accepted and
@@ -574,6 +575,8 @@ def main(argv=None):
     except Exception as exc:
         record = {"error": {"type": type(exc).__name__,
                             "message": str(exc)}}
+        if isinstance(exc, grid.SolveError):
+            record["error"]["info"] = exc.info
         try:
             _write_json(out / "error.json", record)
         except OSError:

@@ -22,20 +22,22 @@ in place, and Newton creeps.  The symmetric 2 x 2 cell tensor of the
 Hessian is computed once per Newton step; it gives both the Hessian
 action, in raw differences, and the nodal diagonal d that scales the
 preconditioner D L^-1 D, D = diag(sqrt(4/d)), L^-1 the inverse 5-point
-Laplacian in the sine basis.  Each mesh level has one workspace: the
+Laplacian in the sine basis, applied as an even/odd butterfly and two
+half-size dense blocks per axis.  Each mesh level has one workspace: the
 preconditioner and a few nodal and cell arrays that its Newton and CG
-steps write in place, with the operands and order of fresh temporaries
-and so bit for bit their results; an accepted iterate's cell gradient
-is computed once, for its energy, its flux and the next Hessian
-weights.  Steps are backtracked on J (Armijo) until the Newton
-decrement falls below the rounding level of J; from there a full step
-is taken only if it lowers the sup residual and raises J by no more
-than that level, else the iteration stops; it also stops when the sup
-residual has stalled.  The energy trace is monotone up to that rounding
-bound.  For Phi = |xi|^2/2 the energy gradient is exactly the 5-point
-scheme, d = 4 and the first Newton step solves it in one CG iteration.
-``solve`` reports the sup residual that its tolerance 1e-9 (1 + ||f||_1)
-bounds and the counts of its steps.
+steps write in place, the Hessian action included, with the operands
+and order of fresh temporaries and so bit for bit their results; CG's
+inner products and 2-norm are one BLAS reduction each.  An accepted
+iterate's cell gradient is computed once, for its energy, its flux and
+the next Hessian weights.  Steps are backtracked on J (Armijo) until
+the Newton decrement falls below the rounding level of J; from there a
+full step is taken only if it lowers the sup residual and raises J by
+no more than that level, else the iteration stops; it also stops when
+the sup residual has stalled.  The energy trace is monotone up to that
+rounding bound.  For Phi = |xi|^2/2 the energy gradient is exactly the
+5-point scheme, d = 4 and the first Newton step solves it in one CG
+iteration.  ``solve`` reports the sup residual that its tolerance
+1e-9 (1 + ||f||_1) bounds and the counts of its steps.
 
 A solve from zero runs coarse to fine (nested iteration): on an odd N
 whose coarser mesh of (N + 1) / 2 nodes has at least 33 nodes, it first
@@ -78,10 +80,13 @@ _DELTA = 1e-12  # floor on |xi| inside the flux only
 
 
 class SolveError(RuntimeError):
-    def __init__(self, message, residual=None, newton_steps=None):
+    """A solve that stopped above 100 tol; ``info`` is its info dict
+    (:func:`solve`): the finest level's residual, energies and counts,
+    and the coarse ``levels``."""
+
+    def __init__(self, message, info):
         super().__init__(message)
-        self.residual = residual
-        self.newton_steps = newton_steps
+        self.info = info
 
 
 def _check_nodes(n):
@@ -227,11 +232,19 @@ class OperatorSpec:
         del r  # r and A'' are freed before the tensor is built
         return w1 + c * gx**2, c * gx * gy, w1 + c * gy**2
 
-    def hess_apply(self, weights, vx, vy):
+    def hess_apply(self, weights, vx, vy, scratch):
         """Cell-wise Hessian action (d flux / d gradient applied to v),
-        with ``weights`` from :meth:`hess_weights`."""
+        with ``weights`` from :meth:`hess_weights`, written over (vx, vy)
+        and returned; ``scratch`` is a pair of cell arrays it overwrites."""
         hxx, hxy, hyy = weights
-        return hxx * vx + hxy * vy, hxy * vx + hyy * vy
+        sx, sy = scratch
+        np.multiply(hxy, vy, out=sx)
+        np.multiply(hxy, vx, out=sy)
+        vx *= hxx
+        vx += sx
+        vy *= hyy
+        vy += sy
+        return vx, vy
 
 
 def _differences(values, dx=None, dy=None):
@@ -289,6 +302,16 @@ def _energy_gradient(spec, ws, out):
     return g
 
 
+def _butterfly(a, out, half):
+    """The first butterfly of a fast sine transform on the rows of ``a``,
+    written into ``out``: row k < M - half of ``out`` is
+    a_k + a_{M-1-k}, so the middle row of an odd count M is doubled, and
+    row M-1-k, k < ``half``, is a_k - a_{M-1-k}."""
+    rest = len(a) - half
+    np.add(a[:rest], a[::-1][:rest], out=out[:rest])
+    np.subtract(a[:half], a[::-1][:half], out=out[::-1][:half])
+
+
 class _LaplacePreconditioner:
     """Jacobi-scaled inverse 5-point Laplacian, P^-1 = D L^-1 D.
 
@@ -306,23 +329,45 @@ class _LaplacePreconditioner:
     P^-1 gives the direction of a descent fallback and the dual-norm
     residual sqrt(g . P^-1 g) that :func:`solve` reports.
 
-    L^-1 is applied in the DST-I basis.  S = sqrt(2/(N-1))
-    sin(pi j k/(N-1)), j, k = 1..N-2, is the orthonormal DST-I matrix:
-    symmetric, with S^2 = I, and its columns are the Laplacian's
-    eigenvectors.  ``apply`` is four dense products,
-    S ((S R S) * inv_eig) S, so its cost grows as N^3.  On one core of a
-    Xeon VM one apply takes 0.05 ms at N = 65, 2.3-3.5 ms at N = 257 and
-    17-22 ms at N = 513 (least to median of repeated calls), against
-    0.13-0.19, 1.6-2.8 and 7.7-8.5 ms for scipy's fast sine transform;
-    the CLI, the tests and the benchmark use N <= 257.
+    L^-1 is applied in the DST-I basis.  S = sqrt(2/m) sin(pi j k/m),
+    j, k = 1..N-2, m = N-1, is the orthonormal DST-I matrix: symmetric,
+    with S^2 = I, and its columns are the eigenvectors of L, whose
+    eigenvalues are mu_j + mu_k, mu_j = 4 sin(pi j h/2)^2; so
+    L^-1 r = S ((S r S) * inv_eig) S on the interior.  As
+    S[j, m-k] = (-1)^(j+1) S[j, k], the odd rows j of S a depend only on
+    the sums a_k + a_{m-k} and the even rows only on the differences
+    a_k - a_{m-k}, the first butterfly of a fast sine transform (Van Loan
+    1992).  So S a is :func:`_butterfly` followed by two half-size dense
+    blocks: ``sine_odd`` on the sums, its middle column halved because
+    the butterfly doubles the middle row of an odd N, and ``sine_even``
+    on the differences, its columns reversed to match their order (for
+    an odd N, the DST-I of half the size over sqrt(2)).  The transform
+    domain stays in (odd, even) order, in which ``inv_eig`` is stored,
+    and S is symmetric, so the inverse transform is the transposed blocks
+    followed by the same butterfly.  An apply does this on rows and
+    columns, forward and back: eight half-size products of (N-2)^3/4
+    multiply-adds each, half the multiply-adds of four dense products,
+    and four butterflies; its cost still grows as N^3.  On one core of a
+    Xeon VM with one BLAS thread, one apply takes 0.09-0.13 ms at
+    N = 65, 0.29-0.39 ms at N = 129 and 2.0-2.4 ms at N = 257 (least to
+    median of repeated calls, three runs), against 0.05-0.08, 0.39-0.55
+    and 2.6-3.6 ms with four dense products: an apply makes 23 numpy
+    calls instead of 8, which costs more than the halved products save
+    up to N = 65.  The CLI, the tests and the benchmark use N <= 257.
     """
 
     def __init__(self, n, h):
-        k = np.arange(1, n - 1)
-        lam = (4.0 / h**2) * np.sin(k * math.pi * h / 2.0) ** 2
-        self.inv_eig = 1.0 / (lam[:, None] + lam[None, :])
         m = n - 1
-        self.sine = math.sqrt(2.0 / m) * np.sin(math.pi * np.outer(k, k) / m)
+        odd, even = np.arange(1, m, 2), np.arange(2, m, 2)
+        mu = 4.0 * np.sin(np.concatenate([odd, even]) * math.pi * h / 2.0) ** 2
+        self.inv_eig = 1.0 / (mu[:, None] + mu[None, :])
+        c = math.sqrt(2.0 / m)
+        self.sine_odd = c * np.sin(
+            math.pi * np.outer(odd, np.arange(1, len(odd) + 1)) / m)
+        if n % 2:
+            self.sine_odd[:, -1] /= 2.0
+        self.sine_even = c * np.sin(
+            math.pi * np.outer(even, np.arange(len(even), 0, -1)) / m)
         self.h = h
         self.scale = 1.0
         # two arrays of (N-1)^2 numbers: apply's products, a workspace's cells
@@ -335,7 +380,7 @@ class _LaplacePreconditioner:
         lower-right node with (1, 0) and its upper-left node with (0, 1),
         so d sums hxx + 2 hxy + hyy, hxx and hyy over those cells."""
         hxx, hxy, hyy = weights
-        m = len(self.sine)
+        m = len(self.inv_eig)
         corner, d = self.work[0].reshape(m + 1, m + 1), self.work[1][:m * m]
         d = d.reshape(m, m)
         np.add(hxx, np.multiply(2.0, hxy, out=corner), out=corner)
@@ -349,24 +394,40 @@ class _LaplacePreconditioner:
     def apply(self, g):
         """P^-1 g, written into the one array ``out`` that every call
         returns."""
-        S, D, m = self.sine, self.scale, len(self.sine)
+        odd, even, m = self.sine_odd, self.sine_even, len(self.inv_eig)
+        k, half = len(odd), len(even)
         a, b = (w[:m * m].reshape(m, m) for w in self.work)
-        np.divide(np.multiply(D, g[1:-1, 1:-1], out=a), self.h**2, out=a)
-        np.matmul(np.matmul(S, a, out=b), S, out=a)
+        np.multiply(self.scale, g[1:-1, 1:-1], out=a)
+        _butterfly(a, b, half)  # S a S: the rows,
+        np.matmul(odd, b[:k], out=a[:k])
+        np.matmul(even, b[k:], out=a[k:])
+        _butterfly(a.T, b.T, half)  # the columns
+        np.matmul(b[:, :k], odd.T, out=a[:, :k])
+        np.matmul(b[:, k:], even.T, out=a[:, k:])
         a *= self.inv_eig
-        np.matmul(np.matmul(S, a, out=b), S, out=a)
-        np.multiply(D, a, out=self.out[1:-1, 1:-1])
-        return self.out
+        np.matmul(odd.T, a[:k], out=b[:k])  # and back
+        np.matmul(even.T, a[k:], out=b[k:])
+        _butterfly(b, a, half)
+        np.matmul(a[:, :k], odd, out=b[:, :k])
+        np.matmul(a[:, k:], even, out=b[:, k:])
+        _butterfly(b.T, a.T, half)
+        out = self.out
+        np.multiply(self.scale, a, out=out[1:-1, 1:-1])
+        # a Hessian action may have used out as scratch
+        out[0, :] = out[-1, :] = out[:, 0] = out[:, -1] = 0.0
+        return out
 
 
 class _Workspace(_LaplacePreconditioner):
     """The preconditioner of one mesh level and the arrays that its
     Newton and CG steps write in place: the cell arrays ``dx``, ``dy``
     (shared with the products of :meth:`apply`) hold the differences of
-    a CG direction or the cell gradient of the iterate last passed to
-    :func:`_energy`; ``d``, ``r``, ``p`` and ``q`` = H p are the CG
-    vectors, r and p also the line search's trial iterate and its
-    gradient, and q is the nodal scratch of a Newton step."""
+    a CG direction, then its cell Hessian action, or the cell gradient
+    of the iterate last passed to :func:`_energy`; ``d``, ``r``, ``p``
+    and ``q`` = H p are the CG vectors, r and p also the line search's
+    trial iterate and its gradient, and q is the nodal scratch of a
+    Newton step.  ``cells`` views the first (N-1)^2 numbers of q and of
+    ``out`` as cell arrays, the scratch of a Hessian action."""
 
     def __init__(self, f, h):
         n = f.shape[0]
@@ -374,13 +435,15 @@ class _Workspace(_LaplacePreconditioner):
         self.f = f
         self.dx, self.dy = (w.reshape(n - 1, n - 1) for w in self.work)
         self.d, self.r, self.p, self.q = (np.empty((n, n)) for _ in range(4))
+        self.cells = tuple(a.reshape(-1)[:(n - 1) ** 2].reshape(n - 1, n - 1)
+                           for a in (self.q, self.out))
 
 
 def _hessian_times(spec, weights, v, ws):
     """Action of the energy Hessian, given by its cell ``weights``
     (:meth:`OperatorSpec.hess_weights`), on a zero-boundary v, in ws.q."""
     return _divergence(*spec.hess_apply(
-        weights, *_differences(v, ws.dx, ws.dy)), ws.q)
+        weights, *_differences(v, ws.dx, ws.dy), ws.cells), ws.q)
 
 
 # CG iterations allowed per Newton system
@@ -408,22 +471,22 @@ def _pcg(spec, weights, rhs, ws, rel_tol):
     np.copyto(r, rhs)
     z = ws.apply(r)  # also scratch until the next apply
     np.copyto(p, z)
-    rz = float(np.sum(np.multiply(r, z, out=q)))
-    tol_2 = rel_tol * float(np.sqrt(np.sum(np.multiply(rhs, rhs, out=q))))
+    rz = float(np.vdot(r, z))
+    tol_2 = rel_tol * math.sqrt(np.vdot(rhs, rhs))
     tol_sup = math.sqrt(rel_tol) * float(np.max(np.abs(rhs, out=q)))
     for k in range(1, _PCG_MAX_ITER + 1):
         Hp = _hessian_times(spec, weights, p, ws)
-        pHp = float(np.sum(np.multiply(p, Hp, out=z)))
+        pHp = float(np.vdot(p, Hp))
         if pHp <= 0.0:
             return d, k, "breakdown"
         alpha = rz / pHp
         d += np.multiply(p, alpha, out=z)
         r -= np.multiply(Hp, alpha, out=Hp)
-        if (float(np.sqrt(np.sum(np.multiply(r, r, out=q)))) <= tol_2
+        if (math.sqrt(np.vdot(r, r)) <= tol_2
                 and float(np.max(np.abs(r, out=q))) <= tol_sup):
             return d, k, "converged"
         z = ws.apply(r)
-        rz_new = float(np.sum(np.multiply(r, z, out=q)))
+        rz_new = float(np.vdot(r, z))
         np.add(z, np.multiply(p, rz_new / rz, out=p), out=p)
         rz = rz_new
     return d, _PCG_MAX_ITER, "capped"
@@ -469,7 +532,8 @@ def solve(spec, f_field, max_iter=100, u0=None, return_info=False):
     tol = 1e-9 * (1 + ||f||_1): tol bounds this sup residual, not the
     dual-norm one.  The iteration also stops when the sup residual sets
     no new minimum in 15 consecutive steps (a stall).  A stop above
-    100 * tol raises :class:`SolveError`.
+    100 * tol raises :class:`SolveError`, which carries the info dict
+    below without ``dual_residual``.
 
     Nested iteration: without ``u0``, an odd N whose coarser mesh of
     (N + 1) / 2 nodes has at least 33 nodes first solves the same
@@ -505,21 +569,19 @@ def solve(spec, f_field, max_iter=100, u0=None, return_info=False):
         u0 = np.array(u0, dtype=float)  # _newton writes into its start
     u, g, pre, info = _newton(spec, f_field, tol, max_iter, u0)
     stalled = info.pop("stalled_steps")
+    info["levels"] = levels
     res = info["residual"]
     if res > 100.0 * tol:
         stall = (f", stalled: no new residual minimum in {stalled} steps"
                  if stalled >= _STALL_STEPS else "")
         raise SolveError(
             f"no convergence after {info['newton_steps']} Newton steps "
-            f"(residual {res:g}, tol {tol:g}{stall})",
-            residual=res, newton_steps=info["newton_steps"],
-        )
+            f"(residual {res:g}, tol {tol:g}{stall})", info)
     out = GridField(u).zero_boundary()
     if return_info:
         pre.rescale(spec.hess_weights(*_cell_gradients_into(u, pre)))
         info["dual_residual"] = math.sqrt(
             max(float(np.sum(g * pre.apply(g))), 0.0))
-        info["levels"] = levels
         return out, info
     return out
 

@@ -677,6 +677,24 @@ def test_grid_solve_refuses_bad_point_data(point, tmp_path):
     assert not (out / "grid_solve_report.json").exists()
 
 
+def test_grid_solve_failure_writes_its_solve_record(tmp_path):
+    # N = 65, p = 1.2 stalls (ROADMAP item 3): error.json carries the
+    # failed solve's counts, residual and coarse levels, not only the
+    # message
+    code, out = run(["grid-solve", "--N", "65", "--p", "1.2"], tmp_path)
+    assert code == 1
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["type"] == "SolveError"
+    info = err["info"]
+    assert info["newton_steps"] == 15 and not info["converged"]
+    assert info["pcg_iterations"] >= info["newton_steps"]
+    assert len(info["energies"]) == info["newton_steps"] + 1
+    assert f"residual {info['residual']:g}" in err["message"]
+    assert [(level["N"], level["converged"]) for level in info["levels"]] \
+        == [(33, False)]
+    assert not (out / "grid_solve_report.json").exists()
+
+
 @pytest.mark.parametrize("args", [
     ["grid-solve", "--N", "2"],
     ["grid-solve", "--N", "1"],
