@@ -408,9 +408,9 @@ def test_approximable_sequence_report():
     assert report[1]["deviation_measure"] >= 0.0
 
 
-# Allocating oracles: the kernels as they were written before they
-# worked in the arrays of a level's workspace.  The workspace kernels
-# must give the same bits.
+# Allocating oracles: the kernels written with fresh temporaries, in
+# the operands and order of the workspace kernels, which work in the
+# arrays of a level's workspace and must give the same bits.
 
 def _oracle_differences(v):
     return v[1:, :-1] - v[:-1, :-1], v[:-1, 1:] - v[:-1, :-1]
