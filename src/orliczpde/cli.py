@@ -8,6 +8,10 @@ unknown command, propagated module errors); operational errors also
 leave a machine-readable ``error.json``, which for a grid solve that
 did not converge (``grid.SolveError``) holds the solve's info dict.
 
+Each command's config keys, flags and defaults are one table,
+``CONFIG_KEYS``; a handler reads the config that ``_merge_config``
+filled in from it, flags over the ``--config`` document over defaults.
+
 Determinism: the sphere rules and the grid solver are deterministic
 and no command draws a random number (``--seed`` is accepted and
 unused), so a command repeated on the same machine and BLAS thread
@@ -58,8 +62,6 @@ def _jsonify(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, float) and (math.isinf(obj) or math.isnan(obj)):
-        return repr(obj)
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
@@ -75,14 +77,6 @@ def _write_csv(path, header, columns):
         fh.write(",".join(header) + "\r\n")
         for row in zip(*cols):
             fh.write(",".join(repr(float(x)) for x in row) + "\r\n")
-
-
-def _required(cfg, key):
-    """``cfg[key]``, or a :class:`ConfigError` naming the missing flag."""
-    if cfg.get(key) is None:
-        raise ConfigError(f"missing --{key.replace('_', '-')} (a flag, or "
-                          f"{key!r} in the --config document)")
-    return cfg[key]
 
 
 def _measure(text):
@@ -123,10 +117,10 @@ def _load_rf(spec, domain_measure):
 
 def _load_field(spec, n_nodes):
     """Grid datum from ``const:<c>``, ``point:mass=..[,x=..,y=..]``, or a
-    CSV matrix path, on ``n_nodes`` nodes a side: the --N asked for, or
+    CSV matrix path, on ``n_nodes`` nodes a side: the N asked for, or
     None for 65 (the CSV's own size for a CSV, which must match a given
     N)."""
-    n = 65 if n_nodes is None else n_nodes
+    n = 65 if n_nodes is None else int(n_nodes)
     if isinstance(spec, str) and spec.startswith("const:"):
         field = grid.GridField.zeros(n)
         field.values.fill(_constant(spec))
@@ -137,15 +131,15 @@ def _load_field(spec, n_nodes):
             n, mass=kw.get("mass", 1.0),
             location=(kw.get("x", 0.5), kw.get("y", 0.5)))
     field = grid.GridField(np.loadtxt(spec, delimiter=",", comments="#"))
-    if n_nodes is not None and field.n_nodes != n_nodes:
+    if n_nodes is not None and field.n_nodes != n:
         raise young.YoungFunctionError(
             f"{spec}: the datum is a {field.n_nodes} x {field.n_nodes} "
-            f"grid, but N = {n_nodes}")
+            f"grid, but N = {n}")
     return field
 
 
 def _phi_from_config(cfg):
-    doc = _required(cfg, "phi")
+    doc = cfg["phi"]
     if isinstance(doc, str) and doc.endswith(".json"):
         with open(doc, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -155,7 +149,7 @@ def _phi_from_config(cfg):
 
 
 def _scalar_from_config(cfg, key):
-    spec = _required(cfg, key)
+    spec = cfg[key]
     if isinstance(spec, str) and spec.endswith(".csv"):
         return young.SampledYoungFunction.from_csv(spec)
     return young.parse_scalar_function(spec)
@@ -224,9 +218,8 @@ def cmd_conjugate(cfg, out):
 def cmd_phicirc(cfg, out):
     phi = _phi_from_config(cfg)
     circ = anisotropic.phi_circ(
-        phi, t_lo=float(cfg.get("t_lo", 1e-3)),
-        t_hi=float(cfg.get("t_hi", 1e6)),
-        n_levels=int(cfg.get("n_levels", 256)))
+        phi, t_lo=float(cfg["t_lo"]), t_hi=float(cfg["t_hi"]),
+        n_levels=int(cfg["n_levels"]))
     circ.to_csv(out / "phi_circ.csv")
     sigma, beta, spread = tail_exponents(circ)
     report = {"n": phi.n, "form": phi.form,
@@ -239,7 +232,7 @@ def cmd_phicirc(cfg, out):
 
 def cmd_embedding(cfg, out):
     circ = _scalar_from_config(cfg, "phi_circ")
-    n = int(_required(cfg, "n"))
+    n = int(cfg["n"])
     verdict, diag = classify_integral(circ, n)
     report = {"n": n, "dichotomy": verdict, "diagnostics": diag}
     if verdict == "convergent":
@@ -257,20 +250,16 @@ def cmd_embedding(cfg, out):
                [t, tab["H"], tab["phi_n"],
                 np.exp(np.minimum(hat.log_value(np.log(t)), 700.0)),
                 tab["vartheta_n"], tab["varrho_n"]])
-    report["modification"] = {
-        "applied": prof.modification.applied,
-        "knot": prof.modification.knot,
-        "reason": prof.modification.reason,
-    }
+    report["modification"] = vars(prof.modification)
     _write_json(out / "embedding_report.json", report)
     return report
 
 
 def cmd_symmetrize_solve(cfg, out):
     a = _scalar_from_config(cfg, "phi")
-    n = int(_required(cfg, "n"))
-    omega = _measure(cfg.get("omega", 1.0))
-    f_rf = _load_rf(cfg.get("f", "const:1"), omega)
+    n = int(cfg["n"])
+    omega = _measure(cfg["omega"])
+    f_rf = _load_rf(cfg["f"], omega)
     psi_inv = young.psi_of(a).inverse
     sol = radial.solve_radial(psi_inv, f_rf, n, omega)
     sol.to_csv(out / "radial_solution.csv")
@@ -295,18 +284,13 @@ def _grid_phi(p, p_split):
 
 def _operator_from_config(cfg):
     """The operator of grid-solve, approx-seq and regularity-report."""
-    phi = _grid_phi(cfg.get("p", 2.0), cfg.get("p_split"))
-    return grid.OperatorSpec(potential=phi, b=float(cfg.get("b", 1.0)))
-
-
-def _nodes(cfg):
-    """The N of the config as an int, or None where it is not set."""
-    return None if cfg.get("N") is None else int(cfg["N"])
+    phi = _grid_phi(cfg["p"], cfg["p_split"])
+    return grid.OperatorSpec(potential=phi, b=float(cfg["b"]))
 
 
 def cmd_grid_solve(cfg, out):
     spec = _operator_from_config(cfg)
-    f_field = _load_field(cfg.get("f", "const:1"), _nodes(cfg))
+    f_field = _load_field(cfg["f"], cfg["N"])
     u, info = grid.solve(spec, f_field, return_info=True)
     u.to_csv(out / "u.csv")
     energies = np.asarray(info["energies"])
@@ -337,9 +321,8 @@ def cmd_grid_solve(cfg, out):
 
 def cmd_approx_seq(cfg, out):
     spec = _operator_from_config(cfg)
-    f_field = _load_field(cfg.get("f", "point:mass=1"), _nodes(cfg))
-    k_ladder = [float(k) for k in cfg.get("k_ladder",
-                                          [2, 8, 32, 128, 1024])]
+    f_field = _load_field(cfg["f"], cfg["N"])
+    k_ladder = [float(k) for k in cfg["k_ladder"]]
     _fields, rows = grid.approximable_sequence(spec, f_field, k_ladder)
     steps = rows[1:]  # first entry has no predecessor to deviate from
     dev = [r["deviation_measure"] for r in steps]
@@ -362,9 +345,9 @@ def cmd_approx_seq(cfg, out):
 def cmd_regularity_report(cfg, out):
     spec = _operator_from_config(cfg)
     n = spec.potential.n
-    f_field = _load_field(cfg.get("f", "const:1"), _nodes(cfg))
-    head = {"N": f_field.n_nodes, "p": float(cfg.get("p", 2.0)),
-            "p_split": cfg.get("p_split")}
+    f_field = _load_field(cfg["f"], cfg["N"])
+    head = {"N": f_field.n_nodes, "p": float(cfg["p"]),
+            "p_split": cfg["p_split"]}
     u = grid.solve(spec, f_field)
     cell = u.h**2
     u_cells = np.abs(u.values[:-1, :-1]).ravel()
@@ -421,8 +404,8 @@ def cmd_regularity_report(cfg, out):
 
 def cmd_verify_example(cfg, out):
     # make_record converts the values; only "2,4" lists are split here
-    params = {"p": cfg.get("p"), "q": cfg.get("q"), "alpha": cfg.get("alpha"),
-              "beta": cfg.get("beta"), "n": cfg.get("n")}
+    params = {"p": cfg["p"], "q": cfg["q"], "alpha": cfg["alpha"],
+              "beta": cfg["beta"], "n": cfg["n"]}
     params = {key: val.split(",") if isinstance(val, str) and "," in val
               else val for key, val in params.items() if val is not None}
     rec = catalog.make_record(cfg["id"], **params)
@@ -436,9 +419,9 @@ def cmd_verify_example(cfg, out):
 
 def cmd_admissibility(cfg, out):
     circ = _scalar_from_config(cfg, "phi_circ")
-    n = int(_required(cfg, "n"))
-    omega = _measure(cfg.get("omega", 1.0))
-    f_rf = _load_rf(_required(cfg, "f"), omega)
+    n = int(cfg["n"])
+    omega = _measure(cfg["omega"])
+    f_rf = _load_rf(cfg["f"], omega)
     dich, _ = classify_integral(circ, n)
     conj = circ.conjugate()
     report = rearrangement.data_admissibility(f_rf, conj, n, dich)
@@ -461,18 +444,37 @@ HANDLERS = {
 }
 
 
-# The config keys that each command reads (the README lists them); a
-# --config document with any other key exits 1 before the command runs.
+# Each command's config keys in flag order, as key: (flag type, or None
+# for a config-only key; default, or REQUIRED; flag help).  The flag of
+# a key is --key with '_' written '-', except verify-example's
+# positional id.  The README lists this table.
+REQUIRED = object()
+_GRID_KEYS = {"N": (int, None, None), "p": (float, 2.0, None),
+              "f": (str, "const:1", None), "p_split": (None, None, None),
+              "b": (None, 1.0, None)}
 CONFIG_KEYS = {
-    "conjugate": ("A",),
-    "phicirc": ("phi", "t_lo", "t_hi", "n_levels"),
-    "embedding": ("phi_circ", "n"),
-    "symmetrize-solve": ("phi", "n", "f", "omega"),
-    "grid-solve": ("N", "p", "f", "p_split", "b"),
-    "approx-seq": ("N", "p", "f", "p_split", "b", "k_ladder"),
-    "regularity-report": ("N", "p", "f", "p_split", "b"),
-    "verify-example": ("id", "p", "q", "alpha", "beta", "n"),
-    "admissibility": ("phi_circ", "n", "f", "omega"),
+    "conjugate": {"A": (str, REQUIRED, "scalar function spec")},
+    "phicirc": {
+        "phi": (str, REQUIRED, "JSON document or path describing Phi"),
+        "t_lo": (None, 1e-3, None), "t_hi": (None, 1e6, None),
+        "n_levels": (None, 256, None)},
+    "embedding": {"phi_circ": (str, REQUIRED, None),
+                  "n": (int, REQUIRED, None)},
+    "symmetrize-solve": {
+        "phi": (str, REQUIRED, "scalar spec for the radial profile"),
+        "n": (int, REQUIRED, None),
+        "f": (str, "const:1", "const:<c>, pow:a=<a>[,c=<c>] or CSV path"),
+        "omega": (str, 1.0, "domain measure (number or 'pi')")},
+    "grid-solve": _GRID_KEYS,
+    "approx-seq": {**_GRID_KEYS, "f": (str, "point:mass=1", None),
+                   "k_ladder": (None, (2, 8, 32, 128, 1024), None)},
+    "regularity-report": _GRID_KEYS,
+    "verify-example": {"id": (str, REQUIRED, None),
+                       **dict.fromkeys(("p", "q", "alpha", "beta", "n"),
+                                       (str, None, None))},
+    "admissibility": {"f": (str, REQUIRED, None),
+                      "phi_circ": (str, REQUIRED, None),
+                      "n": (int, REQUIRED, None), "omega": (str, 1.0, None)},
 }
 
 
@@ -487,68 +489,40 @@ def build_parser():
         prog="orliczpde",
         description="Anisotropic Orlicz-space Dirichlet problem toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("conjugate", parents=[common])
-    p.add_argument("--A", dest="A", help="scalar function spec")
-
-    p = sub.add_parser("phicirc", parents=[common])
-    p.add_argument("--phi", help="JSON document or path describing Phi")
-
-    p = sub.add_parser("embedding", parents=[common])
-    p.add_argument("--phi-circ", dest="phi_circ")
-    p.add_argument("--n", type=int)
-
-    p = sub.add_parser("symmetrize-solve", parents=[common])
-    p.add_argument("--phi", help="scalar spec for the radial profile")
-    p.add_argument("--n", type=int)
-    p.add_argument("--f", help="const:<c>, pow:a=<a>[,c=<c>] or CSV path")
-    p.add_argument("--omega", help="domain measure (number or 'pi')")
-
-    p = sub.add_parser("grid-solve", parents=[common])
-    p.add_argument("--N", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--f")
-
-    p = sub.add_parser("approx-seq", parents=[common])
-    p.add_argument("--N", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--f")
-
-    p = sub.add_parser("regularity-report", parents=[common])
-    p.add_argument("--N", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--f")
-
-    p = sub.add_parser("verify-example", parents=[common])
-    p.add_argument("id", choices=catalog.EXAMPLE_IDS)
-    p.add_argument("--p")
-    p.add_argument("--q")
-    p.add_argument("--alpha")
-    p.add_argument("--beta")
-    p.add_argument("--n")
-
-    p = sub.add_parser("admissibility", parents=[common])
-    p.add_argument("--f")
-    p.add_argument("--phi-circ", dest="phi_circ")
-    p.add_argument("--n", type=int)
-    p.add_argument("--omega")
+    for command, keys in CONFIG_KEYS.items():
+        p = sub.add_parser(command, parents=[common])
+        for key, (kind, _default, text) in keys.items():
+            if key == "id":
+                p.add_argument("id", choices=catalog.EXAMPLE_IDS)
+            elif kind is not None:
+                p.add_argument("--" + key.replace("_", "-"), type=kind,
+                               help=text)
     return parser
 
 
 def _merge_config(args):
-    cfg = {}
+    """The command's table of CONFIG_KEYS filled in: each key from its
+    flag, else from the --config document, else its default; a null
+    value is unset.  A document key outside the table, or a REQUIRED
+    key that neither sets, raises :class:`ConfigError`."""
+    keys = CONFIG_KEYS[args.command]
+    doc = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            cfg.update(json.load(fh))
-        unread = sorted(set(cfg) - set(CONFIG_KEYS[args.command]))
+            doc = json.load(fh)
+        unread = sorted(set(doc) - set(keys))
         if unread:
             raise ConfigError(
                 f"--config keys {unread} are not read by {args.command}, "
-                f"which reads {list(CONFIG_KEYS[args.command])}")
-    for key, val in vars(args).items():
-        if key in ("config", "out", "quiet") or val is None:
-            continue
-        cfg[key] = val
+                f"which reads {list(keys)}")
+    cfg = {}
+    for key, (_kind, default, _text) in keys.items():
+        val = getattr(args, key, None)
+        val = doc.get(key) if val is None else val
+        if val is None and default is REQUIRED:
+            raise ConfigError(f"missing --{key.replace('_', '-')} (a flag, "
+                              f"or {key!r} in the --config document)")
+        cfg[key] = default if val is None else val
     return cfg
 
 

@@ -698,13 +698,14 @@ class SampledYoungFunction(ScalarYoungFunction):
     On the segment [t_k, t_{k+1}] of log-log slope sigma_k, A is the
     power A(t_k) (t/t_k)^sigma_k, so A'(t) = sigma_k A(t)/t and the
     conjugate's level function T A'(T) - A(T) = (sigma_k - 1) A(T) are
-    powers too, jumping at the knots.  ``derivative_inverse`` and the
-    inverse of that level function are closed forms: one searchsorted
-    over the segments' running maxima and one power per element, so
-    :class:`LegendreConjugate` of a table runs no solver.
+    powers too, jumping at the knots.  ``inverse``,
+    ``derivative_inverse`` and the inverse of that level function are
+    closed forms: one searchsorted over the segments' running maxima and
+    one power per element, so :class:`LegendreConjugate` of a table runs
+    no solver.
     """
 
-    closed_form_inverse = True  # interpolates the inverse table
+    closed_form_inverse = True  # inverts each segment's power
 
     def __init__(self, log_t, log_v, name="sampled"):
         log_t = np.asarray(log_t, dtype=float)
@@ -737,16 +738,13 @@ class SampledYoungFunction(ScalarYoungFunction):
         return out if out.ndim else float(out)
 
     def _set_table(self, log_t, log_v):
-        """Replace the table and rebuild the caches derived from it: the
-        segment slopes and the inverse table (the leftmost t of each
-        distinct value).  All of them are read-only, so no edit can
-        leave a cache stale."""
+        """Replace the table and rebuild the segment slopes derived from
+        it.  All three arrays are read-only, so no edit can leave the
+        slopes stale."""
         self.log_t = log_t
         self.log_v = log_v
         self._slopes = np.diff(log_v) / np.diff(log_t)
-        inv_v, idx = np.unique(log_v, return_index=True)
-        self._inv_table = (inv_v, log_t[idx])
-        for arr in (self.log_t, self.log_v, self._slopes, *self._inv_table):
+        for arr in (self.log_t, self.log_v, self._slopes):
             arr.flags.writeable = False
 
     def derivative(self, t):
@@ -811,25 +809,9 @@ class SampledYoungFunction(ScalarYoungFunction):
         return float(out) if out.ndim == 0 else out
 
     def inverse(self, y):
-        y = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore"):
-            log_y = np.log(np.maximum(y, 1e-300))
-        log_v, log_t = self._inv_table
-        out = np.exp(np.interp(log_y, log_v, log_t))
-        # extrapolate with end slopes
-        lo_slope = (log_t[1] - log_t[0]) / max(log_v[1] - log_v[0], 1e-300)
-        hi_slope = (log_t[-1] - log_t[-2]) / max(log_v[-1] - log_v[-2], 1e-300)
-        out = np.where(
-            log_y < log_v[0],
-            np.exp(np.minimum(log_t[0] + lo_slope * (log_y - log_v[0]), 700.0)),
-            out)
-        out = np.where(
-            log_y > log_v[-1],
-            np.exp(np.minimum(log_t[-1] + hi_slope * (log_y - log_v[-1]),
-                              700.0)),
-            out)
-        out = np.where(y <= 0.0, 0.0, out)
-        return float(out) if out.ndim == 0 else out
+        """Leftmost t >= 0 with A(t) >= y, from the power of its segment
+        (the end segments extrapolating as in ``value``)."""
+        return self._power_inverse(self.log_v[:-1], self._slopes, y)
 
     def repair_convexity(self):
         """Convex minorant (lower convex hull) in linear (t, A)

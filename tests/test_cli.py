@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orliczpde import cli, grid, radial
+from orliczpde import catalog, cli, grid, radial
 from orliczpde.cli import main
 from orliczpde.young import PowerLogYoung
 
@@ -230,20 +231,6 @@ def _config_reads(source):
     return keys
 
 
-def _argparse_dests(path):
-    """The dest of each ``add_argument`` call in ``path``."""
-    dests = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "add_argument"):
-            dest = [kw.value.value for kw in node.keywords
-                    if kw.arg == "dest"]
-            dests.update(dest or [node.args[0].value.lstrip("-")
-                                  .replace("-", "_")])
-    return dests
-
-
 def _dict_keys(path):
     """The string keys of the dict literals in ``path``."""
     return {key.value
@@ -255,13 +242,9 @@ def _dict_keys(path):
 def test_config_reads_and_setters(tmp_path):
     src = tmp_path / "mod.py"
     src.write_text('def f(cfg, p):\n'
-                   '    p.add_argument("--phi-circ")\n'
-                   '    p.add_argument("--A", dest="a")\n'
-                   '    p.add_argument("id")\n'
                    '    return cfg["x"], cfg.get("y", 1), g(cfg, "z"),'
                    ' {"w": 1}, other.get("v")\n')
     assert _config_reads(src) == {"x", "y", "z"}
-    assert _argparse_dests(src) == {"phi_circ", "a", "id"}
     assert _dict_keys(src) == {"w"}
 
 
@@ -270,7 +253,10 @@ def test_every_config_key_has_a_setter():
     # operation sets is an option that nothing exercises: the command
     # calls the library with that value instead
     root = Path(cli.__file__).parents[2]
-    setters = _argparse_dests(Path(cli.__file__)).union(*map(_dict_keys, [
+    flags = {key for keys in cli.CONFIG_KEYS.values()
+             for key, (kind, _default, _help) in keys.items()
+             if kind is not None}
+    setters = flags.union(*map(_dict_keys, [
         root / "tests" / "test_cli.py", root / "tests" / "test_acceptance.py",
         *sorted((root / "perfbench").glob("*.py"))]))
     assert sorted(_config_reads(Path(cli.__file__)) - setters) == []
@@ -311,6 +297,121 @@ def test_unread_config_key_exits_before_work(tmp_path, args, doc, unread):
     assert [path.name for path in out.iterdir()] == ["error.json"]
     err = json.loads((out / "error.json").read_text())["error"]
     assert err["type"] == "ConfigError" and repr(unread) in err["message"]
+
+
+# keyword arguments, not dict literals: test_every_config_key_has_a_setter
+# counts the keys of dict literals in this file as setters
+@pytest.mark.parametrize("args, resolved", [
+    (["grid-solve"], dict(N=None, p=2.0, f="const:1", p_split=None, b=1.0)),
+    (["approx-seq"], dict(N=None, p=2.0, f="point:mass=1", p_split=None,
+                          b=1.0, k_ladder=(2, 8, 32, 128, 1024))),
+    (["phicirc", "--phi", SPLIT_PHI],
+     dict(phi=SPLIT_PHI, t_lo=1e-3, t_hi=1e6, n_levels=256)),
+], ids=["grid-solve", "approx-seq", "phicirc"])
+def test_merge_config_fills_in_the_defaults(args, resolved):
+    cfg = cli._merge_config(cli.build_parser().parse_args(args))
+    assert cfg == resolved
+
+
+def test_merge_config_reads_null_as_unset(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(N=17, p=None, b=None)))
+    cfg = cli._merge_config(cli.build_parser().parse_args(
+        ["grid-solve", "--config", str(config), "--p", "3"]))
+    assert cfg == dict(N=17, p=3.0, f="const:1", p_split=None, b=1.0)
+
+
+def _reference_parser():
+    """The command line as written out flag by flag before the flags
+    came from ``cli.CONFIG_KEYS``."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON parameter document")
+    common.add_argument("--out", default=".", help="output directory")
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--quiet", action="store_true")
+    parser = argparse.ArgumentParser(
+        prog="orliczpde",
+        description="Anisotropic Orlicz-space Dirichlet problem toolkit")
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("conjugate", parents=[common])
+    p.add_argument("--A", dest="A", help="scalar function spec")
+    p = sub.add_parser("phicirc", parents=[common])
+    p.add_argument("--phi", help="JSON document or path describing Phi")
+    p = sub.add_parser("embedding", parents=[common])
+    p.add_argument("--phi-circ", dest="phi_circ")
+    p.add_argument("--n", type=int)
+    p = sub.add_parser("symmetrize-solve", parents=[common])
+    p.add_argument("--phi", help="scalar spec for the radial profile")
+    p.add_argument("--n", type=int)
+    p.add_argument("--f", help="const:<c>, pow:a=<a>[,c=<c>] or CSV path")
+    p.add_argument("--omega", help="domain measure (number or 'pi')")
+    for command in ("grid-solve", "approx-seq", "regularity-report"):
+        p = sub.add_parser(command, parents=[common])
+        p.add_argument("--N", type=int)
+        p.add_argument("--p", type=float)
+        p.add_argument("--f")
+    p = sub.add_parser("verify-example", parents=[common])
+    p.add_argument("id", choices=catalog.EXAMPLE_IDS)
+    for flag in ("--p", "--q", "--alpha", "--beta", "--n"):
+        p.add_argument(flag)
+    p = sub.add_parser("admissibility", parents=[common])
+    p.add_argument("--f")
+    p.add_argument("--phi-circ", dest="phi_circ")
+    p.add_argument("--n", type=int)
+    p.add_argument("--omega")
+    return parser
+
+
+@pytest.mark.parametrize("command", [None, *cli.CONFIG_KEYS])
+def test_help_text_is_unchanged(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [command, "--help"] if command else ["--help"]
+    with pytest.raises(SystemExit):
+        _reference_parser().parse_args(argv)
+    expected = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+def _readme_config_table():
+    """``{command: {key: (flag cell, default cell)}}`` from the README's
+    config-key table; a row with an empty command cell continues the
+    command above it."""
+    root = Path(cli.__file__).parents[2]
+    lines = (root / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| command | key | flag | default |")
+    table, command = {}, None
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        command = cells[0].strip("`") or command
+        table.setdefault(command, {})[cells[1].strip("`")] = tuple(cells[2:])
+    return table
+
+
+def test_readme_config_table_is_config_keys():
+    def default(cell):
+        if cell == "required":
+            return cli.REQUIRED
+        text = cell.split("`")[1]  # the first code span
+        try:
+            return json.loads(text)
+        except ValueError:
+            return text
+
+    readme = _readme_config_table()
+    assert list(readme) == list(cli.CONFIG_KEYS)
+    for command, keys in cli.CONFIG_KEYS.items():
+        assert list(readme[command]) == list(keys), command
+        for key, (kind, value, _help) in keys.items():
+            flag, cell = readme[command][key]
+            assert flag == ("config only" if kind is None else "positional"
+                            if key == "id" else
+                            f"`--{key.replace('_', '-')}`"), (command, key)
+            if isinstance(value, tuple):
+                value = list(value)
+            assert default(cell) == value, (command, key)
 
 
 def _tracer_hooks(path):

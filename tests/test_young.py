@@ -622,6 +622,20 @@ def _table_csv_function(alpha=1.0):
         np.log(t), np.log(t**2 * np.log(math.e + t) ** alpha))
 
 
+def test_sampled_inverse_inverts_each_segment():
+    # inside the table and past both ends, where value extrapolates
+    a = _table_csv_function()
+    t = np.geomspace(1e-5, 1e7, 301)
+    np.testing.assert_allclose(a.inverse(a.value(t)), t, rtol=1e-13)
+    assert a.inverse(0.0) == 0.0
+    # a flat last segment never reaches above its top value e^6
+    flat = SampledYoungFunction(np.arange(5.0), np.array([0, 2, 4, 6, 6.0]))
+    assert flat.inverse(math.exp(6.0)) == pytest.approx(math.exp(3.0),
+                                                         rel=1e-13)
+    with pytest.raises(InverseRangeError, match="not attained"):
+        flat.inverse(math.exp(6.5))
+
+
 def test_tabulated_conjugate_calls_no_derivative(monkeypatch):
     a = _table_csv_function()
     calls = []
