@@ -73,8 +73,11 @@ __all__ = [
     "EXAMPLE_IDS",
 ]
 
-EXAMPLE_IDS = ("plap", "iso_zyg", "aniso_plap", "aniso_zyg", "aniso_trud",
-               "aniso_new")
+# each family's parameters, all required: CLI flags of the same names
+_PARAMETERS = {"plap": ("p", "n"), "iso_zyg": ("p", "alpha", "n"),
+               "aniso_plap": ("p",), "aniso_zyg": ("p", "alpha"),
+               "aniso_trud": ("p", "q", "alpha"), "aniso_new": ("p", "beta")}
+EXAMPLE_IDS = tuple(_PARAMETERS)
 
 _LOG_SHIFT = math.exp(2.0)  # constant inside log(c + t); raised if needed
 
@@ -111,14 +114,20 @@ def make_record(example_id, **params):
     Parameters by id: plap(p, n); iso_zyg(p, alpha, n);
     aniso_plap(p=(p1,..,pn), n); aniso_zyg(p=(..), alpha=(..), n);
     aniso_trud(p, q, alpha); aniso_new(p, beta); numbers or their
-    strings.  Every term A_i of ``record.phi`` is a component
-    ``(label, p_i, alpha_i, A_i)`` built once, under the one range rule
-    p_i > 1, or p_i = 1 with alpha_i > 0.  aniso_trud also needs
-    alpha > 0 and aniso_new beta > 1.
+    strings.  Each is required, except the n of aniso_plap and
+    aniso_zyg, which must then equal the number of p_i; a missing one
+    raises :class:`YoungFunctionError` naming it and its flag.  Every
+    term A_i of ``record.phi`` is a component ``(label, p_i, alpha_i,
+    A_i)`` built once, under the one range rule p_i > 1, or p_i = 1
+    with alpha_i > 0.  aniso_trud also needs alpha > 0 and aniso_new
+    beta > 1.
     """
     if example_id not in EXAMPLE_IDS:
         raise YoungFunctionError(
             f"unknown example id {example_id!r}; known: {EXAMPLE_IDS}")
+    for key in _PARAMETERS[example_id]:
+        if params.get(key) is None:
+            raise YoungFunctionError(f"{example_id} needs {key} (--{key})")
     if example_id == "aniso_new":
         kept = {key: float(params[key]) for key in ("p", "beta")}
         if kept["beta"] <= 1:

@@ -12,18 +12,20 @@ and ``SplitPhi``).  The flux and the Hessian come from its scalar
 terms A, A' and A'' (``second_derivative``).  J is strictly convex, so
 a Newton-Krylov iteration converges to the unique minimizer.  Each
 Hessian system is solved by matrix-free conjugate gradients to the
-inexact-Newton forcing term eta = min(0.1, sqrt(res / (res + 1))): CG
-stops once its residual r meets ||r||_2 <= eta ||rhs||_2 and also
-||r||_inf <= sqrt(eta) ||rhs||_inf, the sup norm being the one the
-solve's tolerance bounds.  Below p = 2 the Newton residual sits at the
-node where grad u = 0 and A'' is unbounded; the 2-norm test alone
-passes there after 1-2 CG iterations that leave that node's residual
-in place, and Newton creeps.  The symmetric 2 x 2 cell tensor of the
-Hessian is computed once per Newton step; it gives both the Hessian
-action, in raw differences, and the nodal diagonal d that scales the
-preconditioner D L^-1 D, D = diag(sqrt(4/d)), L^-1 the inverse 5-point
-Laplacian in the sine basis, applied as an even/odd butterfly and two
-half-size dense blocks per axis.  Each mesh level has one workspace: the
+inexact-Newton forcing term eta = min(0.1, sqrt(res / (res + 1))),
+floored at (tol / (2 res))^2: CG stops once its residual r meets
+||r||_2 <= eta ||rhs||_2 and also ||r||_inf <= sqrt(eta) ||rhs||_inf,
+the sup norm being the one the solve's tolerance bounds, and the floor
+keeps that sup stop at or above tol / 2.  Below p = 2 the Newton
+residual sits at the node where grad u = 0 and A'' is unbounded; the
+2-norm test alone passes there after 1-2 CG iterations that leave that
+node's residual in place, and Newton creeps.  The symmetric 2 x 2 cell
+tensor of the Hessian is computed once per Newton step; it gives both
+the Hessian action, in raw differences, and the nodal diagonal d that
+scales the preconditioner D L^-1 D, D = diag(sqrt(4/d)), L^-1 the
+inverse 5-point Laplacian in the sine basis, applied as an even/odd
+butterfly and two half-size dense blocks per axis, every stage on
+contiguous rows.  Each mesh level has one workspace: the
 preconditioner and a few nodal and cell arrays that its Newton and CG
 steps write in place, the Hessian action included, with the operands
 and order of fresh temporaries and so bit for bit their results; CG's
@@ -283,10 +285,9 @@ def _divergence(ax, ay, out):
     """The transpose of :func:`_differences` applied to the cell field
     (ax, ay), with the boundary nodes zeroed, written into ``out``: the
     nodal scatter shared by the energy gradient and the Hessian action."""
-    inner = np.add(ax[1:, 1:], ay[1:, 1:], out=out[1:-1, 1:-1])
-    np.subtract(0.0, inner, out=inner)
-    inner += ax[:-1, 1:]
-    inner += ay[1:, :-1]
+    inner = np.add(ax[:-1, 1:], ay[1:, :-1], out=out[1:-1, 1:-1])
+    inner -= ax[1:, 1:]
+    inner -= ay[1:, 1:]
     out[0, :] = out[-1, :] = out[:, 0] = out[:, -1] = 0.0
     return out
 
@@ -344,16 +345,28 @@ class _LaplacePreconditioner:
     an odd N, the DST-I of half the size over sqrt(2)).  The transform
     domain stays in (odd, even) order, in which ``inv_eig`` is stored,
     and S is symmetric, so the inverse transform is the transposed blocks
-    followed by the same butterfly.  An apply does this on rows and
-    columns, forward and back: eight half-size products of (N-2)^3/4
+    followed by the same butterfly.  An apply does this on both axes,
+    forward and back: eight half-size products of (N-2)^3/4
     multiply-adds each, half the multiply-adds of four dense products,
-    and four butterflies; its cost still grows as N^3.  On one core of a
-    Xeon VM with one BLAS thread, one apply takes 0.09-0.13 ms at
-    N = 65, 0.29-0.39 ms at N = 129 and 2.0-2.4 ms at N = 257 (least to
-    median of repeated calls, three runs), against 0.05-0.08, 0.39-0.55
-    and 2.6-3.6 ms with four dense products: an apply makes 23 numpy
-    calls instead of 8, which costs more than the halved products save
-    up to N = 65.  The CLI, the tests and the benchmark use N <= 257.
+    and four butterflies; its cost still grows as N^3.
+
+    Every stage runs on contiguous rows.  The first axis's products are
+    written transposed, (S b)^T = b^T S^T, so that the second axis's
+    butterfly and products run on the rows of the result; on the way
+    back the first axis's products read the transpose of their operand,
+    S^T a^T, and write rows again.  BLAS reads a transposed operand
+    without a copy.  The transform domain is thus held transposed, which
+    the symmetric ``inv_eig`` does not see.  The views that an apply
+    passes to its products are made once, in ``__init__``.  On one core
+    of a Xeon VM with one BLAS thread, one apply takes 0.035-0.045 ms at
+    N = 33, 0.064-0.075 ms at N = 65, 0.22-0.25 ms at N = 129 and
+    1.6-1.7 ms at N = 257 (least to median of repeated calls, three
+    runs), against 0.043-0.057, 0.081-0.096, 0.27-0.30 and 1.7-1.8 ms
+    when the second axis's stages ran on strided columns, alternated in
+    the same process.  Four dense products still take 0.014-0.021 ms at
+    N = 33 and 0.048-0.067 ms at N = 65: at these sizes the fixed cost
+    of an apply's 23 numpy calls outweighs the halved products.  The
+    CLI, the tests and the benchmark use N <= 257.
     """
 
     def __init__(self, n, h):
@@ -373,6 +386,21 @@ class _LaplacePreconditioner:
         # two arrays of (N-1)^2 numbers: apply's products, a workspace's cells
         self.work = [np.empty((n - 1) ** 2) for _ in range(2)]
         self.out = np.zeros((n, n))
+        self._interior = self.out[1:-1, 1:-1]
+        # apply's operands, viewed once: its (N-2)^2 pair a, b and the
+        # (x, y, out) of the odd and even block products of its four
+        # stages: the first axis written transposed, the second axis,
+        # the second axis back, and the first axis back from the transpose
+        a, b = self._pair = tuple(w[:(n - 2) ** 2].reshape(n - 2, n - 2)
+                                  for w in self.work)
+        k = len(odd)
+        blocks = ((self.sine_odd, slice(None, k)),
+                  (self.sine_even, slice(k, None)))
+        self._products = (
+            tuple((b[s].T, c.T, a[:, s]) for c, s in blocks),
+            tuple((c, b[s], a[s]) for c, s in blocks),
+            tuple((c.T, a[s], b[s]) for c, s in blocks),
+            tuple((c.T, a[:, s].T, b[s]) for c, s in blocks))
 
     def rescale(self, weights):
         """Set D from the cell tensor ``(hxx, hxy, hyy)``.  A cell's
@@ -394,28 +422,29 @@ class _LaplacePreconditioner:
     def apply(self, g):
         """P^-1 g, written into the one array ``out`` that every call
         returns."""
-        odd, even, m = self.sine_odd, self.sine_even, len(self.inv_eig)
-        k, half = len(odd), len(even)
-        a, b = (w[:m * m].reshape(m, m) for w in self.work)
+        a, b = self._pair
+        first, second, second_back, first_back = self._products
+        half = len(self.sine_even)
         np.multiply(self.scale, g[1:-1, 1:-1], out=a)
-        _butterfly(a, b, half)  # S a S: the rows,
-        np.matmul(odd, b[:k], out=a[:k])
-        np.matmul(even, b[k:], out=a[k:])
-        _butterfly(a.T, b.T, half)  # the columns
-        np.matmul(b[:, :k], odd.T, out=a[:, :k])
-        np.matmul(b[:, k:], even.T, out=a[:, k:])
+        _butterfly(a, b, half)  # S a S: the first axis,
+        _matmuls(first)
+        _butterfly(a, b, half)  # the second,
+        _matmuls(second)
         a *= self.inv_eig
-        np.matmul(odd.T, a[:k], out=b[:k])  # and back
-        np.matmul(even.T, a[k:], out=b[k:])
+        _matmuls(second_back)  # and back
         _butterfly(b, a, half)
-        np.matmul(a[:, :k], odd, out=b[:, :k])
-        np.matmul(a[:, k:], even, out=b[:, k:])
-        _butterfly(b.T, a.T, half)
+        _matmuls(first_back)
+        _butterfly(b, a, half)
+        np.multiply(self.scale, a, out=self._interior)
         out = self.out
-        np.multiply(self.scale, a, out=out[1:-1, 1:-1])
         # a Hessian action may have used out as scratch
         out[0, :] = out[-1, :] = out[:, 0] = out[:, -1] = 0.0
         return out
+
+
+def _matmuls(products):
+    for x, y, out in products:
+        np.matmul(x, y, out=out)
 
 
 class _Workspace(_LaplacePreconditioner):
@@ -518,9 +547,16 @@ def solve(spec, f_field, max_iter=100, u0=None, return_info=False):
     conjugate gradients (matrix-free, preconditioned with the inverse
     Laplacian scaled by the Hessian's own diagonal, D L^-1 D with
     D = diag(sqrt(4/d)); see :class:`_LaplacePreconditioner`) to the
-    relative tolerance eta = min(0.1, sqrt(res / (res + 1))) in the
-    2-norm (forcing term after Eisenstat & Walker 1996) and sqrt(eta) in
-    the sup norm (:func:`_pcg`), and backtracks on the energy (Armijo).
+    relative tolerance eta = min(0.1, max(sqrt(res / (res + 1)),
+    (tol / (2 res))^2)) in the 2-norm and sqrt(eta) in the sup norm
+    (:func:`_pcg`), and backtracks on the energy (Armijo).  eta is a
+    forcing term after Eisenstat & Walker (1996, SIAM J. Sci. Comput.
+    17), floored against oversolving as in Kelley (1995, Iterative
+    Methods for Linear and Nonlinear Equations, section 6.3), who
+    floors the relative linear residual at tol / (2 res).  Here the
+    floor bounds the sup test's sqrt(eta): CG's sup stop
+    sqrt(eta) ||g||_inf is at least tol / 2 in PDE units, so the last
+    step solves no further than the convergence test needs.
     Once the Newton decrement g.d falls below the rounding level of J,
     16 eps * h^2 (Sum |density| + Sum |f u|), J can no longer rank
     steps: the full step is then taken if it lowers the sup residual and
@@ -609,10 +645,12 @@ def _newton(spec, f_field, tol, max_iter, u0):
     for _ in range(max_iter):
         if res <= tol:
             break
-        # forcing term: loose CG early, tight near the solution
-        eta = min(0.1, math.sqrt(res / (res + 1.0)))
+        # forcing term: loose CG early, tight near the solution, but no
+        # tighter than a sup stop at tol / 2
+        eta = min(0.1, max(math.sqrt(res / (res + 1.0)),
+                           (0.5 * tol / res) ** 2))
         d, cg_iters, stop = _pcg(spec, spec.hess_weights(ws.dx, ws.dy), g,
-                                 ws, rel_tol=max(eta, 1e-12))
+                                 ws, rel_tol=eta)
         counts["pcg_iterations"] += cg_iters
         counts["pcg_maxiter_hits"] += stop == "capped"
         counts["pcg_breakdowns"] += stop == "breakdown"

@@ -738,12 +738,14 @@ class SampledYoungFunction(ScalarYoungFunction):
         return out if out.ndim else float(out)
 
     def _set_table(self, log_t, log_v):
-        """Replace the table and rebuild the segment slopes derived from
-        it.  All three arrays are read-only, so no edit can leave the
-        slopes stale."""
+        """Replace the table, rebuild the segment slopes derived from it
+        and drop the segment powers of the inverses
+        (:meth:`_segment_powers`).  All three arrays are read-only, so no
+        edit can leave the slopes or the powers stale."""
         self.log_t = log_t
         self.log_v = log_v
         self._slopes = np.diff(log_v) / np.diff(log_t)
+        self._powers = {}
         for arr in (self.log_t, self.log_v, self._slopes):
             arr.flags.writeable = False
 
@@ -757,20 +759,42 @@ class SampledYoungFunction(ScalarYoungFunction):
         return out if out.ndim else float(out)
 
     def derivative_inverse(self, s):
-        sigma = self._slopes
-        with np.errstate(divide="ignore"):
-            log_coef = np.log(sigma) + self.log_v[:-1] - self.log_t[:-1]
-        return self._power_inverse(log_coef, sigma - 1.0, s)
+        return self._power_inverse("derivative", s)
 
     def _conjugate_level_inverse(self, y):
-        sigma = self._slopes
-        with np.errstate(divide="ignore"):
-            log_coef = np.log(np.maximum(sigma - 1.0, 0.0)) + self.log_v[:-1]
-        return self._power_inverse(log_coef, sigma, y)
+        return self._power_inverse("level", y)
 
-    def _power_inverse(self, log_coef, expo, y):
-        """Leftmost t >= 0 with F(t) >= y, for F(t) = exp(log_coef[k] +
-        expo[k] log(t/t_k)) on segment k, the first reaching down to 0
+    def _segment_powers(self, kind):
+        """``(log_coef, expo, top)``: the segment powers F of
+        :meth:`_power_inverse` for A (``kind`` "value"), A' ("derivative")
+        or the conjugate's level function (sigma_k - 1) A ("level"), and
+        the running maximum ``top`` of their sups that it searches.  Built
+        on the first call for each kind and kept until the table
+        changes."""
+        powers = self._powers.get(kind)
+        if powers is not None:
+            return powers
+        sigma, log_v = self._slopes, self.log_v[:-1]
+        with np.errstate(divide="ignore"):
+            if kind == "value":
+                log_coef, expo = log_v, sigma
+            elif kind == "derivative":
+                log_coef, expo = (np.log(sigma) + log_v - self.log_t[:-1],
+                                  sigma - 1.0)
+            else:
+                log_coef, expo = (np.log(np.maximum(sigma - 1.0, 0.0))
+                                  + log_v, sigma)
+        right = log_coef + expo * np.diff(self.log_t)
+        if expo[-1] > 0.0 and log_coef[-1] > -np.inf:
+            right[-1] = np.inf  # the last segment grows without bound
+        top = np.maximum.accumulate(np.maximum(log_coef, right))
+        powers = self._powers[kind] = (log_coef, expo, top)
+        return powers
+
+    def _power_inverse(self, kind, y):
+        """Leftmost t >= 0 with F(t) >= y, for the segment powers
+        F(t) = exp(log_coef[k] + expo[k] log(t/t_k)) of ``kind``
+        (:meth:`_segment_powers`), the first segment reaching down to 0
         and the last up to inf as in ``value``.
 
         The first segment whose sup, running-maximized over the segments
@@ -782,12 +806,9 @@ class SampledYoungFunction(ScalarYoungFunction):
         nan and inf pass through.  A y that F never reaches, or whose
         root exceeds 1e250, raises :class:`InverseRangeError`.
         """
+        log_coef, expo, top = self._segment_powers(kind)
         y = np.asarray(y, dtype=float)
         log_t = self.log_t[:-1]
-        right = log_coef + expo * np.diff(self.log_t)
-        if expo[-1] > 0.0 and log_coef[-1] > -np.inf:
-            right[-1] = np.inf  # the last segment grows without bound
-        top = np.maximum.accumulate(np.maximum(log_coef, right))
         out = np.where(y <= 0.0, 0.0, y)
         todo = np.isfinite(y) & (y > 0.0)
         y_todo = y[todo]
@@ -811,7 +832,7 @@ class SampledYoungFunction(ScalarYoungFunction):
     def inverse(self, y):
         """Leftmost t >= 0 with A(t) >= y, from the power of its segment
         (the end segments extrapolating as in ``value``)."""
-        return self._power_inverse(self.log_v[:-1], self._slopes, y)
+        return self._power_inverse("value", y)
 
     def repair_convexity(self):
         """Convex minorant (lower convex hull) in linear (t, A)

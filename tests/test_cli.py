@@ -974,6 +974,51 @@ def test_verify_example_cli(tmp_path):
     assert rep["passes"]
 
 
+_EXAMPLE_PARAMETERS = {
+    "plap": dict(p="1.5", n="2"),
+    "iso_zyg": dict(p="1.5", alpha="1", n="2"),
+    "aniso_plap": dict(p="2,4"),
+    "aniso_zyg": dict(p="2,4", alpha="1,1"),
+    "aniso_trud": dict(p="2", q="3", alpha="1"),
+    "aniso_new": dict(p="2", beta="2"),
+}
+
+
+@pytest.mark.parametrize("family, key", [
+    pytest.param(family, key, id=f"{family}-{key}")
+    for family, params in _EXAMPLE_PARAMETERS.items() for key in params])
+def test_verify_example_names_a_missing_parameter(family, key, tmp_path):
+    # bad input, named by family, parameter and flag, not a bare KeyError
+    args = [f"--{name}={value}" for name, value
+            in _EXAMPLE_PARAMETERS[family].items() if name != key]
+    code, out = run(["verify-example", family, *args], tmp_path)
+    assert code == 1
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["type"] == "YoungFunctionError"
+    assert err["message"] == f"{family} needs {key} (--{key})"
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["grid-solve", "--help"])
+    expected = capsys.readouterr().out
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: calls.append(1) or build())
+    cli._main_parser.cache_clear()
+    try:
+        assert run(["grid-solve", "--N", "17"], tmp_path, "a")[0] == 0
+        assert run(["grid-solve", "--N", "17", "--p", "3"], tmp_path,
+                   "b")[0] == 0
+        assert len(calls) == 1
+        assert main(["grid-solve", "--help"]) == 0
+        assert capsys.readouterr().out == expected
+    finally:
+        cli._main_parser.cache_clear()
+
+
 def test_approx_seq_verdict_failure_is_exit_2(tmp_path):
     # ladder whose last truncation level bites after two no-op levels:
     # deviation measures increase, the settling check must fail

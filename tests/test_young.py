@@ -649,3 +649,82 @@ def test_tabulated_conjugate_calls_no_derivative(monkeypatch):
     calls.clear()
     conj.inverse(s)
     assert len(calls) <= 2
+
+
+def _reference_power_inverse(a, log_coef, expo, y):
+    """``SampledYoungFunction._power_inverse`` as it was before its
+    search arrays were kept per table: everything rebuilt on each call."""
+    y = np.asarray(y, dtype=float)
+    log_t = a.log_t[:-1]
+    right = log_coef + expo * np.diff(a.log_t)
+    if expo[-1] > 0.0 and log_coef[-1] > -np.inf:
+        right[-1] = np.inf
+    top = np.maximum.accumulate(np.maximum(log_coef, right))
+    out = np.where(y <= 0.0, 0.0, y)
+    todo = np.isfinite(y) & (y > 0.0)
+    y_todo = y[todo]
+    log_y = np.log(y_todo)
+    k = np.searchsorted(top, log_y)
+    if np.any(k == top.size):
+        raise InverseRangeError(
+            f"value {float(y_todo[k == top.size][0])!r} not attained")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.where(expo[k] > 0.0,
+                        log_t[k] + (log_y - log_coef[k]) / expo[k], -np.inf)
+    t = np.exp(np.maximum(root, np.where(k > 0, log_t[k], -np.inf)))
+    if np.any(t > 1e250):
+        raise InverseRangeError(
+            f"value {float(y_todo[t > 1e250][0])!r} not attained "
+            f"below x_max={1e250:g}")
+    out[todo] = t
+    return float(out) if out.ndim == 0 else out
+
+
+def _reference_inverses(a):
+    """The three callers of the reference, with their segment powers."""
+    sigma = a._slopes
+    with np.errstate(divide="ignore"):
+        derivative = np.log(sigma) + a.log_v[:-1] - a.log_t[:-1]
+        level = np.log(np.maximum(sigma - 1.0, 0.0)) + a.log_v[:-1]
+    return {
+        "inverse": lambda y: _reference_power_inverse(
+            a, a.log_v[:-1], sigma, y),
+        "derivative_inverse": lambda y: _reference_power_inverse(
+            a, derivative, sigma - 1.0, y),
+        "_conjugate_level_inverse": lambda y: _reference_power_inverse(
+            a, level, sigma, y),
+    }
+
+
+def _outcome(fn, y):
+    try:
+        with np.errstate(over="ignore"):
+            return fn(y)
+    except InverseRangeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("table", ["t2_log", "flat_end"])
+def test_sampled_inverses_keep_their_search_arrays(table):
+    # the segment powers and their running maxima are built once per
+    # table and kind; the answers, and the refusals, are the same bits
+    a = (_table_csv_function() if table == "t2_log" else
+         SampledYoungFunction(np.arange(6.0), np.array([0, 2, 4, 6, 7, 7.0])))
+    t = np.exp(np.linspace(a.log_t[0] - 3.0, a.log_t[-1] + 3.0, 257))
+    targets = {"inverse": a.value(t), "derivative_inverse": a.derivative(t),
+               "_conjugate_level_inverse": t * a.derivative(t) - a.value(t)}
+    for _ in range(2):  # the first call builds, the second reuses
+        reference = _reference_inverses(a)
+        for name, y in targets.items():
+            probes = [y, np.concatenate([y, [0.0, -1.0, np.nan, np.inf]]),
+                      float(y[100]), 2.0 * float(np.max(y)) + 1.0, 1e300]
+            for probe in probes:
+                got = _outcome(getattr(a, name), probe)
+                want = _outcome(reference[name], probe)
+                assert type(got) is type(want), (name, probe)
+                if isinstance(want, str):
+                    assert got == want, (name, probe)
+                else:
+                    assert np.array_equal(got, want, equal_nan=True), (
+                        name, probe)
+        a.repair_convexity()  # a new table drops the kept arrays
