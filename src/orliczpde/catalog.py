@@ -128,8 +128,10 @@ def make_record(example_id, **params):
     for key in _PARAMETERS[example_id]:
         if params.get(key) is None:
             raise YoungFunctionError(f"{example_id} needs {key} (--{key})")
+    # the family's own parameters; the dimension n is not one of them
+    keys = [key for key in _PARAMETERS[example_id] if key != "n"]
     if example_id == "aniso_new":
-        kept = {key: float(params[key]) for key in ("p", "beta")}
+        kept = {key: float(params[key]) for key in keys}
         if kept["beta"] <= 1:
             raise YoungFunctionError("aniso_new requires beta > 1")
         phi = LinearCombinationPhi(2, [
@@ -140,13 +142,11 @@ def make_record(example_id, **params):
         return ExampleRecord(example_id, 2, kept, [], phi, 2.0 * kept["p"],
                              -kept["p"] / kept["beta"])
     if example_id in ("plap", "iso_zyg"):
-        n, kept = int(params["n"]), {"p": float(params["p"])}
-        if example_id == "iso_zyg":
-            kept["alpha"] = float(params["alpha"])
+        n, kept = int(params["n"]), {key: float(params[key]) for key in keys}
         comps = [_component("|grad u|", kept["p"], kept.get("alpha"))]
         phi = RadialPhi(n, comps[0][3])
     elif example_id == "aniso_trud":
-        n, kept = 2, {key: float(params[key]) for key in ("p", "q", "alpha")}
+        n, kept = 2, {key: float(params[key]) for key in keys}
         if kept["alpha"] <= 0:
             raise YoungFunctionError("aniso_trud requires alpha > 0")
         comps = [_component("u_x1", kept["q"], kept["alpha"]),
@@ -154,7 +154,6 @@ def make_record(example_id, **params):
         phi = LinearCombinationPhi(2, [([1.0, -1.0], comps[1][3]),
                                        ([1.0, 0.0], comps[0][3])])
     else:  # aniso_plap, aniso_zyg: one component per axis
-        keys = ("p", "alpha") if example_id == "aniso_zyg" else ("p",)
         kept = {key: tuple(float(x) for x in np.atleast_1d(params[key]))
                 for key in keys}
         n = len(kept["p"])

@@ -11,9 +11,6 @@ did not converge (``grid.SolveError``) holds the solve's info dict.
 Each command's config keys, flags and defaults are one table,
 ``CONFIG_KEYS``; a handler reads the config that ``_merge_config``
 filled in from it, flags over the ``--config`` document over defaults.
-``main`` builds its parser from that table once per process, so a
-caller that runs many commands in one process pays for argparse once;
-``build_parser`` returns a fresh parser.
 
 Determinism: the sphere rules and the grid solver are deterministic
 and no command draws a random number (``--seed`` is accepted and
@@ -24,7 +21,6 @@ count reproduces byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -530,15 +526,10 @@ def _merge_config(args):
     return cfg
 
 
-@functools.cache
-def _main_parser():
-    """The parser of :func:`main`, built once per process."""
-    return build_parser()
-
-
 def main(argv=None):
+    parser = build_parser()
     try:
-        args = _main_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; those are
         # operational here (2 is reserved for verdict failures)

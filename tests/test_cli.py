@@ -998,27 +998,6 @@ def test_verify_example_names_a_missing_parameter(family, key, tmp_path):
     assert err["message"] == f"{family} needs {key} (--{key})"
 
 
-def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("COLUMNS", "80")
-    with pytest.raises(SystemExit):
-        cli.build_parser().parse_args(["grid-solve", "--help"])
-    expected = capsys.readouterr().out
-    calls = []
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser",
-                        lambda: calls.append(1) or build())
-    cli._main_parser.cache_clear()
-    try:
-        assert run(["grid-solve", "--N", "17"], tmp_path, "a")[0] == 0
-        assert run(["grid-solve", "--N", "17", "--p", "3"], tmp_path,
-                   "b")[0] == 0
-        assert len(calls) == 1
-        assert main(["grid-solve", "--help"]) == 0
-        assert capsys.readouterr().out == expected
-    finally:
-        cli._main_parser.cache_clear()
-
-
 def test_approx_seq_verdict_failure_is_exit_2(tmp_path):
     # ladder whose last truncation level bites after two no-op levels:
     # deviation measures increase, the settling check must fail
