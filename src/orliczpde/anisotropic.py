@@ -564,20 +564,34 @@ def from_json(doc):
         {"n": 2, "form": "linear_combination",
          "terms": [{"coeffs": [1, -1], "kind": "power", "p": 2},
                    {"coeffs": [1, 0], "kind": "power", "p": 3}]}
+
+    A missing key raises :class:`YoungFunctionError` naming the form
+    and the key.
     """
-    n = int(doc["n"])
-    form = doc["form"]
+    form = _item(doc, "form", "an anisotropic function")
+    where = f"{form} form"
+    n = int(_item(doc, "n", where))
     bound = float(doc.get("bound_radius", 1e8))
     if form == "radial":
-        return RadialPhi(n, parse_scalar_function(doc["term"]), bound)
+        return RadialPhi(n, parse_scalar_function(_item(doc, "term", where)),
+                         bound)
     if form == "split":
-        terms = [parse_scalar_function(t) for t in doc["terms"]]
+        terms = [parse_scalar_function(t) for t in _item(doc, "terms", where)]
         if len(terms) != n:
             raise YoungFunctionError("split form needs one term per axis")
         return SplitPhi(terms, bound)
     if form == "linear_combination":
-        rows = [(t["coeffs"], parse_scalar_function(
-                     {k: v for k, v in t.items() if k != "coeffs"}))
-                for t in doc["terms"]]
+        rows = [(_item(t, "coeffs", f"{where} term {i}"),
+                 parse_scalar_function({k: v for k, v in t.items()
+                                        if k != "coeffs"}))
+                for i, t in enumerate(_item(doc, "terms", where))]
         return LinearCombinationPhi(n, rows, bound)
     raise YoungFunctionError(f"unknown form {form!r}")
+
+
+def _item(doc, key, where):
+    """``doc[key]``; a missing key raises :class:`YoungFunctionError`
+    naming ``where`` and the key."""
+    if key not in doc:
+        raise YoungFunctionError(f"{where} needs {key!r}")
+    return doc[key]

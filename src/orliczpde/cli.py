@@ -1,7 +1,10 @@
 """Command-line front door.
 
-One command per process.  Artifacts are CSV (RFC 4180, '.' decimal,
-full ``repr`` precision) and UTF-8 JSON reports written under ``--out``.
+One command per process.  Artifacts are CSV tables and UTF-8 JSON
+reports written under ``--out``.  Every table goes through one writer,
+``young.write_csv`` (RFC 4180 CRLF lines, '.' decimal, each number as
+its ``repr``, a repeated number formatted once); a handler passes it
+the ``np.column_stack`` of its columns.
 Exit codes: 0 success, 2 when a mathematical invariant check fails on
 the given data (verdict failure), 1 on operational errors (bad config,
 unknown command, propagated module errors); operational errors also
@@ -69,14 +72,6 @@ def _write_json(path, doc):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, default=_jsonify, allow_nan=True)
         fh.write("\n")
-
-
-def _write_csv(path, header, columns):
-    cols = [np.asarray(c, dtype=float) for c in columns]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for row in zip(*cols):
-            fh.write(",".join(repr(float(x)) for x in row) + "\r\n")
 
 
 def _measure(text):
@@ -180,8 +175,8 @@ def cmd_conjugate(cfg, out):
     t = np.geomspace(1e-2, min(1e4, a.t_max, a.derivative(a.t_max)), 512)
     conj = young.LegendreConjugate(a)
     conj_vals = conj.value(t)
-    _write_csv(out / "conjugate_table.csv",
-               ["t", "A", "conjugate"], [t, a.value(t), conj_vals])
+    young.write_csv(out / "conjugate_table.csv", "t,A,conjugate",
+                    np.column_stack([t, a.value(t), conj_vals]))
     # involution: conjugating twice returns the original
     analytic = not isinstance(a, young.SampledYoungFunction)
     rel = np.max(np.abs(_biconjugate_values(a, t) - a.value(t))
@@ -244,12 +239,12 @@ def cmd_embedding(cfg, out):
     t = np.geomspace(1e-2, 1e6, 512)
     tab = prof.to_table(t)
     hat = hat_phi_circ(prof)
-    _write_csv(out / "embedding_table.csv",
-               ["t", "H", "phi_n", "hat_phi_circ", "vartheta_n",
-                "varrho_n"],
-               [t, tab["H"], tab["phi_n"],
-                np.exp(np.minimum(hat.log_value(np.log(t)), 700.0)),
-                tab["vartheta_n"], tab["varrho_n"]])
+    young.write_csv(
+        out / "embedding_table.csv",
+        "t,H,phi_n,hat_phi_circ,vartheta_n,varrho_n",
+        np.column_stack([t, tab["H"], tab["phi_n"],
+                         np.exp(np.minimum(hat.log_value(np.log(t)), 700.0)),
+                         tab["vartheta_n"], tab["varrho_n"]]))
     report["modification"] = vars(prof.modification)
     _write_json(out / "embedding_report.json", report)
     return report
@@ -329,12 +324,12 @@ def cmd_approx_seq(cfg, out):
     decreasing = bool(np.all(np.diff(dev) <= 1e-12))
     report = {"k_ladder": k_ladder, "steps": rows,
               "deviation_measures_decreasing": decreasing}
-    _write_csv(out / "approx_seq.csv",
-               ["k", "sup_deviation", "deviation_measure",
-                "grad_deviation_measure"],
-               [[r["k"] for r in steps],
-                [r["sup_deviation"] for r in steps], dev,
-                [r["grad_deviation_measure"] for r in steps]])
+    young.write_csv(
+        out / "approx_seq.csv",
+        "k,sup_deviation,deviation_measure,grad_deviation_measure",
+        np.column_stack([[r["k"] for r in steps],
+                         [r["sup_deviation"] for r in steps], dev,
+                         [r["grad_deviation_measure"] for r in steps]]))
     _write_json(out / "approx_seq_report.json", report)
     if not decreasing:
         raise VerdictFailure("approximating sequence does not settle",

@@ -66,7 +66,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .young import YoungFunctionError, solve_increasing
+from .young import YoungFunctionError, solve_increasing, write_csv
 
 __all__ = [
     "GridField",
@@ -142,10 +142,9 @@ class GridField:
         return float(np.sum(np.abs(self.values)) * self.cell_measure)
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("# finite-difference nodal field u(x,y)\r\n")
-            for row in self.values:
-                fh.write(",".join(map(repr, row.tolist())) + "\r\n")
+        """The nodal values, one row of the array per line, under a
+        comment line (:func:`young.write_csv`)."""
+        write_csv(path, "# finite-difference nodal field u(x,y)", self.values)
 
 
 def _hessian_floor(a):

@@ -27,6 +27,7 @@ import numpy as np
 from .anisotropic import gauss_legendre, unit_ball_volume
 from .embedding import EmbeddingProfile
 from .rearrangement import RearrangedFunction, improper_integral
+from .young import write_csv
 
 __all__ = [
     "RadialSolution",
@@ -69,11 +70,9 @@ class RadialSolution:
         return RearrangedFunction(s, np.maximum(vals, 0.0))
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("r,v,gradient_magnitude\r\n")
-            for r, v, g in zip(self.r.tolist(), self.v.tolist(),
-                               self.g.tolist()):
-                fh.write(f"{r!r},{v!r},{g!r}\r\n")
+        """The columns r, v and |v'| (:func:`young.write_csv`)."""
+        write_csv(path, "r,v,gradient_magnitude",
+                  np.column_stack([self.r, self.v, self.g]))
 
 
 def _radial_grid(R, n_nodes):

@@ -1,6 +1,7 @@
 """Several-variable Young functions: sublevel measures, radial
 averages, biconjugates, and the derived calculus identities."""
 
+import json
 import math
 import warnings
 
@@ -24,6 +25,7 @@ from orliczpde.anisotropic import (
     unit_ball_volume,
 )
 from orliczpde.catalog import make_record
+from orliczpde.cli import main
 from orliczpde.young import (
     ExpMinusLinearYoung,
     ExpMinusOneYoung,
@@ -477,6 +479,40 @@ def test_from_json_forms():
     with pytest.raises(YoungFunctionError):
         from_json({"n": 3, "form": "split",
                    "terms": [{"kind": "power", "p": 2}]})
+
+
+_RADIAL = {"n": 2, "form": "radial", "term": {"kind": "power", "p": 2}}
+_LINEAR = {"n": 2, "form": "linear_combination",
+           "terms": [{"coeffs": [1, -1], "kind": "power", "p": 2},
+                     {"coeffs": [1, 0], "kind": "power", "p": 3}]}
+
+
+def _without(doc, key, term=None):
+    doc = json.loads(json.dumps(doc))
+    del (doc if term is None else doc["terms"][term])[key]
+    return doc
+
+
+@pytest.mark.parametrize("doc,message", [
+    (_without(_RADIAL, "n"), "radial form needs 'n'"),
+    (_without(_RADIAL, "form"), "an anisotropic function needs 'form'"),
+    (_without(_RADIAL, "term"), "radial form needs 'term'"),
+    (_without(_LINEAR, "terms"), "linear_combination form needs 'terms'"),
+    ({"n": 2, "form": "split"}, "split form needs 'terms'"),
+    (_without(_LINEAR, "coeffs", term=1),
+     "linear_combination form term 1 needs 'coeffs'"),
+], ids=["n", "form", "term", "terms", "split-terms", "coeffs"])
+def test_from_json_names_a_missing_key(doc, message, tmp_path):
+    # bad input, named by form and key, not a bare KeyError; phicirc
+    # exits 1 with the same message
+    with pytest.raises(YoungFunctionError) as err:
+        from_json(doc)
+    assert str(err.value) == message
+    out = tmp_path / "out"
+    assert main(["phicirc", "--phi", json.dumps(doc), "--out", str(out),
+                 "--quiet"]) == 1
+    error = json.loads((out / "error.json").read_text())["error"]
+    assert error == {"type": "YoungFunctionError", "message": message}
 
 
 @pytest.mark.parametrize("spec,t_lo,t_hi", [

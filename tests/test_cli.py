@@ -1025,6 +1025,18 @@ def test_approx_seq_settles(tmp_path):
                           b"grad_deviation_measure\r\n")
 
 
+def test_approx_seq_one_rung_writes_the_header_only(tmp_path):
+    # the first rung has no predecessor to deviate from, so a one-rung
+    # ladder gives a table with no data rows
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 17, "p": 2.0, "f": "const:5",
+                               "k_ladder": [8]}))
+    code, out = run(["approx-seq", "--config", str(cfg)], tmp_path)
+    assert code == 0
+    assert (out / "approx_seq.csv").read_bytes() == (
+        b"k,sup_deviation,deviation_measure,grad_deviation_measure\r\n")
+
+
 def test_approx_seq_honours_coefficient_b(tmp_path):
     # for p = 2 the solution of -div(b grad u) = f is u / b, so b = 2
     # halves every sup deviation along the ladder

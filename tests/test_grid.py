@@ -113,25 +113,18 @@ def test_p4_solve_pcg_work():
 
 
 def test_p15_solve_pcg_work():
-    # |grad u|^(p-2) varies most below p = 2: 7 Newton steps and 49 CG
+    # |grad u|^(p-2) varies most below p = 2: 7 Newton steps and 44 CG
     # iterations on the finest mesh from the N = 65 start (98 CG from
     # zero with the Jacobi scaling, 239 from zero with the plain inverse
     # Laplacian).  A CG stop on the 2-norm alone leaves the residual at
     # the centre node, where A'' is unbounded, and takes 21 Newton steps.
+    # The forcing term is floored at (tol / (2 res))^2, so CG's sup stop
+    # sqrt(eta) ||g||_inf lies at tol / 2 in PDE units and the last
+    # Newton step solves no further than the convergence test needs
+    # (49 CG iterations without the floor).
     f = GridField.from_function(129, lambda x, y: np.ones_like(x))
     _, info = solve(OperatorSpec(power_potential(1.5)), f, return_info=True)
     assert info["converged"]
-    assert info["pcg_iterations"] < 150
-    assert info["newton_steps"] <= 10
-
-
-def test_last_newton_step_does_not_oversolve():
-    # the forcing term is floored at (tol / (2 res))^2, so CG's sup stop
-    # sqrt(eta) ||g||_inf lies at tol / 2 in PDE units: the last Newton
-    # step solves no further than the convergence test needs: 44 CG
-    # iterations over the same 7 Newton steps, 49 without the floor
-    f = GridField.from_function(129, lambda x, y: np.ones_like(x))
-    _, info = solve(OperatorSpec(power_potential(1.5)), f, return_info=True)
     assert info["residual"] <= 1e-9 * (1.0 + f.l1())
     assert info["newton_steps"] == 7
     assert info["pcg_iterations"] <= 45

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import power_potential
+from orliczpde import young
 from orliczpde.embedding import fit_power_log
+from orliczpde.grid import GridField, OperatorSpec, solve
 from orliczpde.young import (
     ExpMinusLinearYoung,
     ExpMinusOneYoung,
@@ -25,6 +28,7 @@ from orliczpde.young import (
     psi_of,
     solve_increasing,
     theta_diamond,
+    write_csv,
 )
 
 
@@ -592,7 +596,10 @@ def test_sampled_derivative_inverse_matches_the_solver(log_t0, steps, slope0,
                         right[1:-1], 0.5 * (left[:-1] + right[1:-1])])
     ref = solve_increasing(a.derivative, s, x_max=1e250)
     np.testing.assert_allclose(a.derivative_inverse(s), ref, rtol=2e-12)
-    jump = left[:-1] < right[1:-1]
+    # a jump is one that rounding cannot close: with equal slopes A' is
+    # continuous, left and right differ only by rounding, and the
+    # inverse there carries that rounding times 1 / (sigma - 1)
+    jump = left[:-1] < right[1:-1] * (1.0 - 1e-12)
     np.testing.assert_allclose(
         a.derivative_inverse(0.5 * (left[:-1] + right[1:-1]))[jump],
         t[1:-1][jump], rtol=1e-14)
@@ -728,3 +735,71 @@ def test_sampled_inverses_keep_their_search_arrays(table):
                     assert np.array_equal(got, want, equal_nan=True), (
                         name, probe)
         a.repair_convexity()  # a new table drops the kept arrays
+
+
+def _repr_csv(head, rows):
+    """The reference CSV bytes: ``repr`` of each element, CRLF lines."""
+    lines = [head] + [",".join(repr(float(x)) for x in row) for row in rows]
+    return "".join(line + "\r\n" for line in lines).encode()
+
+
+def _count_reprs(monkeypatch):
+    """A list that grows by one for each number that ``young`` formats."""
+    calls = []
+
+    def counting_repr(x):
+        calls.append(x)
+        return repr(x)
+
+    monkeypatch.setattr(young, "repr", counting_repr, raising=False)
+    return calls
+
+
+def test_write_csv_formats_each_repeated_number_once(tmp_path, monkeypatch):
+    # a solved field keeps the square's symmetries bit-exactly at most
+    # nodes, so each distinct number is formatted once (the memo path)
+    f = GridField.from_function(65, lambda x, y: np.ones_like(x))
+    u = solve(OperatorSpec(power_potential(4.0)), f)
+    distinct = np.unique(u.values.view(np.int64)).size
+    assert distinct <= young._MEMO_SHARE * u.values.size
+    calls = _count_reprs(monkeypatch)
+    u.to_csv(tmp_path / "u.csv")
+    assert len(calls) == distinct < u.values.size
+    assert (tmp_path / "u.csv").read_bytes() == _repr_csv(
+        "# finite-difference nodal field u(x,y)", u.values)
+
+
+def test_write_csv_formats_distinct_numbers_in_place(tmp_path, monkeypatch):
+    # no repeats: each number is formatted where it stands, in order
+    rows = np.random.default_rng(4).normal(size=(257, 257))
+    calls = _count_reprs(monkeypatch)
+    write_csv(tmp_path / "a.csv", "# random", rows)
+    assert calls == rows.ravel().tolist()
+    assert (tmp_path / "a.csv").read_bytes() == _repr_csv("# random", rows)
+
+
+def test_write_csv_keeps_signed_zeros_and_special_values(tmp_path,
+                                                          monkeypatch):
+    # bit patterns, not float values, tell numbers apart: 0.0 and -0.0
+    # stay apart, as do NaNs with other payloads; the longest float repr
+    # has 24 characters
+    longest = -2.2250738585072014e-308
+    assert len(repr(longest)) == 24
+    payload_nan = (np.array([np.nan]).view(np.int64) | 1).view(np.float64)
+    special = np.array([0.0, -0.0, np.nan, -np.nan, payload_nan[0], np.inf,
+                        -np.inf, 5e-324, -5e-324, 1e16, 1e-5, 1e22, 1e-4,
+                        9999999999999998.0, 0.1, longest])
+    noise = np.random.default_rng(5).normal(size=(64, 16))
+    tables = {
+        "memo": np.tile(special, (128, 1)),  # one sixteenth distinct
+        "rows": np.vstack([special, noise]),  # every number distinct
+    }
+    for name, rows in tables.items():
+        assert rows.size > young._CSV_BLOCK
+        calls = _count_reprs(monkeypatch)
+        write_csv(tmp_path / f"{name}.csv", "a,b", rows)
+        expected = _repr_csv("a,b", rows)
+        assert b"-0.0" in expected and b"nan" in expected
+        assert (tmp_path / f"{name}.csv").read_bytes() == expected, name
+        assert len(calls) == (special.size if name == "memo"
+                              else rows.size), name
