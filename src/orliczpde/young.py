@@ -1048,8 +1048,13 @@ def _repr_memo(bits):
         return None, None
     # np.sort decides (0.1 ms on 12,288 numbers against 0.25 ms for
     # argsort, on a 2-core Xeon); only the memo's index needs the
-    # permutation.  Each array is freed after its last use: the memo's
-    # peak adds to the process's.
+    # permutation.  np.unique(bits, return_inverse=True) builds the same
+    # index in one call, but only after an argsort: on tables without
+    # repeats it cost 0.3 ms more at 4096 x 3 and 1.6 ms more at
+    # 257 x 257, about 3 % of a write, which put a random 257 x 257
+    # field behind the number-by-number loop; grid-sweep's peak RSS read
+    # 0.85 MB lower with it (fewer sort code pages).  Each array is
+    # freed after its last use: the memo's peak adds to the process's.
     ordered = np.sort(bits)
     first = np.empty(bits.size, dtype=bool)
     first[:1] = True
