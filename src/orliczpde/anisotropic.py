@@ -26,8 +26,9 @@ Multiple Integrals*), Gauss-Legendre in the polar angles and on each arc
 of a half-circle azimuth (Phi is even) between the kink planes
 c . xi = 0 of the terms A(|c . xi|), the midpoint rule where none cuts it.
 
-Split forms sum_i A_i(|xi_i|) (and square full-rank linear combinations,
-linear images of them) skip the rays: power terms c_i t^p_i have
+Square full-rank linear combinations sum_k A_k(|c_k . xi|), splits
+sum_i A_i(|xi_i|) among them (the unit vectors as rows), skip the rays
+as linear images of sum_k A_k(|x_k|): power terms c_k t^p_k have
 Dirichlet's closed form, other terms an iterated Gauss quadrature
 (3.4e-10 relative off the closed form on power splits).
 
@@ -98,20 +99,21 @@ class MeasureConvergenceWarning(UserWarning):
         self.summary = summary
 
 
+_BOUND_RADIUS = 1e8  # trusted evaluation radius of every Phi (bound box)
+
+
 class AnisotropicYoungFunction:
     """Base: a convex even function on R^n with Phi(0) = 0.
 
     ``value`` accepts arrays shaped (..., n) and returns (...).
-    ``bound_radius`` is the trusted evaluation radius (bound box).
     """
 
     form = "custom"
 
-    def __init__(self, n, bound_radius=1e8):
+    def __init__(self, n):
         if n < 2:
             raise YoungFunctionError("dimension must be >= 2")
         self.n = int(n)
-        self.bound_radius = float(bound_radius)
 
     def value(self, xi):
         raise NotImplementedError
@@ -125,8 +127,8 @@ class RadialPhi(AnisotropicYoungFunction):
 
     form = "radial"
 
-    def __init__(self, n, a: ScalarYoungFunction, bound_radius=1e8):
-        super().__init__(n, bound_radius)
+    def __init__(self, n, a: ScalarYoungFunction):
+        super().__init__(n)
         self.a = a
 
     def value(self, xi):
@@ -134,35 +136,21 @@ class RadialPhi(AnisotropicYoungFunction):
         return self.a.value(r)
 
 
-class SplitPhi(AnisotropicYoungFunction):
-    """Phi(xi) = sum_i A_i(|xi_i|), one scalar Young function per axis."""
-
-    form = "split"
-
-    def __init__(self, terms, bound_radius=1e8):
-        super().__init__(len(terms), bound_radius)
-        self.terms = list(terms)
-
-    def value(self, xi):
-        xi = np.abs(np.asarray(xi, dtype=float))
-        return sum(a.value(xi[..., i]) for i, a in enumerate(self.terms))
-
-
 class LinearCombinationPhi(AnisotropicYoungFunction):
     """Phi(xi) = sum_k A_k(|c_k . xi|) for coefficient rows c_k.
 
     When the number of terms equals n and the coefficient matrix M is
-    invertible, sublevel sets are linear images of those of the split
-    form, so :func:`sublevel_measure` takes the split measure times
-    1/|det M|; other combinations go through the star-shaped path.
+    invertible, sublevel sets are linear images of those of
+    sum_k A_k(|x_k|), so :func:`sublevel_measure` takes that measure
+    times 1/|det M|; other combinations go through the star-shaped path.
     """
 
     form = "linear_combination"
 
-    def __init__(self, n, rows, bound_radius=1e8):
-        super().__init__(n, bound_radius)
-        self.coeffs = np.asarray([c for c, _ in rows], dtype=float)
-        self.terms = [a for _, a in rows]
+    def __init__(self, n, rows):
+        super().__init__(n)
+        coeffs, terms = zip(*rows)
+        self.coeffs, self.terms = np.asarray(coeffs, dtype=float), list(terms)
         if self.coeffs.shape[1] != n:
             raise YoungFunctionError("coefficient rows must have length n")
         if np.linalg.matrix_rank(self.coeffs) < n:
@@ -177,11 +165,21 @@ class LinearCombinationPhi(AnisotropicYoungFunction):
         return sum(a.value(y[..., k]) for k, a in enumerate(self.terms))
 
 
+class SplitPhi(LinearCombinationPhi):
+    """Phi(xi) = sum_i A_i(|xi_i|), one scalar Young function per axis:
+    the linear combination whose rows are the unit vectors."""
+
+    form = "split"
+
+    def __init__(self, terms):
+        super().__init__(len(terms), zip(np.eye(len(terms)), terms))
+
+
 class CustomPhi(AnisotropicYoungFunction):
     form = "custom"
 
-    def __init__(self, n, fn, bound_radius=1e8):
-        super().__init__(n, bound_radius)
+    def __init__(self, n, fn):
+        super().__init__(n)
         self._fn = fn
 
     def value(self, xi):
@@ -203,19 +201,19 @@ def radial_extent(phi, directions, t, bracket=None):
     Phi only on the rays still unfinished.  ``bracket`` = (R_lo, R_hi,
     t_lo, t_hi), radii of two levels t_lo < t <= t_hi per row, is passed
     to :func:`solve_increasing`, which then only narrows.  R is solved to
-    1e-12 relative; a boundary beyond ``phi.bound_radius`` raises
+    1e-12 relative; a boundary beyond the bound radius 1e8 raises
     :class:`BoundBoxError`.
     """
     w = np.asarray(directions, dtype=float)
     try:
         return solve_increasing(lambda r, w: phi.value(r[:, None] * w),
                                 np.full(w.shape[0], t, dtype=float),
-                                x_max=phi.bound_radius, args=(w,),
+                                x_max=_BOUND_RADIUS, args=(w,),
                                 bracket=bracket)
     except InverseRangeError as err:
         raise BoundBoxError(
             f"sublevel set reaches the bound box (radius "
-            f"{phi.bound_radius:g}): {err}") from None
+            f"{_BOUND_RADIUS:g}): {err}") from None
 
 
 # no rule has more than 2^21 directions, the size of the n = 3 rule at
@@ -374,8 +372,7 @@ def _star_measure(phi, levels):
     n = phi.n
     # kink planes c . xi = 0 of the terms A(|c . xi|); the K rows c with
     # an azimuth part cut the azimuth into <= 2 K + 1 <= 2^arcs arcs
-    kinks = np.eye(n) if phi.form == "split" else getattr(phi, "coeffs", ())
-    c = np.reshape(kinks, (-1, n))
+    c = np.reshape(getattr(phi, "coeffs", ()), (-1, n))
     arcs = int(2 * np.any(c[:, -2:], axis=1).sum()).bit_length()
     # six rules, or fewer where m^(n-1) directions exceed 2^21 (one at
     # n = 11, none from n = 12), split where m^(n-2) max(m, 2^arcs) do not
@@ -423,12 +420,9 @@ def _measures(phi, levels, method):
     tail (sigma, beta) of Phi_circ: (n / sum 1/p_i, 0) where the
     measures are Dirichlet's closed form c t^{sum 1/p_i}, else None."""
     tail = None
-    det = 0.0
-    if method == "auto":
-        if phi.form == "split":
-            det = 1.0
-        elif phi.form == "linear_combination" and phi.coeffs.shape[0] == phi.n:
-            det = abs(float(np.linalg.det(phi.coeffs)))
+    coeffs = getattr(phi, "coeffs", ())
+    det = (abs(float(np.linalg.det(coeffs)))
+           if method == "auto" and len(coeffs) == phi.n else 0.0)
     if method == "auto" and phi.form == "radial":
         out = unit_ball_volume(phi.n) * phi.a.inverse(levels) ** phi.n
     elif det > 0.0 and all(isinstance(a, PowerYoung) for a in phi.terms):
@@ -452,9 +446,10 @@ def sublevel_measure(phi, t, method="auto"):
 
     ``t`` is a level or an array of levels; a float or an array of the
     same shape is returned, and all levels are computed together.
-    Radial forms use the closed formula omega_n A^{-1}(t)^n; split forms
-    (and square full-rank linear combinations, which are linear images
-    of split sublevel sets with Jacobian 1/|det M|) use Dirichlet's
+    Radial forms use the closed formula omega_n A^{-1}(t)^n; square
+    full-rank linear combinations (splits among them, with M = I),
+    whose sublevel sets are linear images of those of
+    sum_k A_k(|x_k|) with Jacobian 1/|det M|, use Dirichlet's
     closed form when every term is a :class:`PowerYoung` and iterated
     quadrature (about 3.4e-10 relative error, a ``closed_form_inverse``
     term innermost) otherwise; everything else goes through the
@@ -492,8 +487,8 @@ def phi_circ(phi, t_lo=1e-3, t_hi=1e6, n_levels=512, seed=0):
     :func:`sublevel_measure`, and tabulates the inverse relation; the
     table is convex-hull corrected.  The table's ``convergence``
     attribute summarizes the measures: ``levels``, ``unconverged``
-    (levels whose star-path sphere rule ended above ``rel_tol``; 0 on
-    the split and closed-form paths), ``worst_rel_change`` (the largest
+    (levels whose star-path sphere rule ended above ``rel_tol``; 0 off
+    the star path), ``worst_rel_change`` (the largest
     last relative change among them, None when there are none) and
     ``rel_tol``; no :class:`MeasureConvergenceWarning` is issued.  Where
     the measures are Dirichlet's closed form (power splits and square
@@ -571,21 +566,19 @@ def from_json(doc):
     form = _item(doc, "form", "an anisotropic function")
     where = f"{form} form"
     n = int(_item(doc, "n", where))
-    bound = float(doc.get("bound_radius", 1e8))
     if form == "radial":
-        return RadialPhi(n, parse_scalar_function(_item(doc, "term", where)),
-                         bound)
+        return RadialPhi(n, parse_scalar_function(_item(doc, "term", where)))
     if form == "split":
         terms = [parse_scalar_function(t) for t in _item(doc, "terms", where)]
         if len(terms) != n:
             raise YoungFunctionError("split form needs one term per axis")
-        return SplitPhi(terms, bound)
+        return SplitPhi(terms)
     if form == "linear_combination":
         rows = [(_item(t, "coeffs", f"{where} term {i}"),
                  parse_scalar_function({k: v for k, v in t.items()
                                         if k != "coeffs"}))
                 for i, t in enumerate(_item(doc, "terms", where))]
-        return LinearCombinationPhi(n, rows, bound)
+        return LinearCombinationPhi(n, rows)
     raise YoungFunctionError(f"unknown form {form!r}")
 
 

@@ -51,10 +51,6 @@ class ConfigError(ValueError):
 class VerdictFailure(Exception):
     """A mathematical bound failed on this data (tool worked fine)."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 # ---------------------------------------------------------------------
 # plumbing
@@ -206,7 +202,7 @@ def cmd_conjugate(cfg, out):
                         and young_viol == 0)
     _write_json(out / "conjugate_report.json", report)
     if not report["passes"]:
-        raise VerdictFailure("conjugation invariants failed", report)
+        raise VerdictFailure("conjugation invariants failed")
     return report
 
 
@@ -310,7 +306,7 @@ def cmd_grid_solve(cfg, out):
     }
     _write_json(out / "grid_solve_report.json", report)
     if not (monotone and trunc["passes"]):
-        raise VerdictFailure("grid-solve invariants failed", report)
+        raise VerdictFailure("grid-solve invariants failed")
     return report
 
 
@@ -332,8 +328,7 @@ def cmd_approx_seq(cfg, out):
                          [r["grad_deviation_measure"] for r in steps]]))
     _write_json(out / "approx_seq_report.json", report)
     if not decreasing:
-        raise VerdictFailure("approximating sequence does not settle",
-                             report)
+        raise VerdictFailure("approximating sequence does not settle")
     return report
 
 
@@ -392,8 +387,7 @@ def cmd_regularity_report(cfg, out):
     }
     _write_json(out / "regularity_report.json", report)
     if not (ok_u and ok_g):
-        raise VerdictFailure("level-set bounds failed after calibration",
-                             report)
+        raise VerdictFailure("level-set bounds failed after calibration")
     return report
 
 
@@ -407,8 +401,7 @@ def cmd_verify_example(cfg, out):
     rep = catalog.verify_asymptotics(rec)
     _write_json(out / "verify_example_report.json", rep)
     if not rep["passes"]:
-        raise VerdictFailure(
-            f"example {cfg['id']} asymptotics check failed", rep)
+        raise VerdictFailure(f"example {cfg['id']} asymptotics check failed")
     return rep
 
 

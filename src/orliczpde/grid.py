@@ -7,12 +7,14 @@ differences:
     J(u) = h^2 * Sum_cells b Phi(grad_h u) - h^2 * Sum_nodes f u.
 
 Phi is the package's own anisotropic N-function on R^2: a radial
-A(|xi|) or a split A_1(|xi_1|) + A_2(|xi_2|) (``anisotropic.RadialPhi``
-and ``SplitPhi``).  The flux and the Hessian come from its scalar
-terms A, A' and A'' (``second_derivative``).  J is strictly convex, so
-a Newton-Krylov iteration converges to the unique minimizer.  Each
-Hessian system is solved by matrix-free conjugate gradients to the
-inexact-Newton forcing term eta = min(0.1, sqrt(res / (res + 1))),
+A(|xi|) or a linear combination sum_k A_k(|c_k . xi|), a split
+A_1(|xi_1|) + A_2(|xi_2|) among them (``anisotropic.RadialPhi``,
+``LinearCombinationPhi`` and ``SplitPhi``).  The flux and the Hessian
+come from its scalar terms A, A' and A'' (``second_derivative``).
+J is strictly convex, so a Newton-Krylov iteration converges to the
+unique minimizer.  Each Hessian system is solved by matrix-free
+conjugate gradients to the inexact-Newton forcing term
+eta = min(0.1, sqrt(res / (res + 1))),
 floored at (tol / (2 res))^2: CG stops once its residual r meets
 ||r||_2 <= eta ||rhs||_2 and also ||r||_inf <= sqrt(eta) ||rhs||_inf,
 the sup norm being the one the solve's tolerance bounds, and the floor
@@ -162,12 +164,13 @@ def _hessian_floor(a):
 class OperatorSpec:
     """Energy density b(x) Phi(xi) of the operator b(x) grad Phi(xi).
 
-    ``potential`` is a radial Phi = A(|xi|) or a split
-    Phi = A_1(|xi_1|) + A_2(|xi_2|) on R^2 (``anisotropic.RadialPhi``
-    and ``SplitPhi``) whose scalar terms have a ``second_derivative``,
-    else :class:`YoungFunctionError` is raised; the flux and the Hessian
-    come from the scalar terms A, A' and A''.  ``b`` is a number or an
-    array over the (N-1)^2 cells.
+    ``potential`` is a Phi on R^2, radial Phi = A(|xi|) or a linear
+    combination Phi = sum_k A_k(|c_k . xi|) (``anisotropic.RadialPhi``
+    and ``LinearCombinationPhi``; a ``SplitPhi`` is the combination whose
+    rows are the unit vectors), whose scalar terms have a
+    ``second_derivative``, else :class:`YoungFunctionError` is raised;
+    the flux and the Hessian come from the scalar terms A, A' and A''.
+    ``b`` is a number or an array over the (N-1)^2 cells.
     """
 
     potential: object
@@ -179,37 +182,43 @@ class OperatorSpec:
         phi = self.potential
         form, n = getattr(phi, "form", None), getattr(phi, "n", None)
         self._radial = form == "radial"
+        self._rows = getattr(phi, "coeffs", None)  # a combination's c_k
         self._scalars = [phi.a] if self._radial else getattr(
             phi, "terms", [])
-        if n != 2 or form not in ("radial", "split") or not all(
+        if n != 2 or (self._rows is None and not self._radial) or not all(
                 hasattr(a, "second_derivative") for a in self._scalars):
             raise YoungFunctionError(
-                f"the grid takes a radial or split Phi on R^2 whose terms "
-                f"have a second_derivative, not a {form} form in dimension "
-                f"{n} with terms {[a.name for a in self._scalars]}")
+                f"the grid takes a radial or linear-combination Phi on R^2 "
+                f"whose terms have a second_derivative, not a {form} form in "
+                f"dimension {n} with terms {[a.name for a in self._scalars]}")
         self._b = np.asarray(self.b)
         self._floors = [_hessian_floor(a) for a in self._scalars]
 
-    def _sizes(self, gx, gy):
-        """The scalar arguments: [|xi|] (radial) or [|xi_1|, |xi_2|]."""
-        if self._radial:
-            return [np.sqrt(gx**2 + gy**2)]
-        return [np.abs(gx), np.abs(gy)]
+    def _arguments(self, gx, gy):
+        """A combination's signed scalar arguments y_k = c_k . xi."""
+        return [cx * gx + cy * gy for cx, cy in self._rows]
 
     def energy_density(self, gx, gy):
-        values = [a.value(s) for a, s in zip(self._scalars,
-                                             self._sizes(gx, gy))]
-        return self._b * (values[0] if self._radial
-                          else values[0] + values[1])
+        if self._radial:
+            return self._b * self._scalars[0].value(np.sqrt(gx**2 + gy**2))
+        values = [a.value(np.abs(y))
+                  for a, y in zip(self._scalars, self._arguments(gx, gy))]
+        return self._b * sum(values[1:], values[0])
 
     def flux(self, gx, gy):
-        """(wx gx, wy gy) with the weight b A'(s)/s of each scalar
-        argument s, floored at _DELTA; a radial Phi has one weight for
-        both components."""
-        s = [np.maximum(s, _DELTA) for s in self._sizes(gx, gy)]
-        w = [self._b * a.derivative(t) / t
-             for a, t in zip(self._scalars, s)]
-        return w[0] * gx, w[-1] * gy
+        """b grad Phi at the cell gradient (gx, gy), each scalar argument
+        floored at _DELTA in its weight A'(s)/s: radial w (gx, gy) with
+        w = b A'(r)/r, a combination b sum_k (A_k'(|y_k|)/|y_k|) y_k c_k."""
+        if self._radial:
+            r = np.maximum(np.sqrt(gx**2 + gy**2), _DELTA)
+            w = self._b * self._scalars[0].derivative(r) / r
+            return w * gx, w * gy
+        ys = self._arguments(gx, gy)
+        s = [np.maximum(np.abs(y), _DELTA) for y in ys]
+        wy = [self._b * a.derivative(t) / t * y
+              for a, t, y in zip(self._scalars, s, ys)]
+        return tuple(sum(w * c[i] for w, c in zip(wy, self._rows))
+                     for i in (0, 1))
 
     def hess_weights(self, gx, gy):
         """Cell-wise Hessian of the energy density at the gradient (gx, gy).
@@ -217,21 +226,22 @@ class OperatorSpec:
         Returns the symmetric 2 x 2 tensor ``(hxx, hxy, hyy)``, the scalar
         arguments floored at :func:`_hessian_floor`: radial
         b (w1 I + c g g^T) with w1 = A'(r)/r and c = (A''(r) - w1)/r^2,
-        split b diag(A_1''(|xi_1|), A_2''(|xi_2|)).  The weights depend
+        a combination b sum_k A_k''(|y_k|) c_k c_k^T.  The weights depend
         only on the Newton iterate, so one evaluation serves a whole CG
         solve and its preconditioner.
         """
-        s = [np.maximum(s, f)
-             for s, f in zip(self._sizes(gx, gy), self._floors)]
-        d2 = [self._b * a.second_derivative(t)
-              for a, t in zip(self._scalars, s)]
-        if not self._radial:
-            return d2[0], 0.0, d2[1]
-        r = s.pop()
-        w1 = self._b * self._scalars[0].derivative(r) / r
-        c = (d2.pop() - w1) / r**2
-        del r  # r and A'' are freed before the tensor is built
-        return w1 + c * gx**2, c * gx * gy, w1 + c * gy**2
+        if self._radial:
+            r = np.maximum(np.sqrt(gx**2 + gy**2), self._floors[0])
+            d2 = self._b * self._scalars[0].second_derivative(r)
+            w1 = self._b * self._scalars[0].derivative(r) / r
+            c = (d2 - w1) / r**2
+            del r, d2  # r and A'' are freed before the tensor is built
+            return w1 + c * gx**2, c * gx * gy, w1 + c * gy**2
+        d2 = [self._b * a.second_derivative(np.maximum(np.abs(y), f))
+              for a, f, y in zip(self._scalars, self._floors,
+                                 self._arguments(gx, gy))]
+        return tuple(sum(d * (c[i] * c[j]) for d, c in zip(d2, self._rows))
+                     for i, j in ((0, 0), (0, 1), (1, 1)))
 
     def hess_apply(self, weights, vx, vy, scratch):
         """Cell-wise Hessian action (d flux / d gradient applied to v),

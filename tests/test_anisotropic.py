@@ -257,10 +257,12 @@ def test_rank_deficient_rows_rejected():
 
 
 def test_unbounded_sublevel_raises():
-    # depends on x only: the sublevel set is an unbounded strip
-    phi = CustomPhi(2, lambda xi: xi[..., 0] ** 2, bound_radius=50.0)
+    # depends on x only: the sublevel set is an unbounded strip; at
+    # t = 4e14 its half-width is 1/5 of the bound radius 1e8, as at
+    # t = 100 in a box of radius 50 (Phi is 2-homogeneous)
+    phi = CustomPhi(2, lambda xi: xi[..., 0] ** 2)
     with pytest.raises(BoundBoxError):
-        sublevel_measure(phi, 100.0, method="star")
+        sublevel_measure(phi, 4e14, method="star")
 
 
 def test_phi_circ_radial_is_identity():

@@ -641,6 +641,34 @@ def test_symmetrize_solve_center_oracle(tmp_path):
     assert b"\r\n" in (out / "radial_solution.csv").read_bytes()
 
 
+def test_symmetrize_solve_reads_a_csv_datum(tmp_path):
+    # the step realization of f*(s) = s^-0.6 on (0, pi]: rows (s_{j-1}, v_j)
+    # and a trailing (s_m, v_m) sentinel; the radial solution is the
+    # extremal of the sharp bound, so its centre is the bound
+    s = np.concatenate([[0.0], np.geomspace(1e-10 * math.pi, math.pi, 512)])
+    v = np.concatenate([[s[1]], s[1:-1]]) ** -0.6
+    datum = tmp_path / "datum.csv"
+    np.savetxt(datum, np.column_stack([s, np.append(v, v[-1])]),
+               delimiter=",", header="s,value", comments="")
+    code, out = run(["symmetrize-solve", "--phi", "power:p=2", "--n", "2",
+                     "--f", str(datum), "--omega", "pi"], tmp_path)
+    assert code == 0
+    report = json.loads((out / "symmetrize_solve_report.json").read_text())
+    assert report["center_value"] == pytest.approx(
+        report["boundedness_criterion"], rel=1e-6)
+
+
+def test_phicirc_reads_phi_from_a_json_file(tmp_path):
+    path = tmp_path / "phi.json"
+    path.write_text(SPLIT_PHI)
+    code_file, out_file = run(["phicirc", "--phi", str(path)], tmp_path,
+                              sub="file")
+    code, out = run(["phicirc", "--phi", SPLIT_PHI], tmp_path)
+    assert code_file == code == 0
+    for name in ("phi_circ.csv", "phicirc_report.json"):
+        assert (out_file / name).read_bytes() == (out / name).read_bytes()
+
+
 def test_phicirc_deterministic(tmp_path):
     args = ["phicirc", "--phi", SPLIT_PHI, "--seed", "7"]
     code1, out1 = run(args, tmp_path, sub="a")

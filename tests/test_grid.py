@@ -8,10 +8,12 @@ from scipy.fft import dstn, idstn
 
 from conftest import power_potential, split_power_potential
 from orliczpde.grid import (
+    _DELTA,
     _PCG_MAX_ITER,
     GridField,
     _energy,
     _energy_gradient,
+    _hessian_floor,
     _hessian_times,
     _LaplacePreconditioner,
     _pcg,
@@ -29,6 +31,16 @@ from orliczpde.anisotropic import LinearCombinationPhi, RadialPhi, SplitPhi
 from orliczpde.radial import solve_radial
 from orliczpde.rearrangement import RearrangedFunction
 from orliczpde.young import PowerLogYoung, PowerYoung, YoungFunctionError
+
+
+def combination_potential(rows, ps):
+    """Phi(xi) = sum_k |c_k . xi|^p_k / p_k on R^2."""
+    return LinearCombinationPhi(2, [(c, PowerYoung(p, 1.0 / p))
+                                    for c, p in zip(rows, ps)])
+
+
+# three rows with a kink plane off the axes
+KINKED = combination_potential([(1, 0), (0, 1), (1, 1)], (2.0, 3.0, 4.0))
 
 # Fourier (separable eigenfunction) value of u(1/2, 1/2) for
 # -Laplace u = 1 on (0,1)^2 with zero boundary data
@@ -283,7 +295,8 @@ def _gradient(spec, u, f, h):
     OperatorSpec(power_potential(5.0)),
     OperatorSpec(split_power_potential(2.0, 4.0)),
     OperatorSpec(power_potential(3.0), b=_CELLS),
-], ids=["p1.5", "p3", "p5", "split", "p3-b"])
+    OperatorSpec(KINKED),
+], ids=["p1.5", "p3", "p5", "split", "p3-b", "combination"])
 def test_hessian_matches_gradient_differences(spec):
     rng = np.random.default_rng(7)
     n, h = 17, 1.0 / 16
@@ -319,13 +332,54 @@ def test_operator_spec_validation():
 @pytest.mark.parametrize("phi", [
     RadialPhi(3, PowerYoung(3.0)),
     LinearCombinationPhi(2, [([1.0, 0.0], PowerYoung(2.0)),
-                             ([1.0, 1.0], PowerYoung(3.0))]),
+                             ([1.0, 1.0], PowerLogYoung(2.0, 1.0))]),
     RadialPhi(2, PowerLogYoung(2.0, 1.0)),
     SplitPhi([PowerYoung(2.0), PowerLogYoung(2.0, 1.0)]),
 ], ids=["n3", "linear-combination", "power-log", "split-power-log"])
 def test_operator_spec_rejects_what_it_cannot_differentiate(phi):
     with pytest.raises(YoungFunctionError):
         OperatorSpec(phi)
+
+
+def test_split_operator_is_the_per_axis_formulas():
+    # the identity-row combination gives the split's own formulas bit for
+    # bit: products with 0 and 1 are exact
+    terms = [PowerYoung(1.5, 1.0 / 1.5), PowerYoung(4.0, 0.25)]
+    b = np.random.default_rng(3).uniform(1.0, 3.0, (16, 16))
+    spec = OperatorSpec(SplitPhi(terms), b=b)
+    rng = np.random.default_rng(5)
+    gx, gy = rng.standard_normal((2, 16, 16))
+    gx[::3], gy[:, ::4] = 0.0, 0.0
+    ax, ay = np.abs(gx), np.abs(gy)
+    assert np.array_equal(spec.energy_density(gx, gy),
+                          b * (terms[0].value(ax) + terms[1].value(ay)))
+    sx, sy = np.maximum(ax, _DELTA), np.maximum(ay, _DELTA)
+    fx, fy = spec.flux(gx, gy)
+    assert np.array_equal(fx, b * terms[0].derivative(sx) / sx * gx)
+    assert np.array_equal(fy, b * terms[1].derivative(sy) / sy * gy)
+    hxx, hxy, hyy = spec.hess_weights(gx, gy)
+    floors = [_hessian_floor(a) for a in terms]
+    assert np.array_equal(
+        hxx, b * terms[0].second_derivative(np.maximum(ax, floors[0])))
+    assert np.array_equal(
+        hyy, b * terms[1].second_derivative(np.maximum(ay, floors[1])))
+    assert np.array_equal(hxy, np.zeros_like(gx))
+
+
+@pytest.mark.parametrize("rows, ps, peak", [
+    ([(1, 0), (0, 1), (1, 1)], (2.0, 3.0, 4.0), 0.106790),
+    ([(1, 0), (0, 1), (1, -1)], (2.0, 2.0, 4.0), 0.070845),
+    ([(1, 0), (1, 1)], (2.0, 4.0), 0.113108),
+], ids=["kinked", "symmetric", "sheared"])
+def test_combination_solves(rows, ps, peak):
+    # the values of max u at N = 65 measured when the grid first took
+    # combinations; they rise by less than 4e-5 up to N = 257
+    f = GridField.from_function(65, lambda x, y: np.ones_like(x))
+    u = solve(OperatorSpec(combination_potential(rows, ps)), f).values
+    assert np.max(u) == pytest.approx(peak, abs=1e-6)
+    if rows[2:] == [(1, -1)]:
+        # Phi is invariant under swapping xi_1 and xi_2, and so is u
+        assert np.max(np.abs(u - u.T)) <= 1e-15
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -504,13 +558,14 @@ def _oracle_pcg(weights, rhs, pre, rel_tol):
 
 
 @pytest.mark.parametrize("n", [17, 34, 65])
-@pytest.mark.parametrize("kind", ["p1.5", "p3", "split", "p3-b"])
+@pytest.mark.parametrize("kind", ["p1.5", "p3", "split", "p3-b",
+                                  "combination"])
 def test_workspace_kernels_match_allocating_oracles(kind, n):
     rng = np.random.default_rng(n)
     b = rng.uniform(1.0, 2.0, (n - 1, n - 1)) if kind == "p3-b" else 1.0
-    spec = OperatorSpec(split_power_potential(2.0, 4.0) if kind == "split"
-                        else power_potential(1.5 if kind == "p1.5" else 3.0),
-                        b=b)
+    phi = {"split": split_power_potential(2.0, 4.0), "combination": KINKED,
+           "p1.5": power_potential(1.5)}.get(kind, power_potential(3.0))
+    spec = OperatorSpec(phi, b=b)
     h = 1.0 / (n - 1)
     x = np.linspace(0.0, 1.0, n)
     f = np.ones((n, n))

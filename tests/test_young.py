@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import power_potential
@@ -580,6 +580,9 @@ _TABLES = dict(
 
 @settings(max_examples=60, deadline=None)
 @given(**_TABLES, u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+# no rise: the computed slopes differ by rounding, yet A' has no jump
+@example(log_t0=-4.75, steps=[0.6077452111955867, 0.125, 0.625, 1.0],
+         slope0=1.05, rises=[0.0, 0.0, 0.0, 0.0], u=[0.0])
 def test_sampled_derivative_inverse_matches_the_solver(log_t0, steps, slope0,
                                                        rises, u):
     n = min(len(steps), len(rises))
@@ -596,7 +599,9 @@ def test_sampled_derivative_inverse_matches_the_solver(log_t0, steps, slope0,
                         right[1:-1], 0.5 * (left[:-1] + right[1:-1])])
     ref = solve_increasing(a.derivative, s, x_max=1e250)
     np.testing.assert_allclose(a.derivative_inverse(s), ref, rtol=2e-12)
-    jump = left[:-1] < right[1:-1]
+    # A' jumps only at the knots where the table's slope rises; the
+    # floor is far above the rounding of the computed slopes
+    jump = np.array(rises[:n - 1]) > 1e-9
     np.testing.assert_allclose(
         a.derivative_inverse(0.5 * (left[:-1] + right[1:-1]))[jump],
         t[1:-1][jump], rtol=1e-14)
