@@ -283,6 +283,9 @@ def cmd_grid_solve(cfg, out):
     spec = _operator_from_config(cfg)
     f_field = _load_field(cfg["f"], cfg["N"])
     u, info = grid.solve(spec, f_field, return_info=True)
+    # the certificate of the field written, not of the solver's iterate
+    gap, bound = grid.duality_gap(spec, f_field, u)
+    certified = gap <= bound
     u.to_csv(out / "u.csv")
     energies = np.asarray(info["energies"])
     monotone = bool(np.all(np.diff(energies)
@@ -303,9 +306,11 @@ def cmd_grid_solve(cfg, out):
         "final_energy": float(energies[-1]),
         "energy_monotone": monotone,
         "truncation_energy": trunc,
+        "gap_check": {"duality_gap": gap, "gap_bound": bound,
+                      "passes": certified},
     }
     _write_json(out / "grid_solve_report.json", report)
-    if not (monotone and trunc["passes"]):
+    if not (monotone and trunc["passes"] and certified):
         raise VerdictFailure("grid-solve invariants failed")
     return report
 

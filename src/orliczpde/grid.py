@@ -34,14 +34,22 @@ and order of fresh temporaries and so bit for bit their results; CG's
 inner products and 2-norm are one BLAS reduction each.  An accepted
 iterate's cell gradient is computed once, for its energy, its flux and
 the next Hessian weights.  Steps are backtracked on J (Armijo) until
-the Newton decrement falls below the rounding level of J; from there a
-full step is taken only if it lowers the sup residual and raises J by
-no more than that level, else the iteration stops; it also stops when
-the sup residual has stalled.  The energy trace is monotone up to that
-rounding bound.  For Phi = |xi|^2/2 the energy gradient is exactly the
-5-point scheme, d = 4 and the first Newton step solves it in one CG
-iteration.  ``solve`` reports the sup residual that its tolerance
-1e-9 (1 + ||f||_1) bounds and the counts of its steps.
+the Newton decrement falls below the rounding level of J.  There the
+duality gap is evaluated once (:func:`duality_gap`): for any cell flux
+sigma with G^T sigma = f, G the cell gradient,
+J(u) - min J <= J(u) + h^2 Sum b Phi*(sigma / b) (Ekeland & Temam
+1976, ch. III; Repin 2000), a bound with no constant of the problem.
+The solution is defined by its energy, so a gap at J's rounding level
+certifies u and the iteration stops.  Otherwise a full step is taken
+only if it lowers the sup residual and raises J by no more than that
+level, else the iteration stops; it also stops when the sup residual
+has stalled.  The energy trace is monotone up to that rounding bound.
+On f = 1 with N = 65-257 and p = 1.5-4, the gap stop comes 1-3 Newton
+steps before the sup residual reaches the tolerance, and moves u by at
+most 3.1e-8 of max |u|.  For Phi = |xi|^2/2 the energy gradient is
+exactly the 5-point scheme, d = 4 and the first Newton step solves it
+in one CG iteration.  ``solve`` reports the gap, the sup residual that
+its tolerance 1e-9 (1 + ||f||_1) bounds and the counts of its steps.
 
 A solve from zero runs coarse to fine (nested iteration): on an odd N
 whose coarser mesh of (N + 1) / 2 nodes has at least 33 nodes, it first
@@ -75,6 +83,7 @@ __all__ = [
     "OperatorSpec",
     "SolveError",
     "solve",
+    "duality_gap",
     "cell_gradients",
     "point_mass_field",
     "approximable_sequence",
@@ -84,9 +93,9 @@ _DELTA = 1e-12  # floor on |xi| inside the flux only
 
 
 class SolveError(RuntimeError):
-    """A solve that stopped above 100 tol; ``info`` is its info dict
-    (:func:`solve`): the finest level's residual, energies and counts,
-    and the coarse ``levels``."""
+    """A solve that stopped above 100 tol with a duality gap above its
+    bound; ``info`` is its info dict (:func:`solve`): the finest level's
+    residual, gap, energies and counts, and the coarse ``levels``."""
 
     def __init__(self, message, info):
         super().__init__(message)
@@ -193,6 +202,14 @@ class OperatorSpec:
                 f"dimension {n} with terms {[a.name for a in self._scalars]}")
         self._b = np.asarray(self.b)
         self._floors = [_hessian_floor(a) for a in self._scalars]
+        # Phi* in closed form: A*(|sigma|) for a radial Phi, and for a
+        # combination Psi(M xi) with M square and invertible,
+        # Psi*(M^-T sigma) = sum_k A_k*(|(M^-T sigma)_k|); None otherwise
+        square = self._radial or len(self._scalars) == 2
+        self._conjugates = ([a.conjugate() for a in self._scalars]
+                            if square else None)
+        self._dual_rows = (None if self._radial or not square
+                           else np.linalg.inv(self._rows).T)
 
     def _arguments(self, gx, gy):
         """A combination's signed scalar arguments y_k = c_k . xi."""
@@ -219,6 +236,21 @@ class OperatorSpec:
               for a, t, y in zip(self._scalars, s, ys)]
         return tuple(sum(w * c[i] for w, c in zip(wy, self._rows))
                      for i in (0, 1))
+
+    def dual_density(self, sx, sy):
+        """b Phi*(sigma / b) on the cells for the cell flux
+        sigma = (sx, sy), which it overwrites, for a Phi with a
+        closed-form conjugate (not a combination of more than two
+        terms)."""
+        if self._radial:  # |sigma| in place (np.hypot takes 7 times longer)
+            sx *= sx
+            sx += np.multiply(sy, sy, out=sy)
+            args = [np.sqrt(sx, out=sx)]
+        else:
+            args = [np.abs(cx * sx + cy * sy) for cx, cy in self._dual_rows]
+        values = [a.value(np.divide(y, self._b, out=y))
+                  for a, y in zip(self._conjugates, args)]
+        return self._b * sum(values[1:], values[0])
 
     def hess_weights(self, gx, gy):
         """Cell-wise Hessian of the energy density at the gradient (gx, gy).
@@ -336,8 +368,10 @@ class _LaplacePreconditioner:
     square, which the plain L^-1 does not see: on the constant datum with
     N = 129-257 and p = 1.5 or 4, CG takes a third of the iterations it
     takes with L^-1.  Before the first :meth:`rescale`, D = I.  The same
-    P^-1 gives the direction of a descent fallback and the dual-norm
-    residual sqrt(g . P^-1 g) that :func:`solve` reports.
+    P^-1 gives the direction of a descent fallback; L^-1 alone
+    (``apply`` with ``scaled`` false) corrects the flux of the duality
+    gap and gives the dual-norm residual sqrt(g . L^-1 g) that
+    :func:`solve` reports.
 
     L^-1 is applied in the DST-I basis.  S = sqrt(2/m) sin(pi j k/m),
     j, k = 1..N-2, m = N-1, is the orthonormal DST-I matrix: symmetric,
@@ -428,13 +462,14 @@ class _LaplacePreconditioner:
             self.scale = np.empty((m, m))
         np.sqrt(np.divide(4.0, d, out=d), out=self.scale)
 
-    def apply(self, g):
-        """P^-1 g, written into the one array ``out`` that every call
-        returns."""
+    def apply(self, g, scaled=True):
+        """P^-1 g, or L^-1 g (D = I) when not ``scaled``, written into
+        the one array ``out`` that every call returns."""
         a, b = self._pair
         first, second, second_back, first_back = self._products
         half = len(self.sine_even)
-        np.multiply(self.scale, g[1:-1, 1:-1], out=a)
+        scale = self.scale if scaled else 1.0
+        np.multiply(scale, g[1:-1, 1:-1], out=a)
         _butterfly(a, b, half)  # S a S: the first axis,
         _matmuls(first)
         _butterfly(a, b, half)  # the second,
@@ -444,7 +479,7 @@ class _LaplacePreconditioner:
         _butterfly(b, a, half)
         _matmuls(first_back)
         _butterfly(b, a, half)
-        np.multiply(self.scale, a, out=self._interior)
+        np.multiply(scale, a, out=self._interior)
         out = self.out
         # a Hessian action may have used out as scratch
         out[0, :] = out[-1, :] = out[:, 0] = out[:, -1] = 0.0
@@ -537,6 +572,46 @@ def _pcg(spec, weights, rhs, ws, rel_tol):
 # same Newton step counts and residuals for any value from 1 to 256.
 _ROUNDING_ULPS = 16.0
 
+
+def _gap(spec, u, w, J, J_scale, ws):
+    """The duality gap of the iterate u, whose energy is J (rounding
+    scale ``J_scale``), and its rounding bound: ``(gap, bound)``, or
+    ``(None, None)`` for a Phi without closed-form conjugate.  w is
+    L^-1 g for the energy gradient g of u (``ws.apply(g, scaled=False)``).
+    Overwrites ``ws.dx`` and ``ws.dy``.
+
+    For any cell flux sigma with h^2 G^T sigma = h^2 f on the interior
+    nodes, G the cell gradient, Fenchel-Young gives
+    J(v) >= -h^2 Sum b Phi*(sigma / b) for every v, so
+    gap = J(u) + h^2 Sum b Phi*(sigma / b) >= J(u) - min J
+    (Ekeland & Temam 1976, ch. III; Repin 2000).  Here sigma is the flux
+    of u minus G w, with L = h^2 G^T G the 5-point form, which the sine
+    transform inverts: h^2 G^T sigma = (g + h^2 f) - g.  Both terms are
+    sums of the energy's kind, so the bound is ``_ROUNDING_ULPS`` ulps
+    of J_scale + h^2 Sum b Phi* (Phi* >= 0)."""
+    if spec._conjugates is None:
+        return None, None
+    sx, sy = spec.flux(*_cell_gradients_into(u, ws))
+    wx, wy = _differences(w, ws.dx, ws.dy)
+    sx -= np.divide(wx, ws.h, out=wx)
+    sy -= np.divide(wy, ws.h, out=wy)
+    dual = float(ws.h**2 * np.sum(spec.dual_density(sx, sy)))
+    return J + dual, _ROUNDING_ULPS * math.ulp(1.0) * (J_scale + dual)
+
+
+def duality_gap(spec, f_field, u):
+    """The duality gap J(u) - min J <= J(u) + h^2 Sum b Phi*(sigma / b)
+    of a zero-boundary field u (a :class:`GridField`) for the energy of
+    ``spec`` and the datum ``f_field``, and the bound of J's rounding
+    error that a gap at the minimizer stays under: ``(gap, bound)``
+    (:func:`_gap`), ``(None, None)`` for a combination of more than two
+    terms, which has no closed-form Phi*."""
+    ws = _Workspace(f_field.values, f_field.h)
+    J, J_scale = _energy(spec, u.values, ws)
+    g = _energy_gradient(spec, ws, np.empty_like(u.values))
+    return _gap(spec, u.values, ws.apply(g, scaled=False), J, J_scale, ws)
+
+
 # A solve whose sup residual sets no new minimum in this many
 # consecutive Newton steps has stalled.  Converging solves with N from
 # 17 to 257 and p from 1.3 to 4, on constant, singular and point-mass
@@ -568,17 +643,23 @@ def solve(spec, f_field, max_iter=100, u0=None, return_info=False):
     step solves no further than the convergence test needs.
     Once the Newton decrement g.d falls below the rounding level of J,
     16 eps * h^2 (Sum |density| + Sum |f u|), J can no longer rank
-    steps: the full step is then taken if it lowers the sup residual and
-    raises J by no more than that bound, and the iteration stops
-    otherwise.  The energy trace is therefore monotone up to that
-    rounding bound.  For p = 2 the first Newton step is the exact
-    5-point solve.  Convergence is declared when the sup norm of the
-    energy gradient, scaled to PDE units (divided by h^2), drops below
-    tol = 1e-9 * (1 + ||f||_1): tol bounds this sup residual, not the
-    dual-norm one.  The iteration also stops when the sup residual sets
-    no new minimum in 15 consecutive steps (a stall).  A stop above
-    100 * tol raises :class:`SolveError`, which carries the info dict
-    below without ``dual_residual``.
+    steps.  The duality gap of u (:func:`duality_gap`) is evaluated
+    then, once, and the iteration stops if it is at most its bound, 16
+    ulps of the rounding scale of J plus that of the dual energy: u is
+    then a minimizer of J to rounding, whatever its sup residual.  A Phi
+    without closed-form conjugate (a combination of more than two
+    terms) has no gap.  Otherwise the full step is taken if it lowers
+    the sup residual and raises J by no more than the rounding level,
+    and the iteration stops otherwise.  The energy trace is therefore
+    monotone up to that rounding bound.  For p = 2 the first Newton step
+    is the exact 5-point solve.  The iteration also stops when the sup
+    norm of the energy gradient, scaled to PDE units (divided by h^2),
+    drops below tol = 1e-9 * (1 + ||f||_1), and when that sup residual
+    sets no new minimum in 15 consecutive steps (a stall).  A solve has
+    converged when the gap of its last iterate is at most its bound or
+    the sup residual is at most tol.  A solve that has not converged
+    and stops above 100 * tol raises :class:`SolveError`, which carries
+    the info dict below.
 
     Nested iteration: without ``u0``, an odd N whose coarser mesh of
     (N + 1) / 2 nodes has at least 33 nodes first solves the same
@@ -592,52 +673,60 @@ def solve(spec, f_field, max_iter=100, u0=None, return_info=False):
     concern the finest level; ``max_iter`` also caps each coarse level.
 
     With ``return_info`` the info dict holds ``energies``, ``residual``
-    (the sup residual), ``dual_residual`` (sqrt(g . P^-1 g) for the
-    final energy gradient g and the preconditioner P^-1 at the solution;
-    with P^-1 = L^-1 this is the discrete H^-1 norm of the PDE residual),
-    ``converged`` (residual <= tol) and the counts ``newton_steps``,
-    ``pcg_iterations``, ``pcg_maxiter_hits`` (CG solves that ran to
-    their iteration cap), ``pcg_breakdowns`` (CG solves stopped by a
-    direction with p.Hp <= 0), ``descent_fallbacks`` (Newton steps whose
-    CG direction was no descent direction and was replaced by P^-1 g)
-    and ``rounding_steps`` (steps taken at rounding level), all of the
+    (the sup residual), ``dual_residual`` (sqrt(g . L^-1 g) for the
+    final energy gradient g and the inverse 5-point Laplacian L^-1: the
+    discrete H^-1 norm of the PDE residual), ``duality_gap`` and its
+    bound ``gap_bound`` (None without a closed-form Phi*), ``stop``
+    ("gap" when the gap stopped the iteration, else "residual"),
+    ``converged`` (gap <= gap_bound or residual <= tol) and the counts
+    ``newton_steps``, ``pcg_iterations``, ``pcg_maxiter_hits`` (CG
+    solves that ran to their iteration cap), ``pcg_breakdowns`` (CG
+    solves stopped by a direction with p.Hp <= 0), ``descent_fallbacks``
+    (Newton steps whose CG direction was no descent direction and was
+    replaced by P^-1 g) and ``rounding_steps`` (steps taken at rounding level), all of the
     finest level.  ``levels`` lists the coarse levels, coarsest first,
     each with its ``N``, the tolerance ``tol`` it was solved to,
-    ``newton_steps``, ``pcg_iterations``, ``residual`` and
-    ``converged``; it is empty for a solve from ``u0``.
+    ``newton_steps``, ``pcg_iterations``, ``residual``, ``duality_gap``,
+    ``gap_bound`` and ``converged``; it is empty for a solve from
+    ``u0``.  Without ``return_info`` a level whose residual met its
+    tolerance skips the gap, which only the info dict reports: its
+    ``duality_gap`` and ``gap_bound`` in the info of a
+    :class:`SolveError` are None.
     """
     levels = []
     tol = _TOL * (1.0 + f_field.l1())
     if u0 is None:
-        u0 = _coarse_start(spec, f_field, max_iter, levels)
+        u0 = _coarse_start(spec, f_field, max_iter, levels, return_info)
     else:
         u0 = np.array(u0, dtype=float)  # _newton writes into its start
-    u, g, pre, info = _newton(spec, f_field, tol, max_iter, u0)
+    u, info = _newton(spec, f_field, tol, max_iter, u0, return_info)
     stalled = info.pop("stalled_steps")
     info["levels"] = levels
     res = info["residual"]
-    if res > 100.0 * tol:
+    if res > 100.0 * tol and not info["converged"]:
+        gap = ("" if info["duality_gap"] is None else
+               f", duality gap {info['duality_gap']:g} above "
+               f"{info['gap_bound']:g}")
         stall = (f", stalled: no new residual minimum in {stalled} steps"
                  if stalled >= _STALL_STEPS else "")
         raise SolveError(
             f"no convergence after {info['newton_steps']} Newton steps "
-            f"(residual {res:g}, tol {tol:g}{stall})", info)
+            f"(residual {res:g}, tol {tol:g}{gap}{stall})", info)
     out = GridField(u).zero_boundary()
-    if return_info:
-        pre.rescale(spec.hess_weights(*_cell_gradients_into(u, pre)))
-        info["dual_residual"] = math.sqrt(
-            max(float(np.sum(g * pre.apply(g))), 0.0))
-        return out, info
-    return out
+    return (out, info) if return_info else out
 
 
-def _newton(spec, f_field, tol, max_iter, u0):
+def _newton(spec, f_field, tol, max_iter, u0, report):
     """The Newton-Krylov iteration of :func:`solve` on one mesh, from
     ``u0`` (zero when None), a float array that it writes into.  Returns
-    ``(u, g, pre, info)``: the last iterate, its energy gradient, the
-    preconditioner and an info dict with ``energies``, ``residual``,
-    ``converged``, the counts and ``stalled_steps`` (steps since the
-    last residual minimum)."""
+    ``(u, info)``: the last iterate and an info dict with ``energies``,
+    ``residual``, ``dual_residual``, ``converged``, ``stop``,
+    ``duality_gap``, ``gap_bound``, the counts and ``stalled_steps``
+    (steps since the last residual minimum).  The gap is evaluated when
+    the Newton decrement first falls to J's rounding level, and the
+    iteration stops there if it certifies u; otherwise it is evaluated
+    at the last iterate, unless the residual met tol and no ``report``
+    is asked for (the gap and ``dual_residual`` are then None)."""
     f = f_field.values
     n = f_field.n_nodes
     h = f_field.h
@@ -651,6 +740,7 @@ def _newton(spec, f_field, tol, max_iter, u0):
                             "pcg_maxiter_hits", "pcg_breakdowns",
                             "descent_fallbacks", "rounding_steps"), 0)
     best_res, since_best = res, 0
+    stop, unchecked = "residual", True
     for _ in range(max_iter):
         if res <= tol:
             break
@@ -658,18 +748,26 @@ def _newton(spec, f_field, tol, max_iter, u0):
         # tighter than a sup stop at tol / 2
         eta = min(0.1, max(math.sqrt(res / (res + 1.0)),
                            (0.5 * tol / res) ** 2))
-        d, cg_iters, stop = _pcg(spec, spec.hess_weights(ws.dx, ws.dy), g,
-                                 ws, rel_tol=eta)
+        d, cg_iters, cg_stop = _pcg(spec, spec.hess_weights(ws.dx, ws.dy),
+                                    g, ws, rel_tol=eta)
         counts["pcg_iterations"] += cg_iters
-        counts["pcg_maxiter_hits"] += stop == "capped"
-        counts["pcg_breakdowns"] += stop == "breakdown"
+        counts["pcg_maxiter_hits"] += cg_stop == "capped"
+        counts["pcg_breakdowns"] += cg_stop == "breakdown"
         gd = float(np.sum(np.multiply(g, d, out=ws.q)))
         if gd <= 0.0:
             counts["descent_fallbacks"] += 1
-            d = ws.apply(g)
+            np.copyto(d, ws.apply(g))  # in ws.d: the gap reuses ws.out
             gd = float(np.sum(np.multiply(g, d, out=ws.q)))
         noise = _ROUNDING_ULPS * math.ulp(1.0) * J_scale
         rounding = gd <= noise
+        if rounding and unchecked:
+            # the first step that J cannot rank: the gap may certify u
+            unchecked = False
+            w = ws.apply(g, scaled=False)
+            gap, bound = _gap(spec, u, w, J, J_scale, ws)
+            if gap is not None and gap <= bound:
+                stop = "gap"
+                break
         u_try, g_try = ws.r, ws.p
         if rounding:
             # J cannot rank this step: take it whole, judged by residual
@@ -702,9 +800,18 @@ def _newton(spec, f_field, tol, max_iter, u0):
             since_best += 1
             if since_best >= _STALL_STEPS:
                 break
-    return u, g, ws, {"energies": energies, "residual": res,
-                      "converged": res <= tol, **counts,
-                      "stalled_steps": since_best}
+    if stop != "gap":
+        gap = bound = w = None
+        if report or res > tol:
+            w = ws.apply(g, scaled=False)
+            gap, bound = _gap(spec, u, w, J, J_scale, ws)
+    certified = gap is not None and gap <= bound
+    return u, {"energies": energies, "residual": res,
+               "dual_residual": None if w is None else math.sqrt(
+                   max(float(np.vdot(g, w)), 0.0)),
+               "converged": certified or res <= tol, "stop": stop,
+               "duality_gap": gap, "gap_bound": bound, **counts,
+               "stalled_steps": since_best}
 
 
 # Nested iteration: a solve from zero on an odd N first solves on the
@@ -746,7 +853,7 @@ def _prolong(values):
     return p @ values @ p.T
 
 
-def _coarse_start(spec, f_field, max_iter, levels):
+def _coarse_start(spec, f_field, max_iter, levels, report):
     """The nested-iteration start of :func:`solve` on the mesh of
     ``f_field``: the bilinear prolongation of the solution one mesh
     coarser, or None when N is even, the coarser mesh has fewer than
@@ -755,7 +862,8 @@ def _coarse_start(spec, f_field, max_iter, levels):
     2 x 2 cell blocks (so b >= 1 still holds), and the coarse solve
     starts from its own coarse start.  Each coarse level is solved to
     _COARSE_TOL (1 + ||f||_1) for its datum f.  Appends one
-    record per coarse level to ``levels``, coarsest first."""
+    record per coarse level to ``levels``, coarsest first, with its gap
+    as :func:`_newton` gives it for ``report``."""
     n = f_field.n_nodes
     if n % 2 == 0 or (n + 1) // 2 < _COARSEST:
         return None
@@ -764,12 +872,13 @@ def _coarse_start(spec, f_field, max_iter, levels):
         spec = replace(spec, b=np.asarray(spec.b).reshape(
             m, 2, m, 2).mean(axis=(1, 3)))
     coarse = GridField(_restrict(f_field.values))
-    start = _coarse_start(spec, coarse, max_iter, levels)
+    start = _coarse_start(spec, coarse, max_iter, levels, report)
     level_tol = _COARSE_TOL * (1.0 + coarse.l1())
-    u, _, _, info = _newton(spec, coarse, level_tol, max_iter, start)
+    u, info = _newton(spec, coarse, level_tol, max_iter, start, report)
     levels.append({"N": coarse.n_nodes, "tol": level_tol, **{
         key: info[key] for key in ("newton_steps", "pcg_iterations",
-                                   "residual", "converged")}})
+                                   "residual", "duality_gap", "gap_bound",
+                                   "converged")}})
     return _prolong(u) if info["converged"] else None
 
 

@@ -763,6 +763,8 @@ def test_grid_solve_passes(tmp_path):
     assert rep["truncation_energy"]["passes"]
     assert rep["pcg_breakdowns"] == 0 and rep["descent_fallbacks"] == 0
     assert 0.0 <= rep["dual_residual"] <= rep["residual"]
+    assert rep["stop"] == "residual" and rep["gap_check"]["passes"]
+    assert rep["gap_check"]["duality_gap"] <= rep["gap_check"]["gap_bound"]
     assert b"\r\n" in (out / "u.csv").read_bytes()
 
 
@@ -821,6 +823,13 @@ def test_grid_solve_failure_writes_its_solve_record(tmp_path):
     assert f"residual {info['residual']:g}" in err["message"]
     assert [(level["N"], level["converged"]) for level in info["levels"]] \
         == [(33, False)]
+    # the duality gap of each level says how far from the minimizer it
+    # stopped: 4.1e-9 of |J| at N = 65, above J's rounding level
+    assert info["stop"] == "residual"
+    assert info["duality_gap"] > info["gap_bound"] > 0.0
+    assert all(level["duality_gap"] > level["gap_bound"]
+               for level in info["levels"])
+    assert "duality gap" in err["message"]
     assert not (out / "grid_solve_report.json").exists()
 
 

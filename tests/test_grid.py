@@ -1,5 +1,6 @@
 """Finite-difference minimizer on the unit square."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy.fft import dstn, idstn
 
 from conftest import power_potential, split_power_potential
+from orliczpde import grid
 from orliczpde.grid import (
     _DELTA,
     _PCG_MAX_ITER,
@@ -24,6 +26,7 @@ from orliczpde.grid import (
     SolveError,
     approximable_sequence,
     cell_gradients,
+    duality_gap,
     point_mass_field,
     solve,
 )
@@ -45,6 +48,19 @@ KINKED = combination_potential([(1, 0), (0, 1), (1, 1)], (2.0, 3.0, 4.0))
 # Fourier (separable eigenfunction) value of u(1/2, 1/2) for
 # -Laplace u = 1 on (0,1)^2 with zero boundary data
 FOURIER_CENTER = 0.0736713512666702
+
+
+@pytest.fixture
+def sup_stop(monkeypatch):
+    """The stop on the sup residual alone: a gap bound that no gap
+    meets, so no solve stops at or is certified by its duality gap."""
+    gap = grid._gap
+    monkeypatch.setattr(grid, "_gap",
+                        lambda *args: (gap(*args)[0], -math.inf))
+
+
+def ones(n):
+    return GridField.from_function(n, lambda x, y: np.ones_like(x))
 
 
 def test_grid_field_basics():
@@ -78,7 +94,7 @@ def test_poisson_center_against_fourier_oracle():
     assert np.all(np.diff(info["energies"]) <= 1e-15)
 
 
-def test_p3_solve_converges_with_monotone_energy():
+def test_p3_solve_converges_with_monotone_energy(sup_stop):
     f = GridField.from_function(33, lambda x, y: np.ones_like(x))
     f.zero_boundary()
     u, info = solve(OperatorSpec(power_potential(3.0)), f, return_info=True)
@@ -87,7 +103,7 @@ def test_p3_solve_converges_with_monotone_energy():
     assert np.max(u.values) > 0.0
 
 
-def test_p4_solve_converges_at_rounding_level():
+def test_p4_solve_converges_at_rounding_level(sup_stop):
     # J stops ranking Newton steps near the solution; the solve must
     # still reach tol rather than run to max_iter
     f = GridField.from_function(65, lambda x, y: np.ones_like(x))
@@ -98,7 +114,7 @@ def test_p4_solve_converges_at_rounding_level():
     assert info["pcg_maxiter_hits"] == 0
 
 
-def test_p5_solve_converges_from_zero():
+def test_p5_solve_converges_from_zero(sup_stop):
     # at u = 0 the Hessian weight r^(p-2) sits at its floor; below 1e-16
     # the first CG direction is enormous and no Newton step is accepted.
     # u0 = 0 is passed, so no coarse level gives a start.
@@ -124,7 +140,7 @@ def test_p4_solve_pcg_work():
     assert info["newton_steps"] <= 9
 
 
-def test_p15_solve_pcg_work():
+def test_p15_solve_pcg_work(sup_stop):
     # |grad u|^(p-2) varies most below p = 2: 7 Newton steps and 44 CG
     # iterations on the finest mesh from the N = 65 start (98 CG from
     # zero with the Jacobi scaling, 239 from zero with the plain inverse
@@ -174,7 +190,7 @@ def test_nested_solve_reports_its_levels():
         assert info["converged"] and info["levels"] == []
 
 
-def test_nested_solve_reaches_the_cold_solution():
+def test_nested_solve_reaches_the_cold_solution(sup_stop):
     # a cell coefficient b is averaged over 2 x 2 blocks on the coarse
     # mesh; the start changes, the minimizer does not
     b = np.random.default_rng(2).uniform(1.0, 3.0, (64, 64))
@@ -238,7 +254,7 @@ def test_p2_solve_on_the_smallest_grids(n, value):
 
 
 @pytest.mark.parametrize("n, steps, cg", [(6, 7, 19), (16, 7, 21)])
-def test_p3_solve_on_even_grids(n, steps, cg):
+def test_p3_solve_on_even_grids(n, steps, cg, sup_stop):
     f = GridField.from_function(n, lambda x, y: np.ones_like(x))
     _, info = solve(OperatorSpec(power_potential(3.0)), f, return_info=True)
     assert info["converged"]
@@ -413,6 +429,123 @@ def test_stalled_newton_stops_early():
     with pytest.raises(SolveError, match="stalled") as info:
         solve(OperatorSpec(power_potential(1.2)), f)
     assert info.value.info["newton_steps"] <= 30
+    # its duality gap, 4.1e-9 of |J|, is far above J's rounding level:
+    # not certified, and the error carries it, as does each level
+    record = info.value.info
+    gap, bound = record["duality_gap"], record["gap_bound"]
+    assert gap / abs(record["energies"][-1]) == pytest.approx(4.1e-9,
+                                                              rel=0.05)
+    assert gap > bound and not record["converged"]
+    assert [(level["N"], level["duality_gap"] > level["gap_bound"])
+            for level in record["levels"]] == [(33, True)]
+
+
+# Finest Newton steps and CG iterations on f = 1 with the stop at a
+# certified duality gap, and with the stop on the sup residual alone.
+# The gap stops 1-3 Newton steps earlier; p = 2 stops on the residual
+# after its one exact step.
+@pytest.mark.parametrize("n, p, certified, sup", [
+    (65, 2.0, (1, 1), (1, 1)),
+    (65, 4.0, (6, 31), (7, 31)),
+    (129, 1.5, (4, 27), (7, 44)),
+    (129, 4.0, (6, 32), (7, 32)),
+    (257, 1.5, (6, 29), (9, 44)),
+    (257, 3.0, (4, 18), (6, 24)),
+])
+def test_gap_stop_certifies_the_sweep(n, p, certified, sup, request):
+    spec, f = OperatorSpec(power_potential(p)), ones(n)
+    u, info = solve(spec, f, return_info=True)
+    assert (info["newton_steps"], info["pcg_iterations"]) == certified
+    assert info["stop"] == ("residual" if p == 2.0 else "gap")
+    assert info["converged"] and info["duality_gap"] <= info["gap_bound"]
+    assert duality_gap(spec, f, u) == (info["duality_gap"],
+                                       info["gap_bound"])
+    request.getfixturevalue("sup_stop")
+    v, sup_info = solve(spec, f, return_info=True)
+    assert (sup_info["newton_steps"], sup_info["pcg_iterations"]) == sup
+    # the steps saved move u by at most 3.1e-8 of max |u| (at 129, 1.5)
+    assert (np.max(np.abs(u.values - v.values))
+            <= 1e-7 * np.max(np.abs(v.values)))
+
+
+def test_stall_with_a_closed_gap_is_certified(request):
+    # N = 129, p = 1.3: the Newton decrement reaches J's rounding level
+    # while the sup residual, at the node where grad u = 0 and A'' is
+    # unbounded, is still about 5e6 tol; the gap there is 1.5e-14 of
+    # |J|, under its bound.  The sup stop runs on, full steps judged by
+    # the residual, and raises at residual 9.05e-3 after 15 steps.
+    spec, f = OperatorSpec(power_potential(1.3)), ones(129)
+    _, info = solve(spec, f, return_info=True)
+    assert info["converged"] and info["stop"] == "gap"
+    assert info["residual"] > 1e6 * 1e-9 * (1.0 + f.l1())
+    assert info["duality_gap"] <= info["gap_bound"]
+    assert info["duality_gap"] <= 3e-14 * abs(info["energies"][-1])
+    request.getfixturevalue("sup_stop")
+    with pytest.raises(SolveError) as stalled:
+        solve(spec, f)
+    assert stalled.value.info["newton_steps"] == 15
+    assert stalled.value.info["residual"] == pytest.approx(9.05e-3, rel=0.01)
+
+
+@pytest.mark.parametrize("phi", [
+    power_potential(3.0),
+    split_power_potential(1.5, 3.0),
+    combination_potential([(1, 0), (1, 1)], (2.0, 4.0)),
+], ids=["radial", "split", "sheared"])
+def test_duality_gap_bounds_the_energy_error(phi):
+    # Phi* is A*(|sigma|), or sum_k A_k*(|(M^-T sigma)_k|) for a square
+    # combination: the gap closes at the solution and bounds
+    # J(v) - min J from above for any other v
+    spec, f = OperatorSpec(phi, b=_CELLS), ones(17)
+    u, info = solve(spec, f, return_info=True)
+    assert info["duality_gap"] <= info["gap_bound"] and info["converged"]
+    bump = GridField.from_function(
+        17, lambda x, y: np.sin(3 * np.pi * x) * np.sin(np.pi * y)).values
+    ws = _Workspace(f.values, f.h)
+    J = _energy(spec, u.values, ws)[0]
+    for c in (1e-3, 0.1):
+        v = GridField(u.values + c * np.max(u.values) * bump)
+        gap, bound = duality_gap(spec, f, v)
+        excess = _energy(spec, v.values, ws)[0] - J
+        assert 0.0 < excess <= gap and gap > bound
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_solve_without_info_skips_only_the_report(p):
+    # without return_info a level whose residual met its tolerance skips
+    # its gap, which only the info dict reports; the iterates, and so the
+    # field, are the same
+    spec, f = OperatorSpec(power_potential(p)), ones(65)
+    u, info = solve(spec, f, return_info=True)
+    assert all(level["duality_gap"] is not None for level in info["levels"])
+    assert np.array_equal(solve(spec, f).values, u.values)
+
+
+def test_combination_of_three_terms_has_no_gap():
+    # no closed-form Phi*: no gap, and the solve stops on the residual
+    f = ones(33)
+    u, info = solve(OperatorSpec(KINKED), f, return_info=True)
+    assert info["duality_gap"] is None and info["gap_bound"] is None
+    assert info["stop"] == "residual" and info["converged"]
+    assert info["residual"] <= 1e-9 * (1.0 + f.l1())
+    assert duality_gap(OperatorSpec(KINKED), f, u) == (None, None)
+
+
+def test_capped_cg_still_gives_newton_a_step(monkeypatch):
+    # a CG solve that runs to its cap returns its last iterate, "capped";
+    # Newton steps along it and is counted, and the solve still closes
+    # its gap
+    monkeypatch.setattr(grid, "_PCG_MAX_ITER", 3)
+    spec, f = OperatorSpec(power_potential(4.0)), ones(33)
+    ws = _Workspace(f.values, f.h)
+    _energy(spec, GridField.from_function(
+        33, lambda x, y: x * (1 - x) * y * (1 - y) * (1 + x)).values, ws)
+    g = _energy_gradient(spec, ws, np.empty((33, 33)))
+    d, k, stop = _pcg(spec, spec.hess_weights(ws.dx, ws.dy), g, ws, 1e-12)
+    assert (k, stop) == (3, "capped") and np.vdot(g, d) > 0.0
+    _, info = solve(spec, f, return_info=True)
+    assert info["pcg_maxiter_hits"] >= 1
+    assert info["converged"] and info["stop"] == "gap"
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 9, 34, 65, 257])
