@@ -118,9 +118,6 @@ class AnisotropicYoungFunction:
     def value(self, xi):
         raise NotImplementedError
 
-    def __call__(self, xi):
-        return self.value(xi)
-
 
 class RadialPhi(AnisotropicYoungFunction):
     """Phi(xi) = A(|xi|) for a scalar Young function A."""

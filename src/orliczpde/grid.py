@@ -38,18 +38,19 @@ the Newton decrement falls below the rounding level of J.  There the
 duality gap is evaluated once (:func:`duality_gap`): for any cell flux
 sigma with G^T sigma = f, G the cell gradient,
 J(u) - min J <= J(u) + h^2 Sum b Phi*(sigma / b) (Ekeland & Temam
-1976, ch. III; Repin 2000), a bound with no constant of the problem.
-The solution is defined by its energy, so a gap at J's rounding level
-certifies u and the iteration stops.  Otherwise a full step is taken
-only if it lowers the sup residual and raises J by no more than that
-level, else the iteration stops; it also stops when the sup residual
-has stalled.  The energy trace is monotone up to that rounding bound.
-On f = 1 with N = 65-257 and p = 1.5-4, the gap stop comes 1-3 Newton
-steps before the sup residual reaches the tolerance, and moves u by at
-most 3.1e-8 of max |u|.  For Phi = |xi|^2/2 the energy gradient is
-exactly the 5-point scheme, d = 4 and the first Newton step solves it
-in one CG iteration.  ``solve`` reports the gap, the sup residual that
-its tolerance 1e-9 (1 + ||f||_1) bounds and the counts of its steps.
+1976, ch. III; Repin 2000), also with a combination's upper bound on
+Phi*, a bound with no constant of the problem.  The solution is
+defined by its energy, so a gap at J's rounding level certifies u and
+the iteration stops.  Otherwise a full step is taken only if it lowers
+the sup residual and raises J by no more than that level, else the
+iteration stops; it also stops when the sup residual has stalled.  The
+energy trace is monotone up to that rounding bound.  On f = 1 with
+N = 65-257 and p = 1.5-4, the gap stop comes 1-3 Newton steps before
+the sup residual reaches the tolerance, and moves u by at most 3.1e-8
+of max |u|.  For Phi = |xi|^2/2 the energy gradient is exactly the
+5-point scheme, d = 4 and the first Newton step solves it in one CG
+iteration.  ``solve`` reports the gap, the sup residual that its
+tolerance 1e-9 (1 + ||f||_1) bounds and the counts of its steps.
 
 A solve from zero runs coarse to fine (nested iteration): on an odd N
 whose coarser mesh of (N + 1) / 2 nodes has at least 33 nodes, it first
@@ -93,8 +94,8 @@ _DELTA = 1e-12  # floor on |xi| inside the flux only
 
 
 class SolveError(RuntimeError):
-    """A solve that stopped above 100 tol with a duality gap above its
-    bound; ``info`` is its info dict (:func:`solve`): the finest level's
+    """A solve that ended above tol with a duality gap above its bound;
+    ``info`` is its info dict (:func:`solve`): the finest level's
     residual, gap, energies and counts, and the coarse ``levels``."""
 
     def __init__(self, message, info):
@@ -202,14 +203,10 @@ class OperatorSpec:
                 f"dimension {n} with terms {[a.name for a in self._scalars]}")
         self._b = np.asarray(self.b)
         self._floors = [_hessian_floor(a) for a in self._scalars]
-        # Phi* in closed form: A*(|sigma|) for a radial Phi, and for a
-        # combination Psi(M xi) with M square and invertible,
-        # Psi*(M^-T sigma) = sum_k A_k*(|(M^-T sigma)_k|); None otherwise
-        square = self._radial or len(self._scalars) == 2
-        self._conjugates = ([a.conjugate() for a in self._scalars]
-                            if square else None)
-        self._dual_rows = (None if self._radial or not square
-                           else np.linalg.inv(self._rows).T)
+        # for dual_density: conjugates, and rows r_k of R = C (C^T C)^-1
+        self._conjugates = [a.conjugate() for a in self._scalars]
+        self._dual_rows = None if self._radial else np.linalg.solve(
+            self._rows.T @ self._rows, self._rows.T).T
 
     def _arguments(self, gx, gy):
         """A combination's signed scalar arguments y_k = c_k . xi."""
@@ -222,32 +219,46 @@ class OperatorSpec:
                   for a, y in zip(self._scalars, self._arguments(gx, gy))]
         return self._b * sum(values[1:], values[0])
 
-    def flux(self, gx, gy):
-        """b grad Phi at the cell gradient (gx, gy), each scalar argument
-        floored at _DELTA in its weight A'(s)/s: radial w (gx, gy) with
-        w = b A'(r)/r, a combination b sum_k (A_k'(|y_k|)/|y_k|) y_k c_k."""
+    def _term_fluxes(self, gx, gy):
+        """Each scalar term's flux, its argument floored at _DELTA in the
+        weight A'(s)/s: the radial pair w (gx, gy), w = b A'(r)/r, or a
+        combination's list of phi_k = b (A_k'(|y_k|)/|y_k|) y_k."""
         if self._radial:
             r = np.maximum(np.sqrt(gx**2 + gy**2), _DELTA)
             w = self._b * self._scalars[0].derivative(r) / r
             return w * gx, w * gy
         ys = self._arguments(gx, gy)
         s = [np.maximum(np.abs(y), _DELTA) for y in ys]
-        wy = [self._b * a.derivative(t) / t * y
-              for a, t, y in zip(self._scalars, s, ys)]
-        return tuple(sum(w * c[i] for w, c in zip(wy, self._rows))
+        return [self._b * a.derivative(t) / t * y
+                for a, t, y in zip(self._scalars, s, ys)]
+
+    def flux(self, gx, gy):
+        """b grad Phi at the cell gradient: the radial term's flux, or
+        sum_k phi_k c_k over a combination's :meth:`_term_fluxes`."""
+        terms = self._term_fluxes(gx, gy)
+        if self._radial:
+            return terms
+        return tuple(sum(w * c[i] for w, c in zip(terms, self._rows))
                      for i in (0, 1))
 
-    def dual_density(self, sx, sy):
-        """b Phi*(sigma / b) on the cells for the cell flux
-        sigma = (sx, sy), which it overwrites, for a Phi with a
-        closed-form conjugate (not a combination of more than two
-        terms)."""
+    def dual_density(self, terms, ex, ey):
+        """b Phi*(sigma / b), or a bound above it, on the cells for the
+        flux sigma = flux - e, e = (ex, ey), given its ``terms``
+        (:meth:`_term_fluxes`), which it overwrites: radial b A*(|sigma|/b);
+        a combination Psi(C xi) sum_k b A_k*(|tau_k| / b) with
+        tau_k = phi_k - r_k . e, so C^T tau = sigma (Rockafellar 1970,
+        Convex Analysis, Thm 16.3).  Equal on two rows; at e = 0 (the
+        minimizer) Fenchel-Young's equality, term by term, for any number."""
         if self._radial:  # |sigma| in place (np.hypot takes 7 times longer)
+            sx, sy = terms
+            sx -= ex
+            sy -= ey
             sx *= sx
             sx += np.multiply(sy, sy, out=sy)
             args = [np.sqrt(sx, out=sx)]
         else:
-            args = [np.abs(cx * sx + cy * sy) for cx, cy in self._dual_rows]
+            args = [np.abs(phi - (rx * ex + ry * ey), out=phi)
+                    for phi, (rx, ry) in zip(terms, self._dual_rows)]
         values = [a.value(np.divide(y, self._b, out=y))
                   for a, y in zip(self._conjugates, args)]
         return self._b * sum(values[1:], values[0])
@@ -573,30 +584,30 @@ def _pcg(spec, weights, rhs, ws, rel_tol):
 _ROUNDING_ULPS = 16.0
 
 
-def _gap(spec, u, w, J, J_scale, ws):
+def _gap(spec, u, g, J, J_scale, ws):
     """The duality gap of the iterate u, whose energy is J (rounding
-    scale ``J_scale``), and its rounding bound: ``(gap, bound)``, or
-    ``(None, None)`` for a Phi without closed-form conjugate.  w is
-    L^-1 g for the energy gradient g of u (``ws.apply(g, scaled=False)``).
-    Overwrites ``ws.dx`` and ``ws.dy``.
+    scale ``J_scale``) and energy gradient g, its rounding bound and the
+    dual-norm residual sqrt(g . L^-1 g): ``(gap, bound, dual_residual)``.
+    Overwrites ``ws.dx``, ``ws.dy`` and ``ws.out``.
 
     For any cell flux sigma with h^2 G^T sigma = h^2 f on the interior
     nodes, G the cell gradient, Fenchel-Young gives
     J(v) >= -h^2 Sum b Phi*(sigma / b) for every v, so
     gap = J(u) + h^2 Sum b Phi*(sigma / b) >= J(u) - min J
-    (Ekeland & Temam 1976, ch. III; Repin 2000).  Here sigma is the flux
-    of u minus G w, with L = h^2 G^T G the 5-point form, which the sine
-    transform inverts: h^2 G^T sigma = (g + h^2 f) - g.  Both terms are
-    sums of the energy's kind, so the bound is ``_ROUNDING_ULPS`` ulps
-    of J_scale + h^2 Sum b Phi* (Phi* >= 0)."""
-    if spec._conjugates is None:
-        return None, None
-    sx, sy = spec.flux(*_cell_gradients_into(u, ws))
-    wx, wy = _differences(w, ws.dx, ws.dy)
-    sx -= np.divide(wx, ws.h, out=wx)
-    sy -= np.divide(wy, ws.h, out=wy)
-    dual = float(ws.h**2 * np.sum(spec.dual_density(sx, sy)))
-    return J + dual, _ROUNDING_ULPS * math.ulp(1.0) * (J_scale + dual)
+    (Ekeland & Temam 1976, ch. III; Repin 2000), also for Phi* bounded
+    above (:meth:`OperatorSpec.dual_density`).  Here sigma is the flux
+    of u minus G w, w = L^-1 g, with L = h^2 G^T G the 5-point form,
+    which the sine transform inverts: h^2 G^T sigma = (g + h^2 f) - g.
+    Both terms are sums of the energy's kind, so the bound is
+    ``_ROUNDING_ULPS`` ulps of J_scale + h^2 Sum b Phi* (Phi* >= 0)."""
+    w = ws.apply(g, scaled=False)
+    dual_residual = math.sqrt(max(float(np.vdot(g, w)), 0.0))
+    terms = spec._term_fluxes(*_cell_gradients_into(u, ws))
+    ex, ey = (np.divide(d, ws.h, out=d)
+              for d in _differences(w, ws.dx, ws.dy))
+    dual = float(ws.h**2 * np.sum(spec.dual_density(terms, ex, ey)))
+    return (J + dual, _ROUNDING_ULPS * math.ulp(1.0) * (J_scale + dual),
+            dual_residual)
 
 
 def duality_gap(spec, f_field, u):
@@ -604,12 +615,11 @@ def duality_gap(spec, f_field, u):
     of a zero-boundary field u (a :class:`GridField`) for the energy of
     ``spec`` and the datum ``f_field``, and the bound of J's rounding
     error that a gap at the minimizer stays under: ``(gap, bound)``
-    (:func:`_gap`), ``(None, None)`` for a combination of more than two
-    terms, which has no closed-form Phi*."""
+    (:func:`_gap`)."""
     ws = _Workspace(f_field.values, f_field.h)
     J, J_scale = _energy(spec, u.values, ws)
     g = _energy_gradient(spec, ws, np.empty_like(u.values))
-    return _gap(spec, u.values, ws.apply(g, scaled=False), J, J_scale, ws)
+    return _gap(spec, u.values, g, J, J_scale, ws)[:2]
 
 
 # A solve whose sup residual sets no new minimum in this many
@@ -646,20 +656,19 @@ def solve(spec, f_field, max_iter=100, u0=None, return_info=False):
     steps.  The duality gap of u (:func:`duality_gap`) is evaluated
     then, once, and the iteration stops if it is at most its bound, 16
     ulps of the rounding scale of J plus that of the dual energy: u is
-    then a minimizer of J to rounding, whatever its sup residual.  A Phi
-    without closed-form conjugate (a combination of more than two
-    terms) has no gap.  Otherwise the full step is taken if it lowers
-    the sup residual and raises J by no more than the rounding level,
-    and the iteration stops otherwise.  The energy trace is therefore
-    monotone up to that rounding bound.  For p = 2 the first Newton step
-    is the exact 5-point solve.  The iteration also stops when the sup
+    then a minimizer of J to rounding, whatever its sup residual.
+    Otherwise the full step is taken if it lowers the sup residual and
+    raises J by no more than the rounding level, and the iteration stops
+    otherwise.  The energy trace is therefore monotone up to that
+    rounding bound.  For p = 2 the first Newton step is the exact
+    5-point solve.  The iteration also stops when the sup
     norm of the energy gradient, scaled to PDE units (divided by h^2),
     drops below tol = 1e-9 * (1 + ||f||_1), and when that sup residual
     sets no new minimum in 15 consecutive steps (a stall).  A solve has
     converged when the gap of its last iterate is at most its bound or
-    the sup residual is at most tol.  A solve that has not converged
-    and stops above 100 * tol raises :class:`SolveError`, which carries
-    the info dict below.
+    the sup residual is at most tol; one that has not raises
+    :class:`SolveError`, which carries the info dict below.  Newton
+    writes into a copy of the start ``u0`` whose boundary is zeroed.
 
     Nested iteration: without ``u0``, an odd N whose coarser mesh of
     (N + 1) / 2 nodes has at least 33 nodes first solves the same
@@ -676,44 +685,41 @@ def solve(spec, f_field, max_iter=100, u0=None, return_info=False):
     (the sup residual), ``dual_residual`` (sqrt(g . L^-1 g) for the
     final energy gradient g and the inverse 5-point Laplacian L^-1: the
     discrete H^-1 norm of the PDE residual), ``duality_gap`` and its
-    bound ``gap_bound`` (None without a closed-form Phi*), ``stop``
-    ("gap" when the gap stopped the iteration, else "residual"),
-    ``converged`` (gap <= gap_bound or residual <= tol) and the counts
-    ``newton_steps``, ``pcg_iterations``, ``pcg_maxiter_hits`` (CG
-    solves that ran to their iteration cap), ``pcg_breakdowns`` (CG
-    solves stopped by a direction with p.Hp <= 0), ``descent_fallbacks``
-    (Newton steps whose CG direction was no descent direction and was
-    replaced by P^-1 g) and ``rounding_steps`` (steps taken at rounding level), all of the
-    finest level.  ``levels`` lists the coarse levels, coarsest first,
+    bound ``gap_bound``, ``stop`` ("gap" when the gap stopped the
+    iteration, else "residual"), ``converged`` (gap <= gap_bound or
+    residual <= tol) and the counts ``newton_steps``,
+    ``pcg_iterations``, ``pcg_maxiter_hits`` (CG solves that ran to
+    their iteration cap), ``pcg_breakdowns`` (CG solves stopped by a
+    direction with p.Hp <= 0), ``descent_fallbacks`` (Newton steps whose
+    CG direction was no descent direction and was replaced by P^-1 g)
+    and ``rounding_steps`` (steps taken at J's rounding level), all of
+    the finest level.  ``levels`` lists the coarse levels, coarsest first,
     each with its ``N``, the tolerance ``tol`` it was solved to,
     ``newton_steps``, ``pcg_iterations``, ``residual``, ``duality_gap``,
     ``gap_bound`` and ``converged``; it is empty for a solve from
     ``u0``.  Without ``return_info`` a level whose residual met its
     tolerance skips the gap, which only the info dict reports: its
-    ``duality_gap`` and ``gap_bound`` in the info of a
-    :class:`SolveError` are None.
+    ``duality_gap``, ``gap_bound`` and ``dual_residual`` in the info of
+    a :class:`SolveError` are None.
     """
     levels = []
     tol = _TOL * (1.0 + f_field.l1())
     if u0 is None:
         u0 = _coarse_start(spec, f_field, max_iter, levels, return_info)
     else:
-        u0 = np.array(u0, dtype=float)  # _newton writes into its start
+        u0 = GridField(np.array(u0, dtype=float)).zero_boundary().values
     u, info = _newton(spec, f_field, tol, max_iter, u0, return_info)
     stalled = info.pop("stalled_steps")
     info["levels"] = levels
-    res = info["residual"]
-    if res > 100.0 * tol and not info["converged"]:
-        gap = ("" if info["duality_gap"] is None else
-               f", duality gap {info['duality_gap']:g} above "
-               f"{info['gap_bound']:g}")
+    if not info["converged"]:
         stall = (f", stalled: no new residual minimum in {stalled} steps"
                  if stalled >= _STALL_STEPS else "")
         raise SolveError(
             f"no convergence after {info['newton_steps']} Newton steps "
-            f"(residual {res:g}, tol {tol:g}{gap}{stall})", info)
-    out = GridField(u).zero_boundary()
-    return (out, info) if return_info else out
+            f"(residual {info['residual']:g}, tol {tol:g}, duality gap "
+            f"{info['duality_gap']:g} above {info['gap_bound']:g}{stall})",
+            info)
+    return (GridField(u), info) if return_info else GridField(u)
 
 
 def _newton(spec, f_field, tol, max_iter, u0, report):
@@ -763,9 +769,8 @@ def _newton(spec, f_field, tol, max_iter, u0, report):
         if rounding and unchecked:
             # the first step that J cannot rank: the gap may certify u
             unchecked = False
-            w = ws.apply(g, scaled=False)
-            gap, bound = _gap(spec, u, w, J, J_scale, ws)
-            if gap is not None and gap <= bound:
+            gap, bound, dual_residual = _gap(spec, u, g, J, J_scale, ws)
+            if gap <= bound:
                 stop = "gap"
                 break
         u_try, g_try = ws.r, ws.p
@@ -801,17 +806,14 @@ def _newton(spec, f_field, tol, max_iter, u0, report):
             if since_best >= _STALL_STEPS:
                 break
     if stop != "gap":
-        gap = bound = w = None
+        gap = bound = dual_residual = None
         if report or res > tol:
-            w = ws.apply(g, scaled=False)
-            gap, bound = _gap(spec, u, w, J, J_scale, ws)
-    certified = gap is not None and gap <= bound
+            gap, bound, dual_residual = _gap(spec, u, g, J, J_scale, ws)
     return u, {"energies": energies, "residual": res,
-               "dual_residual": None if w is None else math.sqrt(
-                   max(float(np.vdot(g, w)), 0.0)),
-               "converged": certified or res <= tol, "stop": stop,
-               "duality_gap": gap, "gap_bound": bound, **counts,
-               "stalled_steps": since_best}
+               "dual_residual": dual_residual,
+               "converged": stop == "gap" or res <= tol or gap <= bound,
+               "stop": stop, "duality_gap": gap, "gap_bound": bound,
+               **counts, "stalled_steps": since_best}
 
 
 # Nested iteration: a solve from zero on an odd N first solves on the

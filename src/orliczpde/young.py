@@ -6,9 +6,9 @@ and A(t)/t -> oo as t -> oo.  This module provides
 
 * an analytic catalog (powers, power-logs, exponential types),
 * a sampled representation interpolating in (log t, log A) coordinates,
-* Young conjugation A~(s) = sup_t (st - A(t)), exact pointwise through
-  the first-order condition A'(t) = s whenever a monotone derivative is
-  available, with a discrete Legendre transform as fallback,
+* Young conjugation A~(s) = sup_t (st - A(t)), in closed form or
+  exact pointwise through A'(t) = s (``LegendreConjugate``); the
+  discrete transform ``discrete_legendre`` is the CLI's involution check,
 * generalized left-continuous inverses, closed form where known and
   otherwise by one vectorized solver, ``solve_increasing``: it brackets
   each root by squaring factors (4, 16, 256, ...), then narrows the
@@ -327,9 +327,6 @@ class ScalarYoungFunction:
     def value(self, t):
         raise NotImplementedError
 
-    def __call__(self, t):
-        return self.value(t)
-
     def log_value(self, log_t):
         """log A(exp(log_t)); overflow-safe where a subclass can be."""
         log_t = np.asarray(log_t, dtype=float)
@@ -488,14 +485,18 @@ class PowerLogYoung(ScalarYoungFunction):
         )
 
     def ensure_convex(self):
+        """Certify, multiplying the shift by 4 until it passes or would
+        pass 1e12; ``name`` states a raised shift."""
         while True:
             try:
                 self.certify()
                 return self
             except NotConvexError:
-                self.shift *= 4.0
-                if self.shift > 1e12:
+                if self.shift * 4.0 > 1e12:
                     raise
+                self.shift *= 4.0
+                self.name = (f"power_log(p={self.p:g},alpha={self.alpha:g},"
+                             f"shift={self.shift:g})")
 
 
 class ExpPowerYoung(ScalarYoungFunction):

@@ -81,6 +81,14 @@ def test_conjugate_success(tmp_path):
     assert data[idx, 2] == pytest.approx(expected, rel=1e-9)
 
 
+def test_conjugate_report_names_a_raised_shift(tmp_path):
+    code, out = run(["conjugate", "--A", "power_log:p=1.2,alpha=-2"],
+                    tmp_path)
+    assert code == 0
+    report = json.loads((out / "conjugate_report.json").read_text())
+    assert report["function"] == "power_log(p=1.2,alpha=-2,shift=2783.52)"
+
+
 def test_conjugate_convex_table_satisfies_young(tmp_path):
     # the 1024-row table of t^2 log(e + t)^1.04 is convex: its tabulated
     # conjugate must reach sup_t (st - A(t)), so Young's inequality holds

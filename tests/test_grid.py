@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.fft import dstn, idstn
+from scipy.optimize import minimize
 
 from conftest import power_potential, split_power_potential
 from orliczpde import grid
@@ -55,8 +56,12 @@ def sup_stop(monkeypatch):
     """The stop on the sup residual alone: a gap bound that no gap
     meets, so no solve stops at or is certified by its duality gap."""
     gap = grid._gap
-    monkeypatch.setattr(grid, "_gap",
-                        lambda *args: (gap(*args)[0], -math.inf))
+
+    def no_bound(*args):
+        value, _, dual_residual = gap(*args)
+        return value, -math.inf, dual_residual
+
+    monkeypatch.setattr(grid, "_gap", no_bound)
 
 
 def ones(n):
@@ -382,16 +387,23 @@ def test_split_operator_is_the_per_axis_formulas():
     assert np.array_equal(hxy, np.zeros_like(gx))
 
 
-@pytest.mark.parametrize("rows, ps, peak", [
-    ([(1, 0), (0, 1), (1, 1)], (2.0, 3.0, 4.0), 0.106790),
-    ([(1, 0), (0, 1), (1, -1)], (2.0, 2.0, 4.0), 0.070845),
-    ([(1, 0), (1, 1)], (2.0, 4.0), 0.113108),
+@pytest.mark.parametrize("rows, ps, peak, stop", [
+    ([(1, 0), (0, 1), (1, 1)], (2.0, 3.0, 4.0), 0.106790, "gap"),
+    ([(1, 0), (0, 1), (1, -1)], (2.0, 2.0, 4.0), 0.070845, "gap"),
+    ([(1, 0), (1, 1)], (2.0, 4.0), 0.113108, "residual"),
 ], ids=["kinked", "symmetric", "sheared"])
-def test_combination_solves(rows, ps, peak):
+def test_combination_solves(rows, ps, peak, stop):
     # the values of max u at N = 65 measured when the grid first took
-    # combinations; they rise by less than 4e-5 up to N = 257
+    # combinations; they rise by less than 4e-5 up to N = 257.  Every
+    # combination has a gap: the three-row ones stop on it, and the
+    # sheared one reaches J's rounding level at a gap of 3.5e-15, above
+    # its bound, and converges through full steps
     f = GridField.from_function(65, lambda x, y: np.ones_like(x))
-    u = solve(OperatorSpec(combination_potential(rows, ps)), f).values
+    field, info = solve(OperatorSpec(combination_potential(rows, ps)), f,
+                        return_info=True)
+    u = field.values
+    assert info["stop"] == stop and info["converged"]
+    assert info["duality_gap"] <= info["gap_bound"]
     assert np.max(u) == pytest.approx(peak, abs=1e-6)
     if rows[2:] == [(1, -1)]:
         # Phi is invariant under swapping xi_1 and xi_2, and so is u
@@ -418,6 +430,33 @@ def test_solve_error_when_no_iterations_allowed():
     f.zero_boundary()
     with pytest.raises(SolveError):
         solve(OperatorSpec(power_potential(2.0)), f, max_iter=0)
+
+
+def test_solve_error_just_above_the_tolerance():
+    # seven Newton steps leave the split (2, 4) at a residual of 19 tol
+    # and a gap of 2.9e-14, 69 times its bound: neither certified nor
+    # converged, so the solve raises however close to tol it stopped
+    f = ones(17)
+    with pytest.raises(SolveError, match="duality gap") as error:
+        solve(OperatorSpec(split_power_potential(2.0, 4.0)), f,
+              u0=np.zeros((17, 17)), max_iter=7)
+    info = error.value.info
+    tol = 1e-9 * (1.0 + f.l1())
+    assert not info["converged"] and tol < info["residual"] < 100.0 * tol
+    assert info["duality_gap"] > info["gap_bound"]
+
+
+def test_start_boundary_is_zeroed_on_entry():
+    # u0 = 1 on the boundary would be Dirichlet data for Newton; the
+    # solve zeroes it first, so the field it returns is the one its gap
+    # certifies, the solution from zero to 1.5e-9 (max u = 0.187)
+    spec, f = OperatorSpec(power_potential(3.0)), ones(65)
+    cold = solve(spec, f)
+    u, info = solve(spec, f, u0=np.ones((65, 65)), return_info=True)
+    assert info["stop"] == "gap"
+    assert duality_gap(spec, f, u) == (info["duality_gap"],
+                                       info["gap_bound"])
+    assert np.max(np.abs(u.values - cold.values)) <= 1e-8
 
 
 def test_stalled_newton_stops_early():
@@ -491,11 +530,14 @@ def test_stall_with_a_closed_gap_is_certified(request):
     power_potential(3.0),
     split_power_potential(1.5, 3.0),
     combination_potential([(1, 0), (1, 1)], (2.0, 4.0)),
-], ids=["radial", "split", "sheared"])
+    KINKED,
+    combination_potential([(1, 0), (0, 1), (1, -1)], (2.0, 2.0, 4.0)),
+], ids=["radial", "split", "sheared", "kinked", "symmetric"])
 def test_duality_gap_bounds_the_energy_error(phi):
-    # Phi* is A*(|sigma|), or sum_k A_k*(|(M^-T sigma)_k|) for a square
-    # combination: the gap closes at the solution and bounds
-    # J(v) - min J from above for any other v
+    # Phi* is A*(|sigma|), or for a combination bounded by
+    # sum_k A_k*(|tau_k|) with C^T tau = sigma (the bound is Phi* on two
+    # rows): the gap closes at the solution and bounds J(v) - min J from
+    # above for any other v
     spec, f = OperatorSpec(phi, b=_CELLS), ones(17)
     u, info = solve(spec, f, return_info=True)
     assert info["duality_gap"] <= info["gap_bound"] and info["converged"]
@@ -521,14 +563,49 @@ def test_solve_without_info_skips_only_the_report(p):
     assert np.array_equal(solve(spec, f).values, u.values)
 
 
-def test_combination_of_three_terms_has_no_gap():
-    # no closed-form Phi*: no gap, and the solve stops on the residual
-    f = ones(33)
-    u, info = solve(OperatorSpec(KINKED), f, return_info=True)
-    assert info["duality_gap"] is None and info["gap_bound"] is None
-    assert info["stop"] == "residual" and info["converged"]
-    assert info["residual"] <= 1e-9 * (1.0 + f.l1())
-    assert duality_gap(OperatorSpec(KINKED), f, u) == (None, None)
+def _conjugate_by_maximizing(phi, s):
+    """Phi*(s) = max_xi (s . xi - Phi(xi)) for a combination of powers,
+    by BFGS on the concave objective."""
+    rows = phi.coeffs
+    ps = np.array([a.p for a in phi.terms])
+
+    def objective(xi):
+        y = rows @ xi
+        value = np.sum(np.abs(y) ** ps / ps) - s @ xi
+        return value, rows.T @ (np.sign(y) * np.abs(y) ** (ps - 1.0)) - s
+
+    result = minimize(objective, np.zeros(2), jac=True, method="BFGS",
+                      options={"gtol": 1e-13})
+    return -result.fun
+
+
+@pytest.mark.parametrize("phi", [
+    combination_potential([(1, 0), (1, 1)], (2.0, 4.0)),
+    KINKED,
+    combination_potential([(1, 0), (0, 1), (1, -1), (2, 1)],
+                          (2.0, 3.0, 2.5, 4.0)),
+], ids=["sheared", "kinked", "four-rows"])
+def test_dual_density_bounds_the_conjugate(phi):
+    # a combination Psi(C xi) bounds Phi*(sigma) by Psi*(tau) with
+    # C^T tau = sigma (Rockafellar 1970, Thm 16.3): equal on two rows,
+    # above Phi* on more, and equal to sigma . xi - Phi(xi) where sigma
+    # is the flux at xi itself (Fenchel-Young), whatever the rows
+    spec = OperatorSpec(phi)
+    rng = np.random.default_rng(5)
+    gx, gy, ex, ey = rng.uniform(-1.5, 1.5, (4, 2, 3))
+    sx, sy = spec.flux(gx, gy)
+    fenchel = sx * gx + sy * gy - spec.energy_density(gx, gy)
+    zero = np.zeros_like(gx)
+    assert np.allclose(spec.dual_density(spec._term_fluxes(gx, gy), zero,
+                                         zero), fenchel, rtol=1e-13)
+    bound = spec.dual_density(spec._term_fluxes(gx, gy), ex, ey)
+    exact = np.vectorize(lambda a, b: _conjugate_by_maximizing(
+        phi, np.array([a, b])))(sx - ex, sy - ey)
+    if len(phi.terms) == 2:
+        assert np.allclose(bound, exact, rtol=1e-9)
+    else:
+        assert np.all(bound >= exact * (1.0 - 1e-12))
+        assert np.any(bound > exact * (1.0 + 1e-3))
 
 
 def test_capped_cg_still_gives_newton_a_step(monkeypatch):

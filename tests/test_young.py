@@ -19,6 +19,7 @@ from orliczpde.young import (
     InverseRangeError,
     LegendreConjugate,
     LinearSplicedYoung,
+    NotConvexError,
     PowerLogYoung,
     PowerYoung,
     SampledYoungFunction,
@@ -114,6 +115,36 @@ def test_young_inequality(p, log_s, log_t):
     conj = a.conjugate()
     s, t = math.exp(log_s), math.exp(log_t)
     assert s * t <= (a.value(s) + conj.value(t)) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("p, alpha, raised, shift", [
+    (1.2, -2.0, 5, "2783.52"),
+    (1.05, -1.0, 12, "4.56052e+07"),
+])
+def test_power_log_names_the_shift_it_settles_on(p, alpha, raised, shift):
+    # log(e + t)^alpha with alpha < 0 makes t^p log(e + t)^alpha fail
+    # midpoint convexity for p near 1; ensure_convex multiplies the shift
+    # by 4 until the function certifies, and the name states that shift
+    a = PowerLogYoung(p, alpha)
+    with pytest.raises(NotConvexError):
+        a.certify()
+    assert a.ensure_convex() is a and a.convexity_certified
+    assert a.shift == math.e * 4.0**raised
+    assert a.name == f"power_log(p={p:g},alpha={alpha:g},shift={shift})"
+    assert parse_scalar_function(
+        f"power_log:p={p:g},alpha={alpha:g}").name == a.name
+    # a shift that certifies as given is not named
+    assert PowerLogYoung(2.0, 1.0).ensure_convex().name == (
+        "power_log(p=2,alpha=1)")
+
+
+def test_power_log_that_never_certifies_names_its_last_shift():
+    # t log(e + t)^-1 fails at every shift up to 1e12; the error and the
+    # name state the last shift tried
+    a = PowerLogYoung(1.0, -1.0)
+    with pytest.raises(NotConvexError, match="shift=7.47196e"):
+        a.ensure_convex()
+    assert a.shift == math.e * 4.0**19 and not a.convexity_certified
 
 
 def test_sampled_round_trip(tmp_path):
