@@ -279,10 +279,16 @@ def _operator_from_config(cfg):
     return grid.OperatorSpec(potential=phi, b=float(cfg["b"]))
 
 
+def _solve_record(info):
+    """A grid solve's info dict as a report holds it: without the energy
+    trace."""
+    return {key: val for key, val in info.items() if key != "energies"}
+
+
 def cmd_grid_solve(cfg, out):
     spec = _operator_from_config(cfg)
     f_field = _load_field(cfg["f"], cfg["N"])
-    u, info = grid.solve(spec, f_field, return_info=True)
+    u, info = grid.solve(spec, f_field)
     # the certificate of the field written, not of the solver's iterate
     gap, bound = grid.duality_gap(spec, f_field, u)
     certified = gap <= bound
@@ -302,7 +308,7 @@ def cmd_grid_solve(cfg, out):
         * max(float(np.max(au)), 1e-12))
     report = {
         "N": f_field.n_nodes,
-        **{key: val for key, val in info.items() if key != "energies"},
+        **_solve_record(info),
         "final_energy": float(energies[-1]),
         "energy_monotone": monotone,
         "truncation_energy": trunc,
@@ -341,9 +347,9 @@ def cmd_regularity_report(cfg, out):
     spec = _operator_from_config(cfg)
     n = spec.potential.n
     f_field = _load_field(cfg["f"], cfg["N"])
+    u, info = grid.solve(spec, f_field)
     head = {"N": f_field.n_nodes, "p": float(cfg["p"]),
-            "p_split": cfg["p_split"]}
-    u = grid.solve(spec, f_field)
+            "p_split": cfg["p_split"], **_solve_record(info)}
     cell = u.h**2
     u_cells = np.abs(u.values[:-1, :-1]).ravel()
     u_rf = rearrangement.RearrangedFunction.from_samples(

@@ -49,8 +49,9 @@ N = 65-257 and p = 1.5-4, the gap stop comes 1-3 Newton steps before
 the sup residual reaches the tolerance, and moves u by at most 3.1e-8
 of max |u|.  For Phi = |xi|^2/2 the energy gradient is exactly the
 5-point scheme, d = 4 and the first Newton step solves it in one CG
-iteration.  ``solve`` reports the gap, the sup residual that its
-tolerance 1e-9 (1 + ||f||_1) bounds and the counts of its steps.
+iteration.  ``solve`` returns the field with its record: the gap, the
+sup residual that its tolerance 1e-9 (1 + ||f||_1) bounds and the
+counts of its steps.
 
 A solve from zero runs coarse to fine (nested iteration): on an odd N
 whose coarser mesh of (N + 1) / 2 nodes has at least 33 nodes, it first
@@ -634,8 +635,9 @@ _STALL_STEPS = 15
 _TOL = 1e-9
 
 
-def solve(spec, f_field, max_iter=100, u0=None, return_info=False):
-    """Minimize the discrete energy; returns the solution field.
+def solve(spec, f_field, max_iter=100, u0=None):
+    """Minimize the discrete energy; returns ``(field, info)``, the
+    solution and its record.
 
     Newton-Krylov: each outer step solves the Hessian system by
     conjugate gradients (matrix-free, preconditioned with the inverse
@@ -681,7 +683,7 @@ def solve(spec, f_field, max_iter=100, u0=None, return_info=False):
     tol, ``max_iter``, the stall stop and :class:`SolveError`
     concern the finest level; ``max_iter`` also caps each coarse level.
 
-    With ``return_info`` the info dict holds ``energies``, ``residual``
+    The info dict holds ``energies``, ``residual``
     (the sup residual), ``dual_residual`` (sqrt(g . L^-1 g) for the
     final energy gradient g and the inverse 5-point Laplacian L^-1: the
     discrete H^-1 norm of the PDE residual), ``duality_gap`` and its
@@ -697,18 +699,17 @@ def solve(spec, f_field, max_iter=100, u0=None, return_info=False):
     each with its ``N``, the tolerance ``tol`` it was solved to,
     ``newton_steps``, ``pcg_iterations``, ``residual``, ``duality_gap``,
     ``gap_bound`` and ``converged``; it is empty for a solve from
-    ``u0``.  Without ``return_info`` a level whose residual met its
-    tolerance skips the gap, which only the info dict reports: its
-    ``duality_gap``, ``gap_bound`` and ``dual_residual`` in the info of
-    a :class:`SolveError` are None.
+    ``u0``.  Every level that did not stop on its gap evaluates the gap
+    at its last iterate, so every record, that of a :class:`SolveError`
+    included, holds all three numbers.
     """
     levels = []
     tol = _TOL * (1.0 + f_field.l1())
     if u0 is None:
-        u0 = _coarse_start(spec, f_field, max_iter, levels, return_info)
+        u0 = _coarse_start(spec, f_field, max_iter, levels)
     else:
         u0 = GridField(np.array(u0, dtype=float)).zero_boundary().values
-    u, info = _newton(spec, f_field, tol, max_iter, u0, return_info)
+    u, info = _newton(spec, f_field, tol, max_iter, u0)
     stalled = info.pop("stalled_steps")
     info["levels"] = levels
     if not info["converged"]:
@@ -719,10 +720,10 @@ def solve(spec, f_field, max_iter=100, u0=None, return_info=False):
             f"(residual {info['residual']:g}, tol {tol:g}, duality gap "
             f"{info['duality_gap']:g} above {info['gap_bound']:g}{stall})",
             info)
-    return (GridField(u), info) if return_info else GridField(u)
+    return GridField(u), info
 
 
-def _newton(spec, f_field, tol, max_iter, u0, report):
+def _newton(spec, f_field, tol, max_iter, u0):
     """The Newton-Krylov iteration of :func:`solve` on one mesh, from
     ``u0`` (zero when None), a float array that it writes into.  Returns
     ``(u, info)``: the last iterate and an info dict with ``energies``,
@@ -731,8 +732,7 @@ def _newton(spec, f_field, tol, max_iter, u0, report):
     (steps since the last residual minimum).  The gap is evaluated when
     the Newton decrement first falls to J's rounding level, and the
     iteration stops there if it certifies u; otherwise it is evaluated
-    at the last iterate, unless the residual met tol and no ``report``
-    is asked for (the gap and ``dual_residual`` are then None)."""
+    at the last iterate."""
     f = f_field.values
     n = f_field.n_nodes
     h = f_field.h
@@ -806,9 +806,7 @@ def _newton(spec, f_field, tol, max_iter, u0, report):
             if since_best >= _STALL_STEPS:
                 break
     if stop != "gap":
-        gap = bound = dual_residual = None
-        if report or res > tol:
-            gap, bound, dual_residual = _gap(spec, u, g, J, J_scale, ws)
+        gap, bound, dual_residual = _gap(spec, u, g, J, J_scale, ws)
     return u, {"energies": energies, "residual": res,
                "dual_residual": dual_residual,
                "converged": stop == "gap" or res <= tol or gap <= bound,
@@ -855,7 +853,7 @@ def _prolong(values):
     return p @ values @ p.T
 
 
-def _coarse_start(spec, f_field, max_iter, levels, report):
+def _coarse_start(spec, f_field, max_iter, levels):
     """The nested-iteration start of :func:`solve` on the mesh of
     ``f_field``: the bilinear prolongation of the solution one mesh
     coarser, or None when N is even, the coarser mesh has fewer than
@@ -864,8 +862,7 @@ def _coarse_start(spec, f_field, max_iter, levels, report):
     2 x 2 cell blocks (so b >= 1 still holds), and the coarse solve
     starts from its own coarse start.  Each coarse level is solved to
     _COARSE_TOL (1 + ||f||_1) for its datum f.  Appends one
-    record per coarse level to ``levels``, coarsest first, with its gap
-    as :func:`_newton` gives it for ``report``."""
+    record per coarse level to ``levels``, coarsest first."""
     n = f_field.n_nodes
     if n % 2 == 0 or (n + 1) // 2 < _COARSEST:
         return None
@@ -874,9 +871,9 @@ def _coarse_start(spec, f_field, max_iter, levels, report):
         spec = replace(spec, b=np.asarray(spec.b).reshape(
             m, 2, m, 2).mean(axis=(1, 3)))
     coarse = GridField(_restrict(f_field.values))
-    start = _coarse_start(spec, coarse, max_iter, levels, report)
+    start = _coarse_start(spec, coarse, max_iter, levels)
     level_tol = _COARSE_TOL * (1.0 + coarse.l1())
-    u, info = _newton(spec, coarse, level_tol, max_iter, start, report)
+    u, info = _newton(spec, coarse, level_tol, max_iter, start)
     levels.append({"N": coarse.n_nodes, "tol": level_tol, **{
         key: info[key] for key in ("newton_steps", "pcg_iterations",
                                    "residual", "duality_gap", "gap_bound",
@@ -912,7 +909,8 @@ def approximable_sequence(spec, f_field, k_ladder):
     measure of {|u_k - u_prev| > 1e-3} between consecutive iterates,
     plus the gradient Cauchy-in-measure statistic, the measure of
     {|grad u_k - grad u_prev| > 1e-3}.  Each solve uses the tolerance of
-    :func:`solve`.
+    :func:`solve`, and each rung's row holds its solve's record (the
+    info of :func:`solve` without ``energies``).
     """
     h = f_field.h
     fields = []
@@ -920,7 +918,8 @@ def approximable_sequence(spec, f_field, k_ladder):
     u_prev = None
     for k in k_ladder:
         fk = GridField(np.clip(f_field.values, -k, k)).zero_boundary()
-        u = solve(spec, fk, u0=None if u_prev is None else u_prev.values)
+        u, info = solve(spec, fk,
+                        u0=None if u_prev is None else u_prev.values)
         entry = {"k": float(k), "f_l1": fk.l1()}
         if u_prev is not None:
             diff = np.abs(u.values - u_prev.values)
@@ -932,6 +931,8 @@ def approximable_sequence(spec, f_field, k_ladder):
             gd = np.hypot(gx1 - gx0, gy1 - gy0)
             entry["grad_deviation_measure"] = float(
                 np.sum(gd > _DEVIATION) * h**2)
+        entry.update((key, val) for key, val in info.items()
+                     if key != "energies")
         fields.append(u)
         report.append(entry)
         u_prev = u

@@ -178,8 +178,7 @@ def test_ac05_radial_solver_oracle(report):
 def test_ac06_grid_oracle(report):
     with report("AC6 grid oracle", 60.0):
         f = _unit_f(129)
-        u, info = grid.solve(grid.OperatorSpec(power_potential(2.0)), f,
-                             return_info=True)
+        u, info = grid.solve(grid.OperatorSpec(power_potential(2.0)), f)
         assert u.values[64, 64] == pytest.approx(FOURIER_CENTER,
                                                  abs=2e-4)
         energies = np.asarray(info["energies"])
@@ -202,7 +201,7 @@ def test_ac07_comparison_principle(report):
             margins = {}
             for n_nodes in (65, 129):
                 f = _unit_f(n_nodes)
-                u = grid.solve(grid.OperatorSpec(power_potential(p)), f)
+                u, _ = grid.solve(grid.OperatorSpec(power_potential(p)), f)
                 vals = np.abs(u.values[:-1, :-1]).ravel()
                 u_star = rearrangement.RearrangedFunction.from_samples(
                     vals, np.full(vals.size, u.h**2))
@@ -225,7 +224,7 @@ def test_ac08_a_priori_bounds(report, tmp_path):
             assert len(rep["truncation_energy"]["ladder"]) == 20
         # gradient L1 bound with constant 2 om_n^{-1/n} |Om|^{1/n} ||f||_1
         f = _unit_f(65)
-        u = grid.solve(grid.OperatorSpec(power_potential(2.0)), f)
+        u, _ = grid.solve(grid.OperatorSpec(power_potential(2.0)), f)
         gx, gy = grid.cell_gradients(u.values, u.h)
         theta = np.hypot(gx, gy).ravel()  # gauge map is identity here
         out = radial.gradient_l1_bound(theta,
@@ -272,7 +271,7 @@ def test_ac09_approximable_solutions(report):
         assert all(b <= a + 1e-15 for a, b in zip(devs, devs[1:])), devs
         assert devs[-1] <= 1e-3, devs
         # point mass: fundamental-solution slope on the diagonal
-        u = grid.solve(spec, grid.point_mass_field(129, mass=1.0))
+        u, _ = grid.solve(spec, grid.point_mass_field(129, mass=1.0))
         idx = np.arange(129)
         diag = u.values[idx, idx]
         r = np.abs(idx / 128.0 - 0.5) * math.sqrt(2.0)

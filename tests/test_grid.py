@@ -93,7 +93,7 @@ def test_point_mass_carries_mass():
 def test_poisson_center_against_fourier_oracle():
     f = GridField.from_function(65, lambda x, y: np.ones_like(x))
     f.zero_boundary()
-    u, info = solve(OperatorSpec(power_potential(2.0)), f, return_info=True)
+    u, info = solve(OperatorSpec(power_potential(2.0)), f)
     center = u.values[32, 32]
     assert center == pytest.approx(FOURIER_CENTER, abs=1e-4)
     assert np.all(np.diff(info["energies"]) <= 1e-15)
@@ -102,7 +102,7 @@ def test_poisson_center_against_fourier_oracle():
 def test_p3_solve_converges_with_monotone_energy(sup_stop):
     f = GridField.from_function(33, lambda x, y: np.ones_like(x))
     f.zero_boundary()
-    u, info = solve(OperatorSpec(power_potential(3.0)), f, return_info=True)
+    u, info = solve(OperatorSpec(power_potential(3.0)), f)
     assert info["residual"] <= 1e-9 * (1.0 + f.l1())
     assert np.all(np.diff(info["energies"]) <= 1e-15)
     assert np.max(u.values) > 0.0
@@ -112,7 +112,7 @@ def test_p4_solve_converges_at_rounding_level(sup_stop):
     # J stops ranking Newton steps near the solution; the solve must
     # still reach tol rather than run to max_iter
     f = GridField.from_function(65, lambda x, y: np.ones_like(x))
-    u, info = solve(OperatorSpec(power_potential(4.0)), f, return_info=True)
+    u, info = solve(OperatorSpec(power_potential(4.0)), f)
     assert info["residual"] <= 1e-9 * (1.0 + f.l1())
     assert info["converged"]
     assert info["newton_steps"] <= 20
@@ -126,7 +126,7 @@ def test_p5_solve_converges_from_zero(sup_stop):
     f = GridField.from_function(33, lambda x, y: np.ones_like(x))
     f.zero_boundary()
     u, info = solve(OperatorSpec(power_potential(5.0)), f,
-                    u0=np.zeros((33, 33)), return_info=True)
+                    u0=np.zeros((33, 33)))
     assert info["converged"]
     assert info["residual"] <= 1e-9 * (1.0 + f.l1())
     assert info["newton_steps"] <= 20
@@ -139,7 +139,7 @@ def test_p4_solve_pcg_work():
     # over 7 Newton steps on the finest mesh (63 over 13 from zero, 188
     # from zero with the plain inverse Laplacian)
     f = GridField.from_function(129, lambda x, y: np.ones_like(x))
-    _, info = solve(OperatorSpec(power_potential(4.0)), f, return_info=True)
+    _, info = solve(OperatorSpec(power_potential(4.0)), f)
     assert info["converged"]
     assert info["pcg_iterations"] < 120
     assert info["newton_steps"] <= 9
@@ -156,7 +156,7 @@ def test_p15_solve_pcg_work(sup_stop):
     # Newton step solves no further than the convergence test needs
     # (49 CG iterations without the floor).
     f = GridField.from_function(129, lambda x, y: np.ones_like(x))
-    _, info = solve(OperatorSpec(power_potential(1.5)), f, return_info=True)
+    _, info = solve(OperatorSpec(power_potential(1.5)), f)
     assert info["converged"]
     assert info["residual"] <= 1e-9 * (1.0 + f.l1())
     assert info["newton_steps"] == 7
@@ -168,8 +168,7 @@ def test_split_solve_pcg_work():
     # from zero the split (1.5, 2) takes 33 Newton steps and 991 CG
     # iterations, from the N = 65 start 12 and 430 on the finest mesh
     f = GridField.from_function(129, lambda x, y: np.ones_like(x))
-    _, info = solve(OperatorSpec(split_power_potential(1.5, 2.0)), f,
-                    return_info=True)
+    _, info = solve(OperatorSpec(split_power_potential(1.5, 2.0)), f)
     assert info["converged"]
     assert info["pcg_iterations"] < 700
 
@@ -178,7 +177,7 @@ def test_nested_solve_reports_its_levels():
     # a coarse level only gives a start: it is solved to the coarse
     # tolerance 1e-5 (1 + ||f||_1)
     f = GridField.from_function(129, lambda x, y: np.ones_like(x))
-    _, info = solve(OperatorSpec(power_potential(3.0)), f, return_info=True)
+    _, info = solve(OperatorSpec(power_potential(3.0)), f)
     assert [level["N"] for level in info["levels"]] == [33, 65]
     for level in info["levels"]:
         assert level["converged"] and level["newton_steps"] > 0
@@ -190,8 +189,7 @@ def test_nested_solve_reports_its_levels():
     for n, u0 in ((64, None), (33, None), (17, None),
                   (65, np.zeros((65, 65)))):
         f = GridField.from_function(n, lambda x, y: np.ones_like(x))
-        _, info = solve(OperatorSpec(power_potential(3.0)), f, u0=u0,
-                        return_info=True)
+        _, info = solve(OperatorSpec(power_potential(3.0)), f, u0=u0)
         assert info["converged"] and info["levels"] == []
 
 
@@ -201,8 +199,8 @@ def test_nested_solve_reaches_the_cold_solution(sup_stop):
     b = np.random.default_rng(2).uniform(1.0, 3.0, (64, 64))
     spec = OperatorSpec(power_potential(3.0), b=b)
     f = GridField.from_function(65, lambda x, y: np.ones_like(x))
-    u, info = solve(spec, f, return_info=True)
-    cold = solve(spec, f, u0=np.zeros((65, 65)))
+    u, info = solve(spec, f)
+    cold, _ = solve(spec, f, u0=np.zeros((65, 65)))
     assert [level["N"] for level in info["levels"]] == [33]
     assert np.max(np.abs(u.values - cold.values)) <= 1e-9 * np.max(u.values)
 
@@ -240,7 +238,7 @@ def test_p2_solve_is_one_exact_newton_step():
     # Phi = |xi|^2/2: the Hessian diagonal is 4, the scaling is the
     # identity and the preconditioner inverts the Hessian exactly
     f = GridField.from_function(65, lambda x, y: np.ones_like(x))
-    _, info = solve(OperatorSpec(power_potential(2.0)), f, return_info=True)
+    _, info = solve(OperatorSpec(power_potential(2.0)), f)
     assert info["converged"]
     assert info["newton_steps"] == 1 and info["pcg_iterations"] == 1
     assert info["pcg_breakdowns"] == 0 and info["descent_fallbacks"] == 0
@@ -253,7 +251,7 @@ def test_p2_solve_on_the_smallest_grids(n, value):
     # transform, N = 4 no middle node; -Lap_h u = 1 gives u = h^2/4 and
     # u = h^2/2 on every interior node
     f = GridField.from_function(n, lambda x, y: np.ones_like(x))
-    u, info = solve(OperatorSpec(power_potential(2.0)), f, return_info=True)
+    u, info = solve(OperatorSpec(power_potential(2.0)), f)
     assert info["newton_steps"] == 1 and info["pcg_iterations"] == 1
     np.testing.assert_allclose(u.values[1:-1, 1:-1], value, rtol=1e-14)
 
@@ -261,7 +259,7 @@ def test_p2_solve_on_the_smallest_grids(n, value):
 @pytest.mark.parametrize("n, steps, cg", [(6, 7, 19), (16, 7, 21)])
 def test_p3_solve_on_even_grids(n, steps, cg, sup_stop):
     f = GridField.from_function(n, lambda x, y: np.ones_like(x))
-    _, info = solve(OperatorSpec(power_potential(3.0)), f, return_info=True)
+    _, info = solve(OperatorSpec(power_potential(3.0)), f)
     assert info["converged"]
     assert (info["newton_steps"], info["pcg_iterations"]) == (steps, cg)
 
@@ -294,8 +292,7 @@ def test_pcg_breakdown_and_descent_fallback_are_counted():
     # direction; the solve then steps along P^-1 g, which for this
     # energy is the exact Newton step
     f = GridField.from_function(17, lambda x, y: np.ones_like(x))
-    _, info = solve(_IndefiniteSpec(power_potential(2.0)), f,
-                    return_info=True)
+    _, info = solve(_IndefiniteSpec(power_potential(2.0)), f)
     assert info["converged"] and info["newton_steps"] == 1
     assert info["pcg_breakdowns"] == 1 and info["descent_fallbacks"] == 1
 
@@ -337,7 +334,7 @@ def test_hessian_matches_gradient_differences(spec):
 def test_split_potential_solve():
     f = GridField.from_function(33, lambda x, y: np.ones_like(x))
     f.zero_boundary()
-    u = solve(OperatorSpec(split_power_potential(2.0, 4.0)), f)
+    u, _ = solve(OperatorSpec(split_power_potential(2.0, 4.0)), f)
     assert np.max(u.values) > 0.0
     # boundary stays zero
     assert np.all(u.values[0, :] == 0.0) and np.all(u.values[:, -1] == 0.0)
@@ -399,8 +396,7 @@ def test_combination_solves(rows, ps, peak, stop):
     # sheared one reaches J's rounding level at a gap of 3.5e-15, above
     # its bound, and converges through full steps
     f = GridField.from_function(65, lambda x, y: np.ones_like(x))
-    field, info = solve(OperatorSpec(combination_potential(rows, ps)), f,
-                        return_info=True)
+    field, info = solve(OperatorSpec(combination_potential(rows, ps)), f)
     u = field.values
     assert info["stop"] == stop and info["converged"]
     assert info["duality_gap"] <= info["gap_bound"]
@@ -421,7 +417,7 @@ def test_linf_below_symmetrized_radial_centre(p):
     v = solve_radial(spec.potential.a.conjugate().derivative,
                      RearrangedFunction([0.0, 1.0], [1.0]), 2, 1.0)
     f = GridField.from_function(65, lambda x, y: np.ones_like(x))
-    u = solve(spec, f)
+    u, _ = solve(spec, f)
     assert np.max(u.values) <= v.v[0]
 
 
@@ -451,8 +447,8 @@ def test_start_boundary_is_zeroed_on_entry():
     # solve zeroes it first, so the field it returns is the one its gap
     # certifies, the solution from zero to 1.5e-9 (max u = 0.187)
     spec, f = OperatorSpec(power_potential(3.0)), ones(65)
-    cold = solve(spec, f)
-    u, info = solve(spec, f, u0=np.ones((65, 65)), return_info=True)
+    cold, _ = solve(spec, f)
+    u, info = solve(spec, f, u0=np.ones((65, 65)))
     assert info["stop"] == "gap"
     assert duality_gap(spec, f, u) == (info["duality_gap"],
                                        info["gap_bound"])
@@ -493,14 +489,14 @@ def test_stalled_newton_stops_early():
 ])
 def test_gap_stop_certifies_the_sweep(n, p, certified, sup, request):
     spec, f = OperatorSpec(power_potential(p)), ones(n)
-    u, info = solve(spec, f, return_info=True)
+    u, info = solve(spec, f)
     assert (info["newton_steps"], info["pcg_iterations"]) == certified
     assert info["stop"] == ("residual" if p == 2.0 else "gap")
     assert info["converged"] and info["duality_gap"] <= info["gap_bound"]
     assert duality_gap(spec, f, u) == (info["duality_gap"],
                                        info["gap_bound"])
     request.getfixturevalue("sup_stop")
-    v, sup_info = solve(spec, f, return_info=True)
+    v, sup_info = solve(spec, f)
     assert (sup_info["newton_steps"], sup_info["pcg_iterations"]) == sup
     # the steps saved move u by at most 3.1e-8 of max |u| (at 129, 1.5)
     assert (np.max(np.abs(u.values - v.values))
@@ -514,7 +510,7 @@ def test_stall_with_a_closed_gap_is_certified(request):
     # |J|, under its bound.  The sup stop runs on, full steps judged by
     # the residual, and raises at residual 9.05e-3 after 15 steps.
     spec, f = OperatorSpec(power_potential(1.3)), ones(129)
-    _, info = solve(spec, f, return_info=True)
+    _, info = solve(spec, f)
     assert info["converged"] and info["stop"] == "gap"
     assert info["residual"] > 1e6 * 1e-9 * (1.0 + f.l1())
     assert info["duality_gap"] <= info["gap_bound"]
@@ -539,7 +535,7 @@ def test_duality_gap_bounds_the_energy_error(phi):
     # rows): the gap closes at the solution and bounds J(v) - min J from
     # above for any other v
     spec, f = OperatorSpec(phi, b=_CELLS), ones(17)
-    u, info = solve(spec, f, return_info=True)
+    u, info = solve(spec, f)
     assert info["duality_gap"] <= info["gap_bound"] and info["converged"]
     bump = GridField.from_function(
         17, lambda x, y: np.sin(3 * np.pi * x) * np.sin(np.pi * y)).values
@@ -550,17 +546,6 @@ def test_duality_gap_bounds_the_energy_error(phi):
         gap, bound = duality_gap(spec, f, v)
         excess = _energy(spec, v.values, ws)[0] - J
         assert 0.0 < excess <= gap and gap > bound
-
-
-@pytest.mark.parametrize("p", [1.5, 2.0])
-def test_solve_without_info_skips_only_the_report(p):
-    # without return_info a level whose residual met its tolerance skips
-    # its gap, which only the info dict reports; the iterates, and so the
-    # field, are the same
-    spec, f = OperatorSpec(power_potential(p)), ones(65)
-    u, info = solve(spec, f, return_info=True)
-    assert all(level["duality_gap"] is not None for level in info["levels"])
-    assert np.array_equal(solve(spec, f).values, u.values)
 
 
 def _conjugate_by_maximizing(phi, s):
@@ -620,7 +605,7 @@ def test_capped_cg_still_gives_newton_a_step(monkeypatch):
     g = _energy_gradient(spec, ws, np.empty((33, 33)))
     d, k, stop = _pcg(spec, spec.hess_weights(ws.dx, ws.dy), g, ws, 1e-12)
     assert (k, stop) == (3, "capped") and np.vdot(g, d) > 0.0
-    _, info = solve(spec, f, return_info=True)
+    _, info = solve(spec, f)
     assert info["pcg_maxiter_hits"] >= 1
     assert info["converged"] and info["stop"] == "gap"
 
@@ -816,7 +801,7 @@ def test_solve_peak_memory_is_set_by_cg():
     spec = OperatorSpec(power_potential(1.5))
     tracemalloc.start()
     try:
-        solve(spec, f, return_info=True)
+        solve(spec, f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -792,7 +792,7 @@ def test_write_csv_formats_each_repeated_number_once(tmp_path, monkeypatch):
     # a solved field keeps the square's symmetries bit-exactly at most
     # nodes, so each distinct number is formatted once (the memo path)
     f = GridField.from_function(65, lambda x, y: np.ones_like(x))
-    u = solve(OperatorSpec(power_potential(4.0)), f)
+    u, _ = solve(OperatorSpec(power_potential(4.0)), f)
     distinct = np.unique(u.values.view(np.int64)).size
     assert distinct <= young._MEMO_SHARE * u.values.size
     calls = _count_reprs(monkeypatch)
