@@ -107,15 +107,15 @@ def _load_rf(spec, domain_measure):
 
 
 def _load_field(spec, n_nodes):
-    """Grid datum from ``const:<c>``, ``point:mass=..[,x=..,y=..]``, or a
-    CSV matrix path, on ``n_nodes`` nodes a side: the N asked for, or
-    None for 65 (the CSV's own size for a CSV, which must match a given
-    N)."""
+    """Grid datum, zero on the boundary as the solve reads it, from
+    ``const:<c>``, ``point:mass=..[,x=..,y=..]`` or a CSV matrix path, on
+    ``n_nodes`` nodes a side: the N asked for, or None for 65 (the CSV's
+    own size for a CSV, which must match a given N)."""
     n = 65 if n_nodes is None else int(n_nodes)
     if isinstance(spec, str) and spec.startswith("const:"):
         field = grid.GridField.zeros(n)
         field.values.fill(_constant(spec))
-        return field
+        return field.zero_boundary()
     if isinstance(spec, str) and spec.startswith("point:"):
         kw = young.parse_spec(spec, {"point": ("mass", "x", "y")})[1]
         return grid.point_mass_field(
@@ -126,7 +126,7 @@ def _load_field(spec, n_nodes):
         raise young.YoungFunctionError(
             f"{spec}: the datum is a {field.n_nodes} x {field.n_nodes} "
             f"grid, but N = {n}")
-    return field
+    return field.zero_boundary()
 
 
 def _phi_from_config(cfg):
@@ -279,10 +279,12 @@ def _operator_from_config(cfg):
     return grid.OperatorSpec(potential=phi, b=float(cfg["b"]))
 
 
-def _solve_record(info):
-    """A grid solve's info dict as a report holds it: without the energy
-    trace."""
-    return {key: val for key, val in info.items() if key != "energies"}
+def _cell_values(u):
+    """|u| on the cells, each the max of its four corners: a cell lies in
+    {|u| < t} only when all four do, else boundary cells count at every t."""
+    au = np.abs(u.values)
+    return np.maximum(np.maximum(au[:-1, :-1], au[1:, :-1]),
+                      np.maximum(au[:-1, 1:], au[1:, 1:]))
 
 
 def cmd_grid_solve(cfg, out):
@@ -297,18 +299,14 @@ def cmd_grid_solve(cfg, out):
     monotone = bool(np.all(np.diff(energies)
                            <= 1e-12 * (1.0 + np.abs(energies[:-1]))))
     gx, gy = grid.cell_gradients(u.values, u.h)
-    # a cell lies inside {|u| < t} only when all four corners do
-    # (otherwise boundary cells count at every t, an O(h) artifact)
-    au = np.abs(u.values)
-    u_cell = np.maximum(np.maximum(au[:-1, :-1], au[1:, :-1]),
-                        np.maximum(au[:-1, 1:], au[1:, 1:]))
+    u_cell = _cell_values(u)
     trunc = radial.truncation_energy_check(
         u_cell, spec.potential.value(np.stack([gx, gy], axis=-1)), u.h**2,
         f_field.l1(), t_ladder=np.geomspace(1e-3, 10.0, 20)
-        * max(float(np.max(au)), 1e-12))
+        * max(float(np.max(u_cell)), 1e-12))
     report = {
         "N": f_field.n_nodes,
-        **_solve_record(info),
+        **{key: val for key, val in info.items() if key != "energies"},
         "final_energy": float(energies[-1]),
         "energy_monotone": monotone,
         "truncation_energy": trunc,
@@ -349,15 +347,16 @@ def cmd_regularity_report(cfg, out):
     f_field = _load_field(cfg["f"], cfg["N"])
     u, info = grid.solve(spec, f_field)
     head = {"N": f_field.n_nodes, "p": float(cfg["p"]),
-            "p_split": cfg["p_split"], **_solve_record(info)}
+            "p_split": cfg["p_split"],
+            **{key: val for key, val in info.items() if key != "energies"}}
     cell = u.h**2
-    u_cells = np.abs(u.values[:-1, :-1]).ravel()
+    u_cells = _cell_values(u).ravel()
     u_rf = rearrangement.RearrangedFunction.from_samples(
         u_cells, np.full(u_cells.size, cell))
     gx, gy = grid.cell_gradients(u.values, u.h)
     e_cells = spec.potential.value(np.stack([gx, gy], axis=-1)).ravel()
     circ = anisotropic.phi_circ(spec.potential)
-    u_max = float(u_rf(np.array([u_rf.breakpoints[0] * 0.5]))[0])
+    u_max = float(np.max(u_cells))
     if classify_integral(circ, n)[0] == "convergent":
         # p > n: u is bounded, and the level-set bounds and Marcinkiewicz
         # targets, built from the Sobolev conjugate, do not exist

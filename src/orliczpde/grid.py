@@ -49,9 +49,8 @@ N = 65-257 and p = 1.5-4, the gap stop comes 1-3 Newton steps before
 the sup residual reaches the tolerance, and moves u by at most 3.1e-8
 of max |u|.  For Phi = |xi|^2/2 the energy gradient is exactly the
 5-point scheme, d = 4 and the first Newton step solves it in one CG
-iteration.  ``solve`` returns the field with its record: the gap, the
-sup residual that its tolerance 1e-9 (1 + ||f||_1) bounds and the
-counts of its steps.
+iteration.  ``solve`` returns the field and its record: the gap, the
+sup residual (tolerance 1e-9 (1 + ||f||_1)) and the step counts.
 
 A solve from zero runs coarse to fine (nested iteration): on an odd N
 whose coarser mesh of (N + 1) / 2 nodes has at least 33 nodes, it first
@@ -636,8 +635,7 @@ _TOL = 1e-9
 
 
 def solve(spec, f_field, max_iter=100, u0=None):
-    """Minimize the discrete energy; returns ``(field, info)``, the
-    solution and its record.
+    """Minimize the discrete energy; returns ``(field, info)``.
 
     Newton-Krylov: each outer step solves the Hessian system by
     conjugate gradients (matrix-free, preconditioned with the inverse
@@ -683,25 +681,23 @@ def solve(spec, f_field, max_iter=100, u0=None):
     tol, ``max_iter``, the stall stop and :class:`SolveError`
     concern the finest level; ``max_iter`` also caps each coarse level.
 
-    The info dict holds ``energies``, ``residual``
-    (the sup residual), ``dual_residual`` (sqrt(g . L^-1 g) for the
-    final energy gradient g and the inverse 5-point Laplacian L^-1: the
-    discrete H^-1 norm of the PDE residual), ``duality_gap`` and its
-    bound ``gap_bound``, ``stop`` ("gap" when the gap stopped the
-    iteration, else "residual"), ``converged`` (gap <= gap_bound or
-    residual <= tol) and the counts ``newton_steps``,
-    ``pcg_iterations``, ``pcg_maxiter_hits`` (CG solves that ran to
-    their iteration cap), ``pcg_breakdowns`` (CG solves stopped by a
-    direction with p.Hp <= 0), ``descent_fallbacks`` (Newton steps whose
-    CG direction was no descent direction and was replaced by P^-1 g)
-    and ``rounding_steps`` (steps taken at J's rounding level), all of
-    the finest level.  ``levels`` lists the coarse levels, coarsest first,
-    each with its ``N``, the tolerance ``tol`` it was solved to,
+    The info dict holds ``energies``, ``residual`` (the sup residual),
+    ``dual_residual`` (sqrt(g . L^-1 g) for the final energy gradient g
+    and the inverse 5-point Laplacian L^-1: the discrete H^-1 norm of the
+    PDE residual), ``duality_gap`` and its bound ``gap_bound``, ``stop``
+    ("gap" when the gap stopped the iteration, else "residual"),
+    ``converged`` (gap <= gap_bound or residual <= tol) and the counts
+    ``newton_steps``, ``pcg_iterations``, ``pcg_maxiter_hits`` (CG solves
+    that ran to their iteration cap), ``pcg_breakdowns`` (CG solves
+    stopped by a direction with p.Hp <= 0), ``descent_fallbacks`` (Newton
+    steps whose CG direction was no descent direction and was replaced by
+    P^-1 g) and ``rounding_steps`` (steps taken at J's rounding level),
+    all of the finest level.  ``levels`` lists the coarse levels, coarsest
+    first, each with its ``N``, the tolerance ``tol`` it was solved to,
     ``newton_steps``, ``pcg_iterations``, ``residual``, ``duality_gap``,
-    ``gap_bound`` and ``converged``; it is empty for a solve from
-    ``u0``.  Every level that did not stop on its gap evaluates the gap
-    at its last iterate, so every record, that of a :class:`SolveError`
-    included, holds all three numbers.
+    ``gap_bound`` and ``converged``; it is empty for a solve from ``u0``.
+    A level that did not stop on its gap evaluates it at its last iterate,
+    so every record holds the gap and its bound.
     """
     levels = []
     tol = _TOL * (1.0 + f_field.l1())
@@ -730,9 +726,8 @@ def _newton(spec, f_field, tol, max_iter, u0):
     ``residual``, ``dual_residual``, ``converged``, ``stop``,
     ``duality_gap``, ``gap_bound``, the counts and ``stalled_steps``
     (steps since the last residual minimum).  The gap is evaluated when
-    the Newton decrement first falls to J's rounding level, and the
-    iteration stops there if it certifies u; otherwise it is evaluated
-    at the last iterate."""
+    the Newton decrement first falls to J's rounding level, stopping the
+    iteration if it certifies u, and otherwise at the last iterate."""
     f = f_field.values
     n = f_field.n_nodes
     h = f_field.h
@@ -809,7 +804,7 @@ def _newton(spec, f_field, tol, max_iter, u0):
         gap, bound, dual_residual = _gap(spec, u, g, J, J_scale, ws)
     return u, {"energies": energies, "residual": res,
                "dual_residual": dual_residual,
-               "converged": stop == "gap" or res <= tol or gap <= bound,
+               "converged": res <= tol or gap <= bound,
                "stop": stop, "duality_gap": gap, "gap_bound": bound,
                **counts, "stalled_steps": since_best}
 
@@ -908,25 +903,23 @@ def approximable_sequence(spec, f_field, k_ladder):
     Returns the fields and a convergence report: sup deviation and the
     measure of {|u_k - u_prev| > 1e-3} between consecutive iterates,
     plus the gradient Cauchy-in-measure statistic, the measure of
-    {|grad u_k - grad u_prev| > 1e-3}.  Each solve uses the tolerance of
-    :func:`solve`, and each rung's row holds its solve's record (the
+    {|grad u_k - grad u_prev| > 1e-3}, and each rung's solve record (the
     info of :func:`solve` without ``energies``).
     """
     h = f_field.h
     fields = []
     report = []
-    u_prev = None
+    u_prev = None  # the nodal values of the last rung
     for k in k_ladder:
         fk = GridField(np.clip(f_field.values, -k, k)).zero_boundary()
-        u, info = solve(spec, fk,
-                        u0=None if u_prev is None else u_prev.values)
+        u, info = solve(spec, fk, u0=u_prev)
         entry = {"k": float(k), "f_l1": fk.l1()}
         if u_prev is not None:
-            diff = np.abs(u.values - u_prev.values)
+            diff = np.abs(u.values - u_prev)
             entry["sup_deviation"] = float(np.max(diff))
             entry["deviation_measure"] = float(
                 np.sum(diff > _DEVIATION) * h**2)
-            gx0, gy0 = cell_gradients(u_prev.values, h)
+            gx0, gy0 = cell_gradients(u_prev, h)
             gx1, gy1 = cell_gradients(u.values, h)
             gd = np.hypot(gx1 - gx0, gy1 - gy0)
             entry["grad_deviation_measure"] = float(
@@ -935,5 +928,5 @@ def approximable_sequence(spec, f_field, k_ladder):
                      if key != "energies")
         fields.append(u)
         report.append(entry)
-        u_prev = u
+        u_prev = u.values
     return fields, report

@@ -942,6 +942,77 @@ def test_regularity_report_reads_p_split(tmp_path):
         reports["radial"]["kappa2"], rel=0.05)
 
 
+def _assert_solve_record(record):
+    # a grid solve's record as a report holds it: the gap, its bound and
+    # the dual residual in numbers, on the finest level and on each
+    # coarse one (which has no dual residual), and no energy trace
+    assert "energies" not in record and record["converged"]
+    for level in [record, *record["levels"]]:
+        assert all(math.isfinite(level[key]) for key in (
+            "duality_gap", "gap_bound", "residual"))
+    assert math.isfinite(record["dual_residual"])
+
+
+def test_reports_carry_their_solve_records(tmp_path):
+    for label, args in (("divergent", ["--N", "65", "--p", "2"]),
+                        ("convergent", ["--N", "33", "--p", "3"])):
+        code, out = run(["regularity-report", *args], tmp_path, sub=label)
+        assert code == 0
+        rep = json.loads((out / "regularity_report.json").read_text())
+        assert rep["dichotomy"] == label
+        _assert_solve_record(rep)
+    assert [level["N"] for level in rep["levels"]] == []
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 65, "p": 2.0, "f": "const:5",
+                               "k_ladder": [2, 8, 32]}))
+    code, out = run(["approx-seq", "--config", str(cfg)], tmp_path,
+                    sub="approx")
+    assert code == 0
+    rows = json.loads((out / "approx_seq_report.json").read_text())["steps"]
+    assert [row["k"] for row in rows] == [2.0, 8.0, 32.0]
+    for row in rows:
+        _assert_solve_record(row)
+    # the first rung starts from its coarse level, the others from the
+    # rung before
+    assert [len(row["levels"]) for row in rows] == [1, 0, 0]
+
+
+def test_regularity_report_measures_cells_as_grid_solve_does(tmp_path):
+    # both commands give a cell the max of |u| at its four corners, so
+    # the first level set of regularity-report is the count that
+    # grid-solve's field gives for the same problem: 0.9746 at N = 65,
+    # p = 2, t = 0.05 max u, where each cell's lower-left node gives
+    # 0.9436
+    args = ["--N", "65", "--p", "2"]
+    assert run(["grid-solve", *args], tmp_path, sub="solve")[0] == 0
+    code, out = run(["regularity-report", *args], tmp_path, sub="report")
+    assert code == 0
+    row = json.loads((out / "regularity_report.json").read_text())[
+        "level_set_u"][0]
+    u = np.abs(np.loadtxt(tmp_path / "solve" / "u.csv", delimiter=","))
+    corners = np.maximum(np.maximum(u[:-1, :-1], u[1:, :-1]),
+                         np.maximum(u[:-1, 1:], u[1:, 1:]))
+    assert row["t"] == pytest.approx(0.05 * np.max(u), rel=1e-12)
+    assert row["measured"] == np.sum(corners >= row["t"]) / 64**2
+    assert row["measured"] == pytest.approx(0.9746, abs=5e-5)
+
+
+@pytest.mark.parametrize("datum", ["const:1", "point:mass=1", "csv"])
+def test_grid_datum_has_a_zero_boundary(datum, tmp_path):
+    # the solve reads f on the interior nodes only, so ||f||_1 counts no
+    # boundary node: (63/64)^2 for const:1 at N = 65, not (65/64)^2
+    if datum == "csv":
+        datum = str(tmp_path / "ones.csv")
+        np.savetxt(datum, np.ones((65, 65)), delimiter=",")
+    f = cli._load_field(datum, 65)
+    edges = (f.values[0], f.values[-1], f.values[:, 0], f.values[:, -1])
+    assert not np.any(np.concatenate(edges))
+    if datum != "point:mass=1":
+        assert f.l1() == pytest.approx((63 / 64) ** 2, rel=1e-14)
+    else:
+        assert f.l1() == pytest.approx(1.0, rel=1e-14)
+
+
 def test_admissibility(tmp_path):
     code, out = run(["admissibility", "--phi-circ", "power:p=1.5",
                      "--n", "2", "--f", "const:1"], tmp_path)

@@ -455,6 +455,27 @@ def test_start_boundary_is_zeroed_on_entry():
     assert np.max(np.abs(u.values - cold.values)) <= 1e-8
 
 
+@pytest.mark.parametrize("n, phi, u0, stop, levels", [
+    (65, power_potential(3.0), None, "gap", [33]),
+    (129, power_potential(2.0), None, "residual", [33, 65]),
+    (65, power_potential(3.0), np.zeros((65, 65)), "gap", []),
+    (65, split_power_potential(2.0, 4.0), None, "residual", [33]),
+], ids=["gap-stopped", "residual-stopped", "from-u0", "split"])
+def test_solve_record_is_the_certificate_of_its_field(n, phi, u0, stop,
+                                                      levels):
+    # every solve evaluates the gap of the field it returns, however it
+    # stopped, and every coarse level records its own gap in numbers
+    spec, f = OperatorSpec(phi), ones(n)
+    u, info = solve(spec, f, u0=u0)
+    assert info["stop"] == stop and info["converged"]
+    assert duality_gap(spec, f, u) == (info["duality_gap"],
+                                       info["gap_bound"])
+    assert math.isfinite(info["dual_residual"])
+    assert [level["N"] for level in info["levels"]] == levels
+    for level in info["levels"]:
+        assert all(math.isfinite(value) for value in level.values())
+
+
 def test_stalled_newton_stops_early():
     # p = 1.2 on N = 65 stalls well above the tolerance; the solve stops
     # once the residual sets no new minimum for a while, not at max_iter.

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from conftest import power_potential
-from orliczpde import grid
+from orliczpde import catalog, grid
 from orliczpde.cli import main
+from orliczpde.young import SampledYoungFunction
 
 
 def scaled_solution(factor):
@@ -33,20 +34,52 @@ def scaled_solution(factor):
     return patch
 
 
+def powered_phi_circ(power):
+    """Mutant: the Phi_circ table that ``catalog.verify_asymptotics``
+    builds is raised to ``power``: its log values, and both exponents
+    of a stated tail t^sigma (log t)^beta, times ``power``.  A radial
+    family's Phi_circ is its generator, not a table, and passes
+    unchanged."""
+    def patch(monkeypatch):
+        phi_circ = catalog.phi_circ
+
+        def mutant(*args, **kwargs):
+            circ = phi_circ(*args, **kwargs)
+            if not isinstance(circ, SampledYoungFunction):
+                return circ
+            out = SampledYoungFunction(circ.log_t, power * circ.log_v,
+                                       name=circ.name)
+            if circ.tail is not None:
+                out.tail = tuple(power * e for e in circ.tail)
+            return out
+
+        monkeypatch.setattr(catalog, "phi_circ", mutant)
+    return patch
+
+
 MUTANTS = {
     "none": lambda monkeypatch: None,
     "u*0.5": scaled_solution(0.5),
     "u*1.5": scaled_solution(1.5),
     "u*3": scaled_solution(3.0),
+    "phi_circ^1.2": powered_phi_circ(1.2),
 }
 
 GRID_SOLVE_P3 = ("grid-solve", "--N", "65", "--p", "3")
 GRID_SOLVE_P15 = ("grid-solve", "--N", "65", "--p", "1.5")
 REGULARITY_P15 = ("regularity-report", "--N", "65", "--p", "1.5")
+# two anisotropic families whose Phi_circ is a table.  The radial
+# families (plap, iso_zyg) are not listed under the phi_circ mutant:
+# their Phi_circ is their generator, which it passes unchanged.
+VERIFY_TRUD = ("verify-example", "aniso_trud", "--p", "2", "--q", "2",
+               "--alpha", "1")
+VERIFY_PLAP = ("verify-example", "aniso_plap", "--p", "2,4")
 
 # (command, mutant, exit code it must give).  grid-solve catches a
 # scaled field by its duality gap: a field that does not minimize the
 # energy leaves a gap far above J's rounding level (ROADMAP item 17).
+# verify-example catches a Phi_circ raised to the power 1.2 by its
+# fitted tail power, 1.2 times the family's.
 CENSUS = [
     (GRID_SOLVE_P3, "none", 0),
     (GRID_SOLVE_P3, "u*0.5", 2),
@@ -57,6 +90,10 @@ CENSUS = [
     (GRID_SOLVE_P15, "u*1.5", 2),
     (GRID_SOLVE_P15, "u*3", 2),
     (REGULARITY_P15, "none", 0),
+    (VERIFY_TRUD, "none", 0),
+    (VERIFY_TRUD, "phi_circ^1.2", 2),
+    (VERIFY_PLAP, "none", 0),
+    (VERIFY_PLAP, "phi_circ^1.2", 2),
 ]
 
 # Rows that fail today, each with the item that closes it.
@@ -71,7 +108,9 @@ OPEN = [
 
 
 def _ids(row):
-    return f"{row[0][0]} p={row[0][-1]} {row[1]}"
+    command = row[0]
+    case = command[1] if command[0] == "verify-example" else f"p={command[-1]}"
+    return f"{command[0]} {case} {row[1]}"
 
 
 @pytest.mark.parametrize(
