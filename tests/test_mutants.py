@@ -79,7 +79,7 @@ VERIFY_PLAP = ("verify-example", "aniso_plap", "--p", "2,4")
 # scaled field by its duality gap: a field that does not minimize the
 # energy leaves a gap far above J's rounding level (ROADMAP item 17).
 # verify-example catches a Phi_circ raised to the power 1.2 by its
-# fitted tail power, 1.2 times the family's.
+# "phi_circ power" check: the tail power reads 1.2 times the family's.
 CENSUS = [
     (GRID_SOLVE_P3, "none", 0),
     (GRID_SOLVE_P3, "u*0.5", 2),
