@@ -22,9 +22,13 @@ R(w, t) is nondecreasing in t.  The spherical integral is done by one
 deterministic rule for every n that
 doubles its points per angle at each level: a product rule in
 hyperspherical coordinates (Stroud 1971, *Approximate Calculation of
-Multiple Integrals*), Gauss-Legendre in the polar angles and on each arc
-of a half-circle azimuth (Phi is even) between the kink planes
-c . xi = 0 of the terms A(|c . xi|), the midpoint rule where none cuts it.
+Multiple Integrals*), Gauss-Legendre in the polar angles and, on a
+half-circle azimuth (Phi is even), Clenshaw-Curtis on each arc between
+the kink planes c . xi = 0 of the terms A(|c . xi|) (Clenshaw & Curtis
+1960; Trefethen 2008, SIAM Rev. 50), the periodic trapezoid rule where
+none cuts it.  Both azimuth rules are nested under doubling, so in the
+plane each refinement keeps the radii of the directions it repeats and
+solves rays only along the ones it adds.
 
 Square full-rank linear combinations sum_k A_k(|c_k . xi|), splits
 sum_i A_i(|xi_i|) among them (the unit vectors as rows), skip the rays
@@ -78,7 +82,8 @@ def unit_ball_volume(n):
 
 
 class BoundBoxError(YoungFunctionError):
-    """Sublevel set reaches the declared evaluation box."""
+    """A sublevel set reaches the evaluation box: the bound radius of a
+    :class:`CustomPhi`, or the solver's range for the other forms."""
 
 
 class MeasureConvergenceWarning(UserWarning):
@@ -99,7 +104,7 @@ class MeasureConvergenceWarning(UserWarning):
         self.summary = summary
 
 
-_BOUND_RADIUS = 1e8  # trusted evaluation radius of every Phi (bound box)
+_BOUND_RADIUS = 1e8  # trusted evaluation radius of a CustomPhi (bound box)
 
 
 class AnisotropicYoungFunction:
@@ -198,19 +203,20 @@ def radial_extent(phi, directions, t, bracket=None):
     Phi only on the rays still unfinished.  ``bracket`` = (R_lo, R_hi,
     t_lo, t_hi), radii of two levels t_lo < t <= t_hi per row, is passed
     to :func:`solve_increasing`, which then only narrows.  R is solved to
-    1e-12 relative; a boundary beyond the bound radius 1e8 raises
-    :class:`BoundBoxError`.
+    1e-12 relative.  A :class:`CustomPhi` may have unbounded sublevel
+    sets, so its boundary beyond the bound radius 1e8 raises
+    :class:`BoundBoxError`; the other forms have bounded ones (a
+    combination's rows span R^n) and are solved over the solver's range.
     """
     w = np.asarray(directions, dtype=float)
+    box = {"x_max": _BOUND_RADIUS} if isinstance(phi, CustomPhi) else {}
     try:
         return solve_increasing(lambda r, w: phi.value(r[:, None] * w),
                                 np.full(w.shape[0], t, dtype=float),
-                                x_max=_BOUND_RADIUS, args=(w,),
-                                bracket=bracket)
+                                args=(w,), bracket=bracket, **box)
     except InverseRangeError as err:
-        raise BoundBoxError(
-            f"sublevel set reaches the bound box (radius "
-            f"{_BOUND_RADIUS:g}): {err}") from None
+        raise BoundBoxError(f"sublevel set reaches the bound box: {err}"
+                            ) from None
 
 
 # no rule has more than 2^21 directions, the size of the n = 3 rule at
@@ -237,6 +243,19 @@ def gauss_legendre(m):
     return x, 2.0 / ((1.0 - x * x) * dp**2)
 
 
+def _clenshaw_curtis(k):
+    """Clenshaw-Curtis nodes cos(pi j / k), j = 0..k, and weights on
+    [-1, 1] (Clenshaw & Curtis 1960), by the cosine sums of Waldvogel
+    2006 (BIT 46).  The nodes of k are the even nodes of 2 k bit for bit:
+    pi j / k and pi (2 j) / (2 k) round alike."""
+    theta = math.pi * np.arange(k + 1) / k
+    i = np.arange(1, k // 2 + 1)
+    b = np.where(2 * i == k, 1.0, 2.0) / (4.0 * i**2 - 1.0)
+    wts = np.full(k + 1, 2.0 / k)
+    wts[[0, -1]] = 1.0 / k
+    return np.cos(theta), wts * (1.0 - b @ np.cos(np.outer(2 * i, theta)))
+
+
 def _sphere_rule(n, level, kinks):
     """Directions and weights integrating an even function over S^{n-1};
     the number of points along each angle doubles with ``level``.
@@ -244,11 +263,17 @@ def _sphere_rule(n, level, kinks):
     A product rule in hyperspherical coordinates: m-point Gauss-Legendre
     in each of the n-2 polar angles theta_k, weighted by sin(theta_k)^k.
     Where kink planes c . w = 0 (c a row of the K x n ``kinks``) cut the
-    azimuth, it takes max(m / 2^j, 1)-point Gauss-Legendre on each arc
-    between them, 2^j >= the most arcs of a polar node, so kinks cost no
-    accuracy; where none does, the m-point midpoint rule, the efficient
-    one for a smooth periodic integrand.  The azimuth covers half a
-    circle with doubled weights: Phi is even, so R(w)^n is too.
+    azimuth, it takes Clenshaw-Curtis with k = (m0 - 1) // arcs << level
+    intervals (m0 the m of level 0, at least one interval) on each arc
+    between them, arcs the most of a polar node, so kinks cost no
+    accuracy; the arcs that meet at a cut share its node, their two
+    weights summed, and the end at pi is a node of its own, so a polar
+    node has at most arcs k + 1 directions, within m unless arcs >= m0.
+    Where none does, the periodic trapezoid rule at az = pi j / m, the
+    efficient one for a smooth periodic integrand.  The azimuth covers
+    half a circle with doubled weights: Phi is even, so R(w)^n is too.
+    Both azimuth rules are nested: in the plane (no polar angles) every
+    direction of ``level`` is a direction of ``level + 1``, bit for bit.
     """
     m = 2 ** (_log2_points(n) + level)
     # polar part: direction (u, s cos(az), s sin(az)), weight pw
@@ -273,14 +298,26 @@ def _sphere_rule(n, level, kinks):
     cuts = np.where(cuts <= math.pi, cuts, 0.0)  # no crossing (nan) too
     ends = np.sort(np.column_stack([np.zeros(len(u)), cuts,
                                     np.full(len(u), math.pi)]), axis=1)
-    width = np.diff(ends, axis=1)[:, :, None]
+    # a repeated end moves to pi: each node's nonempty arcs come first
+    ends[:, 1:][ends[:, 1:] == ends[:, :-1]] = math.pi
+    ends.sort(axis=1)
+    width = np.diff(ends, axis=1)
     arcs = int(np.max(np.count_nonzero(width, axis=1)))
-    k = max(m >> (arcs - 1).bit_length(), 1)
-    x, gw = ((np.arange(1 - k, k, 2) / k, np.full(k, 2.0 / k)) if arcs == 1
-             else gauss_legendre(k))
-    az = (ends[:, :-1, None] + 0.5 * width * (x + 1.0)).reshape(len(u), -1)
-    # doubled weights: gw sums to 2 on each arc of the half circle
-    wt = (pw[:, None, None] * width * gw).reshape(len(u), -1)
+    if arcs == 1:
+        az = np.tile(math.pi * np.arange(m) / m, (len(u), 1))
+        wt = np.outer(pw, np.full(m, 2.0 * math.pi / m))
+    else:
+        k = max(((2 ** _log2_points(n) - 1) // arcs) << level, 1)
+        x, cw = _clenshaw_curtis(k)
+        # slot i holds the left end and the interior nodes of arc i, and
+        # the first empty slot the end at pi; doubled weights: cw sums
+        # to 2 on each arc of the half circle
+        width = np.column_stack([width, np.zeros(len(u))])[:, :, None]
+        az = (ends[:, :, None] + 0.5 * width * (1.0 - x[:k])).reshape(
+            len(u), -1)
+        aw = width * cw[:k]
+        aw[:, 1:, 0] += width[:, :-1, 0] * cw[k]  # right end of arc i - 1
+        wt = pw[:, None] * aw.reshape(len(u), -1)
     keep = wt > 0.0  # drop the empty arcs
     w = np.column_stack([np.repeat(u, keep.sum(axis=1), axis=0),
                          (s * np.cos(az))[keep], (s * np.sin(az))[keep]])
@@ -363,6 +400,18 @@ def _star_radii(phi, w, ts, bracket=None):
                          *tiled).reshape(k, -1)
 
 
+def _row_index(rows, keys):
+    """Index in ``rows`` of each row of ``keys`` equal to it bit for bit,
+    -1 where there is none."""
+    void = np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))
+    a, b = (np.ascontiguousarray(x).view(void).ravel() for x in (rows, keys))
+    if not a.size:
+        return np.full(b.size, -1)
+    order = np.argsort(a)
+    found = order[np.minimum(np.searchsorted(a, b, sorter=order), a.size - 1)]
+    return np.where(a[found] == b, found, -1)
+
+
 def _star_measure(phi, levels):
     """Star-path measures of the 1-D array ``levels``, all at once, and
     their convergence summary (see :func:`sublevel_measure`)."""
@@ -377,35 +426,63 @@ def _star_measure(phi, levels):
     if n_rules < 1:
         raise YoungFunctionError(f"the sphere rule in dimension {n} exceeds "
                                  f"2^{_LOG2_MAX_DIRECTIONS} directions")
+
+    def rule_at(rule):
+        j = _log2_points(n) + rule
+        split = (n - 2) * j + max(j, arcs) <= _LOG2_MAX_DIRECTIONS
+        return _sphere_rule(n, rule, c if split else c[:0])
+
     # an infinite level has measure inf at once, as on the other paths
     est = np.where(np.isinf(levels), np.inf, 0.0)
     change = np.full(levels.size, np.inf)
     pending = np.flatnonzero(np.isfinite(levels))
+    # the radii of the pending levels along the directions of the last
+    # rule that the current one repeats (the nested rules of the plane)
+    kept_w, kept_r = np.empty((0, n)), np.empty((pending.size, 0))
+    w, wt = rule_at(0)
     for rule in range(n_rules):
         if not pending.size:
             break
-        j = _log2_points(n) + rule
-        split = (n - 2) * j + max(j, arcs) <= _LOG2_MAX_DIRECTIONS
-        w, wt = _sphere_rule(n, rule, c if split else c[:0])
+        nxt = rule_at(rule + 1) if rule + 1 < n_rules else (w[:0], wt[:0])
+        old = _row_index(kept_w, w)
+        seen, fresh = np.flatnonzero(old >= 0), np.flatnonzero(old < 0)
+        carry = np.flatnonzero(_row_index(nxt[0], w) >= 0)
+        r_old = kept_r[:, old[seen]]
+
+        def radii(rows, t, *bracket):
+            # radii of the pending levels ``rows`` (at ``t``) along w,
+            # solved along the fresh directions only
+            r = np.empty((t.size, len(w)))
+            r[:, seen] = r_old[rows]
+            r[:, fresh] = np.concatenate([
+                _star_radii(phi, w[fresh], t[chunk], *bracket)
+                for chunk in _chunks(t.size, fresh.size)])
+            return r
+
         ts = levels[pending]
         # the extreme levels first, then every other one inside the
         # bracket of their radii: R(w, t) is nondecreasing in t
         ends = np.unique([ts.min(), ts.max()])
-        r_ends = np.concatenate([_star_radii(phi, w, ends[chunk])
-                                 for chunk in _chunks(ends.size, len(w))])
-        bracket = (r_ends[0], r_ends[-1], ends[0], ends[-1])
+        first = [np.flatnonzero(ts == t)[0] for t in ends]
+        r_ends = radii(first, ends)
+        bracket = (r_ends[0, fresh], r_ends[-1, fresh], ends[0], ends[-1])
         inner = np.flatnonzero((ts > ends[0]) & (ts < ends[-1]))
         new = np.empty(pending.size)
-        for chunk in _chunks(inner.size, len(w)):
-            r = _star_radii(phi, w, ts[inner[chunk]], bracket)
+        kept_r = np.empty((pending.size, carry.size))
+        for chunk in _chunks(inner.size, fresh.size):
+            r = radii(inner[chunk], ts[inner[chunk]], bracket)
             new[inner[chunk]] = np.sum(wt * r ** n / n, axis=1)
+            kept_r[inner[chunk]] = r[:, carry]
         for t, r in zip(ends, r_ends):
             new[ts == t] = np.sum(wt * r ** n / n)
+            kept_r[ts == t] = r[carry]
         diff = np.abs(new - est[pending])
         done = (diff <= _REL_TOL * np.abs(new)) & (rule > 0)
         change[pending] = diff / np.abs(new)
         est[pending] = new
         pending = pending[~done]
+        kept_w, kept_r = w[carry], kept_r[~done]
+        w, wt = nxt
     worst = float(np.max(change[pending])) if pending.size else None
     return est, {"levels": levels.size, "unconverged": pending.size,
                  "worst_rel_change": worst, "rel_tol": _REL_TOL}
@@ -452,13 +529,15 @@ def sublevel_measure(phi, t, method="auto"):
     term innermost) otherwise; everything else goes through the
     star-shaped boundary integral, its sphere rule split at the terms'
     kink planes and refined until the relative change drops below
-    ``rel_tol`` = 1e-7.  On that path every pending level is solved with
-    every direction of a sphere rule in two :func:`radial_extent` calls
+    ``rel_tol`` = 1e-7.  On that path every pending level is solved along
+    the directions of a sphere rule in two :func:`radial_extent` calls
     (each in chunks of at most ``_CHUNK`` (level, direction) pairs): the
     smallest and the largest pending level first, then every other one
     inside the bracket that their radii give along the same direction (a
-    level equal to one of them takes its radii).  A level leaves once its
-    relative change is <= ``rel_tol``; levels still
+    level equal to one of them takes its radii).  A direction that the
+    last rule had too keeps its radii (the nested rules of the plane
+    repeat all of theirs), so each rule solves only its new directions.
+    A level leaves once its relative change is <= ``rel_tol``; levels still
     above it after the finest rule are returned with a
     :class:`MeasureConvergenceWarning`.  ``method="star"`` forces the
     boundary integral for cross-checking.  Every rule is deterministic.

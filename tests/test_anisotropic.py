@@ -123,6 +123,19 @@ def test_sphere_rule_integrates_over_the_sphere(n):
                                                               rel=1e-13)
 
 
+@pytest.mark.parametrize("kinked", [False, True])
+def test_plane_sphere_rules_are_nested(kinked):
+    # the trapezoid azimuth and Clenshaw-Curtis on the arcs between the
+    # kinks: in the plane every direction of a rule is a direction of
+    # the next one, bit for bit, so the star path solves each once
+    kinks = np.array([c for c, _ in _KINKED]) if kinked else np.zeros((0, 2))
+    for level in range(5):
+        w, _ = anisotropic._sphere_rule(2, level, kinks)
+        finer, _ = anisotropic._sphere_rule(2, level + 1, kinks)
+        assert len(finer) > len(w)
+        assert {r.tobytes() for r in w} <= {r.tobytes() for r in finer}
+
+
 @pytest.mark.parametrize("m", [3, 12, 24])
 def test_gauss_legendre_matches_numpy(m):
     x, w = anisotropic.gauss_legendre(m)
@@ -256,6 +269,21 @@ def test_rank_deficient_rows_rejected():
                                  ([2.0, 0.0], PowerYoung(2))])
 
 
+def test_combination_extent_has_no_bound_box():
+    # a combination's rows span R^n, so its sublevel sets are bounded and
+    # no bound radius applies: along x = 2y, where the row (1, -2)
+    # vanishes, Phi = 0.8 r^2 + (r / sqrt 5)^1.5 reaches t = 1e20 at
+    # r = 1.118e10, beyond the CustomPhi box of radius 1e8
+    phi = LinearCombinationPhi(2, [([1.0, 0.0], PowerYoung(2)),
+                                   ([0.0, 1.0], PowerYoung(1.5)),
+                                   ([1.0, -2.0], PowerYoung(6))])
+    r = anisotropic.radial_extent(phi, np.array([[2.0, 1.0]]) / math.sqrt(5),
+                                  1e20)[0]
+    assert r > 1e10
+    assert 0.8 * r**2 + (r / math.sqrt(5)) ** 1.5 == pytest.approx(
+        1e20, rel=1e-11)
+
+
 def test_unbounded_sublevel_raises():
     # depends on x only: the sublevel set is an unbounded strip; at
     # t = 4e14 its half-width is 1/5 of the bound radius 1e8, as at
@@ -324,10 +352,10 @@ def test_phi_circ_equals_per_level_measures(phi, t_hi, n_levels):
 
 def test_kinked_combination_converges_at_every_level(monkeypatch):
     # the sphere rule split where x = 0, y = 0 and x + y = 0 cross the
-    # azimuth: all 128 levels in [1, 1e20] converge on at most 100,000
-    # ray solves (unsplit, the midpoint azimuth left 25 of them above
-    # rel_tol after 138,112), within 1e-9 of 16-point Gauss on 64 panels
-    # of each arc between the kinks
+    # azimuth: all 128 levels in [1, 1e20] converge on at most 45,000
+    # ray solves (41,228: each nested rule solves its new directions
+    # only; 79,776 when every rule solved all of its own), within 1e-9
+    # of 16-point Gauss on 64 panels of each arc between the kinks
     rows = []
     extent = anisotropic.radial_extent
 
@@ -341,7 +369,7 @@ def test_kinked_combination_converges_at_every_level(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         measures = sublevel_measure(phi, levels)
-    assert sum(rows) <= 100_000
+    assert sum(rows) <= 45_000
     circ = phi_circ(phi, t_lo=1.0, t_hi=1e20, n_levels=128)
     assert circ.convergence["unconverged"] == 0
     x, gw = np.polynomial.legendre.leggauss(16)
@@ -368,10 +396,34 @@ def test_star_levels_in_any_order_match_single_levels():
                                rtol=1e-12)
 
 
+def test_kinked_star_path_solves_each_ray_once(monkeypatch):
+    # over the six nested rules of the 128 kinked levels no (level,
+    # direction) pair reaches the solver twice: a level keeps its radii
+    # along the directions that the next rule repeats, so every direction
+    # solved is one of the finest rule's
+    solved = []
+    extent = anisotropic.radial_extent
+
+    def recorded(phi, w, t, bracket=None):
+        t = np.broadcast_to(t, len(w))
+        solved.extend(zip(t.tolist(), map(bytes, w)))
+        return extent(phi, w, t, bracket)
+
+    monkeypatch.setattr(anisotropic, "radial_extent", recorded)
+    sublevel_measure(LinearCombinationPhi(2, _KINKED),
+                     np.geomspace(1.0, 1e20, 128))
+    assert len(solved) > 128 * 31
+    assert len(set(solved)) == len(solved)
+    finest, _ = anisotropic._sphere_rule(
+        2, 5, np.array([c for c, _ in _KINKED]))
+    assert {d for _, d in solved} <= set(map(bytes, finest))
+
+
 def test_star_levels_share_their_brackets(monkeypatch):
     # the 128 kinked levels evaluate Phi on 683,144 rows when every ray
-    # solve brackets from x = 1, and on 384,171 inside the bracket of
-    # the extreme levels
+    # solve brackets from x = 1, on 384,171 inside the bracket of the
+    # extreme levels, and on 204,147 when each nested rule solves only
+    # its new directions
     rows = []
     value = LinearCombinationPhi.value
 
@@ -382,7 +434,7 @@ def test_star_levels_share_their_brackets(monkeypatch):
     monkeypatch.setattr(LinearCombinationPhi, "value", counted)
     sublevel_measure(LinearCombinationPhi(2, _KINKED),
                      np.geomspace(1.0, 1e20, 128))
-    assert sum(rows) <= 450_000
+    assert sum(rows) <= 220_000
 
 
 def test_infinite_star_level_is_inf_and_silent():
@@ -413,7 +465,9 @@ def test_unconverged_star_level_warns():
 
 def test_star_path_batches_at_most_a_chunk(monkeypatch):
     # x^2 + xy + y^2: an ellipse of area 2 pi t / sqrt(3), on the star
-    # path; 600 levels of the 32-direction first rule need two chunks
+    # path; 600 levels of the 32-direction first rule need two chunks.
+    # Lifted, one call carries more pairs than a default chunk: 598
+    # inner levels of the 32 directions that the second rule adds
     calls = []
 
     def fn(xi):
@@ -422,7 +476,8 @@ def test_star_path_batches_at_most_a_chunk(monkeypatch):
 
     phi = CustomPhi(2, fn)
     circ = phi_circ(phi, t_lo=1e-2, t_hi=1e6, n_levels=600)
-    assert max(calls) <= anisotropic._CHUNK < 600 * 32
+    chunk = anisotropic._CHUNK
+    assert max(calls) <= chunk < 600 * 32
     assert circ.convergence["unconverged"] == 0
     levels = np.exp(circ.log_v)
     np.testing.assert_allclose(
@@ -431,7 +486,7 @@ def test_star_path_batches_at_most_a_chunk(monkeypatch):
     calls.clear()
     monkeypatch.setattr(anisotropic, "_CHUNK", 2**40)
     single = phi_circ(phi, t_lo=1e-2, t_hi=1e6, n_levels=600)
-    assert max(calls) >= 600 * 32
+    assert max(calls) > chunk
     np.testing.assert_array_equal(single.log_t, circ.log_t)
     np.testing.assert_array_equal(single.log_v, circ.log_v)
 
