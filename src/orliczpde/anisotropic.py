@@ -263,12 +263,14 @@ def _sphere_rule(n, level, kinks):
     A product rule in hyperspherical coordinates: m-point Gauss-Legendre
     in each of the n-2 polar angles theta_k, weighted by sin(theta_k)^k.
     Where kink planes c . w = 0 (c a row of the K x n ``kinks``) cut the
-    azimuth, it takes Clenshaw-Curtis with k = (m0 - 1) // arcs << level
-    intervals (m0 the m of level 0, at least one interval) on each arc
+    azimuth, it takes Clenshaw-Curtis with k intervals on each arc
     between them, arcs the most of a polar node, so kinks cost no
-    accuracy; the arcs that meet at a cut share its node, their two
-    weights summed, and the end at pi is a node of its own, so a polar
-    node has at most arcs k + 1 directions, within m unless arcs >= m0.
+    accuracy: k = m0 // arcs << level (m0 the m of level 0), or
+    m / 2^j with 2^j >= arcs where arcs > m0, and one interval at
+    least.  The arcs that meet at a cut share its node, their two
+    weights summed, and the end at pi shares the end at 0 of the
+    opposite polar node, so a polar node has at most arcs k directions,
+    within m unless arcs > m.
     Where none does, the periodic trapezoid rule at az = pi j / m, the
     efficient one for a smooth periodic integrand.  The azimuth covers
     half a circle with doubled weights: Phi is even, so R(w)^n is too.
@@ -307,21 +309,30 @@ def _sphere_rule(n, level, kinks):
         az = np.tile(math.pi * np.arange(m) / m, (len(u), 1))
         wt = np.outer(pw, np.full(m, 2.0 * math.pi / m))
     else:
-        k = max(((2 ** _log2_points(n) - 1) // arcs) << level, 1)
+        # arcs k <= m, k doubling with the level: m0 // arcs where it is
+        # positive, else m / 2^j with 2^j >= arcs
+        k = max((2 ** _log2_points(n) // arcs) << level,
+                m >> (arcs - 1).bit_length(), 1)
         x, cw = _clenshaw_curtis(k)
-        # slot i holds the left end and the interior nodes of arc i, and
-        # the first empty slot the end at pi; doubled weights: cw sums
-        # to 2 on each arc of the half circle
-        width = np.column_stack([width, np.zeros(len(u))])[:, :, None]
-        az = (ends[:, :, None] + 0.5 * width * (1.0 - x[:k])).reshape(
-            len(u), -1)
-        aw = width * cw[:k]
-        aw[:, 1:, 0] += width[:, :-1, 0] * cw[k]  # right end of arc i - 1
+        # arc i holds its left end and its interior nodes, and its right
+        # end is the left end of arc i + 1; the end at pi of polar node i
+        # is the end at 0 of node -u_i (the polar order reversed) turned
+        # half a circle, and R is even.  Doubled weights: cw sums to 2 on
+        # each arc of the half circle
+        az = (ends[:, :-1, None] + 0.5 * width[:, :, None] * (1.0 - x[:k])
+              ).reshape(len(u), -1)
+        aw = width[:, :, None] * cw[:k]
+        right = width * cw[k]
+        last = (np.arange(len(u)), np.count_nonzero(width, axis=1) - 1)
+        at_pi = pw * right[last]
+        right[last] = 0.0
+        aw[:, 1:, 0] += right[:, :-1]
         wt = pw[:, None] * aw.reshape(len(u), -1)
+        wt[::-1, 0] += at_pi
     keep = wt > 0.0  # drop the empty arcs
-    w = np.column_stack([np.repeat(u, keep.sum(axis=1), axis=0),
-                         (s * np.cos(az))[keep], (s * np.sin(az))[keep]])
-    return w, wt[keep]
+    node = np.repeat(np.arange(len(u)), keep.sum(axis=1))
+    az, s = az[keep], s[node, 0]
+    return np.column_stack([u[node], s * np.cos(az), s * np.sin(az)]), wt[keep]
 
 
 def _power_split_measure(terms, t):
@@ -426,27 +437,25 @@ def _star_measure(phi, levels):
     if n_rules < 1:
         raise YoungFunctionError(f"the sphere rule in dimension {n} exceeds "
                                  f"2^{_LOG2_MAX_DIRECTIONS} directions")
-
-    def rule_at(rule):
-        j = _log2_points(n) + rule
-        split = (n - 2) * j + max(j, arcs) <= _LOG2_MAX_DIRECTIONS
-        return _sphere_rule(n, rule, c if split else c[:0])
-
     # an infinite level has measure inf at once, as on the other paths
     est = np.where(np.isinf(levels), np.inf, 0.0)
     change = np.full(levels.size, np.inf)
     pending = np.flatnonzero(np.isfinite(levels))
-    # the radii of the pending levels along the directions of the last
-    # rule that the current one repeats (the nested rules of the plane)
+    # the pending levels keep their radii along the last rule's
+    # directions in the plane only: the polar rule changes with m, so
+    # no direction repeats where n >= 3
+    carry = slice(None) if n == 2 else slice(0)
     kept_w, kept_r = np.empty((0, n)), np.empty((pending.size, 0))
-    w, wt = rule_at(0)
     for rule in range(n_rules):
         if not pending.size:
             break
-        nxt = rule_at(rule + 1) if rule + 1 < n_rules else (w[:0], wt[:0])
+        j = _log2_points(n) + rule
+        split = (n - 2) * j + max(j, arcs) <= _LOG2_MAX_DIRECTIONS
+        w, wt = _sphere_rule(n, rule, c if split else c[:0])
         old = _row_index(kept_w, w)
         seen, fresh = np.flatnonzero(old >= 0), np.flatnonzero(old < 0)
-        carry = np.flatnonzero(_row_index(nxt[0], w) >= 0)
+        if not fresh.size:
+            continue  # more arcs than points repeat a rule: no change
         r_old = kept_r[:, old[seen]]
 
         def radii(rows, t, *bracket):
@@ -468,7 +477,7 @@ def _star_measure(phi, levels):
         bracket = (r_ends[0, fresh], r_ends[-1, fresh], ends[0], ends[-1])
         inner = np.flatnonzero((ts > ends[0]) & (ts < ends[-1]))
         new = np.empty(pending.size)
-        kept_r = np.empty((pending.size, carry.size))
+        kept_r = np.empty((pending.size, len(w[carry])))
         for chunk in _chunks(inner.size, fresh.size):
             r = radii(inner[chunk], ts[inner[chunk]], bracket)
             new[inner[chunk]] = np.sum(wt * r ** n / n, axis=1)
@@ -482,7 +491,6 @@ def _star_measure(phi, levels):
         est[pending] = new
         pending = pending[~done]
         kept_w, kept_r = w[carry], kept_r[~done]
-        w, wt = nxt
     worst = float(np.max(change[pending])) if pending.size else None
     return est, {"levels": levels.size, "unconverged": pending.size,
                  "worst_rel_change": worst, "rel_tol": _REL_TOL}

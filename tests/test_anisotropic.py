@@ -101,7 +101,7 @@ def test_sphere_rule_integrates_over_the_sphere(n):
     # rules.  Split at three kink planes through the azimuth axes, the
     # rule keeps those bounds in at most m^(n-1) directions, and it
     # integrates |c . w| for such a plane c to rounding, where the rule
-    # without kinks, the midpoint azimuth, is 4.0e-4 off at m = 32
+    # without kinks, the trapezoid azimuth, is 8.0e-4 off at m = 32
     omega = unit_ball_volume(n)
     kinks = np.zeros((3, n))
     kinks[:, -2:] = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
@@ -121,6 +121,32 @@ def test_sphere_rule_integrates_over_the_sphere(n):
                 exact = 2.0 * math.sqrt(2.0) * unit_ball_volume(n - 1)
                 assert wt @ np.abs(w @ c[2]) == pytest.approx(exact,
                                                               rel=1e-13)
+
+
+def test_sphere_rule_refines_more_arcs_than_points():
+    # four kink planes in R^4 cut some polar nodes' azimuth into more
+    # arcs than the m = 4 points of level 0: the arcs still get more
+    # points at each level, so |c . w| converges (2.6e-5 off at level 3)
+    c = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0],
+                  [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 0.0, 1.0]])
+    exact = np.linalg.norm(c[2]) * 2.0 * unit_ball_volume(3)
+    w, wt = anisotropic._sphere_rule(4, 3, c)
+    assert wt.size <= 32**3
+    assert wt @ np.abs(w @ c[2]) == pytest.approx(exact, rel=1e-4)
+
+
+def test_star_path_skips_a_repeated_rule():
+    # 40 rows cut the half circle into 41 arcs, more than the 32 points
+    # of the first two rules, which are then the same one interval per
+    # arc: the second adds no direction and is skipped, not read as a
+    # change of 0.  A sum of |c . xi|^2 is the quadratic form Q = sum c c^T,
+    # of measure pi t / sqrt(det Q)
+    ang = math.pi * (np.arange(40) + 0.5) / 40
+    rows = np.column_stack([np.cos(ang), np.sin(ang)])
+    phi = LinearCombinationPhi(2, [(c, PowerYoung(2)) for c in rows])
+    exact = math.pi * 3.0 / math.sqrt(np.linalg.det(rows.T @ rows))
+    assert sublevel_measure(phi, 3.0, method="star") == pytest.approx(
+        exact, rel=1e-9)
 
 
 @pytest.mark.parametrize("kinked", [False, True])
@@ -353,7 +379,7 @@ def test_phi_circ_equals_per_level_measures(phi, t_hi, n_levels):
 def test_kinked_combination_converges_at_every_level(monkeypatch):
     # the sphere rule split where x = 0, y = 0 and x + y = 0 cross the
     # azimuth: all 128 levels in [1, 1e20] converge on at most 45,000
-    # ray solves (41,228: each nested rule solves its new directions
+    # ray solves (41,100: each nested rule solves its new directions
     # only; 79,776 when every rule solved all of its own), within 1e-9
     # of 16-point Gauss on 64 panels of each arc between the kinks
     rows = []
@@ -412,7 +438,7 @@ def test_kinked_star_path_solves_each_ray_once(monkeypatch):
     monkeypatch.setattr(anisotropic, "radial_extent", recorded)
     sublevel_measure(LinearCombinationPhi(2, _KINKED),
                      np.geomspace(1.0, 1e20, 128))
-    assert len(solved) > 128 * 31
+    assert len(solved) > 128 * 30
     assert len(set(solved)) == len(solved)
     finest, _ = anisotropic._sphere_rule(
         2, 5, np.array([c for c, _ in _KINKED]))
@@ -422,7 +448,7 @@ def test_kinked_star_path_solves_each_ray_once(monkeypatch):
 def test_star_levels_share_their_brackets(monkeypatch):
     # the 128 kinked levels evaluate Phi on 683,144 rows when every ray
     # solve brackets from x = 1, on 384,171 inside the bracket of the
-    # extreme levels, and on 204,147 when each nested rule solves only
+    # extreme levels, and on 203,491 when each nested rule solves only
     # its new directions
     rows = []
     value = LinearCombinationPhi.value
