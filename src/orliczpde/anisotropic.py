@@ -274,8 +274,9 @@ def _sphere_rule(n, level, kinks):
     Where none does, the periodic trapezoid rule at az = pi j / m, the
     efficient one for a smooth periodic integrand.  The azimuth covers
     half a circle with doubled weights: Phi is even, so R(w)^n is too.
-    Both azimuth rules are nested: in the plane (no polar angles) every
-    direction of ``level`` is a direction of ``level + 1``, bit for bit.
+    Both azimuth rules are nested: in the plane (no polar angles) the
+    directions of ``level`` are the even-numbered ones of ``level + 1``,
+    bit for bit.
     """
     m = 2 ** (_log2_points(n) + level)
     # polar part: direction (u, s cos(az), s sin(az)), weight pw
@@ -411,18 +412,6 @@ def _star_radii(phi, w, ts, bracket=None):
                          *tiled).reshape(k, -1)
 
 
-def _row_index(rows, keys):
-    """Index in ``rows`` of each row of ``keys`` equal to it bit for bit,
-    -1 where there is none."""
-    void = np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))
-    a, b = (np.ascontiguousarray(x).view(void).ravel() for x in (rows, keys))
-    if not a.size:
-        return np.full(b.size, -1)
-    order = np.argsort(a)
-    found = order[np.minimum(np.searchsorted(a, b, sorter=order), a.size - 1)]
-    return np.where(a[found] == b, found, -1)
-
-
 def _star_measure(phi, levels):
     """Star-path measures of the 1-D array ``levels``, all at once, and
     their convergence summary (see :func:`sublevel_measure`)."""
@@ -452,11 +441,13 @@ def _star_measure(phi, levels):
         j = _log2_points(n) + rule
         split = (n - 2) * j + max(j, arcs) <= _LOG2_MAX_DIRECTIONS
         w, wt = _sphere_rule(n, rule, c if split else c[:0])
-        old = _row_index(kept_w, w)
-        seen, fresh = np.flatnonzero(old >= 0), np.flatnonzero(old < 0)
-        if not fresh.size:
+        if np.array_equal(w, kept_w):
             continue  # more arcs than points repeat a rule: no change
-        r_old = kept_r[:, old[seen]]
+        # a nested rule's even directions are the last rule's
+        nested = np.array_equal(w[::2], kept_w)
+        seen = slice(0, None, 2) if nested else slice(0)
+        fresh = slice(1, None, 2) if nested else slice(None)
+        r_old = kept_r if nested else kept_r[:, :0]
 
         def radii(rows, t, *bracket):
             # radii of the pending levels ``rows`` (at ``t``) along w,
@@ -465,7 +456,7 @@ def _star_measure(phi, levels):
             r[:, seen] = r_old[rows]
             r[:, fresh] = np.concatenate([
                 _star_radii(phi, w[fresh], t[chunk], *bracket)
-                for chunk in _chunks(t.size, fresh.size)])
+                for chunk in _chunks(t.size, len(w[fresh]))])
             return r
 
         ts = levels[pending]
@@ -478,7 +469,7 @@ def _star_measure(phi, levels):
         inner = np.flatnonzero((ts > ends[0]) & (ts < ends[-1]))
         new = np.empty(pending.size)
         kept_r = np.empty((pending.size, len(w[carry])))
-        for chunk in _chunks(inner.size, fresh.size):
+        for chunk in _chunks(inner.size, len(w[fresh])):
             r = radii(inner[chunk], ts[inner[chunk]], bracket)
             new[inner[chunk]] = np.sum(wt * r ** n / n, axis=1)
             kept_r[inner[chunk]] = r[:, carry]
@@ -542,9 +533,9 @@ def sublevel_measure(phi, t, method="auto"):
     (each in chunks of at most ``_CHUNK`` (level, direction) pairs): the
     smallest and the largest pending level first, then every other one
     inside the bracket that their radii give along the same direction (a
-    level equal to one of them takes its radii).  A direction that the
-    last rule had too keeps its radii (the nested rules of the plane
-    repeat all of theirs), so each rule solves only its new directions.
+    level equal to one of them takes its radii).  In the plane the rules
+    are nested and a level keeps its radii along the directions that the
+    last rule had, so each rule solves only its new directions.
     A level leaves once its relative change is <= ``rel_tol``; levels still
     above it after the finest rule are returned with a
     :class:`MeasureConvergenceWarning`.  ``method="star"`` forces the
