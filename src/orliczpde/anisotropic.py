@@ -487,16 +487,15 @@ def _star_measure(phi, levels):
                  "worst_rel_change": worst, "rel_tol": _REL_TOL}
 
 
-def _measures(phi, levels, method):
+def _measures(phi, levels):
     """Measures of the 1-D array of positive ``levels``, their
     convergence summary (see :func:`sublevel_measure`) and the exact
     tail (sigma, beta) of Phi_circ: (n / sum 1/p_i, 0) where the
     measures are Dirichlet's closed form c t^{sum 1/p_i}, else None."""
     tail = None
     coeffs = getattr(phi, "coeffs", ())
-    det = (abs(float(np.linalg.det(coeffs)))
-           if method == "auto" and len(coeffs) == phi.n else 0.0)
-    if method == "auto" and phi.form == "radial":
+    det = abs(float(np.linalg.det(coeffs))) if len(coeffs) == phi.n else 0.0
+    if phi.form == "radial":
         out = unit_ball_volume(phi.n) * phi.a.inverse(levels) ** phi.n
     elif det > 0.0 and all(isinstance(a, PowerYoung) for a in phi.terms):
         out = _power_split_measure(phi.terms, levels) / det
@@ -514,7 +513,7 @@ def _measures(phi, levels, method):
                  "worst_rel_change": None, "rel_tol": _REL_TOL}, tail
 
 
-def sublevel_measure(phi, t, method="auto"):
+def sublevel_measure(phi, t):
     """Lebesgue measure of {xi in R^n : Phi(xi) <= t}.
 
     ``t`` is a level or an array of levels; a float or an array of the
@@ -538,13 +537,12 @@ def sublevel_measure(phi, t, method="auto"):
     last rule had, so each rule solves only its new directions.
     A level leaves once its relative change is <= ``rel_tol``; levels still
     above it after the finest rule are returned with a
-    :class:`MeasureConvergenceWarning`.  ``method="star"`` forces the
-    boundary integral for cross-checking.  Every rule is deterministic.
+    :class:`MeasureConvergenceWarning`.  Every rule is deterministic.
     """
     t_arr = np.asarray(t, dtype=float)
     out = np.zeros(t_arr.size)
     pos = np.flatnonzero(t_arr.ravel() > 0.0)
-    out[pos], summary, _ = _measures(phi, t_arr.ravel()[pos], method)
+    out[pos], summary, _ = _measures(phi, t_arr.ravel()[pos])
     if summary["unconverged"]:
         warnings.warn(MeasureConvergenceWarning(summary), stacklevel=2)
     return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
@@ -587,7 +585,7 @@ def phi_circ(phi, t_lo=1e-3, t_hi=1e6, n_levels=512, seed=0):
     if phi.form == "radial":
         return phi.a
     levels = np.geomspace(t_lo, t_hi, n_levels)
-    measures, convergence, tail = _measures(phi, levels, "auto")
+    measures, convergence, tail = _measures(phi, levels)
     radii = (measures / unit_ball_volume(phi.n)) ** (1.0 / phi.n)
     out = SampledYoungFunction(np.log(radii), np.log(levels),
                                name=f"phi_circ[{phi.form}]")

@@ -853,11 +853,13 @@ def _coarse_start(spec, f_field, max_iter, levels):
     ``f_field``: the bilinear prolongation of the solution one mesh
     coarser, or None when N is even, the coarser mesh has fewer than
     ``_COARSEST`` nodes or its solve did not converge.  The coarse datum
-    is the full weighting of f, an array coefficient b is averaged over
+    is the full weighting of f with a zero boundary, as every
+    :class:`GridField` has, an array coefficient b is averaged over
     2 x 2 cell blocks (so b >= 1 still holds), and the coarse solve
     starts from its own coarse start.  Each coarse level is solved to
-    _COARSE_TOL (1 + ||f||_1) for its datum f.  Appends one
-    record per coarse level to ``levels``, coarsest first."""
+    _COARSE_TOL (1 + ||f||_1) for its datum f, so the tolerance counts
+    only the nodes that the solve reads.  Appends one record per coarse
+    level to ``levels``, coarsest first."""
     n = f_field.n_nodes
     if n % 2 == 0 or (n + 1) // 2 < _COARSEST:
         return None
@@ -865,7 +867,7 @@ def _coarse_start(spec, f_field, max_iter, levels):
         m = (n - 1) // 2
         spec = replace(spec, b=np.asarray(spec.b).reshape(
             m, 2, m, 2).mean(axis=(1, 3)))
-    coarse = GridField(_restrict(f_field.values))
+    coarse = GridField(_restrict(f_field.values)).zero_boundary()
     start = _coarse_start(spec, coarse, max_iter, levels)
     level_tol = _COARSE_TOL * (1.0 + coarse.l1())
     u, info = _newton(spec, coarse, level_tol, max_iter, start)

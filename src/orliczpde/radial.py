@@ -43,6 +43,7 @@ __all__ = [
 # Gauss points per panel of the radial grid past the first one, where g
 # is smooth on the scale of a panel
 _GL_X, _GL_W = gauss_legendre(3)
+_N_NODES = 4096  # nodes of the radial grid
 
 
 @dataclass
@@ -75,13 +76,7 @@ class RadialSolution:
                   np.column_stack([self.r, self.v, self.g]))
 
 
-def _radial_grid(R, n_nodes):
-    """Nodes on [0, R] clustered toward the boundary r = R."""
-    th = np.linspace(0.0, 0.5 * math.pi, n_nodes)
-    return R * np.sin(th)
-
-
-def solve_radial(psi_diamond_inv, f_rf, n, domain_measure=None, n_nodes=4096):
+def solve_radial(psi_diamond_inv, f_rf, n, domain_measure=None):
     """Evaluate the closed-form radial solution on a clustered grid.
 
     ``psi_diamond_inv`` is a vectorized callable for PsiInv; ``f_rf`` is
@@ -94,11 +89,11 @@ def solve_radial(psi_diamond_inv, f_rf, n, domain_measure=None, n_nodes=4096):
     datum, takes the geometric head of
     :func:`rearrangement.improper_integral`, so v(0) is infinite exactly
     when that integral diverges.  PsiInv is called once on the nodes and
-    all Gauss points together and twice more by the head (about 20,000
-    points at the default 4096 nodes).  On f = 1 with Phi_diamond = t^2
-    in the unit disk v(0) = 1/4 to 1e-13, and on the CSV datum f*(s) =
-    s^-0.6 v(0) matches :func:`rearrangement.boundedness_criterion` to
-    3e-8.
+    all Gauss points together and twice more by the head, about 20,000
+    points on the grid's 4096 nodes (fixed, ``_N_NODES``).  On f = 1
+    with Phi_diamond = t^2 in the unit disk v(0) = 1/4 to 1e-13, and on
+    the CSV datum f*(s) = s^-0.6 v(0) matches
+    :func:`rearrangement.boundedness_criterion` to 3e-8.
     """
     if domain_measure is None:
         domain_measure = f_rf.domain_measure
@@ -110,15 +105,16 @@ def solve_radial(psi_diamond_inv, f_rf, n, domain_measure=None, n_nodes=4096):
         arg = rho * f_rf.maximal_eval(omega * rho**n) / n
         return np.asarray(psi_diamond_inv(arg), dtype=float)
 
-    r = _radial_grid(R, n_nodes)
+    # nodes clustered toward the boundary r = R
+    r = R * np.sin(np.linspace(0.0, 0.5 * math.pi, _N_NODES))
     a, b = r[1:-1], r[2:]
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     pts = mid[:, None] + half[:, None] * _GL_X[None, :]
     vals = g_of(np.concatenate([r, pts.ravel()]))
-    g = vals[:n_nodes]
-    increments = np.empty(n_nodes - 1)
+    g = vals[:_N_NODES]
+    increments = np.empty(_N_NODES - 1)
     increments[0] = improper_integral(g_of, 0.0, float(r[1]))
-    increments[1:] = half * (vals[n_nodes:].reshape(pts.shape) @ _GL_W)
+    increments[1:] = half * (vals[_N_NODES:].reshape(pts.shape) @ _GL_W)
     v = np.concatenate([np.cumsum(increments[::-1])[::-1], [0.0]])
     return RadialSolution(n=n, domain_measure=float(domain_measure),
                           r=r, v=v, g=g)

@@ -77,27 +77,30 @@ _SLACK = 6  # narrowing steps allowed beyond the bisection count
 # solver mode of a bracketed element; while bracketing, |mode| counts the
 # steps, at most about 20 between _TINY and 1e300
 _NARROW = 127
-_RTOL_FLOOR = 1e-14  # a quarter of log1p of it is still ~10 ulp
+_RTOL = 1e-12  # relative width at which solve_increasing stops
+_TOL = math.log1p(_RTOL)  # the same width in log x
+# narrowing steps for a bracket 2**j * log(2) wide are j + _BASE_BUDGET
+_BASE_BUDGET = math.ceil(math.log2(math.log(2.0) / _TOL)) + _SLACK
 _T_CAP = 1e250  # largest maximizer of st - A(t) that is searched for
 
 
-def _secant_points(lo, hi, rlo, rhi, budget, tol):
+def _secant_points(lo, hi, rlo, rhi, budget):
     """lo * exp(s), with s the root of the log-log secant through
     (log lo, rlo) and (log hi, rhi), or half the log-width where that
-    is not finite; s keeps tol/4 inside the bracket and leaves, whichever
-    end moves, a bracket no wider than tol * 2**(budget - 1)."""
+    is not finite; s keeps _TOL/4 inside the bracket and leaves, whichever
+    end moves, a bracket no wider than _TOL * 2**(budget - 1)."""
     width = np.log(hi / lo)
     s = rlo - rhi
     secant = (s < 0.0) & (s > -np.inf)
     np.divide(rlo, s, out=s)
     s[~secant] = 0.5
     s *= width
-    cap = np.ldexp(tol, budget - np.int8(1))
+    cap = np.ldexp(_TOL, budget - np.int8(1))
     np.minimum(s, cap, out=s)
     np.subtract(width, cap, out=cap)
     np.maximum(s, cap, out=s)
-    np.maximum(s, 0.25 * tol, out=s)
-    width -= 0.25 * tol
+    np.maximum(s, 0.25 * _TOL, out=s)
+    width -= 0.25 * _TOL
     np.minimum(s, width, out=s)
     c = np.exp(s, out=s)
     c *= lo
@@ -114,14 +117,13 @@ def _bracket_points(c, lo, hi, mode, x0, x_max):
     np.copyto(c, x0, where=mode == 0)
 
 
-def _bracket_step(c, reached, narrow, y, hi, mode, budget, x_max,
-                  base_budget):
+def _bracket_step(c, reached, narrow, y, hi, mode, budget, x_max):
     """Bracketing bookkeeping after fn(c), with lo and hi already moved to
     c: raise past x_max, set hi = 0 where fn(0+) >= y, give each newly
     bracketed element its narrowing budget, and return the new mode.
 
     A bracket found by a factor 2**(2**j) is 2**j * log(2) wide, which
-    bisection narrows to tol in j + ``base_budget`` - _SLACK steps."""
+    bisection narrows to _TOL in j + _BASE_BUDGET - _SLACK steps."""
     stuck = ~reached & (c >= x_max)
     if np.any(stuck):
         raise InverseRangeError(
@@ -130,13 +132,13 @@ def _bracket_step(c, reached, narrow, y, hi, mode, budget, x_max,
     np.copyto(hi, 0.0, where=reached & (c <= _TINY))
     bracketed = ~narrow & np.where(reached, mode > 0, mode < 0)
     np.copyto(budget,
-              np.minimum(np.abs(mode), _MAX_SHIFT) + np.int8(base_budget),
+              np.minimum(np.abs(mode), _MAX_SHIFT) + np.int8(_BASE_BUDGET),
               where=bracketed)
     return np.where(narrow | bracketed, np.int8(_NARROW),
                     mode + np.where(reached, np.int8(-1), np.int8(1)))
 
 
-def solve_increasing(fn, y, rtol=1e-12, x_max=1e300, args=(), bracket=None):
+def solve_increasing(fn, y, x_max=1e300, args=(), bracket=None):
     """Leftmost x >= 0 with fn(x) >= y, elementwise, for nondecreasing fn.
 
     This is the left-continuous generalized inverse of fn.  ``fn(x,
@@ -161,7 +163,7 @@ def solve_increasing(fn, y, rtol=1e-12, x_max=1e300, args=(), bracket=None):
     within ``_SLACK`` steps of what bisection would take (the projection
     step of ITP, Oliveira & Takahashi 2020, ACM TOMS 47), so the worst
     case (a jump) stays close to bisection.  The solve stops when
-    hi <= lo * (1 + rtol), with ``rtol`` at least 1e-14, and returns
+    hi <= lo * (1 + rtol), with the fixed rtol = 1e-12, and returns
     hi, where fn(x) >= y holds.  The result is 0 where y <= 0 or
     fn(0+) >= y, and inf where y is inf.  A finite y with fn(x_max) < y
     raises :class:`InverseRangeError`: no unconverged number is
@@ -187,9 +189,6 @@ def solve_increasing(fn, y, rtol=1e-12, x_max=1e300, args=(), bracket=None):
     if idx.size < y_arr.size:
         cur = [a[idx] for a in cur]
     m = idx.size
-    rtol = max(rtol, _RTOL_FLOOR)
-    tol = math.log1p(rtol)
-    base_budget = math.ceil(math.log2(math.log(2.0) / tol)) + _SLACK
     x0 = min(1.0, x_max)
     moved_hi = np.zeros(m, bool)  # the last step moved hi
     if bracket is None:
@@ -207,7 +206,7 @@ def solve_increasing(fn, y, rtol=1e-12, x_max=1e300, args=(), bracket=None):
                          [_NARROW, 1, -1], 0).astype(np.int8)
         with np.errstate(divide="ignore", invalid="ignore"):
             budget = np.where(mode == _NARROW,
-                              np.clip(np.ceil(np.log2(np.log(hi / lo) / tol)),
+                              np.clip(np.ceil(np.log2(np.log(hi / lo) / _TOL)),
                                       0, 64), 0).astype(np.int8)
             budget += np.int8(_SLACK)
             rlo, rhi = (np.log(r) - np.log(y_flat[idx]) for r in (rlo, rhi))
@@ -221,9 +220,9 @@ def solve_increasing(fn, y, rtol=1e-12, x_max=1e300, args=(), bracket=None):
                 narrow = mode == _NARROW
                 bracketing = not narrow.all()
             if not bracketing:
-                c = _secant_points(lo, hi, rlo, rhi, budget, tol)
+                c = _secant_points(lo, hi, rlo, rhi, budget)
             else:
-                c = (_secant_points(lo, hi, rlo, rhi, budget, tol)
+                c = (_secant_points(lo, hi, rlo, rhi, budget)
                      if narrow.any() else np.empty(m))
                 _bracket_points(c, lo, hi, mode, x0, x_max)
             fc = np.asarray(fn(c, *cur), dtype=float)
@@ -235,7 +234,7 @@ def solve_increasing(fn, y, rtol=1e-12, x_max=1e300, args=(), bracket=None):
             budget -= np.int8(1)
             if bracketing:
                 mode = _bracket_step(c, reached, narrow, y_cur, hi, mode,
-                                     budget, x_max, base_budget)
+                                     budget, x_max)
             del c
             np.log(y_cur, out=y_cur)
             rc = np.subtract(np.log(fc), y_cur, out=y_cur)
@@ -249,7 +248,7 @@ def solve_increasing(fn, y, rtol=1e-12, x_max=1e300, args=(), bracket=None):
             np.multiply(rhi, scale, out=rhi, where=below & ~moved_hi)
             del scale
             moved_hi = reached
-            done = hi <= lo * (1.0 + rtol)
+            done = hi <= lo * (1.0 + _RTOL)
             if np.any(done):
                 keep = ~done
                 k = int(np.count_nonzero(keep))
@@ -383,23 +382,18 @@ class ScalarYoungFunction:
 
     # -- serialization ------------------------------------------------
 
-    def sample(self, t_lo=None, t_hi=None):
+    def sample(self):
         """Freeze this function to a :class:`SampledYoungFunction`, 256
-        points per decade of [t_lo, t_hi] (the trusted range by default).
-        """
-        t_lo = self.t_min if t_lo is None else t_lo
-        t_hi = self.t_max if t_hi is None else t_hi
-        decades = max(math.log10(t_hi / t_lo), 1.0)
+        points per decade of the trusted range [t_min, t_max]."""
+        decades = max(math.log10(self.t_max / self.t_min), 1.0)
         n = int(decades * 256) + 2
-        log_t = np.linspace(math.log(t_lo), math.log(t_hi), n)
+        log_t = np.linspace(math.log(self.t_min), math.log(self.t_max), n)
         return SampledYoungFunction(log_t, self.log_value(log_t), name=self.name)
 
-    def to_csv(self, path, t_lo=None, t_hi=None, n=512):
-        """A at ``n`` geometric points of [t_lo, t_hi] (the trusted range
-        by default), columns t and A(t) (:func:`write_csv`)."""
-        t_lo = self.t_min if t_lo is None else t_lo
-        t_hi = self.t_max if t_hi is None else t_hi
-        t = np.geomspace(t_lo, t_hi, n)
+    def to_csv(self, path):
+        """A at 512 geometric points of the trusted range [t_min, t_max],
+        columns t and A(t) (:func:`write_csv`)."""
+        t = np.geomspace(self.t_min, self.t_max, 512)
         write_csv(path, "t,A(t)", np.column_stack([t, self.value(t)]))
 
 

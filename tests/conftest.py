@@ -1,9 +1,17 @@
 """Shared helpers for the test suite."""
 
+import math
+
 import numpy as np
 
 from orliczpde.anisotropic import RadialPhi, SplitPhi
-from orliczpde.young import PowerYoung, psi_of, theta_diamond
+from orliczpde.young import (
+    PowerYoung,
+    SampledYoungFunction,
+    psi_of,
+    theta_diamond,
+    write_csv,
+)
 
 
 def power_potential(p):
@@ -14,6 +22,22 @@ def power_potential(p):
 def split_power_potential(p1, p2):
     """Phi(xi) = |xi_1|^p1 / p1 + |xi_2|^p2 / p2."""
     return SplitPhi([PowerYoung(p1, 1.0 / p1), PowerYoung(p2, 1.0 / p2)])
+
+
+def sampled(a, t_lo, t_hi):
+    """A frozen to a :class:`SampledYoungFunction` on [t_lo, t_hi], 256
+    points per decade, the grid that ``a.sample()`` takes on the trusted
+    range."""
+    n = int(max(math.log10(t_hi / t_lo), 1.0) * 256) + 2
+    log_t = np.linspace(math.log(t_lo), math.log(t_hi), n)
+    return SampledYoungFunction(log_t, a.log_value(log_t), name=a.name)
+
+
+def write_table(path, a, t_lo, t_hi, n):
+    """The CSV table of A at ``n`` geometric points of [t_lo, t_hi], the
+    columns that ``a.to_csv(path)`` writes on the trusted range."""
+    t = np.geomspace(t_lo, t_hi, n)
+    write_csv(path, "t,A(t)", np.column_stack([t, a.value(t)]))
 
 
 def calculus_identity_errors(a, ts):

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import calculus_identity_errors, power_potential
+from conftest import calculus_identity_errors, power_potential, write_table
 from orliczpde import anisotropic, grid, radial, rearrangement, young
 from orliczpde.cli import main
 from orliczpde.embedding import sobolev_conjugate
@@ -71,7 +71,7 @@ def test_ac01_conjugation_suite(report, tmp_path):
         assert rep["young_inequality_violations"] == 0
         # tabulated input
         csv = tmp_path / "tab.csv"
-        young.PowerLogYoung(2.0, 1.0).to_csv(csv, 1e-3, 1e5, 1024)
+        write_table(csv, young.PowerLogYoung(2.0, 1.0), 1e-3, 1e5, 1024)
         code = main(["conjugate", "--A", str(csv),
                      "--out", str(tmp_path / "s"), "--quiet"])
         assert code == 0
@@ -169,7 +169,7 @@ def test_ac05_radial_solver_oracle(report):
             def psi_inv(s, p=p):
                 return np.maximum(np.asarray(s, float), 0.0) ** (
                     1.0 / (p - 1.0))
-            sol = radial.solve_radial(psi_inv, disk, 2, n_nodes=4096)
+            sol = radial.solve_radial(psi_inv, disk, 2)
             gam = 1.0 / (p - 1.0)
             v_ref = 0.5**gam * (1.0 - sol.r**(gam + 1.0)) / (gam + 1.0)
             assert np.max(np.abs(sol.v - v_ref)) <= 1e-6
@@ -196,7 +196,7 @@ def test_ac07_comparison_principle(report):
             vsol = radial.solve_radial(
                 psi_inv, rearrangement.RearrangedFunction([0.0, 1.0],
                                                           [1.0]),
-                2, domain_measure=1.0, n_nodes=4096)
+                2, domain_measure=1.0)
             v_star = vsol.rearranged()
             margins = {}
             for n_nodes in (65, 129):

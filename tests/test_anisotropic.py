@@ -38,6 +38,12 @@ from orliczpde.young import (
 )
 
 
+def _star(phi, t):
+    """The star path's measures of the levels ``t`` (a 1-D array), for
+    the forms that :func:`sublevel_measure` gives in closed form."""
+    return anisotropic._star_measure(phi, np.asarray(t, dtype=float))[0]
+
+
 def test_unit_ball_volume():
     assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-14)
     assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0,
@@ -52,13 +58,11 @@ def test_radial_measure_closed_form():
     expected = unit_ball_volume(3) * levels**1.5
     for t, exact in zip(levels, expected):
         assert sublevel_measure(phi, t) == pytest.approx(exact, rel=1e-12)
-        assert sublevel_measure(phi, t, method="star") == pytest.approx(
-            exact, rel=1e-6)
+        assert _star(phi, [t])[0] == pytest.approx(exact, rel=1e-6)
     # all levels at once: the same numbers as one call per level
-    star = sublevel_measure(phi, levels, method="star")
+    star = _star(phi, levels)
     np.testing.assert_allclose(
-        star, [sublevel_measure(phi, t, method="star") for t in levels],
-        rtol=1e-12)
+        star, [_star(phi, [t])[0] for t in levels], rtol=1e-12)
     np.testing.assert_allclose(star, expected, rtol=1e-6)
     np.testing.assert_allclose(sublevel_measure(phi, levels), expected,
                                rtol=1e-12)
@@ -71,8 +75,8 @@ def test_split_measure_against_quadrature_oracle():
         oracle, err = quad(lambda y: 4.0 * math.sqrt(max(t - y**4, 0.0)),
                            0.0, t**0.25, limit=200)
         assert sublevel_measure(phi, t) == pytest.approx(oracle, rel=1e-9)
-    assert sublevel_measure(phi, 1e4, method="star") == pytest.approx(
-        sublevel_measure(phi, 1e4), rel=1e-5)
+    assert _star(phi, [1e4])[0] == pytest.approx(sublevel_measure(phi, 1e4),
+                                                 rel=1e-5)
 
 
 def test_star_path_in_four_dimensions():
@@ -84,11 +88,10 @@ def test_star_path_in_four_dimensions():
     c = math.prod(2.0 * math.gamma(1.0 + 1.0 / p) for p in ps)
     for t in (0.25, 16.0):
         exact = c / math.gamma(1.0 + s) * t**s
-        assert sublevel_measure(phi, t, method="star") == pytest.approx(
-            exact, rel=1e-6)
+        assert _star(phi, [t])[0] == pytest.approx(exact, rel=1e-6)
     a = PowerYoung(3)
     phi = RadialPhi(4, a)
-    assert sublevel_measure(phi, 7.0, method="star") == pytest.approx(
+    assert _star(phi, [7.0])[0] == pytest.approx(
         unit_ball_volume(4) * a.inverse(7.0) ** 4, rel=1e-6)
 
 
@@ -145,8 +148,7 @@ def test_star_path_skips_a_repeated_rule():
     rows = np.column_stack([np.cos(ang), np.sin(ang)])
     phi = LinearCombinationPhi(2, [(c, PowerYoung(2)) for c in rows])
     exact = math.pi * 3.0 / math.sqrt(np.linalg.det(rows.T @ rows))
-    assert sublevel_measure(phi, 3.0, method="star") == pytest.approx(
-        exact, rel=1e-9)
+    assert sublevel_measure(phi, 3.0) == pytest.approx(exact, rel=1e-9)
 
 
 @pytest.mark.parametrize("kinked", [False, True])
@@ -183,7 +185,7 @@ def test_star_path_in_three_dimensions_is_cheap(monkeypatch):
     monkeypatch.setattr(anisotropic, "radial_extent", counted)
     phi = SplitPhi([PowerYoung(p) for p in (2, 3, 4)])
     levels = np.array([1.0, 1e3])
-    np.testing.assert_allclose(sublevel_measure(phi, levels, method="star"),
+    np.testing.assert_allclose(_star(phi, levels),
                                sublevel_measure(phi, levels), rtol=2e-9)
     assert sum(rows) <= 50_000
 
@@ -285,8 +287,7 @@ def test_linear_combination_shear_measure():
     for t in (1.0, 100.0):
         assert sublevel_measure(phi, t) == pytest.approx(math.pi * t,
                                                          rel=1e-10)
-        assert sublevel_measure(phi, t, method="star") == pytest.approx(
-            math.pi * t, rel=1e-6)
+        assert _star(phi, [t])[0] == pytest.approx(math.pi * t, rel=1e-6)
 
 
 def test_rank_deficient_rows_rejected():
@@ -316,7 +317,7 @@ def test_unbounded_sublevel_raises():
     # t = 100 in a box of radius 50 (Phi is 2-homogeneous)
     phi = CustomPhi(2, lambda xi: xi[..., 0] ** 2)
     with pytest.raises(BoundBoxError):
-        sublevel_measure(phi, 4e14, method="star")
+        sublevel_measure(phi, 4e14)
 
 
 def test_phi_circ_radial_is_identity():
@@ -470,9 +471,9 @@ def test_infinite_star_level_is_inf_and_silent():
     phi = LinearCombinationPhi(2, _KINKED)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = sublevel_measure(phi, [np.inf, 1.0, 5.0], method="star")
-        finite = sublevel_measure(phi, [1.0, 5.0], method="star")
-        alone = sublevel_measure(phi, np.inf, method="star")
+        out = sublevel_measure(phi, [np.inf, 1.0, 5.0])
+        finite = sublevel_measure(phi, [1.0, 5.0])
+        alone = sublevel_measure(phi, np.inf)
     assert out[0] == np.inf and alone == np.inf
     assert np.array_equal(out[1:], finite)
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import write_table
 from orliczpde import catalog, cli, grid, radial
 from orliczpde.cli import main
 from orliczpde.young import PowerLogYoung
@@ -93,7 +94,7 @@ def test_conjugate_convex_table_satisfies_young(tmp_path):
     # the 1024-row table of t^2 log(e + t)^1.04 is convex: its tabulated
     # conjugate must reach sup_t (st - A(t)), so Young's inequality holds
     csv = tmp_path / "tab.csv"
-    PowerLogYoung(2.0, 1.04).to_csv(csv, 1e-3, 1e5, 1024)
+    write_table(csv, PowerLogYoung(2.0, 1.04), 1e-3, 1e5, 1024)
     code, out = run(["conjugate", "--A", str(csv)], tmp_path)
     report = json.loads((out / "conjugate_report.json").read_text())
     assert report["young_inequality_violations"] == 0
@@ -212,6 +213,124 @@ def test_every_parameter_is_read(path):
     # because perfbench/workloads.py passes it
     unread = [p for p in _unread_parameters(path) if p != "phi_circ(seed)"]
     assert unread == []
+
+
+def _defaulted(fn, bound):
+    """``(parameter, position)`` for each defaulted parameter of the
+    function definition ``fn``, the position counted after the ``bound``
+    leading parameters (self or cls) and None for a keyword-only one."""
+    args = fn.args
+    pos = args.posonlyargs + args.args
+    first = len(pos) - len(args.defaults)
+    return [(a.arg, i - bound) for i, a in enumerate(pos) if i >= first] + [
+        (a.arg, None) for a, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None]
+
+
+def _sets(call, param, position):
+    """Whether ``call`` passes ``param`` by keyword, by position or
+    through a ``*`` or ``**`` spread."""
+    if any(kw.arg in (None, param) for kw in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position
+        or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def _option_census(package, callers):
+    """``(options, unset)``: ``module.function(parameter)`` for each
+    defaulted parameter of a public module-level function, a public
+    method or an ``__init__`` of a public class in the ``package``
+    paths, and those of them that no call in the ``callers`` paths sets.
+    A call of a function, method or class of that name sets the
+    parameter when :func:`_sets` says so."""
+    options = []  # (label, callee, parameter, position)
+    for path in package:
+        for defn in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(defn, (ast.FunctionDef, ast.ClassDef)) or (
+                    defn.name.startswith("_")):
+                continue
+            # (qualified name, callee, definition, bound leading params)
+            fns = [(defn.name, defn.name, defn, 0)]
+            if isinstance(defn, ast.ClassDef):
+                fns = [(f"{defn.name}.{fn.name}",
+                        defn.name if fn.name == "__init__" else fn.name, fn,
+                        0 if "staticmethod" in map(ast.unparse,
+                                                   fn.decorator_list) else 1)
+                       for fn in defn.body if isinstance(fn, ast.FunctionDef)
+                       and (fn.name == "__init__"
+                            or not fn.name.startswith("_"))]
+            options += [(f"{path.stem}.{name}({p})", callee, p, i)
+                        for name, callee, fn, bound in fns
+                        for p, i in _defaulted(fn, bound)]
+    calls = {}
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(
+                    func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = [label for label, callee, p, i in options
+             if not any(_sets(call, p, i) for call in calls.get(callee, ()))]
+    return [label for label, *_ in options], unset
+
+
+def test_option_census_flags_defaults_that_no_call_sets(tmp_path):
+    lib, user = tmp_path / "lib.py", tmp_path / "user.py"
+    lib.write_text('def by_position(a, b=1):\n'
+                   '    return a + b\n'
+                   'def by_keyword(c=2):\n'
+                   '    return c\n'
+                   'def by_star(d=3):\n'
+                   '    return d\n'
+                   'def by_spread(*, e=4):\n'
+                   '    return e\n'
+                   'def unset(x=0):\n'
+                   '    return x\n'
+                   'def _private(y=1):\n'
+                   '    return y\n'
+                   'class A:\n'
+                   '    def __init__(self, k=0):\n'
+                   '        self.k = k\n'
+                   '    def m(self, s=1, t=2):\n'
+                   '        return s + t\n'
+                   '    @staticmethod\n'
+                   '    def z(w=1):\n'
+                   '        return w\n')
+    user.write_text('by_position(0, 5)\n'
+                    'by_keyword(c=6)\n'
+                    'by_star(*args)\n'
+                    'by_spread(**options)\n'
+                    'unset()\n_private()\n'
+                    'A(3).m(1)\n'         # k by the class, s after self
+                    'A.z(2)\n')           # a static method binds no self
+    options, unset = _option_census([lib], [user])
+    assert options == ["lib.by_position(b)", "lib.by_keyword(c)",
+                       "lib.by_star(d)", "lib.by_spread(e)", "lib.unset(x)",
+                       "lib.A.__init__(k)", "lib.A.m(s)", "lib.A.m(t)",
+                       "lib.A.z(w)"]
+    assert unset == ["lib.unset(x)", "lib.A.m(t)"]
+
+
+# the one option that no program call sets and that stays
+_KEPT_OPTIONS = {
+    # perfbench/tracing.py::_solve_hook reads its default through
+    # inspect.signature
+    "grid.solve(max_iter)",
+}
+
+
+@pytest.mark.parametrize("path", _PACKAGE_MODULES, ids=lambda p: p.stem)
+def test_every_option_has_a_setter(path):
+    # an option that no command, library call or benchmark operation
+    # sets changes no result: it is the constant that every call uses
+    # (unit tests do not count as callers)
+    root = Path(cli.__file__).parents[2]
+    callers = [*sorted((root / "src").rglob("*.py")),
+               *sorted((root / "perfbench").glob("*.py"))]
+    _options, unset = _option_census([path], callers)
+    assert sorted(set(unset) - _KEPT_OPTIONS) == []
 
 
 def _config_reads(source):
@@ -743,6 +862,22 @@ def test_embedding_report_and_table(tmp_path):
     np.testing.assert_allclose(H, math.sqrt(2.0) * t**0.25, rtol=1e-4)
 
 
+def test_embedding_splices_a_critical_profile(tmp_path):
+    # p = n: the kernel of H is 1/t at 0, so Phi_circ = t^2 is spliced
+    # linear below the knot, and hat_phi_circ, whose integrals read the
+    # spliced A', is finite and nondecreasing over the whole table
+    code, out = run(["embedding", "--phi-circ", "power:p=2", "--n", "2"],
+                    tmp_path)
+    assert code == 0
+    rep = json.loads((out / "embedding_report.json").read_text())
+    assert rep["modification"]["applied"]
+    tab = np.loadtxt(out / "embedding_table.csv", delimiter=",",
+                     skiprows=1)
+    hat = tab[:, 3]
+    assert hat.size == 512 and np.all(np.isfinite(hat))
+    assert np.all(np.diff(hat) >= 0.0)
+
+
 def test_embedding_convergent_branch(tmp_path):
     code, out = run(["embedding", "--phi-circ", "power:p=3", "--n", "2"],
                     tmp_path)
@@ -1008,6 +1143,19 @@ def test_grid_datum_has_a_zero_boundary(datum, tmp_path):
     assert not np.any(np.concatenate(edges))
     l1 = 1.0 if datum.startswith("point:") else (63 / 64) ** 2
     assert f.l1() == pytest.approx(l1, rel=1e-14)
+
+
+def test_coarse_grid_datum_has_a_zero_boundary(tmp_path):
+    # the N = 33 start of an N = 65 solve restricts f to the interior
+    # too: its tolerance 1e-5 (1 + ||f||_1) counts (31/32)^2 of const:1,
+    # not the 0.969 that the full weighting puts on the coarse nodes
+    code, out = run(["grid-solve", "--N", "65", "--p", "3"], tmp_path)
+    assert code == 0
+    level = json.loads((out / "grid_solve_report.json").read_text())[
+        "levels"][0]
+    assert level["N"] == 33
+    assert level["tol"] == pytest.approx(1e-5 * (1.0 + (31 / 32) ** 2),
+                                         rel=1e-14)
 
 
 def test_admissibility(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
+from conftest import sampled
 from orliczpde.anisotropic import SplitPhi, phi_circ
 from orliczpde.embedding import (
     DichotomyError,
@@ -42,7 +43,7 @@ from orliczpde.young import (
     (ExpPowerYoung(5.0), "fails", "holds"),
     (PowerLogYoung(2.0, 1.0).sample(), "holds", "holds"),
     # no power-log law fits an exponential table: no tail is read
-    (ExpMinusOneYoung().sample(1e-3, 500.0), "inconclusive",
+    (sampled(ExpMinusOneYoung(), 1e-3, 500.0), "inconclusive",
      "inconclusive"),
 ], ids=["power3", "exp", "t_log_t", "conj_exp_minus_one",
         "conj_exp_minus_linear", "power1.005", "exp_power5",
@@ -92,7 +93,7 @@ def test_dichotomy_log_critical(alpha, verdict):
 def test_dichotomy_log_critical_table_reads_the_band():
     # a table's tail is fitted: its log exponent reads 1.0018 for the
     # true k = 1, so a fitted tail stays divergent up to k = 1.05
-    table = PowerLogYoung(2.0, 1.0).ensure_convex().sample(1e-2, 1e8)
+    table = sampled(PowerLogYoung(2.0, 1.0).ensure_convex(), 1e-2, 1e8)
     verdict, diag = classify_integral(table, 2)
     assert verdict == "divergent"
     assert 1.0 < diag["log_exponent"] < 1.05 and diag["margin"] == 0.02
@@ -114,7 +115,7 @@ def test_exponential_tails_are_convergent():
 
 
 def test_narrow_table_is_refused():
-    table = PowerYoung(3.0).sample(1e-2, 10.0)
+    table = sampled(PowerYoung(3.0), 1e-2, 10.0)
     with pytest.raises(YoungFunctionError, match="too narrow"):
         tail_exponents(table)
 

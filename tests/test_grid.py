@@ -175,14 +175,16 @@ def test_split_solve_pcg_work():
 
 def test_nested_solve_reports_its_levels():
     # a coarse level only gives a start: it is solved to the coarse
-    # tolerance 1e-5 (1 + ||f||_1)
+    # tolerance 1e-5 (1 + ||f||_1), its datum f = 1 on the interior
+    # nodes and 0 on the boundary, whatever f is on the fine boundary
     f = GridField.from_function(129, lambda x, y: np.ones_like(x))
     _, info = solve(OperatorSpec(power_potential(3.0)), f)
     assert [level["N"] for level in info["levels"]] == [33, 65]
     for level in info["levels"]:
         assert level["converged"] and level["newton_steps"] > 0
         assert level["pcg_iterations"] >= level["newton_steps"]
-        assert level["tol"] == pytest.approx(1e-5 * (1.0 + f.l1()))
+        l1 = ((level["N"] - 2) / (level["N"] - 1)) ** 2
+        assert level["tol"] == pytest.approx(1e-5 * (1.0 + l1))
         assert level["residual"] <= level["tol"]
     # even N, N = 33 (whose coarser mesh has 17 nodes), N = 17 and a
     # given u0 solve on one mesh only

@@ -41,7 +41,7 @@ def _exact(p, r):
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_radial_closed_form(p):
-    sol = solve_radial(_psi_inv(p), _unit_disk_rf(), 2, n_nodes=1024)
+    sol = solve_radial(_psi_inv(p), _unit_disk_rf(), 2)
     v_ref, g_ref = _exact(p, sol.r)
     assert np.max(np.abs(sol.v - v_ref)) <= 1e-5
     assert np.max(np.abs(sol.g - g_ref)) <= 1e-10
@@ -52,7 +52,7 @@ def test_radial_closed_form(p):
 
 
 def test_rearranged_matches_profile():
-    sol = solve_radial(_psi_inv(2.0), _unit_disk_rf(), 2, n_nodes=512)
+    sol = solve_radial(_psi_inv(2.0), _unit_disk_rf(), 2)
     rf = sol.rearranged()
     for r in (0.2, 0.5, 0.9):
         s = math.pi * r**2
@@ -75,7 +75,7 @@ def test_truncation_energy_check_radial():
     # p = 2: Phi(grad v) = g^2 = r^2/4; the truncation bound holds with
     # a wide margin for the exact solution
     p = 2.0
-    sol = solve_radial(_psi_inv(p), _unit_disk_rf(), 2, n_nodes=2048)
+    sol = solve_radial(_psi_inv(p), _unit_disk_rf(), 2)
     mids = 0.5 * (sol.r[1:] + sol.r[:-1])
     shells = math.pi * np.diff(sol.r**2)
     u_mid = sol.value(mids)
@@ -91,7 +91,7 @@ def test_truncation_energy_check_radial():
 def test_level_set_bounds_calibrated():
     p, n = 1.5, 2
     prof = sobolev_conjugate(PowerYoung(p), n)
-    sol = solve_radial(_psi_inv(p), _unit_disk_rf(), n, n_nodes=2048)
+    sol = solve_radial(_psi_inv(p), _unit_disk_rf(), n)
 
     def mu_u(t):
         # |{v >= t}| = pi r(t)^2 with v decreasing in r
