@@ -33,8 +33,8 @@ solves rays only along the ones it adds.
 Square full-rank linear combinations sum_k A_k(|c_k . xi|), splits
 sum_i A_i(|xi_i|) among them (the unit vectors as rows), skip the rays
 as linear images of sum_k A_k(|x_k|): power terms c_k t^p_k have
-Dirichlet's closed form, other terms an iterated Gauss quadrature
-(3.4e-10 relative off the closed form on power splits).
+Dirichlet's closed form, other terms an iterated tanh-sinh quadrature
+(within 1e-14 relative of the closed form on power splits).
 
 Phi_diamond is the radial biconjugate of Phi_circ, which by
 Fenchel-Moreau is its convex envelope (largest convex minorant): it is
@@ -346,22 +346,27 @@ def _power_split_measure(terms, t):
     return scale / math.gamma(1.0 + s) * np.asarray(t, dtype=float) ** s
 
 
-_GL12_X, _GL12_W = gauss_legendre(12)
-_SPLIT_PANELS = 24
+# tanh-sinh nodes (1 + tanh(pi/2 sinh(k h)))/2 on [0, 1], k = -24..24,
+# h = 1/8, and their weights (Takahasi & Mori 1974, Publ. RIMS 9); the
+# weights beyond |k| = 24 sum to about 1e-15
+_TS_U = 0.5 * math.pi * np.sinh(np.arange(-24, 25) / 8.0)
+_TS_X = 0.5 * (1.0 + np.tanh(_TS_U))
+_TS_W = math.pi / 32.0 * np.cosh(np.arange(-24, 25) / 8.0) / np.cosh(_TS_U)**2
 
 
 def _split_measure(terms, t):
     """Measure of {sum_k A_k(|x_k|) <= t} by iterated quadrature.
 
-    It is not exact: on power splits it is 3.4e-10 relative off
-    Dirichlet's closed form for (2, 4) and 3.6e-10 for (2, 3, 4), the
-    same at every level from 1e-3 to 1e6.
+    It is not exact: on power splits with n = 2, 3 and 4 it is within
+    1e-14 relative of Dirichlet's closed form at every level.
 
     ``terms[0]`` is inverted once per level, ``terms[-1]`` at levels x
-    288^(n-1) nodes.  The outermost variable is substituted x = R sin(theta)
-    so the boundary edge (where the remaining budget vanishes) carries a
-    cos(theta) factor and composite Gauss panels converge fast.  Extreme
-    axis anisotropy costs nothing here, unlike the angular rule.
+    49^(n-1) nodes.  Each variable takes the tanh-sinh rule on [0, R]:
+    at the edge x = R the remaining budget vanishes and the inner measure
+    has an algebraic branch point, which a double-exponential rule
+    integrates at an exponential rate (Mori & Sugihara 2001, J. Comput.
+    Appl. Math. 127).  Extreme axis anisotropy costs nothing here,
+    unlike the angular rule.
     """
     t = np.asarray(t, dtype=float)
     if len(terms) == 1:
@@ -370,25 +375,19 @@ def _split_measure(terms, t):
     shape = t.shape
     tf = t.ravel()
     R1 = a1.inverse(tf)
-    edges = np.linspace(0.0, 0.5 * math.pi, _SPLIT_PANELS + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
-    th = (mid[:, None] + half[:, None] * _GL12_X[None, :]).ravel()
-    wt = (half[:, None] * _GL12_W[None, :]).ravel()
-    x = R1[:, None] * np.sin(th)[None, :]
-    rem = np.maximum(tf[:, None] - np.asarray(a1.value(x)), 0.0)
+    rem = np.maximum(tf[:, None] - np.asarray(a1.value(R1[:, None] * _TS_X)),
+                     0.0)
     inner = _split_measure(terms[1:], rem.ravel()).reshape(rem.shape)
-    integral = (inner * np.cos(th)[None, :]) @ wt
-    return (2.0 * R1 * integral).reshape(shape)
+    return (2.0 * R1 * (inner @ _TS_W)).reshape(shape)
 
 
 # Most (level, point) pairs in one batched solve: a star-path call takes
 # as many pending levels as fit with all their sphere directions (one
 # level at least), a split call as many levels as fit with all their
-# outer quadrature nodes (56 levels for n = 2, one for n = 3).  On the
-# benchmark's averages workload (2-core Xeon, one thread, five seeds,
-# medians) 2^14 took 0.184 s, 2^12 0.209 s and 2^16 0.184 s, but 2^16
-# raised peak RSS by 1.7 MB (4%).
+# 49^(n-1) quadrature nodes (334 levels for n = 2, six for n = 3, one
+# for n = 4).  On the benchmark's averages workload (2-core Xeon, one
+# thread, five seeds, medians) 2^14 took 0.184 s, 2^12 0.209 s and 2^16
+# 0.184 s, but 2^16 raised peak RSS by 1.7 MB (4%).
 _CHUNK = 2**14
 _REL_TOL = 1e-7
 
@@ -504,7 +503,7 @@ def _measures(phi, levels):
         # Fubini leaves the order free: a closed-form inverse innermost
         terms = sorted(phi.terms, key=lambda a: a.closed_form_inverse)
         out = np.empty(levels.size)
-        nodes = (_SPLIT_PANELS * _GL12_X.size) ** (phi.n - 1)
+        nodes = _TS_X.size ** (phi.n - 1)
         for chunk in _chunks(levels.size, nodes):
             out[chunk] = _split_measure(terms, levels[chunk]) / det
     else:
@@ -523,16 +522,17 @@ def sublevel_measure(phi, t):
     whose sublevel sets are linear images of those of
     sum_k A_k(|x_k|) with Jacobian 1/|det M|, use Dirichlet's
     closed form when every term is a :class:`PowerYoung` and iterated
-    quadrature (about 3.4e-10 relative error, a ``closed_form_inverse``
-    term innermost) otherwise; everything else goes through the
-    star-shaped boundary integral, its sphere rule split at the terms'
-    kink planes and refined until the relative change drops below
-    ``rel_tol`` = 1e-7.  On that path every pending level is solved along
-    the directions of a sphere rule in two :func:`radial_extent` calls
-    (each in chunks of at most ``_CHUNK`` (level, direction) pairs): the
-    smallest and the largest pending level first, then every other one
-    inside the bracket that their radii give along the same direction (a
-    level equal to one of them takes its radii).  In the plane the rules
+    tanh-sinh quadrature (within 1e-14 relative of the closed form on
+    power splits, a ``closed_form_inverse`` term innermost) otherwise;
+    everything else goes through the star-shaped boundary integral, its
+    sphere rule split at the terms' kink planes and refined until the
+    relative change drops below ``rel_tol`` = 1e-7.  On that path every
+    pending level is solved along the directions of a sphere rule in two
+    :func:`radial_extent` calls (each in chunks of at most ``_CHUNK``
+    (level, direction) pairs): the smallest and the largest pending
+    level first, then every other one inside the bracket that their radii
+    give along the same direction (a level equal to one of them takes
+    its radii).  In the plane the rules
     are nested and a level keeps its radii along the directions that the
     last rule had, so each rule solves only its new directions.
     A level leaves once its relative change is <= ``rel_tol``; levels still

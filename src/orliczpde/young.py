@@ -936,7 +936,8 @@ class MonotoneFunction:
 
 
 def psi_of(a):
-    """Psi(t) = A(t)/t for t > 0, Psi(0) = 0; nondecreasing by convexity."""
+    """Psi(t) = A(t)/t for t > 0, Psi(0) = 0; nondecreasing by convexity.
+    Its inverse is closed form for a :class:`PowerYoung`, else solved."""
 
     def fn(t):
         t = np.asarray(t, dtype=float)
@@ -948,7 +949,14 @@ def psi_of(a):
     def log_fn(log_t):
         return a.log_value(log_t) - np.asarray(log_t, dtype=float)
 
-    return MonotoneFunction(fn, name=f"psi({a.name})", log_fn=log_fn)
+    def power_inv(y):
+        # Psi(t) = c t^(p-1) for A = c t^p: no solver
+        y = np.asarray(y, dtype=float)
+        out = (np.maximum(y, 0.0) / a.coeff) ** (1.0 / (a.p - 1.0))
+        return float(out) if out.ndim == 0 else out
+
+    inv = power_inv if isinstance(a, PowerYoung) else None
+    return MonotoneFunction(fn, inv=inv, name=f"psi({a.name})", log_fn=log_fn)
 
 
 def theta_diamond(a):

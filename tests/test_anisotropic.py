@@ -234,15 +234,19 @@ def test_split_measure_scaling_is_exact():
     ((2.0, 4.0), (1.0, 1.0)),
     ((1.6, 2.5, 3.8), (0.5, 2.0, 1.0)),
     ((2.0, 3.0, 4.0, 2.5), (0.5, 2.0, 1.0, 1.5)),
+    ((1.6, 3.7), (1.0, 1.0)),
+    ((2.0, 2.0, 4.0, 4.0), (1.0, 1.0, 1.0, 1.0)),
 ])
 def test_power_split_closed_form_matches_quadrature(ps, cs):
     # Dirichlet's closed form against the iterated quadrature it replaces
-    # for power terms (one level at n = 4, where quadrature costs ~1 s)
+    # for power terms.  The tanh-sinh rule is within 1e-14 at n = 2, 3
+    # and 4; the composite Gauss rule (24 panels of 12 points) that it
+    # replaced was 2e-10 to 3.8e-10 off at every level
     terms = [PowerYoung(p, c) for p, c in zip(ps, cs)]
-    t = np.array([10.0]) if len(ps) == 4 else np.array([1e-2, 10.0, 1e6])
+    t = np.array([1e-2, 10.0, 1e6])
     quadrature = anisotropic._split_measure(terms, t)
     np.testing.assert_allclose(sublevel_measure(SplitPhi(terms), t),
-                               quadrature, rtol=1e-9)
+                               quadrature, rtol=1e-12)
     # a square full-rank combination is a linear image: / |det M|
     n = len(ps)
     m = np.diag(np.arange(2.0, n + 2)) + np.triu(np.ones((n, n)), 1)
@@ -250,15 +254,11 @@ def test_power_split_closed_form_matches_quadrature(ps, cs):
     phi = LinearCombinationPhi(n, list(zip(m, terms)))
     det = abs(np.linalg.det(m))
     np.testing.assert_allclose(sublevel_measure(phi, t), quadrature / det,
-                               rtol=1e-9)
+                               rtol=1e-12)
 
 
-def test_split_measure_inverts_a_closed_form_term_innermost(monkeypatch):
-    # aniso_trud's rows hold a power-log and a power term.  The order of
-    # integration is free (Fubini), so the power term, whose inverse is
-    # closed form, goes innermost and the power-log term is solved once
-    # per level: 128 roots for 128 levels, against 36,864 (128 levels x
-    # 288 nodes) in the given order
+def _phi_circ_roots(monkeypatch, phi):
+    """Roots that ``solve_increasing`` finds for a 128-level Phi_circ."""
     roots = []
     solve = young.solve_increasing
 
@@ -267,9 +267,18 @@ def test_split_measure_inverts_a_closed_form_term_innermost(monkeypatch):
         return solve(fn, y, *args, **kwargs)
 
     monkeypatch.setattr(young, "solve_increasing", counted)
-    phi_circ(make_record("aniso_trud", p=2, q=1.5, alpha=1).phi,
-             n_levels=128)
-    assert 0 < sum(roots) <= 128
+    phi_circ(phi, n_levels=128)
+    return sum(roots)
+
+
+def test_split_measure_inverts_a_closed_form_term_innermost(monkeypatch):
+    # aniso_trud's rows hold a power-log and a power term.  The order of
+    # integration is free (Fubini), so the power term, whose inverse is
+    # closed form, goes innermost and the power-log term is solved once
+    # per level: 128 roots for 128 levels, against 6,400 (128 levels x
+    # 50 points: the edge and 49 nodes) in the given order
+    phi = make_record("aniso_trud", p=2, q=1.5, alpha=1).phi
+    assert 0 < _phi_circ_roots(monkeypatch, phi) <= 128
     # both orders agree on a 2-term and a 3-term mixed split
     t = np.array([1e-2, 10.0, 1e5])
     log_term = PowerLogYoung(1.5, 1.0, shift=math.exp(2.0)).ensure_convex()
@@ -277,7 +286,37 @@ def test_split_measure_inverts_a_closed_form_term_innermost(monkeypatch):
                   [log_term, PowerYoung(3.0, 0.5), ExpMinusLinearYoung()]):
         np.testing.assert_allclose(anisotropic._split_measure(terms, t),
                                    anisotropic._split_measure(terms[::-1], t),
-                                   rtol=1e-9)
+                                   rtol=1e-12)
+
+
+def test_split_measure_roots_of_aniso_zyg(monkeypatch):
+    # both of aniso_zyg's terms are power-log, so none has a closed-form
+    # inverse: the outer term is solved once per level for its edge and
+    # the inner one at the 49 nodes, at most 128 x 50 roots for 128
+    # levels (36,992 with the composite Gauss rule, 128 x 289)
+    phi = make_record("aniso_zyg", p=(2, 2), alpha=(1, 3)).phi
+    assert 0 < _phi_circ_roots(monkeypatch, phi) <= 128 * 50
+
+
+@pytest.mark.parametrize("beta", [1.5, 2.0])
+def test_exponential_combination_against_quad(beta):
+    # aniso_new: A_1(|x + 3y|) + A_2(|2x - y|), A_1 = t^2, A_2 = exp(t^beta)
+    # - 1, is a linear image of the split, whose measure is
+    # 4 int_0^R A_2^{-1}(t - x^2) dx with R = sqrt(t); in x = R sin(th)
+    # quad resolves its edge to its 1e-13.  At t = 1e6, 1e7 and 1e8 the
+    # composite Gauss rule was 4.2e-9, 1.06e-8 and 6.0e-9 off (beta = 2)
+    # and 5.8e-11, 9.3e-9 and 6.3e-9 off (beta = 1.5)
+    phi = make_record("aniso_new", p=2, beta=beta).phi
+    det = abs(np.linalg.det(phi.coeffs))
+    t = np.array([1e6, 1e7, 1e8])
+    oracle = []
+    for level in t:
+        r = math.sqrt(level)
+        val, _ = quad(lambda th: r * math.cos(th) * math.log1p(
+            max(level - (r * math.sin(th))**2, 0.0))**(1.0 / beta),
+            0.0, 0.5 * math.pi, epsabs=0.0, epsrel=1e-13, limit=500)
+        oracle.append(4.0 * val / det)
+    np.testing.assert_allclose(sublevel_measure(phi, t), oracle, rtol=1e-10)
 
 
 def test_linear_combination_shear_measure():

@@ -575,19 +575,39 @@ def test_solve_increasing_work_on_a_jump_stays_near_bisection(y):
 
 
 def test_solve_increasing_peak_memory():
-    # the 49140-point inverse of radial.solve_radial (Psi of t^2); the
-    # bisection solver it replaced peaked at 2.9 MB on this input
+    # the 49140-point inverse that radial.solve_radial took of Psi of t^2
+    # before its closed form; the bisection solver it replaced peaked at
+    # 2.9 MB on this input
     psi = psi_of(PowerYoung(2.0))
     y = np.geomspace(1e-6, 1e6, 49140)
-    psi.inverse(y[:10])
+    solve_increasing(psi, y[:10])
     tracemalloc.start()
     try:
-        x = psi.inverse(y)
+        x = solve_increasing(psi, y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     np.testing.assert_allclose(x, y, rtol=1e-12)
     assert peak <= 4e6
+
+
+@pytest.mark.parametrize("a", [PowerYoung(2.0), PowerYoung(1.5, 0.25),
+                               PowerYoung(4.0, 3.0)], ids=lambda a: a.name)
+def test_power_psi_inverse_is_closed_form(a, monkeypatch):
+    # Psi = c t^(p-1) for A = c t^p: its inverse runs no solver and
+    # matches the solver's root
+    psi = psi_of(a)
+    y = np.concatenate([[-1.0, 0.0], np.geomspace(1e-12, 1e12, 97), [np.inf]])
+    solved = solve_increasing(psi, y)
+    solved_2 = solve_increasing(psi, 2.0)
+    calls = []
+    monkeypatch.setattr(young, "solve_increasing",
+                        lambda *args, **kwargs: calls.append(args))
+    np.testing.assert_allclose(psi.inverse(y), solved, rtol=1e-12, atol=0.0)
+    x = psi.inverse(2.0)  # a scalar stays a float, as from the solver
+    assert isinstance(x, float)
+    assert x == pytest.approx(solved_2, rel=1e-12)
+    assert calls == []
 
 
 @pytest.mark.parametrize("a", [
