@@ -233,9 +233,12 @@ class OperatorSpec:
                 for a, t, y in zip(self._scalars, s, ys)]
 
     def flux(self, gx, gy):
-        """b grad Phi at the cell gradient: the radial term's flux, or
-        sum_k phi_k c_k over a combination's :meth:`_term_fluxes`."""
-        terms = self._term_fluxes(gx, gy)
+        """b grad Phi at the cell gradient (:meth:`_combine`)."""
+        return self._combine(self._term_fluxes(gx, gy))
+
+    def _combine(self, terms):
+        """The flux b grad Phi from its :meth:`_term_fluxes`: the radial
+        pair as it is, or sum_k phi_k c_k for a combination."""
         if self._radial:
             return terms
         return tuple(sum(w * c[i] for w, c in zip(terms, self._rows))
@@ -344,11 +347,15 @@ def _divergence(ax, ay, out):
     return out
 
 
-def _energy_gradient(spec, ws, out):
+def _energy_gradient(spec, ws, out, terms=None):
     """Gradient of J, written into ``out``, at the iterate whose energy
     ``ws`` last evaluated (:func:`_energy`): h times the scatter of the
-    flux, minus h^2 f."""
-    g = _divergence(*spec.flux(ws.dx, ws.dy), out)
+    flux, minus h^2 f.  Given ``terms``, that iterate's
+    :meth:`OperatorSpec._term_fluxes`, it combines them, reading only,
+    instead of evaluating the flux."""
+    flux = (spec.flux(ws.dx, ws.dy) if terms is None
+            else spec._combine(terms))
+    g = _divergence(*flux, out)
     g *= ws.h
     g[1:-1, 1:-1] -= np.multiply(ws.h**2, ws.f[1:-1, 1:-1],
                                  out=ws.q[1:-1, 1:-1])
@@ -584,11 +591,13 @@ def _pcg(spec, weights, rhs, ws, rel_tol):
 _ROUNDING_ULPS = 16.0
 
 
-def _gap(spec, u, g, J, J_scale, ws):
+def _gap(spec, u, g, J, J_scale, ws, terms=None):
     """The duality gap of the iterate u, whose energy is J (rounding
     scale ``J_scale``) and energy gradient g, its rounding bound and the
     dual-norm residual sqrt(g . L^-1 g): ``(gap, bound, dual_residual)``.
-    Overwrites ``ws.dx``, ``ws.dy`` and ``ws.out``.
+    ``terms``, the :meth:`OperatorSpec._term_fluxes` of u, are evaluated
+    when not given.  Overwrites them, ``ws.dx``, ``ws.dy`` and
+    ``ws.out``.
 
     For any cell flux sigma with h^2 G^T sigma = h^2 f on the interior
     nodes, G the cell gradient, Fenchel-Young gives
@@ -602,7 +611,8 @@ def _gap(spec, u, g, J, J_scale, ws):
     ``_ROUNDING_ULPS`` ulps of J_scale + h^2 Sum b Phi* (Phi* >= 0)."""
     w = ws.apply(g, scaled=False)
     dual_residual = math.sqrt(max(float(np.vdot(g, w)), 0.0))
-    terms = spec._term_fluxes(*_cell_gradients_into(u, ws))
+    if terms is None:
+        terms = spec._term_fluxes(*_cell_gradients_into(u, ws))
     ex, ey = (np.divide(d, ws.h, out=d)
               for d in _differences(w, ws.dx, ws.dy))
     dual = float(ws.h**2 * np.sum(spec.dual_density(terms, ex, ey)))
@@ -615,11 +625,12 @@ def duality_gap(spec, f_field, u):
     of a zero-boundary field u (a :class:`GridField`) for the energy of
     ``spec`` and the datum ``f_field``, and the bound of J's rounding
     error that a gap at the minimizer stays under: ``(gap, bound)``
-    (:func:`_gap`)."""
+    (:func:`_gap`).  The flux of u is evaluated once, for both."""
     ws = _Workspace(f_field.values, f_field.h)
     J, J_scale = _energy(spec, u.values, ws)
-    g = _energy_gradient(spec, ws, np.empty_like(u.values))
-    return _gap(spec, u.values, g, J, J_scale, ws)[:2]
+    terms = spec._term_fluxes(ws.dx, ws.dy)
+    g = _energy_gradient(spec, ws, np.empty_like(u.values), terms)
+    return _gap(spec, u.values, g, J, J_scale, ws, terms)[:2]
 
 
 # A solve whose sup residual sets no new minimum in this many

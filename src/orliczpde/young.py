@@ -6,9 +6,10 @@ and A(t)/t -> oo as t -> oo.  This module provides
 
 * an analytic catalog (powers, power-logs, exponential types),
 * a sampled representation interpolating in (log t, log A) coordinates,
-* Young conjugation A~(s) = sup_t (st - A(t)), in closed form or
-  exact pointwise through A'(t) = s (``LegendreConjugate``); the
-  discrete transform ``discrete_legendre`` is the CLI's involution check,
+* Young conjugation A~(s) = sup_t (st - A(t)): a power's conjugate is
+  the conjugate power, every other one is exact pointwise through
+  A'(t) = s (``LegendreConjugate``); the discrete transform
+  ``discrete_legendre`` is the CLI's involution check,
 * generalized left-continuous inverses, closed form where known and
   otherwise by one vectorized solver, ``solve_increasing``: it brackets
   each root by squaring factors (4, 16, 256, ...), then narrows the
@@ -357,7 +358,8 @@ class ScalarYoungFunction:
     # -- conjugation --------------------------------------------------
 
     def conjugate(self):
-        """Young conjugate; subclasses override with closed forms."""
+        """Young conjugate, pointwise through A' (a power overrides
+        with the conjugate power)."""
         return LegendreConjugate(self)
 
     # -- certification ------------------------------------------------
@@ -544,45 +546,26 @@ class ExpPowerYoung(ScalarYoungFunction):
 
 
 class ExpMinusOneYoung(ExpPowerYoung):
-    """A(t) = e**t - 1, ``ExpPowerYoung(1)`` trusted up to t = 500, with
-    the closed-form conjugate s*log s - s + 1 (0 for s <= 1)."""
+    """A(t) = e**t - 1, ``ExpPowerYoung(1)`` trusted up to t = 500.  Its
+    conjugate s log s - s + 1 is a :class:`LegendreConjugate` through the
+    closed-form maximizer log s (0 for s <= 1), which keeps growing past
+    e**700, where ``derivative`` is clamped."""
 
     def __init__(self):
         super().__init__(1.0)
         self.name = "exp_minus_one"
         self.t_max = 500.0
 
-    def conjugate(self):
-        return _ExpMinusOneConjugate()
+    def derivative_inverse(self, s):
+        out = np.log(np.maximum(np.asarray(s, dtype=float), 1.0))
+        return float(out) if out.ndim == 0 else out
 
 
-class _ExpMinusOneConjugate(ScalarYoungFunction):
-    """s log s - s + 1 for s >= 1, zero on [0, 1]."""
-
-    name = "conj(exp_minus_one)"
-    convexity_certified = True
-
-    def value(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.where(s > 1.0, s * np.log(np.maximum(s, 1.0)) - s + 1.0, 0.0)
-        return out if out.ndim else float(out)
-
-    def derivative(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.where(s > 1.0, np.log(np.maximum(s, 1.0)), 0.0)
-
-    def conjugate(self):
-        return ExpMinusOneYoung()
-
-
-# Taylor coefficients of (e^t - 1 - t) / t^2 and of
-# ((1 + s) log(1 + s) - s) / s^2.  Below the cutoffs the closed forms
-# cancel (relative error ~ eps / t); the truncated series are exact to
-# an ulp there, and the closed forms to a few ulps above.
+# Taylor coefficients of (e^t - 1 - t) / t^2.  Below the cutoff the
+# closed form cancels (relative error ~ eps / t); the truncated series is
+# exact to an ulp there, and the closed form to a few ulps above.
 _EXP_TAIL_CUT = 0.5
 _EXP_TAIL = tuple(1.0 / math.factorial(k) for k in range(2, 17))
-_LOG_TAIL_CUT = 0.25
-_LOG_TAIL = tuple((-1.0) ** k / (k * (k - 1)) for k in range(2, 25))
 
 
 def _horner(x, coeffs):
@@ -594,7 +577,10 @@ def _horner(x, coeffs):
 
 
 class ExpMinusLinearYoung(ScalarYoungFunction):
-    """A(t) = e**t - t - 1; conjugate (1+s)log(1+s) - s."""
+    """A(t) = e**t - t - 1.  Its conjugate (1 + s) log1p(s) - s is a
+    :class:`LegendreConjugate` through the closed-form maximizer log1p(s)
+    (0 for s <= 0), which keeps growing past expm1(700), where
+    ``derivative`` is clamped."""
 
     name = "exp_minus_linear"
     t_max = 500.0
@@ -622,26 +608,9 @@ class ExpMinusLinearYoung(ScalarYoungFunction):
     def derivative(self, t):
         return np.expm1(np.minimum(np.asarray(t, dtype=float), 700.0))
 
-    def conjugate(self):
-        return _ExpMinusLinearConjugate()
-
-
-class _ExpMinusLinearConjugate(ScalarYoungFunction):
-    name = "conj(exp_minus_linear)"
-    convexity_certified = True
-
-    def value(self, s):
-        s = np.asarray(s, dtype=float)
-        series = s * s * _horner(np.minimum(s, _LOG_TAIL_CUT), _LOG_TAIL)
-        out = np.where(s < _LOG_TAIL_CUT, series,
-                       (1.0 + s) * np.log1p(s) - s)
+    def derivative_inverse(self, s):
+        out = np.log1p(np.maximum(np.asarray(s, dtype=float), 0.0))
         return float(out) if out.ndim == 0 else out
-
-    def derivative(self, s):
-        return np.log1p(np.asarray(s, dtype=float))
-
-    def conjugate(self):
-        return ExpMinusLinearYoung()
 
 
 class LinearSplicedYoung(ScalarYoungFunction):
@@ -862,8 +831,9 @@ class LegendreConjugate(ScalarYoungFunction):
     gives that maximizer, which is also the conjugate's derivative
     (envelope theorem: conj(A)'(s) = argmax t): one vectorized
     :func:`solve_increasing` of A', or a closed form for a
-    :class:`SampledYoungFunction`.  A maximizer beyond 1e250 raises
-    :class:`InverseRangeError`.
+    :class:`SampledYoungFunction`, :class:`ExpMinusOneYoung` (log s)
+    and :class:`ExpMinusLinearYoung` (log1p s).  A maximizer beyond
+    1e250 raises :class:`InverseRangeError`.
     """
 
     def __init__(self, base):

@@ -571,6 +571,22 @@ def test_duality_gap_bounds_the_energy_error(phi):
         assert 0.0 < excess <= gap and gap > bound
 
 
+@pytest.mark.parametrize("phi", [power_potential(1.5), KINKED],
+                         ids=["radial", "kinked"])
+def test_duality_gap_evaluates_the_flux_once(phi, monkeypatch):
+    # the energy gradient and the dual flux share one evaluation of the
+    # term fluxes of u, and the gap is the one that solve records
+    spec, f = OperatorSpec(phi, b=_CELLS), ones(17)
+    u, info = solve(spec, f)
+    calls = []
+    term_fluxes = OperatorSpec._term_fluxes
+    monkeypatch.setattr(OperatorSpec, "_term_fluxes",
+                        lambda *args: calls.append(1) or term_fluxes(*args))
+    assert duality_gap(spec, f, u) == (info["duality_gap"],
+                                       info["gap_bound"])
+    assert len(calls) == 1
+
+
 def _conjugate_by_maximizing(phi, s):
     """Phi*(s) = max_xi (s . xi - Phi(xi)) for a combination of powers,
     by BFGS on the concave objective."""

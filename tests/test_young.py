@@ -84,6 +84,52 @@ def test_exp_minus_linear_log_value_below_underflow():
         -1600.0 - math.log(2.0), rel=1e-15, abs=0.0)
 
 
+@pytest.mark.parametrize("x", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_exp_minus_one_conjugate_near_one(x):
+    # conj(e^t - 1)(1 + x) = (1 + x) log(1 + x) - x = x^2/2 - x^3/6 + ...;
+    # the closed form s log s - s + 1 cancels there, to 0.0 at x = 1e-8
+    s = 1.0 + x
+    x = s - 1.0  # exact
+    tail = math.fsum((-x) ** k / (k * (k - 1)) for k in range(2, 40))
+    assert ExpMinusOneYoung().conjugate().value(s) == pytest.approx(
+        tail, rel=1e-8, abs=0.0)
+
+
+def _no_solver(*args, **kwargs):
+    raise AssertionError("solve_increasing called")
+
+
+@pytest.mark.parametrize("a, floor", [(ExpMinusOneYoung(), 1.0),
+                                      (ExpMinusLinearYoung(), 0.0)],
+                         ids=lambda a: getattr(a, "name", None))
+def test_exponential_derivative_inverses_are_closed_form(a, floor,
+                                                         monkeypatch):
+    # log s and log1p s: the solver's leftmost root of A'(t) >= s, 0 for
+    # s <= floor, without a solve
+    s = np.concatenate([[-1.0, 0.0, floor], np.geomspace(1e-6, 1e300, 211)])
+    solved = ScalarYoungFunction.derivative_inverse(a, s)
+    monkeypatch.setattr(young, "solve_increasing", _no_solver)
+    out = a.derivative_inverse(s)
+    np.testing.assert_allclose(out, solved, rtol=2e-12, atol=0.0)
+    np.testing.assert_array_equal(out[s <= floor], 0.0)
+    assert isinstance(a.derivative_inverse(2.0), float)
+
+
+@pytest.mark.parametrize("a", [
+    *(parse_scalar_function(kind) for kind in young._CATALOG),
+    sampled(PowerLogYoung(2.0, 1.0), 1e-2, 1e4),
+    LinearSplicedYoung(PowerYoung(3.0)),
+], ids=lambda a: a.name)
+def test_every_conjugate_is_a_power_or_legendre(a):
+    # one conjugation path: a power's conjugate is the conjugate power,
+    # every other one is the pointwise Legendre transform of the function
+    conj = a.conjugate()
+    if isinstance(a, PowerYoung):
+        assert type(conj) is PowerYoung and conj.p == a.p / (a.p - 1.0)
+    else:
+        assert type(conj) is LegendreConjugate and conj.base is a
+
+
 @settings(max_examples=25, deadline=None)
 @given(p=st.floats(1.2, 5.0), log_t=st.floats(-2.0, 3.0))
 def test_biconjugation_is_identity(p, log_t):
