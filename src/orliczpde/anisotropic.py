@@ -601,18 +601,16 @@ def phi_diamond(phi_or_circ):
     The biconjugate of Phi_circ is its convex envelope (Fenchel-Moreau),
     so the result is the lower convex hull of the Phi_circ table in
     linear (t, A) coordinates: equal to Phi_circ at the hull vertices,
-    linear between them, and within bounded dilation of Phi_circ.
-    Analytic scalar inputs that are already certified convex are
-    returned unchanged (a convex function equals its biconjugate); other
-    analytic inputs are sampled first.
+    linear between them, and within bounded dilation of Phi_circ.  An
+    analytic scalar input is convex when built, so it is its own
+    biconjugate and is returned unchanged.
     """
     circ = phi_or_circ
     if isinstance(circ, AnisotropicYoungFunction):
         circ = phi_circ(circ)
-    if circ.convexity_certified and not isinstance(circ, SampledYoungFunction):
+    if not isinstance(circ, SampledYoungFunction):
         return circ
-    tab = circ if isinstance(circ, SampledYoungFunction) else circ.sample()
-    out = SampledYoungFunction(tab.log_t, tab.log_v,
+    out = SampledYoungFunction(circ.log_t, circ.log_v,
                                name=f"phi_diamond({circ.name})")
     return out.repair_convexity()
 

@@ -87,8 +87,9 @@ def _constant(spec):
 
 
 def _load_rf(spec, domain_measure):
-    """Rearranged datum from ``const:<c>``, ``pow:a=<a>[,c=<c>]`` (the
-    profile f*(s) = c s^-a, 0 <= a < 1) or a (s, value) CSV path."""
+    """Rearranged datum on (0, ``domain_measure``] from ``const:<c>``,
+    ``pow:a=<a>[,c=<c>]`` (f*(s) = c s^-a, 0 <= a < 1) or an (s, value)
+    CSV path, zero past its last step; a CSV beyond it is refused."""
     if isinstance(spec, str) and spec.startswith("const:"):
         return rearrangement.RearrangedFunction(
             np.array([0.0, domain_measure]), np.array([_constant(spec)]))
@@ -103,7 +104,14 @@ def _load_rf(spec, domain_measure):
             lambda s: c * s**-a, domain_measure)
     data = np.loadtxt(spec, delimiter=",", skiprows=1, ndmin=2)
     # rows are (s_{j-1}, v_j) with a trailing (s_m, v_m) sentinel
-    return rearrangement.RearrangedFunction(data[:, 0], data[:-1, 1])
+    s, v = data[:, 0], data[:-1, 1]
+    if s[-1] > domain_measure:
+        raise young.YoungFunctionError(
+            f"{spec}: the datum reaches s = {float(s[-1])!r}, beyond the "
+            f"domain measure {domain_measure!r} (--omega)")
+    if s[-1] < domain_measure:
+        s, v = np.append(s, domain_measure), np.append(v, 0.0)
+    return rearrangement.RearrangedFunction(s, v)
 
 
 def _load_field(spec, n_nodes):
@@ -252,9 +260,9 @@ def cmd_symmetrize_solve(cfg, out):
     omega = _measure(cfg["omega"])
     f_rf = _load_rf(cfg["f"], omega)
     psi_inv = young.psi_of(a).inverse
-    sol = radial.solve_radial(psi_inv, f_rf, n, omega)
+    sol = radial.solve_radial(psi_inv, f_rf, n)
     sol.to_csv(out / "radial_solution.csv")
-    bc = rearrangement.boundedness_criterion(f_rf, psi_inv, n, omega)
+    bc = rearrangement.boundedness_criterion(f_rf, psi_inv, n)
     report = {
         "n": n, "domain_measure": omega, "radius": sol.radius,
         "center_value": float(sol.v[0]),

@@ -76,14 +76,14 @@ class RadialSolution:
                   np.column_stack([self.r, self.v, self.g]))
 
 
-def solve_radial(psi_diamond_inv, f_rf, n, domain_measure=None):
+def solve_radial(psi_diamond_inv, f_rf, n):
     """Evaluate the closed-form radial solution on a clustered grid.
 
     ``psi_diamond_inv`` is a vectorized callable for PsiInv; ``f_rf`` is
-    the rearrangement of the datum (f** is taken internally).  v is
-    accumulated from the boundary inward by per-panel quadrature of the
-    gradient profile g, so v(R) = 0 holds exactly and consecutive
-    differences match the quadrature by construction.  Every panel
+    the rearrangement of the datum on (0, |Omega|] (f** is taken
+    internally).  v is accumulated from the boundary inward by per-panel
+    quadrature of the gradient profile g, so v(R) = 0 holds exactly and
+    consecutive differences match the quadrature by construction.  Every panel
     [r_i, r_{i+1}] with i >= 1 takes 3-point Gauss-Legendre; the first,
     [0, r_1], where g carries the power singularity of an unbounded
     datum, takes the geometric head of
@@ -95,10 +95,8 @@ def solve_radial(psi_diamond_inv, f_rf, n, domain_measure=None):
     the CSV datum f*(s) = s^-0.6 v(0) matches
     :func:`rearrangement.boundedness_criterion` to 3e-8.
     """
-    if domain_measure is None:
-        domain_measure = f_rf.domain_measure
     omega = unit_ball_volume(n)
-    R = (domain_measure / omega) ** (1.0 / n)
+    R = (f_rf.domain_measure / omega) ** (1.0 / n)
 
     def g_of(rho):
         rho = np.asarray(rho, dtype=float)
@@ -116,7 +114,7 @@ def solve_radial(psi_diamond_inv, f_rf, n, domain_measure=None):
     increments[0] = improper_integral(g_of, 0.0, float(r[1]))
     increments[1:] = half * (vals[_N_NODES:].reshape(pts.shape) @ _GL_W)
     v = np.concatenate([np.cumsum(increments[::-1])[::-1], [0.0]])
-    return RadialSolution(n=n, domain_measure=float(domain_measure),
+    return RadialSolution(n=n, domain_measure=f_rf.domain_measure,
                           r=r, v=v, g=g)
 
 
@@ -169,9 +167,9 @@ def calibrate_kappa2(K, profile: EmbeddingProfile, mu_fn, t_ladder):
 
 
 def level_set_bound_grad(profile: EmbeddingProfile, c1=1.0):
-    """Gradient superlevel bound  |{Phi(grad u) > s}| <= c1 Phi_n^{-1}(s)^{n'} / s,
-    with the proof-chain constant 2 (K/c)^{n'} reported via
-    :func:`calibrate_c1` when calibrating against data."""
+    """Gradient superlevel bound  |{Phi(grad u) > s}| <= c1 Phi_n^{-1}(s)^{n'} / s;
+    the proof chain's c1 = 2 (K/c)^{n'} is not computed, and against data
+    :func:`calibrate_c1` gives the smallest c1 that holds on a ladder."""
     np_prime = profile.n_prime
 
     def bound(s):

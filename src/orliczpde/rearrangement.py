@@ -261,17 +261,16 @@ def data_admissibility(f_rf, conj_phi_circ, n, dichotomy="divergent"):
     return {"verdict": verdict, "ladder": rows}
 
 
-def boundedness_criterion(f_rf, psi_diamond_inv, n, domain_measure=None):
+def boundedness_criterion(f_rf, psi_diamond_inv, n):
     """The sharp L-infinity bound
 
         B = (n om_n^{1/n})^{-1} Int_0^{|Omega|} s^{-1/n'}
               PsiInv( s^{1/n} f**(s) / (n om_n^{1/n}) ) ds,
 
-    returning math.inf when the integral diverges.  ``psi_diamond_inv``
-    is the inverse of Psi_diamond, as a callable.
+    returning math.inf when the integral diverges, with |Omega| the
+    datum's ``domain_measure``.  ``psi_diamond_inv`` is the inverse of
+    Psi_diamond, as a callable.
     """
-    if domain_measure is None:
-        domain_measure = f_rf.domain_measure
     if f_rf.integral() == 0.0:
         return 0.0
     c = n * unit_ball_volume(n) ** (1.0 / n)
@@ -282,5 +281,5 @@ def boundedness_criterion(f_rf, psi_diamond_inv, n, domain_measure=None):
         arg = s ** (1.0 / n) * f_rf.maximal_eval(s) / c
         return s ** (-inv_np) * np.asarray(psi_diamond_inv(arg), dtype=float)
 
-    val = improper_integral(fn, 0.0, domain_measure)
+    val = improper_integral(fn, 0.0, f_rf.domain_measure)
     return val / c if math.isfinite(val) else math.inf

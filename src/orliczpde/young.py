@@ -305,15 +305,15 @@ def discrete_legendre(x, fx, s):
 class ScalarYoungFunction:
     """Base class: a convex nondecreasing function with A(0) = 0.
 
-    ``t_min``/``t_max`` delimit the trusted evaluation range
-    (domain hint); evaluation outside is permitted but flagged as
-    extrapolation by subclasses where it matters.
+    An analytic one is convex when built, a table after
+    ``repair_convexity``.  ``t_min``/``t_max`` delimit the trusted
+    evaluation range (domain hint); evaluation outside is permitted but
+    flagged as extrapolation by subclasses where it matters.
     """
 
     name = "young"
     t_min = 1e-8
     t_max = 1e8
-    convexity_certified = False
     closed_form_inverse = False  # ``inverse`` runs no solver
     # (sigma, beta): the exact tail A(t) ~ t^sigma (log t)^beta that a
     # closed form states (sigma = inf: exponential), as does a Phi_circ
@@ -365,10 +365,9 @@ class ScalarYoungFunction:
     # -- certification ------------------------------------------------
 
     def certify(self):
-        """Check A(0)=0, monotonicity (to 1e-12 of the largest value) and
-        midpoint convexity on a 512-point log grid spanning the trusted
-        range; sets ``convexity_certified``.
-        """
+        """Check monotonicity (to 1e-12 of the largest value) and midpoint
+        convexity (to 1e-9 relative) on a 512-point log grid spanning the
+        trusted range; raise :class:`NotConvexError` if either fails."""
         t = np.geomspace(self.t_min, self.t_max, 512)
         v = self.value(t)
         if np.any(np.diff(v) < -1e-12 * np.max(v)):
@@ -379,18 +378,9 @@ class ScalarYoungFunction:
         scale = np.maximum(np.abs(chord), 1e-300)
         if np.any((vm - chord) / scale > 1e-9):
             raise NotConvexError(f"{self.name}: midpoint convexity fails")
-        self.convexity_certified = True
         return self
 
     # -- serialization ------------------------------------------------
-
-    def sample(self):
-        """Freeze this function to a :class:`SampledYoungFunction`, 256
-        points per decade of the trusted range [t_min, t_max]."""
-        decades = max(math.log10(self.t_max / self.t_min), 1.0)
-        n = int(decades * 256) + 2
-        log_t = np.linspace(math.log(self.t_min), math.log(self.t_max), n)
-        return SampledYoungFunction(log_t, self.log_value(log_t), name=self.name)
 
     def to_csv(self, path):
         """A at 512 geometric points of the trusted range [t_min, t_max],
@@ -413,7 +403,6 @@ class PowerYoung(ScalarYoungFunction):
         self.name = f"power(p={p:g})" if coeff == 1.0 else (
             f"power(p={p:g},c={coeff:g})"
         )
-        self.convexity_certified = True
 
     def value(self, t):
         return self.coeff * np.asarray(t, dtype=float) ** self.p
@@ -445,8 +434,9 @@ class PowerLogYoung(ScalarYoungFunction):
     """A(t) = t**p * log(shift + t)**alpha.
 
     With shift >= e the logarithm stays >= 1, so negative alpha is
-    allowed; convexity for a given parameter combination is certified
-    numerically (``ensure_convex`` raises the shift until it passes).
+    allowed.  Construction multiplies the shift by 4 until :meth:`certify`
+    passes, and ``name`` states a raised one; a shift past 1e12 raises
+    :class:`NotConvexError` naming the last one tried.
     """
 
     def __init__(self, p, alpha, shift=math.e):
@@ -455,6 +445,16 @@ class PowerLogYoung(ScalarYoungFunction):
         self.shift = float(shift)
         self.tail = (self.p, self.alpha)
         self.name = f"power_log(p={p:g},alpha={alpha:g})"
+        while True:
+            try:
+                self.certify()
+                return
+            except NotConvexError:
+                if self.shift * 4.0 > 1e12:
+                    raise
+                self.shift *= 4.0
+                self.name = (f"power_log(p={self.p:g},alpha={self.alpha:g},"
+                             f"shift={self.shift:g})")
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -480,20 +480,6 @@ class PowerLogYoung(ScalarYoungFunction):
             self.p * ell + self.alpha * t / (self.shift + t)
         )
 
-    def ensure_convex(self):
-        """Certify, multiplying the shift by 4 until it passes or would
-        pass 1e12; ``name`` states a raised shift."""
-        while True:
-            try:
-                self.certify()
-                return self
-            except NotConvexError:
-                if self.shift * 4.0 > 1e12:
-                    raise
-                self.shift *= 4.0
-                self.name = (f"power_log(p={self.p:g},alpha={self.alpha:g},"
-                             f"shift={self.shift:g})")
-
 
 class ExpPowerYoung(ScalarYoungFunction):
     """A(t) = exp(t**beta) - 1, beta >= 1.
@@ -511,7 +497,6 @@ class ExpPowerYoung(ScalarYoungFunction):
         self.beta = float(beta)
         self.t_max = min(300.0, 700.0 ** (1.0 / self.beta))
         self.name = f"exp_power(beta={beta:g})"
-        self.convexity_certified = True
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -584,7 +569,6 @@ class ExpMinusLinearYoung(ScalarYoungFunction):
 
     name = "exp_minus_linear"
     t_max = 500.0
-    convexity_certified = True
     tail = (math.inf, 0.0)
 
     def value(self, t):
@@ -628,7 +612,6 @@ class LinearSplicedYoung(ScalarYoungFunction):
         self.name = f"linear_spliced({base.name})"
         self.t_min = min(base.t_min, 1e-12)
         self.t_max = base.t_max
-        self.convexity_certified = base.convexity_certified
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -805,7 +788,6 @@ class SampledYoungFunction(ScalarYoungFunction):
         keep = _lower_hull(np.exp(self.log_t),
                            np.exp(np.minimum(self.log_v, 700.0)))
         self._set_table(self.log_t[keep], self.log_v[keep])
-        self.convexity_certified = True
         return self
 
     def check_second_differences(self):
@@ -833,15 +815,16 @@ class LegendreConjugate(ScalarYoungFunction):
     :func:`solve_increasing` of A', or a closed form for a
     :class:`SampledYoungFunction`, :class:`ExpMinusOneYoung` (log s)
     and :class:`ExpMinusLinearYoung` (log1p s).  A maximizer beyond
-    1e250 raises :class:`InverseRangeError`.
+    1e250 raises :class:`InverseRangeError`.  The trusted range is the
+    base's slopes [A'(t_min), A'(t_max)], clipped to [1e-300, 1e300],
+    which the slopes of a steep base leave (e^{t^5} reaches 9.6e306).
     """
 
     def __init__(self, base):
         self.base = base
         self.name = f"conj({base.name})"
-        self.convexity_certified = True
-        self.t_min = 1e-10
-        self.t_max = 1e10
+        self.t_min, self.t_max = np.clip(base.derivative(
+            np.array([base.t_min, base.t_max])), _TINY, 1e300).tolist()
 
     def value(self, s):
         s = np.asarray(s, dtype=float)
@@ -869,7 +852,7 @@ class LegendreConjugate(ScalarYoungFunction):
         return float(out) if out.ndim == 0 else out
 
     def conjugate(self):
-        # biconjugate of a certified convex function is the function itself
+        # the biconjugate of a convex function is the function itself
         return self.base
 
 
@@ -945,7 +928,7 @@ def theta_diamond(a):
 _CATALOG = {
     "power": lambda p=2.0, coeff=1.0: PowerYoung(p, coeff),
     "power_log": lambda p=2.0, alpha=1.0, shift=math.e: PowerLogYoung(
-        p, alpha, shift).ensure_convex(),
+        p, alpha, shift),
     "exp_power": lambda beta=1.0: ExpPowerYoung(beta),
     "exp_minus_one": lambda: ExpMinusOneYoung(),
     "exp_minus_linear": lambda: ExpMinusLinearYoung(),

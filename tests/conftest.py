@@ -26,8 +26,7 @@ def split_power_potential(p1, p2):
 
 def sampled(a, t_lo, t_hi):
     """A frozen to a :class:`SampledYoungFunction` on [t_lo, t_hi], 256
-    points per decade, the grid that ``a.sample()`` takes on the trusted
-    range."""
+    points per decade."""
     n = int(max(math.log10(t_hi / t_lo), 1.0) * 256) + 2
     log_t = np.linspace(math.log(t_lo), math.log(t_hi), n)
     return SampledYoungFunction(log_t, a.log_value(log_t), name=a.name)

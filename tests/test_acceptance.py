@@ -194,9 +194,8 @@ def test_ac07_comparison_principle(report):
                 return np.maximum(np.asarray(x, float), 0.0) ** (
                     1.0 / (p - 1.0))
             vsol = radial.solve_radial(
-                psi_inv, rearrangement.RearrangedFunction([0.0, 1.0],
-                                                          [1.0]),
-                2, domain_measure=1.0)
+                psi_inv, rearrangement.RearrangedFunction([0.0, 1.0], [1.0]),
+                2)
             v_star = vsol.rearranged()
             margins = {}
             for n_nodes in (65, 129):

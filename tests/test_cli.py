@@ -1194,6 +1194,40 @@ def test_admissibility_refuses_bad_power_profile(spec, tmp_path):
     assert err["type"] == "YoungFunctionError"
 
 
+def _write_steps(path, s, v):
+    """A rearranged-datum CSV: rows (s_{j-1}, v_j) and a trailing
+    (s_m, v_m) sentinel."""
+    np.savetxt(path, np.column_stack([s, np.append(v, v[-1])]),
+               delimiter=",", header="s,value", comments="")
+    return str(path)
+
+
+def test_csv_datum_is_zero_up_to_omega(tmp_path):
+    # a CSV on (0, 1] with --omega 2 is the same datum as its steps with
+    # an explicit zero step to 2: both modulars integrate up to 2
+    short = _write_steps(tmp_path / "short.csv", [0.0, 0.25, 0.5, 1.0],
+                         [4.0, 2.0, 1.0])
+    full = _write_steps(tmp_path / "full.csv", [0.0, 0.25, 0.5, 1.0, 2.0],
+                        [4.0, 2.0, 1.0, 0.0])
+    ladders = []
+    for sub, path in (("short", short), ("full", full)):
+        code, out = run([*ADMISSIBILITY, path, "--omega", "2"], tmp_path,
+                        sub=sub)
+        assert code == 0
+        rep = json.loads((out / "admissibility_report.json").read_text())
+        ladders.append(rep["ladder"])
+    assert len(ladders[0]) == 8 and ladders[0] == ladders[1]
+
+
+def test_csv_datum_beyond_omega_is_refused(tmp_path):
+    path = _write_steps(tmp_path / "wide.csv", [0.0, 1.0, 2.0], [2.0, 1.0])
+    code, out = run([*ADMISSIBILITY, path, "--omega", "1"], tmp_path)
+    assert code == 1
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["type"] == "YoungFunctionError"
+    assert "s = 2.0" in err["message"] and "measure 1.0" in err["message"]
+
+
 ADMISSIBILITY = ("admissibility", "--phi-circ", "power:p=1.5", "--n", "2",
                  "--f")
 GRID_SOLVE = ("grid-solve", "--N", "33", "--p", "2", "--f")

@@ -41,7 +41,7 @@ from orliczpde.young import (
     (PowerYoung(1.005), "holds", "holds"),
     # trusted only up to 700^(1/5) = 3.7
     (ExpPowerYoung(5.0), "fails", "holds"),
-    (PowerLogYoung(2.0, 1.0).sample(), "holds", "holds"),
+    (sampled(PowerLogYoung(2.0, 1.0), 1e-8, 1e8), "holds", "holds"),
     # no power-log law fits an exponential table: no tail is read
     (sampled(ExpMinusOneYoung(), 1e-3, 500.0), "inconclusive",
      "inconclusive"),
@@ -86,14 +86,14 @@ def test_dichotomy_powers(a, n, verdict):
     (1.03, "convergent"),  # the stated tail is exact: k = 1.03 > 1
 ])
 def test_dichotomy_log_critical(alpha, verdict):
-    a = PowerLogYoung(2.0, alpha).ensure_convex()
+    a = PowerLogYoung(2.0, alpha)
     assert classify_integral(a, 2)[0] == verdict
 
 
 def test_dichotomy_log_critical_table_reads_the_band():
     # a table's tail is fitted: its log exponent reads 1.0018 for the
     # true k = 1, so a fitted tail stays divergent up to k = 1.05
-    table = sampled(PowerLogYoung(2.0, 1.0).ensure_convex(), 1e-2, 1e8)
+    table = sampled(PowerLogYoung(2.0, 1.0), 1e-2, 1e8)
     verdict, diag = classify_integral(table, 2)
     assert verdict == "divergent"
     assert 1.0 < diag["log_exponent"] < 1.05 and diag["margin"] == 0.02
@@ -204,7 +204,7 @@ def test_modification_recorded_for_steep_input():
     prof = sobolev_conjugate(PowerYoung(1.9), 2)
     # p > n' = 2? no: near-zero diverges iff (1-p)/(n-1) < -1, i.e. p > 2
     assert not prof.modification.applied
-    prof = sobolev_conjugate(PowerLogYoung(2.0, 0.5).ensure_convex(), 2)
+    prof = sobolev_conjugate(PowerLogYoung(2.0, 0.5), 2)
     assert prof.modification.applied
 
 

@@ -417,7 +417,7 @@ def test_linf_below_symmetrized_radial_centre(p):
     # and 1.024.
     spec = OperatorSpec(power_potential(p))
     v = solve_radial(spec.potential.a.conjugate().derivative,
-                     RearrangedFunction([0.0, 1.0], [1.0]), 2, 1.0)
+                     RearrangedFunction([0.0, 1.0], [1.0]), 2)
     f = GridField.from_function(65, lambda x, y: np.ones_like(x))
     u, _ = solve(spec, f)
     assert np.max(u.values) <= v.v[0]

@@ -136,8 +136,8 @@ def test_center_matches_sharp_bound_on_csv_datum(p, a, rel):
     # v(0) and B are two quadratures of one integral, in r and in s
     rf = _benchmark_csv_rf(a)
     psi_inv = psi_of(PowerYoung(p)).inverse
-    sol = solve_radial(psi_inv, rf, 2, math.pi)
-    B = boundedness_criterion(rf, psi_inv, 2, math.pi)
+    sol = solve_radial(psi_inv, rf, 2)
+    B = boundedness_criterion(rf, psi_inv, 2)
     assert sol.v[0] == pytest.approx(B, rel=rel)
 
 
@@ -152,8 +152,8 @@ def test_center_and_bound_follow_a_power_profile_to_zero():
     c = 2.0 * math.sqrt(math.pi)
     for a in (0.7, 0.8):
         rf = RearrangedFunction.from_callable(lambda s: s**-a, math.pi)
-        v0 = solve_radial(psi_inv, rf, 2, math.pi).v[0]
-        B = boundedness_criterion(rf, psi_inv, 2, math.pi)
+        v0 = solve_radial(psi_inv, rf, 2).v[0]
+        B = boundedness_criterion(rf, psi_inv, 2)
         e = q * (0.5 - a) - 0.5
         if e <= -1.0:
             assert v0 == B == math.inf
@@ -172,7 +172,7 @@ def test_solve_radial_inverts_psi_at_few_points():
         points.append(np.size(y))
         return np.asarray(y, dtype=float)
 
-    sol = solve_radial(psi_inv, _benchmark_csv_rf(0.6), 2, math.pi)
+    sol = solve_radial(psi_inv, _benchmark_csv_rf(0.6), 2)
     assert len(sol.r) == 4096
     assert sum(points) <= 25_000
 

@@ -130,6 +130,34 @@ def test_every_conjugate_is_a_power_or_legendre(a):
         assert type(conj) is LegendreConjugate and conj.base is a
 
 
+@pytest.mark.parametrize("spec", [
+    *young._CATALOG, "power_log:p=1.2,alpha=-2", "power_log:p=1,alpha=1",
+    # A'(t_max) passes 1e300 from b = 5 on, A'(t_min) underflows at 60
+    "exp_power:beta=5", "exp_power:beta=60",
+])
+def test_every_catalog_function_is_convex_when_built(spec):
+    # a built function, its conjugate and its linear splice certify on
+    # their trusted ranges; a conjugate's range is the slopes of its base
+    a = parse_scalar_function(spec)
+    conj = a.conjugate()
+    for f in (a, conj, LinearSplicedYoung(a)):
+        assert f.certify() is f
+    if isinstance(conj, LegendreConjugate):
+        slopes = np.clip([a.derivative(a.t_min), a.derivative(a.t_max)],
+                         1e-300, 1e300)
+        assert [conj.t_min, conj.t_max] == slopes.tolist()
+
+
+def test_conjugate_range_follows_the_slopes():
+    # t log(e + t) has slopes [1, 19.42] on [1e-8, 1e8]; a fixed range
+    # [1e-10, 1e10] asked for maximizers beyond 1e250 above s = 577
+    conj = parse_scalar_function("power_log:p=1,alpha=1").conjugate()
+    assert conj.t_min == pytest.approx(1.0, abs=1e-7)
+    assert conj.t_max == pytest.approx(math.log(math.e + 1e8) + 1.0)
+    t = conj.derivative(np.geomspace(conj.t_min, conj.t_max, 64))
+    assert np.all((t >= 0.0) & (t <= 1e8 * (1.0 + 1e-9)))
+
+
 @settings(max_examples=25, deadline=None)
 @given(p=st.floats(1.2, 5.0), log_t=st.floats(-2.0, 3.0))
 def test_biconjugation_is_identity(p, log_t):
@@ -169,32 +197,32 @@ def test_young_inequality(p, log_s, log_t):
 ])
 def test_power_log_names_the_shift_it_settles_on(p, alpha, raised, shift):
     # log(e + t)^alpha with alpha < 0 makes t^p log(e + t)^alpha fail
-    # midpoint convexity for p near 1; ensure_convex multiplies the shift
+    # midpoint convexity for p near 1; construction multiplies the shift
     # by 4 until the function certifies, and the name states that shift
     a = PowerLogYoung(p, alpha)
-    with pytest.raises(NotConvexError):
-        a.certify()
-    assert a.ensure_convex() is a and a.convexity_certified
+    assert a.certify() is a
     assert a.shift == math.e * 4.0**raised
     assert a.name == f"power_log(p={p:g},alpha={alpha:g},shift={shift})"
+    # a shift one step lower fails
+    lower = PowerLogYoung(p, alpha, shift=a.shift)
+    lower.shift /= 4.0
+    with pytest.raises(NotConvexError):
+        lower.certify()
     assert parse_scalar_function(
         f"power_log:p={p:g},alpha={alpha:g}").name == a.name
     # a shift that certifies as given is not named
-    assert PowerLogYoung(2.0, 1.0).ensure_convex().name == (
-        "power_log(p=2,alpha=1)")
+    assert PowerLogYoung(2.0, 1.0).name == "power_log(p=2,alpha=1)"
 
 
 def test_power_log_that_never_certifies_names_its_last_shift():
-    # t log(e + t)^-1 fails at every shift up to 1e12; the error and the
-    # name state the last shift tried
-    a = PowerLogYoung(1.0, -1.0)
-    with pytest.raises(NotConvexError, match="shift=7.47196e"):
-        a.ensure_convex()
-    assert a.shift == math.e * 4.0**19 and not a.convexity_certified
+    # t log(e + t)^-1 fails at every shift up to 1e12; construction
+    # raises, naming the last shift tried
+    with pytest.raises(NotConvexError, match=r"shift=7\.47196e\+11\)"):
+        PowerLogYoung(1.0, -1.0)
 
 
 def test_sampled_round_trip(tmp_path):
-    a = PowerLogYoung(2.0, 1.0).ensure_convex()
+    a = PowerLogYoung(2.0, 1.0)
     tab = sampled(a, 1e-2, 1e4)
     t = np.geomspace(2e-2, 5e3, 100)
     assert np.allclose(tab.value(t), a.value(t), rtol=1e-4)
@@ -308,7 +336,7 @@ def test_parse_errors():
 
 
 def test_log_domain_survives_extreme_range():
-    a = PowerLogYoung(2.0, 0.5).ensure_convex()
+    a = PowerLogYoung(2.0, 0.5)
     lv = a.log_value(np.array([500.0, 1000.0]))
     assert np.all(np.isfinite(lv))
     assert lv[1] > lv[0]
