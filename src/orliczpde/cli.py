@@ -71,19 +71,28 @@ def _write_json(path, doc):
 
 
 def _measure(text):
-    if isinstance(text, str) and text.strip() == "pi":
-        return math.pi
-    return float(text)
+    """The domain measure ``--omega``: a finite number > 0, or 'pi'."""
+    try:
+        omega = math.pi if str(text).strip() == "pi" else float(text)
+    except ValueError:
+        omega = math.nan
+    if not 0.0 < omega < math.inf:
+        raise ConfigError(f"--omega must be a finite number > 0 or 'pi', "
+                          f"not {text!r}")
+    return omega
 
 
 def _constant(spec):
-    """The number c of a ``const:<c>`` datum."""
+    """The finite number c of a ``const:<c>`` datum."""
     text = spec.partition(":")[2]
     try:
-        return float(text)
+        c = float(text)
     except ValueError:
+        c = math.nan
+    if not math.isfinite(c):
         raise young.YoungFunctionError(
-            f"{spec!r}: item {text!r} is not a number") from None
+            f"{spec!r}: item {text!r} is not a finite number")
+    return c
 
 
 def _load_rf(spec, domain_measure):
@@ -103,6 +112,8 @@ def _load_rf(spec, domain_measure):
         return rearrangement.RearrangedFunction.from_callable(
             lambda s: c * s**-a, domain_measure)
     data = np.loadtxt(spec, delimiter=",", skiprows=1, ndmin=2)
+    if not np.all(np.isfinite(data)):
+        raise young.YoungFunctionError(f"{spec}: a number is not finite")
     # rows are (s_{j-1}, v_j) with a trailing (s_m, v_m) sentinel
     s, v = data[:, 0], data[:-1, 1]
     if s[-1] > domain_measure:
@@ -129,7 +140,10 @@ def _load_field(spec, n_nodes):
         return grid.point_mass_field(
             n, mass=kw.get("mass", 1.0),
             location=(kw.get("x", 0.5), kw.get("y", 0.5)))
-    field = grid.GridField(np.loadtxt(spec, delimiter=",", comments="#"))
+    data = np.loadtxt(spec, delimiter=",", comments="#")
+    if not np.all(np.isfinite(data)):
+        raise young.YoungFunctionError(f"{spec}: a number is not finite")
+    field = grid.GridField(data)
     if n_nodes is not None and field.n_nodes != n:
         raise young.YoungFunctionError(
             f"{spec}: the datum is a {field.n_nodes} x {field.n_nodes} "
@@ -259,10 +273,9 @@ def cmd_symmetrize_solve(cfg, out):
     n = int(cfg["n"])
     omega = _measure(cfg["omega"])
     f_rf = _load_rf(cfg["f"], omega)
-    psi_inv = young.psi_of(a).inverse
-    sol = radial.solve_radial(psi_inv, f_rf, n)
+    sol = radial.solve_radial(a.psi_inverse, f_rf, n)
     sol.to_csv(out / "radial_solution.csv")
-    bc = rearrangement.boundedness_criterion(f_rf, psi_inv, n)
+    bc = rearrangement.boundedness_criterion(f_rf, a.psi_inverse, n)
     report = {
         "n": n, "domain_measure": omega, "radius": sol.radius,
         "center_value": float(sol.v[0]),
@@ -543,6 +556,7 @@ def main(argv=None):
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
+        (out / "error.json").unlink(missing_ok=True)  # a stale one
         cfg = _merge_config(args)
         report = HANDLERS[args.command](cfg, out)
         if not args.quiet:

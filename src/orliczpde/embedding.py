@@ -62,7 +62,6 @@ class DichotomyError(YoungFunctionError):
 
 _MARGIN = 0.02  # band around a critical exponent for a fitted tail
 _MAX_SPREAD = 0.1  # a fitted tail with a wider residual spread is unread
-_KNOT = 1.0  # the scalar near-zero splice is linear on [0, _KNOT]
 
 
 def _cumulative_trapezoid(y, x):
@@ -254,10 +253,11 @@ def sobolev_conjugate(phi_circ, n, n_points=4096, log_t_hi=math.log(1e10)):
         )
     u = np.linspace(math.log(_H_T_LO), log_t_hi, n_points)
     log_phi = phi_circ.log_value(u)
-    record = ModificationRecord(False, 1.0, "not needed")
+    record = ModificationRecord(False, LinearSplicedYoung.knot, "not needed")
     if _end_slope((u - log_phi) / (n - 1.0) + u, u) <= _MARGIN:
-        phi_circ = LinearSplicedYoung(phi_circ, _KNOT)  # kernel t near 0
-        record = ModificationRecord(True, _KNOT, "linear splice on [0, knot]")
+        phi_circ = LinearSplicedYoung(phi_circ)  # kernel t near 0
+        record = ModificationRecord(True, phi_circ.knot,
+                                    "linear splice on [0, knot]")
         log_phi = phi_circ.log_value(u)
     log_H = (n - 1.0) / n * np.log(_log_integral(
         (u - log_phi) / (n - 1.0) + u, u, "H integral at 0"))
@@ -273,21 +273,14 @@ def sobolev_conjugate(phi_circ, n, n_points=4096, log_t_hi=math.log(1e10)):
         log_t = np.asarray(log_t, dtype=float)
         return phi_n.log_value(log_t / np_prime) - log_t
 
-    vartheta = MonotoneFunction(
-        lambda t: np.exp(np.minimum(vt_log(np.log(np.maximum(t, 1e-300))),
-                                    700.0)),
-        name="vartheta_n", log_fn=vt_log)
-
     def vr_log(log_t):
         log_t = np.asarray(log_t, dtype=float)
         # varrho_n(t) = t / Phi_n^{-1}(t)^{n'}
         inv = phi_n.inverse(np.exp(np.minimum(log_t, 700.0)))
         return log_t - np_prime * np.log(np.maximum(inv, 1e-300))
 
-    varrho = MonotoneFunction(
-        lambda t: np.exp(np.minimum(vr_log(np.log(np.maximum(t, 1e-300))),
-                                    700.0)),
-        name="varrho_n", log_fn=vr_log)
+    vartheta = MonotoneFunction(vt_log, "vartheta_n")
+    varrho = MonotoneFunction(vr_log, "varrho_n")
     return EmbeddingProfile(
         n=n, phi_circ=phi_circ, H=H, phi_n=phi_n,
         vartheta_n=vartheta, varrho_n=varrho, modification=record)

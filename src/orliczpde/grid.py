@@ -184,11 +184,11 @@ class OperatorSpec:
     """
 
     potential: object
-    b: np.ndarray | float = 1.0  # cell coefficient, must be >= 1
+    b: np.ndarray | float = 1.0  # cell coefficient, finite and >= 1
 
     def __post_init__(self):
-        if np.any(np.asarray(self.b) < 1.0):
-            raise YoungFunctionError("coefficient b must be >= 1")
+        if not np.all(np.isfinite(self.b) & (np.asarray(self.b) >= 1.0)):
+            raise YoungFunctionError("coefficient b must be finite and >= 1")
         phi = self.potential
         form, n = getattr(phi, "form", None), getattr(phi, "n", None)
         self._radial = form == "radial"

@@ -55,14 +55,14 @@ class RearrangedFunction:
     def __init__(self, breakpoints, values):
         s = np.asarray(breakpoints, dtype=float)
         v = np.asarray(values, dtype=float)
-        if s[0] != 0.0 or np.any(np.diff(s) <= 0):
+        if s[0] != 0.0 or not np.all(np.diff(s) > 0):
             raise YoungFunctionError("breakpoints must increase from 0")
         if len(v) != len(s) - 1:
             raise YoungFunctionError("need one value per interval")
-        if np.any(np.diff(v) > 1e-12 * max(float(v[0]), 1.0)):
+        if not np.all((v >= 0.0) & (v < np.inf)):
+            raise YoungFunctionError("values must be finite and nonnegative")
+        if not np.all(np.diff(v) <= 1e-12 * max(float(v[0]), 1.0)):
             raise YoungFunctionError("values must be nonincreasing")
-        if np.any(v < 0):
-            raise YoungFunctionError("values must be nonnegative")
         self.breakpoints = s
         self.values = np.minimum.accumulate(v)
         self.domain_measure = float(s[-1])

@@ -18,8 +18,8 @@ and A(t)/t -> oo as t -> oo.  This module provides
   taking more than a few steps beyond what bisection would; each round
   evaluates only the unfinished elements, and per-element parameters
   ride along as ``args``,
-* the derived monotone functions Psi(t) = A(t)/t and
-  Theta_diamond(t) = conj(A)^{-1}(A(t)).
+* ``psi_inverse``, the inverse of Psi(t) = A(t)/t (closed form for a
+  power), and ``MonotoneFunction``, a function known by its log values,
 * the spec grammar ``kind:key=value,...`` (and its JSON-term form)
   that names catalog functions and the CLI's data,
 * the package's one CSV writer, ``write_csv``, which formats each
@@ -52,8 +52,6 @@ __all__ = [
     "MonotoneFunction",
     "discrete_legendre",
     "solve_increasing",
-    "psi_of",
-    "theta_diamond",
     "parse_spec",
     "parse_scalar_function",
     "write_csv",
@@ -355,6 +353,11 @@ class ScalarYoungFunction:
         """Generalized left-continuous inverse, scalar or array."""
         return solve_increasing(self.value, y)
 
+    def psi_inverse(self, y):
+        """Leftmost t >= 0 with Psi(t) = A(t)/t >= y; Psi is
+        nondecreasing by convexity."""
+        return solve_increasing(lambda t: self.value(t) / t, y)
+
     # -- conjugation --------------------------------------------------
 
     def conjugate(self):
@@ -370,13 +373,13 @@ class ScalarYoungFunction:
         trusted range; raise :class:`NotConvexError` if either fails."""
         t = np.geomspace(self.t_min, self.t_max, 512)
         v = self.value(t)
-        if np.any(np.diff(v) < -1e-12 * np.max(v)):
+        if not np.all(np.diff(v) >= -1e-12 * np.max(v)):
             raise NotConvexError(f"{self.name}: not nondecreasing")
         mid = 0.5 * (t[:-2] + t[2:])
         vm = self.value(mid)
         chord = 0.5 * (v[:-2] + v[2:])
         scale = np.maximum(np.abs(chord), 1e-300)
-        if np.any((vm - chord) / scale > 1e-9):
+        if not np.all((vm - chord) / scale <= 1e-9):
             raise NotConvexError(f"{self.name}: midpoint convexity fails")
         return self
 
@@ -420,6 +423,12 @@ class PowerYoung(ScalarYoungFunction):
     def inverse(self, y):
         y = np.asarray(y, dtype=float)
         out = (np.maximum(y, 0.0) / self.coeff) ** (1.0 / self.p)
+        return float(out) if out.ndim == 0 else out
+
+    def psi_inverse(self, y):
+        # Psi(t) = c t^(p-1): no solver
+        y = np.asarray(y, dtype=float)
+        out = (np.maximum(y, 0.0) / self.coeff) ** (1.0 / (self.p - 1.0))
         return float(out) if out.ndim == 0 else out
 
     def conjugate(self):
@@ -598,17 +607,18 @@ class ExpMinusLinearYoung(ScalarYoungFunction):
 
 
 class LinearSplicedYoung(ScalarYoungFunction):
-    """Base function above a knot, linear with matching value below.
+    """Base function above the knot 1, linear with matching value below.
 
     This is the scalar near-zero modification: linear on [0, knot] with
     slope base(knot)/knot, equal to the base function for t >= knot.
     Convex because the chord slope never exceeds the right derivative.
     """
 
-    def __init__(self, base, knot=1.0):
+    knot = 1.0
+
+    def __init__(self, base):
         self.base = base
-        self.knot = float(knot)
-        self.slope = float(base.value(knot)) / self.knot
+        self.slope = float(base.value(self.knot)) / self.knot
         self.name = f"linear_spliced({base.name})"
         self.t_min = min(base.t_min, 1e-12)
         self.t_max = base.t_max
@@ -801,7 +811,10 @@ class SampledYoungFunction(ScalarYoungFunction):
 
     @classmethod
     def from_csv(cls, path):
+        """The (t, A(t)) rows of a CSV under a header, all finite."""
         data = np.loadtxt(path, delimiter=",", skiprows=1)
+        if not np.all(np.isfinite(data)):
+            raise YoungFunctionError(f"{path}: a number is not finite")
         return cls(np.log(data[:, 0]), np.log(data[:, 1]))
 
 
@@ -857,72 +870,13 @@ class LegendreConjugate(ScalarYoungFunction):
 
 
 class MonotoneFunction:
-    """A nondecreasing scalar function with a generalized inverse.
+    """A nondecreasing f known by ``log_value(log t) = log f(t)``, an
+    instance attribute that a caller may rebind: the Marcinkiewicz
+    generators vartheta_n and varrho_n of ``embedding``."""
 
-    Thin wrapper used for Psi, Theta_diamond, H, and the Marcinkiewicz
-    generators; carries optional closed-form inverse and log-domain
-    evaluation.
-    """
-
-    def __init__(self, fn, inv=None, name="monotone", log_fn=None):
-        self._fn = fn
-        self._inv = inv
-        self._log_fn = log_fn
+    def __init__(self, log_fn, name):
+        self.log_value = log_fn
         self.name = name
-
-    def __call__(self, t):
-        return self._fn(t)
-
-    def value(self, t):
-        return self._fn(t)
-
-    def log_value(self, log_t):
-        if self._log_fn is not None:
-            return self._log_fn(log_t)
-        with np.errstate(over="ignore", divide="ignore"):
-            return np.log(self._fn(np.exp(np.asarray(log_t, dtype=float))))
-
-    def inverse(self, y):
-        if self._inv is not None:
-            return self._inv(y)
-        return solve_increasing(self._fn, y)
-
-
-def psi_of(a):
-    """Psi(t) = A(t)/t for t > 0, Psi(0) = 0; nondecreasing by convexity.
-    Its inverse is closed form for a :class:`PowerYoung`, else solved."""
-
-    def fn(t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(t > 0.0, a.value(np.maximum(t, 1e-300)) /
-                           np.maximum(t, 1e-300), 0.0)
-        return out if out.ndim else float(out)
-
-    def log_fn(log_t):
-        return a.log_value(log_t) - np.asarray(log_t, dtype=float)
-
-    def power_inv(y):
-        # Psi(t) = c t^(p-1) for A = c t^p: no solver
-        y = np.asarray(y, dtype=float)
-        out = (np.maximum(y, 0.0) / a.coeff) ** (1.0 / (a.p - 1.0))
-        return float(out) if out.ndim == 0 else out
-
-    inv = power_inv if isinstance(a, PowerYoung) else None
-    return MonotoneFunction(fn, inv=inv, name=f"psi({a.name})", log_fn=log_fn)
-
-
-def theta_diamond(a):
-    """Theta(t) = conj(A)^{-1}(A(t)) for a Young function A."""
-    conj = a.conjugate()
-
-    def fn(t):
-        return conj.inverse(a.value(t))
-
-    def inv(y):
-        return a.inverse(conj.value(y))
-
-    return MonotoneFunction(fn, inv=inv, name=f"theta_diamond({a.name})")
 
 
 _CATALOG = {
@@ -941,7 +895,7 @@ def parse_spec(spec, allowed):
     """``(kind, {key: value})`` from a spec ``"kind[:key=value,...]"`` or
     a JSON term ``{"kind": kind, key: value, ...}``; ``allowed`` maps each
     kind to its keys.  An unknown kind, a text item without ``=``, a key
-    not allowed or a value that is not a number raises
+    not allowed or a value that is not a finite number raises
     :class:`YoungFunctionError` naming the spec and the item."""
     if isinstance(spec, str):
         kind, colon, body = spec.partition(":")
@@ -965,8 +919,10 @@ def parse_spec(spec, allowed):
         try:
             kw[key] = float(val)
         except (TypeError, ValueError):
+            kw[key] = math.nan
+        if not math.isfinite(kw[key]):
             raise YoungFunctionError(
-                f"{spec!r}: item {item!r} is not a number") from None
+                f"{spec!r}: item {item!r} is not a finite number")
     return kind, kw
 
 

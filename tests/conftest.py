@@ -8,8 +8,6 @@ from orliczpde.anisotropic import RadialPhi, SplitPhi
 from orliczpde.young import (
     PowerYoung,
     SampledYoungFunction,
-    psi_of,
-    theta_diamond,
     write_csv,
 )
 
@@ -54,8 +52,12 @@ def calculus_identity_errors(a, ts):
     violations (iv-v), each maximized over ``ts``.
     """
     conj = a.conjugate()
-    th = theta_diamond(a)
-    psi = psi_of(a)
+
+    def th(t):
+        return conj.inverse(a.value(t))
+
+    def th_inverse(y):
+        return a.inverse(conj.value(y))
 
     def rel(x, y):
         return abs(x - y) / max(abs(x), abs(y), 1e-12)
@@ -68,17 +70,17 @@ def calculus_identity_errors(a, ts):
     for t in np.asarray(ts, dtype=float):
         t = float(t)
         ct = float(conj.value(t))
-        errs["i"] = max(errs["i"], rel(float(a.value(th.inverse(t))), ct))
+        errs["i"] = max(errs["i"], rel(float(a.value(th_inverse(t))), ct))
         at = float(a.value(t))
         errs["ii"] = max(errs["ii"],
-                         rel(float(a.value(th.inverse(float(th(t))))), at))
-        z = float(psi.inverse(t))
+                         rel(float(a.value(th_inverse(float(th(t))))), at))
+        z = float(a.psi_inverse(t))
         if z > 0.0:
             errs["iii"] = max(errs["iii"],
                               rel(float(a.inverse(t * z)), z))
             errs["iv"] = max(errs["iv"], overshoot(float(th(z)), 2.0 * t))
             errs["v_hi"] = max(errs["v_hi"], overshoot(ct, float(a.value(z))))
-        z_half = float(psi.inverse(0.5 * t))
+        z_half = float(a.psi_inverse(0.5 * t))
         errs["v_lo"] = max(errs["v_lo"],
                            overshoot(float(a.value(z_half)), ct))
     return errs

@@ -1261,6 +1261,58 @@ def test_keyword_item_without_value_is_named(command, spec, item, tmp_path):
     assert repr(spec) in err["message"] and repr(item) in err["message"]
 
 
+@pytest.mark.parametrize("args, named", [
+    ([*ADMISSIBILITY, "const:1", "--omega", "nan"], "--omega"),
+    ([*ADMISSIBILITY, "const:1", "--omega", "inf"], "--omega"),
+    ([*ADMISSIBILITY, "const:1", "--omega", "-1"], "--omega"),
+    ([*ADMISSIBILITY, "const:nan"], "item 'nan'"),
+    ([*ADMISSIBILITY, "const:inf"], "item 'inf'"),
+    ([*ADMISSIBILITY, "pow:a=0.5,c=inf"], "item 'c=inf'"),
+    ([*ADMISSIBILITY, "STEPS"], "STEPS"),
+    (["symmetrize-solve", "--phi", "power:p=2", "--n", "2", "--f", "STEPS"],
+     "STEPS"),
+    (["conjugate", "--A", "power:p=nan"], "item 'p=nan'"),
+    (["conjugate", "--A", "TABLE"], "TABLE"),
+    ([*GRID_SOLVE, "const:nan"], "item 'nan'"),
+    ([*GRID_SOLVE, "point:mass=nan"], "item 'mass=nan'"),
+    ([*GRID_SOLVE, "GRID"], "GRID"),
+    (["phicirc", "--phi", '{"n": 2, "form": "radial", '
+      '"term": {"kind": "power", "p": NaN}}'], "item 'p'"),
+], ids=["omega_nan", "omega_inf", "omega_negative", "const_nan",
+        "const_inf", "pow_c_inf", "steps_csv", "steps_csv_radial",
+        "power_p_nan", "table_csv", "grid_const_nan", "point_mass_nan",
+        "grid_csv", "term_p_nan"])
+def test_non_finite_input_is_named(args, named, tmp_path):
+    # a NaN or inf where a number enters is bad input, refused there by
+    # name: not a verdict on it, an unrelated error or a dropped row
+    t = np.geomspace(1e-2, 1e2, 64)
+    table = np.column_stack([t, t**2])
+    table[20, 1] = math.nan
+    field = np.ones((33, 33))
+    field[5, 7] = math.nan
+    paths = {
+        "STEPS": _write_steps(tmp_path / "steps.csv", [0.0, 0.5, 1.0],
+                              [math.nan, 1.0]),
+        "TABLE": str(tmp_path / "table.csv"), "GRID": str(tmp_path / "f.csv")}
+    np.savetxt(paths["TABLE"], table, delimiter=",", header="t,A(t)",
+               comments="")
+    np.savetxt(paths["GRID"], field, delimiter=",")
+    code, out = run([paths.get(arg, arg) for arg in args], tmp_path)
+    assert code == 1
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["type"] in ("ConfigError", "YoungFunctionError")
+    assert paths.get(named, named) in err["message"]
+
+
+def test_a_run_clears_a_stale_error_record(tmp_path):
+    # error.json is written on exit 1 only: a run that succeeds where an
+    # earlier one failed leaves no error record beside its report
+    assert run(["conjugate", "--A", "power:p=1"], tmp_path)[0] == 1
+    code, out = run(["conjugate", "--A", "power:p=2"], tmp_path)
+    assert code == 0
+    assert not (out / "error.json").exists()
+
+
 def test_verify_example_cli(tmp_path):
     code, out = run(["verify-example", "plap", "--p", "1.5", "--n", "2"],
                     tmp_path)

@@ -349,6 +349,16 @@ def test_operator_spec_validation():
         power_potential(1.0)
 
 
+@pytest.mark.parametrize("b", [
+    math.nan, math.inf, np.where(np.arange(16) == 5, math.nan, 2.0),
+], ids=["nan", "inf", "array-with-a-nan"])
+def test_operator_spec_refuses_a_non_finite_b(b):
+    # b >= 1 must hold everywhere: NaN fails every comparison, so a check
+    # that looks only for b < 1 let it through
+    with pytest.raises(YoungFunctionError, match="finite"):
+        OperatorSpec(power_potential(2.0), b=b)
+
+
 @pytest.mark.parametrize("phi", [
     RadialPhi(3, PowerYoung(3.0)),
     LinearCombinationPhi(2, [([1.0, 0.0], PowerYoung(2.0)),

@@ -17,7 +17,7 @@ from orliczpde.radial import (
     truncation_energy_check,
 )
 from orliczpde.rearrangement import RearrangedFunction, boundedness_criterion
-from orliczpde.young import PowerYoung, psi_of
+from orliczpde.young import PowerYoung
 
 
 def _unit_disk_rf():
@@ -135,7 +135,7 @@ def _benchmark_csv_rf(a):
 def test_center_matches_sharp_bound_on_csv_datum(p, a, rel):
     # v(0) and B are two quadratures of one integral, in r and in s
     rf = _benchmark_csv_rf(a)
-    psi_inv = psi_of(PowerYoung(p)).inverse
+    psi_inv = PowerYoung(p).psi_inverse
     sol = solve_radial(psi_inv, rf, 2)
     B = boundedness_criterion(rf, psi_inv, 2)
     assert sol.v[0] == pytest.approx(B, rel=rel)
@@ -148,7 +148,7 @@ def test_center_and_bound_follow_a_power_profile_to_zero():
     # c = 2 sqrt(pi), q = 1/(p-1), e = q(1/2 - a) - 1/2, up to the
     # left-end bias of the steps; for a = 0.8 the integral diverges
     p, q = 1.5, 2.0
-    psi_inv = psi_of(PowerYoung(p)).inverse
+    psi_inv = PowerYoung(p).psi_inverse
     c = 2.0 * math.sqrt(math.pi)
     for a in (0.7, 0.8):
         rf = RearrangedFunction.from_callable(lambda s: s**-a, math.pi)

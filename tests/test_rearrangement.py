@@ -70,13 +70,27 @@ def test_validation_errors():
         RearrangedFunction([0.0, 1.0, 2.0], [1.0, 3.0])  # increasing
 
 
+@pytest.mark.parametrize("s, v", [
+    ([0.0, 1.0, 2.0], [math.nan, 1.0]),
+    ([0.0, 1.0, 2.0], [2.0, math.nan]),
+    ([0.0, 1.0, 2.0], [math.inf, 1.0]),
+    ([0.0, math.nan, 2.0], [2.0, 1.0]),
+    ([0.0, 1.0, math.nan], [2.0, 1.0]),
+], ids=["nan-first-value", "nan-last-value", "inf-value",
+        "nan-breakpoint", "nan-end"])
+def test_validation_refuses_non_finite_steps(s, v):
+    # each condition must hold for every step; NaN fails every comparison,
+    # so a check that looks for a violation let it through
+    with pytest.raises(YoungFunctionError):
+        RearrangedFunction(s, v)
+
+
 def test_marcinkiewicz_closed_form():
     # u* = s^{-1/2}, generator t^2: sup_s s u*(s)^2 = 1 (realized
     # exactly by right-endpoint step values)
     s = np.concatenate([[0.0], np.geomspace(1e-12, 1.0, 2000)])
     rf = RearrangedFunction(s, s[1:] ** -0.5)
-    gen = MonotoneFunction(lambda t: np.asarray(t) ** 2,
-                           log_fn=lambda lt: 2.0 * np.asarray(lt))
+    gen = MonotoneFunction(lambda lt: 2.0 * np.asarray(lt), "t^2")
     assert marcinkiewicz_quasinorm(rf, gen) == pytest.approx(1.0, rel=1e-9)
 
 
@@ -85,11 +99,11 @@ def test_marcinkiewicz_ignores_decreasing_branch():
     # membership only sees the increasing envelope
     rf = RearrangedFunction([0.0, 0.5, 1.0], [2.0, 0.01])
 
-    def fn(t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t >= 1.0, t ** 2, 1.0 / np.maximum(t, 1e-300))
+    def log_fn(lt):
+        lt = np.asarray(lt, dtype=float)
+        return np.where(lt >= 0.0, 2.0 * lt, -lt)  # t^2 above 1, 1/t below
 
-    gen = MonotoneFunction(fn)
+    gen = MonotoneFunction(log_fn, "v-shaped")
     # envelope of fn for v=0.01 is inf_{w>=0.01} fn(w) = fn(1) = 1
     assert marcinkiewicz_quasinorm(rf, gen) == pytest.approx(
         max(0.5 * 4.0, 1.0 * 1.0), rel=1e-6)

@@ -1,5 +1,6 @@
 """Scalar Young-function calculus: conjugation, inequalities, growth."""
 
+import io
 import math
 import tracemalloc
 
@@ -26,9 +27,7 @@ from orliczpde.young import (
     ScalarYoungFunction,
     YoungFunctionError,
     parse_scalar_function,
-    psi_of,
     solve_increasing,
-    theta_diamond,
     write_csv,
 )
 
@@ -301,7 +300,7 @@ def test_repair_convexity_drops_bumps():
 
 def test_linear_splice_continuity():
     base = PowerYoung(2)
-    spliced = LinearSplicedYoung(base, knot=1.0)
+    spliced = LinearSplicedYoung(base)
     assert spliced.value(1.0) == pytest.approx(base.value(1.0), rel=1e-12)
     # linear below the knot
     t = np.linspace(0.05, 0.95, 10)
@@ -316,14 +315,42 @@ def test_linear_splice_continuity():
 
 def test_psi_and_theta_relations():
     a = PowerYoung(3)
-    psi = psi_of(a)
     t = np.geomspace(0.1, 10.0, 9)
-    assert np.allclose(psi.value(t), a.value(t) / t, rtol=1e-12)
-    th = theta_diamond(a)
-    # theta round-trips through its closed-form inverse
-    for ti in t:
-        assert float(th.inverse(float(th(ti)))) == pytest.approx(
-            ti, rel=1e-8)
+    # psi_inverse inverts Psi(t) = A(t)/t, for a power in closed form and
+    # through the solver in general
+    for inv in (a.psi_inverse, lambda y: ScalarYoungFunction.psi_inverse(a, y)):
+        np.testing.assert_allclose(inv(a.value(t) / t), t, rtol=1e-10)
+    # Theta(t) = conj^{-1}(A(t)) round-trips through A^{-1}(conj(.))
+    conj = a.conjugate()
+    theta = conj.inverse(a.value(t))
+    np.testing.assert_allclose(a.inverse(conj.value(theta)), t, rtol=1e-8)
+
+
+def test_certify_refuses_an_all_nan_function():
+    # monotonicity and convexity must hold at every point; NaN fails
+    # every comparison, so a check that looks for a violation passed it
+    class NanYoung(ScalarYoungFunction):
+        def value(self, t):
+            return np.full(np.shape(t), np.nan)
+
+    with pytest.raises(NotConvexError, match="not nondecreasing"):
+        NanYoung().certify()
+
+
+@settings(max_examples=25, deadline=None)
+@given(knot=st.integers(0, 63), column=st.integers(0, 1),
+       bad=st.sampled_from([math.nan, math.inf]))
+def test_table_csv_with_a_non_finite_number_is_refused(knot, column, bad):
+    # a NaN row used to be dropped without a word, leaving a convex table
+    # that read as a valid input
+    t = np.geomspace(1e-2, 1e2, 64)
+    rows = np.column_stack([t, t**2])
+    rows[knot, column] = bad
+    text = io.StringIO()
+    np.savetxt(text, rows, delimiter=",", header="t,A(t)", comments="")
+    text.seek(0)
+    with pytest.raises(YoungFunctionError, match="not finite"):
+        SampledYoungFunction.from_csv(text)
 
 
 def test_parse_errors():
@@ -359,11 +386,10 @@ def test_inverse_recovers_small_and_large_arguments(a):
     # bisection tolerance would swamp the answer
     x = np.geomspace(1e-9, 1e6, 31)
     x = x[x <= a.t_max]
-    psi = psi_of(a)
     for xi in x:
         assert float(a.inverse(float(a.value(xi)))) == pytest.approx(
             xi, rel=1e-9, abs=0.0)
-        assert float(psi.inverse(float(psi(xi)))) == pytest.approx(
+        assert float(a.psi_inverse(float(a.value(xi)) / xi)) == pytest.approx(
             xi, rel=1e-9, abs=0.0)
 
 
@@ -652,7 +678,11 @@ def test_solve_increasing_peak_memory():
     # the 49140-point inverse that radial.solve_radial took of Psi of t^2
     # before its closed form; the bisection solver it replaced peaked at
     # 2.9 MB on this input
-    psi = psi_of(PowerYoung(2.0))
+    a = PowerYoung(2.0)
+
+    def psi(t):
+        return a.value(t) / t
+
     y = np.geomspace(1e-6, 1e6, 49140)
     solve_increasing(psi, y[:10])
     tracemalloc.start()
@@ -670,15 +700,14 @@ def test_solve_increasing_peak_memory():
 def test_power_psi_inverse_is_closed_form(a, monkeypatch):
     # Psi = c t^(p-1) for A = c t^p: its inverse runs no solver and
     # matches the solver's root
-    psi = psi_of(a)
     y = np.concatenate([[-1.0, 0.0], np.geomspace(1e-12, 1e12, 97), [np.inf]])
-    solved = solve_increasing(psi, y)
-    solved_2 = solve_increasing(psi, 2.0)
+    solved = ScalarYoungFunction.psi_inverse(a, y)
+    solved_2 = ScalarYoungFunction.psi_inverse(a, 2.0)
     calls = []
     monkeypatch.setattr(young, "solve_increasing",
                         lambda *args, **kwargs: calls.append(args))
-    np.testing.assert_allclose(psi.inverse(y), solved, rtol=1e-12, atol=0.0)
-    x = psi.inverse(2.0)  # a scalar stays a float, as from the solver
+    np.testing.assert_allclose(a.psi_inverse(y), solved, rtol=1e-12, atol=0.0)
+    x = a.psi_inverse(2.0)  # a scalar stays a float, as from the solver
     assert isinstance(x, float)
     assert x == pytest.approx(solved_2, rel=1e-12)
     assert calls == []
