@@ -34,9 +34,10 @@ and order of fresh temporaries and so bit for bit their results; CG's
 inner products and 2-norm are one BLAS reduction each.  An accepted
 iterate's cell gradient is computed once, for its energy, its flux and
 the next Hessian weights.  Steps are backtracked on J (Armijo) until
-the Newton decrement falls below the rounding level of J.  There the
-duality gap is evaluated once (:func:`duality_gap`): for any cell flux
-sigma with G^T sigma = f, G the cell gradient,
+the Newton decrement falls below the rounding level of J.  The duality
+gap (:func:`duality_gap`) is evaluated there, or before the CG solve of
+a step after a decrement within 1000 times that level: for any cell
+flux sigma with G^T sigma = f, G the cell gradient,
 J(u) - min J <= J(u) + h^2 Sum b Phi*(sigma / b) (Ekeland & Temam
 1976, ch. III; Repin 2000), also with a combination's upper bound on
 Phi*, a bound with no constant of the problem.  The solution is
@@ -590,6 +591,9 @@ def _pcg(spec, weights, rhs, ws, rel_tol):
 # same Newton step counts and residuals for any value from 1 to 256.
 _ROUNDING_ULPS = 16.0
 
+# A decrement within this factor of J's rounding level: check the gap next
+_GAP_PRECHECK = 1000.0
+
 
 def _gap(spec, u, g, J, J_scale, ws, terms=None):
     """The duality gap of the iterate u, whose energy is J (rounding
@@ -737,8 +741,8 @@ def _newton(spec, f_field, tol, max_iter, u0):
     ``residual``, ``dual_residual``, ``converged``, ``stop``,
     ``duality_gap``, ``gap_bound``, the counts and ``stalled_steps``
     (steps since the last residual minimum).  The gap is evaluated when
-    the Newton decrement first falls to J's rounding level, stopping the
-    iteration if it certifies u, and otherwise at the last iterate."""
+    the Newton decrement first comes near J's rounding level, stopping
+    the iteration if it certifies u, and otherwise at the last iterate."""
     f = f_field.values
     n = f_field.n_nodes
     h = f_field.h
@@ -752,10 +756,17 @@ def _newton(spec, f_field, tol, max_iter, u0):
                             "pcg_maxiter_hits", "pcg_breakdowns",
                             "descent_fallbacks", "rounding_steps"), 0)
     best_res, since_best = res, 0
-    stop, unchecked = "residual", True
+    stop, unchecked, gd = "residual", True, math.inf
     for _ in range(max_iter):
         if res <= tol:
             break
+        noise = _ROUNDING_ULPS * math.ulp(1.0) * J_scale
+        if unchecked and gd <= _GAP_PRECHECK * noise:
+            gap, bound, dual_residual = _gap(spec, u, g, J, J_scale, ws)
+            if gap <= bound:
+                stop = "gap"
+                break
+            _cell_gradients_into(u, ws)  # the gap overwrote them
         # forcing term: loose CG early, tight near the solution, but no
         # tighter than a sup stop at tol / 2
         eta = min(0.1, max(math.sqrt(res / (res + 1.0)),
@@ -770,7 +781,6 @@ def _newton(spec, f_field, tol, max_iter, u0):
             counts["descent_fallbacks"] += 1
             np.copyto(d, ws.apply(g))  # in ws.d: the gap reuses ws.out
             gd = float(np.sum(np.multiply(g, d, out=ws.q)))
-        noise = _ROUNDING_ULPS * math.ulp(1.0) * J_scale
         rounding = gd <= noise
         if rounding and unchecked:
             # the first step that J cannot rank: the gap may certify u

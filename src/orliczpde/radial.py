@@ -149,21 +149,17 @@ def level_set_bound_u(K, profile: EmbeddingProfile, kappa2=1.0):
     return bound
 
 
-def calibrate_kappa2(K, profile: EmbeddingProfile, mu_fn, t_ladder):
-    """Largest kappa2 for which the measured distribution satisfies the
-    superlevel bound on the ladder:
+def calibrate_kappa2(K, profile: EmbeddingProfile, measured, t_ladder):
+    """Largest kappa2 for which the measured distribution ``measured``,
+    |{|u| >= t}| on the ladder, satisfies the superlevel bound there:
 
         kappa2 = min_t Phi_n^{-1}(K t / mu(t)) / (t^{1/n'} K^{-1/n}).
     """
-    np_prime = profile.n_prime
-    vals = []
-    for t in t_ladder:
-        mu = float(mu_fn(t))
-        if mu <= 0.0:
-            continue
-        inv = float(profile.phi_n.inverse(K * t / mu))
-        vals.append(inv / (t ** (1.0 / np_prime) * K ** (-1.0 / profile.n)))
-    return min(vals) if vals else math.inf
+    t, mu = np.asarray(t_ladder, dtype=float), np.asarray(measured, float)
+    t, mu = t[mu > 0.0], mu[mu > 0.0]
+    inv = profile.phi_n.inverse(K * t / mu)
+    return float(np.min(inv / (t ** (1.0 / profile.n_prime)
+                               * K ** (-1.0 / profile.n)), initial=math.inf))
 
 
 def level_set_bound_grad(profile: EmbeddingProfile, c1=1.0):
@@ -180,18 +176,14 @@ def level_set_bound_grad(profile: EmbeddingProfile, c1=1.0):
     return bound
 
 
-def calibrate_c1(profile: EmbeddingProfile, mu_fn, s_ladder):
+def calibrate_c1(profile: EmbeddingProfile, measured, s_ladder):
     """Smallest c1 making the gradient superlevel bound hold on the
-    ladder: c1 = max_s mu(s) * s / Phi_n^{-1}(s)^{n'}."""
-    np_prime = profile.n_prime
-    vals = []
-    for s in s_ladder:
-        mu = float(mu_fn(s))
-        if mu <= 0.0:
-            continue
-        inv = float(profile.phi_n.inverse(s))
-        vals.append(mu * s / inv**np_prime)
-    return max(vals) if vals else 0.0
+    ladder, ``measured`` being |{Phi(grad u) > s}| there:
+    c1 = max_s mu(s) * s / Phi_n^{-1}(s)^{n'}."""
+    s, mu = np.asarray(s_ladder, dtype=float), np.asarray(measured, float)
+    s, mu = s[mu > 0.0], mu[mu > 0.0]
+    return float(np.max(mu * s / profile.phi_n.inverse(s) ** profile.n_prime,
+                        initial=0.0))
 
 
 def truncation_energy_check(u_values, phi_grad_values, cell_measure, f_l1,

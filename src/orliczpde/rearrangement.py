@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .anisotropic import gauss_legendre, unit_ball_volume
-from .young import YoungFunctionError
+from .young import InverseRangeError, YoungFunctionError
 
 __all__ = [
     "RearrangedFunction",
@@ -71,19 +71,10 @@ class RearrangedFunction:
             [[0.0], np.cumsum(self.values * np.diff(s))])
 
     @classmethod
-    def from_samples(cls, values, measures):
-        """Exact rearrangement of a weighted sample list."""
-        v = np.abs(np.asarray(values, dtype=float).ravel())
-        m = np.asarray(measures, dtype=float).ravel()
-        if m.size == 1:
-            m = np.full(v.size, float(m))
-        if np.any(m < 0):
-            raise YoungFunctionError("negative cell measure")
-        order = np.argsort(-v, kind="stable")
-        v, m = v[order], m[order]
-        keep = m > 0
-        v, m = v[keep], m[keep]
-        s = np.concatenate([[0.0], np.cumsum(m)])
+    def from_samples(cls, values, cell_measure):
+        """Exact rearrangement of samples on cells of one measure > 0."""
+        v = np.sort(np.abs(np.asarray(values, dtype=float).ravel()))[::-1]
+        s = np.concatenate([[0.0], np.cumsum(np.full(v.size, cell_measure))])
         return cls(s, v)
 
     @classmethod
@@ -158,39 +149,24 @@ class RearrangedFunction:
         return float(self._cum[-1])
 
 
-def _gauss_blocks(fn, edges):
-    """24-point Gauss-Legendre of fn on each interval between consecutive
-    ``edges`` along the last axis, from one call of fn on all nodes."""
+def _gauss_sums(fn, edges):
+    """24-point Gauss-Legendre of fn between consecutive ``edges`` along
+    the last axis, summed in order (Python's sum), from one call of fn on
+    all nodes; leading axes of fn's values (stacked integrands) stay."""
     lo, hi = edges[..., :-1, None], edges[..., 1:, None]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     x = mid + half * _GL_NODES
-    vals = np.broadcast_to(fn(x.ravel()), (x.size,)).reshape(x.shape)
-    return half[..., 0] * np.sum(_GL_WEIGHTS * vals, axis=-1)
+    vals = np.asarray(fn(x.ravel()))
+    vals = np.broadcast_to(vals, vals.shape[:-1] + (x.size,))
+    blocks = half[..., 0] * np.sum(
+        _GL_WEIGHTS * vals.reshape(vals.shape[:-1] + x.shape), axis=-1)
+    return np.reshape([sum(row) for row in blocks.reshape(
+        -1, blocks.shape[-1]).tolist()], blocks.shape[:-1])
 
 
-def improper_integral(fn, a, b):
-    """Int_a^b fn with an improper endpoint at a = 0, for fn >= 0.
-
-    The head (0, b/100] is resolved by geometric subdivision over 12
-    decades, and the rest below them is extrapolated from the ratio q of
-    the last two decade sums.  When q >= 0.999 and the last decade is
-    not negligible, the integral is declared infinite (returns
-    math.inf).  fn is called once on the body's nodes and once on the
-    nodes of all head decades.
-    """
-    if a > 0.0:
-        return sum(_gauss_blocks(fn, np.geomspace(a, b, 64)).tolist())
-    a_head = b * 1e-2
-    total = improper_integral(fn, a_head, b)
-    if not math.isfinite(total):
-        return math.inf
-    his = [a_head]
-    for _ in range(_HEAD_DECADES - 1):
-        his.append(his[-1] / 10.0)
-    his = np.array(his)
-    edges = np.geomspace(his / 10.0, his, 8, axis=-1)
-    decade_sums = [sum(row) for row in _gauss_blocks(fn, edges).tolist()]
-    if not all(map(math.isfinite, decade_sums)):
+def _close_head(total, decade_sums):
+    """``total`` plus the head's decade sums and extrapolation, or inf."""
+    if not all(map(math.isfinite, [total, *decade_sums])):
         return math.inf
     total = sum(decade_sums, total)
     # geometric extrapolation of the remaining head below the last decade
@@ -201,6 +177,32 @@ def improper_integral(fn, a, b):
         elif decade_sums[-1] > 1e-12 * abs(total):
             return math.inf
     return total
+
+
+def improper_integral(fn, a, b):
+    """Int_a^b fn with an improper endpoint at a = 0, for fn >= 0.
+
+    The head (0, b/100] is resolved by geometric subdivision over 12
+    decades, and the rest below them is extrapolated from the ratio q of
+    the last two decade sums.  When q >= 0.999 and the last decade is
+    not negligible, the integral is declared infinite (math.inf).  fn is
+    called once on the body's nodes and, unless every body is infinite,
+    once on the head's.  Leading axes of fn's values stack integrands,
+    each integrated with the arithmetic of its own call.
+    """
+    if a > 0.0:
+        out = _gauss_sums(fn, np.geomspace(a, b, 64))
+        return float(out) if out.ndim == 0 else out
+    a_head = b * 1e-2
+    body = np.asarray(improper_integral(fn, a_head, b))
+    out = np.full(body.shape, math.inf)
+    if np.isfinite(body).any():
+        his = np.divide.accumulate([a_head] + [10.0] * (_HEAD_DECADES - 1))
+        edges = np.geomspace(his / 10.0, his, 8, axis=-1)
+        heads = _gauss_sums(fn, edges).reshape(body.size, -1)
+        out.flat = [_close_head(total, sums) for total, sums in zip(
+            body.ravel().tolist(), heads.tolist())]
+    return float(out) if out.ndim == 0 else out
 
 
 def marcinkiewicz_quasinorm(rf, varrho):
@@ -238,27 +240,38 @@ def data_admissibility(f_rf, conj_phi_circ, n, dichotomy="divergent"):
     """Modular test for the right-hand-side data class.
 
     Evaluates M(lam) = Int_0^{|Omega|} conj(Phi_circ)(s^{1/n} f**(s)/lam) ds
-    over the ladder of 8 lam from 1e2 down to 1e-2; admissible when every
+    over the ladder of 8 lam from 1e2 down to 1e-2 in one integral,
+    reported down to the first infinite modular; admissible when every
     modular is finite.  Under the convergent dichotomy every integrable
     datum is admissible and no modular is computed.
     """
     if dichotomy == "convergent":
         return {"verdict": "admissible", "reason": "convergent dichotomy: "
                 "any L1 datum admissible", "ladder": []}
-    rows = []
-    verdict = "admissible"
-    for lam in np.geomspace(1e2, 1e-2, 8):
-        def fn(s, lam=lam):
-            return conj_phi_circ.value(
-                s ** (1.0 / n) * f_rf.maximal_eval(s) / lam)
+    lams = np.geomspace(1e2, 1e-2, 8)
 
-        m = improper_integral(fn, 0.0, f_rf.domain_measure)
-        rows.append({"lam": float(lam), "modular": m,
-                     "finite": math.isfinite(m)})
-        if not math.isfinite(m):
-            verdict = f"inadmissible at lam={lam:g}"
+    def fn(s):
+        return conj_phi_circ.value(
+            s ** (1.0 / n) * f_rf.maximal_eval(s) / lams[:size, None])
+
+    # lam past the first infinite modular may overflow, or raise: cut there
+    for size in range(lams.size, 0, -1):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                modulars = improper_integral(fn, 0.0, f_rf.domain_measure)
             break
-    return {"verdict": verdict, "ladder": rows}
+        except InverseRangeError as exc:
+            error = exc
+    else:
+        raise error
+    rows = []
+    for lam, m in zip(lams.tolist(), modulars.tolist()):
+        rows.append({"lam": lam, "modular": m, "finite": math.isfinite(m)})
+        if not math.isfinite(m):
+            return {"verdict": f"inadmissible at lam={lam:g}", "ladder": rows}
+    if size < lams.size:
+        raise error
+    return {"verdict": "admissible", "ladder": rows}
 
 
 def boundedness_criterion(f_rf, psi_diamond_inv, n):

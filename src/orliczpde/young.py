@@ -268,9 +268,13 @@ def solve_increasing(fn, y, x_max=1e300, args=(), bracket=None):
 
 def _lower_hull(x, y):
     """Indices of the lower convex hull of the points (x_i, y_i), x
-    increasing; (nearly) collinear points are kept."""
-    hull = []
-    for i in range(x.size):
+    increasing; (nearly) collinear points are kept.  The monotone chain
+    starts at the first consecutive triple that it pops, found in one
+    array pass by its own test: a convex table takes no chain step."""
+    s = np.diff(y) / np.diff(x)
+    falls = np.flatnonzero(s[1:] < s[:-1] - 1e-15 * np.abs(s[:-1]))
+    hull = list(range(falls[0] + 2 if falls.size else x.size))
+    for i in range(len(hull), x.size):
         while len(hull) >= 2:
             i0, i1 = hull[-2], hull[-1]
             s01 = (y[i1] - y[i0]) / (x[i1] - x[i0])
@@ -668,11 +672,15 @@ class SampledYoungFunction(ScalarYoungFunction):
     def __init__(self, log_t, log_v, name="sampled"):
         log_t = np.asarray(log_t, dtype=float)
         log_v = np.asarray(log_v, dtype=float)
-        keep = np.isfinite(log_t) & np.isfinite(log_v)
-        log_t, log_v = log_t[keep], log_v[keep]
-        if log_t.size < 4:
-            raise YoungFunctionError("sampled function needs >= 4 finite points")
+        log_sum = log_t + log_v
         order = np.argsort(log_t)
+        lead = order[np.logical_and.accumulate(log_sum[order] == -np.inf)]
+        bad = np.setdiff1d(np.flatnonzero(~np.isfinite(log_sum)), lead)
+        if bad.size:
+            raise YoungFunctionError(f"knot {bad[0]} is not finite (or A = 0)")
+        order = order[lead.size:]
+        if order.size < 4:
+            raise YoungFunctionError("sampled function needs >= 4 finite points")
         self._set_table(log_t[order], np.maximum.accumulate(log_v[order]))
         self.name = name
         self.t_min = math.exp(max(self.log_t[0], -700.0))
@@ -811,11 +819,13 @@ class SampledYoungFunction(ScalarYoungFunction):
 
     @classmethod
     def from_csv(cls, path):
-        """The (t, A(t)) rows of a CSV under a header, all finite."""
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        if not np.all(np.isfinite(data)):
-            raise YoungFunctionError(f"{path}: a number is not finite")
-        return cls(np.log(data[:, 0]), np.log(data[:, 1]))
+        """The (t, A(t)) rows of a CSV under a header, all finite and >= 0."""
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        bad = np.flatnonzero(np.any(~(data >= 0.0) | (data == np.inf), axis=1))
+        if bad.size:
+            raise YoungFunctionError(f"{path}: knot {bad[0]} not finite or < 0")
+        with np.errstate(divide="ignore"):
+            return cls(np.log(data[:, 0]), np.log(data[:, 1]))
 
 
 class LegendreConjugate(ScalarYoungFunction):

@@ -203,7 +203,7 @@ def test_ac07_comparison_principle(report):
                 u, _ = grid.solve(grid.OperatorSpec(power_potential(p)), f)
                 vals = np.abs(u.values[:-1, :-1]).ravel()
                 u_star = rearrangement.RearrangedFunction.from_samples(
-                    vals, np.full(vals.size, u.h**2))
+                    vals, u.h**2)
                 margins[n_nodes] = float(np.max(u_star(s) / v_star(s)))
             assert margins[129] <= 1.05, (p, margins)
             assert margins[129] <= margins[65], (p, margins)
@@ -280,8 +280,7 @@ def test_ac09_approximable_solutions(report):
         assert abs(slope / target - 1.0) <= 0.10
         # the weak-type quasinorm against the borderline growth is finite
         vals = np.abs(u.values[:-1, :-1]).ravel()
-        rf = rearrangement.RearrangedFunction.from_samples(
-            vals, np.full(vals.size, u.h**2))
+        rf = rearrangement.RearrangedFunction.from_samples(vals, u.h**2)
         prof = sobolev_conjugate(PowerYoung(2.0), 2, log_t_hi=1000.0,
                                  n_points=8192)
         q = rearrangement.marcinkiewicz_quasinorm(rf, prof.vartheta_n)

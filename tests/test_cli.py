@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import write_table
-from orliczpde import catalog, cli, grid, radial
+from orliczpde import catalog, cli, grid, radial, young
 from orliczpde.cli import main
 from orliczpde.young import PowerLogYoung
 
@@ -1131,6 +1131,25 @@ def test_regularity_report_measures_cells_as_grid_solve_does(tmp_path):
     assert row["measured"] == pytest.approx(0.9746, abs=5e-5)
 
 
+def test_regularity_report_inverts_phi_n_once_per_ladder(tmp_path,
+                                                        monkeypatch):
+    # kappa2, c1 and the gradient bound rows each invert Phi_n on a whole
+    # ladder: three calls of 12 levels, and none of one level (the
+    # Marcinkiewicz targets make one more, on their own grid)
+    calls = []
+    inverse = young.SampledYoungFunction.inverse
+
+    def counted(self, y):
+        if self.name == "phi_n":
+            calls.append(np.shape(y))
+        return inverse(self, y)
+
+    monkeypatch.setattr(young.SampledYoungFunction, "inverse", counted)
+    code, out = run(["regularity-report", "--N", "33", "--p", "2"], tmp_path)
+    assert code == 0
+    assert calls.count((12,)) == 3 and () not in calls
+
+
 @pytest.mark.parametrize("datum", ["const:1", "point:mass=1", "csv"])
 def test_grid_datum_has_a_zero_boundary(datum, tmp_path):
     # the solve reads f on the interior nodes only, so ||f||_1 counts no
@@ -1302,6 +1321,54 @@ def test_non_finite_input_is_named(args, named, tmp_path):
     err = json.loads((out / "error.json").read_text())["error"]
     assert err["type"] in ("ConfigError", "YoungFunctionError")
     assert paths.get(named, named) in err["message"]
+
+
+def test_table_csv_with_a_negative_value_is_named(tmp_path):
+    # a negative A went through log as NaN and was dropped: exit 0, a
+    # passing report and numpy's "invalid value encountered in log"
+    t = np.geomspace(1e-2, 1e2, 64)
+    table = np.column_stack([t, t**2])
+    table[20, 1] = -1.0
+    path = str(tmp_path / "table.csv")
+    np.savetxt(path, table, delimiter=",", header="t,A(t)", comments="")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run(["conjugate", "--A", path], tmp_path)
+    assert code == 1 and not caught
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["type"] == "YoungFunctionError"
+    assert path in err["message"] and "knot 20" in err["message"]
+
+
+@pytest.mark.parametrize("phi_circ, datum, rows", [
+    # divergent at every lam: the report stops at the first
+    ("power:p=1.5", "pow:a=0.9", 1),
+    # conj(t log(e + t)) grows like e^s, and its maximizer passes 1e250
+    # above s = 577: the lam below the first infinite modular, which the
+    # one integral of the ladder reaches too, cannot be evaluated
+    ("power_log:p=1,alpha=1", "pow:a=0.6", 4),
+    ("power_log:p=1,alpha=1", "pow:a=0.9", None),
+], ids=["power", "exp_conjugate", "exp_conjugate_raises"])
+def test_admissibility_reports_down_to_the_first_infinite_modular(
+        phi_circ, datum, rows, tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run(["admissibility", "--phi-circ", phi_circ, "--n", "2",
+                         "--f", datum, "--omega", "pi"], tmp_path)
+    assert not caught
+    if rows is None:
+        assert code == 1
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["type"] == "InverseRangeError"
+        return
+    assert code == 0
+    rep = json.loads((out / "admissibility_report.json").read_text())
+    ladder = rep["ladder"]
+    assert len(ladder) == rows
+    assert [row["finite"] for row in ladder] == [True] * (rows - 1) + [False]
+    assert ladder[-1]["modular"] == math.inf
+    lam = np.geomspace(1e2, 1e-2, 8)[rows - 1]
+    assert rep["verdict"] == f"inadmissible at lam={lam:g}"
 
 
 def test_a_run_clears_a_stale_error_record(tmp_path):

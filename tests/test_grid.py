@@ -514,11 +514,11 @@ def test_stalled_newton_stops_early():
 # after its one exact step.
 @pytest.mark.parametrize("n, p, certified, sup", [
     (65, 2.0, (1, 1), (1, 1)),
-    (65, 4.0, (6, 31), (7, 31)),
-    (129, 1.5, (4, 27), (7, 44)),
-    (129, 4.0, (6, 32), (7, 32)),
-    (257, 1.5, (6, 29), (9, 44)),
-    (257, 3.0, (4, 18), (6, 24)),
+    (65, 4.0, (6, 23), (7, 31)),
+    (129, 1.5, (4, 24), (7, 44)),
+    (129, 4.0, (6, 24), (7, 32)),
+    (257, 1.5, (6, 26), (9, 44)),
+    (257, 3.0, (4, 13), (6, 24)),
 ])
 def test_gap_stop_certifies_the_sweep(n, p, certified, sup, request):
     spec, f = OperatorSpec(power_potential(p)), ones(n)

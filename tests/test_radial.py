@@ -101,7 +101,8 @@ def test_level_set_bounds_calibrated():
 
     t_ladder = np.geomspace(0.05, 0.8, 12) * sol.v[0]
     K = math.pi  # ||f||_1
-    kappa2 = calibrate_kappa2(K, prof, mu_u, t_ladder)
+    kappa2 = calibrate_kappa2(K, prof, [mu_u(t) for t in t_ladder],
+                              t_ladder)
     assert 0.0 < kappa2 < math.inf
     bound = level_set_bound_u(K, prof, kappa2=kappa2)
     for t in t_ladder:
@@ -114,7 +115,7 @@ def test_level_set_bounds_calibrated():
         return math.pi * (1.0 - r**2)
 
     s_ladder = np.geomspace(1e-3, 0.2, 10)
-    c1 = calibrate_c1(prof, mu_e, s_ladder)
+    c1 = calibrate_c1(prof, [mu_e(s) for s in s_ladder], s_ladder)
     assert c1 > 0.0
     gbound = level_set_bound_grad(prof, c1=c1)
     for s in s_ladder:

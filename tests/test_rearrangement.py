@@ -25,7 +25,7 @@ from orliczpde.young import (
 def test_rearrange_matches_sort_oracle():
     rng = np.random.default_rng(7)
     v = rng.uniform(0.0, 5.0, 200)
-    rf = RearrangedFunction.from_samples(v, np.full(200, 0.01))
+    rf = RearrangedFunction.from_samples(v, 0.01)
     ref = np.sort(v)[::-1]
     mids = (np.arange(200) + 0.5) * 0.01
     assert np.allclose(rf(mids), ref, rtol=0, atol=0)
@@ -36,13 +36,42 @@ def test_rearrange_matches_sort_oracle():
 @given(st.lists(st.floats(0.0, 100.0), min_size=2, max_size=40))
 def test_rearrangement_is_equimeasurable(vals):
     v = np.asarray(vals)
-    rf = RearrangedFunction.from_samples(v, np.full(v.size, 0.5))
+    rf = RearrangedFunction.from_samples(v, 0.5)
     for t in (0.0, 1.0, 50.0):
         # |{u* > t}|: the breakpoint where the nonincreasing values drop
         # to <= t
         measure = rf.breakpoints[np.count_nonzero(rf.values > t)]
         assert measure == pytest.approx(
             0.5 * np.count_nonzero(v > t), abs=1e-12)
+
+
+def _argsort_rearrangement(values, cell_measure):
+    """The oracle: the stable argsort of -|values| with one measure per
+    sample, as the rearrangement was first built."""
+    v = np.abs(np.asarray(values, dtype=float).ravel())
+    m = np.full(v.size, cell_measure)
+    order = np.argsort(-v, kind="stable")
+    return RearrangedFunction(np.concatenate([[0.0], np.cumsum(m[order])]),
+                              v[order])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, 7.0]),
+                min_size=1, max_size=80),
+       st.floats(1e-6, 10.0))
+def test_rearrangement_of_ties_is_the_stable_argsort(vals, cell):
+    # equal cell measures: the sorted values and the breakpoints are the
+    # ones that the stable argsort gives, bit for bit
+    rf = RearrangedFunction.from_samples(np.asarray(vals), cell)
+    ref = _argsort_rearrangement(vals, cell)
+    for attr in ("breakpoints", "values", "_cum"):
+        np.testing.assert_array_equal(getattr(rf, attr), getattr(ref, attr))
+
+
+def test_rearrangement_refuses_a_cell_without_measure():
+    for cell in (0.0, -1.0, math.nan):
+        with pytest.raises(YoungFunctionError, match="must increase"):
+            RearrangedFunction.from_samples([1.0, 2.0], cell)
 
 
 def test_maximal_eval_exact_on_steps():
@@ -140,6 +169,35 @@ def test_improper_integral_matches_interval_loop_in_two_calls():
     assert calls == [63 * 24, 12 * 7 * 24]
 
 
+def _integrands(s):
+    """Five integrands stacked as rows: convergent at 0, divergent at 0,
+    identically 0, smooth and a constant."""
+    return np.stack([s**-0.5, 1.0 / s, np.zeros_like(s), np.log1p(1.0 / s),
+                     np.full_like(s, 3.0)])
+
+
+@pytest.mark.parametrize("a", [0.0, 1e-3])
+def test_improper_integral_of_stacked_integrands_is_each_row(a):
+    # one call of the stack on the body nodes and one on the head's: each
+    # row equals its own integral bit for bit, the divergent one math.inf
+    calls = []
+
+    def stacked(s):
+        calls.append(np.shape(s))
+        return _integrands(s)
+
+    rows = improper_integral(stacked, a, 2.0)
+    assert len(calls) == (2 if a == 0.0 else 1)
+    single = [improper_integral(lambda s, k=k: _integrands(s)[k], a, 2.0)
+              for k in range(5)]
+    assert rows.tolist() == single
+    assert math.isinf(single[1]) == (a == 0.0) and single[2] == 0.0
+    # leading axes of any shape stack the same way
+    square = improper_integral(
+        lambda s: _integrands(s)[[[0, 1], [2, 3]]], a, 2.0)
+    assert square.tolist() == [single[:2], single[2:4]]
+
+
 def test_boundedness_criterion_disk_oracle():
     # Phi_diamond = t^2 (PsiInv = identity), f = 1 on the unit disk:
     # B = (2 sqrt(pi))^{-2} * pi = 1/4, the radial center value
@@ -154,6 +212,37 @@ def test_boundedness_criterion_disk_oracle():
 def test_boundedness_zero_data():
     rf = RearrangedFunction([0.0, 1.0], [0.0])
     assert boundedness_criterion(rf, lambda x: x, 2) == 0.0
+
+
+class _CountedConjugate:
+    """A conjugate that records the shape of each argument it gets."""
+
+    def __init__(self, conj):
+        self.conj = conj
+        self.calls = []
+
+    def value(self, x):
+        self.calls.append(np.shape(x))
+        return self.conj.value(x)
+
+
+@pytest.mark.parametrize("a", [0.25, 0.75])
+def test_data_admissibility_integrates_the_ladder_at_once(a):
+    # the 8 lam of the ladder take two integrand calls in all, and each
+    # modular is the one that its own integral gives, bit for bit
+    f_rf = RearrangedFunction.from_callable(lambda s: s ** -a, 1.0)
+    conj = _CountedConjugate(ExpMinusOneYoung())
+    out = data_admissibility(f_rf, conj, 2)
+    assert [shape[0] for shape in conj.calls] == [8, 8]
+    expected = []
+    for lam in np.geomspace(1e2, 1e-2, 8):
+        m = improper_integral(lambda s, lam=lam: conj.conj.value(
+            s ** 0.5 * f_rf.maximal_eval(s) / lam), 0.0, 1.0)
+        expected.append({"lam": float(lam), "modular": m,
+                         "finite": math.isfinite(m)})
+        if not math.isfinite(m):
+            break
+    assert out["ladder"] == expected
 
 
 def test_data_admissibility_verdicts():

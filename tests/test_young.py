@@ -3,6 +3,7 @@
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -296,6 +297,139 @@ def test_repair_convexity_drops_bumps():
     assert tab.log_value(log_t[20]) == pytest.approx(2.0 * log_t[20],
                                                      abs=1e-9)
     assert tab.check_second_differences()
+
+
+def _chain_hull(x, y):
+    """The oracle: Andrew's monotone chain over every point, popping
+    while the new edge's slope falls below the last edge's by more than
+    1e-15 of it."""
+    hull = []
+    for i in range(x.size):
+        while len(hull) >= 2:
+            i0, i1 = hull[-2], hull[-1]
+            s01 = (y[i1] - y[i0]) / (x[i1] - x[i0])
+            s12 = (y[i] - y[i1]) / (x[i] - x[i1])
+            if s12 < s01 - 1e-15 * abs(s01):
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    return np.asarray(hull)
+
+
+@st.composite
+def _hull_tables(draw):
+    """x-sorted tables: convex, with a bump, with a non-convex tail or
+    with any slopes; integer steps and slopes make collinear runs exact."""
+    size = draw(st.integers(3, 60))
+    shape = draw(st.sampled_from(["convex", "bump", "tail", "any"]))
+    if draw(st.booleans()):
+        dx = draw(st.lists(st.integers(1, 4), min_size=size - 1,
+                           max_size=size - 1))
+        slopes = draw(st.lists(st.integers(-3, 8), min_size=size - 1,
+                               max_size=size - 1))
+    else:
+        dx = draw(st.lists(st.floats(1e-3, 10.0), min_size=size - 1,
+                           max_size=size - 1))
+        slopes = draw(st.lists(st.floats(-5.0, 50.0), min_size=size - 1,
+                               max_size=size - 1))
+    slopes = np.asarray(slopes, dtype=float)
+    if shape != "any":
+        slopes = np.sort(slopes)
+    at = draw(st.integers(0, size - 2))
+    if shape == "tail":
+        slopes[at:] = slopes[at:][::-1]
+    x = np.concatenate([[0.0], np.cumsum(np.asarray(dx, dtype=float))])
+    y = np.concatenate([[0.0], np.cumsum(slopes * np.diff(x))])
+    if shape == "bump":
+        y[at] += draw(st.sampled_from([-1.0, 1.0])) * draw(
+            st.floats(1e-6, 10.0))
+    return x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hull_tables())
+def test_lower_hull_is_the_monotone_chain(table):
+    x, y = table
+    np.testing.assert_array_equal(young._lower_hull(x, y),
+                                  _chain_hull(x, y))
+
+
+class _CountedReads(np.ndarray):
+    """An array that counts its reads of single elements, the reads that
+    a step of the monotone chain makes."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            _CountedReads.reads += 1
+        return super().__getitem__(key)
+
+
+def test_lower_hull_takes_no_chain_step_on_a_convex_table(monkeypatch):
+    # the 2048-point Legendre table of the embedding workload's size: one
+    # array pass keeps every point
+    x = np.geomspace(1e-3, 1e3, 2048)
+    y = x**2 * np.log(math.e + x)
+    monkeypatch.setattr(_CountedReads, "reads", 0)
+    hull = young._lower_hull(x.view(_CountedReads), y.view(_CountedReads))
+    np.testing.assert_array_equal(hull, np.arange(x.size))
+    assert _CountedReads.reads == 0
+    y[1000] += 1.0  # a bump: the chain runs from the triple before it
+    hull = young._lower_hull(x.view(_CountedReads), y.view(_CountedReads))
+    assert _CountedReads.reads > 0 and 1000 not in hull
+
+
+def test_sampled_table_refuses_a_nan_or_inf_knot():
+    # a NaN knot was dropped without a word: 8 knots built a 7-knot table
+    with np.errstate(divide="ignore"):
+        log_t = np.log(np.linspace(0.0, 5.0, 8))
+    for bad in (math.nan, math.inf):
+        log_v = 2.0 * log_t
+        log_v[3] = bad
+        with pytest.raises(YoungFunctionError, match="knot 3 is not finite"):
+            SampledYoungFunction(log_t, log_v)
+        with pytest.raises(YoungFunctionError, match="knot 3 is not finite"):
+            SampledYoungFunction(np.where(np.arange(8) == 3, bad, log_t),
+                                 2.0 * log_t)
+
+
+def test_sampled_table_drops_only_leading_zero_rows():
+    # t = 0 (and so A = 0) starts the table: log -inf, dropped
+    with np.errstate(divide="ignore"):
+        log_t = np.log(np.linspace(0.0, 5.0, 8))
+    assert SampledYoungFunction(log_t, 2.0 * log_t).log_t.size == 7
+    # A = 0 at the first two positive t: dropped too
+    log_v = 2.0 * log_t
+    log_v[1] = -np.inf
+    assert SampledYoungFunction(log_t, log_v).log_t.size == 6
+    # A = 0 after a positive A is refused, naming its knot
+    log_v = 2.0 * log_t
+    log_v[5] = -np.inf
+    with pytest.raises(YoungFunctionError,
+                       match="knot 5 is not finite"):
+        SampledYoungFunction(log_t, log_v)
+
+
+@pytest.mark.parametrize("value, message", [
+    (-1.0, "{path}: knot 20 not finite or < 0"),
+    (0.0, "knot 20 is not finite")])
+def test_table_csv_with_a_negative_or_late_zero_value_is_refused(
+        value, message, tmp_path):
+    # a negative A used to pass through log as NaN and be dropped, with a
+    # numpy warning and a verdict on the table that was left; it is named
+    # before any log is taken
+    t = np.geomspace(1e-2, 1e2, 64)
+    rows = np.column_stack([t, t**2])
+    rows[20, 1] = value
+    path = tmp_path / "table.csv"
+    np.savetxt(path, rows, delimiter=",", header="t,A(t)", comments="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(YoungFunctionError) as refused:
+            SampledYoungFunction.from_csv(path)
+    assert message.format(path=path) in str(refused.value)
 
 
 def test_linear_splice_continuity():
