@@ -1,15 +1,20 @@
 """Command-line front door.
 
-One command per process.  Artifacts are CSV tables and UTF-8 JSON
-reports written under ``--out``.  Every table goes through one writer,
-``young.write_csv`` (RFC 4180 CRLF lines, '.' decimal, each number as
-its ``repr``, a repeated number formatted once); a handler passes it
-the ``np.column_stack`` of its columns.
+One command per call, and ``main`` builds the parser of that command
+alone (all nine when its first argument names none, as ``--help``).
+Artifacts are CSV tables and UTF-8 JSON reports written under
+``--out``.  Every table goes through one writer, ``young.write_csv``
+(RFC 4180 CRLF lines, '.' decimal, each number as its ``repr``, a
+repeated number formatted once); a handler passes it the
+``np.column_stack`` of its columns.  Reports
+are strict JSON: a number that is not finite is null, beside the
+verdict that says why.
 Exit codes: 0 success, 2 when a mathematical invariant check fails on
 the given data (verdict failure), 1 on operational errors (bad config,
-unknown command, propagated module errors); operational errors also
-leave a machine-readable ``error.json``, which for a grid solve that
-did not converge (``grid.SolveError``) holds the solve's info dict.
+unknown command, propagated module errors); operational errors other
+than argparse's usage errors also leave a machine-readable
+``error.json``, which for a grid solve that did not converge
+(``grid.SolveError``) holds the solve's info dict.
 
 Each command's config keys, flags and defaults are one table,
 ``CONFIG_KEYS``; a handler reads the config that ``_merge_config``
@@ -64,10 +69,28 @@ def _jsonify(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
+def _finite_or_null(obj):
+    """``obj`` with each number that is not finite written None."""
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_finite_or_null(val) for val in obj]
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def _dumps(doc, **kw):
+    """Strict JSON, rewritten only when it holds a non-finite number."""
+    try:
+        return json.dumps(doc, default=_jsonify, allow_nan=False, **kw)
+    except ValueError:
+        return json.dumps(_finite_or_null(doc), default=_jsonify,
+                          allow_nan=False, **kw)
+
+
 def _write_json(path, doc):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, default=_jsonify, allow_nan=True)
-        fh.write("\n")
+    path.write_text(_dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def _measure(text):
@@ -279,7 +302,7 @@ def cmd_symmetrize_solve(cfg, out):
     report = {
         "n": n, "domain_measure": omega, "radius": sol.radius,
         "center_value": float(sol.v[0]),
-        "boundedness_criterion": bc,
+        "boundedness_criterion": bc, "bounded": math.isfinite(bc),
     }
     _write_json(out / "symmetrize_solve_report.json", report)
     return report
@@ -495,7 +518,9 @@ CONFIG_KEYS = {
 }
 
 
-def build_parser():
+def build_parser(command=None):
+    """The parser of ``command`` alone, or of every command when
+    ``command`` names none of ``CONFIG_KEYS``."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON parameter document")
     common.add_argument("--out", default=".", help="output directory")
@@ -506,9 +531,9 @@ def build_parser():
         prog="orliczpde",
         description="Anisotropic Orlicz-space Dirichlet problem toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, keys in CONFIG_KEYS.items():
-        p = sub.add_parser(command, parents=[common])
-        for key, (kind, _default, text) in keys.items():
+    for name in [command] if command in CONFIG_KEYS else CONFIG_KEYS:
+        p = sub.add_parser(name, parents=[common])
+        for key, (kind, _default, text) in CONFIG_KEYS[name].items():
             if key == "id":
                 p.add_argument("id", choices=catalog.EXAMPLE_IDS)
             elif kind is not None:
@@ -526,7 +551,14 @@ def _merge_config(args):
     doc = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"--config {args.config} is not JSON: "
+                                  f"{exc}") from None
+        if not isinstance(doc, dict):
+            raise ConfigError(f"--config {args.config} holds "
+                              f"{json.dumps(doc)[:80]}, not a JSON object")
         unread = sorted(set(doc) - set(keys))
         if unread:
             raise ConfigError(
@@ -544,7 +576,8 @@ def _merge_config(args):
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -558,7 +591,7 @@ def main(argv=None):
         cfg = _merge_config(args)
         report = HANDLERS[args.command](cfg, out)
         if not args.quiet:
-            print(json.dumps(report, indent=2, default=_jsonify)[:4000])
+            print(_dumps(report, indent=2)[:4000])
         return EXIT_OK
     except VerdictFailure as exc:
         if not args.quiet:
@@ -574,7 +607,7 @@ def main(argv=None):
         except OSError:
             pass
         if not args.quiet:
-            print(json.dumps(record, default=_jsonify), file=sys.stderr)
+            print(_dumps(record), file=sys.stderr)
         return EXIT_OPERATIONAL
 
 

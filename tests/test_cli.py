@@ -436,8 +436,49 @@ def test_unread_config_key_exits_before_work(tmp_path, args, doc, unread):
      dict(phi=SPLIT_PHI, t_lo=1e-3, t_hi=1e6, n_levels=256)),
 ], ids=["grid-solve", "approx-seq", "phicirc"])
 def test_merge_config_fills_in_the_defaults(args, resolved):
-    cfg = cli._merge_config(cli.build_parser().parse_args(args))
-    assert cfg == resolved
+    namespace = cli.build_parser().parse_args(args)
+    assert cli._merge_config(namespace) == resolved
+    # the parser of the one command reads the same namespace
+    assert cli.build_parser(args[0]).parse_args(args) == namespace
+
+
+@pytest.mark.parametrize("argv, added", [
+    (["conjugate", "--A", "power:p=2", "--quiet"], 1),
+    (["--help"], 9),
+    (["definitely-not-a-command"], 9),
+], ids=["command", "help", "unknown"])
+def test_main_builds_only_the_parser_it_runs(argv, added, monkeypatch,
+                                             tmp_path, capsys):
+    # a named command gets its subparser alone; --help and an unknown
+    # command need all nine
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    main([*argv, "--out", str(tmp_path)])
+    assert len(names) == added
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["definitely-not-a-command"], "argument command: invalid choice"),
+    (["conjugate", "--A", "power:p=2", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: command"),
+    (["--out", "x", "conjugate"], "argument command: invalid choice"),
+], ids=["unknown_command", "unknown_flag", "no_command", "option_first"])
+def test_usage_error_exits_1_without_an_error_record(argv, message, tmp_path,
+                                                     monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"orliczpde: error: {message}" in err
+    if "invalid choice" in message:
+        assert all(repr(command) in err for command in cli.CONFIG_KEYS)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_merge_config_reads_null_as_unset(tmp_path):
@@ -1366,7 +1407,7 @@ def test_admissibility_reports_down_to_the_first_infinite_modular(
     ladder = rep["ladder"]
     assert len(ladder) == rows
     assert [row["finite"] for row in ladder] == [True] * (rows - 1) + [False]
-    assert ladder[-1]["modular"] == math.inf
+    assert ladder[-1]["modular"] is None
     lam = np.geomspace(1e2, 1e-2, 8)[rows - 1]
     assert rep["verdict"] == f"inadmissible at lam={lam:g}"
 
@@ -1378,6 +1419,88 @@ def test_a_run_clears_a_stale_error_record(tmp_path):
     code, out = run(["conjugate", "--A", "power:p=2"], tmp_path)
     assert code == 0
     assert not (out / "error.json").exists()
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+# each writes a number that is infinite by the mathematics: null in
+# the report, beside the verdict that says why
+@pytest.mark.parametrize("args, report, verdict, nulls", [
+    (["conjugate", "--A", "exp_power:beta=1.5"], "conjugate_report.json",
+     ("delta2", "verdict", "fails"),
+     [("delta2", "witness", "sigma"), ("nabla2", "witness", "sigma")]),
+    (["embedding", "--phi-circ", "exp_minus_one", "--n", "2"],
+     "embedding_report.json", ("dichotomy", "convergent"),
+     [("diagnostics", "sigma"), ("diagnostics", "integrand_exponent")]),
+    ([*ADMISSIBILITY, "pow:a=0.9", "--omega", "pi"],
+     "admissibility_report.json",
+     ("ladder", 0, "finite", False), [("ladder", 0, "modular")]),
+    (["symmetrize-solve", "--phi", "power:p=1.5", "--n", "2", "--f",
+      "pow:a=0.9", "--omega", "pi"], "symmetrize_solve_report.json",
+     ("bounded", False), [("center_value",), ("boundedness_criterion",)]),
+], ids=["conjugate", "embedding", "admissibility", "symmetrize-solve"])
+def test_an_infinite_number_is_null_beside_its_verdict(
+        args, report, verdict, nulls, tmp_path, capsys):
+    def at(doc, path):
+        for key in path:
+            doc = doc[key]
+        return doc
+
+    out = tmp_path / "run"
+    assert main([*args, "--out", str(out)]) == 0
+    echoed = _strict_json(capsys.readouterr().out)
+    rep = _strict_json((out / report).read_text())
+    assert echoed == rep
+    assert at(rep, verdict[:-1]) == verdict[-1]
+    assert [at(rep, path) for path in nulls] == [None] * len(nulls)
+
+
+def test_every_report_is_strict_json(tmp_path):
+    runs = [
+        ["conjugate", "--A", "power:p=2"],
+        ["conjugate", "--A", "power:p=1"],  # exit 1: error.json
+        ["phicirc", "--phi", SPLIT_PHI],
+        ["embedding", "--phi-circ", "power:p=1.5", "--n", "2"],
+        ["symmetrize-solve", "--phi", "power:p=2", "--n", "2"],
+        ["grid-solve", "--N", "17"],
+        ["approx-seq", "--N", "17"],
+        ["regularity-report", "--N", "17"],
+        ["verify-example", "plap", "--p", "1.5", "--n", "2"],
+        [*ADMISSIBILITY, "const:1"],
+        ["conjugate", "--A", "exp_power:beta=1.5"],
+        ["embedding", "--phi-circ", "exp_minus_one", "--n", "2"],
+        [*ADMISSIBILITY, "pow:a=0.9", "--omega", "pi"],
+        ["symmetrize-solve", "--phi", "power:p=1.5", "--n", "2", "--f",
+         "pow:a=0.9", "--omega", "pi"],
+    ]
+    for i, args in enumerate(runs):
+        run(args, tmp_path, sub=f"run{i}")
+    reports = sorted(tmp_path.glob("run*/*.json"))
+    assert {path.name for path in reports} == {
+        "conjugate_report.json", "phicirc_report.json",
+        "embedding_report.json", "symmetrize_solve_report.json",
+        "grid_solve_report.json", "approx_seq_report.json",
+        "regularity_report.json", "verify_example_report.json",
+        "admissibility_report.json", "error.json"}
+    for path in reports:
+        _strict_json(path.read_text())
+
+
+def test_config_that_is_not_an_object_is_named(tmp_path):
+    for i, text in enumerate(["5", "null", '["A"]', '{"A":\n']):
+        config = tmp_path / f"config{i}.json"
+        config.write_text(text)
+        code, out = run(["conjugate", "--config", str(config)], tmp_path,
+                        sub=f"run{i}")
+        assert code == 1, text
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["type"] == "ConfigError", text
+        assert f"--config {config}" in err["message"], text
+    assert "line 2 column 1" in err["message"]
 
 
 def test_verify_example_cli(tmp_path):
@@ -1466,6 +1589,16 @@ def test_approx_seq_honours_coefficient_b(tmp_path):
         devs[b] = [r["sup_deviation"] for r in rep["steps"][1:]]
     assert devs[2.0] == pytest.approx([d / 2.0 for d in devs[1.0]],
                                       rel=1e-6)
+
+
+def test_entry_point_runs_a_command(tmp_path):
+    # argv=None reads the command line; --out defaults to the directory
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "orliczpde.cli", "conjugate", "--A",
+         "power:p=2", "--quiet"], cwd=tmp_path, env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "conjugate_report.json").is_file()
 
 
 def test_entry_point_runs():
