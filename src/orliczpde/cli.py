@@ -105,75 +105,6 @@ def _measure(text):
     return omega
 
 
-def _constant(spec):
-    """The finite number c of a ``const:<c>`` datum."""
-    text = spec.partition(":")[2]
-    try:
-        c = float(text)
-    except ValueError:
-        c = math.nan
-    if not math.isfinite(c):
-        raise young.YoungFunctionError(
-            f"{spec!r}: item {text!r} is not a finite number")
-    return c
-
-
-def _load_rf(spec, domain_measure):
-    """Rearranged datum on (0, ``domain_measure``] from ``const:<c>``,
-    ``pow:a=<a>[,c=<c>]`` (f*(s) = c s^-a, 0 <= a < 1) or an (s, value)
-    CSV path, zero past its last step; a CSV beyond it is refused."""
-    if isinstance(spec, str) and spec.startswith("const:"):
-        return rearrangement.RearrangedFunction(
-            np.array([0.0, domain_measure]), np.array([_constant(spec)]))
-    if isinstance(spec, str) and spec.startswith("pow:"):
-        kw = young.parse_spec(spec, {"pow": ("a", "c")})[1]
-        a, c = kw.get("a", math.nan), kw.get("c", 1.0)
-        if not 0.0 <= a < 1.0:
-            raise young.YoungFunctionError(
-                "pow: needs 0 <= a < 1, so that c s^-a is a decreasing "
-                f"integrable profile; got a={a:g}")
-        return rearrangement.RearrangedFunction.from_callable(
-            lambda s: c * s**-a, domain_measure)
-    data = np.loadtxt(spec, delimiter=",", skiprows=1, ndmin=2)
-    if not np.all(np.isfinite(data)):
-        raise young.YoungFunctionError(f"{spec}: a number is not finite")
-    # rows are (s_{j-1}, v_j) with a trailing (s_m, v_m) sentinel
-    s, v = data[:, 0], data[:-1, 1]
-    if s[-1] > domain_measure:
-        raise young.YoungFunctionError(
-            f"{spec}: the datum reaches s = {float(s[-1])!r}, beyond the "
-            f"domain measure {domain_measure!r} (--omega)")
-    if s[-1] < domain_measure:
-        s, v = np.append(s, domain_measure), np.append(v, 0.0)
-    return rearrangement.RearrangedFunction(s, v)
-
-
-def _load_field(spec, n_nodes):
-    """Grid datum, zero on the boundary as the solve reads it, from
-    ``const:<c>``, ``point:mass=..[,x=..,y=..]`` or a CSV matrix path, on
-    ``n_nodes`` nodes a side: the N asked for, or None for 65 (the CSV's
-    own size for a CSV, which must match a given N)."""
-    n = 65 if n_nodes is None else int(n_nodes)
-    if isinstance(spec, str) and spec.startswith("const:"):
-        field = grid.GridField.zeros(n)
-        field.values.fill(_constant(spec))
-        return field.zero_boundary()
-    if isinstance(spec, str) and spec.startswith("point:"):
-        kw = young.parse_spec(spec, {"point": ("mass", "x", "y")})[1]
-        return grid.point_mass_field(
-            n, mass=kw.get("mass", 1.0),
-            location=(kw.get("x", 0.5), kw.get("y", 0.5)))
-    data = np.loadtxt(spec, delimiter=",", comments="#")
-    if not np.all(np.isfinite(data)):
-        raise young.YoungFunctionError(f"{spec}: a number is not finite")
-    field = grid.GridField(data)
-    if n_nodes is not None and field.n_nodes != n:
-        raise young.YoungFunctionError(
-            f"{spec}: the datum is a {field.n_nodes} x {field.n_nodes} "
-            f"grid, but N = {n}")
-    return field.zero_boundary()
-
-
 def _phi_from_config(cfg):
     doc = cfg["phi"]
     if isinstance(doc, str) and doc.endswith(".json"):
@@ -295,7 +226,7 @@ def cmd_symmetrize_solve(cfg, out):
     a = _scalar_from_config(cfg, "phi")
     n = int(cfg["n"])
     omega = _measure(cfg["omega"])
-    f_rf = _load_rf(cfg["f"], omega)
+    f_rf = rearrangement.Datum(cfg["f"]).rearranged(omega)
     sol = radial.solve_radial(a.psi_inverse, f_rf, n)
     sol.to_csv(out / "radial_solution.csv")
     bc = rearrangement.boundedness_criterion(f_rf, a.psi_inverse, n)
@@ -333,7 +264,7 @@ def _cell_values(u):
 
 def cmd_grid_solve(cfg, out):
     spec = _operator_from_config(cfg)
-    f_field = _load_field(cfg["f"], cfg["N"])
+    f_field = rearrangement.Datum(cfg["f"]).field(cfg["N"])
     u, info = grid.solve(spec, f_field)
     # the certificate of the field written, not of the solver's iterate
     gap, bound = grid.duality_gap(spec, f_field, u)
@@ -365,7 +296,7 @@ def cmd_grid_solve(cfg, out):
 
 def cmd_approx_seq(cfg, out):
     spec = _operator_from_config(cfg)
-    f_field = _load_field(cfg["f"], cfg["N"])
+    f_field = rearrangement.Datum(cfg["f"]).field(cfg["N"])
     k_ladder = [float(k) for k in cfg["k_ladder"]]
     _fields, rows = grid.approximable_sequence(spec, f_field, k_ladder)
     steps = rows[1:]  # first entry has no predecessor to deviate from
@@ -388,7 +319,7 @@ def cmd_approx_seq(cfg, out):
 def cmd_regularity_report(cfg, out):
     spec = _operator_from_config(cfg)
     n = spec.potential.n
-    f_field = _load_field(cfg["f"], cfg["N"])
+    f_field = rearrangement.Datum(cfg["f"]).field(cfg["N"])
     u, info = grid.solve(spec, f_field)
     head = {"N": f_field.n_nodes, "p": float(cfg["p"]),
             "p_split": cfg["p_split"],
@@ -461,7 +392,7 @@ def cmd_admissibility(cfg, out):
     circ = _scalar_from_config(cfg, "phi_circ")
     n = int(cfg["n"])
     omega = _measure(cfg["omega"])
-    f_rf = _load_rf(cfg["f"], omega)
+    f_rf = rearrangement.Datum(cfg["f"]).rearranged(omega)
     dich, _ = classify_integral(circ, n)
     conj = circ.conjugate()
     report = rearrangement.data_admissibility(f_rf, conj, n, dich)
@@ -545,14 +476,22 @@ def build_parser(command=None):
 def _merge_config(args):
     """The command's table of CONFIG_KEYS filled in: each key from its
     flag, else from the --config document, else its default; a null
-    value is unset.  A document key outside the table, or a REQUIRED
+    value is unset.  A document that is not a JSON object or holds a
+    number that is not finite, a key outside the table, or a REQUIRED
     key that neither sets, raises :class:`ConfigError`."""
     keys = CONFIG_KEYS[args.command]
     doc = {}
     if args.config:
+        def finite(token):
+            val = float(token)
+            if not math.isfinite(val):
+                raise ConfigError(f"--config {args.config} holds {token}, "
+                                  "not a finite number")
+            return val
+
         with open(args.config, encoding="utf-8") as fh:
             try:
-                doc = json.load(fh)
+                doc = json.load(fh, parse_float=finite, parse_constant=finite)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"--config {args.config} is not JSON: "
                                   f"{exc}") from None
@@ -591,7 +530,7 @@ def main(argv=None):
         cfg = _merge_config(args)
         report = HANDLERS[args.command](cfg, out)
         if not args.quiet:
-            print(_dumps(report, indent=2)[:4000])
+            print(_dumps(report, indent=2))
         return EXIT_OK
     except VerdictFailure as exc:
         if not args.quiet:

@@ -27,9 +27,11 @@ import math
 import numpy as np
 
 from .anisotropic import gauss_legendre, unit_ball_volume
-from .young import InverseRangeError, YoungFunctionError
+from .grid import GridField, point_mass_field
+from .young import InverseRangeError, YoungFunctionError, parse_spec
 
 __all__ = [
+    "Datum",
     "RearrangedFunction",
     "marcinkiewicz_quasinorm",
     "data_admissibility",
@@ -46,8 +48,8 @@ class RearrangedFunction:
     ``breakpoints`` are 0 = s_0 < s_1 < ... < s_m = |Omega| and
     ``values`` v_1 >= ... >= v_m >= 0, with v_j taken on [s_{j-1}, s_j).
     Below s_1, u** continues as f**(s_1) (s/s_1)^-``head_exponent``:
-    constant for a step function, the profile's own power head for a
-    realization of an unbounded profile (:meth:`from_callable`).
+    constant for a step function, the profile's own power head for the
+    realization of an unbounded profile (a ``pow:`` :class:`Datum`).
     """
 
     head_exponent = 0.0
@@ -76,44 +78,6 @@ class RearrangedFunction:
         v = np.sort(np.abs(np.asarray(values, dtype=float).ravel()))[::-1]
         s = np.concatenate([[0.0], np.cumsum(np.full(v.size, cell_measure))])
         return cls(s, v)
-
-    @classmethod
-    def from_callable(cls, fn, domain_measure):
-        """Step realization of a nonincreasing profile s -> fn(s).
-
-        2^14 breakpoints are log-spaced down to 1e-14 |Omega|;
-        each step takes the value at its left endpoint (an upper,
-        equimeasurable-in-the-limit realization).  ``fn`` is vectorized:
-        it is called once on all left endpoints.  A profile that is not
-        integrable at 0 is not an L^1 datum and raises
-        :class:`YoungFunctionError`.
-
-        The first step carries the exact head mass Int_0^{s_1} fn, and
-        below s_1 the realization's f** continues as the power law
-        s^-a with a = 1 - fn(s_1) / f**(s_1), the exponent for which
-        f** / f* = 1 / (1 - a) holds at s_1.  So f** is exact below s_1
-        for a power profile c s^-a, and the sharp bound and the radial
-        centre of such a datum see the profile rather than its
-        truncation, down to s = 0.
-        """
-        s = np.concatenate([
-            [0.0],
-            np.geomspace(1e-14 * domain_measure, domain_measure, 2**14),
-        ])
-        left = np.concatenate([[s[1]], s[1:-1]])
-        v = np.asarray(fn(left), dtype=float)
-        v = np.maximum.accumulate(v[::-1])[::-1]
-        # the first step carries the exact head mass Int_0^{s_1} fn, so
-        # f** of the realization matches the profile's
-        head = improper_integral(fn, 0.0, s[1])
-        if not math.isfinite(head):
-            raise YoungFunctionError(
-                "profile is not integrable at 0, so it is not an L^1 datum")
-        f_at_s1, v[0] = v[0], max(head / s[1], v[0])
-        rf = cls(s, v)
-        if v[0] > 0.0:
-            rf.head_exponent = max(1.0 - f_at_s1 / v[0], 0.0)
-        return rf
 
     # -- evaluation ---------------------------------------------------
 
@@ -147,6 +111,92 @@ class RearrangedFunction:
     def integral(self):
         """Int_0^{|Omega|} u* (the L^1 norm of the original field)."""
         return float(self._cum[-1])
+
+
+_DATUM_KINDS = {"const": ("c",), "pow": ("a", "c"),
+                "point": ("mass", "x", "y")}
+
+
+class Datum:
+    """A right-hand side f read once from ``spec``, seen as its decreasing
+    rearrangement f* (:meth:`rearranged`) or its nodal values
+    (:meth:`field`): ``const:<c>``, ``pow:a=<a>[,c=<c>]`` (f*(s) = c s^-a,
+    0 <= a < 1; no grid form), ``point:mass=..[,x=..,y=..]`` (no f*) or a
+    path ending in ``.csv``.  A bad spec, or a side that its form does
+    not have, raises :class:`YoungFunctionError` naming the spec."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        csv = isinstance(spec, str) and spec.endswith(".csv")
+        self.kind, self.kw = ("csv", {}) if csv else parse_spec(
+            spec, _DATUM_KINDS)
+        if self.kind == "const" and not self.kw:
+            raise YoungFunctionError(f"{spec!r}: const needs its value c")
+        a = self.kw.get("a", math.nan)
+        if self.kind == "pow" and not 0.0 <= a < 1.0:
+            raise YoungFunctionError(
+                f"{spec!r}: pow needs 0 <= a < 1, so that c s^-a is a "
+                "decreasing integrable profile")
+
+    def rearranged(self, omega):
+        """f* on (0, ``omega``].  A CSV's rows (s_{j-1}, v_j), ended by an
+        (s_m, v_m) sentinel, are zero from s_m to ``omega``, and refused
+        past it.  ``pow:`` takes 2^14 steps log-spaced from 1e-14 ``omega``,
+        each the profile at its left end but the first, which carries the
+        head mass Int_0^{s_1} c s^-a; below s_1, f** continues as s^-a."""
+        if self.kind == "point":
+            raise YoungFunctionError(
+                f"{self.spec!r} has no rearranged form; f* is const:, pow: "
+                "or a .csv path of (s, value) steps")
+        if self.kind == "const":
+            return RearrangedFunction([0.0, omega], [self.kw["c"]])
+        if self.kind == "pow":
+            a, c = self.kw["a"], self.kw.get("c", 1.0)
+            s = np.concatenate(
+                [[0.0], np.geomspace(1e-14 * omega, omega, 2**14)])
+            v = c * np.concatenate([[s[1]], s[1:-1]]) ** -a
+            v[0] /= 1.0 - a
+            rf = RearrangedFunction(s, v)
+            rf.head_exponent = a
+            return rf
+        data = np.loadtxt(self.spec, delimiter=",", skiprows=1, ndmin=2)
+        if not np.all(np.isfinite(data)):
+            raise YoungFunctionError(f"{self.spec}: a number is not finite")
+        s, v = data[:, 0], data[:-1, 1]
+        if s[-1] > omega:
+            raise YoungFunctionError(
+                f"{self.spec}: the datum reaches s = {float(s[-1])!r}, "
+                f"beyond the domain measure {omega!r} (--omega)")
+        if s[-1] < omega:
+            s, v = np.append(s, omega), np.append(v, 0.0)
+        return RearrangedFunction(s, v)
+
+    def field(self, n_nodes):
+        """The nodal values on ``n_nodes`` nodes a side (None: 65, or a
+        CSV's own size, which must match a given ``n_nodes``), zero on the
+        boundary, which the solve never reads."""
+        if self.kind == "pow":
+            raise YoungFunctionError(
+                f"{self.spec!r} has no grid form; a grid datum is const:, "
+                "point: or a .csv path of an N x N matrix")
+        n = 65 if n_nodes is None else int(n_nodes)
+        if self.kind == "point":
+            return point_mass_field(
+                n, mass=self.kw.get("mass", 1.0),
+                location=(self.kw.get("x", 0.5), self.kw.get("y", 0.5)))
+        if self.kind == "const":
+            field = GridField.zeros(n)
+            field.values.fill(self.kw["c"])
+            return field.zero_boundary()
+        data = np.loadtxt(self.spec, delimiter=",", comments="#")
+        if not np.all(np.isfinite(data)):
+            raise YoungFunctionError(f"{self.spec}: a number is not finite")
+        field = GridField(data)
+        if n_nodes is not None and field.n_nodes != n:
+            raise YoungFunctionError(
+                f"{self.spec}: the datum is a {field.n_nodes} x "
+                f"{field.n_nodes} grid, but N = {n}")
+        return field.zero_boundary()
 
 
 def _gauss_sums(fn, edges):

@@ -904,9 +904,11 @@ _CATALOG_KEYS = {kind: tuple(inspect.signature(make).parameters)
 def parse_spec(spec, allowed):
     """``(kind, {key: value})`` from a spec ``"kind[:key=value,...]"`` or
     a JSON term ``{"kind": kind, key: value, ...}``; ``allowed`` maps each
-    kind to its keys.  An unknown kind, a text item without ``=``, a key
-    not allowed or a value that is not a finite number raises
-    :class:`YoungFunctionError` naming the spec and the item."""
+    kind to its keys.  A lone text item without ``=`` is the value of a
+    kind's only key (``"const:1"``).  An unknown kind, any other item
+    without ``=``, a key not allowed or a value that is not a finite
+    number raises :class:`YoungFunctionError` naming the spec and the
+    item."""
     if isinstance(spec, str):
         kind, colon, body = spec.partition(":")
         items = [(item, *item.partition("=")) for item in body.split(",")
@@ -922,7 +924,9 @@ def parse_spec(spec, allowed):
                                  f"expected one of {sorted(allowed)}")
     kw = {}
     for item, key, eq, val in items:
-        if not eq or key not in allowed[kind]:
+        if not eq and len(allowed[kind]) == len(items) == 1:
+            (key,), val = allowed[kind], item
+        elif not eq or key not in allowed[kind]:
             raise YoungFunctionError(
                 f"{spec!r}: item {item!r} is not key=value with a key of "
                 f"{kind} ({', '.join(allowed[kind])})")

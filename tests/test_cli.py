@@ -16,7 +16,15 @@ import numpy as np
 import pytest
 
 from conftest import write_table
-from orliczpde import catalog, cli, grid, radial, young
+from orliczpde import (
+    anisotropic,
+    catalog,
+    cli,
+    grid,
+    radial,
+    rearrangement,
+    young,
+)
 from orliczpde.cli import main
 from orliczpde.young import PowerLogYoung
 
@@ -1077,8 +1085,17 @@ def test_phicirc_refuses_a_bad_level_ladder(ladder, tmp_path, capsys):
     assert caught == []
     assert "Warning" not in capsys.readouterr().err
     err = json.loads((out / "error.json").read_text())["error"]
-    assert err["type"] == "YoungFunctionError"
     name, val = next(iter(ladder.items()))
+    if val == math.inf:
+        # JSON writes inf as Infinity, which the --config document is
+        # refused for as it is read; phi_circ refuses it by name too
+        assert err["type"] == "ConfigError"
+        assert f"{config} holds Infinity" in err["message"]
+        with pytest.raises(young.YoungFunctionError, match="t_hi; got inf"):
+            anisotropic.phi_circ(anisotropic.from_json(json.loads(SPLIT_PHI)),
+                                 t_hi=val)
+        return
+    assert err["type"] == "YoungFunctionError"
     val = int(val) if name == "n_levels" else float(val)
     assert name in err["message"] and repr(val) in err["message"]
 
@@ -1198,7 +1215,7 @@ def test_grid_datum_has_a_zero_boundary(datum, tmp_path):
     if datum == "csv":
         datum = str(tmp_path / "ones.csv")
         np.savetxt(datum, np.ones((65, 65)), delimiter=",")
-    f = cli._load_field(datum, 65)
+    f = rearrangement.Datum(datum).field(65)
     edges = (f.values[0], f.values[-1], f.values[:, 0], f.values[:, -1])
     assert not np.any(np.concatenate(edges))
     l1 = 1.0 if datum.startswith("point:") else (63 / 64) ** 2
@@ -1305,10 +1322,11 @@ GRID_SOLVE = ("grid-solve", "--N", "33", "--p", "2", "--f")
     (("phicirc", "--phi"), {"p": 2}, "kind"),
     (ADMISSIBILITY, "const:", ""),
     (GRID_SOLVE, "const:x", "x"),
+    (GRID_SOLVE, "const:1,2", "1"),
 ], ids=["pow_no_value", "pow_empty", "point_no_value", "power_no_value",
         "power_unknown_key", "exp_minus_one_unknown_key",
         "power_not_a_number", "term_unknown_key", "term_without_kind",
-        "const_empty", "const_not_a_number"])
+        "const_empty", "const_not_a_number", "const_two_values"])
 def test_keyword_item_without_value_is_named(command, spec, item, tmp_path):
     # a bad item of a datum, a scalar spec or a JSON term (the term of a
     # radial Phi here, named as the mapping it was read as) is bad input
@@ -1501,6 +1519,70 @@ def test_config_that_is_not_an_object_is_named(tmp_path):
         assert err["type"] == "ConfigError", text
         assert f"--config {config}" in err["message"], text
     assert "line 2 column 1" in err["message"]
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_config_with_a_non_finite_number_is_named(token, tmp_path,
+                                                  monkeypatch):
+    # json.load reads these tokens, the last as inf; the document is
+    # refused where it enters, naming the file and the token, before
+    # any solve runs
+    solves = []
+    monkeypatch.setattr(grid, "solve", lambda *a, **k: solves.append(a))
+    config = tmp_path / "config.json"
+    config.write_text('{"N": 17, "f": "const:5", "k_ladder": [2, %s, 8]}'
+                      % token)
+    code, out = run(["approx-seq", "--config", str(config)], tmp_path)
+    assert code == 1 and solves == []
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["type"] == "ConfigError"
+    assert str(config) in err["message"] and token in err["message"]
+    assert not (out / "approx_seq_report.json").exists()
+
+
+def test_a_long_report_echoes_whole(tmp_path, capsys):
+    # the echo on standard output is the whole report, strict JSON
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"N": 17, "f": "const:5", "k_ladder": (
+        np.geomspace(0.5, 512.0, 16).tolist())}))
+    out = tmp_path / "run"
+    assert main(["approx-seq", "--config", str(config), "--out",
+                 str(out)]) == 0
+    echo = capsys.readouterr().out
+    assert len(echo) > 4000
+    assert _strict_json(echo) == _strict_json(
+        (out / "approx_seq_report.json").read_text())
+
+
+@pytest.mark.parametrize("args, spec", [
+    (["admissibility", "--phi-circ", "power:p=1.5", "--n", "2"],
+     "point:mass=1"),
+    (["symmetrize-solve", "--phi", "power:p=2", "--n", "2"], "point:mass=1"),
+    (["grid-solve", "--N", "17"], "pow:a=0.5"),
+    (["approx-seq", "--N", "17"], "pow:a=0.5"),
+    (["regularity-report", "--N", "17"], "pow:a=0.5"),
+], ids=lambda x: x[0] if isinstance(x, list) else x)
+def test_datum_without_the_commands_side_is_named(args, spec, tmp_path):
+    # a point mass has no rearrangement here and pow: no grid form: the
+    # spec is named with the forms that the command's side takes
+    code, out = run([*args, "--f", spec], tmp_path)
+    assert code == 1
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["type"] == "YoungFunctionError"
+    assert repr(spec) in err["message"] and ".csv path" in err["message"]
+
+
+def test_cli_uses_only_the_public_api():
+    # the CLI is a thin adapter: it reads no private name of the package
+    # modules that it imports
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    modules = {"anisotropic", "catalog", "grid", "radial", "rearrangement",
+               "young"}
+    private = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)
+               and isinstance(node.value, ast.Name)
+               and node.value.id in modules and node.attr.startswith("_")]
+    assert private == []
 
 
 def test_verify_example_cli(tmp_path):

@@ -16,7 +16,11 @@ from orliczpde.radial import (
     solve_radial,
     truncation_energy_check,
 )
-from orliczpde.rearrangement import RearrangedFunction, boundedness_criterion
+from orliczpde.rearrangement import (
+    Datum,
+    RearrangedFunction,
+    boundedness_criterion,
+)
 from orliczpde.young import PowerYoung
 
 
@@ -143,7 +147,7 @@ def test_center_matches_sharp_bound_on_csv_datum(p, a, rel):
 
 
 def test_center_and_bound_follow_a_power_profile_to_zero():
-    # f*(s) = s^-a realized by from_callable: both integrals see the
+    # f*(s) = s^-a realized by a pow: Datum: both integrals see the
     # profile below its last step, so they agree with each other and
     # with the closed form (1/c)^{q+1} pi^{e+1} / ((1-a)^q (e+1)),
     # c = 2 sqrt(pi), q = 1/(p-1), e = q(1/2 - a) - 1/2, up to the
@@ -152,7 +156,7 @@ def test_center_and_bound_follow_a_power_profile_to_zero():
     psi_inv = PowerYoung(p).psi_inverse
     c = 2.0 * math.sqrt(math.pi)
     for a in (0.7, 0.8):
-        rf = RearrangedFunction.from_callable(lambda s: s**-a, math.pi)
+        rf = Datum(f"pow:a={a}").rearranged(math.pi)
         v0 = solve_radial(psi_inv, rf, 2).v[0]
         B = boundedness_criterion(rf, psi_inv, 2)
         e = q * (0.5 - a) - 0.5

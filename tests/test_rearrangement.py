@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from orliczpde.anisotropic import gauss_legendre
 from orliczpde.rearrangement import (
+    Datum,
     RearrangedFunction,
     boundedness_criterion,
     data_admissibility,
@@ -81,15 +82,21 @@ def test_maximal_eval_exact_on_steps():
     assert rf.maximal_eval(0.5) == pytest.approx(4.0, rel=1e-14)
 
 
-def test_from_callable_preserves_mass():
-    rf = RearrangedFunction.from_callable(lambda s: s ** -0.5, 1.0)
+def test_power_datum_preserves_mass():
+    rf = Datum("pow:a=0.5").rearranged(1.0)
     assert rf.integral() == pytest.approx(2.0, rel=1e-3)
+    # the first step carries the head mass: f**(s_1) = f*(s_1) / (1 - a)
+    s1 = rf.breakpoints[1]
+    assert rf.maximal_eval(s1) == pytest.approx(2.0 * s1**-0.5, rel=1e-14)
+    assert rf.head_exponent == 0.5
 
 
-def test_from_callable_flags_non_integrable_head():
-    # 1/s is not integrable at 0, so it is no L^1 datum
-    with pytest.raises(YoungFunctionError, match="not integrable"):
-        RearrangedFunction.from_callable(lambda s: 1.0 / s, 1.0)
+@pytest.mark.parametrize("spec", ["pow:a=1", "pow:a=-0.5", "pow:c=2"])
+def test_power_datum_refuses_a_non_integrable_head(spec):
+    # s^-1 is not integrable at 0, so it is no L^1 datum; a < 0 is no
+    # decreasing profile, and a has no default
+    with pytest.raises(YoungFunctionError, match="integrable profile"):
+        Datum(spec)
 
 
 def test_validation_errors():
@@ -230,7 +237,7 @@ class _CountedConjugate:
 def test_data_admissibility_integrates_the_ladder_at_once(a):
     # the 8 lam of the ladder take two integrand calls in all, and each
     # modular is the one that its own integral gives, bit for bit
-    f_rf = RearrangedFunction.from_callable(lambda s: s ** -a, 1.0)
+    f_rf = Datum(f"pow:a={a}").rearranged(1.0)
     conj = _CountedConjugate(ExpMinusOneYoung())
     out = data_admissibility(f_rf, conj, 2)
     assert [shape[0] for shape in conj.calls] == [8, 8]
@@ -247,11 +254,11 @@ def test_data_admissibility_integrates_the_ladder_at_once(a):
 
 def test_data_admissibility_verdicts():
     conj = ExpMinusOneYoung()
-    ok = RearrangedFunction.from_callable(lambda s: s ** -0.25, 1.0)
+    ok = Datum("pow:a=0.25").rearranged(1.0)
     out = data_admissibility(ok, conj, 2)
     assert out["verdict"] == "admissible"
     assert all(r["finite"] for r in out["ladder"])
-    bad = RearrangedFunction.from_callable(lambda s: s ** -0.75, 1.0)
+    bad = Datum("pow:a=0.75").rearranged(1.0)
     out = data_admissibility(bad, conj, 2)
     assert out["verdict"].startswith("inadmissible")
     # convergent branch short-circuits: any integrable datum admissible
@@ -259,3 +266,8 @@ def test_data_admissibility_verdicts():
     assert out["verdict"] == "admissible"
     assert out["ladder"] == []
 
+
+
+def test_const_datum_needs_its_value():
+    with pytest.raises(YoungFunctionError, match="'const': const needs"):
+        Datum("const")

@@ -1114,3 +1114,15 @@ def test_write_csv_keeps_signed_zeros_and_special_values(tmp_path,
         assert (tmp_path / f"{name}.csv").read_bytes() == expected, name
         assert len(calls) == (special.size if name == "memo"
                               else rows.size), name
+
+
+def test_a_lone_value_is_the_only_key_of_its_kind():
+    # const:<c> is read by the same rule as every spec: a lone item
+    # without '=' is the value of a kind with one key, and no other
+    kinds = {"const": ("c",), "power": ("p", "coeff")}
+    assert young.parse_spec("const:2", kinds) == ("const", {"c": 2.0})
+    assert parse_scalar_function("exp_power:1.5").name == (
+        parse_scalar_function("exp_power:beta=1.5").name)
+    for spec in ("const:1,2", "power:2"):
+        with pytest.raises(YoungFunctionError, match="not key=value"):
+            young.parse_spec(spec, kinds)
