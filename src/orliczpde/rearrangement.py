@@ -5,9 +5,10 @@ The decreasing rearrangement u* of a measurable u on a set of measure
 equimeasurable with |u|; u** is its running average (the maximal
 rearrangement).  For the piecewise-constant fields this package
 produces, u* is computed exactly: sort values, accumulate cell
-measures.
+measures.  A power profile c s^-a (a ``pow:`` :class:`Datum`) has its
+f* and f** in closed form.
 
-On top of the step representation:
+On top of these:
 
 * the Marcinkiewicz quasinorm  inf{lam : sup_s u*(s)/rho^{-1}(lam/s) <= 1},
 * the data-admissibility modular  Int conj(Phi_circ)(s^{1/n} f**(s)/lam) ds,
@@ -16,8 +17,9 @@ On top of the step representation:
         PsiInv(s^{1/n} f**(s) / (n om_n^{1/n})) ds,
   which equals the center value of the symmetrized radial solution.
 
-Improper integrals are declared infinite when the per-decade sums of
-the head stop shrinking toward 0.
+Each integral is one Gauss-Kronrod quadrature with an error estimate,
+cumulative over panels that are geometric towards 0
+(:func:`improper_integral`).
 """
 
 from __future__ import annotations
@@ -26,20 +28,37 @@ import math
 
 import numpy as np
 
-from .anisotropic import gauss_legendre, unit_ball_volume
+from .anisotropic import unit_ball_volume
 from .grid import GridField, point_mass_field
 from .young import InverseRangeError, YoungFunctionError, parse_spec
 
 __all__ = [
     "Datum",
     "RearrangedFunction",
+    "PowerProfile",
+    "radial_profile",
     "marcinkiewicz_quasinorm",
     "data_admissibility",
     "boundedness_criterion",
 ]
 
-_GL_NODES, _GL_WEIGHTS = gauss_legendre(24)
-_HEAD_DECADES = 12  # decades of geometric subdivision below an improper 0
+# Gauss-Kronrod 7-15 on [-1, 1] (QUADPACK's qk15, Piessens et al. 1983):
+# nodes x_1 > ... > x_7 > 0, the Kronrod weights of x_1, ..., x_7, 0 and
+# the Gauss weights of x_2, x_4, x_6, 0; both rules are symmetric
+_X = np.array([0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
+               0.7415311855993945, 0.5860872354676911, 0.4058451513773972,
+               0.20778495500789848])
+_WK = np.array([0.022935322010529224, 0.06309209262997856, 0.10479001032225019,
+                0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
+                0.20443294007529889, 0.20948214108472782])
+_WG = np.array([0.1294849661688697, 0.27970539148927664, 0.3818300505051189,
+                0.4179591836734694])
+_GK_NODES = np.concatenate([-_X, [0.0], _X[::-1]])
+_GK_WEIGHTS = np.concatenate([_WK, _WK[-2::-1]])
+_G7_WEIGHTS = np.concatenate([_WG, _WG[-2::-1]])
+_EDGES_PER_DECADE = 4
+_DECADES = 14  # decades of fixed panel edges below |Omega|, at least
+TOLERANCE = 1e-12  # relative error estimate that a quadrature reports met
 
 
 class RearrangedFunction:
@@ -47,12 +66,7 @@ class RearrangedFunction:
 
     ``breakpoints`` are 0 = s_0 < s_1 < ... < s_m = |Omega| and
     ``values`` v_1 >= ... >= v_m >= 0, with v_j taken on [s_{j-1}, s_j).
-    Below s_1, u** continues as f**(s_1) (s/s_1)^-``head_exponent``:
-    constant for a step function, the profile's own power head for the
-    realization of an unbounded profile (a ``pow:`` :class:`Datum`).
     """
-
-    head_exponent = 0.0
 
     def __init__(self, breakpoints, values):
         s = np.asarray(breakpoints, dtype=float)
@@ -97,20 +111,43 @@ class RearrangedFunction:
                       0, len(self.values) - 1)
         integral = self._cum[idx] + self.values[idx] * (
             s_c - self.breakpoints[idx])
-        # beyond the domain the integral is flat
-        integral = np.where(s > self.domain_measure, self._cum[-1], integral)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             out = np.where(s > 0.0, integral / np.maximum(s, 1e-300),
                            self.values[0] if len(self.values) else 0.0)
-            if self.head_exponent > 0.0:
-                s1 = self.breakpoints[1]
-                head = self.values[0] * (s / s1) ** -self.head_exponent
-                out = np.where((s > 0.0) & (s < s1), head, out)
         return float(out) if out.ndim == 0 else out
 
-    def integral(self):
-        """Int_0^{|Omega|} u* (the L^1 norm of the original field)."""
-        return float(self._cum[-1])
+    def weighted_maximal(self, s, n):
+        """s^{1/n} f**(s) on an array s, with its limit at s = 0: the
+        argument of the radial profile and of the data modular."""
+        return s ** (1.0 / n) * self.maximal_eval(s)
+
+
+class PowerProfile(RearrangedFunction):
+    """f*(s) = c s^-a on (0, |Omega|), 0 <= a < 1, in closed form, with
+    f** = f* / (1 - a) there; its only breakpoints are 0 and |Omega|."""
+
+    def __init__(self, a, c, omega):
+        self.a, self.c, self.domain_measure = a, c, float(omega)
+        self.breakpoints = np.array([0.0, omega])
+
+    def __call__(self, s):
+        s = np.asarray(s, dtype=float)
+        return np.where(s < self.domain_measure,
+                        (1.0 - self.a) * self.maximal_eval(s), 0.0)
+
+    def _scaled(self, s, k):
+        """s^k f**(s): s^{k-a} keeps its limit at s = 0, and past |Omega|
+        the mass spreads over s."""
+        s = np.asarray(s, dtype=float)
+        with np.errstate(divide="ignore"):
+            return self.c / (1.0 - self.a) * s ** (k - self.a) * np.minimum(
+                1.0, self.domain_measure / s) ** (1.0 - self.a)
+
+    def maximal_eval(self, s):
+        return self._scaled(s, 0.0)
+
+    def weighted_maximal(self, s, n):
+        return self._scaled(s, 1.0 / n)
 
 
 _DATUM_KINDS = {"const": ("c",), "pow": ("a", "c"),
@@ -141,9 +178,7 @@ class Datum:
     def rearranged(self, omega):
         """f* on (0, ``omega``].  A CSV's rows (s_{j-1}, v_j), ended by an
         (s_m, v_m) sentinel, are zero from s_m to ``omega``, and refused
-        past it.  ``pow:`` takes 2^14 steps log-spaced from 1e-14 ``omega``,
-        each the profile at its left end but the first, which carries the
-        head mass Int_0^{s_1} c s^-a; below s_1, f** continues as s^-a."""
+        past it.  ``pow:`` is its closed form (:class:`PowerProfile`)."""
         if self.kind == "point":
             raise YoungFunctionError(
                 f"{self.spec!r} has no rearranged form; f* is const:, pow: "
@@ -151,14 +186,7 @@ class Datum:
         if self.kind == "const":
             return RearrangedFunction([0.0, omega], [self.kw["c"]])
         if self.kind == "pow":
-            a, c = self.kw["a"], self.kw.get("c", 1.0)
-            s = np.concatenate(
-                [[0.0], np.geomspace(1e-14 * omega, omega, 2**14)])
-            v = c * np.concatenate([[s[1]], s[1:-1]]) ** -a
-            v[0] /= 1.0 - a
-            rf = RearrangedFunction(s, v)
-            rf.head_exponent = a
-            return rf
+            return PowerProfile(self.kw["a"], self.kw.get("c", 1.0), omega)
         data = np.loadtxt(self.spec, delimiter=",", skiprows=1, ndmin=2)
         if not np.all(np.isfinite(data)):
             raise YoungFunctionError(f"{self.spec}: a number is not finite")
@@ -174,11 +202,14 @@ class Datum:
     def field(self, n_nodes):
         """The nodal values on ``n_nodes`` nodes a side (None: 65, or a
         CSV's own size, which must match a given ``n_nodes``), zero on the
-        boundary, which the solve never reads."""
+        boundary, which the solve never reads.  A non-integral
+        ``n_nodes`` is refused naming N."""
         if self.kind == "pow":
             raise YoungFunctionError(
                 f"{self.spec!r} has no grid form; a grid datum is const:, "
                 "point: or a .csv path of an N x N matrix")
+        if n_nodes is not None and not float(n_nodes).is_integer():
+            raise YoungFunctionError(f"N = {n_nodes!r} is not an integer")
         n = 65 if n_nodes is None else int(n_nodes)
         if self.kind == "point":
             return point_mass_field(
@@ -199,60 +230,73 @@ class Datum:
         return field.zero_boundary()
 
 
-def _gauss_sums(fn, edges):
-    """24-point Gauss-Legendre of fn between consecutive ``edges`` along
-    the last axis, summed in order (Python's sum), from one call of fn on
-    all nodes; leading axes of fn's values (stacked integrands) stay."""
-    lo, hi = edges[..., :-1, None], edges[..., 1:, None]
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    x = mid + half * _GL_NODES
-    vals = np.asarray(fn(x.ravel()))
-    vals = np.broadcast_to(vals, vals.shape[:-1] + (x.size,))
-    blocks = half[..., 0] * np.sum(
-        _GL_WEIGHTS * vals.reshape(vals.shape[:-1] + x.shape), axis=-1)
-    return np.reshape([sum(row) for row in blocks.reshape(
-        -1, blocks.shape[-1]).tolist()], blocks.shape[:-1])
+def improper_integral(fn, breakpoints):
+    """``(s, I, err)``: I(s_k) = Int_{s_k}^{|Omega|} fn, fn >= 0, at the
+    panel ends 0 = s_0 < ... < s_m = |Omega|, and err, the sum of the
+    panels' error estimates.
 
-
-def _close_head(total, decade_sums):
-    """``total`` plus the head's decade sums and extrapolation, or inf."""
-    if not all(map(math.isfinite, [total, *decade_sums])):
-        return math.inf
-    total = sum(decade_sums, total)
-    # geometric extrapolation of the remaining head below the last decade
-    if decade_sums[-1] > 0 and decade_sums[-2] > 0:
-        q = decade_sums[-1] / decade_sums[-2]
-        if q < 0.999:
-            total += decade_sums[-1] * q / (1.0 - q)
-        elif decade_sums[-1] > 1e-12 * abs(total):
-            return math.inf
-    return total
-
-
-def improper_integral(fn, a, b):
-    """Int_a^b fn with an improper endpoint at a = 0, for fn >= 0.
-
-    The head (0, b/100] is resolved by geometric subdivision over 12
-    decades, and the rest below them is extrapolated from the ratio q of
-    the last two decade sums.  When q >= 0.999 and the last decade is
-    not negligible, the integral is declared infinite (math.inf).  fn is
-    called once on the body's nodes and, unless every body is infinite,
-    once on the head's.  Leading axes of fn's values stack integrands,
-    each integrated with the arithmetic of its own call.
+    The ends are 4 a decade over 14 decades below |Omega| (or to two
+    decades below the lowest inner breakpoint) and the datum's
+    ``breakpoints`` 0 < ... < |Omega|, where f** has a kink.  Each panel
+    takes 15-point Kronrod, with |K15 - G7| (the nested 7-point Gauss
+    rule) its error estimate.  I(0) adds the head [0, s_1]: the last
+    decade sum times q/(1 - q), q the ratio of the last two, or inf when
+    q >= 0.999 and the last decade is not negligible.  fn is called
+    once, on all nodes; leading axes of its values stack integrands,
+    each with its own I and err.
     """
-    if a > 0.0:
-        out = _gauss_sums(fn, np.geomspace(a, b, 64))
-        return float(out) if out.ndim == 0 else out
-    a_head = b * 1e-2
-    body = np.asarray(improper_integral(fn, a_head, b))
-    out = np.full(body.shape, math.inf)
-    if np.isfinite(body).any():
-        his = np.divide.accumulate([a_head] + [10.0] * (_HEAD_DECADES - 1))
-        edges = np.geomspace(his / 10.0, his, 8, axis=-1)
-        heads = _gauss_sums(fn, edges).reshape(body.size, -1)
-        out.flat = [_close_head(total, sums) for total, sums in zip(
-            body.ravel().tolist(), heads.tolist())]
-    return float(out) if out.ndim == 0 else out
+    omega, inner = breakpoints[-1], np.asarray(breakpoints[1:-1], float)
+    # the head's two decades lie below every breakpoint
+    decades = max(_DECADES, math.ceil(math.log10(omega / breakpoints[1])) + 2)
+    k = decades * _EDGES_PER_DECADE
+    ends = np.union1d(omega * 10.0 ** (np.arange(-k, 1) / _EDGES_PER_DECADE),
+                      inner)
+    half = 0.5 * np.diff(ends)
+    x = (0.5 * (ends[:-1] + ends[1:]))[:, None] + half[:, None] * _GK_NODES
+    vals = np.asarray(fn(x.ravel()))
+    vals = np.broadcast_to(vals, vals.shape[:-1] + (x.size,)).reshape(
+        vals.shape[:-1] + x.shape)
+    panels = half * np.sum(_GK_WEIGHTS * vals, axis=-1)
+    gauss = half * np.sum(_G7_WEIGHTS * vals[..., 1::2], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.sum(np.abs(panels - gauss), axis=-1)
+        tail = np.cumsum(panels[..., ::-1], axis=-1)[..., ::-1]
+        last, prev = (np.sum(panels[..., i:i + _EDGES_PER_DECADE], axis=-1)
+                      for i in (0, _EDGES_PER_DECADE))
+        q = np.where((last > 0.0) & (prev > 0.0), last / prev, 0.0)
+        head = np.where(q < 0.999, last * q / (1.0 - q),
+                        np.where(last > 1e-12 * tail[..., 0], np.inf, 0.0))
+    head = np.where(np.isfinite(tail[..., 0]), tail[..., 0] + head, np.inf)
+    return np.concatenate([[0.0], ends]), np.concatenate(
+        [head[..., None], tail, np.zeros(head.shape + (1,))], axis=-1), err
+
+
+def radial_profile(f_rf, psi_diamond_inv, n):
+    """``(r, v, g, convergence)``: the symmetrized radial solution
+
+        v(r) = c^-1 Int_s^{|Omega|} t^{-1/n'} PsiInv(t^{1/n} f**(t) / c) dt,
+        g(r) = |grad v|(r) = PsiInv(s^{1/n} f**(s) / c),
+
+    s = om_n r^n and c = n om_n^{1/n}, at the panel ends of
+    :func:`improper_integral`, r = 0 to R; v(0) is the sharp bound.
+    ``convergence`` is a report's record: the panels' error estimate
+    (the head has none), their number, and whether the estimate is at
+    most ``TOLERANCE`` times v(s_1).  ``psi_diamond_inv`` is the inverse
+    of Psi_diamond, as a callable.
+    """
+    om = unit_ball_volume(n)
+    c = n * om ** (1.0 / n)
+
+    def g_of(s):
+        return np.asarray(psi_diamond_inv(f_rf.weighted_maximal(s, n) / c),
+                          dtype=float)
+
+    s, integral, err = improper_integral(
+        lambda s: s ** (1.0 / n - 1.0) * g_of(s), f_rf.breakpoints)
+    v, err = integral / c, float(err) / c
+    return (s / om) ** (1.0 / n), v, g_of(s), {
+        "error_estimate": err, "panels": s.size - 2,
+        "tolerance_met": bool(err <= TOLERANCE * v[1])}
 
 
 def marcinkiewicz_quasinorm(rf, varrho):
@@ -290,10 +334,11 @@ def data_admissibility(f_rf, conj_phi_circ, n, dichotomy="divergent"):
     """Modular test for the right-hand-side data class.
 
     Evaluates M(lam) = Int_0^{|Omega|} conj(Phi_circ)(s^{1/n} f**(s)/lam) ds
-    over the ladder of 8 lam from 1e2 down to 1e-2 in one integral,
-    reported down to the first infinite modular; admissible when every
-    modular is finite.  Under the convergent dichotomy every integrable
-    datum is admissible and no modular is computed.
+    over the ladder of 8 lam from 1e2 down to 1e-2 in one
+    :func:`improper_integral`, reported down to the first infinite
+    modular; admissible when every modular is finite.  Under the
+    convergent dichotomy every integrable datum is admissible and no
+    modular is computed.
     """
     if dichotomy == "convergent":
         return {"verdict": "admissible", "reason": "convergent dichotomy: "
@@ -302,13 +347,13 @@ def data_admissibility(f_rf, conj_phi_circ, n, dichotomy="divergent"):
 
     def fn(s):
         return conj_phi_circ.value(
-            s ** (1.0 / n) * f_rf.maximal_eval(s) / lams[:size, None])
+            f_rf.weighted_maximal(s, n) / lams[:size, None])
 
     # lam past the first infinite modular may overflow, or raise: cut there
     for size in range(lams.size, 0, -1):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                modulars = improper_integral(fn, 0.0, f_rf.domain_measure)
+                modulars = improper_integral(fn, f_rf.breakpoints)[1][:, 0]
             break
         except InverseRangeError as exc:
             error = exc
@@ -330,19 +375,8 @@ def boundedness_criterion(f_rf, psi_diamond_inv, n):
         B = (n om_n^{1/n})^{-1} Int_0^{|Omega|} s^{-1/n'}
               PsiInv( s^{1/n} f**(s) / (n om_n^{1/n}) ) ds,
 
-    returning math.inf when the integral diverges, with |Omega| the
-    datum's ``domain_measure``.  ``psi_diamond_inv`` is the inverse of
-    Psi_diamond, as a callable.
+    the v(0) of :func:`radial_profile`, math.inf when the integral
+    diverges, with |Omega| the datum's ``domain_measure``.
+    ``psi_diamond_inv`` is the inverse of Psi_diamond, as a callable.
     """
-    if f_rf.integral() == 0.0:
-        return 0.0
-    c = n * unit_ball_volume(n) ** (1.0 / n)
-    inv_np = 1.0 - 1.0 / n  # 1/n' = (n-1)/n
-
-    def fn(s):
-        s = np.asarray(s, dtype=float)
-        arg = s ** (1.0 / n) * f_rf.maximal_eval(s) / c
-        return s ** (-inv_np) * np.asarray(psi_diamond_inv(arg), dtype=float)
-
-    val = improper_integral(fn, 0.0, f_rf.domain_measure)
-    return val / c if math.isfinite(val) else math.inf
+    return float(radial_profile(f_rf, psi_diamond_inv, n)[1][0])

@@ -906,9 +906,9 @@ def parse_spec(spec, allowed):
     a JSON term ``{"kind": kind, key: value, ...}``; ``allowed`` maps each
     kind to its keys.  A lone text item without ``=`` is the value of a
     kind's only key (``"const:1"``).  An unknown kind, any other item
-    without ``=``, a key not allowed or a value that is not a finite
-    number raises :class:`YoungFunctionError` naming the spec and the
-    item."""
+    without ``=``, a key not allowed or repeated, or a value that is not
+    a finite number raises :class:`YoungFunctionError` naming the spec
+    and the item."""
     if isinstance(spec, str):
         kind, colon, body = spec.partition(":")
         items = [(item, *item.partition("=")) for item in body.split(",")
@@ -930,6 +930,8 @@ def parse_spec(spec, allowed):
             raise YoungFunctionError(
                 f"{spec!r}: item {item!r} is not key=value with a key of "
                 f"{kind} ({', '.join(allowed[kind])})")
+        if key in kw:
+            raise YoungFunctionError(f"{spec!r}: key {key!r} is repeated")
         try:
             kw[key] = float(val)
         except (TypeError, ValueError):

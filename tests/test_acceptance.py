@@ -190,13 +190,14 @@ def test_ac07_comparison_principle(report):
     with report("AC7 comparison principle", 300.0):
         s = np.linspace(0.05, 0.95, 181)  # |Omega| = 1
         for p in (2.0, 3.0):
-            def psi_inv(x, p=p):
-                return np.maximum(np.asarray(x, float), 0.0) ** (
-                    1.0 / (p - 1.0))
-            vsol = radial.solve_radial(
-                psi_inv, rearrangement.RearrangedFunction([0.0, 1.0], [1.0]),
-                2)
-            v_star = vsol.rearranged()
+            # v* of the radial solution with f = 1 on the disk of area 1,
+            # in AC5's closed form: v*(pi r^2) = v(r)
+            gam, radius = 1.0 / (p - 1.0), 1.0 / math.sqrt(math.pi)
+
+            def v_star(s, gam=gam, radius=radius):
+                r = np.sqrt(s / math.pi)
+                return 0.5**gam * (radius ** (gam + 1.0)
+                                   - r ** (gam + 1.0)) / (gam + 1.0)
             margins = {}
             for n_nodes in (65, 129):
                 f = _unit_f(n_nodes)

@@ -742,7 +742,7 @@ def test_every_csv_writer_ends_lines_with_crlf(tmp_path):
         "grid": grid.GridField.zeros(5).to_csv,
         "radial": radial.RadialSolution(
             2, 1.0, np.array([0.0, 1.0]), np.array([1.0, 0.0]),
-            np.array([0.0, 1.0])).to_csv,
+            np.array([0.0, 1.0]), {}).to_csv,
     }
     for name, write in writers.items():
         write(tmp_path / f"{name}.csv")
@@ -817,21 +817,54 @@ def test_symmetrize_solve_center_oracle(tmp_path):
     assert b"\r\n" in (out / "radial_solution.csv").read_bytes()
 
 
-def test_symmetrize_solve_reads_a_csv_datum(tmp_path):
-    # the step realization of f*(s) = s^-0.6 on (0, pi]: rows (s_{j-1}, v_j)
-    # and a trailing (s_m, v_m) sentinel; the radial solution is the
-    # extremal of the sharp bound, so its centre is the bound
+def _write_step_datum(path, a):
+    """The step realization of f*(s) = s^-a on (0, pi]: 512 rows
+    (s_{j-1}, v_j), log-spaced down to 1e-10 pi, and a trailing
+    (s_m, v_m) sentinel."""
     s = np.concatenate([[0.0], np.geomspace(1e-10 * math.pi, math.pi, 512)])
-    v = np.concatenate([[s[1]], s[1:-1]]) ** -0.6
-    datum = tmp_path / "datum.csv"
-    np.savetxt(datum, np.column_stack([s, np.append(v, v[-1])]),
+    v = np.concatenate([[s[1]], s[1:-1]]) ** -a
+    np.savetxt(path, np.column_stack([s, np.append(v, v[-1])]),
                delimiter=",", header="s,value", comments="")
+    return path
+
+
+def test_symmetrize_solve_reads_a_csv_datum(tmp_path):
+    # the radial solution is the extremal of the sharp bound, so its
+    # centre is the bound
+    datum = _write_step_datum(tmp_path / "datum.csv", 0.6)
     code, out = run(["symmetrize-solve", "--phi", "power:p=2", "--n", "2",
                      "--f", str(datum), "--omega", "pi"], tmp_path)
     assert code == 0
     report = json.loads((out / "symmetrize_solve_report.json").read_text())
     assert report["center_value"] == pytest.approx(
         report["boundedness_criterion"], rel=1e-6)
+
+
+# B on the 512-step datum at p = 2 by the two quadratures this one
+# replaced (24-point Gauss on 64 geometric panels and a 12-decade head)
+_OLD_BOUND = {0.2: 0.3120961841020185, 0.6: 0.7964074965004525}
+
+
+@pytest.mark.parametrize("datum", ["const:1", 0.2, 0.6])
+def test_symmetrize_solve_reports_one_centre_and_its_convergence(
+        datum, tmp_path):
+    # one quadrature gives the centre and the bound, met to its
+    # tolerance on the panel ends that the table holds
+    f = datum if isinstance(datum, str) else str(
+        _write_step_datum(tmp_path / "datum.csv", datum))
+    code, out = run(["symmetrize-solve", "--phi", "power:p=2", "--n", "2",
+                     "--f", f, "--omega", "pi"], tmp_path)
+    assert code == 0
+    report = json.loads((out / "symmetrize_solve_report.json").read_text())
+    assert report["center_value"] == report["boundedness_criterion"]
+    conv = report["convergence"]
+    assert conv["tolerance_met"] is True
+    assert 0.0 <= conv["error_estimate"] <= 1e-12 * report["center_value"]
+    rows = (out / "radial_solution.csv").read_text().splitlines()
+    assert len(rows) - 1 == conv["panels"] + 2 < 600
+    if datum in _OLD_BOUND:
+        assert report["center_value"] == pytest.approx(_OLD_BOUND[datum],
+                                                       rel=1e-7)
 
 
 def test_phicirc_reads_phi_from_a_json_file(tmp_path):
@@ -1519,6 +1552,21 @@ def test_config_that_is_not_an_object_is_named(tmp_path):
         assert err["type"] == "ConfigError", text
         assert f"--config {config}" in err["message"], text
     assert "line 2 column 1" in err["message"]
+
+
+@pytest.mark.parametrize("n_nodes, code", [(17.9, 1), (17, 0), (17.0, 0)])
+def test_grid_solve_refuses_a_non_integral_n(n_nodes, code, tmp_path):
+    # N = 17.9 ran as 17 and reported "N": 17
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"N": n_nodes, "f": "const:1"}))
+    got, out = run(["grid-solve", "--config", str(config)], tmp_path)
+    assert got == code
+    if code:
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert "N = 17.9" in err["message"]
+    else:
+        report = json.loads((out / "grid_solve_report.json").read_text())
+        assert report["N"] == 17
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])

@@ -55,14 +55,6 @@ def test_radial_closed_form(p):
     assert sol.v[0] == pytest.approx(B, rel=1e-6)
 
 
-def test_rearranged_matches_profile():
-    sol = solve_radial(_psi_inv(2.0), _unit_disk_rf(), 2)
-    rf = sol.rearranged()
-    for r in (0.2, 0.5, 0.9):
-        s = math.pi * r**2
-        assert rf(s * 0.999999) == pytest.approx(sol.value(r), abs=1e-3)
-
-
 def test_gradient_l1_bound_radial():
     # p = 2, unit disk: Theta(grad v) = 2 g(r) = r, integral 2 pi / 3;
     # bound 2 om_2^{-1/2} |Omega|^{1/2} ||f||_1 = 2 pi
@@ -133,44 +125,85 @@ def _benchmark_csv_rf(a):
     return RearrangedFunction(s, np.concatenate([[s[1]], s[1:-1]]) ** -a)
 
 
+def _step_center(rf, q):
+    """v(0) of a step datum under Phi_diamond = t^p, q = 1/(p - 1) in
+    {1, 2}, in closed form: on [s_{j-1}, s_j) f** = A/s + B with
+    A = Int_0^{s_{j-1}} f* - v_j s_{j-1}, B = v_j, and the integrand
+    c^-q s^{q/2 - 1/2} (A/s + B)^q integrates term by term."""
+    c = 2.0 * math.sqrt(math.pi)
+    lo, hi = rf.breakpoints[:-1], rf.breakpoints[1:]
+    B = rf.values
+    A = rf._cum[:-1] - B * lo
+    if q == 1.0:
+        terms = B * (hi - lo) + np.where(
+            lo > 0.0, A * np.log(hi / np.maximum(lo, 1e-300)), 0.0)
+    else:
+        def primitive(s):
+            return (4.0 * A * B * np.sqrt(s) + 2.0 / 3.0 * B**2 * s**1.5
+                    - 2.0 * A**2 / np.sqrt(np.maximum(s, 1e-300)))
+        terms = primitive(hi) - np.where(lo > 0.0, primitive(lo), 0.0)
+    return float(np.sum(terms)) / c ** (q + 1.0)
+
+
 @pytest.mark.parametrize("p, a, rel", [
     (2.0, 0.2, 1e-7), (2.0, 0.6, 1e-7),
     (1.5, 0.7, 1e-5), (1.5, 0.8, 1e-5), (2.0, 0.9, 1e-5),
 ])
 def test_center_matches_sharp_bound_on_csv_datum(p, a, rel):
-    # v(0) and B are two quadratures of one integral, in r and in s
+    # v(0) and B are one quadrature; both match the step datum's closed
+    # form, which is summed step by step
     rf = _benchmark_csv_rf(a)
     psi_inv = PowerYoung(p).psi_inverse
     sol = solve_radial(psi_inv, rf, 2)
     B = boundedness_criterion(rf, psi_inv, 2)
-    assert sol.v[0] == pytest.approx(B, rel=rel)
+    assert sol.v[0] == B
+    assert B == pytest.approx(_step_center(rf, 1.0 / (p - 1.0)), rel=rel)
+
+
+def _power_center(p, a):
+    """v(0) of the pow:a datum on the pi-disk under Phi_diamond = t^p:
+    pi^{e+1} / (c^{q+1} (1-a)^q (e+1)), c = 2 sqrt(pi), q = 1/(p-1),
+    e = q(1/2 - a) - 1/2, or inf when e <= -1."""
+    q = 1.0 / (p - 1.0)
+    e = q * (0.5 - a) - 0.5
+    if e <= -1.0:
+        return math.inf
+    c = 2.0 * math.sqrt(math.pi)
+    return math.pi ** (e + 1.0) / (
+        c ** (q + 1.0) * (1.0 - a) ** q * (e + 1.0))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("a", [0.3, 0.6, 0.7])
+def test_center_of_a_power_datum_matches_its_closed_form(p, a):
+    # the pow: datum is its closed form, so only the quadrature errs
+    psi_inv = PowerYoung(p).psi_inverse
+    sol = solve_radial(psi_inv, Datum(f"pow:a={a}").rearranged(math.pi), 2)
+    assert sol.v[0] == pytest.approx(_power_center(p, a), rel=1e-10)
+    assert sol.convergence["error_estimate"] <= 1e-11 * sol.v[0]
 
 
 def test_center_and_bound_follow_a_power_profile_to_zero():
-    # f*(s) = s^-a realized by a pow: Datum: both integrals see the
-    # profile below its last step, so they agree with each other and
-    # with the closed form (1/c)^{q+1} pi^{e+1} / ((1-a)^q (e+1)),
-    # c = 2 sqrt(pi), q = 1/(p-1), e = q(1/2 - a) - 1/2, up to the
-    # left-end bias of the steps; for a = 0.8 the integral diverges
-    p, q = 1.5, 2.0
-    psi_inv = PowerYoung(p).psi_inverse
-    c = 2.0 * math.sqrt(math.pi)
-    for a in (0.7, 0.8):
+    # f*(s) = s^-a realized by a pow: Datum: v(0) and B are its closed
+    # form; at p = 1.5 the integral diverges from a = 3/4 on, and the
+    # head's decade rule tells 0.749 from 0.751
+    psi_inv = PowerYoung(1.5).psi_inverse
+    for a in (0.7, 0.749, 0.751, 0.8):
         rf = Datum(f"pow:a={a}").rearranged(math.pi)
         v0 = solve_radial(psi_inv, rf, 2).v[0]
         B = boundedness_criterion(rf, psi_inv, 2)
-        e = q * (0.5 - a) - 0.5
-        if e <= -1.0:
-            assert v0 == B == math.inf
-            continue
-        exact = c ** -(q + 1.0) * math.pi ** (e + 1.0) / (
-            (1.0 - a) ** q * (e + 1.0))
-        assert v0 == pytest.approx(B, rel=2e-4)
-        assert v0 == pytest.approx(exact, rel=3e-3)
+        exact = _power_center(1.5, a)
+        assert v0 == B
+        if math.isinf(exact):
+            assert v0 == math.inf
+        else:
+            assert v0 == pytest.approx(exact, rel=1e-10)
 
 
 def test_solve_radial_inverts_psi_at_few_points():
-    # 3 Gauss points per panel past the first, the graded head on [0, r_1]
+    # 15 Kronrod nodes a panel and the panel ends: on the benchmark's
+    # 512-step datum, 566 panels between the 511 inner breakpoints and
+    # the quarter decades below 1e-10 |Omega|
     points = []
 
     def psi_inv(y):
@@ -178,15 +211,16 @@ def test_solve_radial_inverts_psi_at_few_points():
         return np.asarray(y, dtype=float)
 
     sol = solve_radial(psi_inv, _benchmark_csv_rf(0.6), 2)
-    assert len(sol.r) == 4096
-    assert sum(points) <= 25_000
+    assert len(sol.r) == 568
+    assert sol.convergence["panels"] == 566
+    assert points == [566 * 15, 568]
 
 
 def test_to_csv_bytes_match_per_element_repr(tmp_path):
     r = np.array([0.0, 5e-324, 0.5, 1.0])
     v = np.array([math.inf, 1e300, 2.2250738585072014e-308, 0.0])
     g = np.array([0.0, 1.0 / 3.0, math.inf, 1e-300])
-    RadialSolution(2, math.pi, r, v, g).to_csv(tmp_path / "out.csv")
+    RadialSolution(2, math.pi, r, v, g, {}).to_csv(tmp_path / "out.csv")
     expected = "r,v,gradient_magnitude\r\n" + "".join(
         f"{float(x)!r},{float(y)!r},{float(z)!r}\r\n"
         for x, y, z in zip(r, v, g))

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orliczpde import rearrangement
 from orliczpde.anisotropic import gauss_legendre
 from orliczpde.rearrangement import (
     Datum,
+    PowerProfile,
     RearrangedFunction,
     boundedness_criterion,
     data_admissibility,
@@ -30,7 +32,9 @@ def test_rearrange_matches_sort_oracle():
     ref = np.sort(v)[::-1]
     mids = (np.arange(200) + 0.5) * 0.01
     assert np.allclose(rf(mids), ref, rtol=0, atol=0)
-    assert rf.integral() == pytest.approx(0.01 * v.sum(), rel=1e-12)
+    # u**(|Omega|) |Omega| is the L^1 norm of the field
+    assert rf.maximal_eval(2.0) * 2.0 == pytest.approx(0.01 * v.sum(),
+                                                       rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -83,12 +87,29 @@ def test_maximal_eval_exact_on_steps():
 
 
 def test_power_datum_preserves_mass():
+    # f*(s) = s^-1/2 on (0, 1] in closed form: mass 2, f** = 2 f*, and
+    # past |Omega| the mass spread over s
     rf = Datum("pow:a=0.5").rearranged(1.0)
-    assert rf.integral() == pytest.approx(2.0, rel=1e-3)
-    # the first step carries the head mass: f**(s_1) = f*(s_1) / (1 - a)
-    s1 = rf.breakpoints[1]
-    assert rf.maximal_eval(s1) == pytest.approx(2.0 * s1**-0.5, rel=1e-14)
-    assert rf.head_exponent == 0.5
+    assert isinstance(rf, PowerProfile)
+    s = np.array([1e-12, 0.25, 1.0, 4.0])
+    assert rf.maximal_eval(s) == pytest.approx([2e6, 4.0, 2.0, 0.5],
+                                               rel=1e-15)
+    assert rf(s) == pytest.approx([1e6, 2.0, 0.0, 0.0], rel=1e-15)
+    assert rf.breakpoints.tolist() == [0.0, 1.0]
+    # s^{1/n} f**(s) keeps its limit at s = 0: 0, c / (1 - a) or inf
+    for n, limit in ((1, 0.0), (2, 2.0), (3, math.inf)):
+        assert rf.weighted_maximal(np.array([0.0]), n)[0] == limit
+
+
+def test_repeated_key_is_refused():
+    with pytest.raises(YoungFunctionError, match="key 'a' is repeated"):
+        Datum("pow:a=0.2,a=0.9")
+
+
+def test_grid_datum_refuses_a_non_integral_size():
+    with pytest.raises(YoungFunctionError, match="N = 17.9"):
+        Datum("const:1").field(17.9)
+    assert Datum("const:1").field(17.0).n_nodes == 17
 
 
 @pytest.mark.parametrize("spec", ["pow:a=1", "pow:a=-0.5", "pow:c=2"])
@@ -146,34 +167,66 @@ def test_marcinkiewicz_ignores_decreasing_branch():
 
 
 def test_improper_integral_head():
-    assert improper_integral(lambda s: s ** -0.5, 0.0, 1.0) == pytest.approx(
-        2.0, rel=1e-6)
-    assert improper_integral(lambda s: s ** -0.99, 0.0, 1.0) == pytest.approx(
-        100.0, rel=1e-2)
-    assert math.isinf(improper_integral(lambda s: 1.0 / s, 0.0, 1.0))
+    def total(fn):
+        return improper_integral(fn, [0.0, 1.0])[1][0]
+
+    assert total(lambda s: s ** -0.5) == pytest.approx(2.0, rel=1e-12)
+    assert total(lambda s: s ** -0.99) == pytest.approx(100.0, rel=1e-12)
+    assert math.isinf(total(lambda s: 1.0 / s))
 
 
-def test_improper_integral_matches_interval_loop_in_two_calls():
-    # reference: 24-point Gauss-Legendre one interval at a time, summed
-    # in order; the vectorized quadrature does the same arithmetic
-    nodes, weights = gauss_legendre(24)
+def test_gauss_kronrod_rule_is_exact_to_its_degree():
+    # K15 is exact to degree 22, the nested G7 to degree 13 on the
+    # Gauss-Legendre nodes
+    x, wk, wg = (rearrangement._GK_NODES, rearrangement._GK_WEIGHTS,
+                 rearrangement._G7_WEIGHTS)
+    xg, _ = gauss_legendre(7)
+    np.testing.assert_allclose(x[1::2], np.sort(xg), atol=1e-15)
+    for k in range(23):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert wk @ x**k == pytest.approx(exact, abs=1e-15)
+        if k <= 13:
+            assert wg @ x[1::2] ** k == pytest.approx(exact, abs=1e-15)
 
-    def loop(fn, edges):
-        return sum(0.5 * (b - a) * float(np.sum(
-            weights * fn(0.5 * (a + b) + 0.5 * (b - a) * nodes)))
-            for a, b in zip(edges[:-1], edges[1:]))
 
+def _loop(fn, ends):
+    """Reference: 15-point Kronrod one panel at a time over the positive
+    ``ends``, then summed from the top in order, with the head closed as
+    the quadrature closes it."""
+    x, w = rearrangement._GK_NODES, rearrangement._GK_WEIGHTS
+    panels = [0.5 * (b - a) * float(np.sum(
+        w * fn(0.5 * (a + b) + 0.5 * (b - a) * x)))
+        for a, b in zip(ends[:-1], ends[1:])]
+    tail = np.cumsum(panels[::-1])[::-1]
+    total, prev, last = (float(tail[0]), float(np.sum(panels[4:8])),
+                         float(np.sum(panels[:4])))
+    head = total
+    if not math.isfinite(total):
+        head = math.inf
+    elif last > 0.0 and prev > 0.0 and last / prev < 0.999:
+        q = last / prev
+        head = total + last * q / (1.0 - q)
+    elif last > 0.0 and prev > 0.0 and last > 1e-12 * total:
+        head = math.inf
+    return [head, *tail.tolist(), 0.0]
+
+
+def test_improper_integral_matches_panel_loop_in_one_call():
+    # the vectorized quadrature does the arithmetic of a per-panel loop,
+    # bit for bit, in one call of fn on the nodes of every panel; the
+    # ends are the 57 quarter decades from 1e-14 |Omega| and the
+    # breakpoints
     calls = []
 
     def fn(s):
         calls.append(np.size(s))
         return np.log1p(1.0 / s)
 
-    assert improper_integral(fn, 1e-3, 2.0) == loop(
-        fn, np.geomspace(1e-3, 2.0, 64))
-    calls.clear()
-    improper_integral(fn, 0.0, 2.0)
-    assert calls == [63 * 24, 12 * 7 * 24]
+    s, integral, _ = improper_integral(fn, [0.0, 1e-3, 0.7, 2.0])
+    assert calls == [15 * (s.size - 2)]
+    assert s[0] == 0.0 and s[1] == pytest.approx(2e-14, rel=1e-15)
+    assert s.size == 1 + 57 + 2 and {1e-3, 0.7, 2.0} <= set(s.tolist())
+    assert integral.tolist() == _loop(fn, s[1:])
 
 
 def _integrands(s):
@@ -185,24 +238,27 @@ def _integrands(s):
 
 @pytest.mark.parametrize("a", [0.0, 1e-3])
 def test_improper_integral_of_stacked_integrands_is_each_row(a):
-    # one call of the stack on the body nodes and one on the head's: each
-    # row equals its own integral bit for bit, the divergent one math.inf
+    # a is a breakpoint (0.0: none).  One call of the stack: each row
+    # equals its own integral bit for bit, the divergent one math.inf
     calls = []
 
     def stacked(s):
         calls.append(np.shape(s))
         return _integrands(s)
 
-    rows = improper_integral(stacked, a, 2.0)
-    assert len(calls) == (2 if a == 0.0 else 1)
-    single = [improper_integral(lambda s, k=k: _integrands(s)[k], a, 2.0)
+    ends = [0.0, a, 2.0] if a else [0.0, 2.0]
+    s, rows, err = improper_integral(stacked, ends)
+    assert len(calls) == 1
+    single = [improper_integral(lambda s, k=k: _integrands(s)[k], ends)
               for k in range(5)]
-    assert rows.tolist() == single
-    assert math.isinf(single[1]) == (a == 0.0) and single[2] == 0.0
+    assert rows.tolist() == [out[1].tolist() for out in single]
+    assert err.tolist() == [out[2] for out in single]
+    assert math.isinf(rows[1, 0]) and rows[2].tolist() == [0.0] * s.size
+    assert rows[4, 0] == pytest.approx(6.0, rel=1e-15)
     # leading axes of any shape stack the same way
     square = improper_integral(
-        lambda s: _integrands(s)[[[0, 1], [2, 3]]], a, 2.0)
-    assert square.tolist() == [single[:2], single[2:4]]
+        lambda s: _integrands(s)[[[0, 1], [2, 3]]], ends)[1]
+    assert square.tolist() == [rows[:2].tolist(), rows[2:4].tolist()]
 
 
 def test_boundedness_criterion_disk_oracle():
@@ -235,16 +291,18 @@ class _CountedConjugate:
 
 @pytest.mark.parametrize("a", [0.25, 0.75])
 def test_data_admissibility_integrates_the_ladder_at_once(a):
-    # the 8 lam of the ladder take two integrand calls in all, and each
-    # modular is the one that its own integral gives, bit for bit
+    # the 8 lam of the ladder take one integrand call in all, and each
+    # modular is the one that a per-panel loop gives, bit for bit
     f_rf = Datum(f"pow:a={a}").rearranged(1.0)
     conj = _CountedConjugate(ExpMinusOneYoung())
     out = data_admissibility(f_rf, conj, 2)
-    assert [shape[0] for shape in conj.calls] == [8, 8]
+    assert [shape[0] for shape in conj.calls] == [8]
+    s = improper_integral(lambda s: s, f_rf.breakpoints)[0]
     expected = []
     for lam in np.geomspace(1e2, 1e-2, 8):
-        m = improper_integral(lambda s, lam=lam: conj.conj.value(
-            s ** 0.5 * f_rf.maximal_eval(s) / lam), 0.0, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = _loop(lambda s, lam=lam: conj.conj.value(
+                f_rf.weighted_maximal(s, 2) / lam), s[1:])[0]
         expected.append({"lam": float(lam), "modular": m,
                          "finite": math.isfinite(m)})
         if not math.isfinite(m):

@@ -1126,3 +1126,9 @@ def test_a_lone_value_is_the_only_key_of_its_kind():
     for spec in ("const:1,2", "power:2"):
         with pytest.raises(YoungFunctionError, match="not key=value"):
             young.parse_spec(spec, kinds)
+
+
+def test_a_repeated_key_is_refused():
+    # the last value would win silently: power:p=2,p=3 built p = 3
+    with pytest.raises(YoungFunctionError, match="key 'p' is repeated"):
+        parse_scalar_function("power:p=2,p=3")
