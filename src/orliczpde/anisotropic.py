@@ -116,9 +116,11 @@ class AnisotropicYoungFunction:
     form = "custom"
 
     def __init__(self, n):
-        if n < 2:
-            raise YoungFunctionError("dimension must be >= 2")
+        if not float(n).is_integer():
+            raise YoungFunctionError(f"dimension n = {n!r} is not an integer")
         self.n = int(n)
+        if self.n < 2:
+            raise YoungFunctionError("dimension must be >= 2")
 
     def value(self, xi):
         raise NotImplementedError
@@ -155,6 +157,10 @@ class LinearCombinationPhi(AnisotropicYoungFunction):
         self.coeffs, self.terms = np.asarray(coeffs, dtype=float), list(terms)
         if self.coeffs.shape[1] != n:
             raise YoungFunctionError("coefficient rows must have length n")
+        for k, row in enumerate(self.coeffs):
+            if not np.all(np.isfinite(row)):
+                raise YoungFunctionError(
+                    f"term {k}: coefficient row {row.tolist()} is not finite")
         if np.linalg.matrix_rank(self.coeffs) < n:
             raise YoungFunctionError(
                 "coefficient rows must span R^n (else sublevel sets are "
@@ -636,13 +642,14 @@ def from_json(doc):
     """
     form = _item(doc, "form", "an anisotropic function")
     where = f"{form} form"
-    n = int(_item(doc, "n", where))
+    n = _item(doc, "n", where)
     if form == "radial":
         return RadialPhi(n, parse_scalar_function(_item(doc, "term", where)))
     if form == "split":
         terms = [parse_scalar_function(t) for t in _item(doc, "terms", where)]
         if len(terms) != n:
-            raise YoungFunctionError("split form needs one term per axis")
+            raise YoungFunctionError(f"split form needs one term per axis, "
+                                     f"{len(terms)} for n = {n!r}")
         return SplitPhi(terms)
     if form == "linear_combination":
         rows = [(_item(t, "coeffs", f"{where} term {i}"),

@@ -115,12 +115,12 @@ def make_record(example_id, **params):
     aniso_plap(p=(p1,..,pn), n); aniso_zyg(p=(..), alpha=(..), n);
     aniso_trud(p, q, alpha); aniso_new(p, beta); numbers or their
     strings.  Each is required, except the n of aniso_plap and
-    aniso_zyg, which must then equal the number of p_i; a missing one
-    raises :class:`YoungFunctionError` naming it and its flag.  Every
-    term A_i of ``record.phi`` is a component ``(label, p_i, alpha_i,
-    A_i)`` built once, under the one range rule p_i > 1, or p_i = 1
-    with alpha_i > 0.  aniso_trud also needs alpha > 0 and aniso_new
-    beta > 1.
+    aniso_zyg, which must then equal the number of p_i; a missing one,
+    or an n that is not an integer, raises :class:`YoungFunctionError`
+    naming it and its flag.  Every term A_i of ``record.phi`` is a
+    component ``(label, p_i, alpha_i, A_i)`` built once, under the one
+    range rule p_i > 1, or p_i = 1 with alpha_i > 0.  aniso_trud also
+    needs alpha > 0 and aniso_new beta > 1.
     """
     if example_id not in EXAMPLE_IDS:
         raise YoungFunctionError(
@@ -128,6 +128,15 @@ def make_record(example_id, **params):
     for key in _PARAMETERS[example_id]:
         if params.get(key) is None:
             raise YoungFunctionError(f"{example_id} needs {key} (--{key})")
+    dim = params.get("n")
+    try:
+        integral = dim is None or float(dim).is_integer()
+    except (TypeError, ValueError):
+        integral = False
+    if not integral:
+        raise YoungFunctionError(
+            f"{example_id} needs an integer n (--n), not {dim!r}")
+    dim = None if dim is None else int(float(dim))
     # the family's own parameters; the dimension n is not one of them
     keys = [key for key in _PARAMETERS[example_id] if key != "n"]
     if example_id == "aniso_new":
@@ -142,7 +151,7 @@ def make_record(example_id, **params):
         return ExampleRecord(example_id, 2, kept, [], phi, 2.0 * kept["p"],
                              -kept["p"] / kept["beta"])
     if example_id in ("plap", "iso_zyg"):
-        n, kept = int(params["n"]), {key: float(params[key]) for key in keys}
+        n, kept = dim, {key: float(params[key]) for key in keys}
         comps = [_component("|grad u|", kept["p"], kept.get("alpha"))]
         phi = RadialPhi(n, comps[0][3])
     elif example_id == "aniso_trud":
@@ -158,7 +167,7 @@ def make_record(example_id, **params):
                 for key in keys}
         n = len(kept["p"])
         alphas = kept.get("alpha", (None,) * n)
-        if int(params.get("n", n)) != n or len(alphas) != n:
+        if dim not in (None, n) or len(alphas) != n:
             raise YoungFunctionError(
                 f"{example_id} needs one p_i (and alpha_i) per axis")
         comps = [_component(f"u_x{i + 1}", pi, ai)

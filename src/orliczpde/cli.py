@@ -105,13 +105,28 @@ def _measure(text):
     return omega
 
 
+def _read_json(text, source):
+    """``text`` as JSON; text that is not, or a number that is not
+    finite, raises :class:`ConfigError` naming ``source``."""
+    def finite(token):
+        val = float(token)
+        if not math.isfinite(val):
+            raise ConfigError(f"{source} holds {token}, not a finite number")
+        return val
+
+    try:
+        return json.loads(text, parse_float=finite, parse_constant=finite)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{source} is not JSON: {exc}") from None
+
+
 def _phi_from_config(cfg):
+    """--phi: JSON text, a .json path, or a --config object."""
     doc = cfg["phi"]
     if isinstance(doc, str) and doc.endswith(".json"):
-        with open(doc, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    if isinstance(doc, str):
-        doc = json.loads(doc)
+        doc = _read_json(Path(doc).read_text(encoding="utf-8"), f"--phi {doc}")
+    elif isinstance(doc, str):
+        doc = _read_json(doc, "--phi")
     return anisotropic.from_json(doc)
 
 
@@ -199,7 +214,7 @@ def cmd_phicirc(cfg, out):
 
 def cmd_embedding(cfg, out):
     circ = _scalar_from_config(cfg, "phi_circ")
-    n = int(cfg["n"])
+    n = cfg["n"]
     verdict, diag = classify_integral(circ, n)
     report = {"n": n, "dichotomy": verdict, "diagnostics": diag}
     if verdict == "convergent":
@@ -224,7 +239,7 @@ def cmd_embedding(cfg, out):
 
 def cmd_symmetrize_solve(cfg, out):
     a = _scalar_from_config(cfg, "phi")
-    n = int(cfg["n"])
+    n = cfg["n"]
     omega = _measure(cfg["omega"])
     f_rf = rearrangement.Datum(cfg["f"]).rearranged(omega)
     sol = radial.solve_radial(a.psi_inverse, f_rf, n)
@@ -391,7 +406,7 @@ def cmd_verify_example(cfg, out):
 
 def cmd_admissibility(cfg, out):
     circ = _scalar_from_config(cfg, "phi_circ")
-    n = int(cfg["n"])
+    n = cfg["n"]
     omega = _measure(cfg["omega"])
     f_rf = rearrangement.Datum(cfg["f"]).rearranged(omega)
     dich, _ = classify_integral(circ, n)
@@ -478,24 +493,14 @@ def _merge_config(args):
     """The command's table of CONFIG_KEYS filled in: each key from its
     flag, else from the --config document, else its default; a null
     value is unset.  A document that is not a JSON object or holds a
-    number that is not finite, a key outside the table, or a REQUIRED
-    key that neither sets, raises :class:`ConfigError`."""
+    number that is not finite, a key outside the table, a value that is
+    not an integer for a key whose flag is, or a REQUIRED key that
+    neither sets, raises :class:`ConfigError`."""
     keys = CONFIG_KEYS[args.command]
     doc = {}
     if args.config:
-        def finite(token):
-            val = float(token)
-            if not math.isfinite(val):
-                raise ConfigError(f"--config {args.config} holds {token}, "
-                                  "not a finite number")
-            return val
-
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh, parse_float=finite, parse_constant=finite)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"--config {args.config} is not JSON: "
-                                  f"{exc}") from None
+        doc = _read_json(Path(args.config).read_text(encoding="utf-8"),
+                         f"--config {args.config}")
         if not isinstance(doc, dict):
             raise ConfigError(f"--config {args.config} holds "
                               f"{json.dumps(doc)[:80]}, not a JSON object")
@@ -505,9 +510,15 @@ def _merge_config(args):
                 f"--config keys {unread} are not read by {args.command}, "
                 f"which reads {list(keys)}")
     cfg = {}
-    for key, (_kind, default, _text) in keys.items():
+    for key, (kind, default, _text) in keys.items():
         val = getattr(args, key, None)
-        val = doc.get(key) if val is None else val
+        if val is None:
+            val = doc.get(key)
+            if kind is int and val is not None:
+                # an integral JSON number, not a bool or a string
+                if type(val) not in (int, float) or val != int(val):
+                    raise ConfigError(f"{key} = {val!r} is not an integer")
+                val = int(val)
         if val is None and default is REQUIRED:
             raise ConfigError(f"missing --{key.replace('_', '-')} (a flag, "
                               f"or {key!r} in the --config document)")

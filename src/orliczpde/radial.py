@@ -3,13 +3,18 @@
 The Schwarz-symmetrized Dirichlet problem on the ball of measure
 |Omega| has the explicit radially decreasing solution
 
-    v(r) = Int_r^R  PsiInv( rho * f**(om_n rho^n) / n ) drho,
-    |grad v|(r) = PsiInv( r * f**(om_n r^n) / n ),
+    v(r) = c^-1 Int_s^{|Omega|} t^{-1/n'} PsiInv(t^{1/n} f**(t) / c) dt,
+    |grad v|(r) = PsiInv(s^{1/n} f**(s) / c),
 
-where PsiInv is the inverse of Psi_diamond(t) = Phi_diamond(t)/t and
-om_n R^n = |Omega|, taken at the panel ends of one Gauss-Kronrod
-quadrature in s = om_n r^n.  Its center value v(0) is the sharp
-L-infinity bound for the original anisotropic problem when finite.
+s = om_n r^n and c = n om_n^{1/n}, where PsiInv is the inverse of
+Psi_diamond(t) = Phi_diamond(t)/t.  Its centre value
+
+    B = v(0) = c^-1 Int_0^{|Omega|} s^{-1/n'} PsiInv(s^{1/n} f**(s) / c) ds
+
+is the sharp L-infinity bound for the original anisotropic problem,
+infinite exactly when the integral diverges.  :func:`solve_radial`
+takes v, |grad v| and B from one Gauss-Kronrod quadrature
+(:func:`rearrangement.improper_integral`), at its panel ends.
 
 The same module houses the estimate checkers used against solver
 output: the Theta-gradient L^1 bound with constant
@@ -27,7 +32,7 @@ import numpy as np
 
 from .anisotropic import unit_ball_volume
 from .embedding import EmbeddingProfile
-from .rearrangement import radial_profile
+from .rearrangement import TOLERANCE, improper_integral
 from .young import write_csv
 
 __all__ = [
@@ -47,8 +52,6 @@ class RadialSolution:
     """v and |grad v| at the panel ends of the radial quadrature, r = 0
     to R, and the quadrature's ``convergence`` record."""
 
-    n: int
-    domain_measure: float
     r: np.ndarray
     v: np.ndarray
     g: np.ndarray
@@ -58,9 +61,6 @@ class RadialSolution:
     def radius(self):
         return float(self.r[-1])
 
-    def value(self, r):
-        return np.interp(np.asarray(r, dtype=float), self.r, self.v)
-
     def to_csv(self, path):
         """The columns r, v and |v'| (:func:`young.write_csv`)."""
         write_csv(path, "r,v,gradient_magnitude",
@@ -68,16 +68,29 @@ class RadialSolution:
 
 
 def solve_radial(psi_diamond_inv, f_rf, n):
-    """The closed-form radial solution at the panel ends of its one
-    quadrature (:func:`rearrangement.radial_profile`): v(R) = 0 exactly,
-    and v(0) is the sharp bound, infinite exactly when the integral
-    diverges.  ``psi_diamond_inv`` is a vectorized callable for PsiInv;
-    ``f_rf`` is the rearrangement of the datum on (0, |Omega|].  58 rows
-    for f = 1, 568 for the benchmark's 512-step datum; on f = 1 with
-    Phi_diamond = t^2 in the unit disk v(0) = 1/4 to 1e-15.
+    """v, |grad v| and B = v(0) at the panel ends of one quadrature,
+    r = 0 to R, with v(R) = 0 exactly.  ``convergence`` is a report's
+    record: the panels' error estimate (the head has none), their
+    number, and whether the estimate is at most
+    ``rearrangement.TOLERANCE`` times v(s_1).  ``psi_diamond_inv`` is a
+    vectorized callable for PsiInv; ``f_rf`` is the rearrangement of
+    the datum on (0, |Omega|].  58 rows for f = 1, 568 for the
+    benchmark's 512-step datum; on f = 1 with Phi_diamond = t^2 in the
+    unit disk v(0) = 1/4 to 1e-15.
     """
-    return RadialSolution(n, f_rf.domain_measure,
-                          *radial_profile(f_rf, psi_diamond_inv, n))
+    om = unit_ball_volume(n)
+    c = n * om ** (1.0 / n)
+
+    def g_of(s):
+        return np.asarray(psi_diamond_inv(f_rf.weighted_maximal(s, n) / c),
+                          dtype=float)
+
+    s, integral, err = improper_integral(
+        lambda s: s ** (1.0 / n - 1.0) * g_of(s), f_rf.breakpoints)
+    v, err = integral / c, float(err) / c
+    return RadialSolution((s / om) ** (1.0 / n), v, g_of(s), {
+        "error_estimate": err, "panels": s.size - 2,
+        "tolerance_met": bool(err <= TOLERANCE * v[1])})
 
 
 def gradient_l1_bound(theta_values, cell_measures, domain_measure, f_l1, n):

@@ -11,15 +11,12 @@ f* and f** in closed form.
 On top of these:
 
 * the Marcinkiewicz quasinorm  inf{lam : sup_s u*(s)/rho^{-1}(lam/s) <= 1},
-* the data-admissibility modular  Int conj(Phi_circ)(s^{1/n} f**(s)/lam) ds,
-* the sharp boundedness criterion
-  B = (n om_n^{1/n})^{-1} Int_0^{|Omega|} s^{-1/n'}
-        PsiInv(s^{1/n} f**(s) / (n om_n^{1/n})) ds,
-  which equals the center value of the symmetrized radial solution.
+* the data-admissibility modular  Int conj(Phi_circ)(s^{1/n} f**(s)/lam) ds.
 
-Each integral is one Gauss-Kronrod quadrature with an error estimate,
-cumulative over panels that are geometric towards 0
-(:func:`improper_integral`).
+Each integral over (0, |Omega|), the modulars here as the radial
+solution of :mod:`radial` and its sharp bound, is one Gauss-Kronrod
+quadrature with an error estimate, cumulative over panels that are
+geometric towards 0 (:func:`improper_integral`).
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ import math
 
 import numpy as np
 
-from .anisotropic import unit_ball_volume
 from .grid import GridField, point_mass_field
 from .young import InverseRangeError, YoungFunctionError, parse_spec
 
@@ -36,10 +32,8 @@ __all__ = [
     "Datum",
     "RearrangedFunction",
     "PowerProfile",
-    "radial_profile",
     "marcinkiewicz_quasinorm",
     "data_admissibility",
-    "boundedness_criterion",
 ]
 
 # Gauss-Kronrod 7-15 on [-1, 1] (QUADPACK's qk15, Piessens et al. 1983):
@@ -271,34 +265,6 @@ def improper_integral(fn, breakpoints):
         [head[..., None], tail, np.zeros(head.shape + (1,))], axis=-1), err
 
 
-def radial_profile(f_rf, psi_diamond_inv, n):
-    """``(r, v, g, convergence)``: the symmetrized radial solution
-
-        v(r) = c^-1 Int_s^{|Omega|} t^{-1/n'} PsiInv(t^{1/n} f**(t) / c) dt,
-        g(r) = |grad v|(r) = PsiInv(s^{1/n} f**(s) / c),
-
-    s = om_n r^n and c = n om_n^{1/n}, at the panel ends of
-    :func:`improper_integral`, r = 0 to R; v(0) is the sharp bound.
-    ``convergence`` is a report's record: the panels' error estimate
-    (the head has none), their number, and whether the estimate is at
-    most ``TOLERANCE`` times v(s_1).  ``psi_diamond_inv`` is the inverse
-    of Psi_diamond, as a callable.
-    """
-    om = unit_ball_volume(n)
-    c = n * om ** (1.0 / n)
-
-    def g_of(s):
-        return np.asarray(psi_diamond_inv(f_rf.weighted_maximal(s, n) / c),
-                          dtype=float)
-
-    s, integral, err = improper_integral(
-        lambda s: s ** (1.0 / n - 1.0) * g_of(s), f_rf.breakpoints)
-    v, err = integral / c, float(err) / c
-    return (s / om) ** (1.0 / n), v, g_of(s), {
-        "error_estimate": err, "panels": s.size - 2,
-        "tolerance_met": bool(err <= TOLERANCE * v[1])}
-
-
 def marcinkiewicz_quasinorm(rf, varrho):
     """Smallest lam with u*(s) <= varrho^{-1}(lam/s) for all s, i.e.
 
@@ -367,16 +333,3 @@ def data_admissibility(f_rf, conj_phi_circ, n, dichotomy="divergent"):
     if size < lams.size:
         raise error
     return {"verdict": "admissible", "ladder": rows}
-
-
-def boundedness_criterion(f_rf, psi_diamond_inv, n):
-    """The sharp L-infinity bound
-
-        B = (n om_n^{1/n})^{-1} Int_0^{|Omega|} s^{-1/n'}
-              PsiInv( s^{1/n} f**(s) / (n om_n^{1/n}) ) ds,
-
-    the v(0) of :func:`radial_profile`, math.inf when the integral
-    diverges, with |Omega| the datum's ``domain_measure``.
-    ``psi_diamond_inv`` is the inverse of Psi_diamond, as a callable.
-    """
-    return float(radial_profile(f_rf, psi_diamond_inv, n)[1][0])

@@ -638,6 +638,58 @@ def test_from_json_names_a_missing_key(doc, message, tmp_path):
     assert error == {"type": "YoungFunctionError", "message": message}
 
 
+def _phicirc_error(phi, tmp_path):
+    out = tmp_path / "out"
+    assert main(["phicirc", "--phi", phi, "--out", str(out), "--quiet"]) == 1
+    return json.loads((out / "error.json").read_text())["error"]
+
+
+@pytest.mark.parametrize("doc", [{**_RADIAL, "n": 2.7}, {**_LINEAR, "n": 2.7}],
+                         ids=["radial", "linear_combination"])
+def test_a_non_integral_dimension_is_refused(doc, tmp_path):
+    # n = 2.7 ran as n = 2
+    message = "dimension n = 2.7 is not an integer"
+    with pytest.raises(YoungFunctionError) as err:
+        from_json(doc)
+    assert str(err.value) == message
+    assert _phicirc_error(json.dumps(doc), tmp_path) == {
+        "type": "YoungFunctionError", "message": message}
+
+
+def _with_coeffs(coeffs):
+    doc = json.loads(json.dumps(_LINEAR))
+    doc["terms"][1]["coeffs"] = coeffs
+    return doc
+
+
+@pytest.mark.parametrize("doc, token", [
+    ({**_RADIAL, "n": math.nan}, "NaN"),
+    (_with_coeffs([1, math.nan]), "NaN"),
+    (_with_coeffs([math.inf, 0]), "Infinity"),
+], ids=["n-nan", "coeffs-nan", "coeffs-inf"])
+def test_phicirc_refuses_a_non_finite_number_where_phi_enters(doc, token,
+                                                             tmp_path):
+    # these failed as an unnamed ValueError, as an SVD that did not
+    # converge, or as rows that do not span R^n; --phi text and a .json
+    # path are read like --config
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(doc))
+    for phi, source in ((json.dumps(doc), "--phi"),
+                        (str(path), f"--phi {path}")):
+        assert _phicirc_error(phi, tmp_path) == {
+            "type": "ConfigError",
+            "message": f"{source} holds {token}, not a finite number"}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_combination_refuses_a_non_finite_row(bad):
+    with pytest.raises(YoungFunctionError) as err:
+        LinearCombinationPhi(2, [([1.0, -1.0], PowerYoung(2)),
+                                 ([1.0, bad], PowerYoung(3))])
+    assert str(err.value) == (
+        f"term 1: coefficient row [1.0, {bad!r}] is not finite")
+
+
 @pytest.mark.parametrize("spec,t_lo,t_hi", [
     ("power:p=1.5", 1e-2, 1e3),
     ("power:p=2", 1e-2, 1e3),

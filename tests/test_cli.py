@@ -741,7 +741,7 @@ def test_every_csv_writer_ends_lines_with_crlf(tmp_path):
         "young": PowerLogYoung(2.0, 1.0).to_csv,
         "grid": grid.GridField.zeros(5).to_csv,
         "radial": radial.RadialSolution(
-            2, 1.0, np.array([0.0, 1.0]), np.array([1.0, 0.0]),
+            np.array([0.0, 1.0]), np.array([1.0, 0.0]),
             np.array([0.0, 1.0]), {}).to_csv,
     }
     for name, write in writers.items():
@@ -1388,7 +1388,7 @@ def test_keyword_item_without_value_is_named(command, spec, item, tmp_path):
     ([*GRID_SOLVE, "point:mass=nan"], "item 'mass=nan'"),
     ([*GRID_SOLVE, "GRID"], "GRID"),
     (["phicirc", "--phi", '{"n": 2, "form": "radial", '
-      '"term": {"kind": "power", "p": NaN}}'], "item 'p'"),
+      '"term": {"kind": "power", "p": NaN}}'], "--phi holds NaN"),
 ], ids=["omega_nan", "omega_inf", "omega_negative", "const_nan",
         "const_inf", "pow_c_inf", "steps_csv", "steps_csv_radial",
         "power_p_nan", "table_csv", "grid_const_nan", "point_mass_nan",
@@ -1569,6 +1569,33 @@ def test_grid_solve_refuses_a_non_integral_n(n_nodes, code, tmp_path):
         assert report["N"] == 17
 
 
+_INT_KEYS = [(command, key) for command, keys in cli.CONFIG_KEYS.items()
+             for key, (kind, _default, _text) in keys.items() if kind is int]
+
+
+@pytest.mark.parametrize("value, taken", [
+    (17, 17), (17.0, 17), (17.9, None), ("17", None), (True, None)])
+@pytest.mark.parametrize("command, key", _INT_KEYS,
+                         ids=[f"{cmd}-{key}" for cmd, key in _INT_KEYS])
+def test_an_integer_key_takes_only_an_integral_number(command, key, value,
+                                                      taken, tmp_path):
+    # n = 2.7 from --config ran as n = 2, and "2.5" failed as an unnamed
+    # ValueError: the document's value is an integral JSON number
+    doc = {name: "x" for name, (_kind, default, _text)
+           in cli.CONFIG_KEYS[command].items() if default is cli.REQUIRED}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**doc, key: value}))
+    namespace = cli.build_parser(command).parse_args(
+        [command, "--config", str(config)])
+    if taken is None:
+        with pytest.raises(cli.ConfigError) as err:
+            cli._merge_config(namespace)
+        assert str(err.value) == f"{key} = {value!r} is not an integer"
+    else:
+        got = cli._merge_config(namespace)[key]
+        assert got == taken and type(got) is int
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
 def test_config_with_a_non_finite_number_is_named(token, tmp_path,
                                                   monkeypatch):
@@ -1663,6 +1690,24 @@ def test_verify_example_names_a_missing_parameter(family, key, tmp_path):
     err = json.loads((out / "error.json").read_text())["error"]
     assert err["type"] == "YoungFunctionError"
     assert err["message"] == f"{family} needs {key} (--{key})"
+
+
+@pytest.mark.parametrize("args, doc, shown", [
+    (["--p", "2", "--n", "2.5"], None, "'2.5'"),
+    ([], dict(n=3.5, p="2"), "3.5"),
+], ids=["flag", "config"])
+def test_verify_example_refuses_a_non_integral_n(args, doc, shown, tmp_path):
+    # --n 2.5 failed as an unnamed ValueError, and 3.5 from --config ran
+    # as n = 3
+    if doc is not None:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        args = [*args, "--config", str(config)]
+    code, out = run(["verify-example", "plap", *args], tmp_path)
+    assert code == 1
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err == {"type": "YoungFunctionError",
+                   "message": f"plap needs an integer n (--n), not {shown}"}
 
 
 def test_approx_seq_verdict_failure_is_exit_2(tmp_path):

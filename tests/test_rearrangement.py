@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orliczpde import rearrangement
+from orliczpde import radial, rearrangement
 from orliczpde.anisotropic import gauss_legendre
 from orliczpde.rearrangement import (
     Datum,
     PowerProfile,
     RearrangedFunction,
-    boundedness_criterion,
     data_admissibility,
     improper_integral,
     marcinkiewicz_quasinorm,
@@ -265,16 +264,16 @@ def test_boundedness_criterion_disk_oracle():
     # Phi_diamond = t^2 (PsiInv = identity), f = 1 on the unit disk:
     # B = (2 sqrt(pi))^{-2} * pi = 1/4, the radial center value
     rf = RearrangedFunction([0.0, math.pi], [1.0])
-    B = boundedness_criterion(rf, lambda x: x, 2)
+    B = radial.solve_radial(lambda x: x, rf, 2).v[0]
     assert B == pytest.approx(0.25, rel=1e-6)
     # p = 3: PsiInv(x) = sqrt(x); closed form (1/2)^{1/2} / (3/2)
-    B3 = boundedness_criterion(rf, np.sqrt, 2)
+    B3 = radial.solve_radial(np.sqrt, rf, 2).v[0]
     assert B3 == pytest.approx(math.sqrt(0.5) / 1.5, rel=1e-4)
 
 
 def test_boundedness_zero_data():
     rf = RearrangedFunction([0.0, 1.0], [0.0])
-    assert boundedness_criterion(rf, lambda x: x, 2) == 0.0
+    assert radial.solve_radial(lambda x: x, rf, 2).v[0] == 0.0
 
 
 class _CountedConjugate:
