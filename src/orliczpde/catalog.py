@@ -78,6 +78,7 @@ _PARAMETERS = {"plap": ("p", "n"), "iso_zyg": ("p", "alpha", "n"),
                "aniso_plap": ("p",), "aniso_zyg": ("p", "alpha"),
                "aniso_trud": ("p", "q", "alpha"), "aniso_new": ("p", "beta")}
 EXAMPLE_IDS = tuple(_PARAMETERS)
+_PLANAR = ("aniso_trud", "aniso_new")  # families defined on R^2 alone
 
 _LOG_SHIFT = math.exp(2.0)  # constant inside log(c + t); raised if needed
 
@@ -115,12 +116,14 @@ def make_record(example_id, **params):
     aniso_plap(p=(p1,..,pn), n); aniso_zyg(p=(..), alpha=(..), n);
     aniso_trud(p, q, alpha); aniso_new(p, beta); numbers or their
     strings.  Each is required, except the n of aniso_plap and
-    aniso_zyg, which must then equal the number of p_i; a missing one,
-    or an n that is not an integer, raises :class:`YoungFunctionError`
-    naming it and its flag.  Every term A_i of ``record.phi`` is a
-    component ``(label, p_i, alpha_i, A_i)`` built once, under the one
-    range rule p_i > 1, or p_i = 1 with alpha_i > 0.  aniso_trud also
-    needs alpha > 0 and aniso_new beta > 1.
+    aniso_zyg, which must then equal the number of p_i; the planar
+    aniso_trud and aniso_new take n = 2 alone.  A missing one, or an n
+    that is not an integer, raises :class:`YoungFunctionError` naming it
+    and its flag, as does an n other than 2 for a planar family.  Every
+    term A_i of ``record.phi`` is a component
+    ``(label, p_i, alpha_i, A_i)`` built once, under the one range rule
+    p_i > 1, or p_i = 1 with alpha_i > 0.  aniso_trud also needs
+    alpha > 0 and aniso_new beta > 1.
     """
     if example_id not in EXAMPLE_IDS:
         raise YoungFunctionError(
@@ -137,6 +140,9 @@ def make_record(example_id, **params):
         raise YoungFunctionError(
             f"{example_id} needs an integer n (--n), not {dim!r}")
     dim = None if dim is None else int(float(dim))
+    if example_id in _PLANAR and dim not in (None, 2):
+        raise YoungFunctionError(
+            f"{example_id} is planar: it takes n = 2 (--n), not n = {dim}")
     # the family's own parameters; the dimension n is not one of them
     keys = [key for key in _PARAMETERS[example_id] if key != "n"]
     if example_id == "aniso_new":

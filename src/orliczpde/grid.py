@@ -46,11 +46,11 @@ the iteration stops.  Otherwise a full step is taken only if it lowers
 the sup residual and raises J by no more than that level, else the
 iteration stops; it also stops when the sup residual has stalled.  The
 energy trace is monotone up to that rounding bound.  On f = 1 with
-N = 65-257 and p = 1.5-4, the gap stop comes 1-3 Newton steps before
-the sup residual reaches the tolerance, and moves u by at most 3.1e-8
-of max |u|.  For Phi = |xi|^2/2 the energy gradient is exactly the
-5-point scheme, d = 4 and the first Newton step solves it in one CG
-iteration.  ``solve`` returns the field and its record: the gap, the
+N = 65-257 and p = 1.5-4, that rounding-level stop comes 1-3 Newton
+steps before the sup residual reaches the tolerance, and moves u by at
+most 3.1e-8 of max |u|.  For Phi = |xi|^2/2 the energy gradient is
+exactly the 5-point scheme, d = 4 and the first Newton step solves it
+in one CG iteration.  ``solve`` returns the field and its record: the gap, the
 sup residual (tolerance 1e-9 (1 + ||f||_1)) and the step counts.
 
 A solve from zero runs coarse to fine (nested iteration): on an odd N
@@ -66,6 +66,23 @@ solved to, under ``levels``.  On the constant datum at N = 129 and
 257, the finest mesh then takes about half the Newton and CG work of a
 solve from zero for p = 4, a third less for p = 3, and 40 % fewer CG
 iterations for p = 1.5.
+
+A level started from a converged coarser level is solved no further
+than its discretization error (Bank & Rose 1982, Math. Comp. 39; Ern &
+Vohralik 2013, SIAM J. Sci. Comput. 35).  Its indicator is
+eta = |J - J_c|, J_c the coarser level's final energy, and it stops
+once its gap is at most max(bound, 1e-6 eta): the gap still certifies
+J(u) - min J, now to a millionth of the change of J with the mesh, so
+the algebraic error is near 1e-3 of the discretization error in the
+energy norm.  The gap check is widened to match: it runs once the
+Newton decrement is within 1000 times that target.  On f = 1 at
+N = 257 the finest Newton/CG counts fall from 6/26 to 2/13 for p = 1.5
+and from 4/13 to 3/9 for p = 3, and u moves from the rounding-level
+solution by at most 1.8e-3 of |u_N - P u_N/2|_inf on the five
+non-quadratic sweep cases.  A level with no coarser one, or whose
+coarser one did not converge, and a solve from ``u0`` keep the stop at
+J's rounding level.  At p = 2 the one exact Newton step stops on the
+residual before any gap check.
 
 Also here: truncated-data solution ladders (approximable solutions)
 and the mollified point-mass datum.
@@ -591,8 +608,17 @@ def _pcg(spec, weights, rhs, ws, rel_tol):
 # same Newton step counts and residuals for any value from 1 to 256.
 _ROUNDING_ULPS = 16.0
 
-# A decrement within this factor of J's rounding level: check the gap next
+# A decrement within this factor of the gap's target: check the gap next
 _GAP_PRECHECK = 1000.0
+
+# A level whose coarser level converged stops once its duality gap is at
+# most _THETA eta, eta = |J - J_c| the change of the energy from the
+# coarser level's final J_c, its discretization indicator.  An energy
+# difference is a squared norm, so the algebraic error is then near
+# sqrt(_THETA) = 1e-3 of the discretization error in the energy norm: on
+# f = 1, N = 65-257 and p = 1.5-4, |u - u_rounding|_inf reads at most
+# 1.8e-3 of |u_N - P u_N/2|_inf, and up to 0.27 with _THETA = 1e-3.
+_THETA = 1e-6
 
 
 def _gap(spec, u, g, J, J_scale, ws, terms=None):
@@ -669,7 +695,8 @@ def solve(spec, f_field, max_iter=100, u0=None):
     Once the Newton decrement g.d falls below the rounding level of J,
     16 eps * h^2 (Sum |density| + Sum |f u|), J can no longer rank
     steps.  The duality gap of u (:func:`duality_gap`) is evaluated
-    then, once, and the iteration stops if it is at most its bound, 16
+    then, once, and the iteration stops if it is at most its target,
+    which without a discretization indicator (below) is its bound, 16
     ulps of the rounding scale of J plus that of the dual energy: u is
     then a minimizer of J to rounding, whatever its sup residual.
     Otherwise the full step is taken if it lowers the sup residual and
@@ -680,7 +707,7 @@ def solve(spec, f_field, max_iter=100, u0=None):
     norm of the energy gradient, scaled to PDE units (divided by h^2),
     drops below tol = 1e-9 * (1 + ||f||_1), and when that sup residual
     sets no new minimum in 15 consecutive steps (a stall).  A solve has
-    converged when the gap of its last iterate is at most its bound or
+    converged when the gap of its last iterate is at most its target or
     the sup residual is at most tol; one that has not raises
     :class:`SolveError`, which carries the info dict below.  Newton
     writes into a copy of the start ``u0`` whose boundary is zeroed.
@@ -695,13 +722,23 @@ def solve(spec, f_field, max_iter=100, u0=None):
     finer level starts from zero.
     tol, ``max_iter``, the stall stop and :class:`SolveError`
     concern the finest level; ``max_iter`` also caps each coarse level.
+    A level, the finest or a coarse one, that starts from a converged
+    coarser level has the discretization indicator eta = |J - J_c|,
+    J_c that level's final energy, and its gap target is
+    max(gap bound, 1e-6 eta) instead of the gap bound: the gap is
+    evaluated once the decrement is within 1000 times the target, and
+    the iteration stops ("discretization") when the gap meets it.
 
     The info dict holds ``energies``, ``residual`` (the sup residual),
     ``dual_residual`` (sqrt(g . L^-1 g) for the final energy gradient g
     and the inverse 5-point Laplacian L^-1: the discrete H^-1 norm of the
-    PDE residual), ``duality_gap`` and its bound ``gap_bound``, ``stop``
-    ("gap" when the gap stopped the iteration, else "residual"),
-    ``converged`` (gap <= gap_bound or residual <= tol) and the counts
+    PDE residual), ``duality_gap`` and its bound ``gap_bound``,
+    ``discretization_indicator`` (eta, None without a converged coarser
+    level), ``gap_target`` (max(gap_bound, 1e-6 eta), or gap_bound),
+    ``stop`` ("gap" when a gap within its bound stopped the iteration,
+    "discretization" when a gap within the target above it did, else
+    "residual"), ``converged`` (gap <= gap_target or residual <= tol)
+    and the counts
     ``newton_steps``, ``pcg_iterations``, ``pcg_maxiter_hits`` (CG solves
     that ran to their iteration cap), ``pcg_breakdowns`` (CG solves
     stopped by a direction with p.Hp <= 0), ``descent_fallbacks`` (Newton
@@ -710,17 +747,20 @@ def solve(spec, f_field, max_iter=100, u0=None):
     all of the finest level.  ``levels`` lists the coarse levels, coarsest
     first, each with its ``N``, the tolerance ``tol`` it was solved to,
     ``newton_steps``, ``pcg_iterations``, ``residual``, ``duality_gap``,
-    ``gap_bound`` and ``converged``; it is empty for a solve from ``u0``.
+    ``gap_bound``, ``discretization_indicator``, ``gap_target``,
+    ``converged`` and its final ``energy``; it is empty for a solve from
+    ``u0``.
     A level that did not stop on its gap evaluates it at its last iterate,
     so every record holds the gap and its bound.
     """
     levels = []
     tol = _TOL * (1.0 + f_field.l1())
+    coarse_energy = None
     if u0 is None:
-        u0 = _coarse_start(spec, f_field, max_iter, levels)
+        u0, coarse_energy = _coarse_start(spec, f_field, max_iter, levels)
     else:
         u0 = GridField(np.array(u0, dtype=float)).zero_boundary().values
-    u, info = _newton(spec, f_field, tol, max_iter, u0)
+    u, info = _newton(spec, f_field, tol, max_iter, u0, coarse_energy)
     stalled = info.pop("stalled_steps")
     info["levels"] = levels
     if not info["converged"]:
@@ -729,20 +769,35 @@ def solve(spec, f_field, max_iter=100, u0=None):
         raise SolveError(
             f"no convergence after {info['newton_steps']} Newton steps "
             f"(residual {info['residual']:g}, tol {tol:g}, duality gap "
-            f"{info['duality_gap']:g} above {info['gap_bound']:g}{stall})",
+            f"{info['duality_gap']:g} above {info['gap_target']:g}{stall})",
             info)
     return GridField(u), info
 
 
-def _newton(spec, f_field, tol, max_iter, u0):
+def _gap_target(bound, J, coarse_energy):
+    """The gap that certifies an iterate of energy J: max(bound, _THETA
+    eta), eta = |J - coarse_energy|, or the rounding ``bound`` alone when
+    there is no coarse energy or _THETA eta is 0, so that a gap rounded
+    below 0 is judged by its bound.  Returns ``(target, eta)``."""
+    if coarse_energy is None:
+        return bound, None
+    eta = abs(J - coarse_energy)
+    slack = _THETA * eta
+    return (max(bound, slack) if slack > 0.0 else bound), eta
+
+
+def _newton(spec, f_field, tol, max_iter, u0, coarse_energy):
     """The Newton-Krylov iteration of :func:`solve` on one mesh, from
-    ``u0`` (zero when None), a float array that it writes into.  Returns
-    ``(u, info)``: the last iterate and an info dict with ``energies``,
-    ``residual``, ``dual_residual``, ``converged``, ``stop``,
-    ``duality_gap``, ``gap_bound``, the counts and ``stalled_steps``
-    (steps since the last residual minimum).  The gap is evaluated when
-    the Newton decrement first comes near J's rounding level, stopping
-    the iteration if it certifies u, and otherwise at the last iterate."""
+    ``u0`` (zero when None), a float array that it writes into, given
+    the final energy ``coarse_energy`` of the coarser level that gave
+    the start (None when none did).  Returns ``(u, info)``: the last
+    iterate and an info dict with ``energies``, ``residual``,
+    ``dual_residual``, ``converged``, ``stop``, ``duality_gap``,
+    ``gap_bound``, ``discretization_indicator``, ``gap_target``, the
+    counts and ``stalled_steps`` (steps since the last residual
+    minimum).  The gap is evaluated when the Newton decrement first
+    comes near its target (:func:`_gap_target`), stopping the iteration
+    if it certifies u, and otherwise at the last iterate."""
     f = f_field.values
     n = f_field.n_nodes
     h = f_field.h
@@ -761,10 +816,13 @@ def _newton(spec, f_field, tol, max_iter, u0):
         if res <= tol:
             break
         noise = _ROUNDING_ULPS * math.ulp(1.0) * J_scale
-        if unchecked and gd <= _GAP_PRECHECK * noise:
+        # the target with J's rounding level as its bound
+        near, _ = _gap_target(noise, J, coarse_energy)
+        if unchecked and gd <= _GAP_PRECHECK * near:
             gap, bound, dual_residual = _gap(spec, u, g, J, J_scale, ws)
-            if gap <= bound:
-                stop = "gap"
+            target, _ = _gap_target(bound, J, coarse_energy)
+            if gap <= target:
+                stop = "gap" if gap <= bound else "discretization"
                 break
             _cell_gradients_into(u, ws)  # the gap overwrote them
         # forcing term: loose CG early, tight near the solution, but no
@@ -786,8 +844,9 @@ def _newton(spec, f_field, tol, max_iter, u0):
             # the first step that J cannot rank: the gap may certify u
             unchecked = False
             gap, bound, dual_residual = _gap(spec, u, g, J, J_scale, ws)
-            if gap <= bound:
-                stop = "gap"
+            target, _ = _gap_target(bound, J, coarse_energy)
+            if gap <= target:
+                stop = "gap" if gap <= bound else "discretization"
                 break
         u_try, g_try = ws.r, ws.p
         if rounding:
@@ -821,12 +880,14 @@ def _newton(spec, f_field, tol, max_iter, u0):
             since_best += 1
             if since_best >= _STALL_STEPS:
                 break
-    if stop != "gap":
+    if stop == "residual":
         gap, bound, dual_residual = _gap(spec, u, g, J, J_scale, ws)
+    target, eta = _gap_target(bound, J, coarse_energy)
     return u, {"energies": energies, "residual": res,
                "dual_residual": dual_residual,
-               "converged": res <= tol or gap <= bound,
+               "converged": res <= tol or gap <= target,
                "stop": stop, "duality_gap": gap, "gap_bound": bound,
+               "discretization_indicator": eta, "gap_target": target,
                **counts, "stalled_steps": since_best}
 
 
@@ -871,32 +932,38 @@ def _prolong(values):
 
 def _coarse_start(spec, f_field, max_iter, levels):
     """The nested-iteration start of :func:`solve` on the mesh of
-    ``f_field``: the bilinear prolongation of the solution one mesh
-    coarser, or None when N is even, the coarser mesh has fewer than
-    ``_COARSEST`` nodes or its solve did not converge.  The coarse datum
-    is the full weighting of f with a zero boundary, as every
-    :class:`GridField` has, an array coefficient b is averaged over
-    2 x 2 cell blocks (so b >= 1 still holds), and the coarse solve
+    ``f_field`` and the energy it is measured from: the bilinear
+    prolongation of the solution one mesh coarser and that solution's
+    final energy, or ``(None, None)`` when N is even, the coarser mesh
+    has fewer than ``_COARSEST`` nodes or its solve did not converge.
+    The coarse datum is the full weighting of f with a zero boundary, as
+    every :class:`GridField` has, an array coefficient b is averaged
+    over 2 x 2 cell blocks (so b >= 1 still holds), and the coarse solve
     starts from its own coarse start.  Each coarse level is solved to
     _COARSE_TOL (1 + ||f||_1) for its datum f, so the tolerance counts
     only the nodes that the solve reads.  Appends one record per coarse
     level to ``levels``, coarsest first."""
     n = f_field.n_nodes
     if n % 2 == 0 or (n + 1) // 2 < _COARSEST:
-        return None
+        return None, None
     if np.ndim(spec.b):
         m = (n - 1) // 2
         spec = replace(spec, b=np.asarray(spec.b).reshape(
             m, 2, m, 2).mean(axis=(1, 3)))
     coarse = GridField(_restrict(f_field.values)).zero_boundary()
-    start = _coarse_start(spec, coarse, max_iter, levels)
+    start, coarse_energy = _coarse_start(spec, coarse, max_iter, levels)
     level_tol = _COARSE_TOL * (1.0 + coarse.l1())
-    u, info = _newton(spec, coarse, level_tol, max_iter, start)
+    u, info = _newton(spec, coarse, level_tol, max_iter, start,
+                      coarse_energy)
+    energy = info["energies"][-1]
     levels.append({"N": coarse.n_nodes, "tol": level_tol, **{
         key: info[key] for key in ("newton_steps", "pcg_iterations",
                                    "residual", "duality_gap", "gap_bound",
-                                   "converged")}})
-    return _prolong(u) if info["converged"] else None
+                                   "discretization_indicator", "gap_target",
+                                   "converged")}, "energy": energy})
+    if not info["converged"]:
+        return None, None
+    return _prolong(u), energy
 
 
 def point_mass_field(n, mass=1.0, location=(0.5, 0.5)):

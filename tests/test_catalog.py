@@ -62,6 +62,19 @@ def test_validation_errors():
 
 
 @pytest.mark.parametrize("example_id, params", [
+    ("aniso_trud", {"p": 2.0, "q": 3.0, "alpha": 1.0}),
+    ("aniso_new", {"p": 2.0, "beta": 1.5}),
+])
+def test_planar_families_take_n_2_alone(example_id, params):
+    # an n of 3 was dropped and the n = 2 record built
+    assert make_record(example_id, **params, n="2").n == 2
+    for n in (3, "1"):
+        with pytest.raises(YoungFunctionError,
+                           match=f"{example_id} is planar: .* not n = {n}"):
+            make_record(example_id, **params, n=n)
+
+
+@pytest.mark.parametrize("example_id, params", [
     ("aniso_zyg", {"p": (2.0, 1.0), "alpha": (1.0, 0.5)}),
     ("aniso_trud", {"p": 2.0, "q": 1.5, "alpha": 1.0}),
 ])

@@ -1569,8 +1569,11 @@ def test_grid_solve_refuses_a_non_integral_n(n_nodes, code, tmp_path):
         assert report["N"] == 17
 
 
+# the keys whose flag takes an integer, and the config-only key whose
+# default is one (n_levels = 16.5 ran as 16)
 _INT_KEYS = [(command, key) for command, keys in cli.CONFIG_KEYS.items()
-             for key, (kind, _default, _text) in keys.items() if kind is int]
+             for key, (kind, _default, _text) in keys.items()
+             if kind is int] + [("phicirc", "n_levels")]
 
 
 @pytest.mark.parametrize("value, taken", [
@@ -1708,6 +1711,22 @@ def test_verify_example_refuses_a_non_integral_n(args, doc, shown, tmp_path):
     err = json.loads((out / "error.json").read_text())["error"]
     assert err == {"type": "YoungFunctionError",
                    "message": f"plap needs an integer n (--n), not {shown}"}
+
+
+@pytest.mark.parametrize("family, args", [
+    ("aniso_trud", ["--p", "2", "--q", "3", "--alpha", "1"]),
+    ("aniso_new", ["--p", "2", "--beta", "1.5"]),
+])
+def test_verify_example_refuses_a_planar_family_off_the_plane(family, args,
+                                                              tmp_path):
+    # aniso_trud with --n 3 exited 0 and verified the n = 2 record
+    code, out = run(["verify-example", family, *args, "--n", "3"], tmp_path)
+    assert code == 1
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err == {"type": "YoungFunctionError", "message":
+                   f"{family} is planar: it takes n = 2 (--n), not n = 3"}
+    assert run(["verify-example", family, *args, "--n", "2"],
+               tmp_path)[0] == 0
 
 
 def test_approx_seq_verdict_failure_is_exit_2(tmp_path):

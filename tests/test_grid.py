@@ -52,9 +52,17 @@ FOURIER_CENTER = 0.0736713512666702
 
 
 @pytest.fixture
-def sup_stop(monkeypatch):
+def rounding_stop(monkeypatch):
+    """The stop at J's rounding level on every level: no discretization
+    target (_THETA = 0), as on a level without a coarser one."""
+    monkeypatch.setattr(grid, "_THETA", 0.0)
+
+
+@pytest.fixture
+def sup_stop(monkeypatch, rounding_stop):
     """The stop on the sup residual alone: a gap bound that no gap
-    meets, so no solve stops at or is certified by its duality gap."""
+    meets and no discretization target, so no solve stops at or is
+    certified by its duality gap."""
     gap = grid._gap
 
     def no_bound(*args):
@@ -173,7 +181,7 @@ def test_split_solve_pcg_work():
     assert info["pcg_iterations"] < 700
 
 
-def test_nested_solve_reports_its_levels():
+def test_nested_solve_reports_its_levels(rounding_stop):
     # a coarse level only gives a start: it is solved to the coarse
     # tolerance 1e-5 (1 + ||f||_1), its datum f = 1 on the interior
     # nodes and 0 on the boundary, whatever f is on the fine boundary
@@ -401,7 +409,7 @@ def test_split_operator_is_the_per_axis_formulas():
     ([(1, 0), (0, 1), (1, -1)], (2.0, 2.0, 4.0), 0.070845, "gap"),
     ([(1, 0), (1, 1)], (2.0, 4.0), 0.113108, "residual"),
 ], ids=["kinked", "symmetric", "sheared"])
-def test_combination_solves(rows, ps, peak, stop):
+def test_combination_solves(rows, ps, peak, stop, rounding_stop):
     # the values of max u at N = 65 measured when the grid first took
     # combinations; they rise by less than 4e-5 up to N = 257.  Every
     # combination has a gap: the three-row ones stop on it, and the
@@ -454,7 +462,7 @@ def test_solve_error_just_above_the_tolerance():
     assert info["duality_gap"] > info["gap_bound"]
 
 
-def test_start_boundary_is_zeroed_on_entry():
+def test_start_boundary_is_zeroed_on_entry(rounding_stop):
     # u0 = 1 on the boundary would be Dirichlet data for Newton; the
     # solve zeroes it first, so the field it returns is the one its gap
     # certifies, the solution from zero to 1.5e-9 (max u = 0.187)
@@ -467,25 +475,36 @@ def test_start_boundary_is_zeroed_on_entry():
     assert np.max(np.abs(u.values - cold.values)) <= 1e-8
 
 
-@pytest.mark.parametrize("n, phi, u0, stop, levels", [
-    (65, power_potential(3.0), None, "gap", [33]),
-    (129, power_potential(2.0), None, "residual", [33, 65]),
-    (65, power_potential(3.0), np.zeros((65, 65)), "gap", []),
-    (65, split_power_potential(2.0, 4.0), None, "residual", [33]),
-], ids=["gap-stopped", "residual-stopped", "from-u0", "split"])
+@pytest.mark.parametrize("n, phi, u0, stop, levels, rounding", [
+    (65, power_potential(3.0), None, "gap", [33], True),
+    (129, power_potential(2.0), None, "residual", [33, 65], False),
+    (65, power_potential(3.0), np.zeros((65, 65)), "gap", [], False),
+    (65, split_power_potential(2.0, 4.0), None, "residual", [33], True),
+    (65, power_potential(3.0), None, "discretization", [33], False),
+], ids=["gap-stopped", "residual-stopped", "from-u0", "split",
+        "discretization-stopped"])
 def test_solve_record_is_the_certificate_of_its_field(n, phi, u0, stop,
-                                                      levels):
+                                                      levels, rounding,
+                                                      request):
     # every solve evaluates the gap of the field it returns, however it
-    # stopped, and every coarse level records its own gap in numbers
+    # stopped, and every coarse level records its own gap in numbers;
+    # the coarsest level, which has no coarser one, has no indicator
+    if rounding:
+        request.getfixturevalue("rounding_stop")
     spec, f = OperatorSpec(phi), ones(n)
     u, info = solve(spec, f, u0=u0)
     assert info["stop"] == stop and info["converged"]
     assert duality_gap(spec, f, u) == (info["duality_gap"],
                                        info["gap_bound"])
+    assert info["duality_gap"] <= info["gap_target"]
     assert math.isfinite(info["dual_residual"])
     assert [level["N"] for level in info["levels"]] == levels
-    for level in info["levels"]:
-        assert all(math.isfinite(value) for value in level.values())
+    for k, level in enumerate(info["levels"]):
+        values = dict(level)
+        indicator = values.pop("discretization_indicator")
+        assert (indicator is None) == (k == 0)
+        assert k == 0 or math.isfinite(indicator)
+        assert all(math.isfinite(value) for value in values.values())
 
 
 def test_stalled_newton_stops_early():
@@ -506,6 +525,10 @@ def test_stalled_newton_stops_early():
     assert gap > bound and not record["converged"]
     assert [(level["N"], level["duality_gap"] > level["gap_bound"])
             for level in record["levels"]] == [(33, True)]
+    # its N = 33 level does not converge, so N = 65 has no indicator and
+    # keeps the rounding-level target
+    assert record["discretization_indicator"] is None
+    assert record["gap_target"] == bound
 
 
 # Finest Newton steps and CG iterations on f = 1 with the stop at a
@@ -520,7 +543,8 @@ def test_stalled_newton_stops_early():
     (257, 1.5, (6, 26), (9, 44)),
     (257, 3.0, (4, 13), (6, 24)),
 ])
-def test_gap_stop_certifies_the_sweep(n, p, certified, sup, request):
+def test_gap_stop_certifies_the_sweep(n, p, certified, sup, request,
+                                     rounding_stop):
     spec, f = OperatorSpec(power_potential(p)), ones(n)
     u, info = solve(spec, f)
     assert (info["newton_steps"], info["pcg_iterations"]) == certified
@@ -536,7 +560,7 @@ def test_gap_stop_certifies_the_sweep(n, p, certified, sup, request):
             <= 1e-7 * np.max(np.abs(v.values)))
 
 
-def test_stall_with_a_closed_gap_is_certified(request):
+def test_stall_with_a_closed_gap_is_certified(request, rounding_stop):
     # N = 129, p = 1.3: the Newton decrement reaches J's rounding level
     # while the sup residual, at the node where grad u = 0 and A'' is
     # unbounded, is still about 5e6 tol; the gap there is 1.5e-14 of
@@ -553,6 +577,48 @@ def test_stall_with_a_closed_gap_is_certified(request):
         solve(spec, f)
     assert stalled.value.info["newton_steps"] == 15
     assert stalled.value.info["residual"] == pytest.approx(9.05e-3, rel=0.01)
+
+
+@pytest.mark.parametrize("n, p", [
+    (65, 4.0), (129, 1.5), (129, 4.0), (257, 1.5), (257, 3.0)])
+def test_discretization_stop_is_below_the_discretization_error(n, p,
+                                                                monkeypatch):
+    # a level that starts from a converged coarser one stops once its
+    # certified gap is at most _THETA |J - J_c|.  It moves u from the
+    # rounding-level solution by at most 1.8e-3 (N = 129, p = 4) of the
+    # discretization change |u_N - P u_N/2|; with _THETA = 1e3 the solve
+    # stops after one step at 0.11-2.7 of it
+    spec, f = OperatorSpec(power_potential(p)), ones(n)
+    u, info = solve(spec, f)
+    eta = info["discretization_indicator"]
+    assert info["stop"] == "discretization" and info["converged"]
+    assert eta == abs(info["energies"][-1] - info["levels"][-1]["energy"])
+    assert info["gap_target"] == max(info["gap_bound"], grid._THETA * eta)
+    assert info["duality_gap"] <= info["gap_target"]
+    assert duality_gap(spec, f, u) == (info["duality_gap"],
+                                       info["gap_bound"])
+    with monkeypatch.context() as rounding:
+        rounding.setattr(grid, "_THETA", 0.0)
+        polished, _ = solve(spec, f)
+        coarse, _ = solve(spec, ones((n + 1) // 2))
+    change = np.max(np.abs(polished.values - _prolong(coarse.values)))
+
+    def ratio(field):
+        return np.max(np.abs(field.values - polished.values)) / change
+
+    assert ratio(u) <= 1e-2
+    monkeypatch.setattr(grid, "_THETA", 1e3)
+    loose, loose_info = solve(spec, f)
+    assert loose_info["newton_steps"] == 1 and ratio(loose) >= 0.1
+
+
+def test_discretization_stop_converges_where_polish_stalls():
+    # N = 257, p = 1.3 raised after 20 finest steps at a gap of 5.8e-14
+    # of |J| against a rounding bound of 3.1e-14; its gap target is met
+    # after 5
+    _, info = solve(OperatorSpec(power_potential(1.3)), ones(257))
+    assert info["converged"] and info["stop"] == "discretization"
+    assert info["newton_steps"] <= 6
 
 
 @pytest.mark.parametrize("phi", [
