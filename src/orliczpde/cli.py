@@ -94,8 +94,11 @@ def _write_json(path, doc):
 
 
 def _measure(text):
-    """The domain measure ``--omega``: a finite number > 0, or 'pi'."""
+    """The domain measure ``--omega``: a finite number > 0, or 'pi', from
+    a number or a string."""
     try:
+        if type(text) not in (str, int, float):  # nor a bool
+            raise ValueError
         omega = math.pi if str(text).strip() == "pi" else float(text)
     except ValueError:
         omega = math.nan
@@ -103,6 +106,13 @@ def _measure(text):
         raise ConfigError(f"--omega must be a finite number > 0 or 'pi', "
                           f"not {text!r}")
     return omega
+
+
+def _dimension(cfg):
+    """The dimension ``--n`` of a command on R^n, an integer >= 2."""
+    if cfg["n"] < 2:
+        raise ConfigError(f"--n must be a dimension >= 2, not {cfg['n']}")
+    return cfg["n"]
 
 
 def _read_json(text, source):
@@ -214,7 +224,7 @@ def cmd_phicirc(cfg, out):
 
 def cmd_embedding(cfg, out):
     circ = _scalar_from_config(cfg, "phi_circ")
-    n = cfg["n"]
+    n = _dimension(cfg)
     verdict, diag = classify_integral(circ, n)
     report = {"n": n, "dichotomy": verdict, "diagnostics": diag}
     if verdict == "convergent":
@@ -239,7 +249,7 @@ def cmd_embedding(cfg, out):
 
 def cmd_symmetrize_solve(cfg, out):
     a = _scalar_from_config(cfg, "phi")
-    n = cfg["n"]
+    n = _dimension(cfg)
     omega = _measure(cfg["omega"])
     f_rf = rearrangement.Datum(cfg["f"]).rearranged(omega)
     sol = radial.solve_radial(a.psi_inverse, f_rf, n)
@@ -408,7 +418,7 @@ def cmd_verify_example(cfg, out):
 
 def cmd_admissibility(cfg, out):
     circ = _scalar_from_config(cfg, "phi_circ")
-    n = cfg["n"]
+    n = _dimension(cfg)
     omega = _measure(cfg["omega"])
     f_rf = rearrangement.Datum(cfg["f"]).rearranged(omega)
     dich, _ = classify_integral(circ, n)
@@ -491,14 +501,37 @@ def build_parser(command=None):
     return parser
 
 
+def _document_value(key, val, kind, default):
+    """``val``, the --config document's value of ``key``, as its key's
+    JSON type: an integer where its flag, of type ``kind``, takes one;
+    for a config-only key its default's type, a number or an integer
+    (type, not isinstance: a bool default is no integer), else an array
+    of numbers (``p_split``, ``k_ladder``).  A bool is no number, and
+    :func:`_read_json` has refused numbers that are not finite.  A value
+    of another type raises :class:`ConfigError` naming the key and the
+    value; a key whose flag takes a string or a float takes any."""
+    if kind is None:
+        kind = type(default) if type(default) in (int, float) else list
+    elif kind is not int:
+        return val
+    if kind is list:
+        ok = type(val) is list and all(type(x) in (int, float) for x in val)
+    else:
+        ok = type(val) in (int, float) and (kind is float or val == int(val))
+    if not ok:
+        raise ConfigError(f"{key} = {val!r} is not " + {
+            int: "an integer", float: "a number",
+            list: "an array of numbers"}[kind])
+    return val if kind is list else kind(val)
+
+
 def _merge_config(args):
     """The command's table of CONFIG_KEYS filled in: each key from its
     flag, else from the --config document, else its default; a null
     value is unset.  A document that is not a JSON object or holds a
     number that is not finite, a key outside the table, a value that is
-    not an integer for a key whose flag is, or whose default is when it
-    has no flag, or a REQUIRED key that neither sets, raises
-    :class:`ConfigError`."""
+    not of its key's JSON type (:func:`_document_value`), or a REQUIRED
+    key that neither sets, raises :class:`ConfigError`."""
     keys = CONFIG_KEYS[args.command]
     doc = {}
     if args.config:
@@ -517,13 +550,8 @@ def _merge_config(args):
         val = getattr(args, key, None)
         if val is None:
             val = doc.get(key)
-            # type(default), not isinstance: a bool default is no integer
-            integral = kind is int or (kind is None and type(default) is int)
-            if integral and val is not None:
-                # an integral JSON number, not a bool or a string
-                if type(val) not in (int, float) or val != int(val):
-                    raise ConfigError(f"{key} = {val!r} is not an integer")
-                val = int(val)
+            if val is not None:
+                val = _document_value(key, val, kind, default)
         if val is None and default is REQUIRED:
             raise ConfigError(f"missing --{key.replace('_', '-')} (a flag, "
                               f"or {key!r} in the --config document)")

@@ -34,55 +34,41 @@ and order of fresh temporaries and so bit for bit their results; CG's
 inner products and 2-norm are one BLAS reduction each.  An accepted
 iterate's cell gradient is computed once, for its energy, its flux and
 the next Hessian weights.  Steps are backtracked on J (Armijo) until
-the Newton decrement falls below the rounding level of J.  The duality
-gap (:func:`duality_gap`) is evaluated there, or before the CG solve of
-a step after a decrement within 1000 times that level: for any cell
-flux sigma with G^T sigma = f, G the cell gradient,
+the Newton decrement falls below the rounding level of J.
+
+Every level, coarse or finest, stops by one rule.  Its duality gap
+(:func:`duality_gap`) is checked at one place: before the CG solve of a
+step whose last decrement is within 1000 times the gap's target.  For
+any cell flux sigma with G^T sigma = f, G the cell gradient,
 J(u) - min J <= J(u) + h^2 Sum b Phi*(sigma / b) (Ekeland & Temam
 1976, ch. III; Repin 2000), also with a combination's upper bound on
 Phi*, a bound with no constant of the problem.  The solution is
-defined by its energy, so a gap at J's rounding level certifies u and
-the iteration stops.  Otherwise a full step is taken only if it lowers
-the sup residual and raises J by no more than that level, else the
-iteration stops; it also stops when the sup residual has stalled.  The
-energy trace is monotone up to that rounding bound.  On f = 1 with
-N = 65-257 and p = 1.5-4, that rounding-level stop comes 1-3 Newton
-steps before the sup residual reaches the tolerance, and moves u by at
-most 3.1e-8 of max |u|.  For Phi = |xi|^2/2 the energy gradient is
-exactly the 5-point scheme, d = 4 and the first Newton step solves it
-in one CG iteration.  ``solve`` returns the field and its record: the gap, the
-sup residual (tolerance 1e-9 (1 + ||f||_1)) and the step counts.
+defined by its energy, so a gap within its target certifies u and the
+iteration stops.  The target is the gap's rounding bound, or, on a
+level started from a converged coarser level, max(bound, 1e-6 eta):
+eta = |J - J_c|, J_c the coarser level's final energy, is the level's
+discretization indicator, and the level is solved no further than its
+discretization error (Bank & Rose 1982, Math. Comp. 39; Ern &
+Vohralik 2013, SIAM J. Sci. Comput. 35).  An energy difference is a
+squared norm, so the algebraic error is then near 1e-3 of the
+discretization error in the energy norm.  A check that fails after a
+step at J's rounding level is the last: from then on a full step is
+taken only if it lowers the sup residual and raises J by no more than
+that level, else the iteration stops.  It also stops once the sup
+residual is at most tol = 1e-9 (1 + ||f||_1), and when that residual
+has stalled.  The energy trace is monotone up to the rounding bound.
+For Phi = |xi|^2/2 the energy gradient is exactly the 5-point scheme,
+d = 4 and the first Newton step solves it in one CG iteration, before
+any gap check.  ``solve`` returns the field and its record: the gap,
+its target, the sup residual, the stop and the step counts.
 
 A solve from zero runs coarse to fine (nested iteration): on an odd N
 whose coarser mesh of (N + 1) / 2 nodes has at least 33 nodes, it first
 solves on that mesh, with the full-weighting restriction of f (which
 keeps Sum f h^2) and b averaged over 2 x 2 cell blocks, and starts from
-the bilinear prolongation of that solution.  Each coarse level is itself
-solved coarse to fine, but only to the coarse tolerance
-1e-5 (1 + ||f||_1): the prolongation starts the finer mesh at a sup
-residual of 0.3-2 in PDE units however well the coarse mesh was
-solved.  ``solve`` reports each coarse level, with the tolerance it was
-solved to, under ``levels``.  On the constant datum at N = 129 and
-257, the finest mesh then takes about half the Newton and CG work of a
-solve from zero for p = 4, a third less for p = 3, and 40 % fewer CG
-iterations for p = 1.5.
-
-A level started from a converged coarser level is solved no further
-than its discretization error (Bank & Rose 1982, Math. Comp. 39; Ern &
-Vohralik 2013, SIAM J. Sci. Comput. 35).  Its indicator is
-eta = |J - J_c|, J_c the coarser level's final energy, and it stops
-once its gap is at most max(bound, 1e-6 eta): the gap still certifies
-J(u) - min J, now to a millionth of the change of J with the mesh, so
-the algebraic error is near 1e-3 of the discretization error in the
-energy norm.  The gap check is widened to match: it runs once the
-Newton decrement is within 1000 times that target.  On f = 1 at
-N = 257 the finest Newton/CG counts fall from 6/26 to 2/13 for p = 1.5
-and from 4/13 to 3/9 for p = 3, and u moves from the rounding-level
-solution by at most 1.8e-3 of |u_N - P u_N/2|_inf on the five
-non-quadratic sweep cases.  A level with no coarser one, or whose
-coarser one did not converge, and a solve from ``u0`` keep the stop at
-J's rounding level.  At p = 2 the one exact Newton step stops on the
-residual before any gap check.
+the bilinear prolongation of that solution.  Each coarser mesh is
+solved the same way, and ``solve`` reports each coarse level, with the
+finest level's record, under ``levels``.
 
 Also here: truncated-data solution ladders (approximable solutions)
 and the mollified point-mass datum.
@@ -670,8 +656,7 @@ def duality_gap(spec, f_field, u):
 # p = 1.2 sets none in its first 22.
 _STALL_STEPS = 15
 
-# The finest level's tolerance on the sup residual, relative to
-# 1 + ||f||_1.
+# Every level's tolerance on the sup residual, relative to 1 + ||f||_1.
 _TOL = 1e-9
 
 
@@ -694,83 +679,74 @@ def solve(spec, f_field, max_iter=100, u0=None):
     step solves no further than the convergence test needs.
     Once the Newton decrement g.d falls below the rounding level of J,
     16 eps * h^2 (Sum |density| + Sum |f u|), J can no longer rank
-    steps.  The duality gap of u (:func:`duality_gap`) is evaluated
-    then, once, and the iteration stops if it is at most its target,
-    which without a discretization indicator (below) is its bound, 16
-    ulps of the rounding scale of J plus that of the dual energy: u is
-    then a minimizer of J to rounding, whatever its sup residual.
-    Otherwise the full step is taken if it lowers the sup residual and
-    raises J by no more than the rounding level, and the iteration stops
-    otherwise.  The energy trace is therefore monotone up to that
-    rounding bound.  For p = 2 the first Newton step is the exact
-    5-point solve.  The iteration also stops when the sup
-    norm of the energy gradient, scaled to PDE units (divided by h^2),
-    drops below tol = 1e-9 * (1 + ||f||_1), and when that sup residual
-    sets no new minimum in 15 consecutive steps (a stall).  A solve has
-    converged when the gap of its last iterate is at most its target or
-    the sup residual is at most tol; one that has not raises
-    :class:`SolveError`, which carries the info dict below.  Newton
-    writes into a copy of the start ``u0`` whose boundary is zeroed.
+    steps.  Every level, coarse or finest, stops by one rule, checked at
+    the top of each step.  The iteration stops when the sup norm of the
+    energy gradient, scaled to PDE units (divided by h^2), is at most
+    tol = 1e-9 (1 + ||f||_1), f the level's datum.  Once the last
+    decrement is within 1000 times the gap's target, the duality gap of u
+    (:func:`duality_gap`) is evaluated before the CG solve, and the
+    iteration stops if the gap is at most its target.  The target is the
+    gap's bound, 16 ulps of the rounding scale of J plus that of the dual
+    energy, so that u is a minimizer of J to rounding, whatever its sup
+    residual.  A level that starts from a converged coarser level has
+    the discretization indicator eta = |J - J_c|, J_c that level's final
+    energy, and the target max(gap bound, 1e-6 eta).  A check that fails
+    after a step at J's rounding level is the last; such steps are taken
+    whole if they lower the sup residual and raise J by no more than the
+    rounding level, and the iteration stops otherwise.  The energy trace
+    is therefore monotone up to that rounding bound.  The iteration also
+    stops when the sup residual sets no new minimum in 15 consecutive
+    steps (a stall).  For p = 2 the first Newton step is the exact
+    5-point solve.  A level has converged when the gap of its last
+    iterate is at most its target or its sup residual is at most its
+    tol; a finest level that has not raises :class:`SolveError`, which
+    carries the info dict below.  Newton writes into a copy of the start
+    ``u0`` whose boundary is zeroed.
 
     Nested iteration: without ``u0``, an odd N whose coarser mesh of
     (N + 1) / 2 nodes has at least 33 nodes first solves the same
-    problem on that mesh, recursively and to the coarse tolerance
-    1e-5 (1 + ||f||_1), f the coarse datum, and starts from
-    the bilinear prolongation of that solution (:func:`_coarse_start`).
-    A coarse level only gives a start, so it is solved no further.  A
-    coarse level that does not converge gives no start, and the next
-    finer level starts from zero.
-    tol, ``max_iter``, the stall stop and :class:`SolveError`
-    concern the finest level; ``max_iter`` also caps each coarse level.
-    A level, the finest or a coarse one, that starts from a converged
-    coarser level has the discretization indicator eta = |J - J_c|,
-    J_c that level's final energy, and its gap target is
-    max(gap bound, 1e-6 eta) instead of the gap bound: the gap is
-    evaluated once the decrement is within 1000 times the target, and
-    the iteration stops ("discretization") when the gap meets it.
+    problem on that mesh, recursively, f the coarse datum, and starts
+    from the bilinear prolongation of that solution
+    (:func:`_coarse_start`).  A coarse level that does not converge
+    gives no start, and the next finer level starts from zero.
+    ``max_iter`` caps every level.
 
-    The info dict holds ``energies``, ``residual`` (the sup residual),
-    ``dual_residual`` (sqrt(g . L^-1 g) for the final energy gradient g
-    and the inverse 5-point Laplacian L^-1: the discrete H^-1 norm of the
-    PDE residual), ``duality_gap`` and its bound ``gap_bound``,
-    ``discretization_indicator`` (eta, None without a converged coarser
-    level), ``gap_target`` (max(gap_bound, 1e-6 eta), or gap_bound),
-    ``stop`` ("gap" when a gap within its bound stopped the iteration,
-    "discretization" when a gap within the target above it did, else
-    "residual"), ``converged`` (gap <= gap_target or residual <= tol)
-    and the counts
+    The info dict holds ``energies``, ``tol``, ``residual`` (the sup
+    residual), ``dual_residual`` (sqrt(g . L^-1 g) for the final energy
+    gradient g and the inverse 5-point Laplacian L^-1: the discrete H^-1
+    norm of the PDE residual), ``duality_gap`` and its bound
+    ``gap_bound``, ``discretization_indicator`` (eta, None without a
+    converged coarser level), ``gap_target`` (max(gap_bound, 1e-6 eta),
+    or gap_bound), ``stop`` ("gap" when a gap within its bound stopped
+    the iteration, "discretization" when a gap within the target above
+    it did, else "residual"), ``converged`` and the counts
     ``newton_steps``, ``pcg_iterations``, ``pcg_maxiter_hits`` (CG solves
     that ran to their iteration cap), ``pcg_breakdowns`` (CG solves
     stopped by a direction with p.Hp <= 0), ``descent_fallbacks`` (Newton
     steps whose CG direction was no descent direction and was replaced by
     P^-1 g) and ``rounding_steps`` (steps taken at J's rounding level),
     all of the finest level.  ``levels`` lists the coarse levels, coarsest
-    first, each with its ``N``, the tolerance ``tol`` it was solved to,
-    ``newton_steps``, ``pcg_iterations``, ``residual``, ``duality_gap``,
-    ``gap_bound``, ``discretization_indicator``, ``gap_target``,
-    ``converged`` and its final ``energy``; it is empty for a solve from
-    ``u0``.
-    A level that did not stop on its gap evaluates it at its last iterate,
-    so every record holds the gap and its bound.
+    first, each with the same record but for ``energies`` and
+    ``levels``, its ``N`` and its final ``energy``; it is empty for a
+    solve from ``u0``.  A level that did not stop on its gap evaluates it
+    at its last iterate, so every record holds the gap and its bound.
     """
     levels = []
-    tol = _TOL * (1.0 + f_field.l1())
     coarse_energy = None
     if u0 is None:
         u0, coarse_energy = _coarse_start(spec, f_field, max_iter, levels)
     else:
         u0 = GridField(np.array(u0, dtype=float)).zero_boundary().values
-    u, info = _newton(spec, f_field, tol, max_iter, u0, coarse_energy)
-    stalled = info.pop("stalled_steps")
+    u, info, stalled = _newton(spec, f_field, max_iter, u0, coarse_energy)
     info["levels"] = levels
     if not info["converged"]:
         stall = (f", stalled: no new residual minimum in {stalled} steps"
                  if stalled >= _STALL_STEPS else "")
         raise SolveError(
             f"no convergence after {info['newton_steps']} Newton steps "
-            f"(residual {info['residual']:g}, tol {tol:g}, duality gap "
-            f"{info['duality_gap']:g} above {info['gap_target']:g}{stall})",
-            info)
+            f"(residual {info['residual']:g}, tol {info['tol']:g}, duality "
+            f"gap {info['duality_gap']:g} above {info['gap_target']:g}"
+            f"{stall})", info)
     return GridField(u), info
 
 
@@ -786,21 +762,22 @@ def _gap_target(bound, J, coarse_energy):
     return (max(bound, slack) if slack > 0.0 else bound), eta
 
 
-def _newton(spec, f_field, tol, max_iter, u0, coarse_energy):
+def _newton(spec, f_field, max_iter, u0, coarse_energy):
     """The Newton-Krylov iteration of :func:`solve` on one mesh, from
     ``u0`` (zero when None), a float array that it writes into, given
     the final energy ``coarse_energy`` of the coarser level that gave
-    the start (None when none did).  Returns ``(u, info)``: the last
-    iterate and an info dict with ``energies``, ``residual``,
-    ``dual_residual``, ``converged``, ``stop``, ``duality_gap``,
-    ``gap_bound``, ``discretization_indicator``, ``gap_target``, the
-    counts and ``stalled_steps`` (steps since the last residual
-    minimum).  The gap is evaluated when the Newton decrement first
-    comes near its target (:func:`_gap_target`), stopping the iteration
-    if it certifies u, and otherwise at the last iterate."""
+    the start (None when none did).  Returns ``(u, info, stalled)``: the
+    last iterate, the level's record (:func:`solve`'s info without
+    ``levels``) and the steps since the last residual minimum.  The gap
+    is checked at one place, before the CG solve of a step whose last
+    decrement is near its target (:func:`_gap_target`), stopping the
+    iteration if it certifies u; after a failed check at J's rounding
+    level no more are made, and the gap is evaluated at the last
+    iterate."""
     f = f_field.values
     n = f_field.n_nodes
     h = f_field.h
+    tol = _TOL * (1.0 + f_field.l1())
     u = np.zeros((n, n)) if u0 is None else u0
     ws = _Workspace(f, h)
     J, J_scale = _energy(spec, u, ws)
@@ -824,6 +801,8 @@ def _newton(spec, f_field, tol, max_iter, u0, coarse_energy):
             if gap <= target:
                 stop = "gap" if gap <= bound else "discretization"
                 break
+            # a check after a step that J could not rank is the last
+            unchecked = gd > noise
             _cell_gradients_into(u, ws)  # the gap overwrote them
         # forcing term: loose CG early, tight near the solution, but no
         # tighter than a sup stop at tol / 2
@@ -840,14 +819,6 @@ def _newton(spec, f_field, tol, max_iter, u0, coarse_energy):
             np.copyto(d, ws.apply(g))  # in ws.d: the gap reuses ws.out
             gd = float(np.sum(np.multiply(g, d, out=ws.q)))
         rounding = gd <= noise
-        if rounding and unchecked:
-            # the first step that J cannot rank: the gap may certify u
-            unchecked = False
-            gap, bound, dual_residual = _gap(spec, u, g, J, J_scale, ws)
-            target, _ = _gap_target(bound, J, coarse_energy)
-            if gap <= target:
-                stop = "gap" if gap <= bound else "discretization"
-                break
         u_try, g_try = ws.r, ws.p
         if rounding:
             # J cannot rank this step: take it whole, judged by residual
@@ -883,23 +854,18 @@ def _newton(spec, f_field, tol, max_iter, u0, coarse_energy):
     if stop == "residual":
         gap, bound, dual_residual = _gap(spec, u, g, J, J_scale, ws)
     target, eta = _gap_target(bound, J, coarse_energy)
-    return u, {"energies": energies, "residual": res,
+    return u, {"energies": energies, "tol": tol, "residual": res,
                "dual_residual": dual_residual,
                "converged": res <= tol or gap <= target,
                "stop": stop, "duality_gap": gap, "gap_bound": bound,
                "discretization_indicator": eta, "gap_target": target,
-               **counts, "stalled_steps": since_best}
+               **counts}, since_best
 
 
 # Nested iteration: a solve from zero on an odd N first solves on the
 # mesh of (N + 1) / 2 nodes when that mesh has at least this many.
 # 17 and 33 measured about equal on the grid sweep.
 _COARSEST = 33
-
-# A coarse level only gives the next finer one its start, and the
-# bilinear prolongation starts that mesh at a sup residual of 0.3-2 in
-# PDE units whatever the coarse accuracy (:func:`_coarse_start`).
-_COARSE_TOL = 1e-5
 
 
 def _prolongation(n_coarse):
@@ -939,10 +905,11 @@ def _coarse_start(spec, f_field, max_iter, levels):
     The coarse datum is the full weighting of f with a zero boundary, as
     every :class:`GridField` has, an array coefficient b is averaged
     over 2 x 2 cell blocks (so b >= 1 still holds), and the coarse solve
-    starts from its own coarse start.  Each coarse level is solved to
-    _COARSE_TOL (1 + ||f||_1) for its datum f, so the tolerance counts
-    only the nodes that the solve reads.  Appends one record per coarse
-    level to ``levels``, coarsest first."""
+    starts from its own coarse start.  Each coarse level is solved by
+    the finest level's rule (:func:`_newton`), its tol counting only the
+    nodes of its datum that the solve reads.  Appends each coarse
+    level's record, coarsest first, to ``levels``: its info without
+    ``energies``, with its ``N`` and its final ``energy``."""
     n = f_field.n_nodes
     if n % 2 == 0 or (n + 1) // 2 < _COARSEST:
         return None, None
@@ -952,15 +919,9 @@ def _coarse_start(spec, f_field, max_iter, levels):
             m, 2, m, 2).mean(axis=(1, 3)))
     coarse = GridField(_restrict(f_field.values)).zero_boundary()
     start, coarse_energy = _coarse_start(spec, coarse, max_iter, levels)
-    level_tol = _COARSE_TOL * (1.0 + coarse.l1())
-    u, info = _newton(spec, coarse, level_tol, max_iter, start,
-                      coarse_energy)
-    energy = info["energies"][-1]
-    levels.append({"N": coarse.n_nodes, "tol": level_tol, **{
-        key: info[key] for key in ("newton_steps", "pcg_iterations",
-                                   "residual", "duality_gap", "gap_bound",
-                                   "discretization_indicator", "gap_target",
-                                   "converged")}, "energy": energy})
+    u, info, _ = _newton(spec, coarse, max_iter, start, coarse_energy)
+    energy = info.pop("energies")[-1]
+    levels.append({"N": coarse.n_nodes, **info, "energy": energy})
     if not info["converged"]:
         return None, None
     return _prolong(u), energy
@@ -994,8 +955,14 @@ def approximable_sequence(spec, f_field, k_ladder):
     measure of {|u_k - u_prev| > 1e-3} between consecutive iterates,
     plus the gradient Cauchy-in-measure statistic, the measure of
     {|grad u_k - grad u_prev| > 1e-3}, and each rung's solve record (the
-    info of :func:`solve` without ``energies``).
+    info of :func:`solve` without ``energies``).  A rung k <= 0, for which
+    the clamp is the constant k, raises :class:`YoungFunctionError`
+    before any solve.
     """
+    for k in k_ladder:
+        if not k > 0.0:
+            raise YoungFunctionError(
+                f"truncation rung k = {k!r} of {list(k_ladder)} is not > 0")
     h = f_field.h
     fields = []
     report = []

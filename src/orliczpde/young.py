@@ -905,14 +905,17 @@ def parse_spec(spec, allowed):
     """``(kind, {key: value})`` from a spec ``"kind[:key=value,...]"`` or
     a JSON term ``{"kind": kind, key: value, ...}``; ``allowed`` maps each
     kind to its keys.  A lone text item without ``=`` is the value of a
-    kind's only key (``"const:1"``).  An unknown kind, any other item
-    without ``=``, a key not allowed or repeated, or a value that is not
-    a finite number raises :class:`YoungFunctionError` naming the spec
-    and the item."""
+    kind's only key (``"const:1"``).  A spec that is neither a string
+    nor a JSON object, an unknown kind, any other item without ``=``, a
+    key not allowed or repeated, or a value that is not a finite number
+    raises :class:`YoungFunctionError` naming the spec and the item."""
     if isinstance(spec, str):
         kind, colon, body = spec.partition(":")
         items = [(item, *item.partition("=")) for item in body.split(",")
                  if colon]
+    elif not isinstance(spec, dict):
+        raise YoungFunctionError(
+            f"spec {spec!r} is not a string or a JSON object")
     elif "kind" in spec:
         kind = spec["kind"]
         items = [(key, key, "=", val) for key, val in spec.items()

@@ -1015,7 +1015,9 @@ def test_grid_solve_is_one_public_solve(monkeypatch, tmp_path):
     assert len(calls) == 1
     rep = json.loads((out / "grid_solve_report.json").read_text())
     assert [level["N"] for level in rep["levels"]] == [33]
-    assert rep["levels"][0]["residual"] <= rep["levels"][0]["tol"]
+    level = rep["levels"][0]
+    assert level["converged"] and level["stop"] == "gap"
+    assert level["duality_gap"] <= level["gap_bound"]
 
 
 @pytest.mark.parametrize("point", [
@@ -1257,14 +1259,14 @@ def test_grid_datum_has_a_zero_boundary(datum, tmp_path):
 
 def test_coarse_grid_datum_has_a_zero_boundary(tmp_path):
     # the N = 33 start of an N = 65 solve restricts f to the interior
-    # too: its tolerance 1e-5 (1 + ||f||_1) counts (31/32)^2 of const:1,
+    # too: its tolerance 1e-9 (1 + ||f||_1) counts (31/32)^2 of const:1,
     # not the 0.969 that the full weighting puts on the coarse nodes
     code, out = run(["grid-solve", "--N", "65", "--p", "3"], tmp_path)
     assert code == 0
     level = json.loads((out / "grid_solve_report.json").read_text())[
         "levels"][0]
     assert level["N"] == 33
-    assert level["tol"] == pytest.approx(1e-5 * (1.0 + (31 / 32) ** 2),
+    assert level["tol"] == pytest.approx(1e-9 * (1.0 + (31 / 32) ** 2),
                                          rel=1e-14)
 
 
@@ -1597,6 +1599,83 @@ def test_an_integer_key_takes_only_an_integral_number(command, key, value,
     else:
         got = cli._merge_config(namespace)[key]
         assert got == taken and type(got) is int
+
+
+@pytest.mark.parametrize("command, key, value, kind", [
+    ("approx-seq", "k_ladder", "248", "an array of numbers"),
+    ("approx-seq", "p_split", "24", "an array of numbers"),
+    ("approx-seq", "b", True, "a number"),
+    ("phicirc", "t_lo", "0.001", "a number"),
+], ids=["k_ladder", "p_split", "b", "t_lo"])
+def test_a_config_only_key_takes_only_its_json_type(command, key, value, kind,
+                                                    tmp_path, monkeypatch):
+    # "248" ran the rungs 2, 4 and 8, "24" the split (2, 4) and true
+    # b = 1: a config-only key takes its default's JSON type, an array of
+    # numbers for k_ladder and p_split, before anything is solved
+    solves = []
+    monkeypatch.setattr(grid, "solve", lambda *a, **k: solves.append(a))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    args = [command, "--config", str(config)]
+    code, out = run(args + (["--phi", SPLIT_PHI] if command == "phicirc"
+                            else ["--N", "17"]), tmp_path)
+    assert code == 1 and solves == []
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["type"] == "ConfigError"
+    assert err["message"] == f"{key} = {value!r} is not {kind}"
+
+
+@pytest.mark.parametrize("ladder", [[-1, 2], [0, 2], [2, 8, -8]])
+def test_approx_seq_refuses_a_rung_that_is_not_positive(ladder, tmp_path):
+    # clamp(f, +-k) with k < 0 is the constant k: the ladder [-1, 2] on
+    # const:5 solved its first rung with f = -1 and exited 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"k_ladder": ladder, "N": 17,
+                                  "f": "const:5"}))
+    code, out = run(["approx-seq", "--config", str(config)], tmp_path)
+    assert code == 1
+    err = json.loads((out / "error.json").read_text())["error"]
+    bad = next(k for k in ladder if k <= 0)
+    assert f"rung k = {float(bad)!r}" in err["message"]
+    assert not (out / "approx_seq_report.json").exists()
+
+
+@pytest.mark.parametrize("command, doc, named", [
+    ("grid-solve", {"f": 5}, "spec 5 "),
+    ("symmetrize-solve", {"f": [1]}, "spec [1] "),
+    ("symmetrize-solve", {"omega": [1]}, "--omega"),
+    ("admissibility", {"f": "const:1", "omega": True}, "--omega"),
+])
+def test_a_spec_or_measure_of_the_wrong_json_type_is_named(command, doc,
+                                                           named, tmp_path):
+    # {"f": 5} was a TypeError from the spec parser, and {"omega": [1]}
+    # one from the measure, naming neither
+    flags = {"grid-solve": ["--N", "17"],
+             "symmetrize-solve": ["--phi", "power:p=2", "--n", "2"],
+             "admissibility": ["--phi-circ", "power:p=1.5", "--n", "2"]}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    code, out = run([command, "--config", str(config), *flags[command]],
+                    tmp_path)
+    assert code == 1
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["type"] != "TypeError" and named in err["message"]
+
+
+@pytest.mark.parametrize("n", [1, 0, -2])
+@pytest.mark.parametrize("args", [
+    ["embedding", "--phi-circ", "power:p=1.5"],
+    ["admissibility", "--phi-circ", "power:p=1.5", "--f", "const:1"],
+    ["symmetrize-solve", "--phi", "power:p=2"],
+], ids=lambda args: args[0])
+def test_a_dimension_below_2_is_named(args, n, tmp_path):
+    # n = 1 and 0 ended in a ZeroDivisionError, embedding's n = -2 in a
+    # verdict on the outer integral, and symmetrize-solve --n 1 exited 0
+    code, out = run([*args, f"--n={n}"], tmp_path)
+    assert code == 1
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err == {"type": "ConfigError",
+                   "message": f"--n must be a dimension >= 2, not {n}"}
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])

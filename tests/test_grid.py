@@ -1,7 +1,12 @@
 """Finite-difference minimizer on the unit square."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,9 +187,10 @@ def test_split_solve_pcg_work():
 
 
 def test_nested_solve_reports_its_levels(rounding_stop):
-    # a coarse level only gives a start: it is solved to the coarse
-    # tolerance 1e-5 (1 + ||f||_1), its datum f = 1 on the interior
-    # nodes and 0 on the boundary, whatever f is on the fine boundary
+    # a coarse level is solved by the finest level's rule: to the
+    # tolerance 1e-9 (1 + ||f||_1), its datum f = 1 on the interior nodes
+    # and 0 on the boundary, whatever f is on the fine boundary, or until
+    # its gap certifies it
     f = GridField.from_function(129, lambda x, y: np.ones_like(x))
     _, info = solve(OperatorSpec(power_potential(3.0)), f)
     assert [level["N"] for level in info["levels"]] == [33, 65]
@@ -192,8 +198,9 @@ def test_nested_solve_reports_its_levels(rounding_stop):
         assert level["converged"] and level["newton_steps"] > 0
         assert level["pcg_iterations"] >= level["newton_steps"]
         l1 = ((level["N"] - 2) / (level["N"] - 1)) ** 2
-        assert level["tol"] == pytest.approx(1e-5 * (1.0 + l1))
-        assert level["residual"] <= level["tol"]
+        assert level["tol"] == pytest.approx(1e-9 * (1.0 + l1))
+        assert (level["residual"] <= level["tol"] if level["stop"] ==
+                "residual" else level["duality_gap"] <= level["gap_bound"])
     # even N, N = 33 (whose coarser mesh has 17 nodes), N = 17 and a
     # given u0 solve on one mesh only
     for n, u0 in ((64, None), (33, None), (17, None),
@@ -201,6 +208,26 @@ def test_nested_solve_reports_its_levels(rounding_stop):
         f = GridField.from_function(n, lambda x, y: np.ones_like(x))
         _, info = solve(OperatorSpec(power_potential(3.0)), f, u0=u0)
         assert info["converged"] and info["levels"] == []
+
+
+def test_every_level_holds_a_full_record():
+    # each coarse level is solved by the finest level's rule and keeps
+    # the same record: every key of the finest but energies and levels,
+    # with its N, its tol 1e-9 (1 + ||f||_1) for its own datum (f = 1 on
+    # its interior nodes) and its final energy
+    f = ones(129)
+    _, info = solve(OperatorSpec(power_potential(4.0)), f)
+    assert info["tol"] == 1e-9 * (1.0 + f.l1())
+    keys = set(info) - {"energies", "levels"} | {"N", "energy"}
+    assert [level["N"] for level in info["levels"]] == [33, 65]
+    for level in info["levels"]:
+        assert set(level) == keys
+        l1 = ((level["N"] - 2) / (level["N"] - 1)) ** 2
+        assert level["tol"] == pytest.approx(1e-9 * (1.0 + l1), rel=1e-14)
+        assert level["converged"] and math.isfinite(level["energy"])
+    coarse, fine = info["levels"]
+    assert fine["discretization_indicator"] == abs(fine["energy"]
+                                                   - coarse["energy"])
 
 
 def test_nested_solve_reaches_the_cold_solution(sup_stop):
@@ -406,15 +433,17 @@ def test_split_operator_is_the_per_axis_formulas():
 
 @pytest.mark.parametrize("rows, ps, peak, stop", [
     ([(1, 0), (0, 1), (1, 1)], (2.0, 3.0, 4.0), 0.106790, "gap"),
-    ([(1, 0), (0, 1), (1, -1)], (2.0, 2.0, 4.0), 0.070845, "gap"),
+    ([(1, 0), (0, 1), (1, -1)], (2.0, 2.0, 4.0), 0.070845, "residual"),
     ([(1, 0), (1, 1)], (2.0, 4.0), 0.113108, "residual"),
 ], ids=["kinked", "symmetric", "sheared"])
 def test_combination_solves(rows, ps, peak, stop, rounding_stop):
     # the values of max u at N = 65 measured when the grid first took
     # combinations; they rise by less than 4e-5 up to N = 257.  Every
-    # combination has a gap: the three-row ones stop on it, and the
-    # sheared one reaches J's rounding level at a gap of 3.5e-15, above
-    # its bound, and converges through full steps
+    # combination has a gap: the kinked one stops on it; the symmetric
+    # one reaches J's rounding level after 4 steps and its fifth, a full
+    # step, meets the tolerance before the gap is checked; the sheared
+    # one reaches J's rounding level at a gap of 3.5e-15, above its
+    # bound, and converges through full steps
     f = GridField.from_function(65, lambda x, y: np.ones_like(x))
     field, info = solve(OperatorSpec(combination_potential(rows, ps)), f)
     u = field.values
@@ -504,6 +533,7 @@ def test_solve_record_is_the_certificate_of_its_field(n, phi, u0, stop,
         indicator = values.pop("discretization_indicator")
         assert (indicator is None) == (k == 0)
         assert k == 0 or math.isfinite(indicator)
+        assert values.pop("stop") in ("gap", "discretization", "residual")
         assert all(math.isfinite(value) for value in values.values())
 
 
@@ -560,23 +590,55 @@ def test_gap_stop_certifies_the_sweep(n, p, certified, sup, request,
             <= 1e-7 * np.max(np.abs(v.values)))
 
 
-def test_stall_with_a_closed_gap_is_certified(request, rounding_stop):
+def _stall_at_one_blas_thread(n, p):
+    """``(newton_steps, residual)`` of the SolveError that ``solve``
+    raises on f = 1 under the sup stop (the ``sup_stop`` fixture), in a
+    fresh interpreter whose BLAS runs on one thread."""
+    code = ("import json, math\n"
+            "import numpy as np\n"
+            "from conftest import power_potential\n"
+            "from orliczpde import grid\n"
+            "gap = grid._gap\n"
+            "def no_bound(*args):\n"
+            "    value, _, dual_residual = gap(*args)\n"
+            "    return value, -math.inf, dual_residual\n"
+            "grid._THETA, grid._gap = 0.0, no_bound\n"
+            f"f = grid.GridField.from_function({n}, "
+            "lambda x, y: np.ones_like(x))\n"
+            "try:\n"
+            f"    grid.solve(grid.OperatorSpec(power_potential({p})), f)\n"
+            "except grid.SolveError as e:\n"
+            "    print(json.dumps([e.info['newton_steps'], "
+            "e.info['residual']]))\n")
+    paths = (Path(grid.__file__).parents[1], Path(__file__).parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)),
+               **{var: "1" for var in ("OMP_NUM_THREADS",
+                                       "OPENBLAS_NUM_THREADS",
+                                       "MKL_NUM_THREADS")})
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    return tuple(json.loads(proc.stdout))
+
+
+def test_stall_with_a_closed_gap_is_certified(rounding_stop):
     # N = 129, p = 1.3: the Newton decrement reaches J's rounding level
     # while the sup residual, at the node where grad u = 0 and A'' is
     # unbounded, is still about 5e6 tol; the gap there is 1.5e-14 of
     # |J|, under its bound.  The sup stop runs on, full steps judged by
-    # the residual, and raises at residual 9.05e-3 after 15 steps.
+    # the residual, and raises after 16 steps from coarse levels that,
+    # no gap stopping them, run to 1e-9 (1 + ||f||_1).  Its residual is
+    # rounding amplified by the stall: 1.93e-2 on one BLAS thread and
+    # 1.71e-2 on two, where OpenBLAS splits the CG dot products of
+    # 129^2 terms between the threads, so it is read on one.
     spec, f = OperatorSpec(power_potential(1.3)), ones(129)
     _, info = solve(spec, f)
     assert info["converged"] and info["stop"] == "gap"
     assert info["residual"] > 1e6 * 1e-9 * (1.0 + f.l1())
     assert info["duality_gap"] <= info["gap_bound"]
     assert info["duality_gap"] <= 3e-14 * abs(info["energies"][-1])
-    request.getfixturevalue("sup_stop")
-    with pytest.raises(SolveError) as stalled:
-        solve(spec, f)
-    assert stalled.value.info["newton_steps"] == 15
-    assert stalled.value.info["residual"] == pytest.approx(9.05e-3, rel=0.01)
+    steps, residual = _stall_at_one_blas_thread(129, 1.3)
+    assert steps == 16
+    assert residual == pytest.approx(1.93e-2, rel=0.01)
 
 
 @pytest.mark.parametrize("n, p", [
@@ -775,6 +837,20 @@ def test_approximable_sequence_report():
     assert "sup_deviation" not in report[0]
     assert report[1]["sup_deviation"] > 0.0
     assert report[1]["deviation_measure"] >= 0.0
+
+
+@pytest.mark.parametrize("k", [-1.0, 0.0])
+def test_approximable_sequence_refuses_a_rung_that_is_not_positive(
+        k, monkeypatch):
+    # clamp(f, +-k) is the constant k for k <= 0; the ladder is refused,
+    # naming the rung, before any rung is solved
+    solves = []
+    monkeypatch.setattr(grid, "solve", lambda *a, **kw: solves.append(a))
+    f = GridField.from_function(17, lambda x, y: 5.0 * np.ones_like(x))
+    with pytest.raises(YoungFunctionError, match=f"rung k = {k!r} "):
+        approximable_sequence(OperatorSpec(power_potential(2.0)), f,
+                              [2.0, k])
+    assert solves == []
 
 
 # Allocating oracles: the kernels written with fresh temporaries, in
