@@ -573,10 +573,11 @@ def phi_circ(phi, t_lo=1e-3, t_hi=1e6, n_levels=512, seed=0):
     the measures are Dirichlet's closed form (power splits and square
     power combinations) the table's ``tail`` is the exact one,
     (n / sum 1/p_i, 0), so no tail fit needs decades of levels.
-    Radial inputs return their generator directly (the construction is
-    the identity for them).  ``seed`` is accepted and unused: every rule
-    is deterministic.  The ladder must have finite ends 0 < t_lo < t_hi
-    and n_levels >= 4, else :class:`YoungFunctionError` names the value.
+    A radial Phi returns its generator and a scalar Young function
+    itself (the construction is the identity for them).  ``seed`` is
+    accepted and unused: every rule is deterministic.  The ladder must
+    have finite ends 0 < t_lo < t_hi and n_levels >= 4, else
+    :class:`YoungFunctionError` names the value.
     """
     for name, val in (("t_lo", t_lo), ("t_hi", t_hi)):
         if not (math.isfinite(val) and val > 0.0):
@@ -588,6 +589,8 @@ def phi_circ(phi, t_lo=1e-3, t_hi=1e6, n_levels=512, seed=0):
     if n_levels < 4:
         raise YoungFunctionError(
             f"phi_circ needs n_levels >= 4; got {n_levels!r}")
+    if not isinstance(phi, AnisotropicYoungFunction):
+        return phi
     if phi.form == "radial":
         return phi.a
     levels = np.geomspace(t_lo, t_hi, n_levels)
@@ -609,15 +612,15 @@ def phi_diamond(phi_or_circ):
     linear (t, A) coordinates: equal to Phi_circ at the hull vertices,
     linear between them, and within bounded dilation of Phi_circ.  An
     analytic scalar input is convex when built, so it is its own
-    biconjugate and is returned unchanged.
+    biconjugate and is returned unchanged.  A stated ``tail`` carries
+    over: Phi_circ is then the power c t^sigma, its own envelope.
     """
-    circ = phi_or_circ
-    if isinstance(circ, AnisotropicYoungFunction):
-        circ = phi_circ(circ)
+    circ = phi_circ(phi_or_circ)
     if not isinstance(circ, SampledYoungFunction):
         return circ
     out = SampledYoungFunction(circ.log_t, circ.log_v,
                                name=f"phi_diamond({circ.name})")
+    out.tail = circ.tail
     return out.repair_convexity()
 
 

@@ -19,6 +19,9 @@ than argparse's usage errors also leave a machine-readable
 Each command's config keys, flags and defaults are one table,
 ``CONFIG_KEYS``; a handler reads the config that ``_merge_config``
 filled in from it, flags over the ``--config`` document over defaults.
+Every Phi-valued key is read by one reader, ``_phi``, and a command
+takes the stage it needs, Phi_circ or Phi_diamond, from
+:mod:`anisotropic`.
 
 Determinism: the sphere rules and the grid solver are deterministic
 and no command draws a random number (``--seed`` is accepted and
@@ -29,6 +32,7 @@ count reproduces byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -96,12 +100,10 @@ def _write_json(path, doc):
 def _measure(text):
     """The domain measure ``--omega``: a finite number > 0, or 'pi', from
     a number or a string."""
-    try:
-        if type(text) not in (str, int, float):  # nor a bool
-            raise ValueError
-        omega = math.pi if str(text).strip() == "pi" else float(text)
-    except ValueError:
-        omega = math.nan
+    omega = math.nan
+    if type(text) in (str, int, float):  # nor a bool
+        with contextlib.suppress(ValueError):
+            omega = math.pi if str(text).strip() == "pi" else float(text)
     if not 0.0 < omega < math.inf:
         raise ConfigError(f"--omega must be a finite number > 0 or 'pi', "
                           f"not {text!r}")
@@ -130,21 +132,26 @@ def _read_json(text, source):
         raise ConfigError(f"{source} is not JSON: {exc}") from None
 
 
-def _phi_from_config(cfg):
-    """--phi: JSON text, a .json path, or a --config object."""
-    doc = cfg["phi"]
-    if isinstance(doc, str) and doc.endswith(".json"):
-        doc = _read_json(Path(doc).read_text(encoding="utf-8"), f"--phi {doc}")
-    elif isinstance(doc, str):
-        doc = _read_json(doc, "--phi")
-    return anisotropic.from_json(doc)
-
-
-def _scalar_from_config(cfg, key):
-    spec = cfg[key]
+def _phi(cfg, key, n):
+    """The Phi of ``key`` in the one grammar of every command: a JSON
+    object (JSON text, a .json path or a --config value) is a Phi on R^n
+    (:func:`anisotropic.from_json`), on R^``n`` unless ``n`` is None,
+    or with a "kind" a scalar term; a .csv path is a table; anything
+    else is a scalar spec (:func:`young.parse_scalar_function`)."""
+    spec, flag = cfg[key], "--" + key.replace("_", "-")
     if isinstance(spec, str) and spec.endswith(".csv"):
         return young.SampledYoungFunction.from_csv(spec)
-    return young.parse_scalar_function(spec)
+    if isinstance(spec, str) and spec.endswith(".json"):
+        spec = _read_json(Path(spec).read_text(encoding="utf-8"),
+                          f"{flag} {spec}")
+    elif isinstance(spec, str) and spec.lstrip().startswith("{"):
+        spec = _read_json(spec, flag)
+    if not isinstance(spec, dict) or "kind" in spec:
+        return young.parse_scalar_function(spec)
+    phi = anisotropic.from_json(spec)
+    if n is not None and phi.n != n:
+        raise ConfigError(f"{flag} is a Phi on R^{phi.n}, but --n is {n}")
+    return phi
 
 
 # ---------------------------------------------------------------------
@@ -166,7 +173,9 @@ def _biconjugate_values(a, t):
 
 
 def cmd_conjugate(cfg, out):
-    a = _scalar_from_config(cfg, "A")
+    a = _phi(cfg, "A", None)
+    if isinstance(a, anisotropic.AnisotropicYoungFunction):
+        raise ConfigError(f"--A is a Phi on R^{a.n}, not a scalar function")
     # the table stays inside A's trusted range, where exponential growth
     # is not yet clamped, and so do the conjugate's maximizers A'^{-1}(t)
     t = np.geomspace(1e-2, min(1e4, a.t_max, a.derivative(a.t_max)), 512)
@@ -175,10 +184,9 @@ def cmd_conjugate(cfg, out):
     young.write_csv(out / "conjugate_table.csv", "t,A,conjugate",
                     np.column_stack([t, a.value(t), conj_vals]))
     # involution: conjugating twice returns the original
-    analytic = not isinstance(a, young.SampledYoungFunction)
     rel = np.max(np.abs(_biconjugate_values(a, t) - a.value(t))
                  / np.maximum(a.value(t), 1e-300))
-    inv_tol = 1e-6 if analytic else 1e-3
+    inv_tol = 1e-3 if isinstance(a, young.SampledYoungFunction) else 1e-6
     # two-sided inverse-product inequality t <= A^{-1} conj^{-1} <= 2t
     prod = a.inverse(t) * conj.inverse(t)
     lower_ok = bool(np.all(prod >= t * (1.0 - 1e-9)))
@@ -208,10 +216,11 @@ def cmd_conjugate(cfg, out):
 
 
 def cmd_phicirc(cfg, out):
-    phi = _phi_from_config(cfg)
-    circ = anisotropic.phi_circ(
-        phi, t_lo=float(cfg["t_lo"]), t_hi=float(cfg["t_hi"]),
-        n_levels=cfg["n_levels"])
+    phi = _phi(cfg, "phi", None)
+    if not isinstance(phi, anisotropic.AnisotropicYoungFunction):
+        raise ConfigError(f"--phi is the scalar {phi.name}, not a Phi on R^n")
+    circ = anisotropic.phi_circ(phi, t_lo=cfg["t_lo"], t_hi=cfg["t_hi"],
+                                n_levels=cfg["n_levels"])
     circ.to_csv(out / "phi_circ.csv")
     sigma, beta, spread = tail_exponents(circ)
     report = {"n": phi.n, "form": phi.form,
@@ -223,61 +232,58 @@ def cmd_phicirc(cfg, out):
 
 
 def cmd_embedding(cfg, out):
-    circ = _scalar_from_config(cfg, "phi_circ")
     n = _dimension(cfg)
+    circ = anisotropic.phi_circ(_phi(cfg, "phi_circ", n))
     verdict, diag = classify_integral(circ, n)
     report = {"n": n, "dichotomy": verdict, "diagnostics": diag}
     if verdict == "convergent":
         report["conclusion"] = ("tail integral converges: bounded weak "
                                 "solution for every integrable datum")
-        _write_json(out / "embedding_report.json", report)
-        return report
-    prof = sobolev_conjugate(circ, n)
-    t = np.geomspace(1e-2, 1e6, 512)
-    tab = prof.to_table(t)
-    hat = hat_phi_circ(prof)
-    young.write_csv(
-        out / "embedding_table.csv",
-        "t,H,phi_n,hat_phi_circ,vartheta_n,varrho_n",
-        np.column_stack([t, tab["H"], tab["phi_n"],
-                         np.exp(np.minimum(hat.log_value(np.log(t)), 700.0)),
-                         tab["vartheta_n"], tab["varrho_n"]]))
-    report["modification"] = vars(prof.modification)
+    else:
+        prof = sobolev_conjugate(circ, n)
+        t = np.geomspace(1e-2, 1e6, 512)
+        tab = prof.to_table(t)
+        hat = np.exp(np.minimum(hat_phi_circ(prof).log_value(np.log(t)),
+                                700.0))
+        young.write_csv(out / "embedding_table.csv",
+                        "t,H,phi_n,hat_phi_circ,vartheta_n,varrho_n",
+                        np.column_stack([t, tab["H"], tab["phi_n"], hat,
+                                         tab["vartheta_n"], tab["varrho_n"]]))
+        report["modification"] = vars(prof.modification)
     _write_json(out / "embedding_report.json", report)
     return report
 
 
 def cmd_symmetrize_solve(cfg, out):
-    a = _scalar_from_config(cfg, "phi")
     n = _dimension(cfg)
+    a = anisotropic.phi_diamond(_phi(cfg, "phi", n))
     omega = _measure(cfg["omega"])
     f_rf = rearrangement.Datum(cfg["f"]).rearranged(omega)
     sol = radial.solve_radial(a.psi_inverse, f_rf, n)
     sol.to_csv(out / "radial_solution.csv")
     # the sharp bound is the centre of the radial solution
     center = float(sol.v[0])
-    report = {
-        "n": n, "domain_measure": omega, "radius": sol.radius,
-        "center_value": center, "boundedness_criterion": center,
-        "bounded": math.isfinite(center), "convergence": sol.convergence,
-    }
+    report = {"n": n, "domain_measure": omega, "radius": sol.radius,
+              "center_value": center, "boundedness_criterion": center,
+              "bounded": math.isfinite(center),
+              "convergence": sol.convergence}
     _write_json(out / "symmetrize_solve_report.json", report)
     return report
 
 
-def _grid_phi(p, p_split):
-    """The grid potential as an anisotropic Phi: |xi|^p / p, or
-    sum_i |xi_i|^p_i / p_i for ``p_split``."""
-    terms = [young.PowerYoung(q, 1.0 / q) for q in map(float, p_split or [p])]
-    if p_split is not None:
-        return anisotropic.SplitPhi(terms)
-    return anisotropic.RadialPhi(2, terms[0])
-
-
-def _operator_from_config(cfg):
-    """The operator of grid-solve, approx-seq and regularity-report."""
-    phi = _grid_phi(cfg["p"], cfg["p_split"])
-    return grid.OperatorSpec(potential=phi, b=float(cfg["b"]))
+def _grid_problem(cfg):
+    """The operator and the datum field of grid-solve, approx-seq and
+    regularity-report; the operator's b and its potential |xi|^p / p of
+    a number p, or sum_i |xi_i|^p_i / p_i of a pair p of numbers."""
+    p = cfg["p"]
+    ps = p if type(p) is list and len(p) == 2 else [p]
+    if not all(type(q) in (int, float) for q in ps):  # nor a bool
+        raise ConfigError(f"p = {p!r} is not a number or a pair of numbers")
+    terms = [young.PowerYoung(q, 1.0 / q) for q in ps]
+    phi = (anisotropic.SplitPhi(terms) if len(terms) == 2
+           else anisotropic.RadialPhi(2, terms[0]))
+    return (grid.OperatorSpec(potential=phi, b=cfg["b"]),
+            rearrangement.Datum(cfg["f"]).field(cfg["N"]))
 
 
 def _cell_values(u):
@@ -289,8 +295,7 @@ def _cell_values(u):
 
 
 def cmd_grid_solve(cfg, out):
-    spec = _operator_from_config(cfg)
-    f_field = rearrangement.Datum(cfg["f"]).field(cfg["N"])
+    spec, f_field = _grid_problem(cfg)
     u, info = grid.solve(spec, f_field)
     # the certificate of the field written, not of the solver's iterate:
     # its gap within its own rounding bound or the solve's gap target
@@ -323,8 +328,7 @@ def cmd_grid_solve(cfg, out):
 
 
 def cmd_approx_seq(cfg, out):
-    spec = _operator_from_config(cfg)
-    f_field = rearrangement.Datum(cfg["f"]).field(cfg["N"])
+    spec, f_field = _grid_problem(cfg)
     k_ladder = [float(k) for k in cfg["k_ladder"]]
     _fields, rows = grid.approximable_sequence(spec, f_field, k_ladder)
     steps = rows[1:]  # first entry has no predecessor to deviate from
@@ -345,12 +349,10 @@ def cmd_approx_seq(cfg, out):
 
 
 def cmd_regularity_report(cfg, out):
-    spec = _operator_from_config(cfg)
+    spec, f_field = _grid_problem(cfg)
     n = spec.potential.n
-    f_field = rearrangement.Datum(cfg["f"]).field(cfg["N"])
     u, info = grid.solve(spec, f_field)
-    head = {"N": f_field.n_nodes, "p": float(cfg["p"]),
-            "p_split": cfg["p_split"],
+    head = {"N": f_field.n_nodes, "p": np.asarray(cfg["p"], float).tolist(),
             **{key: val for key, val in info.items() if key != "energies"}}
     cell = u.h**2
     u_cells = _cell_values(u).ravel()
@@ -374,8 +376,7 @@ def cmd_regularity_report(cfg, out):
     mu_u = np.count_nonzero(u_cells >= t_ladder[:, None], axis=1) * cell
     K = f_field.l1()
     kappa2 = radial.calibrate_kappa2(K, prof, mu_u, t_ladder)
-    s_ladder = np.geomspace(0.05, 0.8, 12) * max(float(np.max(e_cells)),
-                                                 1e-12)
+    s_ladder = np.geomspace(0.05, 0.8, 12) * max(np.max(e_cells), 1e-12)
     mu_e = np.count_nonzero(e_cells > s_ladder[:, None], axis=1) * cell
     c1 = radial.calibrate_c1(prof, mu_e, s_ladder)
     bound_u = radial.level_set_bound_u(K, prof, kappa2)(t_ladder)
@@ -417,15 +418,13 @@ def cmd_verify_example(cfg, out):
 
 
 def cmd_admissibility(cfg, out):
-    circ = _scalar_from_config(cfg, "phi_circ")
     n = _dimension(cfg)
+    circ = anisotropic.phi_circ(_phi(cfg, "phi_circ", n))
     omega = _measure(cfg["omega"])
     f_rf = rearrangement.Datum(cfg["f"]).rearranged(omega)
     dich, _ = classify_integral(circ, n)
-    conj = circ.conjugate()
-    report = rearrangement.data_admissibility(f_rf, conj, n, dich)
-    report["n"] = n
-    report["dichotomy"] = dich
+    report = {**rearrangement.data_admissibility(
+        f_rf, circ.conjugate(), n, dich), "n": n, "dichotomy": dich}
     _write_json(out / "admissibility_report.json", report)
     return report
 
@@ -449,8 +448,7 @@ HANDLERS = {
 # positional id.  The README lists this table.
 REQUIRED = object()
 _GRID_KEYS = {"N": (int, None, None), "p": (float, 2.0, None),
-              "f": (str, "const:1", None), "p_split": (None, None, None),
-              "b": (None, 1.0, None)}
+              "f": (str, "const:1", None), "b": (None, 1.0, None)}
 CONFIG_KEYS = {
     "conjugate": {"A": (str, REQUIRED, "scalar function spec")},
     "phicirc": {
@@ -460,7 +458,7 @@ CONFIG_KEYS = {
     "embedding": {"phi_circ": (str, REQUIRED, None),
                   "n": (int, REQUIRED, None)},
     "symmetrize-solve": {
-        "phi": (str, REQUIRED, "scalar spec for the radial profile"),
+        "phi": (str, REQUIRED, "Phi: scalar spec, CSV or JSON path"),
         "n": (int, REQUIRED, None),
         "f": (str, "const:1", "const:<c>, pow:a=<a>[,c=<c>] or CSV path"),
         "omega": (str, 1.0, "domain measure (number or 'pi')")},
@@ -506,8 +504,8 @@ def _document_value(key, val, kind, default):
     JSON type: an integer where its flag, of type ``kind``, takes one;
     for a config-only key its default's type, a number or an integer
     (type, not isinstance: a bool default is no integer), else an array
-    of numbers (``p_split``, ``k_ladder``).  A bool is no number, and
-    :func:`_read_json` has refused numbers that are not finite.  A value
+    of numbers (``k_ladder``).  A bool is no number, and :func:`_read_json`
+    has refused numbers that are not finite.  A value
     of another type raises :class:`ConfigError` naming the key and the
     value; a key whose flag takes a string or a float takes any."""
     if kind is None:
@@ -586,10 +584,8 @@ def main(argv=None):
                             "message": str(exc)}}
         if isinstance(exc, grid.SolveError):
             record["error"]["info"] = exc.info
-        try:
+        with contextlib.suppress(OSError):
             _write_json(out / "error.json", record)
-        except OSError:
-            pass
         if not args.quiet:
             print(_dumps(record), file=sys.stderr)
         return EXIT_OPERATIONAL

@@ -955,10 +955,12 @@ def approximable_sequence(spec, f_field, k_ladder):
     measure of {|u_k - u_prev| > 1e-3} between consecutive iterates,
     plus the gradient Cauchy-in-measure statistic, the measure of
     {|grad u_k - grad u_prev| > 1e-3}, and each rung's solve record (the
-    info of :func:`solve` without ``energies``).  A rung k <= 0, for which
-    the clamp is the constant k, raises :class:`YoungFunctionError`
-    before any solve.
+    info of :func:`solve` without ``energies``).  An empty ladder, or a
+    rung k <= 0, for which the clamp is the constant k, raises
+    :class:`YoungFunctionError` before any solve.
     """
+    if len(k_ladder) == 0:
+        raise YoungFunctionError("k_ladder [] holds no truncation rung")
     for k in k_ladder:
         if not k > 0.0:
             raise YoungFunctionError(

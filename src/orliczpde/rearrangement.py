@@ -232,10 +232,12 @@ def improper_integral(fn, breakpoints):
     The ends are 4 a decade over 14 decades below |Omega| (or to two
     decades below the lowest inner breakpoint) and the datum's
     ``breakpoints`` 0 < ... < |Omega|, where f** has a kink.  Each panel
-    takes 15-point Kronrod, with |K15 - G7| (the nested 7-point Gauss
-    rule) its error estimate.  I(0) adds the head [0, s_1]: the last
-    decade sum times q/(1 - q), q the ratio of the last two, or inf when
-    q >= 0.999 and the last decade is not negligible.  fn is called
+    takes 15-point Kronrod with QUADPACK's qk15 error estimate (Piessens
+    et al. 1983): resasc min(1, (200 |K15 - G7| / resasc)^{3/2}), G7 the
+    nested 7-point Gauss rule and resasc the K15 integral of |fn - its
+    mean|, floored at 50 eps K15.  I(0) adds the head [0, s_1]: the
+    last decade sum times q/(1 - q), q the ratio of the last two, or inf
+    when q >= 0.999 and the last decade is not negligible.  fn is called
     once, on all nodes; leading axes of its values stack integrands,
     each with its own I and err.
     """
@@ -253,7 +255,11 @@ def improper_integral(fn, breakpoints):
     panels = half * np.sum(_GK_WEIGHTS * vals, axis=-1)
     gauss = half * np.sum(_G7_WEIGHTS * vals[..., 1::2], axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        err = np.sum(np.abs(panels - gauss), axis=-1)
+        mean = (0.5 * panels / half)[..., None]
+        resasc = half * np.sum(_GK_WEIGHTS * np.abs(vals - mean), axis=-1)
+        est = resasc * (200.0 * np.abs(panels - gauss) / resasc) ** 1.5
+        err = np.sum(np.maximum(np.fmin(resasc, est),
+                                50.0 * np.finfo(float).eps * panels), axis=-1)
         tail = np.cumsum(panels[..., ::-1], axis=-1)[..., ::-1]
         last, prev = (np.sum(panels[..., i:i + _EDGES_PER_DECADE], axis=-1)
                       for i in (0, _EDGES_PER_DECADE))

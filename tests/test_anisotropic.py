@@ -560,9 +560,17 @@ def test_star_path_batches_at_most_a_chunk(monkeypatch):
 def test_phi_diamond_analytic_passthrough():
     a = PowerYoung(2, 0.5)
     assert phi_diamond(RadialPhi(2, a)) is a
+    assert phi_circ(a) is a and phi_diamond(a) is a
     phi = SplitPhi([PowerYoung(2), PowerYoung(4)])
     circ = phi_circ(phi, t_lo=1e-2, t_hi=1e8, n_levels=128)
     assert isinstance(phi_diamond(circ), SampledYoungFunction)
+
+
+def test_phi_diamond_keeps_the_stated_tail():
+    # a Phi_circ with a stated tail is the convex power c t^sigma, its
+    # own envelope: Phi_diamond of the split (t^2/2, t^4/4) had no tail
+    split = SplitPhi([PowerYoung(2.0, 0.5), PowerYoung(4.0, 0.25)])
+    assert phi_diamond(split).tail == phi_circ(split).tail == (8 / 3, 0.0)
 
 
 def test_phi_diamond_of_non_convex_table_is_its_lower_hull():

@@ -437,9 +437,9 @@ def test_unread_config_key_exits_before_work(tmp_path, args, doc, unread):
 # keyword arguments, not dict literals: test_every_config_key_has_a_setter
 # counts the keys of dict literals in this file as setters
 @pytest.mark.parametrize("args, resolved", [
-    (["grid-solve"], dict(N=None, p=2.0, f="const:1", p_split=None, b=1.0)),
-    (["approx-seq"], dict(N=None, p=2.0, f="point:mass=1", p_split=None,
-                          b=1.0, k_ladder=(2, 8, 32, 128, 1024))),
+    (["grid-solve"], dict(N=None, p=2.0, f="const:1", b=1.0)),
+    (["approx-seq"], dict(N=None, p=2.0, f="point:mass=1", b=1.0,
+                          k_ladder=(2, 8, 32, 128, 1024))),
     (["phicirc", "--phi", SPLIT_PHI],
      dict(phi=SPLIT_PHI, t_lo=1e-3, t_hi=1e6, n_levels=256)),
 ], ids=["grid-solve", "approx-seq", "phicirc"])
@@ -494,7 +494,7 @@ def test_merge_config_reads_null_as_unset(tmp_path):
     config.write_text(json.dumps(dict(N=17, p=None, b=None)))
     cfg = cli._merge_config(cli.build_parser().parse_args(
         ["grid-solve", "--config", str(config), "--p", "3"]))
-    assert cfg == dict(N=17, p=3.0, f="const:1", p_split=None, b=1.0)
+    assert cfg == dict(N=17, p=3.0, f="const:1", b=1.0)
 
 
 def _reference_parser():
@@ -517,7 +517,7 @@ def _reference_parser():
     p.add_argument("--phi-circ", dest="phi_circ")
     p.add_argument("--n", type=int)
     p = sub.add_parser("symmetrize-solve", parents=[common])
-    p.add_argument("--phi", help="scalar spec for the radial profile")
+    p.add_argument("--phi", help="Phi: scalar spec, CSV or JSON path")
     p.add_argument("--n", type=int)
     p.add_argument("--f", help="const:<c>, pow:a=<a>[,c=<c>] or CSV path")
     p.add_argument("--omega", help="domain measure (number or 'pi')")
@@ -1146,12 +1146,12 @@ def test_regularity_report_bounded_regime(tmp_path):
     assert rep["level_set_u"] is None and rep["level_set_grad"] is None
 
 
-def test_regularity_report_reads_p_split(tmp_path):
+def test_regularity_report_reads_a_split_p(tmp_path):
     reports = {}
     for label, extra in (("radial", {"p": 2}),
-                         ("mixed", {"p_split": [1.5, 2]}),
-                         ("bounded", {"p_split": [2, 4]}),
-                         ("steep", {"p_split": [3, 4]})):
+                         ("mixed", {"p": [1.5, 2]}),
+                         ("bounded", {"p": [2, 4]}),
+                         ("steep", {"p": [3, 4]})):
         config = tmp_path / f"{label}.json"
         config.write_text(json.dumps(extra))
         code, out = run(["regularity-report", "--N", "33", "--config",
@@ -1161,7 +1161,9 @@ def test_regularity_report_reads_p_split(tmp_path):
             (out / "regularity_report.json").read_text())
     # Phi_circ of (2, 4) grows like t^{8/3}, faster than t^n: u is bounded
     assert reports["bounded"]["dichotomy"] == "convergent"
-    assert reports["bounded"]["p_split"] == [2, 4]
+    assert reports["bounded"]["p"] == [2.0, 4.0]
+    assert reports["radial"]["p"] == 2.0
+    assert "p_split" not in reports["radial"]
     # (3, 4) grows like t^{24/7}; its closed-form sublevel measures state
     # that tail, so the default levels classify it
     assert reports["steep"]["dichotomy"] == "convergent"
@@ -1603,15 +1605,14 @@ def test_an_integer_key_takes_only_an_integral_number(command, key, value,
 
 @pytest.mark.parametrize("command, key, value, kind", [
     ("approx-seq", "k_ladder", "248", "an array of numbers"),
-    ("approx-seq", "p_split", "24", "an array of numbers"),
     ("approx-seq", "b", True, "a number"),
     ("phicirc", "t_lo", "0.001", "a number"),
-], ids=["k_ladder", "p_split", "b", "t_lo"])
+], ids=["k_ladder", "b", "t_lo"])
 def test_a_config_only_key_takes_only_its_json_type(command, key, value, kind,
                                                     tmp_path, monkeypatch):
-    # "248" ran the rungs 2, 4 and 8, "24" the split (2, 4) and true
-    # b = 1: a config-only key takes its default's JSON type, an array of
-    # numbers for k_ladder and p_split, before anything is solved
+    # "248" ran the rungs 2, 4 and 8 and true b = 1: a config-only key
+    # takes its default's JSON type, an array of numbers for k_ladder,
+    # before anything is solved
     solves = []
     monkeypatch.setattr(grid, "solve", lambda *a, **k: solves.append(a))
     config = tmp_path / "config.json"
@@ -1740,6 +1741,130 @@ def test_cli_uses_only_the_public_api():
                and isinstance(node.value, ast.Name)
                and node.value.id in modules and node.attr.startswith("_")]
     assert private == []
+
+
+def test_cli_reads_phi_through_one_reader():
+    # one Phi grammar: the scalar spec parser, the JSON Phi builder and
+    # the CSV table are named in cli.py only inside cli._phi, so no
+    # command reads a Phi its own way
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    names = {"parse_scalar_function", "from_json", "from_csv"}
+    uses = sorted(
+        (getattr(top, "name", None), name) for top in tree.body
+        for node in ast.walk(top)
+        for name in [getattr(node, "attr", None) or getattr(node, "id", None)
+                     or getattr(node, "name", None)]
+        if name in names)
+    assert uses == [("_phi", name) for name in sorted(names)]
+
+
+_RADIAL_JSON = {"n": 2, "form": "radial", "term": {"kind": "power"}}
+
+
+@pytest.mark.parametrize("args, p", [
+    (["embedding", "--n", "2"], 1.5),
+    (["admissibility", "--n", "2", "--f", "const:1", "--omega", "pi"], 1.5),
+    (["symmetrize-solve", "--n", "2", "--f", "const:1", "--omega", "pi"],
+     2.0),
+], ids=lambda x: x[0] if isinstance(x, list) else str(x))
+def test_a_scalar_spec_and_its_radial_json_write_the_same_bytes(args, p,
+                                                               tmp_path):
+    # the scalar is its own Phi_circ and Phi_diamond, as the radial Phi's
+    # generator is
+    flag = "--phi" if args[0] == "symmetrize-solve" else "--phi-circ"
+    doc = {**_RADIAL_JSON, "term": {"kind": "power", "p": p}}
+    outs = []
+    for label, phi in (("spec", f"power:p={p}"), ("json", json.dumps(doc))):
+        code, out = run([*args, flag, phi], tmp_path, sub=label)
+        assert code == 0
+        outs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert outs[0] == outs[1] and len(outs[0]) >= 1
+
+
+def test_symmetrize_solve_takes_phi_diamond_of_a_phi(tmp_path):
+    # Psi_diamond^{-1} of the split t^2/2 + t^4/4: its centre on f = 1
+    # in the unit-measure disk
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps({"n": 2, "form": "split", "terms": [
+        {"kind": "power", "p": 2, "coeff": 0.5},
+        {"kind": "power", "p": 4, "coeff": 0.25}]}))
+    code, out = run(["symmetrize-solve", "--phi", str(split), "--n", "2",
+                     "--f", "const:1", "--omega", "1"], tmp_path)
+    assert code == 0
+    rep = json.loads((out / "symmetrize_solve_report.json").read_text())
+    assert rep["center_value"] == pytest.approx(0.3129759639, abs=1e-9)
+    assert rep["convergence"]["tolerance_met"]
+
+
+def test_embedding_takes_phi_circ_of_a_phi(tmp_path):
+    # the split (2, 4) states its tail 8/3, so none is fitted; the
+    # power-log split reads the tail that its phicirc table reads
+    code, out = run(["embedding", "--phi-circ", SPLIT_PHI, "--n", "2"],
+                    tmp_path, sub="split")
+    assert code == 0
+    rep = json.loads((out / "embedding_report.json").read_text())
+    assert rep["dichotomy"] == "convergent"
+    assert rep["diagnostics"]["fit_spread"] is None
+    log_split = json.dumps({"n": 2, "form": "split", "terms": [
+        {"kind": "power_log", "p": 2, "alpha": alpha} for alpha in (1, 3)]})
+    code, table = run(["phicirc", "--phi", log_split], tmp_path, sub="table")
+    assert code == 0
+    sigmas = []
+    for label, phi in (("phi", log_split),
+                       ("csv", str(table / "phi_circ.csv"))):
+        code, out = run(["embedding", "--phi-circ", phi, "--n", "2"],
+                        tmp_path, sub=label)
+        assert code == 0
+        rep = json.loads((out / "embedding_report.json").read_text())
+        assert rep["dichotomy"] == "convergent"
+        sigmas.append(rep["diagnostics"]["sigma"])
+    assert sigmas == pytest.approx([2.0416, 2.0416], abs=1e-4)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["conjugate", "--A", json.dumps({**_RADIAL_JSON, "n": 3})],
+     "--A is a Phi on R^3, not a scalar function"),
+    (["phicirc", "--phi", "power:p=2"],
+     "--phi is the scalar power(p=2), not a Phi on R^n"),
+    (["embedding", "--phi-circ", json.dumps({**_RADIAL_JSON, "n": 3}),
+      "--n", "2"], "--phi-circ is a Phi on R^3, but --n is 2"),
+    (["symmetrize-solve", "--phi", json.dumps(_RADIAL_JSON), "--n", "3"],
+     "--phi is a Phi on R^2, but --n is 3"),
+], ids=["conjugate", "phicirc", "embedding", "symmetrize-solve"])
+def test_a_phi_of_the_wrong_kind_is_named(args, message, tmp_path):
+    code, out = run(args, tmp_path)
+    assert code == 1
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err == {"type": "ConfigError", "message": message}
+
+
+@pytest.mark.parametrize("value", ["3", True, [2], [], [2, 3, 4], [2, "4"]],
+                         ids=repr)
+def test_a_grid_p_is_a_number_or_two(value, tmp_path, monkeypatch):
+    # "3" ran as p = 3, true read "power exponent must exceed 1" and a
+    # split of one exponent "dimension must be >= 2", naming neither
+    # the key nor the value
+    solves = []
+    monkeypatch.setattr(grid, "solve", lambda *a, **k: solves.append(a))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"p": value}))
+    code, out = run(["grid-solve", "--N", "17", "--config", str(config)],
+                    tmp_path)
+    assert code == 1 and solves == []
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err == {"type": "ConfigError", "message": f"p = {value!r} is not "
+                   f"a number or a pair of numbers"}
+
+
+def test_approx_seq_refuses_an_empty_ladder(tmp_path):
+    # an empty ladder passed its verdict on no rung and exited 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"k_ladder": [], "N": 17}))
+    code, out = run(["approx-seq", "--config", str(config)], tmp_path)
+    assert code == 1
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert "k_ladder" in err["message"]
+    assert not (out / "approx_seq.csv").exists()
 
 
 def test_verify_example_cli(tmp_path):
