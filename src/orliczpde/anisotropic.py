@@ -13,14 +13,17 @@ radial extent R(w) of the boundary in direction w:
 
     |{Phi <= t}| = (1/n) * Int_{S^{n-1}} R(w)^n dw,
 
-with R found along the rays of each sphere rule by two
-``solve_increasing`` calls (vectorized over levels and directions, which
+with R found along the rays of each sphere rule by one
+``solve_increasing`` call (vectorized over levels and directions, which
 ride along as per-row ``args`` so that each round evaluates Phi only on
-the rays still unfinished): one for the smallest and the largest level,
-then one for every other level inside the bracket of their radii, since
-R(w, t) is nondecreasing in t.  The spherical integral is done by one
-deterministic rule for every n that
-doubles its points per angle at each level: a product rule in
+the rays still unfinished).  For a combination sum_k A_k(|c_k . xi|)
+each ray is bracketed in closed form by the terms' inverses, A_k(r a_k)
+<= Phi(r w) <= K max_k A_k(r a_k) with a_k = |c_k . w|, and its values
+are sums over the projections a_k; a CustomPhi solves the smallest and
+the largest level first, then every other one inside the bracket of
+their radii, since R(w, t) is nondecreasing in t.  The spherical
+integral is done by one deterministic rule for every n that doubles its
+points per angle at each level: a product rule in
 hyperspherical coordinates (Stroud 1971, *Approximate Calculation of
 Multiple Integrals*), Gauss-Legendre in the polar angles and, on a
 half-circle azimuth (Phi is even), Clenshaw-Curtis on each arc between
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 
@@ -204,25 +208,61 @@ def radial_extent(phi, directions, t, bracket=None):
     ``t`` is one level for every direction, or an array holding one level
     per direction row (the batched star path of :func:`sublevel_measure`
     solves many levels this way).  Phi is nondecreasing along rays from 0
-    (convexity + Phi(0)=0), so one solve serves all rows at once: the
-    direction rows go to the solver as ``args``, so each round evaluates
-    Phi only on the rays still unfinished.  ``bracket`` = (R_lo, R_hi,
-    t_lo, t_hi), radii of two levels t_lo < t <= t_hi per row, is passed
-    to :func:`solve_increasing`, which then only narrows.  R is solved to
-    1e-12 relative.  A :class:`CustomPhi` may have unbounded sublevel
-    sets, so its boundary beyond the bound radius 1e8 raises
-    :class:`BoundBoxError`; the other forms have bounded ones (a
-    combination's rows span R^n) and are solved over the solver's range.
+    (convexity + Phi(0)=0), so one solve serves all rows at once: each
+    row goes to the solver as an ``args`` row, so each round evaluates
+    Phi only on the rays still unfinished; for a combination that row is
+    its projections a_k = |c_k . w|, and a ray's value sum_k A_k(r a_k).
+    ``bracket`` = (R_lo, R_hi, Phi_lo, Phi_hi), radii with Phi_lo < t <=
+    Phi_hi per row, is passed to :func:`solve_increasing`, which then only
+    narrows.  R is solved to 1e-12 relative.  A :class:`CustomPhi` may
+    have unbounded sublevel sets, so its boundary beyond the bound radius
+    1e8 raises :class:`BoundBoxError`; the other forms have bounded ones
+    (a combination's rows span R^n) and are solved over the solver's
+    range.
     """
     w = np.asarray(directions, dtype=float)
     box = {"x_max": _BOUND_RADIUS} if isinstance(phi, CustomPhi) else {}
+    if isinstance(phi, LinearCombinationPhi):
+        fn, args = partial(_ray_values, phi.terms), _projections(phi.coeffs, w)
+    else:
+        fn, args = (lambda r, w: phi.value(r[:, None] * w)), (w,)
     try:
-        return solve_increasing(lambda r, w: phi.value(r[:, None] * w),
-                                np.full(w.shape[0], t, dtype=float),
-                                args=(w,), bracket=bracket, **box)
+        return solve_increasing(fn, np.full(w.shape[0], t, dtype=float),
+                                args=tuple(args), bracket=bracket, **box)
     except InverseRangeError as err:
         raise BoundBoxError(f"sublevel set reaches the bound box: {err}"
                             ) from None
+
+
+def _projections(coeffs, w):
+    """|c_k . w|, one row per row c_k of ``coeffs`` and one column per
+    direction row of ``w``; summed elementwise, so a column's bits do
+    not depend on the directions that come with it."""
+    return np.abs(sum(np.multiply.outer(ci, wi)
+                      for ci, wi in zip(coeffs.T, w.T)))
+
+
+def _ray_values(terms, r, *a):
+    """Phi(r w) = sum_k A_k(r a_k) from the projections a_k = |c_k . w|."""
+    return sum(f.value(r * ak) for f, ak in zip(terms, a))
+
+
+def _ray_bracket(terms, a, t, inv):
+    """(lo, hi, Phi(lo w), Phi(hi w)), one row per level of ``t`` and one
+    column per direction of the projections ``a``; ``inv`` holds
+    A_k^{-1}(t/K) and A_k^{-1}(t), shaped (2, K, levels).  Phi(r w) >=
+    A_k(r a_k) gives R <= hi = min_k A_k^{-1}(t)/a_k, and Phi(r w) <=
+    K max_k A_k(r a_k) gives R >= lo = min_k A_k^{-1}(t/K)/a_k.  Where
+    rounding breaks Phi(lo w) < t <= Phi(hi w), that end is opened
+    (lo = 0, hi = inf)."""
+    t = t[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo, hi = (np.min([x[:, None] / ak for x, ak in zip(end, a)], axis=0)
+                  for end in inv)
+        f_lo, f_hi = _ray_values(terms, lo, *a), _ray_values(terms, hi, *a)
+    lo, f_lo = np.where(f_lo < t, [lo, f_lo], 0.0)
+    hi, f_hi = np.where(t <= f_hi, [hi, f_hi], np.inf)
+    return lo, hi, f_lo, f_hi
 
 
 # no rule has more than 2^21 directions, the size of the n = 3 rule at
@@ -405,25 +445,27 @@ def _chunks(n_items, per_item):
     return [slice(i, i + step) for i in range(0, n_items, step)]
 
 
-def _star_radii(phi, w, ts, bracket=None):
+def _star_radii(phi, w, ts, bracket=()):
     """Radii R(w, t), one row per level of ``ts`` and one column per
     direction row of ``w``, in one :func:`radial_extent` call;
-    ``bracket`` = (R_lo, R_hi, t_lo, t_hi) holds the radii of two levels
-    t_lo < ts <= t_hi, one per direction."""
+    ``bracket`` = (R_lo, R_hi, Phi_lo, Phi_hi) broadcasts to that shape."""
     k = ts.size
-    tiled = [] if bracket is None else [(
-        np.tile(bracket[0], k), np.tile(bracket[1], k), *bracket[2:])]
+    tiled = [np.broadcast_to(b, (k, len(w))).ravel() for b in bracket]
     return radial_extent(phi, np.tile(w, (k, 1)), np.repeat(ts, len(w)),
-                         *tiled).reshape(k, -1)
+                         *([tiled] if tiled else [])).reshape(k, -1)
 
 
 def _star_measure(phi, levels):
     """Star-path measures of the 1-D array ``levels``, all at once, and
-    their convergence summary (see :func:`sublevel_measure`)."""
+    their convergence summary (see :func:`sublevel_measure`).  A
+    combination's terms are inverted once, at ``levels`` / K and
+    ``levels``, and each rule brackets every (level, direction) pair
+    from them (:func:`_ray_bracket`)."""
     n = phi.n
     # kink planes c . xi = 0 of the terms A(|c . xi|); the K rows c with
     # an azimuth part cut the azimuth into <= 2 K + 1 <= 2^arcs arcs
     c = np.reshape(getattr(phi, "coeffs", ()), (-1, n))
+    terms = getattr(phi, "terms", ())
     arcs = int(2 * np.any(c[:, -2:], axis=1).sum()).bit_length()
     # six rules, or fewer where m^(n-1) directions exceed 2^21 (one at
     # n = 11, none from n = 12), split where m^(n-2) max(m, 2^arcs) do not
@@ -435,6 +477,11 @@ def _star_measure(phi, levels):
     est = np.where(np.isinf(levels), np.inf, 0.0)
     change = np.full(levels.size, np.inf)
     pending = np.flatnonzero(np.isfinite(levels))
+    # a combination's terms inverted once at t / K and t (_ray_bracket)
+    inv = np.empty((2, len(terms), levels.size))
+    for k, f in enumerate(terms):
+        inv[:, k, pending] = (f.inverse(levels[pending] / len(terms)),
+                              f.inverse(levels[pending]))
     # the pending levels keep their radii along the last rule's
     # directions in the plane only: the polar rule changes with m, so
     # no direction repeats where n >= 3
@@ -448,39 +495,44 @@ def _star_measure(phi, levels):
         w, wt = _sphere_rule(n, rule, c if split else c[:0])
         if np.array_equal(w, kept_w):
             continue  # more arcs than points repeat a rule: no change
-        # a nested rule's even directions are the last rule's
+        # a nested rule's even directions are the last rule's, and only
+        # the fresh ones are solved
         nested = np.array_equal(w[::2], kept_w)
         seen = slice(0, None, 2) if nested else slice(0)
         fresh = slice(1, None, 2) if nested else slice(None)
         r_old = kept_r if nested else kept_r[:, :0]
-
-        def radii(rows, t, *bracket):
-            # radii of the pending levels ``rows`` (at ``t``) along w,
-            # solved along the fresh directions only
-            r = np.empty((t.size, len(w)))
-            r[:, seen] = r_old[rows]
-            r[:, fresh] = np.concatenate([
-                _star_radii(phi, w[fresh], t[chunk], *bracket)
-                for chunk in _chunks(t.size, len(w[fresh]))])
-            return r
-
+        wf = w[fresh]
         ts = levels[pending]
-        # the extreme levels first, then every other one inside the
-        # bracket of their radii: R(w, t) is nondecreasing in t
-        ends = np.unique([ts.min(), ts.max()])
-        first = [np.flatnonzero(ts == t)[0] for t in ends]
-        r_ends = radii(first, ends)
-        bracket = (r_ends[0, fresh], r_ends[-1, fresh], ends[0], ends[-1])
-        inner = np.flatnonzero((ts > ends[0]) & (ts < ends[-1]))
         new = np.empty(pending.size)
         kept_r = np.empty((pending.size, len(w[carry])))
-        for chunk in _chunks(inner.size, len(w[fresh])):
-            r = radii(inner[chunk], ts[inner[chunk]], bracket)
-            new[inner[chunk]] = np.sum(wt * r ** n / n, axis=1)
-            kept_r[inner[chunk]] = r[:, carry]
-        for t, r in zip(ends, r_ends):
-            new[ts == t] = np.sum(wt * r ** n / n)
-            kept_r[ts == t] = r[carry]
+
+        def keep(rows, r_fresh):
+            # the measures and kept radii of the pending levels ``rows``
+            r = np.empty((len(rows), len(w)))
+            r[:, seen], r[:, fresh] = r_old[rows], r_fresh
+            new[rows] = np.sum(wt * r ** n / n, axis=1)
+            kept_r[rows] = r[:, carry]
+
+        if len(terms):
+            # every pair bracketed in closed form (see _ray_bracket)
+            a = _projections(c, wf)
+            inner = np.arange(ts.size)
+        else:
+            # the extreme levels first, then every other one inside the
+            # bracket of their radii: R(w, t) is nondecreasing in t
+            ends = np.unique([ts.min(), ts.max()])
+            r_ends = np.concatenate([_star_radii(phi, wf, ends[chunk])
+                                     for chunk in _chunks(ends.size, len(wf))])
+            for t, r in zip(ends, r_ends):
+                keep(np.flatnonzero(ts == t), r)
+            inner = np.flatnonzero((ts > ends[0]) & (ts < ends[-1]))
+            bracket = (r_ends[0], r_ends[-1], ends[0], ends[-1])
+        for chunk in _chunks(inner.size, len(wf)):
+            rows = inner[chunk]
+            if len(terms):
+                bracket = _ray_bracket(terms, a, ts[rows],
+                                       inv[:, :, pending[rows]])
+            keep(rows, _star_radii(phi, wf, ts[rows], bracket))
         diff = np.abs(new - est[pending])
         done = (diff <= _REL_TOL * np.abs(new)) & (rule > 0)
         change[pending] = diff / np.abs(new)
@@ -533,12 +585,13 @@ def sublevel_measure(phi, t):
     everything else goes through the star-shaped boundary integral, its
     sphere rule split at the terms' kink planes and refined until the
     relative change drops below ``rel_tol`` = 1e-7.  On that path every
-    pending level is solved along the directions of a sphere rule in two
-    :func:`radial_extent` calls (each in chunks of at most ``_CHUNK``
-    (level, direction) pairs): the smallest and the largest pending
-    level first, then every other one inside the bracket that their radii
-    give along the same direction (a level equal to one of them takes
-    its radii).  In the plane the rules
+    pending level is solved along the directions of a sphere rule in one
+    :func:`radial_extent` call per chunk of at most ``_CHUNK`` (level,
+    direction) pairs, each ray of a combination in its closed-form
+    bracket from the terms' inverses at t / K and t (taken once per
+    level); a :class:`CustomPhi`, which has no terms, solves the
+    smallest and the largest pending level first, then every other one
+    inside the bracket of their radii.  In the plane the rules
     are nested and a level keeps its radii along the directions that the
     last rule had, so each rule solves only its new directions.
     A level leaves once its relative change is <= ``rel_tol``; levels still

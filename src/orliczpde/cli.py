@@ -274,11 +274,14 @@ def cmd_symmetrize_solve(cfg, out):
 def _grid_problem(cfg):
     """The operator and the datum field of grid-solve, approx-seq and
     regularity-report; the operator's b and its potential |xi|^p / p of
-    a number p, or sum_i |xi_i|^p_i / p_i of a pair p of numbers."""
+    a number p, or sum_i |xi_i|^p_i / p_i of a pair p of numbers, each
+    finite and above 1."""
     p = cfg["p"]
     ps = p if type(p) is list and len(p) == 2 else [p]
     if not all(type(q) in (int, float) for q in ps):  # nor a bool
         raise ConfigError(f"p = {p!r} is not a number or a pair of numbers")
+    if not all(1.0 < q < math.inf for q in ps):  # nor nan
+        raise ConfigError(f"p = {p!r}: an exponent must be finite and above 1")
     terms = [young.PowerYoung(q, 1.0 / q) for q in ps]
     phi = (anisotropic.SplitPhi(terms) if len(terms) == 2
            else anisotropic.RadialPhi(2, terms[0]))

@@ -402,8 +402,9 @@ class PowerYoung(ScalarYoungFunction):
     closed_form_inverse = True
 
     def __init__(self, p, coeff=1.0):
-        if p <= 1:
-            raise YoungFunctionError("power exponent must exceed 1")
+        if not 1 < p < math.inf:  # nor nan
+            raise YoungFunctionError(
+                f"power exponent p = {p!r} must be finite and exceed 1")
         self.p = float(p)
         self.coeff = float(coeff)
         self.tail = (self.p, 0.0)

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import calculus_identity_errors
@@ -178,9 +180,9 @@ def test_star_path_in_three_dimensions_is_cheap(monkeypatch):
     rows = []
     extent = anisotropic.radial_extent
 
-    def counted(phi, w, t):
+    def counted(phi, w, t, bracket=None):
         rows.append(len(w))
-        return extent(phi, w, t)
+        return extent(phi, w, t, bracket)
 
     monkeypatch.setattr(anisotropic, "radial_extent", counted)
     phi = SplitPhi([PowerYoung(p) for p in (2, 3, 4)])
@@ -452,14 +454,13 @@ def test_kinked_combination_converges_at_every_level(monkeypatch):
 
 
 def test_star_levels_in_any_order_match_single_levels():
-    # each rule brackets its levels by the radii of the smallest and the
-    # largest one: unsorted and repeated levels give the measures of
-    # the levels solved one at a time
+    # a pair's bracket depends on its own level and direction alone:
+    # unsorted and repeated levels give the measures of the levels
+    # solved one at a time, bit for bit
     phi = LinearCombinationPhi(2, _KINKED)
     levels = np.array([1e3, 1.0, 1e3, 10.0, 1e6, 1e6, 0.5])
     single = [sublevel_measure(phi, t) for t in levels]
-    np.testing.assert_allclose(sublevel_measure(phi, levels), single,
-                               rtol=1e-12)
+    np.testing.assert_array_equal(sublevel_measure(phi, levels), single)
 
 
 def test_kinked_star_path_solves_each_ray_once(monkeypatch):
@@ -485,28 +486,122 @@ def test_kinked_star_path_solves_each_ray_once(monkeypatch):
     assert {d for _, d in solved} <= set(map(bytes, finest))
 
 
-def test_star_levels_share_their_brackets(monkeypatch):
-    # the 128 kinked levels evaluate Phi on 683,144 rows when every ray
-    # solve brackets from x = 1, on 384,171 inside the bracket of the
-    # extreme levels, and on 203,491 when each nested rule solves only
-    # its new directions
-    rows = []
-    value = LinearCombinationPhi.value
+def test_star_rules_solve_their_levels_in_one_call(monkeypatch):
+    # each rule solves the 128 kinked levels in one radial_extent call,
+    # every ray bracketed in closed form and evaluated term by term:
+    # 631,893 term values (three terms), where 203,491 rows of Phi.value
+    # inside the bracket of the extreme levels took 610,473
+    calls, rules, values = [], [], []
+    extent, rule, value = (anisotropic.radial_extent,
+                           anisotropic._sphere_rule, PowerYoung.value)
 
-    def counted(self, xi):
-        rows.append(np.size(xi) // self.n)
-        return value(self, xi)
+    def counted_extent(phi, w, t, bracket=None):
+        calls.append(len(w))
+        return extent(phi, w, t, bracket)
 
-    monkeypatch.setattr(LinearCombinationPhi, "value", counted)
+    def counted_rule(n, level, kinks):
+        rules.append(level)
+        return rule(n, level, kinks)
+
+    def counted_value(self, t):
+        values.append(np.size(t))
+        return value(self, t)
+
+    monkeypatch.setattr(anisotropic, "radial_extent", counted_extent)
+    monkeypatch.setattr(anisotropic, "_sphere_rule", counted_rule)
+    monkeypatch.setattr(PowerYoung, "value", counted_value)
     sublevel_measure(LinearCombinationPhi(2, _KINKED),
                      np.geomspace(1.0, 1e20, 128))
-    assert sum(rows) <= 220_000
+    assert len(calls) == len(rules) == 6
+    assert sum(values) <= 640_000
+
+
+def test_star_path_inverts_each_term_once_per_level_set(monkeypatch):
+    # the ray brackets take each term's inverse at t / K and t once per
+    # level, not per rule or per chunk
+    rows = [([1.0, 0.0], PowerLogYoung(2.0, 1.0)), ([0.0, 1.0], PowerYoung(3)),
+            ([1.0, -2.0], PowerLogYoung(1.5, 2.0))]
+    points = [0] * len(rows)
+
+    def counted(k, inverse):
+        def wrapped(y):
+            points[k] += np.size(y)
+            return inverse(y)
+        return wrapped
+
+    for k, (_, term) in enumerate(rows):
+        monkeypatch.setattr(term, "inverse", counted(k, term.inverse))
+    circ = phi_circ(LinearCombinationPhi(2, rows), t_lo=1e-2, t_hi=1e8,
+                    n_levels=128)
+    assert circ.convergence["unconverged"] == 0
+    assert points == [2 * 128] * 3
+
+
+def _bracketed_radii(phi, w, t, bracket):
+    """Radii along the directions ``w`` at the levels ``t``, one row per
+    level, solved in the ray bracket; and those solved from x = 1."""
+    levels, dirs = np.repeat(t, len(w)), np.tile(w, (t.size, 1))
+    radii = anisotropic.radial_extent(phi, dirs, levels,
+                                      [b.ravel() for b in bracket])
+    free = young.solve_increasing(lambda r, w: phi.value(r[:, None] * w),
+                                  levels, args=(dirs,))
+    return radii, free
+
+
+def test_ray_bracket_opens_an_end_that_rounding_breaks():
+    # along (1, 0) only the first term of t^3 + t^3 is nonzero, so
+    # Phi(hi w) = A(A^-1(t)), which rounds below t at most levels; along
+    # (1, 1) Phi(lo w) = 2 A(A^-1(t / 2)) rounds to t or above at some
+    phi = SplitPhi([PowerYoung(3), PowerYoung(3)])
+    w, t = np.array([[1.0, 0.0], [1.0, 1.0]]), np.geomspace(1.0, 1e6, 50)
+    inv = np.array([[f.inverse(s) for f in phi.terms] for s in (t / 2, t)])
+    bracket = anisotropic._ray_bracket(
+        phi.terms, anisotropic._projections(phi.coeffs, w), t, inv)
+    lo, hi, f_lo, f_hi = bracket
+    assert np.all(f_lo < t[:, None]) and np.all(t[:, None] <= f_hi)
+    assert np.any(hi[:, 0] == np.inf) and np.any(lo[:, 1] == 0.0)
+    np.testing.assert_allclose(*_bracketed_radii(phi, w, t, bracket),
+                               rtol=4e-12)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1),
+       ps=st.lists(st.floats(1.2, 6.0), min_size=2, max_size=4),
+       p_log=st.floats(1.2, 6.0), alpha=st.floats(0.5, 3.0))
+def test_ray_brackets_hold_and_narrow_to_the_unbracketed_radii(n, seed, ps,
+                                                               p_log, alpha):
+    # Phi(r w) >= A_k(r a_k) and <= K max_k A_k(r a_k): the bracket holds
+    # f_lo < t <= f_hi, within the width K^(1/p_min) where both ends are
+    # closed, on directions with a_k = 0 too, and the bracketed radii are
+    # those of the solve from x = 1.  Directions: two random ones and,
+    # for each row c, (-c_1, c_0, 0, ...) on its kink plane c . w = 0
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((len(ps) + 1, n))
+    w = np.vstack([rng.standard_normal((2, n))]
+                  + [np.r_[-c[1], c[0], np.zeros(n - 2)] for c in rows])
+    terms = [PowerYoung(p) for p in ps] + [PowerLogYoung(p_log, alpha)]
+    phi = LinearCombinationPhi(n, list(zip(rows, terms)))
+    a = anisotropic._projections(phi.coeffs, w)
+    assert np.count_nonzero(a == 0.0) >= len(terms)
+    t = np.geomspace(1e-2, 1e12, 8)
+    inv = np.array([[f.inverse(s) for f in terms] for s in (t / len(terms),
+                                                            t)])
+    bracket = anisotropic._ray_bracket(terms, a, t, inv)
+    lo, hi, f_lo, f_hi = bracket
+    assert np.all(f_lo < t[:, None]) and np.all(t[:, None] <= f_hi)
+    # rounding opens an end rarely
+    closed = (lo > 0.0) & (hi < np.inf)
+    assert closed.mean() >= 0.9
+    width = len(terms) ** (1.0 / min(ps + [p_log])) * (1.0 + 1e-12)
+    assert np.all(hi[closed] <= width * lo[closed])
+    np.testing.assert_allclose(*_bracketed_radii(phi, w, t, bracket),
+                               rtol=4e-12)
 
 
 def test_infinite_star_level_is_inf_and_silent():
     # an infinite level is measure inf before any sphere rule: no inf - inf
     # in the relative change, no convergence warning, and the finite
-    # levels keep the bracket of their own extremes
+    # levels keep the measures they have without it
     phi = LinearCombinationPhi(2, _KINKED)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -1856,6 +1856,29 @@ def test_a_grid_p_is_a_number_or_two(value, tmp_path, monkeypatch):
                    f"a number or a pair of numbers"}
 
 
+@pytest.mark.parametrize("command", ["grid-solve", "approx-seq",
+                                     "regularity-report"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1", "[2, 1]"])
+def test_a_grid_p_is_finite_and_above_1(command, value, tmp_path,
+                                        monkeypatch):
+    # --p nan and inf read an unnamed InverseRangeError, and --p=-inf
+    # "power exponent must exceed 1", naming neither the key nor the value
+    solves = []
+    monkeypatch.setattr(grid, "solve", lambda *a, **k: solves.append(a))
+    if value.startswith("["):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"p": json.loads(value)}))
+        args = ["--config", str(config)]
+    else:
+        args = [f"--p={value}"]
+    code, out = run([command, "--N", "17", *args], tmp_path)
+    assert code == 1 and solves == []
+    err = json.loads((out / "error.json").read_text())["error"]
+    p = json.loads(value) if value.startswith("[") else float(value)
+    assert err == {"type": "ConfigError", "message": f"p = {p!r}: an "
+                   f"exponent must be finite and above 1"}
+
+
 def test_approx_seq_refuses_an_empty_ladder(tmp_path):
     # an empty ladder passed its verdict on no rung and exited 0
     config = tmp_path / "config.json"

@@ -496,6 +496,13 @@ def test_parse_errors():
         ExpPowerYoung(0.5)
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 1.0])
+def test_power_exponent_is_finite_and_above_1(p):
+    # nan and inf passed p <= 1 and failed later in an inverse
+    with pytest.raises(YoungFunctionError, match=f"p = {p!r} must be finite"):
+        PowerYoung(p)
+
+
 def test_log_domain_survives_extreme_range():
     a = PowerLogYoung(2.0, 0.5)
     lv = a.log_value(np.array([500.0, 1000.0]))
