@@ -58,6 +58,7 @@ from .young import (
     SampledYoungFunction,
     ScalarYoungFunction,
     YoungFunctionError,
+    bracket_ends,
     parse_scalar_function,
     solve_increasing,
 )
@@ -252,17 +253,15 @@ def _ray_bracket(terms, a, t, inv):
     column per direction of the projections ``a``; ``inv`` holds
     A_k^{-1}(t/K) and A_k^{-1}(t), shaped (2, K, levels).  Phi(r w) >=
     A_k(r a_k) gives R <= hi = min_k A_k^{-1}(t)/a_k, and Phi(r w) <=
-    K max_k A_k(r a_k) gives R >= lo = min_k A_k^{-1}(t/K)/a_k.  Where
-    rounding breaks Phi(lo w) < t <= Phi(hi w), that end is opened
-    (lo = 0, hi = inf)."""
-    t = t[:, None]
+    K max_k A_k(r a_k) gives R >= lo = min_k A_k^{-1}(t/K)/a_k.  hi is
+    widened by 4 ulps, so that a direction with one nonzero term, where
+    Phi(hi w) = A_k(A_k^{-1}(t)), does not round below t; an end that
+    rounding still breaks is opened (:func:`young.bracket_ends`)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         lo, hi = (np.min([x[:, None] / ak for x, ak in zip(end, a)], axis=0)
                   for end in inv)
-        f_lo, f_hi = _ray_values(terms, lo, *a), _ray_values(terms, hi, *a)
-    lo, f_lo = np.where(f_lo < t, [lo, f_lo], 0.0)
-    hi, f_hi = np.where(t <= f_hi, [hi, f_hi], np.inf)
-    return lo, hi, f_lo, f_hi
+    return bracket_ends(partial(_ray_values, terms), t[:, None], lo,
+                        hi * (1.0 + 4.0 * np.finfo(float).eps), args=a)
 
 
 # no rule has more than 2^21 directions, the size of the n = 3 rule at

@@ -17,7 +17,11 @@ and A(t)/t -> oo as t -> oo.  This module provides
   coordinates, where power-like functions are nearly straight, never
   taking more than a few steps beyond what bisection would; each round
   evaluates only the unfinished elements, and per-element parameters
-  ride along as ``args``,
+  ride along as ``args``.  The power-log and exp-power inverses (A^-1,
+  Psi^-1, the maximizer A'^-1 and the conjugate's level inverse) start
+  it from a bracket around a closed-form guess, a few Newton steps in
+  log t (``bracket_ends``), so it narrows from its first round and
+  most of their roots take one,
 * ``psi_inverse``, the inverse of Psi(t) = A(t)/t (closed form for a
   power), and ``MonotoneFunction``, a function known by its log values,
 * the spec grammar ``kind:key=value,...`` (and its JSON-term form)
@@ -52,6 +56,7 @@ __all__ = [
     "MonotoneFunction",
     "discrete_legendre",
     "solve_increasing",
+    "bracket_ends",
     "parse_spec",
     "parse_scalar_function",
     "write_csv",
@@ -81,6 +86,8 @@ _TOL = math.log1p(_RTOL)  # the same width in log x
 # narrowing steps for a bracket 2**j * log(2) wide are j + _BASE_BUDGET
 _BASE_BUDGET = math.ceil(math.log2(math.log(2.0) / _TOL)) + _SLACK
 _T_CAP = 1e250  # largest maximizer of st - A(t) that is searched for
+_GUESS_STEPS = 5  # Newton steps of a closed-form root guess
+_EPS = float(np.finfo(float).eps)
 
 
 def _secant_points(lo, hi, rlo, rhi, budget):
@@ -178,7 +185,11 @@ def solve_increasing(fn, y, x_max=1e300, args=(), bracket=None):
     are open).  Where fn(lo) >= y after all (a lower end at the root),
     the result is within 2 rtol above lo.  Each element's steps depend on
     that element alone, so a batched solve equals per-element solves bit
-    for bit.
+    for bit.  Two callers pass brackets, both built by
+    :func:`bracket_ends`, which opens an end that does not hold: the
+    power-log and exp-power inverses (around a closed-form guess, see
+    ``ScalarYoungFunction._solve``) and the star-path rays of
+    ``anisotropic`` (from the terms' inverses).
     """
     y_arr = np.asarray(y, dtype=float)
     y_flat = y_arr.ravel()
@@ -266,6 +277,20 @@ def solve_increasing(fn, y, x_max=1e300, args=(), bracket=None):
     return float(out) if out.ndim == 0 else out
 
 
+def bracket_ends(fn, y, lo, hi, args=()):
+    """``(lo, hi, fn(lo), fn(hi))`` for the ``bracket`` of
+    :func:`solve_increasing`, with fn evaluated at both ends in one call
+    (on ``np.stack([lo, hi])``, against which ``args`` broadcast).  Where
+    fn(lo) < y <= fn(hi) does not hold, because rounding breaks it or
+    an estimate misses the root, that end is opened: lo = 0 or hi =
+    inf, from which the solver brackets by steps."""
+    with np.errstate(all="ignore"):
+        f_lo, f_hi = fn(np.stack([lo, hi]), *args)
+    lo, f_lo = np.where(f_lo < y, [lo, f_lo], 0.0)
+    hi, f_hi = np.where(y <= f_hi, [hi, f_hi], np.inf)
+    return lo, hi, f_lo, f_hi
+
+
 def _lower_hull(x, y):
     """Indices of the lower convex hull of the points (x_i, y_i), x
     increasing; (nearly) collinear points are kept.  The monotone chain
@@ -343,24 +368,50 @@ class ScalarYoungFunction:
     def derivative_inverse(self, s):
         """Leftmost t >= 0 with A'(t) >= s, the maximizer of st - A(t);
         one that would exceed 1e250 raises :class:`InverseRangeError`."""
-        return solve_increasing(self.derivative, s, x_max=_T_CAP)
+        return self._solve("derivative", self.derivative, s, _T_CAP)
 
     def _conjugate_level_inverse(self, y):
         """Leftmost T >= 0 with T A'(T) - A(T) >= y: the maximizer at
         which the conjugate takes the value y."""
-        return solve_increasing(
-            lambda T: T * self.derivative(T) - self.value(T), y, x_max=_T_CAP)
+        return self._solve(
+            "level", lambda T: T * self.derivative(T) - self.value(T), y,
+            _T_CAP)
 
     # -- inversion ----------------------------------------------------
 
     def inverse(self, y):
         """Generalized left-continuous inverse, scalar or array."""
-        return solve_increasing(self.value, y)
+        return self._solve("value", self.value, y)
 
     def psi_inverse(self, y):
         """Leftmost t >= 0 with Psi(t) = A(t)/t >= y; Psi is
         nondecreasing by convexity."""
-        return solve_increasing(lambda t: self.value(t) / t, y)
+        return self._solve("psi", lambda t: self.value(t) / t, y)
+
+    # a method (kind, y) -> (x, dx) where a subclass has one: a
+    # closed-form estimate x of log t for the root t of ``kind`` ("value",
+    # "psi", "derivative" or "level") at y, and the last Newton step dx
+    # that made it, or None for a kind that it does not estimate
+    _root_guess = None
+
+    def _solve(self, kind, fn, y, x_max=1e300):
+        """:func:`solve_increasing` of fn at y.  Where
+        :meth:`_root_guess` has an estimate x of log t, it starts from
+        the bracket exp(x -+ delta), delta = 4 |dx| + 32 eps (1 + |x|)
+        (four last Newton steps and the rounding of x) but at most 1, its
+        ends capped at x_max (:func:`bracket_ends` opens an end that
+        misses); else from x = 1."""
+        guess = None if self._root_guess is None else self._root_guess(
+            kind, y)
+        bracket = None
+        if guess is not None:
+            x, dx = guess
+            delta = np.minimum(
+                4.0 * np.abs(dx) + 32.0 * _EPS * (1.0 + np.abs(x)), 1.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                ends = np.minimum(np.exp([x - delta, x + delta]), x_max)
+            bracket = bracket_ends(fn, y, *ends)
+        return solve_increasing(fn, y, x_max=x_max, bracket=bracket)
 
     # -- conjugation --------------------------------------------------
 
@@ -494,6 +545,29 @@ class PowerLogYoung(ScalarYoungFunction):
             self.p * ell + self.alpha * t / (self.shift + t)
         )
 
+    def _root_guess(self, kind, y):
+        # A, Psi = A/t, A' and T A' - A are each t^a l^b (c l + d u),
+        # l = log(shift + t), u = t/(shift + t): Newton steps in x = log t
+        # on the log of that form, whose slope in x is
+        # a + b u/l + u (c + d (1 - u))/(c l + d u), from x = log(y)/a
+        p, al = self.p, self.alpha
+        a, b, c, d = {"value": (p, al - 1.0, 1.0, 0.0),
+                      "psi": (p - 1.0, al - 1.0, 1.0, 0.0),
+                      "derivative": (p - 1.0, al - 1.0, p, al),
+                      "level": (p, al - 1.0, p - 1.0, al)}[kind]
+        with np.errstate(all="ignore"):
+            log_y = np.log(np.asarray(y, dtype=float))
+            x = log_y / a if a > 0.0 else np.zeros_like(log_y)
+            for _ in range(_GUESS_STEPS):
+                t = np.exp(np.clip(x, -700.0, 700.0))
+                ell = np.log(self.shift + t)
+                u = t / (self.shift + t)
+                g = c * ell + d * u
+                dx = ((log_y - a * x - b * np.log(ell) - np.log(g))
+                      / (a + b * u / ell + u * (c + d * (1.0 - u)) / g))
+                x = x + dx
+        return x, dx
+
 
 class ExpPowerYoung(ScalarYoungFunction):
     """A(t) = exp(t**beta) - 1, beta >= 1.
@@ -534,6 +608,40 @@ class ExpPowerYoung(ScalarYoungFunction):
             return self.beta * t ** (self.beta - 1.0) * np.exp(
                 np.minimum(t**self.beta, 700.0)
             )
+
+    def _root_guess(self, kind, y):
+        # Newton steps in w = log v, v = t^beta.  For A': on e^w + k w =
+        # log(y / beta), k = 1 - 1/beta, convex in w, from a start above
+        # the root; past the clamp v = 700, where A' is a power, its exact
+        # inverse.  For T A' - A = e^v q, q = beta v + expm1(-v): on
+        # v + log q = log y, from v = log1p(y)
+        if kind not in ("derivative", "level"):
+            return None
+        beta = self.beta
+        with np.errstate(all="ignore"):
+            y = np.asarray(y, dtype=float)
+            if kind == "derivative":
+                k = 1.0 - 1.0 / beta
+                rhs = np.log(y / beta)
+                w = np.where(rhs > 1.0, np.minimum(np.log(rhs), rhs / k),
+                             np.minimum(0.0, rhs / k))
+                for _ in range(_GUESS_STEPS):
+                    ew = np.exp(w)
+                    dw = (rhs - ew - k * w) / (ew + k)
+                    w = w + dw
+                past = rhs > 700.0 + k * math.log(700.0)
+                w = np.where(past, (rhs - 700.0) / k, w)
+                dw = np.where(past, 0.0, dw)
+            else:
+                log_y = np.log(y)
+                w = np.log(np.log1p(y))
+                for _ in range(_GUESS_STEPS):
+                    v = np.exp(w)
+                    q = beta * v + np.expm1(-v)
+                    dw = ((log_y - v - np.log(q)) * q
+                          / (v * (beta * v + beta - 1.0)))
+                    w = w + dw
+        return w / beta, dw / beta
 
     def inverse(self, y):
         """log1p(y)**(1/beta), 0 for y <= 0: the inverse of the unclamped

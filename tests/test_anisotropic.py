@@ -549,17 +549,20 @@ def _bracketed_radii(phi, w, t, bracket):
 
 
 def test_ray_bracket_opens_an_end_that_rounding_breaks():
-    # along (1, 0) only the first term of t^3 + t^3 is nonzero, so
-    # Phi(hi w) = A(A^-1(t)), which rounds below t at most levels; along
-    # (1, 1) Phi(lo w) = 2 A(A^-1(t / 2)) rounds to t or above at some
+    # along (1, 1) Phi(lo w) = 2 A(A^-1(t / 2)) of t^3 + t^3 rounds to t
+    # or above at some levels, so lo is opened there; along the axes only
+    # one term is nonzero and Phi(hi w) = A(A^-1(t) (1 + 4 eps)), which
+    # the widening keeps at t or above: every axis end stays closed
     phi = SplitPhi([PowerYoung(3), PowerYoung(3)])
-    w, t = np.array([[1.0, 0.0], [1.0, 1.0]]), np.geomspace(1.0, 1e6, 50)
+    w = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    t = np.geomspace(1.0, 1e6, 50)
     inv = np.array([[f.inverse(s) for f in phi.terms] for s in (t / 2, t)])
     bracket = anisotropic._ray_bracket(
         phi.terms, anisotropic._projections(phi.coeffs, w), t, inv)
     lo, hi, f_lo, f_hi = bracket
     assert np.all(f_lo < t[:, None]) and np.all(t[:, None] <= f_hi)
-    assert np.any(hi[:, 0] == np.inf) and np.any(lo[:, 1] == 0.0)
+    assert np.any(lo[:, 2] == 0.0)
+    assert np.all(hi[:, :2] < np.inf) and np.all(lo[:, :2] > 0.0)
     np.testing.assert_allclose(*_bracketed_radii(phi, w, t, bracket),
                                rtol=4e-12)
 

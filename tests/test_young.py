@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import power_potential, sampled, write_table
@@ -716,6 +716,167 @@ def test_solve_increasing_bracket_with_an_open_end():
                     (0.0, np.inf, 0.0, np.inf)):
         np.testing.assert_allclose(
             solve_increasing(np.cbrt, y, bracket=bracket), root, rtol=1e-12)
+
+
+# -- closed-form brackets of the power-log and exp-power inverses ----------
+
+# each inverse that starts from a guessed bracket: the function that it
+# hands the solver, the method and the solver's x_max
+_GUESSED = {
+    "value": (lambda a: a.value, "inverse", 1e300),
+    "psi": (lambda a: lambda t: a.value(t) / t, "psi_inverse", 1e300),
+    "derivative": (lambda a: a.derivative, "derivative_inverse",
+                   young._T_CAP),
+    "level": (lambda a: lambda t: t * a.derivative(t) - a.value(t),
+              "_conjugate_level_inverse", young._T_CAP),
+}
+
+
+def _guessed_matches_the_open_solve(a, kind, y):
+    # the bracketed inverse agrees with the solve from x = 1 to 2e-12,
+    # reaches y, and raises InverseRangeError exactly where it does
+    make, method, x_max = _GUESSED[kind]
+    fn = make(a)
+    try:
+        free = solve_increasing(fn, y, x_max=x_max)
+    except InverseRangeError:
+        with pytest.raises(InverseRangeError):
+            getattr(a, method)(y)
+        return
+    x = getattr(a, method)(y)
+    # at or below 1e-300, the solver's stand-in for 0+, a solve from
+    # x = 1 stops at 0 where a bracket there narrows to the root
+    np.testing.assert_allclose(x, free, rtol=2e-12, atol=2.0 * young._TINY)
+    root = (x > 0.0) & np.isfinite(y)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        assert np.all(fn(x[root]) >= y[root])
+
+
+_SPECIAL_Y = [0.0, -1.0, np.inf]
+
+
+# A negative alpha certifies A on its trusted range [1e-8, 1e8] alone:
+# further out its functions may fall, and a solve from x = 1 may step
+# over the root, so such an A is drawn only where each of them rises up
+# to 1e40.  The targets are values at t in [1e-3, 1e8], where T A'(T) -
+# A(T) also keeps its digits: below 1e-3 at p = 1 it cancels, about as
+# eps / T, and its leftmost root is set by rounding (as it is for
+# beta = 1 below y = 1e-6).  p starts at 1.05 above 1, where A' is not
+# nearly flat for every alpha.
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(p=st.one_of(st.just(1.0), st.floats(1.05, 4.0)),
+       alpha=st.floats(-3.0, 3.0),
+       kind=st.sampled_from(sorted(_GUESSED)),
+       log_t=st.lists(st.floats(-3.0, 8.0), min_size=1, max_size=12))
+def test_power_log_guessed_brackets_match_the_open_solve(p, alpha, kind,
+                                                         log_t):
+    # negative alpha where a shift certifies it, alpha >= 1 at p = 1
+    if p == 1.0 and alpha < 1.0:
+        alpha = 2.0 - alpha
+    try:
+        a = PowerLogYoung(p, alpha)
+    except NotConvexError:
+        return
+    fn = _GUESSED[kind][0](a)
+    with np.errstate(over="ignore"):
+        rising = fn(np.geomspace(1e-8, 1e40, 1000))
+    assume(np.all(np.diff(rising) >= 0.0))
+    y = fn(10.0 ** np.asarray(log_t))
+    _guessed_matches_the_open_solve(a, kind, np.concatenate([y, _SPECIAL_Y]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(beta=st.one_of(st.just(1.0), st.floats(1.0, 5.0)),
+       kind=st.sampled_from(["derivative", "level"]),
+       log_y=st.lists(st.floats(-6.0, 300.0), min_size=1, max_size=12))
+def test_exp_power_guessed_brackets_match_the_open_solve(beta, kind, log_y):
+    # the slope at the clamp t^beta = 700, just past it and far past it
+    # (unreachable for beta = 1, where A' is constant there)
+    a = ExpPowerYoung(beta)
+    clamp = float(a.derivative(700.0 ** (1.0 / beta)))
+    y = np.concatenate([10.0 ** np.asarray(log_y), _SPECIAL_Y,
+                        [clamp, clamp * (1.0 + 1e-9)]])
+    _guessed_matches_the_open_solve(a, kind, y)
+    _guessed_matches_the_open_solve(a, kind, np.array([clamp * 1e3]))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+def test_power_log_maximizer_beyond_the_cap_still_raises(alpha):
+    # at p = 1, A'(t) ~ log(t)^alpha: a slope above A'(1e250) has its
+    # maximizer past the cap, with or without the guessed bracket
+    a = PowerLogYoung(1.0, alpha)
+    s = np.array([2.0, float(a.derivative(1e251))])
+    with pytest.raises(InverseRangeError):
+        a.derivative_inverse(s)
+    with pytest.raises(InverseRangeError):
+        LegendreConjugate(a).value(s)
+    assert a.derivative_inverse(2.0) > 0.0
+
+
+def _solver_rounds(monkeypatch):
+    """The number of rounds of each solve_increasing call made through
+    ``young``: the calls of the function that the solver receives."""
+    rounds = []
+    solve = young.solve_increasing
+
+    def counted(fn, y, *args, **kwargs):
+        rounds.append(0)
+
+        def wrapped(*a):
+            rounds[-1] += 1
+            return fn(*a)
+
+        return solve(wrapped, y, *args, **kwargs)
+
+    monkeypatch.setattr(young, "solve_increasing", counted)
+    return rounds
+
+
+def test_power_log_conjugate_solves_in_at_most_3_rounds(monkeypatch):
+    # the conjugate table of the calculus benchmark: 10 rounds from x = 1
+    rounds = _solver_rounds(monkeypatch)
+    conj = LegendreConjugate(PowerLogYoung(2.0, 1.0))
+    t = np.geomspace(1e-2, 1e4, 512)
+    conj.value(t)
+    conj.inverse(t)
+    assert len(rounds) == 2 and max(rounds) <= 3
+
+
+def test_exp_power_biconjugate_slopes_solve_in_at_most_3_rounds(monkeypatch):
+    # the slopes of cli._biconjugate_values reach A'(t_max), on the clamp
+    # kink, which took 53 rounds from x = 1 (40 bisecting the kink)
+    from orliczpde import cli
+    a = ExpPowerYoung(1.5)
+    t = np.geomspace(1e-2, min(1e4, a.t_max, a.derivative(a.t_max)), 512)
+    s = np.unique(a.derivative(t))
+    rounds = _solver_rounds(monkeypatch)
+    LegendreConjugate(a).value(s)
+    assert len(rounds) == 1 and rounds[0] <= 3
+    cli._biconjugate_values(a, t)
+    assert len(rounds) == 2 and rounds[1] <= 3
+
+
+def test_split_measure_inverts_power_logs_in_at_most_3_rounds(monkeypatch,
+                                                             tmp_path):
+    # verify-example aniso_zyg: the power-log inverses of _split_measure,
+    # 128 levels and 128 x 49 quadrature nodes, 11 rounds each from x = 1
+    from orliczpde import cli
+    sizes = []
+    rounds = _solver_rounds(monkeypatch)
+    inverse = PowerLogYoung.inverse
+
+    def sized(self, y):
+        sizes.append(np.size(y))
+        return inverse(self, y)
+
+    monkeypatch.setattr(PowerLogYoung, "inverse", sized)
+    assert cli.main(["verify-example", "aniso_zyg", "--p", "2,2",
+                     "--alpha", "1,3", "--out", str(tmp_path),
+                     "--quiet"]) == 0
+    assert 6272 in sizes and len(rounds) >= len(sizes)
+    assert max(rounds) <= 3
 
 
 def test_solve_increasing_args_rows_follow_the_elements():
