@@ -14,16 +14,14 @@ radial extent R(w) of the boundary in direction w:
     |{Phi <= t}| = (1/n) * Int_{S^{n-1}} R(w)^n dw,
 
 with R found along the rays of each sphere rule by one
-``solve_increasing`` call (vectorized over levels and directions, which
-ride along as per-row ``args`` so that each round evaluates Phi only on
-the rays still unfinished).  For a combination sum_k A_k(|c_k . xi|)
-each ray is bracketed in closed form by the terms' inverses, A_k(r a_k)
-<= Phi(r w) <= K max_k A_k(r a_k) with a_k = |c_k . w|, and its values
-are sums over the projections a_k; a CustomPhi solves the smallest and
-the largest level first, then every other one inside the bracket of
-their radii, since R(w, t) is nondecreasing in t.  The spherical
-integral is done by one deterministic rule for every n that doubles its
-points per angle at each level: a product rule in
+``solve_increasing`` call on a level x direction grid (each ray an
+``args`` row, so that each round evaluates Phi only on the rays still
+unfinished).  For a combination sum_k A_k(|c_k . xi|) each ray is
+bracketed in closed form by the terms' inverses, A_k(r a_k) <= Phi(r w)
+<= K max_k A_k(r a_k) with a_k = |c_k . w|, and its values are sums
+over the projections a_k; a Phi without terms steps out from R = 1.
+The spherical integral is done by one deterministic rule for every n
+that doubles its points per angle at each level: a product rule in
 hyperspherical coordinates (Stroud 1971, *Approximate Calculation of
 Multiple Integrals*), Gauss-Legendre in the polar angles and, on a
 half-circle azimuth (Phi is even), Clenshaw-Curtis on each arc between
@@ -203,33 +201,38 @@ class CustomPhi(AnisotropicYoungFunction):
 # sublevel measure via star-shaped radial extent
 
 
-def radial_extent(phi, directions, t, bracket=None):
-    """R(w) with Phi(R(w) w) = t for each unit direction w, vectorized.
+def radial_extent(phi, directions, levels, bracket=None):
+    """R(w, t) with Phi(R w) = t, one row per level of the 1-D ``levels``
+    and one column per unit direction row w of ``directions``.
 
-    ``t`` is one level for every direction, or an array holding one level
-    per direction row (the batched star path of :func:`sublevel_measure`
-    solves many levels this way).  Phi is nondecreasing along rays from 0
-    (convexity + Phi(0)=0), so one solve serves all rows at once: each
-    row goes to the solver as an ``args`` row, so each round evaluates
-    Phi only on the rays still unfinished; for a combination that row is
-    its projections a_k = |c_k . w|, and a ray's value sum_k A_k(r a_k).
-    ``bracket`` = (R_lo, R_hi, Phi_lo, Phi_hi), radii with Phi_lo < t <=
-    Phi_hi per row, is passed to :func:`solve_increasing`, which then only
-    narrows.  R is solved to 1e-12 relative.  A :class:`CustomPhi` may
-    have unbounded sublevel sets, so its boundary beyond the bound radius
-    1e8 raises :class:`BoundBoxError`; the other forms have bounded ones
-    (a combination's rows span R^n) and are solved over the solver's
-    range.
+    Phi is nondecreasing along rays from 0 (convexity + Phi(0)=0), so
+    the whole level x direction grid is one :func:`solve_increasing`
+    call, each grid element an ``args`` row, so that each round
+    evaluates Phi only on the rays still unfinished.  For a combination
+    that row is its projections a_k = |c_k . w|, built once from the
+    directions and broadcast over the levels, and a ray's value is
+    sum_k A_k(r a_k).  ``bracket`` = (R_lo, R_hi, Phi_lo, Phi_hi),
+    radii with Phi_lo < t <= Phi_hi, broadcasts to the grid and is
+    passed to the solver, which then only narrows; without it each ray
+    is bracketed by steps from R = 1.  R is solved to 1e-12 relative,
+    and a grid element's bits do not depend on the rest of the grid.  A
+    :class:`CustomPhi` may have unbounded sublevel sets, so its boundary
+    beyond the bound radius 1e8 raises :class:`BoundBoxError`; the other
+    forms have bounded ones (a combination's rows span R^n) and are
+    solved over the solver's range.
     """
     w = np.asarray(directions, dtype=float)
+    t = np.asarray(levels, dtype=float)[:, None]
+    grid = (t.size, len(w))
     box = {"x_max": _BOUND_RADIUS} if isinstance(phi, CustomPhi) else {}
     if isinstance(phi, LinearCombinationPhi):
         fn, args = partial(_ray_values, phi.terms), _projections(phi.coeffs, w)
     else:
         fn, args = (lambda r, w: phi.value(r[:, None] * w)), (w,)
     try:
-        return solve_increasing(fn, np.full(w.shape[0], t, dtype=float),
-                                args=tuple(args), bracket=bracket, **box)
+        return solve_increasing(
+            fn, np.broadcast_to(t, grid), bracket=bracket, **box,
+            args=tuple(np.broadcast_to(a, grid + a.shape[1:]) for a in args))
     except InverseRangeError as err:
         raise BoundBoxError(f"sublevel set reaches the bound box: {err}"
                             ) from None
@@ -444,21 +447,13 @@ def _chunks(n_items, per_item):
     return [slice(i, i + step) for i in range(0, n_items, step)]
 
 
-def _star_radii(phi, w, ts, bracket=()):
-    """Radii R(w, t), one row per level of ``ts`` and one column per
-    direction row of ``w``, in one :func:`radial_extent` call;
-    ``bracket`` = (R_lo, R_hi, Phi_lo, Phi_hi) broadcasts to that shape."""
-    k = ts.size
-    tiled = [np.broadcast_to(b, (k, len(w))).ravel() for b in bracket]
-    return radial_extent(phi, np.tile(w, (k, 1)), np.repeat(ts, len(w)),
-                         *([tiled] if tiled else [])).reshape(k, -1)
-
-
 def _star_measure(phi, levels):
     """Star-path measures of the 1-D array ``levels``, all at once, and
-    their convergence summary (see :func:`sublevel_measure`).  A
+    their convergence summary (see :func:`sublevel_measure`).  Each rule
+    solves its new directions for the pending levels in one
+    :func:`radial_extent` call per chunk, for every Phi.  A
     combination's terms are inverted once, at ``levels`` / K and
-    ``levels``, and each rule brackets every (level, direction) pair
+    ``levels``, and each chunk brackets its (level, direction) pairs
     from them (:func:`_ray_bracket`)."""
     n = phi.n
     # kink planes c . xi = 0 of the terms A(|c . xi|); the K rows c with
@@ -500,38 +495,23 @@ def _star_measure(phi, levels):
         seen = slice(0, None, 2) if nested else slice(0)
         fresh = slice(1, None, 2) if nested else slice(None)
         r_old = kept_r if nested else kept_r[:, :0]
-        wf = w[fresh]
-        ts = levels[pending]
+        # a combination brackets every (level, direction) pair in closed
+        # form from the projections a_k (_ray_bracket); a Phi without
+        # terms passes no bracket, and its rays step out from R = 1
+        wf, ts = w[fresh], levels[pending]
+        a = _projections(c, wf)
         new = np.empty(pending.size)
         kept_r = np.empty((pending.size, len(w[carry])))
-
-        def keep(rows, r_fresh):
-            # the measures and kept radii of the pending levels ``rows``
-            r = np.empty((len(rows), len(w)))
-            r[:, seen], r[:, fresh] = r_old[rows], r_fresh
-            new[rows] = np.sum(wt * r ** n / n, axis=1)
-            kept_r[rows] = r[:, carry]
-
-        if len(terms):
-            # every pair bracketed in closed form (see _ray_bracket)
-            a = _projections(c, wf)
-            inner = np.arange(ts.size)
-        else:
-            # the extreme levels first, then every other one inside the
-            # bracket of their radii: R(w, t) is nondecreasing in t
-            ends = np.unique([ts.min(), ts.max()])
-            r_ends = np.concatenate([_star_radii(phi, wf, ends[chunk])
-                                     for chunk in _chunks(ends.size, len(wf))])
-            for t, r in zip(ends, r_ends):
-                keep(np.flatnonzero(ts == t), r)
-            inner = np.flatnonzero((ts > ends[0]) & (ts < ends[-1]))
-            bracket = (r_ends[0], r_ends[-1], ends[0], ends[-1])
-        for chunk in _chunks(inner.size, len(wf)):
-            rows = inner[chunk]
+        for rows in _chunks(ts.size, len(wf)):
+            bracket = None
             if len(terms):
                 bracket = _ray_bracket(terms, a, ts[rows],
                                        inv[:, :, pending[rows]])
-            keep(rows, _star_radii(phi, wf, ts[rows], bracket))
+            r = np.empty((ts[rows].size, len(w)))
+            r[:, seen] = r_old[rows]
+            r[:, fresh] = radial_extent(phi, wf, ts[rows], bracket)
+            new[rows] = np.sum(wt * r ** n / n, axis=1)
+            kept_r[rows] = r[:, carry]
         diff = np.abs(new - est[pending])
         done = (diff <= _REL_TOL * np.abs(new)) & (rule > 0)
         change[pending] = diff / np.abs(new)
@@ -588,11 +568,10 @@ def sublevel_measure(phi, t):
     :func:`radial_extent` call per chunk of at most ``_CHUNK`` (level,
     direction) pairs, each ray of a combination in its closed-form
     bracket from the terms' inverses at t / K and t (taken once per
-    level); a :class:`CustomPhi`, which has no terms, solves the
-    smallest and the largest pending level first, then every other one
-    inside the bracket of their radii.  In the plane the rules
-    are nested and a level keeps its radii along the directions that the
-    last rule had, so each rule solves only its new directions.
+    level), each ray of a Phi without terms (a :class:`CustomPhi`) by
+    steps from R = 1.  In the plane the rules are nested and a level
+    keeps its radii along the directions that the last rule had, so
+    each rule solves only its new directions.
     A level leaves once its relative change is <= ``rel_tol``; levels still
     above it after the finest rule are returned with a
     :class:`MeasureConvergenceWarning`.  Every rule is deterministic.

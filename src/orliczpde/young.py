@@ -21,7 +21,8 @@ and A(t)/t -> oo as t -> oo.  This module provides
   Psi^-1, the maximizer A'^-1 and the conjugate's level inverse) start
   it from a bracket around a closed-form guess, a few Newton steps in
   log t (``bracket_ends``), so it narrows from its first round and
-  most of their roots take one,
+  most of their roots take one; their conjugate level T A'(T) - A(T)
+  is a closed form, not a difference that cancels at small T,
 * ``psi_inverse``, the inverse of Psi(t) = A(t)/t (closed form for a
   power), and ``MonotoneFunction``, a function known by its log values,
 * the spec grammar ``kind:key=value,...`` (and its JSON-term form)
@@ -90,12 +91,22 @@ _GUESS_STEPS = 5  # Newton steps of a closed-form root guess
 _EPS = float(np.finfo(float).eps)
 
 
+def _log_width(lo, hi):
+    """log(hi / lo), or log hi - log lo where hi / lo is not finite (a
+    bracket wider than the float range, say 1e-200 to 1e200)."""
+    width = np.log(hi / lo)
+    wide = ~np.isfinite(width)
+    if np.any(wide):
+        width[wide] = np.log(hi[wide]) - np.log(lo[wide])
+    return width
+
+
 def _secant_points(lo, hi, rlo, rhi, budget):
     """lo * exp(s), with s the root of the log-log secant through
     (log lo, rlo) and (log hi, rhi), or half the log-width where that
     is not finite; s keeps _TOL/4 inside the bracket and leaves, whichever
     end moves, a bracket no wider than _TOL * 2**(budget - 1)."""
-    width = np.log(hi / lo)
+    width = _log_width(lo, hi)
     s = rlo - rhi
     secant = (s < 0.0) & (s > -np.inf)
     np.divide(rlo, s, out=s)
@@ -180,14 +191,15 @@ def solve_increasing(fn, y, x_max=1e300, args=(), bracket=None):
     hi, fn_lo = fn(lo) < y <= fn_hi = fn(hi).  Such an element skips the
     bracketing and starts narrowing from the log residuals log fn_lo -
     log y and log fn_hi - log y, with ceil(log2(log(hi/lo)/tol)) +
-    ``_SLACK`` steps, tol = log1p(rtol).  An open end, lo = 0 or hi =
-    inf, is bracketed by steps from the other end (from x = 1 where both
-    are open).  Where fn(lo) >= y after all (a lower end at the root),
-    the result is within 2 rtol above lo.  Each element's steps depend on
-    that element alone, so a batched solve equals per-element solves bit
-    for bit.  Two callers pass brackets, both built by
-    :func:`bracket_ends`, which opens an end that does not hold: the
-    power-log and exp-power inverses (around a closed-form guess, see
+    ``_SLACK`` steps, tol = log1p(rtol) (log hi - log lo where hi/lo
+    overflows).  An open end, lo = 0 or hi = inf, is bracketed by steps
+    from the other end (from x = 1 where both are open).  Where fn(lo)
+    >= y after all (a lower end at the root), the result is within 2
+    rtol above lo.  Each element's steps depend on that element alone,
+    so a batched solve equals per-element solves bit for bit.  Two
+    callers pass brackets, both built by :func:`bracket_ends`, which
+    opens an end that does not hold: the power-log and exp-power
+    inverses (around a closed-form guess, see
     ``ScalarYoungFunction._solve``) and the star-path rays of
     ``anisotropic`` (from the terms' inverses).
     """
@@ -214,10 +226,10 @@ def solve_increasing(fn, y, x_max=1e300, args=(), bracket=None):
         # other end, as after a first step from x0 past the root
         mode = np.select([(lo > 0.0) & (hi < np.inf), lo > 0.0, hi < np.inf],
                          [_NARROW, 1, -1], 0).astype(np.int8)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            budget = np.where(mode == _NARROW,
-                              np.clip(np.ceil(np.log2(np.log(hi / lo) / _TOL)),
-                                      0, 64), 0).astype(np.int8)
+        with np.errstate(all="ignore"):
+            steps = np.ceil(np.log2(_log_width(lo, hi) / _TOL))
+            budget = np.where(mode == _NARROW, np.clip(steps, 0, 64),
+                              0).astype(np.int8)
             budget += np.int8(_SLACK)
             rlo, rhi = (np.log(r) - np.log(y_flat[idx]) for r in (rlo, rhi))
     # the unfinished elements are a prefix of every state array; each
@@ -370,12 +382,15 @@ class ScalarYoungFunction:
         one that would exceed 1e250 raises :class:`InverseRangeError`."""
         return self._solve("derivative", self.derivative, s, _T_CAP)
 
+    def _conjugate_level(self, T):
+        """T A'(T) - A(T), the conjugate's value at the slope A'(T); a
+        closed form overrides the difference where it cancels."""
+        return T * self.derivative(T) - self.value(T)
+
     def _conjugate_level_inverse(self, y):
         """Leftmost T >= 0 with T A'(T) - A(T) >= y: the maximizer at
         which the conjugate takes the value y."""
-        return self._solve(
-            "level", lambda T: T * self.derivative(T) - self.value(T), y,
-            _T_CAP)
+        return self._solve("level", self._conjugate_level, y, _T_CAP)
 
     # -- inversion ----------------------------------------------------
 
@@ -545,6 +560,14 @@ class PowerLogYoung(ScalarYoungFunction):
             self.p * ell + self.alpha * t / (self.shift + t)
         )
 
+    def _conjugate_level(self, T):
+        # T^p l^(alpha-1) ((p-1) l + alpha T/(shift+T)), l = log(shift +
+        # T): no difference, which cancels at small T where p = 1
+        T = np.asarray(T, dtype=float)
+        ell = np.log(self.shift + T)
+        return T**self.p * ell ** (self.alpha - 1.0) * (
+            (self.p - 1.0) * ell + self.alpha * T / (self.shift + T))
+
     def _root_guess(self, kind, y):
         # A, Psi = A/t, A' and T A' - A are each t^a l^b (c l + d u),
         # l = log(shift + t), u = t/(shift + t): Newton steps in x = log t
@@ -567,6 +590,31 @@ class PowerLogYoung(ScalarYoungFunction):
                       / (a + b * u / ell + u * (c + d * (1.0 - u)) / g))
                 x = x + dx
         return x, dx
+
+
+# Taylor coefficients of (e^t - 1 - t) / t^2.  Below the cutoff the
+# closed form cancels (relative error ~ eps / t); the truncated series is
+# exact to an ulp there, and the closed form to a few ulps above.
+_EXP_TAIL_CUT = 0.5
+_EXP_TAIL = tuple(1.0 / math.factorial(k) for k in range(2, 17))
+
+
+def _horner(x, coeffs):
+    """Sum_j coeffs[j] x^j."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _exp_level_factor(beta, v):
+    """beta v + expm1(-v) for v >= 0, the exponent clamped at 700.  Below
+    the cutoff, where it cancels for beta near 1, it is (beta - 1) v +
+    v^2 g(-v), g(x) = (e^x - 1 - x)/x^2 by its Taylor series."""
+    x = np.minimum(v, _EXP_TAIL_CUT)
+    series = (beta - 1.0) * x + x * x * _horner(-x, _EXP_TAIL)
+    return np.where(v < _EXP_TAIL_CUT, series,
+                    beta * v + np.expm1(-np.minimum(v, 700.0)))
 
 
 class ExpPowerYoung(ScalarYoungFunction):
@@ -609,6 +657,13 @@ class ExpPowerYoung(ScalarYoungFunction):
                 np.minimum(t**self.beta, 700.0)
             )
 
+    def _conjugate_level(self, T):
+        # e^v (beta v + expm1(-v)), v = T^beta (_exp_level_factor)
+        with np.errstate(over="ignore"):
+            v = np.asarray(T, dtype=float) ** self.beta
+            return np.exp(np.minimum(v, 700.0)) * _exp_level_factor(
+                self.beta, v)
+
     def _root_guess(self, kind, y):
         # Newton steps in w = log v, v = t^beta.  For A': on e^w + k w =
         # log(y / beta), k = 1 - 1/beta, convex in w, from a start above
@@ -637,7 +692,7 @@ class ExpPowerYoung(ScalarYoungFunction):
                 w = np.log(np.log1p(y))
                 for _ in range(_GUESS_STEPS):
                     v = np.exp(w)
-                    q = beta * v + np.expm1(-v)
+                    q = _exp_level_factor(beta, v)
                     dw = ((log_y - v - np.log(q)) * q
                           / (v * (beta * v + beta - 1.0)))
                     w = w + dw
@@ -666,21 +721,6 @@ class ExpMinusOneYoung(ExpPowerYoung):
     def derivative_inverse(self, s):
         out = np.log(np.maximum(np.asarray(s, dtype=float), 1.0))
         return float(out) if out.ndim == 0 else out
-
-
-# Taylor coefficients of (e^t - 1 - t) / t^2.  Below the cutoff the
-# closed form cancels (relative error ~ eps / t); the truncated series is
-# exact to an ulp there, and the closed form to a few ulps above.
-_EXP_TAIL_CUT = 0.5
-_EXP_TAIL = tuple(1.0 / math.factorial(k) for k in range(2, 17))
-
-
-def _horner(x, coeffs):
-    """Sum_j coeffs[j] x^j."""
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 class ExpMinusLinearYoung(ScalarYoungFunction):

@@ -176,13 +176,14 @@ def test_gauss_legendre_matches_numpy(m):
 
 def test_star_path_in_three_dimensions_is_cheap(monkeypatch):
     # the split (2, 3, 4) through the star path at two levels: within
-    # 2e-9 of Dirichlet's closed form on at most 50,000 ray solves
+    # 2e-9 of Dirichlet's closed form on at most 50,000 ray solves, a
+    # radial_extent call solving its levels x directions grid
     rows = []
     extent = anisotropic.radial_extent
 
-    def counted(phi, w, t, bracket=None):
-        rows.append(len(w))
-        return extent(phi, w, t, bracket)
+    def counted(phi, w, levels, bracket=None):
+        rows.append(len(levels) * len(w))
+        return extent(phi, w, levels, bracket)
 
     monkeypatch.setattr(anisotropic, "radial_extent", counted)
     phi = SplitPhi([PowerYoung(p) for p in (2, 3, 4)])
@@ -346,7 +347,7 @@ def test_combination_extent_has_no_bound_box():
                                    ([0.0, 1.0], PowerYoung(1.5)),
                                    ([1.0, -2.0], PowerYoung(6))])
     r = anisotropic.radial_extent(phi, np.array([[2.0, 1.0]]) / math.sqrt(5),
-                                  1e20)[0]
+                                  [1e20])[0, 0]
     assert r > 1e10
     assert 0.8 * r**2 + (r / math.sqrt(5)) ** 1.5 == pytest.approx(
         1e20, rel=1e-11)
@@ -427,9 +428,9 @@ def test_kinked_combination_converges_at_every_level(monkeypatch):
     rows = []
     extent = anisotropic.radial_extent
 
-    def counted(phi, w, t, bracket=None):
-        rows.append(len(w))
-        return extent(phi, w, t, bracket)
+    def counted(phi, w, levels, bracket=None):
+        rows.append(len(levels) * len(w))
+        return extent(phi, w, levels, bracket)
 
     monkeypatch.setattr(anisotropic, "radial_extent", counted)
     phi = LinearCombinationPhi(2, _KINKED)
@@ -449,7 +450,7 @@ def test_kinked_combination_converges_at_every_level(monkeypatch):
     w = np.column_stack([np.cos(az), np.sin(az)])
     # |{Phi <= t}| = (1/2) Int_0^{2 pi} R^2, twice the half circle
     wt = (h * gw).ravel()  # sums to 2 pi on [0, pi]
-    ref = [wt @ extent(phi, w, t) ** 2 / 2.0 for t in levels[::4]]
+    ref = extent(phi, w, levels[::4]) ** 2 @ wt / 2.0
     np.testing.assert_allclose(measures[::4], ref, rtol=1e-9)
 
 
@@ -471,10 +472,9 @@ def test_kinked_star_path_solves_each_ray_once(monkeypatch):
     solved = []
     extent = anisotropic.radial_extent
 
-    def recorded(phi, w, t, bracket=None):
-        t = np.broadcast_to(t, len(w))
-        solved.extend(zip(t.tolist(), map(bytes, w)))
-        return extent(phi, w, t, bracket)
+    def recorded(phi, w, levels, bracket=None):
+        solved.extend((t, d) for t in levels.tolist() for d in map(bytes, w))
+        return extent(phi, w, levels, bracket)
 
     monkeypatch.setattr(anisotropic, "radial_extent", recorded)
     sublevel_measure(LinearCombinationPhi(2, _KINKED),
@@ -495,9 +495,9 @@ def test_star_rules_solve_their_levels_in_one_call(monkeypatch):
     extent, rule, value = (anisotropic.radial_extent,
                            anisotropic._sphere_rule, PowerYoung.value)
 
-    def counted_extent(phi, w, t, bracket=None):
+    def counted_extent(phi, w, levels, bracket=None):
         calls.append(len(w))
-        return extent(phi, w, t, bracket)
+        return extent(phi, w, levels, bracket)
 
     def counted_rule(n, level, kinks):
         rules.append(level)
@@ -537,15 +537,98 @@ def test_star_path_inverts_each_term_once_per_level_set(monkeypatch):
     assert points == [2 * 128] * 3
 
 
+def test_star_path_projects_no_more_rows_than_a_rule_has(monkeypatch):
+    # the projections |c_k . w| are built from a rule's directions, not
+    # from a (level, direction) row per ray: no call gets more rows than
+    # the rule it serves, on the 128-level kinked Phi_circ
+    rules, projected = [], []
+    rule, projections = anisotropic._sphere_rule, anisotropic._projections
+
+    def counted_rule(n, level, kinks):
+        w, wt = rule(n, level, kinks)
+        rules.append(len(w))
+        return w, wt
+
+    def counted_projections(coeffs, w):
+        projected.append((rules[-1], len(w)))
+        return projections(coeffs, w)
+
+    monkeypatch.setattr(anisotropic, "_sphere_rule", counted_rule)
+    monkeypatch.setattr(anisotropic, "_projections", counted_projections)
+    phi_circ(LinearCombinationPhi(2, _KINKED), n_levels=128)
+    assert len(projected) >= len(rules) >= 4
+    assert all(rows <= size for size, rows in projected)
+
+
+def _ellipse(xi):
+    """x^2 + xy + y^2: its sublevel set at t has area 2 pi t / sqrt(3)."""
+    return xi[..., 0] ** 2 + xi[..., 0] * xi[..., 1] + xi[..., 1] ** 2
+
+
+def test_termless_star_path_solves_one_grid_per_chunk(monkeypatch):
+    # a Phi without terms takes the same chunk loop as a combination:
+    # each rule solves its pending levels, in order, in one radial_extent
+    # call per chunk, with no call for the extreme levels first
+    events = []
+    rule, extent = anisotropic._sphere_rule, anisotropic.radial_extent
+
+    def counted_rule(n, level, kinks):
+        events.append([])
+        return rule(n, level, kinks)
+
+    def counted_extent(phi, w, levels, bracket=None):
+        assert bracket is None
+        events[-1].append((levels.copy(), len(w)))
+        return extent(phi, w, levels, bracket)
+
+    monkeypatch.setattr(anisotropic, "_sphere_rule", counted_rule)
+    monkeypatch.setattr(anisotropic, "radial_extent", counted_extent)
+    levels = np.geomspace(1e-2, 1e6, 600)
+    measures = sublevel_measure(CustomPhi(2, _ellipse), levels)
+    np.testing.assert_allclose(measures, 2.0 * math.pi * levels
+                               / math.sqrt(3.0), rtol=1e-9)
+    assert len(events) >= 2
+    pending = levels
+    for calls in events:
+        solved = np.concatenate([t for t, _ in calls])
+        n_dirs = {d for _, d in calls}
+        assert len(n_dirs) == 1
+        assert len(calls) == len(anisotropic._chunks(solved.size, *n_dirs))
+        # the pending levels in order, the extreme ones not first
+        assert np.all(np.diff(solved) > 0) and set(solved) <= set(pending)
+        pending = solved
+    # every level in the first rule, in two chunks of 32 directions
+    assert [t.size for t, _ in events[0]] == [512, 88]
+
+
+def test_radial_extent_grid_equals_per_level_calls():
+    # one level x direction grid is the per-level solves bit for bit,
+    # for a combination (bracketed or not) and for a CustomPhi
+    kinked = LinearCombinationPhi(2, _KINKED)
+    w, _ = anisotropic._sphere_rule(2, 1, kinked.coeffs)
+    levels = np.geomspace(1e-3, 1e9, 7)
+    inv = np.array([[f.inverse(s) for f in kinked.terms]
+                    for s in (levels / 3, levels)])
+    bracket = anisotropic._ray_bracket(
+        kinked.terms, anisotropic._projections(kinked.coeffs, w), levels, inv)
+    for phi, b in ((kinked, None), (kinked, bracket),
+                   (CustomPhi(2, _ellipse), None)):
+        grid = anisotropic.radial_extent(phi, w, levels, b)
+        assert grid.shape == (levels.size, len(w))
+        for i, t in enumerate(levels):
+            rows = None if b is None else [e[i:i + 1] for e in b]
+            np.testing.assert_array_equal(
+                anisotropic.radial_extent(phi, w, [t], rows), grid[i:i + 1])
+
+
 def _bracketed_radii(phi, w, t, bracket):
     """Radii along the directions ``w`` at the levels ``t``, one row per
     level, solved in the ray bracket; and those solved from x = 1."""
+    radii = anisotropic.radial_extent(phi, w, t, bracket)
     levels, dirs = np.repeat(t, len(w)), np.tile(w, (t.size, 1))
-    radii = anisotropic.radial_extent(phi, dirs, levels,
-                                      [b.ravel() for b in bracket])
     free = young.solve_increasing(lambda r, w: phi.value(r[:, None] * w),
                                   levels, args=(dirs,))
-    return radii, free
+    return radii, free.reshape(radii.shape)
 
 
 def test_ray_bracket_opens_an_end_that_rounding_breaks():
@@ -630,8 +713,8 @@ def test_unconverged_star_level_warns():
 def test_star_path_batches_at_most_a_chunk(monkeypatch):
     # x^2 + xy + y^2: an ellipse of area 2 pi t / sqrt(3), on the star
     # path; 600 levels of the 32-direction first rule need two chunks.
-    # Lifted, one call carries more pairs than a default chunk: 598
-    # inner levels of the 32 directions that the second rule adds
+    # Lifted, one call carries more pairs than a default chunk: the 600
+    # levels of the first rule's 32 directions
     calls = []
 
     def fn(xi):

@@ -2,6 +2,7 @@
 
 import io
 import math
+import signal
 import tracemalloc
 import warnings
 
@@ -718,6 +719,47 @@ def test_solve_increasing_bracket_with_an_open_end():
             solve_increasing(np.cbrt, y, bracket=bracket), root, rtol=1e-12)
 
 
+def test_solve_increasing_bracket_wider_than_the_float_range():
+    # hi / lo = 1e400 overflows: the solver takes log hi - log lo as the
+    # bracket's width there and still narrows to the root, silently.  An
+    # alarm stops the test where the solve would not return
+    def timeout(signum, frame):
+        raise TimeoutError("solve_increasing did not return in 5 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = solve_increasing(lambda x: x**2, 4.0,
+                                 bracket=(1e-200, 1e200, 0.0, np.inf))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert x == pytest.approx(2.0, rel=1e-12, abs=0.0)
+
+
+def test_conjugate_level_inverse_does_not_cancel_at_small_levels():
+    # the conjugate's level T A'(T) - A(T) in closed form, against exact
+    # inverses: T^2/(e + T) for PowerLogYoung(1, 1), whose inverse is
+    # (y + sqrt(y^2 + 4 e y))/2, and e^T (T + expm1(-T)) = sum_k (k - 1)
+    # T^k/k! (k >= 2) for ExpPowerYoung(1), inverted by Newton's method
+    # on that positive series.  As differences they cancelled, up to
+    # 9.1e-8 and 8.2e-8 off on these levels
+    y = np.geomspace(1e-18, 1e-4, 57)
+    exact = 0.5 * (y + np.sqrt(y * y + 4.0 * math.e * y))
+    np.testing.assert_allclose(
+        PowerLogYoung(1.0, 1.0)._conjugate_level_inverse(y), exact,
+        rtol=1e-11)
+    coeffs = [(k - 1) / math.factorial(k) for k in range(2, 20)]
+    exact = np.sqrt(2.0 * y)  # above the root: the series is convex
+    for _ in range(8):
+        level = sum(c * exact**k for k, c in enumerate(coeffs, start=2))
+        exact = exact - (level - y) / (exact * np.exp(exact))
+    np.testing.assert_allclose(
+        ExpPowerYoung(1.0)._conjugate_level_inverse(y), exact, rtol=1e-11)
+
+
 # -- closed-form brackets of the power-log and exp-power inverses ----------
 
 # each inverse that starts from a guessed bracket: the function that it
@@ -727,8 +769,8 @@ _GUESSED = {
     "psi": (lambda a: lambda t: a.value(t) / t, "psi_inverse", 1e300),
     "derivative": (lambda a: a.derivative, "derivative_inverse",
                    young._T_CAP),
-    "level": (lambda a: lambda t: t * a.derivative(t) - a.value(t),
-              "_conjugate_level_inverse", young._T_CAP),
+    "level": (lambda a: a._conjugate_level, "_conjugate_level_inverse",
+              young._T_CAP),
 }
 
 
