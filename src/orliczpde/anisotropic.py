@@ -16,10 +16,12 @@ radial extent R(w) of the boundary in direction w:
 with R found along the rays of each sphere rule by one
 ``solve_increasing`` call on a level x direction grid (each ray an
 ``args`` row, so that each round evaluates Phi only on the rays still
-unfinished).  For a combination sum_k A_k(|c_k . xi|) each ray is
-bracketed in closed form by the terms' inverses, A_k(r a_k) <= Phi(r w)
-<= K max_k A_k(r a_k) with a_k = |c_k . w|, and its values are sums
-over the projections a_k; a Phi without terms steps out from R = 1.
+unfinished).  For a combination sum_k A_k(|c_k . xi|) each ray's radii
+(lo, hi) are closed form from the terms' inverses, A_k(r a_k) <=
+Phi(r w) <= K max_k A_k(r a_k) with a_k = |c_k . w|, and its values are
+sums over the projections a_k; the solver evaluates Phi at both radii
+and opens an end that rounding breaks.  A Phi without terms steps out
+from R = 1.
 The spherical integral is done by one deterministic rule for every n
 that doubles its points per angle at each level: a product rule in
 hyperspherical coordinates (Stroud 1971, *Approximate Calculation of
@@ -56,7 +58,6 @@ from .young import (
     SampledYoungFunction,
     ScalarYoungFunction,
     YoungFunctionError,
-    bracket_ends,
     parse_scalar_function,
     solve_increasing,
 )
@@ -211,15 +212,16 @@ def radial_extent(phi, directions, levels, bracket=None):
     evaluates Phi only on the rays still unfinished.  For a combination
     that row is its projections a_k = |c_k . w|, built once from the
     directions and broadcast over the levels, and a ray's value is
-    sum_k A_k(r a_k).  ``bracket`` = (R_lo, R_hi, Phi_lo, Phi_hi),
-    radii with Phi_lo < t <= Phi_hi, broadcasts to the grid and is
-    passed to the solver, which then only narrows; without it each ray
-    is bracketed by steps from R = 1.  R is solved to 1e-12 relative,
-    and a grid element's bits do not depend on the rest of the grid.  A
-    :class:`CustomPhi` may have unbounded sublevel sets, so its boundary
-    beyond the bound radius 1e8 raises :class:`BoundBoxError`; the other
-    forms have bounded ones (a combination's rows span R^n) and are
-    solved over the solver's range.
+    sum_k A_k(r a_k).  ``bracket`` = (R_lo, R_hi), radii broadcasting
+    to the grid, is passed to the solver, which evaluates Phi at both
+    and narrows where Phi(R_lo w) < t <= Phi(R_hi w), stepping from the
+    end that holds elsewhere; without it each ray steps out from R = 1.
+    R is solved to 1e-12 relative, and a grid element's bits do not
+    depend on the rest of the grid.  A :class:`CustomPhi` may have
+    unbounded sublevel sets, so its boundary beyond the bound radius 1e8
+    raises :class:`BoundBoxError`; the other forms have bounded ones (a
+    combination's rows span R^n) and are solved over the solver's
+    range.
     """
     w = np.asarray(directions, dtype=float)
     t = np.asarray(levels, dtype=float)[:, None]
@@ -251,20 +253,19 @@ def _ray_values(terms, r, *a):
     return sum(f.value(r * ak) for f, ak in zip(terms, a))
 
 
-def _ray_bracket(terms, a, t, inv):
-    """(lo, hi, Phi(lo w), Phi(hi w)), one row per level of ``t`` and one
+def _ray_bracket(a, inv):
+    """Radii (lo, hi) that bracket each ray, one row per level and one
     column per direction of the projections ``a``; ``inv`` holds
     A_k^{-1}(t/K) and A_k^{-1}(t), shaped (2, K, levels).  Phi(r w) >=
     A_k(r a_k) gives R <= hi = min_k A_k^{-1}(t)/a_k, and Phi(r w) <=
     K max_k A_k(r a_k) gives R >= lo = min_k A_k^{-1}(t/K)/a_k.  hi is
     widened by 4 ulps, so that a direction with one nonzero term, where
-    Phi(hi w) = A_k(A_k^{-1}(t)), does not round below t; an end that
-    rounding still breaks is opened (:func:`young.bracket_ends`)."""
+    Phi(hi w) = A_k(A_k^{-1}(t)), does not round below t; the solver
+    opens an end that rounding still breaks."""
     with np.errstate(divide="ignore", invalid="ignore"):
         lo, hi = (np.min([x[:, None] / ak for x, ak in zip(end, a)], axis=0)
                   for end in inv)
-    return bracket_ends(partial(_ray_values, terms), t[:, None], lo,
-                        hi * (1.0 + 4.0 * np.finfo(float).eps), args=a)
+    return lo, hi * (1.0 + 4.0 * np.finfo(float).eps)
 
 
 # no rule has more than 2^21 directions, the size of the n = 3 rule at
@@ -495,18 +496,16 @@ def _star_measure(phi, levels):
         seen = slice(0, None, 2) if nested else slice(0)
         fresh = slice(1, None, 2) if nested else slice(None)
         r_old = kept_r if nested else kept_r[:, :0]
-        # a combination brackets every (level, direction) pair in closed
-        # form from the projections a_k (_ray_bracket); a Phi without
-        # terms passes no bracket, and its rays step out from R = 1
+        # a combination brackets every (level, direction) pair by radii
+        # in closed form from the projections a_k (_ray_bracket); a Phi
+        # without terms passes none, and its rays step out from R = 1
         wf, ts = w[fresh], levels[pending]
         a = _projections(c, wf)
         new = np.empty(pending.size)
         kept_r = np.empty((pending.size, len(w[carry])))
         for rows in _chunks(ts.size, len(wf)):
-            bracket = None
-            if len(terms):
-                bracket = _ray_bracket(terms, a, ts[rows],
-                                       inv[:, :, pending[rows]])
+            bracket = (_ray_bracket(a, inv[:, :, pending[rows]])
+                       if len(terms) else None)
             r = np.empty((ts[rows].size, len(w)))
             r[:, seen] = r_old[rows]
             r[:, fresh] = radial_extent(phi, wf, ts[rows], bracket)

@@ -11,20 +11,21 @@ and A(t)/t -> oo as t -> oo.  This module provides
   A'(t) = s (``LegendreConjugate``); the discrete transform
   ``discrete_legendre`` is the CLI's involution check,
 * generalized left-continuous inverses, closed form where known and
-  otherwise by one vectorized solver, ``solve_increasing``: it brackets
-  each root by squaring factors (4, 16, 256, ...), then narrows the
-  bracket by Anderson-Bjorck regula falsi in (log t, log A)
-  coordinates, where power-like functions are nearly straight, never
-  taking more than a few steps beyond what bisection would; each round
-  evaluates only the unfinished elements, and per-element parameters
-  ride along as ``args``.  The power-log and exp-power inverses (A^-1,
-  Psi^-1, the maximizer A'^-1 and the conjugate's level inverse) start
-  it from a bracket around a closed-form guess, a few Newton steps in
-  log t (``bracket_ends``), so it narrows from its first round and
-  most of their roots take one; their conjugate level T A'(T) - A(T)
+  otherwise by one vectorized solver, ``solve_increasing``: it takes
+  each root's bracket as radii (lo, hi), opens an end that misses,
+  closes open ends by squaring steps (4, 16, 256, ...), then narrows by
+  Anderson-Bjorck regula falsi in (log t, log A) coordinates, where
+  power-like functions are nearly straight, never taking more than a
+  few steps beyond what bisection would; each round evaluates only the
+  unfinished elements, and per-element parameters ride along as
+  ``args``.  The power-log and exp-power inverses (A^-1, Psi^-1, the
+  maximizer A'^-1 and the conjugate's level inverse) pass radii around
+  a closed-form guess, a few Newton steps in log t, so most of their
+  roots take one narrowing round; their conjugate level T A'(T) - A(T)
   is a closed form, not a difference that cancels at small T,
 * ``psi_inverse``, the inverse of Psi(t) = A(t)/t (closed form for a
-  power), and ``MonotoneFunction``, a function known by its log values,
+  power or a table), and ``MonotoneFunction``, a function known by its
+  log values,
 * the spec grammar ``kind:key=value,...`` (and its JSON-term form)
   that names catalog functions and the CLI's data,
 * the package's one CSV writer, ``write_csv``, which formats each
@@ -37,6 +38,7 @@ which evaluates log A(t) from log t without overflowing.
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -57,7 +59,6 @@ __all__ = [
     "MonotoneFunction",
     "discrete_legendre",
     "solve_increasing",
-    "bracket_ends",
     "parse_spec",
     "parse_scalar_function",
     "write_csv",
@@ -77,15 +78,10 @@ class NotConvexError(YoungFunctionError):
 
 
 _TINY = 1e-300  # stands in for 0+ in the solver
-_MAX_SHIFT = 6  # bracketing factors 4, 16, 256, ... stop growing at 2**64
+_MAX_SHIFT = 6  # stepping factors 4, 16, 256, ... stop growing at 2**64
 _SLACK = 6  # narrowing steps allowed beyond the bisection count
-# solver mode of a bracketed element; while bracketing, |mode| counts the
-# steps, at most about 20 between _TINY and 1e300
-_NARROW = 127
 _RTOL = 1e-12  # relative width at which solve_increasing stops
 _TOL = math.log1p(_RTOL)  # the same width in log x
-# narrowing steps for a bracket 2**j * log(2) wide are j + _BASE_BUDGET
-_BASE_BUDGET = math.ceil(math.log2(math.log(2.0) / _TOL)) + _SLACK
 _T_CAP = 1e250  # largest maximizer of st - A(t) that is searched for
 _GUESS_STEPS = 5  # Newton steps of a closed-form root guess
 _EPS = float(np.finfo(float).eps)
@@ -105,7 +101,8 @@ def _secant_points(lo, hi, rlo, rhi, budget):
     """lo * exp(s), with s the root of the log-log secant through
     (log lo, rlo) and (log hi, rhi), or half the log-width where that
     is not finite; s keeps _TOL/4 inside the bracket and leaves, whichever
-    end moves, a bracket no wider than _TOL * 2**(budget - 1)."""
+    end moves, a bracket no wider than _TOL * 2**(budget - 1).  Where
+    exp(s) overflows (s past 709), the point is exp(log lo + s)."""
     width = _log_width(lo, hi)
     s = rlo - rhi
     secant = (s < 0.0) & (s > -np.inf)
@@ -119,40 +116,87 @@ def _secant_points(lo, hi, rlo, rhi, budget):
     np.maximum(s, 0.25 * _TOL, out=s)
     width -= 0.25 * _TOL
     np.minimum(s, width, out=s)
-    c = np.exp(s, out=s)
+    c = np.exp(s, out=cap)
+    over = c == np.inf
     c *= lo
+    if np.any(over):
+        c[over] = np.exp(np.log(lo[over]) + s[over])
     return c
 
 
-def _bracket_points(c, lo, hi, mode, x0, x_max):
-    """Overwrite c where an element is not bracketed yet: x0 at the
-    start, then steps up from lo or down from hi by 2**(2**|mode|)."""
-    shift = np.left_shift(np.int8(1), np.minimum(np.abs(mode), _MAX_SHIFT))
-    np.copyto(c, np.minimum(np.ldexp(lo, shift), x_max),
-              where=(mode > 0) & (mode != _NARROW))
-    np.copyto(c, np.maximum(np.ldexp(hi, -shift), _TINY), where=mode < 0)
-    np.copyto(c, x0, where=mode == 0)
+def _partition(keep, arrays):
+    """Move the elements where ``keep`` holds to the front of each array
+    of ``arrays`` (each as long as ``keep`` on its leading axis) and the
+    others right behind them, both in order; return how many are kept."""
+    k = int(np.count_nonzero(keep))
+    if 0 < k < keep.size:
+        order = np.argsort(~keep, kind="stable")
+        for a in arrays:
+            a[:] = a[order]
+    return k
 
 
-def _bracket_step(c, reached, narrow, y, hi, mode, budget, x_max):
-    """Bracketing bookkeeping after fn(c), with lo and hi already moved to
-    c: raise past x_max, set hi = 0 where fn(0+) >= y, give each newly
-    bracketed element its narrowing budget, and return the new mode.
+def _advance(fn, c, y, state):
+    """One solver round on ``state`` [positions, lo, hi, rlo, rhi,
+    moved_hi, budget, *args rows]: fn at the points c, each of which
+    moves hi where fn(c) >= y[position] and lo where not (NaN too), with
+    its log residual log fn(c) - log y.  Where the same end moves twice
+    running, the other end's residual is scaled by 1 - r_new/r_old of
+    the moved end, halved if that is not positive (Anderson & Bjorck
+    1973, BIT 13).  Overwrites c; returns where hi moved."""
+    pos, lo, hi, rlo, rhi, moved_hi, _, *cur = state
+    fc = np.asarray(fn(c, *cur), dtype=float)
+    y_cur = y[pos]
+    reached = fc >= y_cur
+    below = ~reached
+    np.copyto(hi, c, where=reached)
+    np.copyto(lo, c, where=below)
+    rc = np.log(fc, out=c)
+    rc -= np.log(y_cur, out=y_cur)
+    del fc, y_cur
+    scale = np.where(reached, rhi, rlo)
+    np.subtract(1.0, np.divide(rc, scale, out=scale), out=scale)
+    scale[~(scale > 0.0)] = 0.5
+    np.copyto(rhi, rc, where=reached)
+    np.copyto(rlo, rc, where=below)
+    np.multiply(rlo, scale, out=rlo, where=reached & moved_hi)
+    np.multiply(rhi, scale, out=rhi, where=below & ~moved_hi)
+    moved_hi[:] = reached
+    return reached
 
-    A bracket found by a factor 2**(2**j) is 2**j * log(2) wide, which
-    bisection narrows to _TOL in j + _BASE_BUDGET - _SLACK steps."""
-    stuck = ~reached & (c >= x_max)
-    if np.any(stuck):
-        raise InverseRangeError(
-            f"value {float(y[np.flatnonzero(stuck)[0]])!r} not attained "
-            f"below x_max={x_max:g}")
-    np.copyto(hi, 0.0, where=reached & (c <= _TINY))
-    bracketed = ~narrow & np.where(reached, mode > 0, mode < 0)
-    np.copyto(budget,
-              np.minimum(np.abs(mode), _MAX_SHIFT) + np.int8(_BASE_BUDGET),
-              where=bracketed)
-    return np.where(narrow | bracketed, np.int8(_NARROW),
-                    mode + np.where(reached, np.int8(-1), np.int8(1)))
+
+def _step_ends(fn, y, state, k, x0, x_max):
+    """Close the open ends, lo = 0 or hi = inf, of the first k elements
+    of the solver's ``state`` (see :func:`_advance`) by steps, each
+    closed element moving behind the open ones.  Round 0 restarts each
+    element with both ends open at x0; round j >= 1 steps up from lo,
+    where hi is open, or down from hi, by the factor 2**(2**min(j, 6)).
+    A point at x_max below y raises :class:`InverseRangeError`; where a
+    point at or below _TINY reaches y, hi = 0, the root 0.  moved_hi
+    starts true where lo is open: no step scales a closed end's
+    residual."""
+    pos, lo, hi = state[:3]
+    for j in itertools.count():
+        head = [a[:k] for a in state]
+        k = _partition((hi[:k] == np.inf) | ((lo[:k] == 0.0) & (hi[:k] > 0.0)),
+                       head)
+        n = k if j else _partition((lo[:k] == 0.0) & (hi[:k] == np.inf),
+                                   [a[:k] for a in head])
+        if not k:
+            return
+        if n:
+            shift = 1 << min(j, _MAX_SHIFT)
+            up = hi[:n] == np.inf
+            c = np.maximum(np.ldexp(hi[:n], -shift), _TINY)
+            np.minimum(np.ldexp(lo[:n], shift), x_max, out=c, where=up)
+            np.copyto(c, x0, where=up & (lo[:n] == 0.0))
+            reached = _advance(fn, c, y, [a[:n] for a in state])
+            stuck = np.flatnonzero(~reached & (lo[:n] >= x_max))
+            if stuck.size:
+                raise InverseRangeError(
+                    f"value {float(y[pos[stuck[0]]])!r} not attained below "
+                    f"x_max={x_max:g}")
+            np.copyto(hi[:n], 0.0, where=reached & (hi[:n] <= _TINY))
 
 
 def solve_increasing(fn, y, x_max=1e300, args=(), bracket=None):
@@ -161,146 +205,90 @@ def solve_increasing(fn, y, x_max=1e300, args=(), bracket=None):
     This is the left-continuous generalized inverse of fn.  ``fn(x,
     *args)`` maps a 1-D array x to an array of the same length, element
     by element.  It is called once per round on the unfinished elements
-    only, so x is usually a subset of the flattened ``y``, in its order;
-    each array in ``args`` has ``y``'s shape as its leading dimensions,
-    and ``fn`` receives its rows for those same elements.
+    only, so x is usually a subset of the flattened ``y``; each array in
+    ``args`` has ``y``'s shape as its leading dimensions, and ``fn``
+    receives its rows for those same elements.
 
-    The method works in (log x, log fn) coordinates, where power-type
-    and power-log functions are nearly straight lines.  From x = 1 each
-    root is bracketed by steps up or down by factors 4, 16, 256, ...
-    (the factor squares at each step, up to 2**64).  The bracket
-    [lo, hi], fn(lo) < y <= fn(hi), is then narrowed by regula falsi on
-    the log-log secant with the Anderson-Bjorck modification (Anderson &
-    Bjorck 1973, BIT 13): when the same end moves twice running, the
-    other end's log residual is scaled by 1 - r_new/r_old of the moved
-    end (halved if that is not positive); where the secant is not
-    finite (fn(lo) = 0 or fn(hi) = inf, say) the geometric midpoint is taken.
+    ``bracket`` = (lo, hi) are radii broadcasting to ``y``'s shape; None
+    is lo = hi = 1 (x_max if smaller).  The solve works in (log x, log
+    fn) coordinates, where power-type and power-log functions are nearly
+    straight lines, in five steps: (1) fn is evaluated at both ends in
+    one call, once where lo == hi; (2) an end is opened, lo = 0 or hi =
+    inf (open as given too), where fn(lo) < y <= fn(hi) fails for it;
+    (3) an element with both ends open restarts at x = 1, reading NaN as
+    below y; (4) one stepping pass closes the open ends by factors 4,
+    16, 256, ..., squaring up to 2**64 (:func:`_step_ends`); (5) one
+    loop narrows each bracket by regula falsi on the log-log secant with
+    the Anderson-Bjorck modification (:func:`_advance`), taking the
+    geometric midpoint where the secant is not finite (fn(lo) = 0 or
+    fn(hi) = inf, say).
+
     Every trial point lies at least log1p(rtol)/4 inside the bracket,
-    and close enough to its middle that the element still finishes
-    within ``_SLACK`` steps of what bisection would take (the projection
-    step of ITP, Oliveira & Takahashi 2020, ACM TOMS 47), so the worst
-    case (a jump) stays close to bisection.  The solve stops when
-    hi <= lo * (1 + rtol), with the fixed rtol = 1e-12, and returns
-    hi, where fn(x) >= y holds.  The result is 0 where y <= 0 or
-    fn(0+) >= y, and inf where y is inf.  A finite y with fn(x_max) < y
-    raises :class:`InverseRangeError`: no unconverged number is
-    returned.
-
-    ``bracket`` = (lo, hi, fn_lo, fn_hi), arrays broadcasting to ``y``'s
-    shape, gives a bracket already known for every element: 0 <= lo <=
-    hi, fn_lo = fn(lo) < y <= fn_hi = fn(hi).  Such an element skips the
-    bracketing and starts narrowing from the log residuals log fn_lo -
-    log y and log fn_hi - log y, with ceil(log2(log(hi/lo)/tol)) +
-    ``_SLACK`` steps, tol = log1p(rtol) (log hi - log lo where hi/lo
-    overflows).  An open end, lo = 0 or hi = inf, is bracketed by steps
-    from the other end (from x = 1 where both are open).  Where fn(lo)
-    >= y after all (a lower end at the root), the result is within 2
-    rtol above lo.  Each element's steps depend on that element alone,
-    so a batched solve equals per-element solves bit for bit.  Two
-    callers pass brackets, both built by :func:`bracket_ends`, which
-    opens an end that does not hold: the power-log and exp-power
-    inverses (around a closed-form guess, see
+    and close enough to its middle that an element finishes within
+    ``_SLACK`` steps of what bisection would take from the width of its
+    bracket, ceil(log2(log(hi/lo)/tol)) steps, tol = log1p(rtol) (the
+    projection step of ITP, Oliveira & Takahashi 2020, ACM TOMS 47), so
+    the worst case (a jump) stays close to bisection.  The solve stops
+    when hi <= lo * (1 + rtol), with the fixed rtol = 1e-12, and returns
+    hi, where fn(x) >= y holds.  The result is 0 where y <= 0 or fn(0+)
+    >= y, and inf where y is inf.  A finite y with fn(x_max) < y raises
+    :class:`InverseRangeError`: no unconverged number is returned.  Each
+    element's steps depend on that element alone, so a batched solve
+    equals per-element solves bit for bit.  Two callers pass radii: the
+    power-log and exp-power inverses (around a closed-form guess, see
     ``ScalarYoungFunction._solve``) and the star-path rays of
     ``anisotropic`` (from the terms' inverses).
     """
     y_arr = np.asarray(y, dtype=float)
     y_flat = y_arr.ravel()
-    idx = np.flatnonzero(np.isfinite(y_flat) & (y_flat > 0.0))
-    cur = [np.reshape(a, (y_arr.size,) + np.shape(a)[y_arr.ndim:])
-           for a in args]
-    if idx.size < y_arr.size:
-        cur = [a[idx] for a in cur]
-    m = idx.size
+    pos = np.flatnonzero(np.isfinite(y_flat) & (y_flat > 0.0))
+    m = pos.size
     x0 = min(1.0, x_max)
-    moved_hi = np.zeros(m, bool)  # the last step moved hi
-    if bracket is None:
-        lo, hi = np.zeros(m), np.full(m, np.inf)
-        rlo, rhi = np.zeros(m), np.zeros(m)  # log fn - log y at lo and hi
-        mode = np.zeros(m, np.int8)  # 0 start, k > 0 up, k < 0 down, _NARROW
-        budget = np.zeros(m, np.int8)  # narrowing steps left
-    else:
-        lo, hi, rlo, rhi = (np.broadcast_to(np.asarray(b, dtype=float),
-                                            y_arr.shape).ravel()[idx]
-                            for b in bracket)
-        # an open end (lo = 0 or hi = inf) is bracketed by steps from the
-        # other end, as after a first step from x0 past the root
-        mode = np.select([(lo > 0.0) & (hi < np.inf), lo > 0.0, hi < np.inf],
-                         [_NARROW, 1, -1], 0).astype(np.int8)
-        with np.errstate(all="ignore"):
-            steps = np.ceil(np.log2(_log_width(lo, hi) / _TOL))
-            budget = np.where(mode == _NARROW, np.clip(steps, 0, 64),
-                              0).astype(np.int8)
-            budget += np.int8(_SLACK)
-            rlo, rhi = (np.log(r) - np.log(y_flat[idx]) for r in (rlo, rhi))
-    # the unfinished elements are a prefix of every state array; each
-    # finished one leaves its position and root in the tail of these two
-    order, root = idx, hi
-    bracketing = True
+    lo, hi = (np.broadcast_to(np.asarray(b, dtype=float),
+                              y_arr.shape).ravel()[pos]
+              for b in ((x0, x0) if bracket is None else bracket))
+    cur = [np.reshape(a, (y_arr.size,) + np.shape(a)[y_arr.ndim:])[pos]
+           for a in args]
     with np.errstate(all="ignore"):
-        while m:
-            if bracketing:
-                narrow = mode == _NARROW
-                bracketing = not narrow.all()
-            if not bracketing:
-                c = _secant_points(lo, hi, rlo, rhi, budget)
-            else:
-                c = (_secant_points(lo, hi, rlo, rhi, budget)
-                     if narrow.any() else np.empty(m))
-                _bracket_points(c, lo, hi, mode, x0, x_max)
-            fc = np.asarray(fn(c, *cur), dtype=float)
-            y_cur = y_flat[idx]
-            reached = fc >= y_cur
-            below = ~reached
-            np.copyto(hi, c, where=reached)
-            np.copyto(lo, c, where=below)
-            budget -= np.int8(1)
-            if bracketing:
-                mode = _bracket_step(c, reached, narrow, y_cur, hi, mode,
-                                     budget, x_max)
-            del c
-            np.log(y_cur, out=y_cur)
-            rc = np.subtract(np.log(fc), y_cur, out=y_cur)
-            scale = np.where(reached, rhi, rlo)
-            np.subtract(1.0, np.divide(rc, scale, out=scale), out=scale)
-            scale[~(scale > 0.0)] = 0.5  # Anderson-Bjorck; halve if not > 0
-            np.copyto(rhi, rc, where=reached)
-            np.copyto(rlo, rc, where=below)
-            del fc, rc, y_cur
-            np.multiply(rlo, scale, out=rlo, where=reached & moved_hi)
-            np.multiply(rhi, scale, out=rhi, where=below & ~moved_hi)
-            del scale
-            moved_hi = reached
-            done = hi <= lo * (1.0 + _RTOL)
+        two = lo != hi  # fn at both ends in one call, once where lo == hi
+        f = np.asarray(fn(np.concatenate([lo, hi[two]]),
+                          *(np.concatenate([a, a[two]]) for a in cur)),
+                       dtype=float) if m else lo
+        f_hi = f[:m].copy()
+        f_hi[two] = f[m:]
+        y_cur = y_flat[pos]
+        lo_open = ~((lo > 0.0) & (f[:m] < y_cur))
+        hi_open = ~((hi < np.inf) & (y_cur <= f_hi))
+        lo[lo_open], hi[hi_open] = 0.0, np.inf
+        np.log(y_cur, out=y_cur)
+        rlo, rhi = (np.log(r) - y_cur for r in (f[:m], f_hi))
+        del f, f_hi, y_cur, two
+        # the unfinished elements are a prefix of every state array, the
+        # stepped ones first; each finished one leaves its position and
+        # root in the tail of pos and hi.  lo_open is moved_hi
+        budget = np.empty(m, np.int8)  # narrowing steps left
+        state = [pos, lo, hi, rlo, rhi, lo_open, budget, *cur]
+        stepped = _partition(lo_open | hi_open, state)
+        _step_ends(fn, y_flat, state, stepped, x0, x_max)
+        budget[:] = np.clip(np.ceil(np.log2(_log_width(lo, hi) / _TOL)), 0,
+                            64) + _SLACK
+        done = (hi <= lo * (1.0 + _RTOL)) & (np.arange(m) < stepped)
+        order, root = pos, hi
+        while True:
             if np.any(done):
-                keep = ~done
-                k = int(np.count_nonzero(keep))
-                for a in (idx, hi):
-                    a[k:], a[:k] = a[done], a[keep]
-                for a in (lo, rlo, rhi, mode, moved_hi, budget):
-                    a[:k] = a[keep]
-                idx, lo, hi, rlo, rhi, mode, moved_hi, budget = (
-                    a[:k] for a in (idx, lo, hi, rlo, rhi, mode, moved_hi,
-                                    budget))
-                cur = [a[keep] for a in cur]
-                m = k
+                m = _partition(~done, state)
+                state = [a[:m] for a in state]
+                _, lo, hi, rlo, rhi, _, budget, *_ = state
+            if not m:
+                break
+            _advance(fn, _secant_points(lo, hi, rlo, rhi, budget), y_flat,
+                     state)
+            budget -= np.int8(1)
+            done = hi <= lo * (1.0 + _RTOL)
     out = np.where(y_flat <= 0.0, 0.0, y_flat)
     out[order] = root
     out = out.reshape(y_arr.shape)
     return float(out) if out.ndim == 0 else out
-
-
-def bracket_ends(fn, y, lo, hi, args=()):
-    """``(lo, hi, fn(lo), fn(hi))`` for the ``bracket`` of
-    :func:`solve_increasing`, with fn evaluated at both ends in one call
-    (on ``np.stack([lo, hi])``, against which ``args`` broadcast).  Where
-    fn(lo) < y <= fn(hi) does not hold, because rounding breaks it or
-    an estimate misses the root, that end is opened: lo = 0 or hi =
-    inf, from which the solver brackets by steps."""
-    with np.errstate(all="ignore"):
-        f_lo, f_hi = fn(np.stack([lo, hi]), *args)
-    lo, f_lo = np.where(f_lo < y, [lo, f_lo], 0.0)
-    hi, f_hi = np.where(y <= f_hi, [hi, f_hi], np.inf)
-    return lo, hi, f_lo, f_hi
 
 
 def _lower_hull(x, y):
@@ -411,11 +399,11 @@ class ScalarYoungFunction:
 
     def _solve(self, kind, fn, y, x_max=1e300):
         """:func:`solve_increasing` of fn at y.  Where
-        :meth:`_root_guess` has an estimate x of log t, it starts from
-        the bracket exp(x -+ delta), delta = 4 |dx| + 32 eps (1 + |x|)
-        (four last Newton steps and the rounding of x) but at most 1, its
-        ends capped at x_max (:func:`bracket_ends` opens an end that
-        misses); else from x = 1."""
+        :meth:`_root_guess` has an estimate x of log t, it passes the
+        radii exp(x -+ delta), delta = 4 |dx| + 32 eps (1 + |x|) (four
+        last Newton steps and the rounding of x) but at most 1, capped at
+        x_max (the solver opens an end that misses the root); else it
+        starts from x = 1."""
         guess = None if self._root_guess is None else self._root_guess(
             kind, y)
         bracket = None
@@ -424,8 +412,7 @@ class ScalarYoungFunction:
             delta = np.minimum(
                 4.0 * np.abs(dx) + 32.0 * _EPS * (1.0 + np.abs(x)), 1.0)
             with np.errstate(over="ignore", invalid="ignore"):
-                ends = np.minimum(np.exp([x - delta, x + delta]), x_max)
-            bracket = bracket_ends(fn, y, *ends)
+                bracket = np.minimum(np.exp([x - delta, x + delta]), x_max)
         return solve_increasing(fn, y, x_max=x_max, bracket=bracket)
 
     # -- conjugation --------------------------------------------------
@@ -668,7 +655,8 @@ class ExpPowerYoung(ScalarYoungFunction):
         # Newton steps in w = log v, v = t^beta.  For A': on e^w + k w =
         # log(y / beta), k = 1 - 1/beta, convex in w, from a start above
         # the root; past the clamp v = 700, where A' is a power, its exact
-        # inverse.  For T A' - A = e^v q, q = beta v + expm1(-v): on
+        # inverse; the root 0 (w = -inf) where y <= A'(0+), which is 1 at
+        # beta = 1.  For T A' - A = e^v q, q = beta v + expm1(-v): on
         # v + log q = log y, from v = log1p(y)
         if kind not in ("derivative", "level"):
             return None
@@ -685,8 +673,10 @@ class ExpPowerYoung(ScalarYoungFunction):
                     dw = (rhs - ew - k * w) / (ew + k)
                     w = w + dw
                 past = rhs > 700.0 + k * math.log(700.0)
-                w = np.where(past, (rhs - 700.0) / k, w)
-                dw = np.where(past, 0.0, dw)
+                zero = y <= self.derivative(0.0)
+                w = np.where(past, (rhs - 700.0) / k,
+                             np.where(zero, -np.inf, w))
+                dw = np.where(past | zero, 0.0, dw)
             else:
                 log_y = np.log(y)
                 w = np.log(np.log1p(y))
@@ -809,11 +799,12 @@ class SampledYoungFunction(ScalarYoungFunction):
     On the segment [t_k, t_{k+1}] of log-log slope sigma_k, A is the
     power A(t_k) (t/t_k)^sigma_k, so A'(t) = sigma_k A(t)/t and the
     conjugate's level function T A'(T) - A(T) = (sigma_k - 1) A(T) are
-    powers too, jumping at the knots.  ``inverse``,
-    ``derivative_inverse`` and the inverse of that level function are
-    closed forms: one searchsorted over the segments' running maxima and
-    one power per element, so :class:`LegendreConjugate` of a table runs
-    no solver.
+    powers too, jumping at the knots, and so is Psi(t) = A(t)/t.
+    ``inverse``, ``psi_inverse``, ``derivative_inverse`` and the inverse
+    of that level function are closed forms: one searchsorted over the
+    segments' running maxima and one power per element, so
+    :class:`LegendreConjugate` of a table runs no solver, nor does the
+    sharp bound of a tabulated Phi_diamond.
     """
 
     closed_form_inverse = True  # inverts each segment's power
@@ -879,13 +870,18 @@ class SampledYoungFunction(ScalarYoungFunction):
     def _conjugate_level_inverse(self, y):
         return self._power_inverse("level", y)
 
+    def psi_inverse(self, y):
+        """Leftmost t >= 0 with Psi(t) = A(t)/t >= y, from the power
+        A(t_k)/t_k (t/t_k)^(sigma_k - 1) of its segment."""
+        return self._power_inverse("psi", y)
+
     def _segment_powers(self, kind):
         """``(log_coef, expo, top)``: the segment powers F of
-        :meth:`_power_inverse` for A (``kind`` "value"), A' ("derivative")
-        or the conjugate's level function (sigma_k - 1) A ("level"), and
-        the running maximum ``top`` of their sups that it searches.  Built
-        on the first call for each kind and kept until the table
-        changes."""
+        :meth:`_power_inverse` for A (``kind`` "value"), Psi = A/t
+        ("psi"), A' ("derivative") or the conjugate's level function
+        (sigma_k - 1) A ("level"), and the running maximum ``top`` of
+        their sups that it searches.  Built on the first call for each
+        kind and kept until the table changes."""
         powers = self._powers.get(kind)
         if powers is not None:
             return powers
@@ -893,6 +889,8 @@ class SampledYoungFunction(ScalarYoungFunction):
         with np.errstate(divide="ignore"):
             if kind == "value":
                 log_coef, expo = log_v, sigma
+            elif kind == "psi":
+                log_coef, expo = log_v - self.log_t[:-1], sigma - 1.0
             elif kind == "derivative":
                 log_coef, expo = (np.log(sigma) + log_v - self.log_t[:-1],
                                   sigma - 1.0)

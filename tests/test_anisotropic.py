@@ -610,7 +610,7 @@ def test_radial_extent_grid_equals_per_level_calls():
     inv = np.array([[f.inverse(s) for f in kinked.terms]
                     for s in (levels / 3, levels)])
     bracket = anisotropic._ray_bracket(
-        kinked.terms, anisotropic._projections(kinked.coeffs, w), levels, inv)
+        anisotropic._projections(kinked.coeffs, w), inv)
     for phi, b in ((kinked, None), (kinked, bracket),
                    (CustomPhi(2, _ellipse), None)):
         grid = anisotropic.radial_extent(phi, w, levels, b)
@@ -623,31 +623,35 @@ def test_radial_extent_grid_equals_per_level_calls():
 
 def _bracketed_radii(phi, w, t, bracket):
     """Radii along the directions ``w`` at the levels ``t``, one row per
-    level, solved in the ray bracket; and those solved from x = 1."""
+    level, solved in the ray bracket (lo, hi); those solved from x = 1;
+    and Phi(lo w), Phi(hi w), evaluated as the solver evaluates a ray,
+    on the projections |c_k . w|.  The solver keeps an end closed where
+    Phi(lo w) < t <= Phi(hi w) holds for it, and opens it elsewhere."""
     radii = anisotropic.radial_extent(phi, w, t, bracket)
     levels, dirs = np.repeat(t, len(w)), np.tile(w, (t.size, 1))
     free = young.solve_increasing(lambda r, w: phi.value(r[:, None] * w),
                                   levels, args=(dirs,))
-    return radii, free.reshape(radii.shape)
+    a = anisotropic._projections(phi.coeffs, w)
+    f_lo, f_hi = (anisotropic._ray_values(phi.terms, r, *a) for r in bracket)
+    return radii, free.reshape(radii.shape), f_lo, f_hi
 
 
 def test_ray_bracket_opens_an_end_that_rounding_breaks():
     # along (1, 1) Phi(lo w) = 2 A(A^-1(t / 2)) of t^3 + t^3 rounds to t
-    # or above at some levels, so lo is opened there; along the axes only
-    # one term is nonzero and Phi(hi w) = A(A^-1(t) (1 + 4 eps)), which
-    # the widening keeps at t or above: every axis end stays closed
+    # or above at some levels, so the solver opens lo there; along the
+    # axes only one term is nonzero and Phi(hi w) = A(A^-1(t) (1 + 4
+    # eps)), which the widening keeps at t or above: every axis end holds
     phi = SplitPhi([PowerYoung(3), PowerYoung(3)])
     w = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     t = np.geomspace(1.0, 1e6, 50)
     inv = np.array([[f.inverse(s) for f in phi.terms] for s in (t / 2, t)])
     bracket = anisotropic._ray_bracket(
-        phi.terms, anisotropic._projections(phi.coeffs, w), t, inv)
-    lo, hi, f_lo, f_hi = bracket
-    assert np.all(f_lo < t[:, None]) and np.all(t[:, None] <= f_hi)
-    assert np.any(lo[:, 2] == 0.0)
-    assert np.all(hi[:, :2] < np.inf) and np.all(lo[:, :2] > 0.0)
-    np.testing.assert_allclose(*_bracketed_radii(phi, w, t, bracket),
-                               rtol=4e-12)
+        anisotropic._projections(phi.coeffs, w), inv)
+    radii, free, f_lo, f_hi = _bracketed_radii(phi, w, t, bracket)
+    assert np.any(f_lo[:, 2] >= t)
+    assert np.all(f_lo[:, :2] < t[:, None])
+    assert np.all(t[:, None] <= f_hi[:, :2])
+    np.testing.assert_allclose(radii, free, rtol=4e-12)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -657,10 +661,11 @@ def test_ray_bracket_opens_an_end_that_rounding_breaks():
 def test_ray_brackets_hold_and_narrow_to_the_unbracketed_radii(n, seed, ps,
                                                                p_log, alpha):
     # Phi(r w) >= A_k(r a_k) and <= K max_k A_k(r a_k): the bracket holds
-    # f_lo < t <= f_hi, within the width K^(1/p_min) where both ends are
-    # closed, on directions with a_k = 0 too, and the bracketed radii are
-    # those of the solve from x = 1.  Directions: two random ones and,
-    # for each row c, (-c_1, c_0, 0, ...) on its kink plane c . w = 0
+    # Phi(lo w) < t <= Phi(hi w) but where rounding breaks an end, within
+    # the width K^(1/p_min) where both ends hold, on directions with
+    # a_k = 0 too, and the bracketed radii are those of the solve from
+    # x = 1.  Directions: two random ones and, for each row c, (-c_1,
+    # c_0, 0, ...) on its kink plane c . w = 0
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((len(ps) + 1, n))
     w = np.vstack([rng.standard_normal((2, n))]
@@ -672,16 +677,17 @@ def test_ray_brackets_hold_and_narrow_to_the_unbracketed_radii(n, seed, ps,
     t = np.geomspace(1e-2, 1e12, 8)
     inv = np.array([[f.inverse(s) for f in terms] for s in (t / len(terms),
                                                             t)])
-    bracket = anisotropic._ray_bracket(terms, a, t, inv)
-    lo, hi, f_lo, f_hi = bracket
-    assert np.all(f_lo < t[:, None]) and np.all(t[:, None] <= f_hi)
-    # rounding opens an end rarely
-    closed = (lo > 0.0) & (hi < np.inf)
+    bracket = anisotropic._ray_bracket(a, inv)
+    lo, hi = bracket
+    radii, free, f_lo, f_hi = _bracketed_radii(phi, w, t, bracket)
+    # rounding breaks an end rarely, and by rounding alone
+    closed = (f_lo < t[:, None]) & (t[:, None] <= f_hi)
     assert closed.mean() >= 0.9
+    assert np.all(f_lo <= t[:, None] * (1.0 + 1e-10))
+    assert np.all(f_hi >= t[:, None] * (1.0 - 1e-10))
     width = len(terms) ** (1.0 / min(ps + [p_log])) * (1.0 + 1e-12)
     assert np.all(hi[closed] <= width * lo[closed])
-    np.testing.assert_allclose(*_bracketed_radii(phi, w, t, bracket),
-                               rtol=4e-12)
+    np.testing.assert_allclose(radii, free, rtol=4e-12)
 
 
 def test_infinite_star_level_is_inf_and_silent():

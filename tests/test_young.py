@@ -1,6 +1,7 @@
 """Scalar Young-function calculus: conjugation, inequalities, growth."""
 
 import io
+import json
 import math
 import signal
 import tracemalloc
@@ -656,8 +657,9 @@ _BRACKET_FAMILIES = {
 def test_solve_increasing_bracket_matches_the_open_solve(family, p, log_root,
                                                          log_u, log_lo,
                                                          log_hi):
-    # the root x = 10^log_root of g(x / s) = g(u): a known bracket only
-    # skips the bracketing, so both solves end within rtol of the root
+    # the root x = 10^log_root of g(x / s) = g(u): known radii only skip
+    # the stepping, so both solves end within rtol of the root; the
+    # solver evaluates fn at both ends, and fn(hi) = inf is a valid end
     g, rtol = _BRACKET_FAMILIES[family], 1e-12
     u = 10.0**log_u
     s = 10.0**log_root / u
@@ -667,9 +669,7 @@ def test_solve_increasing_bracket_matches_the_open_solve(family, p, log_root,
 
     y = g(u, p)
     lo, hi = 10.0 ** (log_root + log_lo), 10.0 ** (log_root + log_hi)
-    with np.errstate(over="ignore"):  # fn(hi) = inf is a valid end
-        bracket = (lo, hi, fn(lo), fn(hi))
-    x = solve_increasing(fn, y, bracket=bracket)
+    x = solve_increasing(fn, y, bracket=(lo, hi))
     assert fn(x) >= y > fn(x / (1.0 + rtol))
     assert x == pytest.approx(solve_increasing(fn, y),
                               rel=rtol, abs=0.0)
@@ -686,7 +686,7 @@ def test_solve_increasing_bracketed_batch_equals_single_solves():
     root = solve_increasing(weighted, y, args=(a,))
     lo = root * 10.0 ** rng.uniform(-6.0, -0.01, 150)
     hi = root * 10.0 ** rng.uniform(0.01, 6.0, 150)
-    bracket = (lo, hi, weighted(lo, a), weighted(hi, a))
+    bracket = (lo, hi)
     batch = solve_increasing(weighted, y, args=(a,), bracket=bracket)
     single = np.concatenate([
         solve_increasing(weighted, y[i:i + 1], args=(a[i:i + 1],),
@@ -698,12 +698,13 @@ def test_solve_increasing_bracketed_batch_equals_single_solves():
 @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
 def test_solve_increasing_bracket_from_the_root(p):
     # a repeated level: the lower end of the bracket is the root itself,
-    # fn(lo) = y, and the solve still ends within 2 rtol above it
+    # fn(lo) = y, so the solver opens it and steps down from hi; the
+    # solve still ends within 2 rtol above it
     rtol = 1e-12
     lo = np.geomspace(1e-50, 1e50, 21)
     y = lo**p
     hi = lo * 1e3
-    x = solve_increasing(lambda x: x**p, y, bracket=(lo, hi, y, hi**p))
+    x = solve_increasing(lambda x: x**p, y, bracket=(lo, hi))
     assert np.all((x >= lo) & (x <= lo * (1.0 + 2.0 * rtol)))
 
 
@@ -712,17 +713,15 @@ def test_solve_increasing_bracket_with_an_open_end():
     # those elements bracket by steps from the other end
     y = np.geomspace(1e-40, 1e40, 17)
     root = solve_increasing(np.cbrt, y)
-    for bracket in ((0.0, root * 10.0, 0.0, np.cbrt(root * 10.0)),
-                    (root / 10.0, np.inf, np.cbrt(root / 10.0), np.inf),
-                    (0.0, np.inf, 0.0, np.inf)):
+    for bracket in ((0.0, root * 10.0), (root / 10.0, np.inf),
+                    (0.0, np.inf)):
         np.testing.assert_allclose(
             solve_increasing(np.cbrt, y, bracket=bracket), root, rtol=1e-12)
 
 
-def test_solve_increasing_bracket_wider_than_the_float_range():
-    # hi / lo = 1e400 overflows: the solver takes log hi - log lo as the
-    # bracket's width there and still narrows to the root, silently.  An
-    # alarm stops the test where the solve would not return
+def _silently_within_5_s(solve):
+    """solve(), with warnings as errors; an alarm stops it where it would
+    not return."""
     def timeout(signum, frame):
         raise TimeoutError("solve_increasing did not return in 5 s")
 
@@ -731,12 +730,54 @@ def test_solve_increasing_bracket_wider_than_the_float_range():
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x = solve_increasing(lambda x: x**2, 4.0,
-                                 bracket=(1e-200, 1e200, 0.0, np.inf))
+            return solve()
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_solve_increasing_bracket_wider_than_the_float_range():
+    # hi / lo = 1e400 overflows: the solver takes log hi - log lo as the
+    # bracket's width there and still narrows to the root, silently
+    x = _silently_within_5_s(
+        lambda: solve_increasing(lambda x: x**2, 4.0, bracket=(1e-200, 1e200)))
     assert x == pytest.approx(2.0, rel=1e-12, abs=0.0)
+
+
+def test_solve_increasing_secant_step_past_the_exp_range():
+    # in the bracket (1e-200, 1e200) the log-log secant of sqrt steps
+    # more than 709 above lo for these roots: lo * exp(s) overflowed to
+    # inf, which counted as reached, and the solve never returned
+    roots = np.array([1e150, 1e199])
+    x = _silently_within_5_s(lambda: solve_increasing(
+        np.sqrt, np.sqrt(roots), bracket=(1e-200, 1e200)))
+    np.testing.assert_allclose(x, roots, rtol=1e-12, atol=0.0)
+
+
+def test_solve_increasing_mixed_batch_equals_single_solves():
+    # one batch of every kind of start: closed radii, lo = 0, hi = inf,
+    # both ends open, the start (1, 1) of bracket=None, a root at 0
+    # (fn(0+) >= y), a NaN end and radii that miss the root on either
+    # side.  Each element's steps depend on it alone: bit for bit
+    def fn(x, a, b):
+        return b + a * x**3
+
+    root = np.array([2.0, 3e-5, 4e7, 0.5, 7.0, 0.0, 1e-3, 1e4, 5e-8])
+    a = np.array([1.0, 2.0, 0.5, 3.0, 1.0, 1.0, 1e3, 1.0, 1.0])
+    b = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    y = np.where(b > 0.0, 0.5, fn(root, a, b))
+    lo = np.array([1.0, 0.0, 1e7, 0.0, 1.0, 1.0, np.nan, 1e5, 1e-12])
+    hi = np.array([3.0, 1e-3, np.inf, np.inf, 1.0, 2.0, 1.0, 1e6, 1e-9])
+    batch = solve_increasing(fn, y, args=(a, b), bracket=(lo, hi))
+    single = np.concatenate([
+        solve_increasing(fn, y[i:i + 1], args=(a[i:i + 1], b[i:i + 1]),
+                         bracket=(lo[i:i + 1], hi[i:i + 1]))
+        for i in range(y.size)])
+    np.testing.assert_array_equal(batch, single)
+    assert batch[5] == 0.0
+    np.testing.assert_allclose(batch, root, rtol=2e-12, atol=0.0)
+    # radii (1, 1) are the start of bracket=None
+    assert single[4] == solve_increasing(fn, y[4:5], args=(a[4:5], b[4:5]))
 
 
 def test_conjugate_level_inverse_does_not_cancel_at_small_levels():
@@ -876,6 +917,20 @@ def _solver_rounds(monkeypatch):
     return rounds
 
 
+def test_exp_power_maximizer_at_beta_1_solves_in_at_most_3_rounds(
+        monkeypatch):
+    # at beta = 1, A'(0+) = 1: the guess states the root 0 for s <= 1,
+    # where its Newton step read 0 * (-inf) as NaN, both ends opened and
+    # the solve stepped from x = 1 down to 1e-300 (21 rounds); the
+    # maximizer is ExpMinusOneYoung's closed form log max(s, 1)
+    rounds = _solver_rounds(monkeypatch)
+    s = np.geomspace(1e-3, 1e250, 512)
+    x = ExpPowerYoung(1.0).derivative_inverse(s)
+    assert len(rounds) == 1 and rounds[0] <= 3
+    np.testing.assert_allclose(x, ExpMinusOneYoung().derivative_inverse(s),
+                               rtol=1e-13, atol=0.0)
+
+
 def test_power_log_conjugate_solves_in_at_most_3_rounds(monkeypatch):
     # the conjugate table of the calculus benchmark: 10 rounds from x = 1
     rounds = _solver_rounds(monkeypatch)
@@ -919,6 +974,38 @@ def test_split_measure_inverts_power_logs_in_at_most_3_rounds(monkeypatch,
                      "--quiet"]) == 0
     assert 6272 in sizes and len(rounds) >= len(sizes)
     assert max(rounds) <= 3
+
+
+def test_benchmark_roots_start_from_closed_radii(monkeypatch, tmp_path):
+    # the roots of these commands (two conjugates, the kinked Phi_circ
+    # of 128 levels in [1, 1e20] and a power-log split's measures) all
+    # start from radii that hold, so the stepping pass receives no open
+    # element and each solve evaluates fn where the ends were evaluated
+    # before the solver took them
+    from orliczpde import cli
+    opened = []
+    step = young._step_ends
+
+    def counted(fn, y, state, k, *args):
+        opened.append(k)
+        return step(fn, y, state, k, *args)
+
+    monkeypatch.setattr(young, "_step_ends", counted)
+    kinked = json.dumps({"n": 2, "form": "linear_combination", "terms": [
+        {"coeffs": [1, 0], "kind": "power", "p": 2},
+        {"coeffs": [0, 1], "kind": "power", "p": 3},
+        {"coeffs": [1, 1], "kind": "power", "p": 4}]})
+    cfg = tmp_path / "kinked.json"
+    cfg.write_text(json.dumps({"t_lo": 1, "t_hi": 1e20, "n_levels": 128}))
+    for i, argv in enumerate([
+            ["conjugate", "--A", "power_log:p=2,alpha=1"],
+            ["conjugate", "--A", "exp_power:beta=1.5"],
+            ["phicirc", "--config", str(cfg), "--phi", kinked],
+            ["verify-example", "aniso_zyg", "--p", "2,2", "--alpha", "1,3"]]):
+        opened.clear()
+        assert cli.main([*argv, "--out", str(tmp_path / str(i)),
+                         "--quiet"]) == 0
+        assert opened and not any(opened), argv
 
 
 def test_solve_increasing_args_rows_follow_the_elements():
@@ -1055,6 +1142,37 @@ def test_power_psi_inverse_is_closed_form(a, monkeypatch):
     assert isinstance(x, float)
     assert x == pytest.approx(solved_2, rel=1e-12)
     assert calls == []
+
+
+@pytest.mark.parametrize("a", [PowerLogYoung(2.0, 1.0),
+                               PowerLogYoung(1.5, 2.0), PowerYoung(3.0)],
+                         ids=lambda a: a.name)
+def test_table_psi_inverse_is_closed_form(a, monkeypatch):
+    # Psi = A/t of a table is a power on each segment: its inverse runs
+    # no solver and matches the solver's root, on the table [1e-3, 1e3]
+    # and on both extrapolated end segments
+    table = sampled(a, 1e-3, 1e3)
+    t = np.geomspace(1e-6, 1e6, 241)
+    y = np.concatenate([[-1.0, 0.0, np.inf], table.value(t) / t])
+    solved = ScalarYoungFunction.psi_inverse(table, y)
+    calls = []
+    monkeypatch.setattr(young, "solve_increasing",
+                        lambda *args, **kwargs: calls.append(args))
+    np.testing.assert_allclose(table.psi_inverse(y), solved, rtol=2e-12,
+                               atol=0.0)
+    assert calls == []
+
+
+def test_symmetrize_solve_of_a_table_runs_no_solver(monkeypatch, tmp_path):
+    # Phi_diamond of a JSON split is a table, whose Psi^-1 in the sharp
+    # bound is closed form: 14 solver rounds before
+    from orliczpde import cli
+    rounds = _solver_rounds(monkeypatch)
+    phi = ('{"n": 2, "form": "split", "terms": [{"kind": "power", "p": 2},'
+           ' {"kind": "power", "p": 4}]}')
+    assert cli.main(["symmetrize-solve", "--phi", phi, "--n", "2", "--f",
+                     "const:1", "--out", str(tmp_path), "--quiet"]) == 0
+    assert rounds == []
 
 
 @pytest.mark.parametrize("a", [
