@@ -20,8 +20,8 @@ unfinished).  For a combination sum_k A_k(|c_k . xi|) each ray's radii
 (lo, hi) are closed form from the terms' inverses, A_k(r a_k) <=
 Phi(r w) <= K max_k A_k(r a_k) with a_k = |c_k . w|, and its values are
 sums over the projections a_k; the solver evaluates Phi at both radii
-and opens an end that rounding breaks.  A Phi without terms steps out
-from R = 1.
+and opens an end that rounding breaks.  A radial Phi never takes this
+path: its measure is omega_n A^{-1}(t)^n.
 The spherical integral is done by one deterministic rule for every n
 that doubles its points per angle at each level: a product rule in
 hyperspherical coordinates (Stroud 1971, *Approximate Calculation of
@@ -53,7 +53,6 @@ from functools import partial
 import numpy as np
 
 from .young import (
-    InverseRangeError,
     PowerYoung,
     SampledYoungFunction,
     ScalarYoungFunction,
@@ -69,8 +68,6 @@ __all__ = [
     "RadialPhi",
     "SplitPhi",
     "LinearCombinationPhi",
-    "CustomPhi",
-    "BoundBoxError",
     "MeasureConvergenceWarning",
     "sublevel_measure",
     "radial_extent",
@@ -83,11 +80,6 @@ __all__ = [
 def unit_ball_volume(n):
     """omega_n, the volume of the unit ball in R^n."""
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-
-
-class BoundBoxError(YoungFunctionError):
-    """A sublevel set reaches the evaluation box: the bound radius of a
-    :class:`CustomPhi`, or the solver's range for the other forms."""
 
 
 class MeasureConvergenceWarning(UserWarning):
@@ -108,16 +100,13 @@ class MeasureConvergenceWarning(UserWarning):
         self.summary = summary
 
 
-_BOUND_RADIUS = 1e8  # trusted evaluation radius of a CustomPhi (bound box)
-
-
 class AnisotropicYoungFunction:
     """Base: a convex even function on R^n with Phi(0) = 0.
 
-    ``value`` accepts arrays shaped (..., n) and returns (...).
+    ``value`` accepts arrays shaped (..., n) and returns (...).  Every
+    form is radial, A(|xi|), or a linear combination sum_k A_k(|c_k . xi|)
+    (:func:`from_json` builds each).
     """
-
-    form = "custom"
 
     def __init__(self, n):
         if not float(n).is_integer():
@@ -187,57 +176,36 @@ class SplitPhi(LinearCombinationPhi):
         super().__init__(len(terms), zip(np.eye(len(terms)), terms))
 
 
-class CustomPhi(AnisotropicYoungFunction):
-    form = "custom"
-
-    def __init__(self, n, fn):
-        super().__init__(n)
-        self._fn = fn
-
-    def value(self, xi):
-        return self._fn(np.asarray(xi, dtype=float))
-
-
 # ---------------------------------------------------------------------
 # sublevel measure via star-shaped radial extent
 
 
 def radial_extent(phi, directions, levels, bracket=None):
-    """R(w, t) with Phi(R w) = t, one row per level of the 1-D ``levels``
-    and one column per unit direction row w of ``directions``.
+    """R(w, t) with Phi(R w) = t for a :class:`LinearCombinationPhi`, one
+    row per level of the 1-D ``levels`` and one column per unit
+    direction row w of ``directions``.
 
     Phi is nondecreasing along rays from 0 (convexity + Phi(0)=0), so
     the whole level x direction grid is one :func:`solve_increasing`
     call, each grid element an ``args`` row, so that each round
-    evaluates Phi only on the rays still unfinished.  For a combination
-    that row is its projections a_k = |c_k . w|, built once from the
-    directions and broadcast over the levels, and a ray's value is
-    sum_k A_k(r a_k).  ``bracket`` = (R_lo, R_hi), radii broadcasting
-    to the grid, is passed to the solver, which evaluates Phi at both
-    and narrows where Phi(R_lo w) < t <= Phi(R_hi w), stepping from the
-    end that holds elsewhere; without it each ray steps out from R = 1.
-    R is solved to 1e-12 relative, and a grid element's bits do not
-    depend on the rest of the grid.  A :class:`CustomPhi` may have
-    unbounded sublevel sets, so its boundary beyond the bound radius 1e8
-    raises :class:`BoundBoxError`; the other forms have bounded ones (a
-    combination's rows span R^n) and are solved over the solver's
-    range.
+    evaluates Phi only on the rays still unfinished.  That row is the
+    projections a_k = |c_k . w|, built once from the directions and
+    broadcast over the levels, and a ray's value is sum_k A_k(r a_k).
+    ``bracket`` = (R_lo, R_hi), radii broadcasting to the grid (the star
+    path passes :func:`_ray_bracket`), is passed to the solver, which
+    evaluates Phi at both and narrows where Phi(R_lo w) < t <= Phi(R_hi
+    w), stepping from the end that holds elsewhere; without it each ray
+    steps out from R = 1.  R is solved to 1e-12 relative over the
+    solver's range (the rows span R^n, so sublevel sets are bounded),
+    and a grid element's bits do not depend on the rest of the grid.
     """
     w = np.asarray(directions, dtype=float)
     t = np.asarray(levels, dtype=float)[:, None]
     grid = (t.size, len(w))
-    box = {"x_max": _BOUND_RADIUS} if isinstance(phi, CustomPhi) else {}
-    if isinstance(phi, LinearCombinationPhi):
-        fn, args = partial(_ray_values, phi.terms), _projections(phi.coeffs, w)
-    else:
-        fn, args = (lambda r, w: phi.value(r[:, None] * w)), (w,)
-    try:
-        return solve_increasing(
-            fn, np.broadcast_to(t, grid), bracket=bracket, **box,
-            args=tuple(np.broadcast_to(a, grid + a.shape[1:]) for a in args))
-    except InverseRangeError as err:
-        raise BoundBoxError(f"sublevel set reaches the bound box: {err}"
-                            ) from None
+    return solve_increasing(
+        partial(_ray_values, phi.terms), np.broadcast_to(t, grid),
+        bracket=bracket, args=tuple(np.broadcast_to(a, grid)
+                                    for a in _projections(phi.coeffs, w)))
 
 
 def _projections(coeffs, w):
@@ -449,18 +417,16 @@ def _chunks(n_items, per_item):
 
 
 def _star_measure(phi, levels):
-    """Star-path measures of the 1-D array ``levels``, all at once, and
-    their convergence summary (see :func:`sublevel_measure`).  Each rule
-    solves its new directions for the pending levels in one
-    :func:`radial_extent` call per chunk, for every Phi.  A
-    combination's terms are inverted once, at ``levels`` / K and
+    """Star-path measures of the 1-D array ``levels`` of a
+    :class:`LinearCombinationPhi`, all at once, and their convergence
+    summary (see :func:`sublevel_measure`).  Each rule solves its new
+    directions for the pending levels in one :func:`radial_extent` call
+    per chunk.  The terms are inverted once, at ``levels`` / K and
     ``levels``, and each chunk brackets its (level, direction) pairs
     from them (:func:`_ray_bracket`)."""
-    n = phi.n
+    n, c, terms = phi.n, phi.coeffs, phi.terms
     # kink planes c . xi = 0 of the terms A(|c . xi|); the K rows c with
     # an azimuth part cut the azimuth into <= 2 K + 1 <= 2^arcs arcs
-    c = np.reshape(getattr(phi, "coeffs", ()), (-1, n))
-    terms = getattr(phi, "terms", ())
     arcs = int(2 * np.any(c[:, -2:], axis=1).sum()).bit_length()
     # six rules, or fewer where m^(n-1) directions exceed 2^21 (one at
     # n = 11, none from n = 12), split where m^(n-2) max(m, 2^arcs) do not
@@ -472,7 +438,7 @@ def _star_measure(phi, levels):
     est = np.where(np.isinf(levels), np.inf, 0.0)
     change = np.full(levels.size, np.inf)
     pending = np.flatnonzero(np.isfinite(levels))
-    # a combination's terms inverted once at t / K and t (_ray_bracket)
+    # the terms inverted once at t / K and t (_ray_bracket)
     inv = np.empty((2, len(terms), levels.size))
     for k, f in enumerate(terms):
         inv[:, k, pending] = (f.inverse(levels[pending] / len(terms)),
@@ -496,19 +462,17 @@ def _star_measure(phi, levels):
         seen = slice(0, None, 2) if nested else slice(0)
         fresh = slice(1, None, 2) if nested else slice(None)
         r_old = kept_r if nested else kept_r[:, :0]
-        # a combination brackets every (level, direction) pair by radii
-        # in closed form from the projections a_k (_ray_bracket); a Phi
-        # without terms passes none, and its rays step out from R = 1
+        # every (level, direction) pair is bracketed by radii in closed
+        # form from the projections a_k (_ray_bracket)
         wf, ts = w[fresh], levels[pending]
         a = _projections(c, wf)
         new = np.empty(pending.size)
         kept_r = np.empty((pending.size, len(w[carry])))
         for rows in _chunks(ts.size, len(wf)):
-            bracket = (_ray_bracket(a, inv[:, :, pending[rows]])
-                       if len(terms) else None)
             r = np.empty((ts[rows].size, len(w)))
             r[:, seen] = r_old[rows]
-            r[:, fresh] = radial_extent(phi, wf, ts[rows], bracket)
+            r[:, fresh] = radial_extent(
+                phi, wf, ts[rows], _ray_bracket(a, inv[:, :, pending[rows]]))
             new[rows] = np.sum(wt * r ** n / n, axis=1)
             kept_r[rows] = r[:, carry]
         diff = np.abs(new - est[pending])
@@ -528,8 +492,8 @@ def _measures(phi, levels):
     tail (sigma, beta) of Phi_circ: (n / sum 1/p_i, 0) where the
     measures are Dirichlet's closed form c t^{sum 1/p_i}, else None."""
     tail = None
-    coeffs = getattr(phi, "coeffs", ())
-    det = abs(float(np.linalg.det(coeffs))) if len(coeffs) == phi.n else 0.0
+    square = phi.form != "radial" and len(phi.coeffs) == phi.n
+    det = abs(float(np.linalg.det(phi.coeffs))) if square else 0.0
     if phi.form == "radial":
         out = unit_ball_volume(phi.n) * phi.a.inverse(levels) ** phi.n
     elif det > 0.0 and all(isinstance(a, PowerYoung) for a in phi.terms):
@@ -560,17 +524,16 @@ def sublevel_measure(phi, t):
     closed form when every term is a :class:`PowerYoung` and iterated
     tanh-sinh quadrature (within 1e-14 relative of the closed form on
     power splits, a ``closed_form_inverse`` term innermost) otherwise;
-    everything else goes through the star-shaped boundary integral, its
-    sphere rule split at the terms' kink planes and refined until the
-    relative change drops below ``rel_tol`` = 1e-7.  On that path every
-    pending level is solved along the directions of a sphere rule in one
-    :func:`radial_extent` call per chunk of at most ``_CHUNK`` (level,
-    direction) pairs, each ray of a combination in its closed-form
-    bracket from the terms' inverses at t / K and t (taken once per
-    level), each ray of a Phi without terms (a :class:`CustomPhi`) by
-    steps from R = 1.  In the plane the rules are nested and a level
-    keeps its radii along the directions that the last rule had, so
-    each rule solves only its new directions.
+    the other combinations (more terms than n) go through the
+    star-shaped boundary integral, its sphere rule split at the terms'
+    kink planes and refined until the relative change drops below
+    ``rel_tol`` = 1e-7.  On that path every pending level is solved
+    along the directions of a sphere rule in one :func:`radial_extent`
+    call per chunk of at most ``_CHUNK`` (level, direction) pairs, each
+    ray in its closed-form bracket from the terms' inverses at t / K and
+    t (taken once per level).  In the plane the rules are nested and a
+    level keeps its radii along the directions that the last rule had,
+    so each rule solves only its new directions.
     A level leaves once its relative change is <= ``rel_tol``; levels still
     above it after the finest rule are returned with a
     :class:`MeasureConvergenceWarning`.  Every rule is deterministic.

@@ -654,10 +654,11 @@ class ExpPowerYoung(ScalarYoungFunction):
     def _root_guess(self, kind, y):
         # Newton steps in w = log v, v = t^beta.  For A': on e^w + k w =
         # log(y / beta), k = 1 - 1/beta, convex in w, from a start above
-        # the root; past the clamp v = 700, where A' is a power, its exact
-        # inverse; the root 0 (w = -inf) where y <= A'(0+), which is 1 at
-        # beta = 1.  For T A' - A = e^v q, q = beta v + expm1(-v): on
-        # v + log q = log y, from v = log1p(y)
+        # the root, at beta = 1 (k = 0) the root w = log rhs itself; past
+        # the clamp v = 700, where A' is a power, its exact inverse; the
+        # root 0 (w = -inf) where y <= A'(0+), which is 1 at beta = 1.
+        # For T A' - A = e^v q, q = beta v + expm1(-v): on v + log q =
+        # log y, from v = log1p(y)
         if kind not in ("derivative", "level"):
             return None
         beta = self.beta
@@ -666,7 +667,8 @@ class ExpPowerYoung(ScalarYoungFunction):
             if kind == "derivative":
                 k = 1.0 - 1.0 / beta
                 rhs = np.log(y / beta)
-                w = np.where(rhs > 1.0, np.minimum(np.log(rhs), rhs / k),
+                w = np.where((rhs > 1.0) | (k == 0.0),
+                             np.minimum(np.log(rhs), rhs / k),
                              np.minimum(0.0, rhs / k))
                 for _ in range(_GUESS_STEPS):
                     ew = np.exp(w)

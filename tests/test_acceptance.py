@@ -118,16 +118,21 @@ def test_ac03_radial_average_recovery(report):
         m = (circ.log_t >= math.log(1e2)) & (circ.log_t <= math.log(1e6))
         slope = float(np.polyfit(circ.log_t[m], circ.log_v[m], 1)[0])
         assert abs(slope - 8.0 / 3.0) <= 0.02 * (8.0 / 3.0)
-        # a radial input recovers its own generator
+        # a non-power term on the star path: the rows (1, 0), (0, 1),
+        # (1, 0) with terms A = t^2 log(e + t), t^3 and A give
+        # 2 A(|x|) + |y|^3, whose sublevel set at t is that of the
+        # split (A, t^3 / 2) at t / 2
         a = young.PowerLogYoung(2.0, 1.0)
-        radial_phi = anisotropic.CustomPhi(
-            2, lambda xi: a.value(
-                np.linalg.norm(np.atleast_2d(xi), axis=-1)))
-        rec = anisotropic.phi_circ(radial_phi, t_lo=1e-2, t_hi=1e6,
-                                   n_levels=128)
-        ts = np.exp(rec.log_t)
-        rel = np.max(np.abs(np.exp(rec.log_v) - a.value(ts))
-                     / np.maximum(a.value(ts), 1e-300))
+        pair = anisotropic.LinearCombinationPhi(
+            2, [([1.0, 0.0], a), ([0.0, 1.0], PowerYoung(3)),
+                ([1.0, 0.0], a)])
+        rec = anisotropic.phi_circ(pair, t_lo=1e-2, t_hi=1e6, n_levels=64)
+        assert rec.convergence["unconverged"] == 0
+        split = anisotropic.SplitPhi([a, PowerYoung(3, 0.5)])
+        levels = np.exp(rec.log_v)
+        exact = anisotropic.sublevel_measure(split, levels / 2.0)
+        star = anisotropic.unit_ball_volume(2) * np.exp(rec.log_t) ** 2
+        rel = np.max(np.abs(star - exact) / exact)
         assert rel <= 1e-4
 
 

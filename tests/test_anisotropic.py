@@ -14,8 +14,6 @@ from scipy.integrate import quad
 from conftest import calculus_identity_errors
 from orliczpde import anisotropic, young
 from orliczpde.anisotropic import (
-    BoundBoxError,
-    CustomPhi,
     LinearCombinationPhi,
     MeasureConvergenceWarning,
     RadialPhi,
@@ -55,16 +53,19 @@ def test_unit_ball_volume():
 
 
 def test_radial_measure_closed_form():
+    # |xi|^2 in R^3, radial and as the square combination on the axes,
+    # which the star path takes too
     phi = RadialPhi(3, PowerYoung(2))
+    square = SplitPhi([PowerYoung(2)] * 3)
     levels = np.array([0.5, 4.0, 1e4])
     expected = unit_ball_volume(3) * levels**1.5
     for t, exact in zip(levels, expected):
         assert sublevel_measure(phi, t) == pytest.approx(exact, rel=1e-12)
-        assert _star(phi, [t])[0] == pytest.approx(exact, rel=1e-6)
+        assert _star(square, [t])[0] == pytest.approx(exact, rel=1e-6)
     # all levels at once: the same numbers as one call per level
-    star = _star(phi, levels)
+    star = _star(square, levels)
     np.testing.assert_allclose(
-        star, [_star(phi, [t])[0] for t in levels], rtol=1e-12)
+        star, [_star(square, [t])[0] for t in levels], rtol=1e-12)
     np.testing.assert_allclose(star, expected, rtol=1e-6)
     np.testing.assert_allclose(sublevel_measure(phi, levels), expected,
                                rtol=1e-12)
@@ -91,8 +92,9 @@ def test_star_path_in_four_dimensions():
     for t in (0.25, 16.0):
         exact = c / math.gamma(1.0 + s) * t**s
         assert _star(phi, [t])[0] == pytest.approx(exact, rel=1e-6)
-    a = PowerYoung(3)
-    phi = RadialPhi(4, a)
+    # |xi|^2 as the square combination on the axes: omega_4 A^{-1}(t)^4
+    a = PowerYoung(2)
+    phi = SplitPhi([a] * 4)
     assert _star(phi, [7.0])[0] == pytest.approx(
         unit_ball_volume(4) * a.inverse(7.0) ** 4, rel=1e-6)
 
@@ -342,7 +344,7 @@ def test_combination_extent_has_no_bound_box():
     # a combination's rows span R^n, so its sublevel sets are bounded and
     # no bound radius applies: along x = 2y, where the row (1, -2)
     # vanishes, Phi = 0.8 r^2 + (r / sqrt 5)^1.5 reaches t = 1e20 at
-    # r = 1.118e10, beyond the CustomPhi box of radius 1e8
+    # r = 1.118e10, far out along a direction where one row vanishes
     phi = LinearCombinationPhi(2, [([1.0, 0.0], PowerYoung(2)),
                                    ([0.0, 1.0], PowerYoung(1.5)),
                                    ([1.0, -2.0], PowerYoung(6))])
@@ -351,15 +353,6 @@ def test_combination_extent_has_no_bound_box():
     assert r > 1e10
     assert 0.8 * r**2 + (r / math.sqrt(5)) ** 1.5 == pytest.approx(
         1e20, rel=1e-11)
-
-
-def test_unbounded_sublevel_raises():
-    # depends on x only: the sublevel set is an unbounded strip; at
-    # t = 4e14 its half-width is 1/5 of the bound radius 1e8, as at
-    # t = 100 in a box of radius 50 (Phi is 2-homogeneous)
-    phi = CustomPhi(2, lambda xi: xi[..., 0] ** 2)
-    with pytest.raises(BoundBoxError):
-        sublevel_measure(phi, 4e14)
 
 
 def test_phi_circ_radial_is_identity():
@@ -560,15 +553,31 @@ def test_star_path_projects_no_more_rows_than_a_rule_has(monkeypatch):
     assert all(rows <= size for size, rows in projected)
 
 
-def _ellipse(xi):
-    """x^2 + xy + y^2: its sublevel set at t has area 2 pi t / sqrt(3)."""
-    return xi[..., 0] ** 2 + xi[..., 0] * xi[..., 1] + xi[..., 1] ** 2
+# x^2 + y^2 + (x + y)^2 = 2 (x^2 + xy + y^2): three rows in the plane,
+# so the star path; its sublevel set at t is an ellipse of area
+# pi t / sqrt(3)
+_QUADRATIC = [([1.0, 0.0], PowerYoung(2)), ([0.0, 1.0], PowerYoung(2)),
+              ([1.0, 1.0], PowerYoung(2))]
 
 
-def test_termless_star_path_solves_one_grid_per_chunk(monkeypatch):
-    # a Phi without terms takes the same chunk loop as a combination:
+def test_star_path_in_three_dimensions_meets_the_ellipsoid():
+    # sum_k (c_k . xi)^2 = xi^T C^T C xi with four random rows in R^3:
+    # its sublevel set at t is an ellipsoid of volume
+    # omega_3 t^{3/2} / sqrt(det C^T C), on the star path
+    c = np.random.default_rng(0).standard_normal((4, 3))
+    phi = LinearCombinationPhi(3, [(row, PowerYoung(2)) for row in c])
+    levels = np.geomspace(1e-2, 1e6, 16)
+    measures, summary = anisotropic._star_measure(phi, levels)
+    assert summary["unconverged"] == 0
+    np.testing.assert_allclose(
+        measures, unit_ball_volume(3) * levels**1.5
+        / math.sqrt(np.linalg.det(c.T @ c)), rtol=1e-10)
+
+
+def test_star_path_solves_one_bracketed_grid_per_chunk(monkeypatch):
     # each rule solves its pending levels, in order, in one radial_extent
-    # call per chunk, with no call for the extreme levels first
+    # call per chunk, each with its closed-form ray brackets, with no
+    # call for the extreme levels first
     events = []
     rule, extent = anisotropic._sphere_rule, anisotropic.radial_extent
 
@@ -577,16 +586,16 @@ def test_termless_star_path_solves_one_grid_per_chunk(monkeypatch):
         return rule(n, level, kinks)
 
     def counted_extent(phi, w, levels, bracket=None):
-        assert bracket is None
+        assert bracket is not None
         events[-1].append((levels.copy(), len(w)))
         return extent(phi, w, levels, bracket)
 
     monkeypatch.setattr(anisotropic, "_sphere_rule", counted_rule)
     monkeypatch.setattr(anisotropic, "radial_extent", counted_extent)
     levels = np.geomspace(1e-2, 1e6, 600)
-    measures = sublevel_measure(CustomPhi(2, _ellipse), levels)
-    np.testing.assert_allclose(measures, 2.0 * math.pi * levels
-                               / math.sqrt(3.0), rtol=1e-9)
+    measures = sublevel_measure(LinearCombinationPhi(2, _QUADRATIC), levels)
+    np.testing.assert_allclose(measures, math.pi * levels / math.sqrt(3.0),
+                               rtol=1e-9)
     assert len(events) >= 2
     pending = levels
     for calls in events:
@@ -597,13 +606,14 @@ def test_termless_star_path_solves_one_grid_per_chunk(monkeypatch):
         # the pending levels in order, the extreme ones not first
         assert np.all(np.diff(solved) > 0) and set(solved) <= set(pending)
         pending = solved
-    # every level in the first rule, in two chunks of 32 directions
-    assert [t.size for t, _ in events[0]] == [512, 88]
+    # every level in the first rule, in two chunks of its 30 directions
+    # (10 on each of the three arcs between the kinks)
+    assert [t.size for t, _ in events[0]] == [546, 54]
 
 
 def test_radial_extent_grid_equals_per_level_calls():
     # one level x direction grid is the per-level solves bit for bit,
-    # for a combination (bracketed or not) and for a CustomPhi
+    # bracketed or not
     kinked = LinearCombinationPhi(2, _KINKED)
     w, _ = anisotropic._sphere_rule(2, 1, kinked.coeffs)
     levels = np.geomspace(1e-3, 1e9, 7)
@@ -611,14 +621,14 @@ def test_radial_extent_grid_equals_per_level_calls():
                     for s in (levels / 3, levels)])
     bracket = anisotropic._ray_bracket(
         anisotropic._projections(kinked.coeffs, w), inv)
-    for phi, b in ((kinked, None), (kinked, bracket),
-                   (CustomPhi(2, _ellipse), None)):
-        grid = anisotropic.radial_extent(phi, w, levels, b)
+    for b in (None, bracket):
+        grid = anisotropic.radial_extent(kinked, w, levels, b)
         assert grid.shape == (levels.size, len(w))
         for i, t in enumerate(levels):
             rows = None if b is None else [e[i:i + 1] for e in b]
             np.testing.assert_array_equal(
-                anisotropic.radial_extent(phi, w, [t], rows), grid[i:i + 1])
+                anisotropic.radial_extent(kinked, w, [t], rows),
+                grid[i:i + 1])
 
 
 def _bracketed_radii(phi, w, t, bracket):
@@ -705,10 +715,13 @@ def test_infinite_star_level_is_inf_and_silent():
 
 
 def test_unconverged_star_level_warns():
-    # the kinked function as a CustomPhi declares no kink planes, so its
-    # sphere rule is not split there: level 1e20 ends the six sphere
-    # rules above rel_tol; the lower level converges and leaves no trace
-    phi = CustomPhi(2, LinearCombinationPhi(2, _KINKED).value)
+    # x^2 + |y|^1.5 + (x - 2y)^6: at level 1e20 the sublevel set is a
+    # needle along x = 2y, where the sixth power vanishes, about 2e10
+    # long and 2e3 wide, which the six sphere rules do not resolve: it
+    # ends above rel_tol; the lower level converges and leaves no trace
+    phi = LinearCombinationPhi(2, [([1.0, 0.0], PowerYoung(2)),
+                                   ([0.0, 1.0], PowerYoung(1.5)),
+                                   ([1.0, -2.0], PowerYoung(6))])
     with pytest.warns(MeasureConvergenceWarning) as caught:
         sublevel_measure(phi, np.array([1e3, 1e20]))
     summary = caught[0].message.summary
@@ -717,29 +730,32 @@ def test_unconverged_star_level_warns():
 
 
 def test_star_path_batches_at_most_a_chunk(monkeypatch):
-    # x^2 + xy + y^2: an ellipse of area 2 pi t / sqrt(3), on the star
-    # path; 600 levels of the 32-direction first rule need two chunks.
-    # Lifted, one call carries more pairs than a default chunk: the 600
-    # levels of the first rule's 32 directions
+    # the ellipse of _QUADRATIC on the star path: 600 levels of the
+    # 30-direction first rule need two chunks.  A solve's first round
+    # evaluates both radii of each bracket, so a chunk of pairs is at
+    # most two chunks of rays.  Lifted, one call carries more: both
+    # radii of the 600 levels of the first rule's 30 directions
     calls = []
+    values = anisotropic._ray_values
 
-    def fn(xi):
-        calls.append(xi.shape[0])
-        return xi[:, 0] ** 2 + xi[:, 0] * xi[:, 1] + xi[:, 1] ** 2
+    def counted(terms, r, *a):
+        calls.append(r.size)
+        return values(terms, r, *a)
 
-    phi = CustomPhi(2, fn)
+    monkeypatch.setattr(anisotropic, "_ray_values", counted)
+    phi = LinearCombinationPhi(2, _QUADRATIC)
     circ = phi_circ(phi, t_lo=1e-2, t_hi=1e6, n_levels=600)
     chunk = anisotropic._CHUNK
-    assert max(calls) <= chunk < 600 * 32
+    assert max(calls) <= 2 * chunk < 2 * 600 * 30
     assert circ.convergence["unconverged"] == 0
     levels = np.exp(circ.log_v)
     np.testing.assert_allclose(
         unit_ball_volume(2) * np.exp(circ.log_t) ** 2,
-        2.0 * math.pi * levels / math.sqrt(3.0), rtol=1e-9)
+        math.pi * levels / math.sqrt(3.0), rtol=1e-9)
     calls.clear()
     monkeypatch.setattr(anisotropic, "_CHUNK", 2**40)
     single = phi_circ(phi, t_lo=1e-2, t_hi=1e6, n_levels=600)
-    assert max(calls) > chunk
+    assert max(calls) > 2 * chunk
     np.testing.assert_array_equal(single.log_t, circ.log_t)
     np.testing.assert_array_equal(single.log_v, circ.log_v)
 
@@ -803,6 +819,33 @@ _RADIAL = {"n": 2, "form": "radial", "term": {"kind": "power", "p": 2}}
 _LINEAR = {"n": 2, "form": "linear_combination",
            "terms": [{"coeffs": [1, -1], "kind": "power", "p": 2},
                      {"coeffs": [1, 0], "kind": "power", "p": 3}]}
+
+
+def _subclasses(cls):
+    """Every subclass of ``cls``, recursively."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_anisotropic_form_is_built_from_json():
+    # the CLI builds every Phi through from_json, so a form that it does
+    # not build is one that no command runs; every form but the radial
+    # one is a combination, with the rows and terms the star path reads
+    docs = {"radial": _RADIAL, "linear_combination": _LINEAR,
+            "split": {"n": 2, "form": "split",
+                      "terms": [{"kind": "power", "p": 2},
+                                {"kind": "power", "p": 4}]}}
+    forms = set()
+    for cls in _subclasses(anisotropic.AnisotropicYoungFunction):
+        form = getattr(cls, "form", None)
+        assert form in docs, cls
+        phi = from_json(docs[form])
+        assert type(phi) is cls
+        if form != "radial":
+            assert phi.coeffs.shape == (len(phi.terms), phi.n)
+        forms.add(form)
+    assert forms == set(docs)
 
 
 def _without(doc, key, term=None):

@@ -931,6 +931,19 @@ def test_exp_power_maximizer_at_beta_1_solves_in_at_most_3_rounds(
                                rtol=1e-13, atol=0.0)
 
 
+def test_exp_power_maximizer_at_beta_1_starts_at_log_s(monkeypatch):
+    # at beta = 1 the Newton equation e^w + (1 - 1/beta) w = log s is
+    # e^w = log s, whose root w = log log s is the start: from w = 0
+    # five steps fell by at most 1 each where log s <= 1, so the bracket
+    # was capped at width 1 and took 8 rounds.  Where log s < 1e-3 the
+    # root's rounding can still open an end, so those s are left out
+    rounds = _solver_rounds(monkeypatch)
+    s = np.exp(np.linspace(0.01, 1.0, 200))
+    x = ExpPowerYoung(1.0).derivative_inverse(s)
+    assert len(rounds) == 1 and rounds[0] <= 2
+    np.testing.assert_allclose(x, np.log(s), rtol=1e-13, atol=0.0)
+
+
 def test_power_log_conjugate_solves_in_at_most_3_rounds(monkeypatch):
     # the conjugate table of the calculus benchmark: 10 rounds from x = 1
     rounds = _solver_rounds(monkeypatch)
